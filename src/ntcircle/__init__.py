@@ -30,7 +30,6 @@ from .errors import (
     DivergenceError,
     FrameDegeneracyError,
     InversionError,
-    MalformedCoefficientsError,
     MuDegeneracyError,
     NtCircleError,
     SmallDivisorError,
@@ -123,7 +122,6 @@ __all__ = [
     "GridCircle",
     "InternalMap",
     "InversionError",
-    "MalformedCoefficientsError",
     "MapFamily",
     "MuDegeneracyError",
     "NtCircleError",

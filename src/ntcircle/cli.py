@@ -30,14 +30,9 @@ import numpy as np
 
 from . import fourier
 from .errors import NtCircleError
-from .frame import TorusEmbedding, tangent, normal0, reducibility_error
+from .frame import TorusEmbedding, tangent
 from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
-from .solver_general import (
-    GridCircle,
-    InternalMap,
-    rotation_number,
-    sweep_parameter,
-)
+from .solver_general import GridCircle, InternalMap, sweep_parameter
 from .solver_qp import (
     GOLDEN_MEAN,
     ContinuationPolicy,

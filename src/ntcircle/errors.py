@@ -11,10 +11,6 @@ class NtCircleError(Exception):
     """Base class for all solver failures."""
 
 
-class MalformedCoefficientsError(NtCircleError):
-    """Coefficient data does not describe a real-valued function."""
-
-
 class SmallDivisorError(NtCircleError):
     """A cohomological divisor on the represented modes is below the floor."""
 

@@ -2,8 +2,8 @@
 
 Values live on the uniform dyadic grid theta_j = j/N and coefficients in
 the truncated Fourier basis k = -N/2+1 .. N/2.  Storage is real-to-complex
-(numpy rfft, normalized so c_0 is the mean); the signed index range above
-is the logical view, recovered with FourierCoeffs.full().
+(numpy rfft, normalized so c_0 is the mean): only k = 0 .. N/2 is kept,
+the negative modes being the complex conjugates.
 
 Nyquist convention: the k = N/2 bin holds the real amplitude of the
 cos(pi*N*theta) mode, the only representative of the +-N/2 pair that the
@@ -20,9 +20,8 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import MalformedCoefficientsError, SmallDivisorError
+from .errors import SmallDivisorError
 
-_HERMITIAN_TOL = 1e-10
 _DIVISOR_FLOOR = 1e-13
 
 
@@ -130,54 +129,9 @@ class FourierCoeffs:
     def __setattr__(self, name, value):
         raise AttributeError("FourierCoeffs is immutable")
 
-    @classmethod
-    def from_full(cls, full) -> "FourierCoeffs":
-        """Build from the logical view indexed k = -n/2+1 .. n/2.
-
-        The data must describe a real function: c_{-k} = conj(c_k) with
-        c_0 and c_{n/2} real, up to 1e-10 relative to the largest entry.
-        """
-        c = np.asarray(full, dtype=complex)
-        n = c.size
-        _check_size(n)
-        zero = n // 2 - 1  # position of k = 0
-        scale = max(1.0, float(np.max(np.abs(c))))
-        pos = c[zero + 1 : n - 1]          # k = 1 .. n/2-1
-        neg = c[zero - 1 :: -1]            # k = -1 .. -(n/2-1)
-        residue = 0.0
-        if pos.size:
-            residue = float(np.max(np.abs(pos - np.conj(neg)))) / 2.0
-        residue = max(residue, abs(c[zero].imag), abs(c[-1].imag))
-        if residue > _HERMITIAN_TOL * scale:
-            raise MalformedCoefficientsError(
-                f"coefficients are not conjugate-symmetric: residue "
-                f"{residue:.3e} exceeds {_HERMITIAN_TOL:.0e} * {scale:.3e}"
-            )
-        half = np.empty(n // 2 + 1, dtype=complex)
-        half[0] = c[zero].real
-        half[1:-1] = (pos + np.conj(neg)) / 2.0
-        half[-1] = c[-1].real
-        return cls(half, n)
-
-    def full(self) -> np.ndarray:
-        """Logical coefficient view, k = -n/2+1 .. n/2."""
-        n = self.n
-        c = np.empty(n, dtype=complex)
-        zero = n // 2 - 1
-        c[zero : n] = self.half[: n // 2 + 1]
-        c[:zero] = np.conj(self.half[n // 2 - 1 : 0 : -1])
-        return c
-
-    def coeff(self, k: int) -> complex:
-        if not -self.n // 2 + 1 <= k <= self.n // 2:
-            raise ValueError(f"mode {k} not represented on grid {self.n}")
-        if k >= 0:
-            return complex(self.half[k])
-        return complex(np.conj(self.half[-k]))
-
 
 def analyze(u: PeriodicScalar) -> FourierCoeffs:
-    """Forward transform, normalized so coeff(0) is the mean."""
+    """Forward transform, normalized so half[0] is the mean."""
     half = np.fft.rfft(u.values) / u.n
     return FourierCoeffs(half, u.n)
 
@@ -188,7 +142,7 @@ def synthesize(c: FourierCoeffs) -> PeriodicScalar:
 
 
 def average(u: PeriodicScalar) -> float:
-    """Mean value, identical to coeff(0)."""
+    """Mean value, identical to the k = 0 coefficient."""
     return float(np.mean(u.values))
 
 

@@ -14,6 +14,13 @@ tangent direction; vartheta cancels that shear and is the quantity whose
 blow-up signals loss of normal hyperbolicity.  det P = 1 identically,
 which is the frame's health check.
 
+The quasi-periodic solver works with PeriodicScalar fields and solves
+for vartheta spectrally.  The grid solver, whose f is free, works on
+plain sample arrays: the *_values kernels below build its frame, and
+solve_transfer is the one fixed-point kernel for both of its transfer
+equations, the torsion equation here and the normal equation of its
+Newton step.
+
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
 and <L, Omega N> = -1; the inverse transition P^{-1} has rows N^T Omega
 and -L^T Omega.
@@ -32,6 +39,7 @@ from .fourier import PeriodicScalar
 
 _GRAM_FLOOR = 1e-12
 _DET_TOL = 1e-8
+_FIXED_POINT_TOL = 1e-12
 
 Pair = tuple[PeriodicScalar, PeriodicScalar]
 
@@ -100,16 +108,21 @@ def tangent(k: TorusEmbedding) -> Pair:
     )
 
 
-def normal0(l: Pair) -> tuple[Pair, PeriodicScalar]:
-    """N0 = Omega L / <L, L> and the gram function <L, L>."""
-    lx, ly = l
+def normal0_values(lx: np.ndarray, ly: np.ndarray):
+    """N0 = Omega L / <L, L> and the gram function <L, L> on samples."""
     gram = lx * lx + ly * ly
-    if float(np.min(gram.values)) < _GRAM_FLOOR:
+    if float(np.min(gram)) < _GRAM_FLOOR:
         raise DegenerateCircleError(
-            f"tangent gram min {float(np.min(gram.values)):.3e} below "
+            f"tangent gram min {float(np.min(gram)):.3e} below "
             f"{_GRAM_FLOOR:.0e}; the embedding has (nearly) stalled"
         )
-    return (-ly / gram, lx / gram), gram
+    return -ly / gram, lx / gram, gram
+
+
+def normal0(l: Pair) -> tuple[Pair, PeriodicScalar]:
+    """N0 = Omega L / <L, L> and the gram function <L, L>."""
+    n0x, n0y, gram = normal0_values(l[0].values, l[1].values)
+    return (PeriodicScalar(n0x), PeriodicScalar(n0y)), PeriodicScalar(gram)
 
 
 def torsion0(n0: Pair, dfk, omega: float) -> PeriodicScalar:
@@ -137,50 +150,55 @@ def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScala
     return fourier._solve_linear_shift(-t0, 1.0, sigma, omega)
 
 
-def vartheta_general(
-    t0,
-    f,
-    fprime,
-    sigma: float,
-    theta: np.ndarray,
-    tol: float = 1e-13,
-    kmax: int | None = None,
-) -> np.ndarray:
-    """Torsion-cancelling coefficient for general internal dynamics f.
+def solve_transfer(a, b, idx, w, sigma: float):
+    """Solve x = a + b * x(s) on grid samples by fixed-point iteration.
 
-    Sums the transfer series
-
-        vartheta(theta) = -sum_{k>=0} sigma^k P_k(theta)^{-2}
-                           t0(f^k theta) / f'(f^k theta),
-        P_k = prod_{i<k} f'(f^i theta),
-
-    which solves f'*vartheta - (sigma/f')*vartheta(f(.)) = -t0.  The
-    arguments t0, f, fprime are callables on lift arrays; theta gives the
-    evaluation nodes.  Terms are added until their sup-norm drops below
-    tol; failure to get there within kmax terms (default ten times the
-    geometric estimate) means sigma^k is not winning against the orbit
-    products and is reported as a contraction failure.
+    x(s) is read through the Lagrange stencil (idx, w) of the points s.
+    The iteration budget is ten times the count sigma**k needs to reach
+    the tolerance; not settling within it means b does not contract
+    along the orbits of s, reported as a contraction failure.  Returns
+    the solution and the number of iterations used.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    if kmax is None:
-        kmax = int(math.ceil(10.0 * math.log(tol) / math.log(sigma)))
-    cur = np.array(theta, dtype=float)
-    prod = np.ones_like(cur)
-    acc = np.zeros_like(cur)
-    sig_k = 1.0
-    for _ in range(kmax):
-        fp = np.asarray(fprime(cur), dtype=float)
-        term = (sig_k / (prod * prod)) * np.asarray(t0(cur), dtype=float) / fp
-        acc += term
-        if float(np.max(np.abs(term))) < tol:
-            return -acc
-        prod = prod * fp
-        sig_k *= sigma
-        cur = np.asarray(f(cur), dtype=float)
+    cap = int(math.ceil(10.0 * math.log(_FIXED_POINT_TOL) / math.log(sigma)))
+    x = a
+    for it in range(cap):
+        nxt = a + b * np.sum(x[idx] * w, axis=0)
+        delta = float(np.max(np.abs(nxt - x)))
+        x = nxt
+        if delta < _FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(x)))):
+            return x, it + 1
     raise ContractionFailureError(
-        f"torsion transfer series did not reach {tol:.0e} within {kmax} terms"
+        f"transfer fixed point stalled after {cap} iterations"
     )
+
+
+def vartheta_general(t0, fprime, sigma: float, idx, w):
+    """Torsion-cancelling coefficient for general internal dynamics f.
+
+    Solves f'*vartheta - (sigma/f')*vartheta(f(.)) = -t0 on the grid as
+    the forward fixed point
+
+        vartheta = -t0/f' + (sigma/f'^2) * vartheta(f(.)),
+
+    which contracts like sigma^k / prod f'(f^i)^2 along the orbits of f.
+    t0 and fprime are samples on the nodes and (idx, w) the Lagrange
+    stencil of f at the nodes.  Returns vartheta and the iteration count.
+    """
+    return solve_transfer(-t0 / fprime, sigma / (fprime * fprime), idx, w, sigma)
+
+
+def normal_values(lx, ly, n0x, n0y, vartheta):
+    """N = L*vartheta + N0 on samples, checked by det [L, N] = 1."""
+    nx = lx * vartheta + n0x
+    ny = ly * vartheta + n0y
+    defect = float(np.max(np.abs(lx * ny - ly * nx - 1.0)))
+    if defect > _DET_TOL:
+        raise FrameDegeneracyError(
+            f"frame determinant deviates from 1 by {defect:.3e}"
+        )
+    return nx, ny
 
 
 def assemble_frame(
@@ -192,17 +210,11 @@ def assemble_frame(
     sigma: float,
 ) -> AdaptedFrame:
     """Build P = [L, N], N = L*vartheta + N0, and check det P = 1."""
-    lx, ly = l
-    n0x, n0y = n0
-    nx = lx * vartheta + n0x
-    ny = ly * vartheta + n0y
-    det = lx * ny - ly * nx
-    defect = float(np.max(np.abs(det.values - 1.0)))
-    if defect > _DET_TOL:
-        raise FrameDegeneracyError(
-            f"frame determinant deviates from 1 by {defect:.3e}"
-        )
-    return AdaptedFrame(l, n0, gram, t0, vartheta, (nx, ny), sigma)
+    nx, ny = normal_values(
+        l[0].values, l[1].values, n0[0].values, n0[1].values, vartheta.values
+    )
+    nvec = (PeriodicScalar(nx), PeriodicScalar(ny))
+    return AdaptedFrame(l, n0, gram, t0, vartheta, nvec, sigma)
 
 
 def reducibility_error(frame: AdaptedFrame, dfk, omega: float):
@@ -219,13 +231,14 @@ def reducibility_error(frame: AdaptedFrame, dfk, omega: float):
     return cols, sup
 
 
-def min_angle(vartheta: PeriodicScalar, gram: PeriodicScalar) -> float:
+def min_angle(vartheta: np.ndarray, gram: np.ndarray) -> float:
     """Smallest angle between tangent and reduced normal over the circle.
 
     alpha = min_theta arctan(1 / |vartheta * <L, L>|), the breakdown
-    indicator: alignment of the frame columns sends it to zero.
+    indicator: alignment of the frame columns sends it to zero.  Takes
+    samples of vartheta and of the gram function.
     """
-    m = float(np.max(np.abs(vartheta.values * gram.values)))
+    m = float(np.max(np.abs(vartheta * gram)))
     if m == 0.0:
         return math.pi / 2.0
     return math.atan(1.0 / m)

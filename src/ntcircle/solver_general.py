@@ -3,8 +3,11 @@
 Solves F(K(theta)) = K(f(theta)) for both the embedding K and the circle
 map f, with no rotation number prescribed and no small divisors: the
 tangent correction is taken up by f (Delta f = -eta_L) and the normal
-correction by a contractive transfer equation solved with a fixed-point
-iteration.  This variant follows the circle into phase locking, which is
+correction by a contractive transfer equation.  That equation and the
+torsion equation of the adapted frame are both solved by the one
+fixed-point kernel frame.solve_transfer, on the Lagrange stencils of f
+and of its inverse; the frame itself comes from the sample-array kernels
+of frame.  This variant follows the circle into phase locking, which is
 what the rotation-number sweeps exploit.
 
 Everything lives on a uniform grid with local Lagrange interpolation of
@@ -22,20 +25,19 @@ from fractions import Fraction
 import numpy as np
 
 from .errors import (
-    ContractionFailureError,
-    DegenerateCircleError,
     DivergenceError,
-    FrameDegeneracyError,
     InversionError,
     NtCircleError,
     ToleranceNotMetError,
 )
-from .frame import vartheta_general
+from .frame import (
+    min_angle,
+    normal0_values,
+    normal_values,
+    solve_transfer,
+    vartheta_general,
+)
 from .maps import MapFamily, ParamPoint
-
-_GRAM_FLOOR = 1e-12
-_DET_TOL = 1e-8
-_FIXED_POINT_TOL = 1e-12
 
 
 def _check_order(order: int) -> None:
@@ -220,7 +222,7 @@ def invariance_error(
 class GeneralStepReport:
     err: float            # invariance sup-norm before the update
     min_angle: float
-    fixed_point_iters: int
+    fixed_point_iters: int   # torsion and normal transfer solves together
 
 
 def _smooth(values: np.ndarray) -> np.ndarray:
@@ -253,58 +255,28 @@ def newton_step_general(
 
     lx = 1.0 + grid_derivative(circle.eta_x, p)
     ly = grid_derivative(circle.k_y, p)
-    gram = lx * lx + ly * ly
-    if float(np.min(gram)) < _GRAM_FLOOR:
-        raise DegenerateCircleError("tangent gram collapsed on the grid")
-    n0x = -ly / gram
-    n0y = lx / gram
+    n0x, n0y, gram = normal0_values(lx, ly)
 
     jac = family.jacobian(theta + circle.eta_x, circle.k_y, par)
     wx = jac[0, 0] * n0x + jac[0, 1] * n0y
     wy = jac[1, 0] * n0x + jac[1, 1] * n0y
     t0 = interp_apply(n0y, s_idx, s_w) * wx - interp_apply(n0x, s_idx, s_w) * wy
 
-    dg = grid_derivative(g, p)
-    vth = vartheta_general(
-        lambda q: interp(t0, q, p),
-        lambda q: q + interp(g, q, p),
-        lambda q: 1.0 + interp(dg, q, p),
-        sigma,
-        theta,
-    )
-    nx = lx * vth + n0x
-    ny = ly * vth + n0y
-    det = lx * ny - ly * nx
-    if float(np.max(np.abs(det - 1.0))) > _DET_TOL:
-        raise FrameDegeneracyError("grid frame determinant drifted from 1")
-    alpha = math.pi / 2.0
-    m = float(np.max(np.abs(vth * gram)))
-    if m > 0.0:
-        alpha = math.atan(1.0 / m)
+    vth, vth_iters = vartheta_general(t0, fp, sigma, s_idx, s_w)
+    nx, ny = normal_values(lx, ly, n0x, n0y, vth)
 
     eta_l = -(interp_apply(ny, s_idx, s_w) * ex - interp_apply(nx, s_idx, s_w) * ey)
     eta_n = (interp_apply(ly, s_idx, s_w) * ex - interp_apply(lx, s_idx, s_w) * ey)
 
-    # normal equation (sigma/f') xi - xi o f = eta_n, backward fixed point
+    # normal equation (sigma/f') xi - xi o f = eta_n, as the backward
+    # fixed point xi = -eta_n(f^-1) + (sigma/f'(f^-1)) * xi(f^-1)
     finv = invert_map(f)
-    r = theta + finv.g
-    r_idx, r_w = interp_stencil(n, r, p)
-    a_term = -interp_apply(eta_n, r_idx, r_w)
-    b_term = sigma / (1.0 + interp_apply(dg, r_idx, r_w))
-    cap = int(math.ceil(10.0 * math.log(_FIXED_POINT_TOL) / math.log(sigma)))
-    xi = a_term.copy()
-    fp_iters = cap
-    for it in range(cap):
-        nxt = a_term + b_term * interp_apply(xi, r_idx, r_w)
-        delta = float(np.max(np.abs(nxt - xi)))
-        xi = nxt
-        if delta < _FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(xi)))):
-            fp_iters = it + 1
-            break
-    else:
-        raise ContractionFailureError(
-            f"normal fixed point stalled after {cap} iterations"
-        )
+    r_idx, r_w = interp_stencil(n, theta + finv.g, p)
+    xi, xi_iters = solve_transfer(
+        -interp_apply(eta_n, r_idx, r_w),
+        sigma / interp_apply(fp, r_idx, r_w),
+        r_idx, r_w, sigma,
+    )
 
     # smooth the updates: grid-frequency components of the correction are
     # amplified by the derivative stencils faster than Newton contracts
@@ -316,7 +288,8 @@ def newton_step_general(
         p,
     )
     new_f = InternalMap(g - _smooth(eta_l), p)
-    return new_circle, new_f, GeneralStepReport(err, alpha, fp_iters)
+    report = GeneralStepReport(err, min_angle(vth, gram), vth_iters + xi_iters)
+    return new_circle, new_f, report
 
 
 @dataclass(frozen=True)

@@ -195,7 +195,7 @@ def _geometry(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     ws.d_a = fields["d_a"]
     ws.d_mu = fields["d_mu"]
     ws.tail = fields["tail"]
-    ws.alpha = min_angle(vth, gram)
+    ws.alpha = min_angle(vth.values, gram.values)
     ws.nx_s = fourier.shift(fr.nvec[0], om)
     ws.ny_s = fourier.shift(fr.nvec[1], om)
     ws.lx_s = fourier.shift(fr.l[0], om)
@@ -495,14 +495,24 @@ def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
     )
 
 
+def _picky(problem: QpProblem) -> QpProblem:
+    """problem held near the strict tolerance, for rebuilt bases.
+
+    A level that can only offer a high residual floor would poison
+    every later predictor, so a rebuild may not settle on one.
+    """
+    return replace(problem, floor_factor=min(10.0, problem.floor_factor))
+
+
 def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
     """Rebuild state on the next dyadic grid that converges cleanly.
 
     Levels whose retained-band edge sits near a resonance refuse the
-    strict tolerance and are skipped; None when no level up to n_max
-    takes.
+    strict tolerance and are skipped, and so are levels where the solve
+    blows up into non-finite samples (ValueError); None when no level
+    up to n_max takes.
     """
-    picky = replace(problem, floor_factor=min(10.0, problem.floor_factor))
+    picky = _picky(problem)
     n2 = 2 * state.k.n
     while n2 <= problem.n_max:
         try:
@@ -519,27 +529,15 @@ def _adapt_modes(problem: QpProblem, state: QpState) -> tuple[QpState, bool]:
     near a resonance) and gives up gracefully when no level absorbs the
     tail: the state is valid as is, just under-resolved, and the caller
     retries on later steps.  Rebuilt bases are held near the strict
-    tolerance; a level that can only offer a high residual floor would
-    poison every later predictor, so it is skipped.
+    tolerance (see _picky).
     """
-    picky = replace(
-        problem, floor_factor=min(10.0, problem.floor_factor)
-    )
     for _ in range(10):
         tail = state.diagnostics.tail
         n = state.k.n
         if tail > problem.tail_double:
             if 2 * n > problem.n_max:
                 return state, True
-            grown = None
-            n2 = 2 * n
-            while n2 <= problem.n_max and grown is None:
-                try:
-                    grown = newton_solve(
-                        picky, replace(state, k=state.k.resample(n2))
-                    )
-                except NtCircleError:
-                    n2 *= 2
+            grown = _grow_base(problem, state)
             if grown is None:
                 return state, False
             state = grown
@@ -547,9 +545,9 @@ def _adapt_modes(problem: QpProblem, state: QpState) -> tuple[QpState, bool]:
         if tail < problem.tail_halve and n > problem.n_min:
             try:
                 trial = newton_solve(
-                    picky, replace(state, k=state.k.resample(n // 2))
+                    _picky(problem), replace(state, k=state.k.resample(n // 2))
                 )
-            except NtCircleError:
+            except (NtCircleError, ValueError):
                 break
             if trial.diagnostics.tail <= problem.tail_double:
                 state = trial

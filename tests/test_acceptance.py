@@ -29,6 +29,7 @@ from ntcircle.solver_general import (
     GridCircle,
     InternalMap,
     induced_internal_map,
+    interp_stencil,
     rotation_number,
     sweep_parameter,
 )
@@ -183,14 +184,11 @@ def test_6_property_suite():
 
     # both torsion solvers agree on rigid internal dynamics
     theta = fourier.grid(256)
-
-    def t0(x):
-        two_pi = 2.0 * np.pi
-        return 0.3 + 0.2 * np.sin(two_pi * x) + 0.1 * np.cos(2.0 * two_pi * x)
-
-    vth_qp = vartheta_qp(fourier.PeriodicScalar(t0(theta)), SIGMA, OMEGA)
-    vth_gen = vartheta_general(t0, lambda x: x + OMEGA, np.ones_like,
-                               SIGMA, theta, tol=1e-13)
+    two_pi = 2.0 * np.pi
+    t0 = 0.3 + 0.2 * np.sin(two_pi * theta) + 0.1 * np.cos(2.0 * two_pi * theta)
+    vth_qp = vartheta_qp(fourier.PeriodicScalar(t0), SIGMA, OMEGA)
+    idx, w = interp_stencil(256, theta + OMEGA, 6)
+    vth_gen, _ = vartheta_general(t0, np.ones(256), SIGMA, idx, w)
     assert float(np.max(np.abs(vth_qp.values - vth_gen))) <= 1e-9
 
     # analytic Jacobians against centered differences

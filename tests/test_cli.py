@@ -2,6 +2,7 @@
 
 import hashlib
 import os
+import shutil
 import subprocess
 import sys
 
@@ -288,6 +289,30 @@ class TestVerifyCommand:
         assert "FAIL " not in out
 
 
+def console_script(name):
+    """argv prefix and environment that run the console script `name`.
+
+    The installed script when it is on PATH.  Otherwise the script's
+    [project.scripts] target in pyproject.toml, called by this
+    interpreter with the imported ntcircle package on its path, so an
+    uninstalled checkout still runs the entry point a user would get.
+    """
+    exe = shutil.which(name)
+    if exe is not None:
+        return [exe], None
+    import tomllib
+
+    pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    with open(os.path.join(pkg_root, os.pardir, "pyproject.toml"), "rb") as fh:
+        target = tomllib.load(fh)["project"]["scripts"][name]
+    module, func = target.split(":")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+    code = f"from {module} import {func}; {func}()"
+    return [sys.executable, "-c", code], env
+
+
 class TestConsoleScript:
     def test_installed_entry_point(self, tmp_path):
         table = str(tmp_path / "alpha_in.csv")
@@ -295,9 +320,10 @@ class TestConsoleScript:
         cli.write_csv(table, ("eps", "alpha"), zip(eps, 1.5 - eps))
         cfg = write_cfg(tmp_path, f"alpha_input = {table}\n")
         out = str(tmp_path / "out")
+        argv, env = console_script("ntcircle")
         proc = subprocess.run(
-            ["ntcircle", "breakdown", "--config", cfg, "--out", out],
-            capture_output=True, text=True, check=False,
+            argv + ["breakdown", "--config", cfg, "--out", out],
+            capture_output=True, text=True, check=False, env=env,
         )
         assert proc.returncode == 0, proc.stderr
         assert os.path.exists(os.path.join(out, "fit.txt"))

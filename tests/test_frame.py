@@ -22,6 +22,9 @@ from ntcircle import (
     vartheta_general,
     vartheta_qp,
 )
+from ntcircle.errors import ContractionFailureError
+from ntcircle.frame import solve_transfer
+from ntcircle.solver_general import interp_stencil
 
 SIGMA = 0.8
 OMEGA = GOLDEN_MEAN
@@ -109,50 +112,54 @@ class TestFrameConstruction:
 
     def test_min_angle_positive_and_decreasing_in_vartheta(self):
         x = grid(64)
-        gram = PeriodicScalar(np.ones(64))
-        small = PeriodicScalar(0.1 * np.cos(TWO_PI * x))
-        large = PeriodicScalar(10.0 * np.cos(TWO_PI * x))
+        gram = np.ones(64)
+        small = 0.1 * np.cos(TWO_PI * x)
+        large = 10.0 * np.cos(TWO_PI * x)
         assert min_angle(small, gram) > min_angle(large, gram) > 0.0
+
+
+def spectral_eval(values, q):
+    """Trigonometric interpolant of grid samples, evaluated at points q."""
+    n = values.size
+    c = np.fft.rfft(values) / n
+    modes = np.exp(TWO_PI * 1j * np.outer(q, np.arange(1, n // 2)))
+    return (c[0].real + 2.0 * np.real(modes @ c[1:-1])
+            + c[-1].real * np.cos(np.pi * n * q))
 
 
 class TestVarthetaGeneral:
     def test_agrees_with_qp_on_rigid_rotation(self):
-        # same equation when f is the rigid rotation, so the transfer-series
-        # evaluation must match the spectral solve
-        x = grid(256)
+        # same equation when f is the rigid rotation, so the grid fixed
+        # point must match the spectral solve
+        n = 256
+        x = grid(n)
         t0v = np.cos(TWO_PI * x) - 0.4 * np.sin(3 * TWO_PI * x) + 0.2
         vth_qp = vartheta_qp(PeriodicScalar(t0v), SIGMA, OMEGA)
-
-        def t0f(theta):
-            th = np.mod(theta, 1.0)
-            return (np.cos(TWO_PI * th) - 0.4 * np.sin(3 * TWO_PI * th) + 0.2)
-
-        vth_gen = vartheta_general(
-            t0f, lambda th: th + OMEGA, lambda th: np.ones_like(th),
-            SIGMA, x, tol=1e-14,
-        )
+        idx, w = interp_stencil(n, x + OMEGA, 8)
+        vth_gen, _ = vartheta_general(t0v, np.ones(n), SIGMA, idx, w)
         assert np.max(np.abs(vth_gen - vth_qp.values)) <= 1e-9
 
     def test_solves_functional_equation_for_warped_map(self):
         # f a diffeomorphism, not a rotation: check the defining relation
-        # f'*vartheta - (sigma/f')*vartheta(f(.)) = -t0 on a fine grid
+        # f'*vartheta - (sigma/f')*vartheta(f(.)) = -t0, with vartheta(f(.))
+        # taken from the trigonometric interpolant, not the solver's stencil
         eps = 0.08
-
-        def f(th):
-            return th + OMEGA + eps * np.sin(TWO_PI * th) / TWO_PI
-
-        def fp(th):
-            return 1.0 + eps * np.cos(TWO_PI * th)
-
-        def t0f(th):
-            return np.cos(TWO_PI * th)
-
-        x = grid(512)
-        vth = vartheta_general(t0f, f, fp, SIGMA, x, tol=1e-14)
-        # evaluate vartheta at f(x) by solving the series there too
-        vth_at_f = vartheta_general(t0f, f, fp, SIGMA, f(x), tol=1e-14)
-        res = fp(x) * vth - (SIGMA / fp(x)) * vth_at_f + t0f(x)
+        n = 512
+        x = grid(n)
+        f = x + OMEGA + eps * np.sin(TWO_PI * x) / TWO_PI
+        fp = 1.0 + eps * np.cos(TWO_PI * x)
+        t0 = np.cos(TWO_PI * x)
+        idx, w = interp_stencil(n, f, 6)
+        vth, _ = vartheta_general(t0, fp, SIGMA, idx, w)
+        res = fp * vth - (SIGMA / fp) * spectral_eval(vth, f) + t0
         assert np.max(np.abs(res)) <= 1e-11
+
+    def test_non_contracting_transfer_raises(self):
+        # b = 1 is neutral: the iterates drift and never settle
+        n = 64
+        idx, w = interp_stencil(n, grid(n) + OMEGA, 4)
+        with pytest.raises(ContractionFailureError):
+            solve_transfer(np.ones(n), np.ones(n), idx, w, SIGMA)
 
 
 class TestConvergedCircleFrame:
