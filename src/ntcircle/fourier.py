@@ -12,6 +12,15 @@ delta with eigenvalue cos(pi*N*delta), and shift() implements exactly
 that, so the algebraic identities behind the cohomological solvers hold
 on the grid for every representable input, Nyquist content included.
 Odd spectral operations (derivative) send the bin to zero.
+
+Work that never changes is done once.  The phase vectors e(k*delta) of
+shift and of the cohomological solvers come from one bounded cache
+keyed on (n, delta), read-only like the grids.  dealias returns a
+constant field as it is, and dealias_tail filters a composition and
+gauges its raw tail from one transform.  Samples that this module has
+just allocated (arithmetic results, inverse transforms) are frozen and
+wrapped without a copy; anything a caller hands in is still copied, and
+every construction still checks finiteness.
 """
 
 from __future__ import annotations
@@ -46,6 +55,14 @@ def _wavenumbers(n: int) -> np.ndarray:
     return k
 
 
+@lru_cache(maxsize=32)
+def _phases(n: int, delta: float) -> np.ndarray:
+    """e(k*delta) = exp(2 pi i k delta) for k = 0 .. n/2, read-only."""
+    ph = np.exp(2j * np.pi * _wavenumbers(n) * delta)
+    ph.setflags(write=False)
+    return ph
+
+
 class PeriodicScalar:
     """Real 1-periodic function sampled on the dyadic grid of size n.
 
@@ -62,8 +79,10 @@ class PeriodicScalar:
         _check_size(v.size)
         if not np.all(np.isfinite(v)):
             raise ValueError("samples must be finite")
-        v = v.copy()
-        v.setflags(write=False)
+        # a read-only array that owns its memory cannot change under us
+        if v.flags.writeable or not v.flags.owndata:
+            v = v.copy()
+            v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n", v.size)
 
@@ -73,7 +92,7 @@ class PeriodicScalar:
     @classmethod
     def zeros(cls, n: int) -> "PeriodicScalar":
         _check_size(n)
-        return cls(np.zeros(n))
+        return _fresh(np.zeros(n))
 
     def _other_values(self, other):
         if isinstance(other, PeriodicScalar):
@@ -83,32 +102,38 @@ class PeriodicScalar:
         return other
 
     def __add__(self, other):
-        return PeriodicScalar(self.values + self._other_values(other))
+        return _fresh(self.values + self._other_values(other))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        return PeriodicScalar(self.values - self._other_values(other))
+        return _fresh(self.values - self._other_values(other))
 
     def __rsub__(self, other):
-        return PeriodicScalar(self._other_values(other) - self.values)
+        return _fresh(self._other_values(other) - self.values)
 
     def __mul__(self, other):
-        return PeriodicScalar(self.values * self._other_values(other))
+        return _fresh(self.values * self._other_values(other))
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        return PeriodicScalar(self.values / self._other_values(other))
+        return _fresh(self.values / self._other_values(other))
 
     def __neg__(self):
-        return PeriodicScalar(-self.values)
+        return _fresh(-self.values)
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
 
     def __repr__(self):
         return f"PeriodicScalar(n={self.n}, sup={self.sup():.3e})"
+
+
+def _fresh(values: np.ndarray) -> PeriodicScalar:
+    """Wrap samples that nothing else references, without a copy."""
+    values.setflags(write=False)
+    return PeriodicScalar(values)
 
 
 class FourierCoeffs:
@@ -138,7 +163,7 @@ def analyze(u: PeriodicScalar) -> FourierCoeffs:
 
 def synthesize(c: FourierCoeffs) -> PeriodicScalar:
     """Inverse transform back to grid samples."""
-    return PeriodicScalar(np.fft.irfft(c.half * c.n, c.n))
+    return _fresh(np.fft.irfft(c.half * c.n, c.n))
 
 
 def average(u: PeriodicScalar) -> float:
@@ -147,9 +172,7 @@ def average(u: PeriodicScalar) -> float:
 
 
 def _shift_half(half: np.ndarray, n: int, delta: float) -> np.ndarray:
-    k = _wavenumbers(n)
-    phase = np.exp(2j * np.pi * k * delta)
-    out = half * phase
+    out = half * _phases(n, delta)
     # the Nyquist pair collapses to a cos mode; on the nodes a shift
     # scales it by cos(pi*n*delta) and keeps it real
     out[-1] = half[-1].real * np.cos(np.pi * n * delta)
@@ -159,7 +182,7 @@ def _shift_half(half: np.ndarray, n: int, delta: float) -> np.ndarray:
 def shift(u: PeriodicScalar, delta: float) -> PeriodicScalar:
     """Samples of theta -> u(theta + delta)."""
     half = np.fft.rfft(u.values) / u.n
-    return PeriodicScalar(np.fft.irfft(_shift_half(half, u.n, delta) * u.n, u.n))
+    return _fresh(np.fft.irfft(_shift_half(half, u.n, delta) * u.n, u.n))
 
 
 def derivative(u: PeriodicScalar) -> PeriodicScalar:
@@ -168,7 +191,7 @@ def derivative(u: PeriodicScalar) -> PeriodicScalar:
     k = _wavenumbers(u.n)
     dh = half * (2j * np.pi * k)
     dh[-1] = 0.0
-    return PeriodicScalar(np.fft.irfft(dh * u.n, u.n))
+    return _fresh(np.fft.irfft(dh * u.n, u.n))
 
 
 def _solve_linear_shift(
@@ -183,14 +206,13 @@ def _solve_linear_shift(
     """
     n = eta.n
     half = np.fft.rfft(eta.values) / n
-    k = _wavenumbers(n)
-    div = lam - rho * np.exp(2j * np.pi * k * omega)
+    div = lam - rho * _phases(n, omega)
     nyq = lam - rho * np.cos(np.pi * n * omega)
     if abs(nyq) < _DIVISOR_FLOOR:
         raise SmallDivisorError(n // 2, abs(nyq))
     out = half / div
     out[-1] = half[-1].real / nyq
-    return PeriodicScalar(np.fft.irfft(out * n, n))
+    return _fresh(np.fft.irfft(out * n, n))
 
 
 def solve_contractive(
@@ -218,8 +240,7 @@ def solve_small_divisor(
     """
     n = eta.n
     half = np.fft.rfft(eta.values) / n
-    k = _wavenumbers(n)
-    div = 1.0 - np.exp(2j * np.pi * k * omega)
+    div = 1.0 - _phases(n, omega)
     mags = np.abs(div[1:-1])
     nyq = 1.0 - np.cos(np.pi * n * omega)
     worst = int(np.argmin(mags)) + 1 if mags.size else n // 2
@@ -233,19 +254,17 @@ def solve_small_divisor(
     out[1:-1] = half[1:-1] / div[1:-1]
     out[-1] = half[-1].real / nyq
     mean = float(half[0].real)
-    return PeriodicScalar(np.fft.irfft(out * n, n)), mean
+    return _fresh(np.fft.irfft(out * n, n)), mean
 
 
-def tail_fraction(u: PeriodicScalar, band: float) -> float:
-    """l1 mass fraction of the modes with |k| > (1 - band)*(n/2).
-
-    Gauges how close the representation is to spectral exhaustion; 0 for
-    well-resolved data, approaching 1 when the tail carries everything.
-    """
+def _check_band(band: float) -> None:
     if not 0.0 < band < 1.0:
         raise ValueError(f"band must lie in (0, 1), got {band}")
-    n = u.n
-    half = np.abs(np.fft.rfft(u.values)) / n
+
+
+def _tail(half: np.ndarray, n: int, band: float) -> float:
+    """tail_fraction from the unnormalized rfft half-spectrum."""
+    half = np.abs(half) / n
     weights = np.full(n // 2 + 1, 2.0)
     weights[0] = 1.0
     weights[-1] = 1.0
@@ -258,6 +277,16 @@ def tail_fraction(u: PeriodicScalar, band: float) -> float:
     return float(np.sum(mass[k > cutoff])) / total
 
 
+def tail_fraction(u: PeriodicScalar, band: float) -> float:
+    """l1 mass fraction of the modes with |k| > (1 - band)*(n/2).
+
+    Gauges how close the representation is to spectral exhaustion; 0 for
+    well-resolved data, approaching 1 when the tail carries everything.
+    """
+    _check_band(band)
+    return _tail(np.fft.rfft(u.values), u.n, band)
+
+
 def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
     """Spectral interpolation onto a finer or coarser dyadic grid.
 
@@ -268,7 +297,7 @@ def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
     _check_size(n_new)
     n = u.n
     if n_new == n:
-        return PeriodicScalar(u.values)
+        return u
     half = np.fft.rfft(u.values) / n
     out = np.zeros(n_new // 2 + 1, dtype=complex)
     if n_new > n:
@@ -277,7 +306,12 @@ def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
     else:
         out[: n_new // 2] = half[: n_new // 2]
         out[-1] = 2.0 * half[n_new // 2].real
-    return PeriodicScalar(np.fft.irfft(out * n_new, n_new))
+    return _fresh(np.fft.irfft(out * n_new, n_new))
+
+
+def _dealias_half(half: np.ndarray, n: int) -> PeriodicScalar:
+    half[n // 3 + 1 :] = 0.0
+    return _fresh(np.fft.irfft(half, n))
 
 
 def dealias(u: PeriodicScalar) -> PeriodicScalar:
@@ -285,8 +319,19 @@ def dealias(u: PeriodicScalar) -> PeriodicScalar:
 
     Applied to pointwise products and compositions so that quadratic
     nonlinearities cannot fold spurious energy back into retained modes.
+    A constant is returned as it is: the transforms give it back bit for
+    bit, except for signed zeros, which are left to them.
     """
-    n = u.n
+    v = u.values
+    lo = v.min()
+    if lo == v.max() and (lo != 0.0 or not np.signbit(v).any()):
+        return u
+    return _dealias_half(np.fft.rfft(v), u.n)
+
+
+def dealias_tail(u: PeriodicScalar, band: float) -> tuple[PeriodicScalar, float]:
+    """dealias(u) together with tail_fraction(u, band), from one transform."""
+    _check_band(band)
     half = np.fft.rfft(u.values)
-    half[n // 3 + 1 :] = 0.0
-    return PeriodicScalar(np.fft.irfft(half, n))
+    tail = _tail(half, u.n, band)
+    return _dealias_half(half, u.n), tail

@@ -17,13 +17,25 @@ Compositions with the map are dealiased with the 1/3 truncation, and the
 invariance residual is measured on the filtered system; spectral
 exhaustion is monitored on the raw compositions and drives the dyadic
 mode adaptation during continuation.
+
+The linearization at a point is built in two stages.  The frame stage
+takes the Jacobian and D_a F along the circle, the tangent, N0, the
+torsion, vartheta, the frame, the shifted normal and the twist b_a.
+Completion adds the composition itself with its raw tail, D_mu F, the
+shifted tangent, the drift twist b_mu, the residual E and its frame
+projections.  A full geometry is completion applied to the frame stage.
+The Steffensen probes and the eps-derivative probes read only b_a, so
+they run the frame stage alone: about two thirds of the FFTs of a full
+geometry and no map evaluation.  When the twist is already closed the
+zero probe is the full-step candidate, and the iteration completes it
+instead of building it again.
 """
 
 from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -36,7 +48,6 @@ from .errors import (
 )
 from .fourier import PeriodicScalar
 from .frame import (
-    AdaptedFrame,
     Diagnostics,
     TorusEmbedding,
     assemble_frame,
@@ -135,7 +146,9 @@ class NewtonWorkspace:
 
     E is the dealiased invariance residual, (eta_l, eta_n) its projection
     -P(theta+omega)^{-1} E on the frame, and the b-fields the matching
-    projections of the parameter directions D_a F and D_mu F.
+    projections of the parameter directions D_a F and D_mu F.  The frame
+    stage fills k, a, mu, eps, frame, dfk, d_a, alpha, nx_s, ny_s, bla,
+    b_a and e_b; completion fills the rest.
     """
 
     __slots__ = (
@@ -147,78 +160,90 @@ class NewtonWorkspace:
     )
 
 
-def _composition_fields(family: MapFamily, k: TorusEmbedding, par: ParamPoint):
-    """Map data along the circle: dealiased compositions plus raw tail."""
+def _derivative_fields(family: MapFamily, k: TorusEmbedding, par: ParamPoint):
+    """Dealiased Jacobian and D_a F along the circle."""
     x = k.x_lift()
     y = k.k_y.values
-    fx_lift, fy = family.eval_lift(x, y, par)
-    ux = fx_lift - fourier.grid(k.n)   # periodic part of F^x
-    raw_x = PeriodicScalar(ux)
-    raw_y = PeriodicScalar(fy)
-    tail = max(
-        fourier.tail_fraction(raw_x, 0.25), fourier.tail_fraction(raw_y, 0.25)
-    )
     jac = family.jacobian(x, y, par)
     dfk = tuple(
         tuple(fourier.dealias(PeriodicScalar(jac[i, j])) for j in range(2))
         for i in range(2)
     )
     dax, day = family.d_a(x, y, par)
+    return dfk, (fourier.dealias(PeriodicScalar(dax)),
+                 fourier.dealias(PeriodicScalar(day)))
+
+
+def _composition_fields(family: MapFamily, k: TorusEmbedding, par: ParamPoint):
+    """Dealiased composition with its raw tail, and D_mu F along the circle."""
+    x = k.x_lift()
+    y = k.k_y.values
+    fx_lift, fy = family.eval_lift(x, y, par)
+    ux = fx_lift - fourier.grid(k.n)   # periodic part of F^x
+    fx, tail_x = fourier.dealias_tail(PeriodicScalar(ux), 0.25)
+    fy, tail_y = fourier.dealias_tail(PeriodicScalar(fy), 0.25)
     dmx, dmy = family.d_mu(x, y, par)
-    return {
-        "fx": fourier.dealias(raw_x),
-        "fy": fourier.dealias(raw_y),
-        "tail": tail,
-        "dfk": dfk,
-        "d_a": (fourier.dealias(PeriodicScalar(dax)),
-                fourier.dealias(PeriodicScalar(day))),
-        "d_mu": (fourier.dealias(PeriodicScalar(dmx)),
-                 fourier.dealias(PeriodicScalar(dmy))),
-    }
+    d_mu = (fourier.dealias(PeriodicScalar(dmx)),
+            fourier.dealias(PeriodicScalar(dmy)))
+    return fx, fy, max(tail_x, tail_y), d_mu
 
 
-def _geometry(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
-    """Frame, twists and parameter projections at (K, a, mu, eps)."""
-    fields = _composition_fields(problem.family, k, ParamPoint(a, mu, eps))
+def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
+    """Frame, torsion and twist b_a at (K, a, mu, eps): all a probe reads."""
     om = problem.omega
     sig = problem.family.sigma
+    dfk, d_a = _derivative_fields(problem.family, k, ParamPoint(a, mu, eps))
     l = tangent(k)
     n0, gram = normal0(l)
-    t0 = torsion0(n0, fields["dfk"], om)
+    t0 = torsion0(n0, dfk, om)
     vth = vartheta_qp(t0, sig, om)
     fr = assemble_frame(l, n0, gram, t0, vth, sig)
 
     ws = NewtonWorkspace()
     ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
     ws.frame = fr
-    ws.dfk = fields["dfk"]
-    ws.d_a = fields["d_a"]
-    ws.d_mu = fields["d_mu"]
-    ws.tail = fields["tail"]
+    ws.dfk = dfk
+    ws.d_a = d_a
     ws.alpha = min_angle(vth.values, gram.values)
     ws.nx_s = fourier.shift(fr.nvec[0], om)
     ws.ny_s = fourier.shift(fr.nvec[1], om)
-    ws.lx_s = fourier.shift(fr.l[0], om)
-    ws.ly_s = fourier.shift(fr.l[1], om)
+    dax, day = d_a
+    ws.bla = ws.ny_s * dax - ws.nx_s * day
+    ws.b_a = fourier.average(ws.bla)
+    ws.e_b = ws.b_a - problem.b_a0
+    return ws
+
+
+def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
+    """Add the residual, the raw tail and the remaining projections."""
+    om = problem.omega
+    k = ws.k
+    fx, fy, ws.tail, ws.d_mu = _composition_fields(
+        problem.family, k, ParamPoint(ws.a, ws.mu, ws.eps)
+    )
+    ws.lx_s = fourier.shift(ws.frame.l[0], om)
+    ws.ly_s = fourier.shift(ws.frame.l[1], om)
 
     dax, day = ws.d_a
     dmx, dmy = ws.d_mu
-    ws.bla = ws.ny_s * dax - ws.nx_s * day
     ws.bna = -(ws.ly_s * dax - ws.lx_s * day)
     ws.blm = ws.ny_s * dmx - ws.nx_s * dmy
     ws.bnm = -(ws.ly_s * dmx - ws.lx_s * dmy)
-    ws.b_a = fourier.average(ws.bla)
     ws.b_mu = fourier.average(ws.blm)
 
-    ws.ex = fields["fx"] - om - fourier.shift(k.eta_x, om)
-    ws.ey = fields["fy"] - fourier.shift(k.k_y, om)
+    ws.ex = fx - om - fourier.shift(k.eta_x, om)
+    ws.ey = fy - fourier.shift(k.k_y, om)
     ws.err = max(ws.ex.sup(), ws.ey.sup())
     ws.e_p = fourier.average(k.eta_x)
-    ws.e_b = ws.b_a - problem.b_a0
 
     ws.eta_l = -(ws.ny_s * ws.ex - ws.nx_s * ws.ey)
     ws.eta_n = ws.ly_s * ws.ex - ws.lx_s * ws.ey
     return ws
+
+
+def _geometry(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
+    """Frame, twists and parameter projections at (K, a, mu, eps)."""
+    return _complete(problem, _frame_stage(problem, k, a, mu, eps))
 
 
 def frame_fields(problem: QpProblem, state: QpState):
@@ -276,32 +301,43 @@ def newton_step_given_da(problem: QpProblem, ws: NewtonWorkspace, delta_a: float
     return _solve_linear(problem, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
 
 
-def _candidate_twist(problem: QpProblem, ws, delta_a: float) -> float:
-    """b_a after applying the correction with this delta_a."""
-    d_eta, d_ky, delta_mu = newton_step_given_da(problem, ws, delta_a)
-    kc = TorusEmbedding(ws.k.eta_x + d_eta, ws.k.k_y + d_ky)
-    cand = _geometry(problem, kc, ws.a + delta_a, ws.mu + delta_mu, ws.eps)
-    return cand.b_a
+def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float):
+    """Frame stage at the point a fraction t along the correction."""
+    d_eta, d_ky, delta_mu = step
+    kc = TorusEmbedding(ws.k.eta_x + t * d_eta, ws.k.k_y + t * d_ky)
+    return _frame_stage(problem, kc, ws.a + t * delta_a,
+                        ws.mu + t * delta_mu, ws.eps)
 
 
-def steffensen_update(problem: QpProblem, ws: NewtonWorkspace) -> float:
+def _probe(problem: QpProblem, ws, delta_a: float):
+    """Full correction for this delta_a and the frame stage it leads to."""
+    step = newton_step_given_da(problem, ws, delta_a)
+    return step, _candidate(problem, ws, step, delta_a, 1.0)
+
+
+def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
     """Root delta_a of g(delta_a) = b_a[after step] - b_a0.
 
     Derivative-free: probes at h = g(0), so the probe shrinks with the
-    residual and the overall iteration stays quadratic.
+    residual and the overall iteration stays quadratic.  A probe reads
+    only b_a, so it runs the frame stage alone.  Returns delta_a and,
+    when the twist is already closed (delta_a = 0), the zero probe as a
+    pair (step, frame stage): it is the full-step candidate, which the
+    caller completes instead of rebuilding.  Otherwise the pair is None.
     """
-    g0 = _candidate_twist(problem, ws, 0.0) - problem.b_a0
+    step0, cand0 = _probe(problem, ws, 0.0)
+    g0 = cand0.b_a - problem.b_a0
     if abs(g0) < 1e-14 * max(1.0, abs(problem.b_a0)):
-        return 0.0
+        return 0.0, (step0, cand0)
     h = g0
-    gh = _candidate_twist(problem, ws, h) - problem.b_a0
+    gh = _probe(problem, ws, h)[1].b_a - problem.b_a0
     slope = (gh - g0) / h
     if abs(slope) < _TWIST_SLOPE_FLOOR:
         raise TwistDegeneracyError(
             f"twist sensitivity d b_a / d a = {slope:.3e} below "
             f"{_TWIST_SLOPE_FLOOR:.0e}; the twist closure cannot pin a"
         )
-    return -g0 / slope
+    return -g0 / slope, None
 
 
 def _diagnostics(problem: QpProblem, ws: NewtonWorkspace) -> Diagnostics:
@@ -374,21 +410,20 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
                 f"residual blew up to {ws.err:.3e} from {history[0]:.3e}",
                 residual=ws.err,
             )
-        delta_a = steffensen_update(problem, ws)
-        d_eta, d_ky, delta_mu = newton_step_given_da(problem, ws, delta_a)
+        delta_a, zero_probe = steffensen_update(problem, ws)
+        step, cand = zero_probe or _probe(problem, ws, delta_a)
         # damped acceptance: a fractional step restores descent when the
         # full-step iteration turns into a neutral oscillation, which
         # happens when near-resonant modes enter the retained band; the
         # candidate geometry is reused, so the clean path pays nothing
         t = 1.0
         while True:
-            k2 = TorusEmbedding(k.eta_x + t * d_eta, k.k_y + t * d_ky)
-            ws2 = _geometry(problem, k2, a + t * delta_a,
-                            mu + t * delta_mu, eps)
+            ws2 = _complete(problem, cand)
             if ws2.err <= 1.2 * ws.err or t <= 0.25:
                 break
             t *= 0.5
-        k, a, mu, ws = k2, a + t * delta_a, mu + t * delta_mu, ws2
+            cand = _candidate(problem, ws, step, delta_a, t)
+        k, a, mu, ws = ws2.k, ws2.a, ws2.mu, ws2
         history.append(ws.err)
         if (
             abs(ws.e_p) <= problem.tol_phase
@@ -460,7 +495,7 @@ def eps_derivative(
         kc = TorusEmbedding(
             state.k.eta_x + probe * d_eta, state.k.k_y + probe * d_ky
         )
-        cand = _geometry(
+        cand = _frame_stage(
             problem, kc,
             state.a + probe * d_a,
             state.mu + probe * d_mu,

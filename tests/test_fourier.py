@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 
 from ntcircle import (
     GOLDEN_MEAN,
+    fourier,
     PeriodicScalar,
     SmallDivisorError,
     analyze,
@@ -54,6 +55,28 @@ class TestPeriodicScalar:
             u.values = np.ones(8)
         with pytest.raises(ValueError):
             u.values[0] = 1.0
+
+    def test_division_by_zero_raises(self):
+        with pytest.raises(ValueError), np.errstate(divide="ignore"):
+            PeriodicScalar(np.ones(8)) / 0.0
+
+    def test_caller_arrays_are_copied(self):
+        v = np.ones(8)
+        u = PeriodicScalar(v)
+        v[0] = 5.0
+        assert u.values[0] == 1.0
+        w = np.ones(8)
+        view = w[:]
+        view.setflags(write=False)   # read-only, but w can still change it
+        u = PeriodicScalar(view)
+        w[0] = 5.0
+        assert u.values[0] == 1.0
+
+    def test_results_are_read_only(self):
+        u = rand_scalar(16, 3, 1)
+        for r in (u + 1.0, -u, u * u, shift(u, 0.3), dealias(u)):
+            with pytest.raises(ValueError):
+                r.values[0] = 1.0
 
     def test_grid_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -120,6 +143,35 @@ class TestDerivativeShift:
         np.testing.assert_allclose(a.values, b.values, atol=1e-9)
 
 
+class TestCachedPhases:
+    """Cached phase vectors reproduce the uncached shift bit for bit."""
+
+    @staticmethod
+    def old_shift(u, delta):
+        n = u.n
+        half = np.fft.rfft(u.values) / n
+        k = np.arange(n // 2 + 1, dtype=float)
+        out = half * np.exp(2j * np.pi * k * delta)
+        out[-1] = half[-1].real * np.cos(np.pi * n * delta)
+        return np.fft.irfft(out * n, n)
+
+    @pytest.mark.parametrize("n", [8, 64, 1024, 1 << 14])
+    @pytest.mark.parametrize("delta", [GOLDEN_MEAN, 0.5, -0.3, 1.7e-3])
+    def test_shift_bitwise_equal(self, n, delta):
+        u = rand_scalar(n, min(n // 2, 40), n)
+        old = self.old_shift(u, delta)
+        assert shift(u, delta).values.tobytes() == old.tobytes()
+        # a second call reads the cache and must agree as well
+        assert shift(u, delta).values.tobytes() == old.tobytes()
+
+    def test_phases_read_only_and_shared(self):
+        ph = fourier._phases(64, GOLDEN_MEAN)
+        assert not ph.flags.writeable
+        with pytest.raises(ValueError):
+            ph[0] = 0.0
+        assert fourier._phases(64, GOLDEN_MEAN) is ph
+
+
 class TestResampleDealias:
     def test_refine_preserves_samples(self):
         u = rand_scalar(32, 10, 5)
@@ -138,6 +190,32 @@ class TestResampleDealias:
         x = grid(n)
         np.testing.assert_allclose(
             clean.values, np.cos(TWO_PI * 5 * x), atol=1e-12)
+
+    @pytest.mark.parametrize("n", [8, 64, 1 << 12, 1 << 16])
+    @pytest.mark.parametrize("c", [0.0, 1.0, 0.8, -2.5, 1e-300])
+    def test_dealias_constant_unchanged(self, n, c):
+        u = PeriodicScalar(np.full(n, c))
+        half = np.fft.rfft(u.values)
+        half[n // 3 + 1:] = 0.0
+        by_transform = np.fft.irfft(half, n)
+        out = dealias(u)
+        assert out.values.tobytes() == by_transform.tobytes()
+        assert out.values.tobytes() == u.values.tobytes()
+
+    def test_dealias_negative_zero_like_transform(self):
+        # the transforms give -0.0 back with mixed signs, so the constant
+        # shortcut must leave such a field to them
+        n = 16
+        u = PeriodicScalar(np.full(n, -0.0))
+        half = np.fft.rfft(u.values)
+        half[n // 3 + 1:] = 0.0
+        assert dealias(u).values.tobytes() == np.fft.irfft(half, n).tobytes()
+
+    def test_dealias_tail_matches_separate_calls(self):
+        u = rand_scalar(128, 60, 8)
+        clean, tail = fourier.dealias_tail(u, 0.25)
+        assert clean.values.tobytes() == dealias(u).values.tobytes()
+        assert tail == tail_fraction(u, 0.25)
 
     def test_tail_fraction_detects_band_edge(self):
         n = 64

@@ -7,9 +7,9 @@ import pytest
 
 from ntcircle import (
     GOLDEN_MEAN,
-    ContinuationPolicy,
     ContinuationRecord,
     NtCircleError,
+    PeriodicScalar,
     QpProblem,
     QpState,
     StandardNonTwistMap,
@@ -19,6 +19,7 @@ from ntcircle import (
     eps_derivative,
     newton_solve,
     residuals,
+    solver_qp,
     twist_surface,
 )
 
@@ -112,6 +113,98 @@ class TestNewtonBehavior:
         assert np.max(np.abs(ey.values)) <= 1e-12
         assert abs(e_p) <= 1e-11
         assert abs(e_b) <= 1e-11
+
+
+class TestIterationCost:
+    """Operation counts of one Newton solve; no timing involved."""
+
+    # FFTs by part, at a generic point: frame stage = 6 (Jacobian, the
+    # sigma entry is constant) + 2 (D_a F, y part zero) + 4 (tangent)
+    # + 4 (torsion shifts) + 2 (vartheta) + 4 (shifted normal);
+    # completion = 4 (compositions with their tails) + 4 (shifted
+    # tangent) + 4 (residual shifts); linear solve = 4 + 4 (dealias)
+    FRAME, COMPLETE, SOLVE = 22, 12, 8
+    # two probes, then the step and its full candidate
+    PER_ITERATION = 2 * (SOLVE + FRAME) + SOLVE + FRAME + COMPLETE
+    # start projection, start geometry and the reducibility diagnostic
+    PER_SOLVE = 4 + FRAME + COMPLETE + 16
+
+    @staticmethod
+    def counted(monkeypatch, prob):
+        """Count FFTs, map calls and frames; tag calls made by probes."""
+        c = dict(fft=0, eval_lift=0, d_mu=0, tangent=0, steffensen=0,
+                 closed=0, probe_eval_lift=0, probe_d_mu=0)
+
+        def count(key, fn):
+            def wrapped(*args, **kwargs):
+                c[key] += 1
+                return fn(*args, **kwargs)
+            return wrapped
+
+        monkeypatch.setattr(np.fft, "rfft", count("fft", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", count("fft", np.fft.irfft))
+        fam = prob.family
+        monkeypatch.setattr(fam, "eval_lift", count("eval_lift", fam.eval_lift))
+        monkeypatch.setattr(fam, "d_mu", count("d_mu", fam.d_mu))
+        monkeypatch.setattr(solver_qp, "tangent",
+                            count("tangent", solver_qp.tangent))
+        steffensen = solver_qp.steffensen_update
+
+        def probed(*args):
+            before = c["eval_lift"], c["d_mu"]
+            out = steffensen(*args)
+            c["steffensen"] += 1
+            c["closed"] += out[1] is not None
+            c["probe_eval_lift"] += c["eval_lift"] - before[0]
+            c["probe_d_mu"] += c["d_mu"] - before[1]
+            return out
+
+        monkeypatch.setattr(solver_qp, "steffensen_update", probed)
+        return c
+
+    def test_probes_skip_completion_and_fft_budget(self, monkeypatch):
+        prob = nonsym_problem()
+        start = QpState.flat_start(256, OMEGA)
+        c = self.counted(monkeypatch, prob)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        iters = c["steffensen"]
+        assert iters == state.iterations >= 3
+        assert c["closed"] == 0          # the twist closure runs every time
+        assert c["probe_eval_lift"] == 0 and c["probe_d_mu"] == 0
+        # one completion per geometry that is not a probe
+        assert c["eval_lift"] == c["d_mu"] == 1 + iters
+        assert c["tangent"] == 1 + 3 * iters
+        assert c["fft"] <= self.PER_SOLVE + iters * self.PER_ITERATION
+
+    def test_closed_twist_completes_its_probe(self, monkeypatch):
+        # odd forcing at b_a0 = 0: b_a vanishes by symmetry, so every
+        # iteration finds the twist closed and reuses the zero probe
+        prob = sym_problem()
+        start = QpState.flat_start(256, OMEGA)
+        c = self.counted(monkeypatch, prob)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        iters = c["steffensen"]
+        assert iters == state.iterations >= 3
+        assert c["closed"] == iters
+        assert c["probe_eval_lift"] == 0
+        # no second full geometry: one frame and one completion per step
+        assert c["tangent"] == c["eval_lift"] == 1 + iters
+
+    @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
+    def test_frame_stage_twist_is_bitwise(self, variant):
+        fam = StandardNonTwistMap(SIGMA, variant)
+        prob = QpProblem(fam, omega=OMEGA, b_a0=0.1)
+        th = np.arange(128) / 128
+        k = TorusEmbedding(
+            PeriodicScalar(0.01 * np.sin(2 * np.pi * th)),
+            PeriodicScalar(0.02 * np.cos(2 * np.pi * th) + 0.003),
+        )
+        args = (prob, k, 0.013, 0.61, 0.9)
+        frame = solver_qp._frame_stage(*args)
+        full = solver_qp._geometry(*args)
+        assert frame.b_a == full.b_a
+        assert frame.alpha == full.alpha
+        assert frame.e_b == full.e_b
 
 
 class TestContinuation:
