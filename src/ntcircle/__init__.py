@@ -9,12 +9,12 @@ the tangent and stable bundles.
 
 Layout:
 
-- ``fourier``: periodic grid functions, FFT analysis, shift/derivative
-  algebra and the two cohomological solvers.
+- ``fourier``: periodic grid functions, FFT-based shift/derivative
+  algebra, dealiasing and the two cohomological solvers.
 - ``maps``: the dissipative standard non-twist family and its
   parameter derivatives.
-- ``frame``: the adapted (tangent, stable) frame along a circle and
-  its torsion/twist diagnostics.
+- ``frame``: the adapted (tangent, stable) frame along a circle, its
+  torsion and transfer solves, and the frame-angle diagnostic.
 - ``solver_qp``: the quasi-periodic Newton solver with the rotation
   locked to a fixed irrational, plus continuation, breakdown fitting
   and the twist-surface driver.
@@ -37,9 +37,7 @@ from .errors import (
     TwistDegeneracyError,
 )
 from .fourier import (
-    FourierCoeffs,
     PeriodicScalar,
-    analyze,
     average,
     dealias,
     derivative,
@@ -48,7 +46,6 @@ from .fourier import (
     shift,
     solve_contractive,
     solve_small_divisor,
-    synthesize,
     tail_fraction,
 )
 from .maps import Forcing, MapFamily, ParamPoint, StandardNonTwistMap, check_symmetry
@@ -62,8 +59,6 @@ from .frame import (
     reducibility_error,
     tangent,
     torsion0,
-    twist_a,
-    twist_mu,
     vartheta_general,
     vartheta_qp,
 )
@@ -115,7 +110,6 @@ __all__ = [
     "DivergenceError",
     "EpsDerivative",
     "Forcing",
-    "FourierCoeffs",
     "FrameDegeneracyError",
     "GOLDEN_MEAN",
     "GeneralSolution",
@@ -137,7 +131,6 @@ __all__ = [
     "TorusEmbedding",
     "TwistDegeneracyError",
     "ambient_rotation_number",
-    "analyze",
     "assemble_frame",
     "average",
     "breakdown_extrapolate",
@@ -165,12 +158,9 @@ __all__ = [
     "solve_contractive",
     "solve_small_divisor",
     "sweep_parameter",
-    "synthesize",
     "tail_fraction",
     "tangent",
     "torsion0",
-    "twist_a",
-    "twist_mu",
     "twist_surface",
     "vartheta_general",
     "vartheta_qp",

@@ -136,36 +136,6 @@ def _fresh(values: np.ndarray) -> PeriodicScalar:
     return PeriodicScalar(values)
 
 
-class FourierCoeffs:
-    """Coefficients of a real function, rfft half-spectrum storage."""
-
-    __slots__ = ("half", "n")
-
-    def __init__(self, half, n: int):
-        _check_size(n)
-        h = np.asarray(half, dtype=complex)
-        if h.size != n // 2 + 1:
-            raise ValueError("half-spectrum length must be n//2 + 1")
-        h = h.copy()
-        h.setflags(write=False)
-        object.__setattr__(self, "half", h)
-        object.__setattr__(self, "n", n)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("FourierCoeffs is immutable")
-
-
-def analyze(u: PeriodicScalar) -> FourierCoeffs:
-    """Forward transform, normalized so half[0] is the mean."""
-    half = np.fft.rfft(u.values) / u.n
-    return FourierCoeffs(half, u.n)
-
-
-def synthesize(c: FourierCoeffs) -> PeriodicScalar:
-    """Inverse transform back to grid samples."""
-    return _fresh(np.fft.irfft(c.half * c.n, c.n))
-
-
 def average(u: PeriodicScalar) -> float:
     """Mean value, identical to the k = 0 coefficient."""
     return float(np.mean(u.values))

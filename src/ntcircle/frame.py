@@ -243,20 +243,3 @@ def min_angle(vartheta: np.ndarray, gram: np.ndarray) -> float:
         return math.pi / 2.0
     return math.atan(1.0 / m)
 
-
-def twist_a(frame: AdaptedFrame, d_a: Pair, omega: float) -> float:
-    """b_a = < N(theta+omega)^T Omega D_a F(K(theta)) >."""
-    return _twist(frame, d_a, omega)
-
-
-def twist_mu(frame: AdaptedFrame, d_mu: Pair, omega: float) -> float:
-    """b_mu = < N(theta+omega)^T Omega D_mu F(K(theta)) >."""
-    return _twist(frame, d_mu, omega)
-
-
-def _twist(frame: AdaptedFrame, field: Pair, omega: float) -> float:
-    nx, ny = frame.nvec
-    nx_s = fourier.shift(nx, omega)
-    ny_s = fourier.shift(ny, omega)
-    fx, fy = field
-    return fourier.average(ny_s * fx - nx_s * fy)

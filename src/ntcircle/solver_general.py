@@ -10,6 +10,14 @@ and of its inverse; the frame itself comes from the sample-array kernels
 of frame.  This variant follows the circle into phase locking, which is
 what the rotation-number sweeps exploit.
 
+Newton makes one pass per solve and keeps its best iterate: near a
+resonance tongue the achievable grid residual rises just above the
+tolerance, and a pass that stops short settles on its best iterate when
+that is within _FLOOR_FACTOR of the tolerance, as the quasi-periodic
+solver settles on its floor.  Sweeps take each point from that one
+solve, or from the ambient orbit when it fails; both rotation numbers
+come from one weighted Birkhoff doubling loop.
+
 Everything lives on a uniform grid with local Lagrange interpolation of
 even order p; derivatives use the matching central stencils.  Internal
 maps are stored as displacement fields g with f(theta) = theta + g(theta)
@@ -300,6 +308,10 @@ class GeneralSolution:
     iterations: int
 
 
+# widest residual floor, relative to tol, a stopped pass may settle on
+_FLOOR_FACTOR = 100.0
+
+
 def newton_solve_general(
     circle: GridCircle,
     f: InternalMap,
@@ -308,22 +320,44 @@ def newton_solve_general(
     tol: float = 1e-11,
     max_newton: int = 20,
 ) -> GeneralSolution:
-    """Iterate newton_step_general to tolerance."""
+    """Iterate newton_step_general to tolerance, in one pass.
+
+    Returns the first iterate within tol.  A pass that stops short (the
+    iteration cap, a non-finite or blown-up residual, or a step raising
+    NtCircleError) returns its best iterate, with its true residual, if
+    that is within _FLOOR_FACTOR * tol.  Otherwise the failing step's
+    error is re-raised, or DivergenceError carrying the best residual.
+    """
     first = None
+    best = None
+    failure = None
     for it in range(max_newton + 1):
         err = invariance_error(circle, f, family, par)
         if first is None:
             first = err
         if err <= tol:
             return GeneralSolution(circle, f, err, it)
-        if it == max_newton or not math.isfinite(err) or err > 1e3 * (first + tol):
-            raise DivergenceError(
-                f"general Newton stuck at residual {err:.3e} "
-                f"after {it} iterations",
-                residual=err,
-            )
-        circle, f, _ = newton_step_general(circle, f, family, par)
-    raise DivergenceError("unreachable", residual=float("nan"))
+        if not math.isfinite(err) or err > 1e3 * (first + tol):
+            break
+        if best is None or err < best.err:
+            best = GeneralSolution(circle, f, err, it)
+        if it == max_newton:
+            break
+        try:
+            circle, f, _ = newton_step_general(circle, f, family, par)
+        except NtCircleError as exc:
+            failure = exc
+            break
+    if best is not None and best.err <= _FLOOR_FACTOR * tol:
+        return best
+    if failure is not None:
+        raise failure
+    residual = err if best is None else best.err
+    raise DivergenceError(
+        f"general Newton stopped at residual {err:.3e} after {it} "
+        f"iterations, best residual {residual:.3e}",
+        residual=residual,
+    )
 
 
 def _orbit_displacements(f: InternalMap, theta0: float, count: int, out: list):
@@ -359,6 +393,31 @@ def _weighted_average(d: np.ndarray) -> float:
     return float(np.sum(w * d) / np.sum(w))
 
 
+def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
+    """Weighted Birkhoff average of an orbit's displacements, to tol.
+
+    extend(m) returns the first m displacements.  The orbit length is
+    doubled from 1024 until two successive estimates agree within tol;
+    hitting m_max first raises ToleranceNotMetError carrying the best
+    estimate, with `what` naming the quantity in its message.
+    """
+    m = 1 << 10
+    est = _weighted_average(extend(m))
+    while True:
+        if 2 * m > m_max:
+            raise ToleranceNotMetError(
+                est, float("nan"),
+                f"{what} did not stabilize to {tol:.0e} "
+                f"within {m_max} iterates",
+            )
+        m *= 2
+        new = _weighted_average(extend(m))
+        diff = abs(new - est)
+        est = new
+        if diff <= tol:
+            return est
+
+
 def rotation_number(
     f: InternalMap,
     tol: float = 1e-12,
@@ -373,24 +432,13 @@ def rotation_number(
     doubled until two successive estimates agree within tol; hitting
     m_max first raises ToleranceNotMetError carrying the best estimate.
     """
-    m = 1 << 10
     out: list = []
-    _orbit_displacements(f, theta0, m, out)
-    est = _weighted_average(np.asarray(out))
-    while True:
-        if 2 * m > m_max:
-            raise ToleranceNotMetError(
-                est, float("nan"),
-                f"rotation number did not stabilize to {tol:.0e} "
-                f"within {m_max} iterates",
-            )
-        m *= 2
-        _orbit_displacements(f, theta0, m, out)
-        new = _weighted_average(np.asarray(out))
-        diff = abs(new - est)
-        est = new
-        if diff <= tol:
-            return est
+
+    def extend(count: int) -> np.ndarray:
+        _orbit_displacements(f, theta0, count, out)
+        return np.asarray(out)
+
+    return _birkhoff(extend, tol, m_max, "rotation number")
 
 
 def lock_fraction(rho: float, q_max: int = 64, lock_tol: float = 1e-8):
@@ -408,45 +456,6 @@ class SweepRecord:
     rho_err: float       # doubling gap, or nan when the cap was hit
     err: float           # invariance residual of the converged circle
     locked: bool
-
-
-def _solve_rho(circle, f, family, par, tol, max_newton, rho_tol, theta0):
-    sol = newton_solve_general(circle, f, family, par, tol, max_newton)
-    try:
-        rho = rotation_number(sol.f, rho_tol, theta0)
-        rho_err = rho_tol
-    except ToleranceNotMetError as exc:
-        rho, rho_err = exc.best, float("nan")
-    return sol, rho, rho_err
-
-
-# decades of tolerance relaxation tried by a sweep point before it falls
-# back to the ambient orbit; the record keeps the residual actually reached
-_SWEEP_RELAX_MAX = 2
-
-
-def _solve_rho_relaxed(circle, f, family, par, tol, max_newton, rho_tol, theta0):
-    """_solve_rho with a short tolerance-relaxation ladder.
-
-    Approaching a resonance tongue the pair (K, f) needs more and more
-    modes in this gauge, so the achievable grid residual rises and
-    Newton stalls just above tol without being wrong.  A relaxed stop
-    keeps the point; the returned err is the residual actually reached.
-    """
-    for relax in range(_SWEEP_RELAX_MAX + 1):
-        tol_eff = tol * 10.0 ** relax
-        try:
-            return _solve_rho(
-                circle, f, family, par, tol_eff,
-                max_newton, rho_tol, theta0,
-            )
-        except InversionError:
-            if relax == _SWEEP_RELAX_MAX:
-                raise
-        except DivergenceError as exc:
-            if exc.residual > 1e3 * tol_eff or relax == _SWEEP_RELAX_MAX:
-                raise
-    raise AssertionError("unreachable")
 
 
 def ambient_rotation_number(
@@ -470,30 +479,15 @@ def ambient_rotation_number(
         x, y = family.eval_lift(x, y, par)
     out: list = []
 
-    def extend(count: int) -> None:
+    def extend(count: int) -> np.ndarray:
         nonlocal x, y
         while len(out) < count:
             x1, y1 = family.eval_lift(x, y, par)
             out.append(x1 - x)
             x, y = float(x1), float(y1)
+        return np.asarray(out)
 
-    m = 1 << 10
-    extend(m)
-    est = _weighted_average(np.asarray(out))
-    while True:
-        if 2 * m > m_max:
-            raise ToleranceNotMetError(
-                est, float("nan"),
-                f"ambient rotation number did not stabilize to {tol:.0e} "
-                f"within {m_max} iterates",
-            )
-        m *= 2
-        extend(m)
-        new = _weighted_average(np.asarray(out))
-        diff = abs(new - est)
-        est = new
-        if diff <= tol:
-            return est
+    return _birkhoff(extend, tol, m_max, "ambient rotation number")
 
 
 def sweep_parameter(
@@ -533,9 +527,7 @@ def sweep_parameter(
         c0 = start.circle if start else circle
         f0 = start.f if start else f
         try:
-            sol, rho, rho_err = _solve_rho_relaxed(
-                c0, f0, family, par_v, tol, max_newton, rho_tol, theta0
-            )
+            sol = newton_solve_general(c0, f0, family, par_v, tol, max_newton)
             err = sol.err
         except NtCircleError:
             # inside (or hugging) a resonance tongue the circle-map pair
@@ -544,12 +536,15 @@ def sweep_parameter(
             # take it from the ambient orbit and keep the last circle
             # as the warm start for later points
             sol, err = start, float("nan")
-            xy0 = (c0.eta_x[0], c0.k_y[0])
-            try:
+        try:
+            if math.isnan(err):   # ambient point
+                xy0 = (c0.eta_x[0], c0.k_y[0])
                 rho = ambient_rotation_number(family, par_v, xy0, rho_tol)
-                rho_err = rho_tol
-            except ToleranceNotMetError as exc:
-                rho, rho_err = exc.best, float("nan")
+            else:
+                rho = rotation_number(sol.f, rho_tol, theta0)
+            rho_err = rho_tol
+        except ToleranceNotMetError as exc:
+            rho, rho_err = exc.best, float("nan")
         if sol is not None:
             solutions[value] = sol
         records[value] = SweepRecord(

@@ -296,11 +296,6 @@ def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
     )
 
 
-def newton_step_given_da(problem: QpProblem, ws: NewtonWorkspace, delta_a: float):
-    """Correction (d_eta_x, d_ky, delta_mu) for a prescribed delta_a."""
-    return _solve_linear(problem, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
-
-
 def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float):
     """Frame stage at the point a fraction t along the correction."""
     d_eta, d_ky, delta_mu = step
@@ -311,7 +306,7 @@ def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float):
 
 def _probe(problem: QpProblem, ws, delta_a: float):
     """Full correction for this delta_a and the frame stage it leads to."""
-    step = newton_step_given_da(problem, ws, delta_a)
+    step = _solve_linear(problem, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
     return step, _candidate(problem, ws, step, delta_a, 1.0)
 
 
@@ -607,6 +602,13 @@ def continue_in_eps(
     """
     if policy is None:
         policy = ContinuationPolicy()
+
+    def predictor(state: QpState) -> EpsDerivative | None:
+        try:
+            return eps_derivative(problem, state, policy.probe)
+        except NtCircleError:
+            return None   # zero-order continuation still works
+
     t0 = time.perf_counter() if policy.timing else 0.0
     state = newton_solve(problem, state)
     state, nmax_hit = _adapt_modes(problem, state)
@@ -624,10 +626,7 @@ def continue_in_eps(
         if state.diagnostics.min_angle < policy.alpha_floor:
             reason = "alpha-floor"
             break
-        try:
-            der = eps_derivative(problem, state, policy.probe)
-        except NtCircleError:
-            der = None   # zero-order continuation still works
+        der = predictor(state)
         accepted = False
         grows = 0   # base rebuilds spent on this step
         while not accepted:
@@ -647,56 +646,40 @@ def continue_in_eps(
                 )
             try:
                 new = newton_solve(problem, pred)
-                if (
-                    grows < 3
-                    and new.diagnostics.invariance_error
+                # a step that settled on a high floor over a thin tail:
+                # this dyadic level recycles band-edge error, and the
+                # degraded state would poison later predictors
+                regrid = (
+                    new.diagnostics.invariance_error
                     > _LEVEL_SUSPECT * problem.tol
-                ):
-                    # the step settled on a high floor over a thin tail:
-                    # this dyadic level recycles band-edge error, so redo
-                    # the step from a finer base instead of letting the
-                    # degraded state poison later predictors
-                    grown = _grow_base(problem, state)
-                    if grown is not None:
-                        grows += 1
-                        state = grown
-                        try:
-                            der = eps_derivative(problem, state,
-                                                 policy.probe)
-                        except NtCircleError:
-                            der = None
-                        continue
-                new, nmax_hit = _adapt_modes(problem, new)
+                )
             except (NtCircleError, ValueError) as exc:
                 # a small-residual failure with a fat spectral tail means
-                # the base no longer resolves the circle: rebuild it on a
-                # finer grid and retry the step.  Everything else
-                # (blow-ups, floors above the acceptance window) is a
-                # step problem: halve.
-                resid = getattr(exc, "residual", float("inf"))
-                tail = getattr(exc, "tail", float("nan"))
-                grown = None
-                if (
-                    grows < 3
-                    and isinstance(exc, DivergenceError)
-                    and resid <= 1e-3
-                    and tail > problem.tail_double
-                ):
-                    grown = _grow_base(problem, state)
+                # the base no longer resolves the circle.  Everything
+                # else (blow-ups, floors above the acceptance window) is
+                # a step problem: halve.
+                new = None
+                regrid = (
+                    isinstance(exc, DivergenceError)
+                    and exc.residual <= 1e-3
+                    and exc.tail > problem.tail_double
+                )
+            if regrid and grows < 3:
+                # redo the step from a base rebuilt on a finer grid
+                grown = _grow_base(problem, state)
                 if grown is not None:
                     grows += 1
                     state = grown
-                    try:
-                        der = eps_derivative(problem, state, policy.probe)
-                    except NtCircleError:
-                        der = None
+                    der = predictor(state)
                     continue
+            if new is None:
                 step /= 2.0
                 streak = 0
                 if step < policy.step_min:
                     reason = "step-floor"
                     break
                 continue
+            new, nmax_hit = _adapt_modes(problem, new)
             wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
             state = new
             records.append(_record(state, wall))

@@ -7,7 +7,6 @@ from ntcircle import (
     fourier,
     PeriodicScalar,
     SmallDivisorError,
-    analyze,
     average,
     dealias,
     derivative,
@@ -16,7 +15,6 @@ from ntcircle import (
     shift,
     solve_contractive,
     solve_small_divisor,
-    synthesize,
     tail_fraction,
 )
 
@@ -90,24 +88,9 @@ class TestPeriodicScalar:
 
 
 class TestAnalysisRoundtrip:
-    @given(st.integers(0, 6), st.integers(3, 6))
-    def test_roundtrip_exact(self, kmax, logn):
-        n = 2 ** logn
-        u = rand_scalar(n, min(kmax, n // 2), seed=kmax + 10 * logn)
-        back = synthesize(analyze(u))
-        np.testing.assert_allclose(back.values, u.values, atol=1e-13)
-
     def test_average_is_mode_zero(self):
         u = trig(64, [(0, 1.7, 0.0), (3, 0.5, 0.2)])
         assert average(u) == pytest.approx(1.7, abs=1e-14)
-
-    def test_nyquist_mode_roundtrip(self):
-        # cos(pi n x) sampled on n points alternates +-1; the rfft holds
-        # it as a single real amplitude that must survive the roundtrip
-        n = 16
-        u = trig(n, [(n // 2, 0.9, 0.0)])
-        back = synthesize(analyze(u))
-        np.testing.assert_allclose(back.values, u.values, atol=1e-13)
 
 
 class TestDerivativeShift:

@@ -17,11 +17,10 @@ from ntcircle import (
     shift,
     tangent,
     torsion0,
-    twist_a,
-    twist_mu,
     vartheta_general,
     vartheta_qp,
 )
+from ntcircle import solver_qp
 from ntcircle.errors import ContractionFailureError
 from ntcircle.frame import solve_transfer
 from ntcircle.solver_general import interp_stencil
@@ -94,21 +93,13 @@ class TestFrameConstruction:
             fr.nvec[0].values, 2.0 * SIGMA * a / (1.0 - SIGMA), atol=1e-12)
 
     def test_integrable_twists(self):
+        # the solver's own twists on the flat circle: b_a = 2a, b_mu = 1
         a = 0.12
-        fam, k, dfk = integrable_frame(a)
-        l = tangent(k)
-        n0, gram = normal0(l)
-        t0 = torsion0(n0, dfk, OMEGA)
-        vth = vartheta_qp(t0, SIGMA, OMEGA)
-        fr = assemble_frame(l, n0, gram, t0, vth, SIGMA)
-        par = ParamPoint(a=a, mu=OMEGA - a * a, eps=0.0)
-        x = k.x_lift()
-        da = fam.d_a(x, k.k_y.values, par)
-        dm = fam.d_mu(x, k.k_y.values, par)
-        da = (PeriodicScalar(da[0]), PeriodicScalar(da[1]))
-        dm = (PeriodicScalar(dm[0]), PeriodicScalar(dm[1]))
-        assert twist_a(fr, da, OMEGA) == pytest.approx(2.0 * a, abs=1e-12)
-        assert twist_mu(fr, dm, OMEGA) == pytest.approx(1.0, abs=1e-12)
+        fam, k, _ = integrable_frame(a)
+        problem = QpProblem(fam, omega=OMEGA)
+        ws = solver_qp._geometry(problem, k, a, OMEGA - a * a, 0.0)
+        assert ws.b_a == pytest.approx(2.0 * a, abs=1e-12)
+        assert ws.b_mu == pytest.approx(1.0, abs=1e-12)
 
     def test_min_angle_positive_and_decreasing_in_vartheta(self):
         x = grid(64)

@@ -7,6 +7,7 @@ import pytest
 
 from ntcircle import (
     GOLDEN_MEAN,
+    DivergenceError,
     GridCircle,
     InternalMap,
     InversionError,
@@ -14,6 +15,7 @@ from ntcircle import (
     QpProblem,
     QpState,
     StandardNonTwistMap,
+    ToleranceNotMetError,
     ambient_rotation_number,
     induced_internal_map,
     interp,
@@ -24,6 +26,7 @@ from ntcircle import (
     rotation_number,
     sweep_parameter,
 )
+from ntcircle import solver_general
 
 OMEGA = GOLDEN_MEAN
 SIGMA = 0.8
@@ -108,6 +111,14 @@ class TestRotationNumber:
         assert rho == pytest.approx(0.625, abs=1e-12)
         assert lock_fraction(rho) == Fraction(5, 8)
 
+    def test_cap_raises_with_best_estimate(self):
+        # the first 1024-iterate estimate is already the best one
+        f = InternalMap.rotation(64, OMEGA)
+        with pytest.raises(ToleranceNotMetError, match="^rotation number") as exc:
+            rotation_number(f, m_max=1 << 10)
+        assert abs(exc.value.best - OMEGA) <= 1e-13
+        assert np.isnan(exc.value.err)
+
 
 class TestLockFraction:
     def test_exact_rational(self):
@@ -130,6 +141,14 @@ class TestAmbientRotationNumber:
         par = ParamPoint(a=0.07, mu=0.55, eps=0.0)
         rho = ambient_rotation_number(fam, par, (0.3, 0.2), tol=1e-10)
         assert abs(rho - (0.55 + 0.07**2)) <= 1e-9
+
+    def test_cap_raises_with_best_estimate(self):
+        fam = sym_family()
+        par = ParamPoint(a=0.07, mu=0.55, eps=0.0)
+        with pytest.raises(ToleranceNotMetError, match="^ambient rotation") as exc:
+            ambient_rotation_number(fam, par, (0.3, 0.2), m_max=1 << 10)
+        assert abs(exc.value.best - (0.55 + 0.07**2)) <= 1e-9
+        assert np.isnan(exc.value.err)
 
 
 class TestGeneralSolver:
@@ -164,16 +183,96 @@ class TestGeneralSolver:
         assert abs(rotation_number(sol.f, 1e-11) - OMEGA) <= 1e-8
 
 
+class TestResidualFloor:
+    """One Newton pass that settles on its best iterate near tol."""
+
+    def setup_method(self):
+        fam = sym_family()
+        prob = QpProblem(fam, omega=OMEGA, tol=1e-12)
+        start = QpState.flat_start(128, OMEGA)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
+        self.par = ParamPoint(state.a, state.mu, 0.4)
+        th = np.arange(state.k.n) / state.k.n
+        exact = GridCircle(state.k.eta_x.values, state.k.k_y.values, 6)
+        self.circle = GridCircle(
+            exact.eta_x + 1e-4 * np.sin(2 * np.pi * th),
+            exact.k_y + 1e-4 * np.cos(4 * np.pi * th), 6)
+        self.f = induced_internal_map(exact, fam, self.par)
+
+    def solve(self, monkeypatch, tol, max_newton, fail_at=None):
+        """newton_solve_general, recording residuals and steps on self.
+
+        self.errs gets every residual the pass evaluates and self.steps
+        the index of the iterate each step starts from; fail_at makes
+        that step (counted from 1) raise InversionError.
+        """
+        self.errs, self.steps = [], []
+        residual = solver_general.invariance_error
+        step = solver_general.newton_step_general
+
+        def record_residual(*args):
+            self.errs.append(residual(*args))
+            return self.errs[-1]
+
+        def count_step(*args):
+            self.steps.append(len(self.errs) - 1)
+            if len(self.steps) == fail_at:
+                raise InversionError("injected")
+            return step(*args)
+
+        monkeypatch.setattr(solver_general, "invariance_error", record_residual)
+        monkeypatch.setattr(solver_general, "newton_step_general", count_step)
+        return newton_solve_general(self.circle, self.f, sym_family(),
+                                    self.par, tol=tol, max_newton=max_newton)
+
+    def test_cap_settles_on_best_iterate_in_one_pass(self, monkeypatch):
+        # four steps reach about 2e-13: above tol, within 100 tol
+        sol = self.solve(monkeypatch, 1e-13, 4)
+        assert sol.err > 1e-13
+        assert sol.err == min(self.errs) == self.errs[sol.iterations]
+        assert sol.iterations == 4
+        assert self.steps == [0, 1, 2, 3]   # one pass, no restart
+
+    def test_failing_step_settles_on_best_iterate(self, monkeypatch):
+        sol = self.solve(monkeypatch, 1e-13, 10, fail_at=4)
+        assert self.steps == [0, 1, 2, 3]
+        assert len(self.errs) == 4
+        assert sol.iterations == 3
+        assert 1e-13 < sol.err == min(self.errs)
+
+    def test_failing_step_out_of_window_reraises(self, monkeypatch):
+        with pytest.raises(InversionError, match="injected"):
+            self.solve(monkeypatch, 1e-16, 10, fail_at=4)
+        assert len(self.steps) == 4
+
+    def test_floor_out_of_window_reports_best_residual(self, monkeypatch):
+        with pytest.raises(DivergenceError) as exc:
+            self.solve(monkeypatch, 1e-16, 4)
+        assert self.steps == [0, 1, 2, 3]
+        assert exc.value.residual == min(self.errs) > 100 * 1e-16
+
+
 class TestSweep:
-    def test_integrable_parabola_in_a(self):
+    def test_integrable_parabola_in_a(self, monkeypatch):
         # eps = 0: the attractor is flat and rho(a) = mu + a^2 exactly
         n = 256
         circle = GridCircle(np.zeros(n), np.zeros(n))
         f = InternalMap.rotation(n, OMEGA)
         par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
+        solves = []
+        solve = solver_general.newton_solve_general
+
+        def count_solve(*args):
+            solves.append(args[3])
+            return solve(*args)
+
+        monkeypatch.setattr(solver_general, "newton_solve_general", count_solve)
         recs = sweep_parameter(circle, f, sym_family(), par, "a",
                                halfwidth=0.03, step=0.01,
                                tol=1e-11, rho_tol=1e-11)
+        # one Newton pass per point
+        assert sorted(p.a for p in solves) == [r.param for r in recs]
+        assert len(recs) == 7
         by_a = {round(r.param, 12): r for r in recs}
         for a, r in by_a.items():
             assert abs(r.rho - (OMEGA + a * a)) <= 1e-9
