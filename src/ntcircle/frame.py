@@ -217,15 +217,19 @@ def assemble_frame(
     return AdaptedFrame(l, n0, gram, t0, vartheta, nvec, sigma)
 
 
-def reducibility_error(frame: AdaptedFrame, dfk, omega: float):
-    """Residual DF P - P(. + omega) diag(1, sigma) and its sup-norm."""
-    lx, ly = frame.l
-    nx, ny = frame.nvec
+def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):
+    """Residual DF P - P(. + omega) diag(1, sigma) and its sup-norm.
+
+    l_shifted and n_shifted are the frame columns L(. + omega) and
+    N(. + omega), as pairs of PeriodicScalar.
+    """
     sig = frame.sigma
     cols = []
-    for (vx, vy), mult in (((lx, ly), 1.0), ((nx, ny), sig)):
-        rx = dfk[0][0] * vx + dfk[0][1] * vy - mult * fourier.shift(vx, omega)
-        ry = dfk[1][0] * vx + dfk[1][1] * vy - mult * fourier.shift(vy, omega)
+    for (vx, vy), (sx, sy), mult in (
+        (frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, sig)
+    ):
+        rx = dfk[0][0] * vx + dfk[0][1] * vy - mult * sx
+        ry = dfk[1][0] * vx + dfk[1][1] * vy - mult * sy
         cols.append((rx, ry))
     sup = max(c.sup() for col in cols for c in col)
     return cols, sup

@@ -201,11 +201,12 @@ def invert_map(f: InternalMap, tol: float = 1e-13, max_iter: int = 60) -> Intern
     dg = grid_derivative(f.g, f.order)
     r = theta - float(np.mean(f.g))
     for _ in range(max_iter):
-        res = r + interp(f.g, r, f.order) - theta
+        idx, w = interp_stencil(n, r, f.order)
+        res = r + interp_apply(f.g, idx, w) - theta
         res -= np.round(res)
         if float(np.max(np.abs(res))) < tol:
             break
-        slope = 1.0 + interp(dg, r, f.order)
+        slope = 1.0 + interp_apply(dg, idx, w)
         r = r - res / np.maximum(slope, 0.05)
     else:
         raise InversionError("inverse-map Newton did not converge")
@@ -360,30 +361,24 @@ def newton_solve_general(
     )
 
 
-def _orbit_displacements(f: InternalMap, theta0: float, count: int, out: list):
-    """Extend the displacement sequence of the orbit of theta0 to count."""
-    n = f.n
-    p = f.order
-    x = (theta0 + sum(out)) % 1.0 if out else theta0 % 1.0
-    if p == 4:
-        gl = f.g.tolist()
-        for _ in range(count - len(out)):
-            t = x * n
-            i = int(t)
-            s = t - i
-            d = (
-                -s * (s - 1.0) * (s - 2.0) / 6.0 * gl[(i - 1) % n]
-                + (s + 1.0) * (s - 1.0) * (s - 2.0) / 2.0 * gl[i % n]
-                - (s + 1.0) * s * (s - 2.0) / 2.0 * gl[(i + 1) % n]
-                + (s + 1.0) * s * (s - 1.0) / 6.0 * gl[(i + 2) % n]
-            )
-            out.append(d)
-            x = (x + d) % 1.0
-    else:
-        while len(out) < count:
-            d = float(interp(f.g, x, p))
-            out.append(d)
-            x = (x + d) % 1.0
+def _cell_polynomials(values: np.ndarray, order: int) -> np.ndarray:
+    """Per-cell monomial coefficients of the Lagrange interpolant, times n.
+
+    Row i, highest degree first, is the polynomial c(s) with
+    c(s) = n * interp(values, (i + s) / n, order) for s in [0, 1): the
+    stencil of interp_stencil written out in powers of s.  Row n repeats
+    row 0, for a grid coordinate that rounds up to n.
+    """
+    n = values.size
+    offs = np.arange(order) - (order // 2 - 1)
+    table = np.zeros((n + 1, order))
+    for k, ok in enumerate(offs):
+        others = np.delete(offs, k)
+        basis = np.poly(others) / np.prod(ok - others)
+        table[:n] += np.outer(np.roll(values, -ok), basis)
+    table *= n
+    table[n] = table[0]
+    return table
 
 
 def _weighted_average(d: np.ndarray) -> float:
@@ -431,12 +426,29 @@ def rotation_number(
     and settles rapidly onto p/q in locked windows.  The orbit length is
     doubled until two successive estimates agree within tol; hitting
     m_max first raises ToleranceNotMetError carrying the best estimate.
+
+    The orbit runs in grid units t = n * theta on the per-cell table of
+    the interpolant of g, so each step is one row lookup and one Horner
+    pass, at every interpolation order.
     """
-    out: list = []
+    n = f.n
+    rows = _cell_polynomials(f.g, f.order).tolist()
+    t = (theta0 % 1.0) * n
+    done = np.empty(0)
 
     def extend(count: int) -> np.ndarray:
-        _orbit_displacements(f, theta0, count, out)
-        return np.asarray(out)
+        nonlocal t, done
+        out = []
+        for _ in range(count - done.size):
+            i = int(t)
+            s = t - i
+            d = 0.0
+            for c in rows[i]:
+                d = d * s + c
+            out.append(d)
+            t = (t + d) % n
+        done = np.concatenate((done, np.asarray(out) / n))
+        return done
 
     return _birkhoff(extend, tol, m_max, "rotation number")
 
@@ -512,8 +524,9 @@ def sweep_parameter(
     Walks outward from the center in both directions with warm restarts,
     then bisects every locked/unlocked boundary until the bracketing
     parameter gap is below refine_width, so plateau edges are resolved.
-    A direction stops early if Newton fails; everything found so far is
-    kept.  Records are returned sorted by parameter.
+    A point where Newton fails takes its rotation number from the ambient
+    orbit (err is nan there) and the walk goes on from the last circle.
+    Records are returned sorted by parameter.
     """
     if which not in ("a", "mu"):
         raise ValueError(f"sweep parameter must be 'a' or 'mu', got {which!r}")
@@ -558,11 +571,7 @@ def sweep_parameter(
     for sign in (1.0, -1.0):
         prev = base
         for j in range(1, steps + 1):
-            value = center + sign * j * step
-            try:
-                prev = solve_at(value, prev)
-            except NtCircleError:
-                break   # report the last good point of this direction
+            prev = solve_at(center + sign * j * step, prev)
 
     # bisection refinement of every locking boundary
     pending = True
@@ -576,14 +585,7 @@ def sweep_parameter(
                 continue
             if hi - lo <= refine_width:
                 continue
-            mid = 0.5 * (lo + hi)
-            try:
-                solve_at(mid, solutions.get(lo))
-            except NtCircleError:
-                try:
-                    solve_at(mid, solutions.get(hi))
-                except NtCircleError:
-                    continue
+            solve_at(0.5 * (lo + hi), solutions.get(lo))
             pending = True
             break
     return [records[k] for k in sorted(records)]

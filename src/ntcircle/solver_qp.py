@@ -336,7 +336,9 @@ def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
 
 
 def _diagnostics(problem: QpProblem, ws: NewtonWorkspace) -> Diagnostics:
-    _, red_sup = reducibility_error(ws.frame, ws.dfk, problem.omega)
+    _, red_sup = reducibility_error(
+        ws.frame, ws.dfk, (ws.lx_s, ws.ly_s), (ws.nx_s, ws.ny_s)
+    )
     return Diagnostics(
         invariance_error=ws.err,
         reducibility_error=red_sup,

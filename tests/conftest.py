@@ -16,11 +16,6 @@ def pytest_addoption(parser):
     )
 
 
-def pytest_configure(config):
-    config.addinivalue_line(
-        "markers", "slow: heavy runs, enabled with --runslow")
-
-
 def pytest_collection_modifyitems(config, items):
     if config.getoption("--runslow"):
         return

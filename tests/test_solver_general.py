@@ -89,6 +89,34 @@ class TestInvertMap:
         with pytest.raises(InversionError):
             invert_map(f)
 
+    def test_one_stencil_per_iteration(self, monkeypatch):
+        n = 256
+        th = np.arange(n) / n
+        f = InternalMap(OMEGA + 0.1 * np.sin(2 * np.pi * th) / (2 * np.pi), 6)
+        points, applied = [], []
+        stencil = solver_general.interp_stencil
+        apply = solver_general.interp_apply
+
+        def count_stencil(n, theta, order):
+            points.append(np.array(theta))
+            return stencil(n, theta, order)
+
+        def count_apply(values, idx, w):
+            applied.append(len(points))
+            return apply(values, idx, w)
+
+        monkeypatch.setattr(solver_general, "interp_stencil", count_stencil)
+        monkeypatch.setattr(solver_general, "interp_apply", count_apply)
+        finv = invert_map(f)
+        iters = len(points)
+        assert iters >= 3
+        # every iterate gets one stencil, read for g and, until the last
+        # one converges, for g'
+        assert all(not np.array_equal(a, b) for a, b in zip(points, points[1:]))
+        assert applied == sorted(2 * list(range(1, iters)) + [iters])
+        err = f(finv(th)) - th
+        assert np.max(np.abs(err - np.round(err))) <= 1e-11
+
 
 class TestRotationNumber:
     def test_rigid_rotation(self):
@@ -105,6 +133,40 @@ class TestRotationNumber:
         f = InternalMap(psi(u + OMEGA) - th)
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-10
 
+    @pytest.mark.parametrize("order", [6, 8])
+    def test_conjugate_of_rotation_high_order(self, order):
+        n = 1024
+        th = np.arange(n) / n
+        psi = InternalMap(0.08 * np.sin(2 * np.pi * th) / (2 * np.pi), order)
+        u = invert_map(psi)(th)
+        f = InternalMap(psi(u + OMEGA) - th, order)
+        assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-10
+
+    def test_orbit_state_carried_across_doublings(self, monkeypatch):
+        n = 512
+        th = np.arange(n) / n
+        f = InternalMap(OMEGA + 0.05 * np.sin(2 * np.pi * th) / (2 * np.pi))
+        extends = []
+
+        def capture(extend, tol, m_max, what):
+            extends.append(extend)
+            return 0.0
+
+        monkeypatch.setattr(solver_general, "_birkhoff", capture)
+        rotation_number(f, theta0=0.3)
+        rotation_number(f, theta0=0.3)
+        stepwise, whole = extends
+        assert stepwise(1024).size == 1024
+        assert np.array_equal(stepwise(2048), whole(2048))
+        # with n a power of two, t = n * theta holds exactly: the orbit
+        # visits the points theta_{k+1} = theta_k + d_k mod 1, and each
+        # step is interp of g there up to the rounding of the Horner form
+        d = whole(2048)
+        x = [0.3]
+        for dk in d[:-1]:
+            x.append((x[-1] + dk) % 1.0)
+        assert np.max(np.abs(d - interp(f.g, np.array(x), 4))) <= 1e-15
+
     def test_rational_lock(self):
         f = InternalMap.rotation(64, 0.625)
         rho = rotation_number(f)
@@ -118,6 +180,24 @@ class TestRotationNumber:
             rotation_number(f, m_max=1 << 10)
         assert abs(exc.value.best - OMEGA) <= 1e-13
         assert np.isnan(exc.value.err)
+
+
+class TestCellPolynomials:
+    @pytest.mark.parametrize("order", [2, 4, 6, 8])
+    def test_table_matches_interp(self, order):
+        n = 256
+        th = np.arange(n) / n
+        g = OMEGA + 0.1 * np.sin(2 * np.pi * th) + 0.02 * np.cos(6 * np.pi * th)
+        table = solver_general._cell_polynomials(g, order)
+        assert table.shape == (n + 1, order)
+        assert np.array_equal(table[n], table[0])
+        q = np.random.default_rng(5).uniform(0, 1, 500)
+        cell = np.floor(q * n).astype(int)
+        s = q * n - cell
+        val = np.zeros_like(q)
+        for c in table[cell].T:
+            val = val * s + c
+        assert np.max(np.abs(val / n - interp(g, q, order))) <= 1e-15
 
 
 class TestLockFraction:
@@ -280,6 +360,28 @@ class TestSweep:
         # evenness comes out exactly on the integrable family
         for a in (0.01, 0.02, 0.03):
             assert abs(by_a[a].rho - by_a[-a].rho) <= 1e-10
+
+    def test_failed_point_is_ambient_and_walk_continues(self, monkeypatch):
+        n = 256
+        circle = GridCircle(np.zeros(n), np.zeros(n))
+        f = InternalMap.rotation(n, OMEGA)
+        par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
+        solve = solver_general.newton_solve_general
+
+        def fail_once(c, f, fam, par_v, *rest):
+            if abs(par_v.a - 0.02) < 1e-12:
+                raise DivergenceError("injected", residual=1.0)
+            return solve(c, f, fam, par_v, *rest)
+
+        monkeypatch.setattr(solver_general, "newton_solve_general", fail_once)
+        recs = sweep_parameter(circle, f, sym_family(), par, "a",
+                               halfwidth=0.03, step=0.01,
+                               tol=1e-11, rho_tol=1e-10)
+        by_a = {round(r.param, 12): r for r in recs}
+        assert sorted(by_a) == [-0.03, -0.02, -0.01, 0.0, 0.01, 0.02, 0.03]
+        assert np.isnan(by_a[0.02].err)
+        assert abs(by_a[0.02].rho - (OMEGA + 0.02**2)) <= 1e-9
+        assert all(r.err <= 1e-11 for a, r in by_a.items() if a != 0.02)
 
     def test_bad_parameter_name(self):
         n = 64

@@ -17,6 +17,7 @@ from ntcircle import (
     breakdown_extrapolate,
     continue_in_eps,
     eps_derivative,
+    fourier,
     newton_solve,
     residuals,
     solver_qp,
@@ -126,8 +127,9 @@ class TestIterationCost:
     FRAME, COMPLETE, SOLVE = 22, 12, 8
     # two probes, then the step and its full candidate
     PER_ITERATION = 2 * (SOLVE + FRAME) + SOLVE + FRAME + COMPLETE
-    # start projection, start geometry and the reducibility diagnostic
-    PER_SOLVE = 4 + FRAME + COMPLETE + 16
+    # start projection and start geometry; the reducibility diagnostic
+    # reads the shifted frame columns the workspace holds
+    PER_SOLVE = 4 + FRAME + COMPLETE
 
     @staticmethod
     def counted(monkeypatch, prob):
@@ -205,6 +207,26 @@ class TestIterationCost:
         assert frame.b_a == full.b_a
         assert frame.alpha == full.alpha
         assert frame.e_b == full.e_b
+
+    def test_diagnostics_reuse_workspace_shifts(self, monkeypatch):
+        prob = nonsym_problem()
+        start = QpState.flat_start(256, OMEGA)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
+        c = self.counted(monkeypatch, prob)
+        diag = solver_qp._diagnostics(prob, ws)
+        reused = c["fft"]
+        # the frame's own residual DF P - P(. + omega) diag(1, sigma)
+        cols = []
+        for (vx, vy), mult in ((ws.frame.l, 1.0),
+                                (ws.frame.nvec, ws.frame.sigma)):
+            for v, row in ((vx, 0), (vy, 1)):
+                r = (ws.dfk[row][0] * vx + ws.dfk[row][1] * vy
+                     - mult * fourier.shift(v, OMEGA))
+                cols.append(r.sup())
+        assert c["fft"] - reused == 8
+        assert reused == 0
+        assert diag.reducibility_error == max(cols)
 
 
 class TestContinuation:
