@@ -54,6 +54,7 @@ from .frame import (
     Diagnostics,
     TorusEmbedding,
     assemble_frame,
+    half_shift_deviation,
     min_angle,
     normal0,
     reducibility_error,
@@ -141,6 +142,7 @@ __all__ = [
     "eps_derivative",
     "frame_fields",
     "grid",
+    "half_shift_deviation",
     "induced_internal_map",
     "interp",
     "invert_map",

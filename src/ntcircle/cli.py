@@ -30,7 +30,7 @@ import numpy as np
 
 from . import fourier
 from .errors import NtCircleError
-from .frame import TorusEmbedding, tangent
+from .frame import TorusEmbedding, half_shift_deviation, tangent
 from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
 from .solver_general import GridCircle, InternalMap, sweep_parameter
 from .solver_qp import (
@@ -474,7 +474,7 @@ def _run_checks(cfg: RunConfig):
         yield "prescribed twist level met", twist <= max(cfg.tol_twist, 1e-9), f"{twist:.2e}"
 
         if cfg.variant == Forcing.SYMMETRIC:
-            dev = _symmetry_deviation(st)
+            dev = half_shift_deviation(st.k)
             yield "circle symmetry K = S K(.+1/2)", dev <= 1e-8, f"{dev:.2e}"
 
         # quadratic decay of the Newton residual from a rough start
@@ -511,19 +511,6 @@ def _run_checks(cfg: RunConfig):
         yield "family symmetry S F_a S = F_{-a}", sym <= 1e-12, f"{sym:.2e}"
     else:
         yield "family is genuinely nonsymmetric", sym > 1e-3, f"{sym:.2e}"
-
-
-def _symmetry_deviation(state: QpState) -> float:
-    """sup distance between K(theta) and S K(theta + 1/2).
-
-    With S(x, y) = (x - 1/2, -y) the x-shifts cancel: the condition is
-    eta_x half-periodic and K_y half-antiperiodic.
-    """
-    half = 0.5
-    dx = (state.k.eta_x - fourier.shift(state.k.eta_x, half)).values
-    dx = dx - np.round(dx)                           # compare x mod 1
-    dy = (state.k.k_y + fourier.shift(state.k.k_y, half)).sup()
-    return max(float(np.max(np.abs(dx))), dy)
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:

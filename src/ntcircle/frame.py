@@ -73,6 +73,19 @@ class TorusEmbedding:
         )
 
 
+def half_shift_deviation(k: TorusEmbedding) -> float:
+    """sup distance between K(theta) and S K(theta + 1/2).
+
+    With S(x, y) = (x - 1/2, -y) the x-shifts cancel: the condition is
+    eta_x half-periodic and K_y half-antiperiodic, the symmetry of
+    circles of the symmetric forcing at a = 0.  x is compared mod 1.
+    """
+    dx = (k.eta_x - fourier.shift(k.eta_x, 0.5)).values
+    dx = dx - np.round(dx)
+    dy = (k.k_y + fourier.shift(k.k_y, 0.5)).sup()
+    return max(float(np.max(np.abs(dx))), dy)
+
+
 @dataclass(frozen=True)
 class AdaptedFrame:
     """Tangent/normal pair reducing DF to triangular form."""
@@ -150,31 +163,37 @@ def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScala
     return fourier._solve_linear_shift(-t0, 1.0, sigma, omega)
 
 
-def solve_transfer(a, b, idx, w, sigma: float):
+def solve_transfer(a, b, idx, w, sigma: float, x0=None,
+                   tol: float = _FIXED_POINT_TOL):
     """Solve x = a + b * x(s) on grid samples by fixed-point iteration.
 
     x(s) is read through the Lagrange stencil (idx, w) of the points s.
-    The iteration budget is ten times the count sigma**k needs to reach
-    the tolerance; not settling within it means b does not contract
-    along the orbits of s, reported as a contraction failure.  Returns
-    the solution and the number of iterations used.
+    The iteration starts from x0 (default a, the cold start) and stops
+    once a pass moves x by less than tol relative to max(1, |x|): a warm
+    start near the fixed point and a looser tol both cut the passes, and
+    since b contracts like sigma the error left is a few times tol.  The
+    iteration budget is ten times the count sigma**k needs to reach the
+    default tolerance, whatever tol is; not settling within it means b
+    does not contract along the orbits of s, reported as a contraction
+    failure.  Returns the solution and the number of iterations used.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
     cap = int(math.ceil(10.0 * math.log(_FIXED_POINT_TOL) / math.log(sigma)))
-    x = a
+    x = a if x0 is None else x0
     for it in range(cap):
         nxt = a + b * np.sum(x[idx] * w, axis=0)
         delta = float(np.max(np.abs(nxt - x)))
         x = nxt
-        if delta < _FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(x)))):
+        if delta < tol * max(1.0, float(np.max(np.abs(x)))):
             return x, it + 1
     raise ContractionFailureError(
         f"transfer fixed point stalled after {cap} iterations"
     )
 
 
-def vartheta_general(t0, fprime, sigma: float, idx, w):
+def vartheta_general(t0, fprime, sigma: float, idx, w, x0=None,
+                     tol: float = _FIXED_POINT_TOL):
     """Torsion-cancelling coefficient for general internal dynamics f.
 
     Solves f'*vartheta - (sigma/f')*vartheta(f(.)) = -t0 on the grid as
@@ -184,9 +203,11 @@ def vartheta_general(t0, fprime, sigma: float, idx, w):
 
     which contracts like sigma^k / prod f'(f^i)^2 along the orbits of f.
     t0 and fprime are samples on the nodes and (idx, w) the Lagrange
-    stencil of f at the nodes.  Returns vartheta and the iteration count.
+    stencil of f at the nodes; x0 and tol are the start and relative
+    tolerance of solve_transfer.  Returns vartheta and the iteration count.
     """
-    return solve_transfer(-t0 / fprime, sigma / (fprime * fprime), idx, w, sigma)
+    return solve_transfer(-t0 / fprime, sigma / (fprime * fprime), idx, w,
+                          sigma, x0, tol)
 
 
 def normal_values(lx, ly, n0x, n0y, vartheta):

@@ -10,6 +10,15 @@ and of its inverse; the frame itself comes from the sample-array kernels
 of frame.  This variant follows the circle into phase locking, which is
 what the rotation-number sweeps exploit.
 
+The inner solves of a Newton step are warm-started and inexact, with
+forcing terms sized by the step's residual err (Dembo, Eisenstat &
+Steihaug 1982): the frame only preconditions the step, so the torsion
+solve starts from the previous vartheta (of the last step, or of the
+previous sweep point) and stops at err; the normal solve, whose
+solution is the correction, starts cold and stops at err**2; f^-1 starts
+from the previous step's inverse and is solved to full accuracy, since
+an inexact inverse moves the residual floors near resonance tongues.
+
 Newton makes one pass per solve and keeps its best iterate: near a
 resonance tongue the achievable grid residual rises just above the
 tolerance, and a pass that stops short settles on its best iterate when
@@ -84,11 +93,8 @@ class GridCircle:
         """Interpolate both components onto an n_new-node grid."""
         if n_new == self.n:
             return self
-        theta = np.arange(n_new) / n_new
         return GridCircle(
-            interp(self.eta_x, theta, self.order),
-            interp(self.k_y, theta, self.order),
-            self.order,
+            *_resampled(n_new, self.order, self.eta_x, self.k_y), self.order
         )
 
 
@@ -117,8 +123,7 @@ class InternalMap:
     def resample(self, n_new: int) -> "InternalMap":
         if n_new == self.n:
             return self
-        theta = np.arange(n_new) / n_new
-        return InternalMap(interp(self.g, theta, self.order), self.order)
+        return InternalMap(*_resampled(n_new, self.order, self.g), self.order)
 
     def __call__(self, theta):
         return np.asarray(theta) + interp(self.g, theta, self.order)
@@ -189,8 +194,45 @@ def interp(values: np.ndarray, theta, order: int) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def invert_map(f: InternalMap, tol: float = 1e-13, max_iter: int = 60) -> InternalMap:
-    """Inverse circle map on the same grid, by per-node Newton on lifts."""
+def _resampled(n_new: int, order: int, *fields: np.ndarray) -> list:
+    """Grid functions interpolated onto n_new nodes through one stencil."""
+    idx, w = interp_stencil(fields[0].size, np.arange(n_new) / n_new, order)
+    return [interp_apply(v, idx, w) for v in fields]
+
+
+def _lift_newton(h, order, target, y, tol, max_iter, failure):
+    """Solve y + h(y) = target node by node on lifts, starting from y.
+
+    h is a displacement field on the grid; each iteration builds one
+    Lagrange stencil at y and reads both h and h' through it.  The
+    residual is taken mod 1, the slope is floored at 0.05, and the
+    iteration stops once every node is within tol; not getting there in
+    max_iter iterations raises InversionError with the message failure.
+    """
+    dh = grid_derivative(h, order)
+    for _ in range(max_iter):
+        idx, w = interp_stencil(h.size, y, order)
+        res = y + interp_apply(h, idx, w) - target
+        res -= np.round(res)
+        if float(np.max(np.abs(res))) < tol:
+            return y
+        slope = 1.0 + interp_apply(dh, idx, w)
+        y = y - res / np.maximum(slope, 0.05)
+    raise InversionError(failure)
+
+
+def invert_map(
+    f: InternalMap,
+    tol: float = 1e-13,
+    max_iter: int = 60,
+    guess: InternalMap | None = None,
+) -> InternalMap:
+    """Inverse circle map on the same grid, by per-node Newton on lifts.
+
+    The Newton starts from guess, an earlier inverse on the same grid,
+    when one is given, and from the rotation by -mean(g) otherwise; the
+    tolerance is the same either way.
+    """
     n = f.n
     fp = f.fprime_grid()
     if float(np.min(fp)) <= 0.0:
@@ -198,18 +240,9 @@ def invert_map(f: InternalMap, tol: float = 1e-13, max_iter: int = 60) -> Intern
             f"f' reaches {float(np.min(fp)):.3e}; the map is not invertible"
         )
     theta = np.arange(n) / n
-    dg = grid_derivative(f.g, f.order)
-    r = theta - float(np.mean(f.g))
-    for _ in range(max_iter):
-        idx, w = interp_stencil(n, r, f.order)
-        res = r + interp_apply(f.g, idx, w) - theta
-        res -= np.round(res)
-        if float(np.max(np.abs(res))) < tol:
-            break
-        slope = 1.0 + interp_apply(dg, idx, w)
-        r = r - res / np.maximum(slope, 0.05)
-    else:
-        raise InversionError("inverse-map Newton did not converge")
+    r = theta - float(np.mean(f.g)) if guess is None else theta + guess.g
+    r = _lift_newton(f.g, f.order, theta, r, tol, max_iter,
+                     "inverse-map Newton did not converge")
     return InternalMap(r - theta, f.order)
 
 
@@ -232,6 +265,16 @@ class GeneralStepReport:
     err: float            # invariance sup-norm before the update
     min_angle: float
     fixed_point_iters: int   # torsion and normal transfer solves together
+    vartheta: np.ndarray     # torsion solution, the next step's start
+    finv: InternalMap        # inverse of the step's f, the next step's start
+
+
+# forcing terms of the transfer solves: the torsion solve stops at the
+# relative tolerance eta = min(err, _FORCING_CAP) and the normal solve at
+# eta**2, neither below _INNER_TOL; the cap keeps a large residual from
+# cutting a solve down to a pass or two
+_INNER_TOL = 1e-12
+_FORCING_CAP = 1e-2
 
 
 def _smooth(values: np.ndarray) -> np.ndarray:
@@ -242,9 +285,24 @@ def _smooth(values: np.ndarray) -> np.ndarray:
 
 
 def newton_step_general(
-    circle: GridCircle, f: InternalMap, family: MapFamily, par: ParamPoint
+    circle: GridCircle,
+    f: InternalMap,
+    family: MapFamily,
+    par: ParamPoint,
+    vartheta0: np.ndarray | None = None,
+    finv0: InternalMap | None = None,
 ):
-    """One Newton update of (K, f); returns the new pair and a report."""
+    """One Newton update of (K, f); returns the new pair and a report.
+
+    The inner solves are inexact, sized by the step's own residual err:
+    the torsion solve, which only preconditions the step, starts from
+    vartheta0 and stops at the relative tolerance eta = min(err,
+    _FORCING_CAP); the normal solve, whose solution is the correction
+    itself, starts cold and stops at eta**2 (neither below _INNER_TOL), so
+    the step stays quadratic.  f^-1 is solved to its full tolerance, from
+    finv0 when given.  vartheta0 and finv0 are the report fields of an
+    earlier step on the same grid.
+    """
     n = circle.n
     p = circle.order
     sigma = family.sigma
@@ -271,7 +329,10 @@ def newton_step_general(
     wy = jac[1, 0] * n0x + jac[1, 1] * n0y
     t0 = interp_apply(n0y, s_idx, s_w) * wx - interp_apply(n0x, s_idx, s_w) * wy
 
-    vth, vth_iters = vartheta_general(t0, fp, sigma, s_idx, s_w)
+    forcing = min(err, _FORCING_CAP)
+    vth, vth_iters = vartheta_general(
+        t0, fp, sigma, s_idx, s_w, vartheta0, max(_INNER_TOL, forcing)
+    )
     nx, ny = normal_values(lx, ly, n0x, n0y, vth)
 
     eta_l = -(interp_apply(ny, s_idx, s_w) * ex - interp_apply(nx, s_idx, s_w) * ey)
@@ -279,12 +340,12 @@ def newton_step_general(
 
     # normal equation (sigma/f') xi - xi o f = eta_n, as the backward
     # fixed point xi = -eta_n(f^-1) + (sigma/f'(f^-1)) * xi(f^-1)
-    finv = invert_map(f)
+    finv = invert_map(f, guess=finv0)
     r_idx, r_w = interp_stencil(n, theta + finv.g, p)
     xi, xi_iters = solve_transfer(
         -interp_apply(eta_n, r_idx, r_w),
         sigma / interp_apply(fp, r_idx, r_w),
-        r_idx, r_w, sigma,
+        r_idx, r_w, sigma, None, max(_INNER_TOL, forcing * forcing),
     )
 
     # smooth the updates: grid-frequency components of the correction are
@@ -297,7 +358,9 @@ def newton_step_general(
         p,
     )
     new_f = InternalMap(g - _smooth(eta_l), p)
-    report = GeneralStepReport(err, min_angle(vth, gram), vth_iters + xi_iters)
+    report = GeneralStepReport(
+        err, min_angle(vth, gram), vth_iters + xi_iters, vth, finv
+    )
     return new_circle, new_f, report
 
 
@@ -307,6 +370,7 @@ class GeneralSolution:
     f: InternalMap
     err: float
     iterations: int
+    vartheta: np.ndarray | None = None   # torsion of the last step taken
 
 
 # widest residual floor, relative to tol, a stopped pass may settle on
@@ -320,9 +384,14 @@ def newton_solve_general(
     par: ParamPoint,
     tol: float = 1e-11,
     max_newton: int = 20,
+    vartheta0: np.ndarray | None = None,
 ) -> GeneralSolution:
     """Iterate newton_step_general to tolerance, in one pass.
 
+    Each step starts its torsion solve from the previous step's vartheta
+    (the first one from vartheta0, e.g. the vartheta of a solution at a
+    nearby parameter on the same grid) and its f^-1 Newton from the
+    previous inverse.
     Returns the first iterate within tol.  A pass that stops short (the
     iteration cap, a non-finite or blown-up residual, or a step raising
     NtCircleError) returns its best iterate, with its true residual, if
@@ -332,23 +401,25 @@ def newton_solve_general(
     first = None
     best = None
     failure = None
+    vth, finv = vartheta0, None
     for it in range(max_newton + 1):
         err = invariance_error(circle, f, family, par)
         if first is None:
             first = err
         if err <= tol:
-            return GeneralSolution(circle, f, err, it)
+            return GeneralSolution(circle, f, err, it, vth)
         if not math.isfinite(err) or err > 1e3 * (first + tol):
             break
         if best is None or err < best.err:
-            best = GeneralSolution(circle, f, err, it)
+            best = GeneralSolution(circle, f, err, it, vth)
         if it == max_newton:
             break
         try:
-            circle, f, _ = newton_step_general(circle, f, family, par)
+            circle, f, report = newton_step_general(circle, f, family, par, vth, finv)
         except NtCircleError as exc:
             failure = exc
             break
+        vth, finv = report.vartheta, report.finv
     if best is not None and best.err <= _FLOOR_FACTOR * tol:
         return best
     if failure is not None:
@@ -539,8 +610,9 @@ def sweep_parameter(
         par_v = par.replace(**{which: value})
         c0 = start.circle if start else circle
         f0 = start.f if start else f
+        vth0 = start.vartheta if start else None
         try:
-            sol = newton_solve_general(c0, f0, family, par_v, tol, max_newton)
+            sol = newton_solve_general(c0, f0, family, par_v, tol, max_newton, vth0)
             err = sol.err
         except NtCircleError:
             # inside (or hugging) a resonance tongue the circle-map pair
@@ -602,17 +674,9 @@ def induced_internal_map(
     x-coordinate.  Meaningful when the circle is close to invariant.
     """
     n = circle.n
-    p = circle.order
     theta = np.arange(n) / n
     fx, _ = family.eval_lift(theta + circle.eta_x, circle.k_y, par)
-    d_eta = grid_derivative(circle.eta_x, p)
-    phi = fx - float(np.mean(circle.eta_x))
-    for _ in range(max_iter):
-        res = phi + interp(circle.eta_x, phi, p) - fx
-        if float(np.max(np.abs(res))) < tol:
-            break
-        slope = 1.0 + interp(d_eta, phi, p)
-        phi = phi - res / np.maximum(slope, 0.05)
-    else:
-        raise InversionError("conjugacy solve did not converge")
-    return InternalMap(phi - theta, p)
+    phi = _lift_newton(circle.eta_x, circle.order, fx,
+                       fx - float(np.mean(circle.eta_x)), tol, max_iter,
+                       "conjugacy solve did not converge")
+    return InternalMap(phi - theta, circle.order)

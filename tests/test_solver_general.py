@@ -118,6 +118,27 @@ class TestInvertMap:
         assert np.max(np.abs(err - np.round(err))) <= 1e-11
 
 
+    def test_warm_start_matches_cold(self, monkeypatch):
+        n = 256
+        th = np.arange(n) / n
+        g = OMEGA + 0.1 * np.sin(2 * np.pi * th) / (2 * np.pi)
+        finv = invert_map(InternalMap(g))
+        moved = InternalMap(g + 1e-4 * np.cos(2 * np.pi * th))
+        builds = []
+        stencil = solver_general.interp_stencil
+
+        def count_stencil(*args):
+            builds.append(1)
+            return stencil(*args)
+
+        monkeypatch.setattr(solver_general, "interp_stencil", count_stencil)
+        cold = invert_map(moved)
+        cold_builds = len(builds)
+        warm = invert_map(moved, guess=finv)
+        assert len(builds) - cold_builds < cold_builds
+        assert np.max(np.abs(warm.g - cold.g)) <= 1e-13
+
+
 class TestRotationNumber:
     def test_rigid_rotation(self):
         f = InternalMap.rotation(128, OMEGA)
@@ -247,6 +268,22 @@ class TestGeneralSolver:
         f = induced_internal_map(circle, sym_family(), self.par)
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-9
 
+    def test_induced_map_matches_interp_loop(self):
+        # reference: the conjugacy Newton written node-wise with interp
+        circle = GridCircle(self.state.k.eta_x.values,
+                            self.state.k.k_y.values, 6)
+        th = np.arange(circle.n) / circle.n
+        fx, _ = sym_family().eval_lift(th + circle.eta_x, circle.k_y, self.par)
+        d_eta = solver_general.grid_derivative(circle.eta_x, 6)
+        phi = fx - float(np.mean(circle.eta_x))
+        for _ in range(60):
+            res = phi + interp(circle.eta_x, phi, 6) - fx
+            if float(np.max(np.abs(res))) < 1e-13:
+                break
+            phi = phi - res / np.maximum(1.0 + interp(d_eta, phi, 6), 0.05)
+        f = induced_internal_map(circle, sym_family(), self.par)
+        assert np.array_equal(f.g, phi - th)
+
     def test_converges_from_perturbed_circle(self):
         n = self.state.k.n
         th = np.arange(n) / n
@@ -261,6 +298,82 @@ class TestGeneralSolver:
                                    tol=1e-11)
         assert sol.err <= 1e-11
         assert abs(rotation_number(sol.f, 1e-11) - OMEGA) <= 1e-8
+
+
+class TestInnerSolveCost:
+    """Warm-started, inexact inner solves keep the Newton step count."""
+
+    def setup_method(self):
+        fam = sym_family()
+        prob = QpProblem(fam, omega=OMEGA, tol=1e-12)
+        start = QpState.flat_start(128, OMEGA)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
+        self.par = ParamPoint(state.a, state.mu, 0.4)
+        th = np.arange(state.k.n) / state.k.n
+        exact = GridCircle(state.k.eta_x.values, state.k.k_y.values, 6)
+        self.circle = GridCircle(
+            exact.eta_x + 1e-2 * np.sin(2 * np.pi * th),
+            exact.k_y + 1e-2 * np.cos(4 * np.pi * th), 6)
+        self.f = induced_internal_map(exact, fam, self.par)
+
+    def solve(self, monkeypatch, cold):
+        """Fixed-point passes per Newton step and the solution.
+
+        cold makes every inner solve start cold and run to its default
+        tolerance, as each did before the forcing terms.
+        """
+        passes = []
+        step = solver_general.newton_step_general
+        vartheta = solver_general.vartheta_general
+        transfer = solver_general.solve_transfer
+        invert = solver_general.invert_map
+
+        def count_step(*args):
+            out = step(*args)
+            passes.append(out[2].fixed_point_iters)
+            return out
+
+        monkeypatch.setattr(solver_general, "newton_step_general", count_step)
+        if cold:
+            monkeypatch.setattr(solver_general, "vartheta_general",
+                                lambda *args: vartheta(*args[:5]))
+            monkeypatch.setattr(solver_general, "solve_transfer",
+                                lambda *args: transfer(*args[:5]))
+            monkeypatch.setattr(solver_general, "invert_map",
+                                lambda f, guess=None: invert(f))
+        sol = newton_solve_general(self.circle, self.f, sym_family(),
+                                   self.par, tol=1e-11)
+        monkeypatch.undo()
+        return passes, sol
+
+    def test_same_steps_half_the_passes(self, monkeypatch):
+        cold, cold_sol = self.solve(monkeypatch, cold=True)
+        warm, warm_sol = self.solve(monkeypatch, cold=False)
+        assert len(warm) == len(cold) >= 3
+        assert warm_sol.err <= 1e-11 and cold_sol.err <= 1e-11
+        assert 2 * sum(warm) <= sum(cold)
+
+    def test_vartheta_of_solved_point_warms_next_point(self, monkeypatch):
+        fam = sym_family()
+        sol = newton_solve_general(self.circle, self.f, fam, self.par,
+                                   tol=1e-11)
+        assert sol.vartheta is not None and sol.vartheta.size == self.circle.n
+        nxt = self.par.replace(a=self.par.a + 2e-4)
+        vartheta = solver_general.vartheta_general
+        first = []
+        for start in (None, sol.vartheta):
+            passes = []
+
+            def record(*args):
+                out = vartheta(*args)
+                passes.append(out[1])
+                return out
+
+            monkeypatch.setattr(solver_general, "vartheta_general", record)
+            newton_solve_general(sol.circle, sol.f, fam, nxt, 1e-11, 20, start)
+            first.append(passes[0])
+        cold, warm = first
+        assert 2 * warm <= cold
 
 
 class TestResidualFloor:
