@@ -78,7 +78,6 @@ from .solver_qp import (
     eps_derivative,
     frame_fields,
     newton_solve,
-    residuals,
     twist_surface,
 )
 from .solver_general import (
@@ -154,7 +153,6 @@ __all__ = [
     "normal0",
     "reducibility_error",
     "resample",
-    "residuals",
     "rotation_number",
     "shift",
     "solve_contractive",

@@ -15,8 +15,9 @@ verify              self-check battery; prints PASS/FAIL lines
 Exit codes: 0 success, 2 continuation stopped before the target
 (breakdown-type stop), 1 error.  All floats are serialized with 17
 significant digits so the tables re-parse to the exact binary values,
-and rerunning a command with threads=1 reproduces the files byte for
-byte (timing is off by default; wall_ms written as 0.0).
+and rerunning a command reproduces the files byte for byte (timing is
+off by default; wall_ms written as 0.0).  Every command runs on one
+thread; the config key `threads` is accepted only as 1.
 """
 
 from __future__ import annotations
@@ -120,47 +121,12 @@ def _parse_float_list(text: str) -> tuple:
     return tuple(float(t) for t in items)
 
 
-_CASTERS = {
-    "family": str,
-    "variant": str,
-    "sigma": float,
-    "omega": _parse_omega,
-    "b_a0": float,
-    "eps_target": float,
-    "step_init": float,
-    "step_min": float,
-    "step_max": float,
-    "grow_after": int,
-    "alpha_floor": float,
-    "probe": float,
-    "tol": float,
-    "tol_phase": float,
-    "tol_twist": float,
-    "max_newton": int,
-    "n_min": int,
-    "n_max": int,
-    "tail_double": float,
-    "tail_halve": float,
-    "out_dir": str,
-    "seed": int,
-    "threads": int,
-    "timing": _parse_bool,
-    "fit_window": int,
-    "alpha_input": str,
-    "sweep_which": str,
-    "sweep_halfwidth": float,
-    "sweep_step": float,
-    "sweep_grid": int,
-    "sweep_order": int,
-    "sweep_tol": float,
-    "rho_tol": float,
-    "lock_tol": float,
-    "q_max": int,
-    "refine_width": float,
-    "b_a0_list": _parse_float_list,
-}
-
-assert set(_CASTERS) == {f.name for f in fields(RunConfig)}
+# one parser per RunConfig annotation (a string, as annotations are
+# postponed in this module); omega also takes `golden`
+_PARSERS = {"str": str, "float": float, "int": int, "bool": _parse_bool,
+            "tuple": _parse_float_list}
+_CASTERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
+_CASTERS["omega"] = _parse_omega
 
 
 def parse_config(text: str) -> RunConfig:
@@ -210,6 +176,8 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("grow_after", "max_newton", "threads", "q_max"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1")
+    if cfg.threads != 1:
+        raise ValueError("threads must be 1: every command runs on one thread")
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
     if cfg.n_min > cfg.n_max:
@@ -393,8 +361,7 @@ def cmd_rotnum_sweep(cfg: RunConfig, out_dir: str) -> int:
 def cmd_twist_surface(cfg: RunConfig, out_dir: str) -> int:
     problem = build_problem(cfg)
     policy = build_policy(cfg)
-    paths = twist_surface(problem, cfg.b_a0_list, cfg.eps_target, policy,
-                          threads=cfg.threads)
+    paths = twist_surface(problem, cfg.b_a0_list, cfg.eps_target, policy)
     rows = []
     worst = 0
     for path in paths:
@@ -547,16 +514,10 @@ def main(argv=None) -> int:
     parser.add_argument("command", choices=sorted(_COMMANDS))
     parser.add_argument("--config", required=True, help="key=value config file")
     parser.add_argument("--out", default=None, help="output directory")
-    parser.add_argument("--threads", type=int, default=None,
-                        help="worker threads for independent branches")
     args = parser.parse_args(argv)
 
     try:
         cfg = load_config(args.config)
-        if args.threads is not None:
-            if args.threads < 1:
-                raise ValueError("threads must be at least 1")
-            cfg.threads = args.threads
         # precedence: --out flag, then environment, then config
         out_dir = args.out or os.environ.get(ENV_OUT_DIR) or cfg.out_dir
         os.makedirs(out_dir, exist_ok=True)

@@ -91,10 +91,7 @@ class AdaptedFrame:
     """Tangent/normal pair reducing DF to triangular form."""
 
     l: Pair
-    n0: Pair
     gram: PeriodicScalar
-    t0: PeriodicScalar
-    vartheta: PeriodicScalar
     nvec: Pair
     sigma: float
 
@@ -226,7 +223,6 @@ def assemble_frame(
     l: Pair,
     n0: Pair,
     gram: PeriodicScalar,
-    t0: PeriodicScalar,
     vartheta: PeriodicScalar,
     sigma: float,
 ) -> AdaptedFrame:
@@ -235,7 +231,7 @@ def assemble_frame(
         l[0].values, l[1].values, n0[0].values, n0[1].values, vartheta.values
     )
     nvec = (PeriodicScalar(nx), PeriodicScalar(ny))
-    return AdaptedFrame(l, n0, gram, t0, vartheta, nvec, sigma)
+    return AdaptedFrame(l, gram, nvec, sigma)
 
 
 def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):

@@ -48,7 +48,6 @@ from .errors import (
     ToleranceNotMetError,
 )
 from .frame import (
-    min_angle,
     normal0_values,
     normal_values,
     solve_transfer,
@@ -262,8 +261,6 @@ def invariance_error(
 
 @dataclass(frozen=True)
 class GeneralStepReport:
-    err: float            # invariance sup-norm before the update
-    min_angle: float
     fixed_point_iters: int   # torsion and normal transfer solves together
     vartheta: np.ndarray     # torsion solution, the next step's start
     finv: InternalMap        # inverse of the step's f, the next step's start
@@ -322,7 +319,7 @@ def newton_step_general(
 
     lx = 1.0 + grid_derivative(circle.eta_x, p)
     ly = grid_derivative(circle.k_y, p)
-    n0x, n0y, gram = normal0_values(lx, ly)
+    n0x, n0y, _ = normal0_values(lx, ly)
 
     jac = family.jacobian(theta + circle.eta_x, circle.k_y, par)
     wx = jac[0, 0] * n0x + jac[0, 1] * n0y
@@ -358,9 +355,7 @@ def newton_step_general(
         p,
     )
     new_f = InternalMap(g - _smooth(eta_l), p)
-    report = GeneralStepReport(
-        err, min_angle(vth, gram), vth_iters + xi_iters, vth, finv
-    )
+    report = GeneralStepReport(vth_iters + xi_iters, vth, finv)
     return new_circle, new_f, report
 
 

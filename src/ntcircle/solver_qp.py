@@ -28,7 +28,8 @@ The Steffensen probes and the eps-derivative probes read only b_a, so
 they run the frame stage alone: about two thirds of the FFTs of a full
 geometry and no map evaluation.  When the twist is already closed the
 zero probe is the full-step candidate, and the iteration completes it
-instead of building it again.
+instead of building it again; the eps-derivative likewise keeps the zero
+probe's direction instead of solving for it again.
 """
 
 from __future__ import annotations
@@ -197,7 +198,7 @@ def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     n0, gram = normal0(l)
     t0 = torsion0(n0, dfk, om)
     vth = vartheta_qp(t0, sig, om)
-    fr = assemble_frame(l, n0, gram, t0, vth, sig)
+    fr = assemble_frame(l, n0, gram, vth, sig)
 
     ws = NewtonWorkspace()
     ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
@@ -259,12 +260,6 @@ def frame_fields(problem: QpProblem, state: QpState):
     )
 
 
-def residuals(problem: QpProblem, state: QpState):
-    """Invariance residual (x and y parts), phase error and twist error."""
-    ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
-    return ws.ex, ws.ey, ws.e_p, ws.e_b
-
-
 def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
     """Frame-coordinate solve for a given delta_a; returns the update.
 
@@ -296,18 +291,40 @@ def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
     )
 
 
-def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float):
+def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
+               eps_offset: float = 0.0):
     """Frame stage at the point a fraction t along the correction."""
     d_eta, d_ky, delta_mu = step
     kc = TorusEmbedding(ws.k.eta_x + t * d_eta, ws.k.k_y + t * d_ky)
     return _frame_stage(problem, kc, ws.a + t * delta_a,
-                        ws.mu + t * delta_mu, ws.eps)
+                        ws.mu + t * delta_mu, ws.eps + eps_offset)
 
 
 def _probe(problem: QpProblem, ws, delta_a: float):
     """Full correction for this delta_a and the frame stage it leads to."""
     step = _solve_linear(problem, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
     return step, _candidate(problem, ws, step, delta_a, 1.0)
+
+
+def _close_twist(defect, closed: float):
+    """Root delta_a of a twist defect g by one secant step from 0 to h = g(0).
+
+    defect(delta_a) returns g and the probe it was read from.  When
+    |g(0)| < closed the twist is already closed: returns 0 and the zero
+    probe, which the caller reuses.  Otherwise returns the secant root
+    and None.
+    """
+    g0, zero = defect(0.0)
+    if abs(g0) < closed:
+        return 0.0, zero
+    h = g0
+    slope = (defect(h)[0] - g0) / h
+    if abs(slope) < _TWIST_SLOPE_FLOOR:
+        raise TwistDegeneracyError(
+            f"twist sensitivity d b_a / d a = {slope:.3e} below "
+            f"{_TWIST_SLOPE_FLOOR:.0e}; the twist closure cannot pin a"
+        )
+    return -g0 / slope, None
 
 
 def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
@@ -320,19 +337,12 @@ def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
     pair (step, frame stage): it is the full-step candidate, which the
     caller completes instead of rebuilding.  Otherwise the pair is None.
     """
-    step0, cand0 = _probe(problem, ws, 0.0)
-    g0 = cand0.b_a - problem.b_a0
-    if abs(g0) < 1e-14 * max(1.0, abs(problem.b_a0)):
-        return 0.0, (step0, cand0)
-    h = g0
-    gh = _probe(problem, ws, h)[1].b_a - problem.b_a0
-    slope = (gh - g0) / h
-    if abs(slope) < _TWIST_SLOPE_FLOOR:
-        raise TwistDegeneracyError(
-            f"twist sensitivity d b_a / d a = {slope:.3e} below "
-            f"{_TWIST_SLOPE_FLOOR:.0e}; the twist closure cannot pin a"
-        )
-    return -g0 / slope, None
+
+    def defect(delta_a: float):
+        step, cand = _probe(problem, ws, delta_a)
+        return cand.b_a - problem.b_a0, (step, cand)
+
+    return _close_twist(defect, 1e-14 * max(1.0, abs(problem.b_a0)))
 
 
 def _diagnostics(problem: QpProblem, ws: NewtonWorkspace) -> Diagnostics:
@@ -367,9 +377,17 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
     k = TorusEmbedding(
         fourier.dealias(state.k.eta_x), fourier.dealias(state.k.k_y)
     )
-    a, mu, eps = state.a, state.mu, state.eps
-    ws = _geometry(problem, k, a, mu, eps)
+    ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
+
+    def converged(ws: NewtonWorkspace, iterations: int) -> QpState:
+        return QpState(
+            ws.k, ws.a, ws.mu, ws.eps,
+            diagnostics=_diagnostics(problem, ws),
+            history=tuple(history),
+            iterations=iterations,
+        )
+
     # re-entry with a state this solver already accepted at its floor
     # must be a no-op, not a doomed attempt to beat the floor again
     if (
@@ -379,12 +397,7 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
         and abs(ws.e_p) <= problem.tol_phase
         and abs(ws.e_b) <= problem.tol_twist
     ):
-        return QpState(
-            k, a, mu, eps,
-            diagnostics=_diagnostics(problem, ws),
-            history=tuple(history),
-            iterations=0,
-        )
+        return converged(ws, 0)
     scale0 = max(ws.err, abs(ws.e_p), abs(ws.e_b))
     best, best_tail, stale = ws.err, ws.tail, 0
     snap = None    # best iterate with phase and twist closed
@@ -394,12 +407,7 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
             and abs(ws.e_p) <= problem.tol_phase
             and abs(ws.e_b) <= problem.tol_twist
         ):
-            return QpState(
-                k, a, mu, eps,
-                diagnostics=_diagnostics(problem, ws),
-                history=tuple(history),
-                iterations=it,
-            )
+            return converged(ws, it)
         if it == problem.max_newton:
             break
         if ws.err > _BLOWUP_FACTOR * (scale0 + problem.tol):
@@ -420,14 +428,14 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
                 break
             t *= 0.5
             cand = _candidate(problem, ws, step, delta_a, t)
-        k, a, mu, ws = ws2.k, ws2.a, ws2.mu, ws2
+        ws = ws2
         history.append(ws.err)
         if (
             abs(ws.e_p) <= problem.tol_phase
             and abs(ws.e_b) <= problem.tol_twist
-            and (snap is None or ws.err < snap[4].err)
+            and (snap is None or ws.err < snap[0].err)
         ):
-            snap = (k, a, mu, it + 1, ws)
+            snap = (ws, it + 1)
         if ws.err < best:
             best, best_tail, stale = ws.err, ws.tail, 0
         elif ws.err > problem.tol:
@@ -436,16 +444,10 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
                 break   # pumping, not contracting; settle on the floor
     if (
         snap is not None
-        and snap[4].err <= problem.floor_factor * problem.tol
-        and snap[4].tail <= problem.tail_double
+        and snap[0].err <= problem.floor_factor * problem.tol
+        and snap[0].tail <= problem.tail_double
     ):
-        k, a, mu, it_s, ws = snap
-        return QpState(
-            k, a, mu, eps,
-            diagnostics=_diagnostics(problem, ws),
-            history=tuple(history),
-            iterations=it_s,
-        )
+        return converged(*snap)
     raise DivergenceError(
         f"no convergence in {problem.max_newton} iterations, "
         f"best residual {best:.3e}, phase {ws.e_p:.3e}, twist {ws.e_b:.3e}",
@@ -472,7 +474,9 @@ def eps_derivative(
     zero phase drift.  The twist constraint d b_a / d eps = 0 fixes the
     d_a component; its value is found from a finite-difference directional
     probe of b_a at distance `probe` along the candidate direction, made
-    affine-exact by one secant step.
+    affine-exact by the secant step of the Newton twist closure.  When
+    the twist rate is already closed the zero probe's direction is the
+    tangent.
     """
     ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
     x = state.k.x_lift()
@@ -487,33 +491,13 @@ def eps_derivative(
     def direction(d_a: float):
         return _solve_linear(problem, ws, eta_l, eta_n, d_a, 0.0)
 
-    def twist_rate(d_a: float) -> float:
-        d_eta, d_ky, d_mu = direction(d_a)
-        kc = TorusEmbedding(
-            state.k.eta_x + probe * d_eta, state.k.k_y + probe * d_ky
-        )
-        cand = _frame_stage(
-            problem, kc,
-            state.a + probe * d_a,
-            state.mu + probe * d_mu,
-            state.eps + probe,
-        )
-        return (cand.b_a - ws.b_a) / probe
+    def twist_rate(d_a: float):
+        step = direction(d_a)
+        cand = _candidate(problem, ws, step, d_a, probe, eps_offset=probe)
+        return (cand.b_a - ws.b_a) / probe, step
 
-    g0 = twist_rate(0.0)
-    if abs(g0) < 1e-9:
-        d_a = 0.0
-    else:
-        h = g0
-        gh = twist_rate(h)
-        slope = (gh - g0) / h
-        if abs(slope) < _TWIST_SLOPE_FLOOR:
-            raise TwistDegeneracyError(
-                f"twist sensitivity {slope:.3e} too small for the "
-                f"eps-derivative closure"
-            )
-        d_a = -g0 / slope
-    d_eta, d_ky, d_mu = direction(d_a)
+    d_a, step = _close_twist(twist_rate, 1e-9)
+    d_eta, d_ky, d_mu = step or direction(d_a)
     return EpsDerivative(d_eta, d_ky, d_a, d_mu)
 
 
@@ -760,13 +744,13 @@ def twist_surface(
     b_a0_values,
     eps_target: float,
     policy: ContinuationPolicy | None = None,
-    threads: int = 1,
 ) -> list[SurfacePath]:
     """Continue one circle branch per twist level b_a0, each from eps = 0.
 
-    Paths are independent; with threads > 1 they run on a thread pool.
-    The output order follows b_a0_values regardless of scheduling, and
-    each path is bitwise identical to a lone continue_in_eps call.
+    The paths run one after another in the order of b_a0_values, and
+    each is bitwise identical to a lone continue_in_eps call.  A path
+    that raises NtCircleError is returned with no records and the
+    error as its stop reason.
     """
 
     def run(b: float) -> SurfacePath:
@@ -778,10 +762,4 @@ def twist_surface(
             res = ContinuationResult((), f"error: {exc}", None)
         return SurfacePath(b, res)
 
-    values = [float(b) for b in b_a0_values]
-    if threads <= 1:
-        return [run(b) for b in values]
-    from concurrent.futures import ThreadPoolExecutor
-
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(run, values))
+    return [run(float(b)) for b in b_a0_values]

@@ -1,5 +1,6 @@
 """Command line layer: config parsing, file formats, exit codes."""
 
+import dataclasses
 import hashlib
 import os
 import shutil
@@ -60,6 +61,16 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 1"):
             cli.parse_config("timing = maybe\n")
 
+    def test_defaults_parse_from_their_string_form(self):
+        defaults = cli.RunConfig()
+        lines = []
+        for f in dataclasses.fields(defaults):
+            value = getattr(defaults, f.name)
+            text = (",".join(map(repr, value)) if isinstance(value, tuple)
+                    else str(value))
+            lines.append(f"{f.name} = {text}\n")
+        assert cli.parse_config("".join(lines)) == defaults
+
     def test_float_list(self):
         cfg = cli.parse_config("b_a0_list = -0.2, 0, 0.2\n")
         assert cfg.b_a0_list == (-0.2, 0.0, 0.2)
@@ -79,6 +90,7 @@ class TestConfigValidation:
             ("tol = 0", "must be positive"),
             ("step_init = 0.5\nstep_max = 0.2", "step_min <= step_init"),
             ("threads = 0", "at least 1"),
+            ("threads = 2", "must be 1"),
             ("n_min = 512\nn_max = 256", "n_min <= n_max"),
             ("sweep_which = b", "sweep_which"),
             ("sweep_order = 3", "sweep_order"),
@@ -190,6 +202,12 @@ class TestContinueCommand:
         cfg = write_cfg(tmp_path, "")
         with pytest.raises(SystemExit):
             cli.main(["jiggle", "--config", cfg])
+
+    def test_threads_flag_is_usage_error(self, tmp_path):
+        cfg = write_cfg(tmp_path, "")
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["verify", "--config", cfg, "--threads", "1"])
+        assert exc.value.code == 2
 
 
 class TestBreakdownCommand:

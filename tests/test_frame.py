@@ -85,7 +85,7 @@ class TestFrameConstruction:
         n0, gram = normal0(l)
         t0 = torsion0(n0, dfk, OMEGA)
         vth = vartheta_qp(t0, SIGMA, OMEGA)
-        fr = assemble_frame(l, n0, gram, t0, vth, SIGMA)
+        fr = assemble_frame(l, n0, gram, vth, SIGMA)
         det = fr.l[0] * fr.nvec[1] - fr.l[1] * fr.nvec[0]
         np.testing.assert_allclose(det.values, 1.0, atol=1e-12)
         # N = L*vartheta + N0 with constant vartheta = 2*sigma*a/(1-sigma)

@@ -9,6 +9,7 @@ from ntcircle import (
     GOLDEN_MEAN,
     ContinuationRecord,
     NtCircleError,
+    ParamPoint,
     PeriodicScalar,
     QpProblem,
     QpState,
@@ -19,7 +20,6 @@ from ntcircle import (
     eps_derivative,
     fourier,
     newton_solve,
-    residuals,
     solver_qp,
     twist_surface,
 )
@@ -109,11 +109,10 @@ class TestNewtonBehavior:
         prob = sym_problem(tol=1e-12)
         start = QpState.flat_start(128, OMEGA)
         state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.6))
-        ex, ey, e_p, e_b = residuals(prob, state)
-        assert np.max(np.abs(ex.values)) <= 1e-12
-        assert np.max(np.abs(ey.values)) <= 1e-12
-        assert abs(e_p) <= 1e-11
-        assert abs(e_b) <= 1e-11
+        d = state.diagnostics
+        assert d.invariance_error <= 1e-12
+        assert abs(fourier.average(state.k.eta_x)) <= 1e-11
+        assert abs(d.twist_a - prob.b_a0) <= 1e-11
 
 
 class TestIterationCost:
@@ -292,6 +291,60 @@ class TestEpsDerivative:
         assert abs(der.d_mu - (plus.mu - minus.mu) / (2 * h)) <= 1e-4
         fd_eta = (plus.k.eta_x.values - minus.k.eta_x.values) / (2 * h)
         assert np.max(np.abs(der.d_eta_x.values - fd_eta)) <= 1e-4
+
+    @staticmethod
+    def own_closure(prob, state, probe):
+        """The eps-derivative as it was before it shared the Newton closure."""
+        ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
+        par = ParamPoint(state.a, state.mu, state.eps)
+        dex, dey = prob.family.d_eps(state.k.x_lift(), state.k.k_y.values, par)
+        ex = fourier.dealias(PeriodicScalar(dex))
+        ey = fourier.dealias(PeriodicScalar(dey))
+        eta_l = -(ws.ny_s * ex - ws.nx_s * ey)
+        eta_n = ws.ly_s * ex - ws.lx_s * ey
+
+        def direction(d_a):
+            return solver_qp._solve_linear(prob, ws, eta_l, eta_n, d_a, 0.0)
+
+        def twist_rate(d_a):
+            d_eta, d_ky, d_mu = direction(d_a)
+            kc = TorusEmbedding(state.k.eta_x + probe * d_eta,
+                                state.k.k_y + probe * d_ky)
+            cand = solver_qp._frame_stage(
+                prob, kc, state.a + probe * d_a, state.mu + probe * d_mu,
+                state.eps + probe)
+            return (cand.b_a - ws.b_a) / probe
+
+        g0 = twist_rate(0.0)
+        d_a = 0.0
+        if abs(g0) >= 1e-9:
+            h = g0
+            d_a = -g0 / ((twist_rate(h) - g0) / h)
+        return direction(d_a), d_a
+
+    @pytest.mark.parametrize("variant, solves", [("symmetric", 1),
+                                                 ("nonsymmetric", 3)])
+    def test_shared_twist_closure(self, monkeypatch, variant, solves):
+        # the symmetric twist rate is closed, so the zero probe's direction
+        # is the tangent; otherwise a secant probe and the final solve
+        prob = QpProblem(StandardNonTwistMap(SIGMA, variant), omega=OMEGA)
+        start = QpState.flat_start(128, OMEGA)
+        base = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        calls = []
+        solve = solver_qp._solve_linear
+
+        def counted(*args):
+            calls.append(args[4])
+            return solve(*args)
+
+        monkeypatch.setattr(solver_qp, "_solve_linear", counted)
+        der = eps_derivative(prob, base, 1e-6)
+        assert len(calls) == solves
+        assert calls[0] == 0.0 and calls[-1] == der.d_a
+        (d_eta, d_ky, d_mu), d_a = self.own_closure(prob, base, 1e-6)
+        assert der.d_a == d_a and der.d_mu == d_mu
+        assert np.array_equal(der.d_eta_x.values, d_eta.values)
+        assert np.array_equal(der.d_ky.values, d_ky.values)
 
 
 class TestBreakdownFit:
