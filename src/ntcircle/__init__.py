@@ -48,7 +48,7 @@ from .fourier import (
     solve_small_divisor,
     tail_fraction,
 )
-from .maps import Forcing, MapFamily, ParamPoint, StandardNonTwistMap, check_symmetry
+from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
 from .frame import (
     AdaptedFrame,
     Diagnostics,
@@ -116,7 +116,6 @@ __all__ = [
     "GridCircle",
     "InternalMap",
     "InversionError",
-    "MapFamily",
     "MuDegeneracyError",
     "NtCircleError",
     "ParamPoint",

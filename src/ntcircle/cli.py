@@ -76,7 +76,6 @@ class RunConfig:
     n_min: int = 64
     n_max: int = 1 << 19
     tail_double: float = 1e-9
-    tail_halve: float = 1e-16
     out_dir: str = "."
     seed: int = 0
     threads: int = 1
@@ -167,8 +166,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("eps_target must be nonnegative")
     for key in ("step_init", "step_min", "step_max", "probe", "tol",
                 "tol_phase", "tol_twist", "alpha_floor", "tail_double",
-                "tail_halve", "sweep_halfwidth", "sweep_step", "sweep_tol",
-                "rho_tol", "lock_tol", "refine_width"):
+                "sweep_halfwidth", "sweep_step", "sweep_tol", "rho_tol",
+                "lock_tol", "refine_width"):
         if getattr(cfg, key) <= 0.0:
             raise ValueError(f"{key} must be positive")
     if not cfg.step_min <= cfg.step_init <= cfg.step_max:
@@ -208,7 +207,6 @@ def build_problem(cfg: RunConfig) -> QpProblem:
         n_min=cfg.n_min,
         n_max=cfg.n_max,
         tail_double=cfg.tail_double,
-        tail_halve=cfg.tail_halve,
         max_newton=cfg.max_newton,
     )
 
@@ -286,11 +284,17 @@ PATH_HEADER = ("eps", "a", "mu", "N", "err", "alpha", "b_a", "b_mu",
                "iters", "wall_ms")
 
 
-def cmd_continue_nontwist(cfg: RunConfig, out_dir: str) -> int:
+def _continue(cfg: RunConfig):
+    """The configured branch marched from its flat start to eps_target."""
     problem = build_problem(cfg)
-    policy = build_policy(cfg)
     start = QpState.flat_start(cfg.n_min, problem.omega, problem.b_a0)
-    result = continue_in_eps(problem, start, cfg.eps_target, policy)
+    result = continue_in_eps(problem, start, cfg.eps_target,
+                             build_policy(cfg))
+    return problem, result
+
+
+def cmd_continue_nontwist(cfg: RunConfig, out_dir: str) -> int:
+    problem, result = _continue(cfg)
     write_csv(os.path.join(out_dir, "path.csv"), PATH_HEADER,
               _path_rows(result.records))
     if result.state is not None:
@@ -310,10 +314,7 @@ def cmd_breakdown(cfg: RunConfig, out_dir: str) -> int:
         records = read_alpha_csv(cfg.alpha_input)
         reason = "input"
     else:
-        problem = build_problem(cfg)
-        policy = build_policy(cfg)
-        start = QpState.flat_start(cfg.n_min, problem.omega, problem.b_a0)
-        result = continue_in_eps(problem, start, cfg.eps_target, policy)
+        _, result = _continue(cfg)
         records = result.records
         reason = result.reason
     fit = breakdown_extrapolate(records, cfg.fit_window)
@@ -329,10 +330,7 @@ def cmd_breakdown(cfg: RunConfig, out_dir: str) -> int:
 
 
 def cmd_rotnum_sweep(cfg: RunConfig, out_dir: str) -> int:
-    problem = build_problem(cfg)
-    policy = build_policy(cfg)
-    start = QpState.flat_start(cfg.n_min, problem.omega, problem.b_a0)
-    result = continue_in_eps(problem, start, cfg.eps_target, policy)
+    problem, result = _continue(cfg)
     if result.reason != "target":
         print(f"stopped: {result.reason} before eps_target; no sweep")
         return _reason_code(result.reason)

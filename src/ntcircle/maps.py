@@ -48,11 +48,6 @@ class Forcing:
             raise ValueError(f"unknown forcing variant {variant!r}")
         self.variant = variant
 
-    @property
-    def odd_symmetric(self) -> bool:
-        """True when p(x - 1/2) = -p(x), the reversibility mechanism."""
-        return self.variant == self.SYMMETRIC
-
     def __call__(self, x):
         if self.variant == self.SYMMETRIC:
             return np.sin(TWO_PI * x) / TWO_PI
@@ -64,39 +59,13 @@ class Forcing:
         return np.cos(TWO_PI * x) - 2.0 * np.sin(2.0 * TWO_PI * x)
 
 
-class MapFamily:
-    """Interface for parametric families on the annulus.
+class StandardNonTwistMap:
+    """The dissipative standard non-twist family defined above.
 
-    Implementations provide the lifted map, its phase-space Jacobian and
-    the three parameter derivatives, all vectorized over point batches.
-    sigma is the constant conformal factor (Jacobian determinant).
+    Provides the lifted map, its phase-space Jacobian and the three
+    parameter derivatives, all vectorized over point batches; sigma is
+    the constant conformal factor (Jacobian determinant).
     """
-
-    name: str = "family"
-    sigma: float
-
-    def eval_lift(self, x, y, p: ParamPoint):
-        raise NotImplementedError
-
-    def eval(self, x, y, p: ParamPoint):
-        xl, yn = self.eval_lift(x, y, p)
-        return np.mod(xl, 1.0), yn
-
-    def jacobian(self, x, y, p: ParamPoint):
-        raise NotImplementedError
-
-    def d_a(self, x, y, p: ParamPoint):
-        raise NotImplementedError
-
-    def d_mu(self, x, y, p: ParamPoint):
-        raise NotImplementedError
-
-    def d_eps(self, x, y, p: ParamPoint):
-        raise NotImplementedError
-
-
-class StandardNonTwistMap(MapFamily):
-    """The dissipative standard non-twist family defined above."""
 
     def __init__(self, sigma: float, forcing: Forcing | str = Forcing.SYMMETRIC):
         if not 0.0 < sigma < 1.0:
@@ -114,6 +83,10 @@ class StandardNonTwistMap(MapFamily):
     def eval_lift(self, x, y, p: ParamPoint):
         q = self._momentum(x, y, p)
         return x + q * q + p.mu, q + p.a
+
+    def eval(self, x, y, p: ParamPoint):
+        xl, yn = self.eval_lift(x, y, p)
+        return np.mod(xl, 1.0), yn
 
     def jacobian(self, x, y, p: ParamPoint):
         q = self._momentum(x, y, p)

@@ -53,7 +53,7 @@ from .frame import (
     solve_transfer,
     vartheta_general,
 )
-from .maps import MapFamily, ParamPoint
+from .maps import ParamPoint, StandardNonTwistMap
 
 
 def _check_order(order: int) -> None:
@@ -88,14 +88,6 @@ class GridCircle:
     def n(self) -> int:
         return self.eta_x.size
 
-    def resample(self, n_new: int) -> "GridCircle":
-        """Interpolate both components onto an n_new-node grid."""
-        if n_new == self.n:
-            return self
-        return GridCircle(
-            *_resampled(n_new, self.order, self.eta_x, self.k_y), self.order
-        )
-
 
 @dataclass(frozen=True)
 class InternalMap:
@@ -118,11 +110,6 @@ class InternalMap:
     @classmethod
     def rotation(cls, n: int, omega: float, order: int = 4) -> "InternalMap":
         return cls(np.full(n, omega), order)
-
-    def resample(self, n_new: int) -> "InternalMap":
-        if n_new == self.n:
-            return self
-        return InternalMap(*_resampled(n_new, self.order, self.g), self.order)
 
     def __call__(self, theta):
         return np.asarray(theta) + interp(self.g, theta, self.order)
@@ -193,12 +180,6 @@ def interp(values: np.ndarray, theta, order: int) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _resampled(n_new: int, order: int, *fields: np.ndarray) -> list:
-    """Grid functions interpolated onto n_new nodes through one stencil."""
-    idx, w = interp_stencil(fields[0].size, np.arange(n_new) / n_new, order)
-    return [interp_apply(v, idx, w) for v in fields]
-
-
 def _lift_newton(h, order, target, y, tol, max_iter, failure):
     """Solve y + h(y) = target node by node on lifts, starting from y.
 
@@ -246,7 +227,8 @@ def invert_map(
 
 
 def invariance_error(
-    circle: GridCircle, f: InternalMap, family: MapFamily, par: ParamPoint
+    circle: GridCircle, f: InternalMap, family: StandardNonTwistMap,
+    par: ParamPoint,
 ) -> float:
     """sup |F(K(theta)) - K(f(theta))| on the grid."""
     n = circle.n
@@ -284,7 +266,7 @@ def _smooth(values: np.ndarray) -> np.ndarray:
 def newton_step_general(
     circle: GridCircle,
     f: InternalMap,
-    family: MapFamily,
+    family: StandardNonTwistMap,
     par: ParamPoint,
     vartheta0: np.ndarray | None = None,
     finv0: InternalMap | None = None,
@@ -375,7 +357,7 @@ _FLOOR_FACTOR = 100.0
 def newton_solve_general(
     circle: GridCircle,
     f: InternalMap,
-    family: MapFamily,
+    family: StandardNonTwistMap,
     par: ParamPoint,
     tol: float = 1e-11,
     max_newton: int = 20,
@@ -531,13 +513,14 @@ def lock_fraction(rho: float, q_max: int = 64, lock_tol: float = 1e-8):
 class SweepRecord:
     param: float
     rho: float
-    rho_err: float       # doubling gap, or nan when the cap was hit
+    rho_err: float       # rho_tol; nan when the cap was hit or the
+                         # circle was floor-accepted (err > tol)
     err: float           # invariance residual of the converged circle
     locked: bool
 
 
 def ambient_rotation_number(
-    family: MapFamily,
+    family: StandardNonTwistMap,
     par: ParamPoint,
     xy0,
     tol: float = 1e-10,
@@ -571,7 +554,7 @@ def ambient_rotation_number(
 def sweep_parameter(
     circle: GridCircle,
     f: InternalMap,
-    family: MapFamily,
+    family: StandardNonTwistMap,
     par: ParamPoint,
     which: str,
     halfwidth: float,
@@ -592,6 +575,8 @@ def sweep_parameter(
     parameter gap is below refine_width, so plateau edges are resolved.
     A point where Newton fails takes its rotation number from the ambient
     orbit (err is nan there) and the walk goes on from the last circle.
+    A point whose circle Newton settled on a floor above tol keeps its
+    rho but gets rho_err = nan: its accuracy is not established.
     Records are returned sorted by parameter.
     """
     if which not in ("a", "mu"):
@@ -622,7 +607,9 @@ def sweep_parameter(
                 rho = ambient_rotation_number(family, par_v, xy0, rho_tol)
             else:
                 rho = rotation_number(sol.f, rho_tol, theta0)
-            rho_err = rho_tol
+            # a circle settled on a floor above tol is only near the
+            # invariant one, so its rho is not established to rho_tol
+            rho_err = float("nan") if err > tol else rho_tol
         except ToleranceNotMetError as exc:
             rho, rho_err = exc.best, float("nan")
         if sol is not None:
@@ -659,7 +646,7 @@ def sweep_parameter(
 
 
 def induced_internal_map(
-    circle: GridCircle, family: MapFamily, par: ParamPoint,
+    circle: GridCircle, family: StandardNonTwistMap, par: ParamPoint,
     tol: float = 1e-13, max_iter: int = 60,
 ) -> InternalMap:
     """Internal dynamics read off an (approximately) invariant circle.

@@ -59,7 +59,7 @@ from .frame import (
     torsion0,
     vartheta_qp,
 )
-from .maps import MapFamily, ParamPoint
+from .maps import ParamPoint, StandardNonTwistMap
 
 GOLDEN_MEAN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -73,7 +73,7 @@ _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
 class QpProblem:
     """Problem data and policies for one circle family."""
 
-    family: MapFamily
+    family: StandardNonTwistMap
     omega: float = GOLDEN_MEAN
     b_a0: float = 0.0
     tol: float = 1e-11            # invariance residual, sup-norm
@@ -82,7 +82,6 @@ class QpProblem:
     n_min: int = 64
     n_max: int = 1 << 19
     tail_double: float = 1e-9     # raw-composition tail above this: refine
-    tail_halve: float = 1e-16     # below this: try to coarsen
     max_newton: int = 20
     floor_factor: float = 1e4     # accept a residual floor up to this * tol
 
@@ -161,7 +160,8 @@ class NewtonWorkspace:
     )
 
 
-def _derivative_fields(family: MapFamily, k: TorusEmbedding, par: ParamPoint):
+def _derivative_fields(family: StandardNonTwistMap, k: TorusEmbedding,
+                       par: ParamPoint):
     """Dealiased Jacobian and D_a F along the circle."""
     x = k.x_lift()
     y = k.k_y.values
@@ -175,7 +175,8 @@ def _derivative_fields(family: MapFamily, k: TorusEmbedding, par: ParamPoint):
                  fourier.dealias(PeriodicScalar(day)))
 
 
-def _composition_fields(family: MapFamily, k: TorusEmbedding, par: ParamPoint):
+def _composition_fields(family: StandardNonTwistMap, k: TorusEmbedding,
+                        par: ParamPoint):
     """Dealiased composition with its raw tail, and D_mu F along the circle."""
     x = k.x_lift()
     y = k.k_y.values
@@ -511,15 +512,6 @@ def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
     )
 
 
-def _picky(problem: QpProblem) -> QpProblem:
-    """problem held near the strict tolerance, for rebuilt bases.
-
-    A level that can only offer a high residual floor would poison
-    every later predictor, so a rebuild may not settle on one.
-    """
-    return replace(problem, floor_factor=min(10.0, problem.floor_factor))
-
-
 def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
     """Rebuild state on the next dyadic grid that converges cleanly.
 
@@ -528,7 +520,10 @@ def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
     blows up into non-finite samples (ValueError); None when no level
     up to n_max takes.
     """
-    picky = _picky(problem)
+    # a level that can only offer a high residual floor would poison
+    # every later predictor, so a rebuild is held near the strict
+    # tolerance and may not settle on one
+    picky = replace(problem, floor_factor=min(10.0, problem.floor_factor))
     n2 = 2 * state.k.n
     while n2 <= problem.n_max:
         try:
@@ -539,36 +534,20 @@ def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
 
 
 def _adapt_modes(problem: QpProblem, state: QpState) -> tuple[QpState, bool]:
-    """Double/halve the grid by the raw-tail policy; True if n_max binds.
+    """Grow the grid while the raw tail is fat; True if n_max binds.
 
-    Doubling skips dyadic levels that refuse to converge (a band edge
-    near a resonance) and gives up gracefully when no level absorbs the
-    tail: the state is valid as is, just under-resolved, and the caller
-    retries on later steps.  Rebuilt bases are held near the strict
-    tolerance (see _picky).
+    Each pass rebuilds the base on a finer level (_grow_base), so N at
+    least doubles and the loop ends by n_max.  When no level takes, the
+    state is valid as is, just under-resolved, and the caller retries on
+    later steps.
     """
-    for _ in range(10):
-        tail = state.diagnostics.tail
-        n = state.k.n
-        if tail > problem.tail_double:
-            if 2 * n > problem.n_max:
-                return state, True
-            grown = _grow_base(problem, state)
-            if grown is None:
-                return state, False
-            state = grown
-            continue
-        if tail < problem.tail_halve and n > problem.n_min:
-            try:
-                trial = newton_solve(
-                    _picky(problem), replace(state, k=state.k.resample(n // 2))
-                )
-            except (NtCircleError, ValueError):
-                break
-            if trial.diagnostics.tail <= problem.tail_double:
-                state = trial
-                continue
-        break
+    while state.diagnostics.tail > problem.tail_double:
+        if 2 * state.k.n > problem.n_max:
+            return state, True
+        grown = _grow_base(problem, state)
+        if grown is None:
+            return state, False
+        state = grown
     return state, False
 
 
@@ -701,10 +680,12 @@ def breakdown_extrapolate(
     The window is the last decade of alpha (points with alpha within
     10x of the final one) or the last `window` records, whichever is
     smaller, widened to at least `min_points` records when the final
-    collapse is too abrupt to populate the decade.  The fit is reliable only when the window actually shrinks:
-    monotone non-increasing, a real net drop, and a negative slope.
-    Anything else degrades to reliable=False; the numbers are still
-    returned.
+    collapse is too abrupt to populate the decade.  The fit is reliable
+    only when the window actually shrinks: monotone non-increasing, a
+    real net drop of at least a decade (alpha[0] >= 10 alpha[-1]), and
+    a negative slope.  A window cut short of a decade says little about
+    where the angle would cross zero.  Anything else degrades to
+    reliable=False; the numbers are still returned.
     """
     eps = np.array([r.eps for r in records], dtype=float)
     alpha = np.array([r.alpha for r in records], dtype=float)
@@ -728,7 +709,8 @@ def breakdown_extrapolate(
     monotone = bool(np.all(np.diff(alpha) <= 1e-12))
     # a flat stretch fits with slope ~ -1e-17; demand a real decrease
     shrinking = alpha[0] - alpha[-1] > 1e-12
-    reliable = monotone and shrinking and m < 0.0
+    decade = alpha[0] >= 10.0 * alpha[-1]
+    reliable = bool(monotone and shrinking and decade and m < 0.0)
     eps_c = -c / m if m < 0.0 else float("nan")
     return BreakdownFit(float(eps_c), float(m), rms, reliable, int(eps.size))
 

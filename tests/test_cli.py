@@ -1,5 +1,6 @@
 """Command line layer: config parsing, file formats, exit codes."""
 
+import ast
 import dataclasses
 import hashlib
 import os
@@ -10,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ntcircle import GOLDEN_MEAN, cli
+from ntcircle import GOLDEN_MEAN, ContinuationPolicy, QpProblem, cli
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -78,6 +79,37 @@ class TestConfigParsing:
             cli.parse_config("b_a0_list = ,\n")
 
 
+def cfg_reads(source):
+    """Attribute names read as cfg.<name> in source."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and isinstance(node.value, ast.Name) and node.value.id == "cfg"
+    }
+
+
+class TestConfigKeys:
+    def test_scanner_reads_cfg_attributes(self):
+        assert cfg_reads("cfg.a + other.b\ngetattr(cfg, 'c')\n") == {"a"}
+
+    def test_every_key_is_read(self):
+        with open(cli.__file__, encoding="utf-8") as fh:
+            read = cfg_reads(fh.read())
+        keys = {f.name for f in dataclasses.fields(cli.RunConfig)}
+        assert keys - read == set()
+
+    @pytest.mark.parametrize("target", [QpProblem, ContinuationPolicy],
+                             ids=lambda t: t.__name__)
+    def test_defaults_match_the_library(self, target):
+        defaults = cli.RunConfig()
+        shared = [f for f in dataclasses.fields(target)
+                  if hasattr(defaults, f.name)
+                  and f.default is not dataclasses.MISSING]
+        assert shared
+        for f in shared:
+            assert getattr(defaults, f.name) == f.default, f.name
+
+
 class TestConfigValidation:
     @pytest.mark.parametrize(
         "text, match",
@@ -94,6 +126,7 @@ class TestConfigValidation:
             ("n_min = 512\nn_max = 256", "n_min <= n_max"),
             ("sweep_which = b", "sweep_which"),
             ("sweep_order = 3", "sweep_order"),
+            ("tail_halve = 1e-16", "unknown config key"),
         ],
     )
     def test_bad_configs_rejected(self, text, match):
@@ -165,6 +198,14 @@ class TestContinueCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 2
         assert "stopped: alpha-floor" in capsys.readouterr().out
+
+    def test_grid_cap_stop_returns_2(self, tmp_path, capsys):
+        cfg = write_cfg(tmp_path, BASE_CFG
+                        + "eps_target = 3.0\nn_max = 64\n")
+        rc = cli.main(["continue-nontwist", "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 2
+        assert "stopped: n-max" in capsys.readouterr().out
 
     def test_out_dir_precedence(self, tmp_path, monkeypatch):
         cfg_dir = tmp_path / "from_cfg"

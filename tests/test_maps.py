@@ -24,13 +24,11 @@ class TestForcing:
         p = Forcing("symmetric")
         x = np.linspace(0, 1, 101)
         np.testing.assert_allclose(p(x - 0.5), -p(x), atol=1e-15)
-        assert p.odd_symmetric
 
     def test_nonsymmetric_breaks_oddness(self):
         p = Forcing("nonsymmetric")
         x = np.linspace(0, 1, 101)
         assert np.max(np.abs(p(x - 0.5) + p(x))) > 0.1
-        assert not p.odd_symmetric
 
     @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
     def test_deriv_matches_finite_difference(self, variant):

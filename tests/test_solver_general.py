@@ -1,5 +1,6 @@
 """Grid solver: interpolation, inversion, rotation numbers, sweeps."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -53,15 +54,6 @@ class TestInterp:
         vals = rng.standard_normal(n)
         th = np.arange(n) / n
         assert np.array_equal(interp(vals, th, 4), vals)
-
-    def test_resample_roundtrip(self):
-        n = 128
-        th = np.arange(n) / n
-        c = GridCircle(0.1 * np.sin(2 * np.pi * th),
-                       0.05 * np.cos(2 * np.pi * th), 6)
-        back = c.resample(2 * n).resample(n)
-        assert np.max(np.abs(back.eta_x - c.eta_x)) <= 1e-12
-        assert np.max(np.abs(back.k_y - c.k_y)) <= 1e-12
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -443,6 +435,22 @@ class TestResidualFloor:
             self.solve(monkeypatch, 1e-16, 4)
         assert self.steps == [0, 1, 2, 3]
         assert exc.value.residual == min(self.errs) > 100 * 1e-16
+
+    def sweep_center(self, tol, max_newton):
+        (rec,) = sweep_parameter(self.circle, self.f, sym_family(), self.par,
+                                 "a", halfwidth=0.0, step=0.01, tol=tol,
+                                 max_newton=max_newton, rho_tol=1e-10)
+        assert rec.param == self.par.a and math.isfinite(rec.rho)
+        return rec
+
+    def test_floor_accepted_sweep_point_claims_no_rho_tol(self):
+        # four steps settle on a floor above tol = 1e-13, within 100 tol
+        rec = self.sweep_center(1e-13, 4)
+        assert 1e-13 < rec.err <= 1e-11
+        assert math.isnan(rec.rho_err)
+        rec = self.sweep_center(1e-11, 20)
+        assert rec.err <= 1e-11
+        assert rec.rho_err == 1e-10
 
 
 class TestSweep:

@@ -1,6 +1,7 @@
 """Quasi-periodic solver: closed forms, Newton behavior, continuation."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from ntcircle import (
     GOLDEN_MEAN,
     ContinuationRecord,
+    DivergenceError,
     NtCircleError,
     ParamPoint,
     PeriodicScalar,
@@ -249,6 +251,30 @@ class TestContinuation:
         assert res.state.a != 0.0
         assert abs(res.state.diagnostics.twist_a) <= 1e-9
 
+    def test_grid_cap_stops_on_n_max(self):
+        prob = sym_problem(n_max=64)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 3.0)
+        assert res.reason == "n-max"
+        assert res.state.eps < 3.0 and res.state.k.n == 64
+        assert res.state.diagnostics.tail > prob.tail_double
+
+    def test_grid_stays_when_no_level_converges(self, monkeypatch):
+        prob = sym_problem(n_max=512)
+        start = QpState.flat_start(64, OMEGA)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        # a tail above tail_double asks for a finer grid
+        prob = replace(prob, tail_double=0.5 * state.diagnostics.tail)
+        levels = []
+
+        def refuse(problem, st):
+            levels.append(st.k.n)
+            raise DivergenceError("injected", residual=1.0)
+
+        monkeypatch.setattr(solver_qp, "newton_solve", refuse)
+        adapted, capped = solver_qp._adapt_modes(prob, state)
+        assert adapted is state and not capped
+        assert levels == [128, 256, 512]
+
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.9)
@@ -357,10 +383,19 @@ class TestBreakdownFit:
         eps = np.linspace(3.0, 3.5, 30)
         recs = [self.rec(e, 0.5 * (3.6 - e)) for e in eps]
         fit = breakdown_extrapolate(recs)
-        assert fit.reliable
+        # the 20-record window holds alpha 0.21 -> 0.05, short of a decade
+        assert not fit.reliable
         assert abs(fit.eps_c - 3.6) <= 1e-12
         assert abs(fit.slope + 0.5) <= 1e-12
         assert fit.residual <= 1e-14
+
+    def test_window_spanning_a_decade_is_reliable(self):
+        # alpha = 10 - 10 eps falls from 10 to 1 across the window
+        recs = [self.rec(k / 10.0, 10.0 - k) for k in range(10)]
+        fit = breakdown_extrapolate(recs)
+        assert fit.window == 10
+        assert fit.reliable
+        assert abs(fit.eps_c - 1.0) <= 1e-12
 
     def test_flags_non_decreasing_angle(self):
         recs = [self.rec(e, 0.1 + 0.05 * e) for e in np.linspace(1, 2, 12)]
