@@ -17,14 +17,25 @@ Work that never changes is done once.  The phase vectors e(k*delta) of
 shift and of the cohomological solvers come from one bounded cache
 keyed on (n, delta), read-only like the grids.  dealias returns a
 constant field as it is, and dealias_tail filters a composition and
-gauges its raw tail from one transform.  Samples that this module has
-just allocated (arithmetic results, inverse transforms) are frozen and
-wrapped without a copy; anything a caller hands in is still copied, and
-every construction still checks finiteness.
+gauges its raw tail from one transform, whose mode weights are cached
+per n.
+
+Each field is wrapped once, and the wrap is the one place finiteness is
+checked.  PeriodicScalar.__init__ is the only constructor; it adopts the
+samples the package has just allocated (arithmetic results, inverse
+transforms, the fused formulas of the solvers, all through _fresh) and
+copies everything else, so no outside reference reaches the samples.
+The solvers compute a field's +, - and * formula on sample arrays and
+wrap only its result: under IEEE rules a +, - or * with a NaN or
+infinite operand never gives a finite result, so checking the result is
+exactly as strict as checking every intermediate, and the same
+ValueError comes from the same call.  Divisions are not fused, since
+x/inf = 0 would hide an inf.
 """
 
 from __future__ import annotations
 
+import math
 from functools import lru_cache
 
 import numpy as np
@@ -68,21 +79,28 @@ class PeriodicScalar:
 
     Immutable; arithmetic is pointwise and requires matching grids.
     Non-finite samples are rejected so solver blow-ups surface early.
+    Every instance, arithmetic results included, is built here and
+    checked here, once.  Samples handed in by a caller are always
+    copied.  _owned marks samples this package has just allocated and
+    references nowhere else: a 1-D float64 array that owns its memory is
+    then frozen and adopted without a copy, and anything else is still
+    copied, so a view never pins the array it looks into.
     """
 
     __slots__ = ("values", "n")
 
-    def __init__(self, values):
-        v = np.asarray(values, dtype=float)
+    def __init__(self, values, *, _owned=False):
+        if (_owned and type(values) is np.ndarray and values.base is None
+                and values.dtype == np.float64):
+            v = values
+        else:
+            v = np.array(values, dtype=float)
         if v.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         _check_size(v.size)
-        if not np.all(np.isfinite(v)):
+        if not np.isfinite(v).all():
             raise ValueError("samples must be finite")
-        # a read-only array that owns its memory cannot change under us
-        if v.flags.writeable or not v.flags.owndata:
-            v = v.copy()
-            v.setflags(write=False)
+        v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n", v.size)
 
@@ -132,8 +150,7 @@ class PeriodicScalar:
 
 def _fresh(values: np.ndarray) -> PeriodicScalar:
     """Wrap samples that nothing else references, without a copy."""
-    values.setflags(write=False)
-    return PeriodicScalar(values)
+    return PeriodicScalar(values, _owned=True)
 
 
 def average(u: PeriodicScalar) -> float:
@@ -232,19 +249,26 @@ def _check_band(band: float) -> None:
         raise ValueError(f"band must lie in (0, 1), got {band}")
 
 
+@lru_cache(maxsize=64)
+def _mass_weights(n: int) -> np.ndarray:
+    """l1 weights of the half-spectrum: 2 for each conjugate pair, read-only."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0
+    w.setflags(write=False)
+    return w
+
+
 def _tail(half: np.ndarray, n: int, band: float) -> float:
     """tail_fraction from the unnormalized rfft half-spectrum."""
     half = np.abs(half) / n
-    weights = np.full(n // 2 + 1, 2.0)
-    weights[0] = 1.0
-    weights[-1] = 1.0
-    mass = weights * half
+    mass = _mass_weights(n) * half
     total = float(np.sum(mass))
     if total == 0.0:
         return 0.0
-    cutoff = (1.0 - band) * (n / 2.0)
-    k = _wavenumbers(n)
-    return float(np.sum(mass[k > cutoff])) / total
+    # the modes k > (1 - band)*(n/2) are the suffix after its floor
+    start = math.floor((1.0 - band) * (n / 2.0)) + 1
+    return float(np.sum(mass[start:])) / total
 
 
 def tail_fraction(u: PeriodicScalar, band: float) -> float:

@@ -15,11 +15,12 @@ blow-up signals loss of normal hyperbolicity.  det P = 1 identically,
 which is the frame's health check.
 
 The quasi-periodic solver works with PeriodicScalar fields and solves
-for vartheta spectrally.  The grid solver, whose f is free, works on
-plain sample arrays: the *_values kernels below build its frame, and
-solve_transfer is the one fixed-point kernel for both of its transfer
-equations, the torsion equation here and the normal equation of its
-Newton step.
+for vartheta spectrally; each field's formula runs on its sample arrays
+and is wrapped once (see fourier).  The grid solver, whose f is free,
+works on plain sample arrays: the *_values kernels below build its
+frame, and solve_transfer is the one fixed-point kernel for both of its
+transfer equations, the torsion equation here and the normal equation of
+its Newton step.
 
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
 and <L, Omega N> = -1; the inverse transition P^{-1} has rows N^T Omega
@@ -35,7 +36,7 @@ import numpy as np
 
 from . import fourier
 from .errors import ContractionFailureError, DegenerateCircleError, FrameDegeneracyError
-from .fourier import PeriodicScalar
+from .fourier import PeriodicScalar, _fresh
 
 _GRAM_FLOOR = 1e-12
 _DET_TOL = 1e-8
@@ -132,7 +133,7 @@ def normal0_values(lx: np.ndarray, ly: np.ndarray):
 def normal0(l: Pair) -> tuple[Pair, PeriodicScalar]:
     """N0 = Omega L / <L, L> and the gram function <L, L>."""
     n0x, n0y, gram = normal0_values(l[0].values, l[1].values)
-    return (PeriodicScalar(n0x), PeriodicScalar(n0y)), PeriodicScalar(gram)
+    return (_fresh(n0x), _fresh(n0y)), _fresh(gram)
 
 
 def torsion0(n0: Pair, dfk, omega: float) -> PeriodicScalar:
@@ -141,12 +142,13 @@ def torsion0(n0: Pair, dfk, omega: float) -> PeriodicScalar:
     dfk holds the four entries of DF along the circle as PeriodicScalars,
     indexed dfk[i][j].
     """
-    n0x, n0y = n0
-    wx = dfk[0][0] * n0x + dfk[0][1] * n0y
-    wy = dfk[1][0] * n0x + dfk[1][1] * n0y
-    n0x_s = fourier.shift(n0x, omega)
-    n0y_s = fourier.shift(n0y, omega)
-    return n0y_s * wx - n0x_s * wy
+    (d00, d01), (d10, d11) = [[d.values for d in row] for row in dfk]
+    n0x, n0y = n0[0].values, n0[1].values
+    wx = d00 * n0x + d01 * n0y
+    wy = d10 * n0x + d11 * n0y
+    n0x_s = fourier.shift(n0[0], omega).values
+    n0y_s = fourier.shift(n0[1], omega).values
+    return _fresh(n0y_s * wx - n0x_s * wy)
 
 
 def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScalar:
@@ -230,7 +232,7 @@ def assemble_frame(
     nx, ny = normal_values(
         l[0].values, l[1].values, n0[0].values, n0[1].values, vartheta.values
     )
-    nvec = (PeriodicScalar(nx), PeriodicScalar(ny))
+    nvec = (_fresh(nx), _fresh(ny))
     return AdaptedFrame(l, gram, nvec, sigma)
 
 
@@ -241,12 +243,14 @@ def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):
     N(. + omega), as pairs of PeriodicScalar.
     """
     sig = frame.sigma
+    (d00, d01), (d10, d11) = [[d.values for d in row] for row in dfk]
     cols = []
     for (vx, vy), (sx, sy), mult in (
         (frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, sig)
     ):
-        rx = dfk[0][0] * vx + dfk[0][1] * vy - mult * sx
-        ry = dfk[1][0] * vx + dfk[1][1] * vy - mult * sy
+        vx, vy = vx.values, vy.values
+        rx = _fresh(d00 * vx + d01 * vy - mult * sx.values)
+        ry = _fresh(d10 * vx + d11 * vy - mult * sy.values)
         cols.append((rx, ry))
     sup = max(c.sup() for col in cols for c in col)
     return cols, sup

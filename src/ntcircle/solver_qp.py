@@ -13,6 +13,10 @@ the extremum of the rotation-number profile: these are the non-twist
 (shearless) circles.  Prescribing b_a0 != 0 selects circles off the
 extremum and sweeping b_a0 charts the twist surface.
 
+Each field of the linearization is one formula on sample arrays,
+wrapped and checked for finiteness once (see fourier); the intermediates
+of a formula are never wrapped.
+
 Compositions with the map are dealiased with the 1/3 truncation, and the
 invariance residual is measured on the filtered system; spectral
 exhaustion is monitored on the raw compositions and drives the dyadic
@@ -47,7 +51,7 @@ from .errors import (
     NtCircleError,
     TwistDegeneracyError,
 )
-from .fourier import PeriodicScalar
+from .fourier import PeriodicScalar, _fresh
 from .frame import (
     Diagnostics,
     TorusEmbedding,
@@ -160,6 +164,11 @@ class NewtonWorkspace:
     )
 
 
+def _cross(a, u, b, v) -> np.ndarray:
+    """Samples of a*u - b*v, in this order, for fields a, u, b, v."""
+    return a.values * u.values - b.values * v.values
+
+
 def _derivative_fields(family: StandardNonTwistMap, k: TorusEmbedding,
                        par: ParamPoint):
     """Dealiased Jacobian and D_a F along the circle."""
@@ -182,7 +191,7 @@ def _composition_fields(family: StandardNonTwistMap, k: TorusEmbedding,
     y = k.k_y.values
     fx_lift, fy = family.eval_lift(x, y, par)
     ux = fx_lift - fourier.grid(k.n)   # periodic part of F^x
-    fx, tail_x = fourier.dealias_tail(PeriodicScalar(ux), 0.25)
+    fx, tail_x = fourier.dealias_tail(_fresh(ux), 0.25)
     fy, tail_y = fourier.dealias_tail(PeriodicScalar(fy), 0.25)
     dmx, dmy = family.d_mu(x, y, par)
     d_mu = (fourier.dealias(PeriodicScalar(dmx)),
@@ -210,7 +219,7 @@ def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     ws.nx_s = fourier.shift(fr.nvec[0], om)
     ws.ny_s = fourier.shift(fr.nvec[1], om)
     dax, day = d_a
-    ws.bla = ws.ny_s * dax - ws.nx_s * day
+    ws.bla = _fresh(_cross(ws.ny_s, dax, ws.nx_s, day))
     ws.b_a = fourier.average(ws.bla)
     ws.e_b = ws.b_a - problem.b_a0
     return ws
@@ -228,18 +237,18 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
 
     dax, day = ws.d_a
     dmx, dmy = ws.d_mu
-    ws.bna = -(ws.ly_s * dax - ws.lx_s * day)
-    ws.blm = ws.ny_s * dmx - ws.nx_s * dmy
-    ws.bnm = -(ws.ly_s * dmx - ws.lx_s * dmy)
+    ws.bna = _fresh(-_cross(ws.ly_s, dax, ws.lx_s, day))
+    ws.blm = _fresh(_cross(ws.ny_s, dmx, ws.nx_s, dmy))
+    ws.bnm = _fresh(-_cross(ws.ly_s, dmx, ws.lx_s, dmy))
     ws.b_mu = fourier.average(ws.blm)
 
-    ws.ex = fx - om - fourier.shift(k.eta_x, om)
-    ws.ey = fy - fourier.shift(k.k_y, om)
+    ws.ex = _fresh(fx.values - om - fourier.shift(k.eta_x, om).values)
+    ws.ey = _fresh(fy.values - fourier.shift(k.k_y, om).values)
     ws.err = max(ws.ex.sup(), ws.ey.sup())
     ws.e_p = fourier.average(k.eta_x)
 
-    ws.eta_l = -(ws.ny_s * ws.ex - ws.nx_s * ws.ey)
-    ws.eta_n = ws.ly_s * ws.ex - ws.lx_s * ws.ey
+    ws.eta_l = _fresh(-_cross(ws.ny_s, ws.ex, ws.nx_s, ws.ey))
+    ws.eta_n = _fresh(_cross(ws.ly_s, ws.ex, ws.lx_s, ws.ey))
     return ws
 
 
@@ -275,19 +284,23 @@ def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
             f"drift average b_mu = {ws.b_mu:.3e} below {_DRIFT_FLOOR:.0e}"
         )
     delta_mu = (fourier.average(eta_l) - ws.b_a * delta_a) / ws.b_mu
-    rhs_n = eta_n - ws.bna * delta_a - ws.bnm * delta_mu
-    xi_n = fourier.solve_contractive(rhs_n, sig, om)
-    rhs_l = eta_l - ws.bla * delta_a - ws.blm * delta_mu
-    xi_l, _ = fourier.solve_small_divisor(rhs_l, om)
-    lx, ly = ws.frame.l
-    nx, ny = ws.frame.nvec
-    const = -phase - fourier.average(lx * xi_l + nx * xi_n)
+    rhs_n = _fresh(
+        eta_n.values - ws.bna.values * delta_a - ws.bnm.values * delta_mu
+    )
+    xi_n = fourier.solve_contractive(rhs_n, sig, om).values
+    rhs_l = _fresh(
+        eta_l.values - ws.bla.values * delta_a - ws.blm.values * delta_mu
+    )
+    xi_l = fourier.solve_small_divisor(rhs_l, om)[0].values
+    lx, ly = (c.values for c in ws.frame.l)
+    nx, ny = (c.values for c in ws.frame.nvec)
+    const = -phase - float(np.mean(lx * xi_l + nx * xi_n))
     xi_l = xi_l + const
     # keep the embedding in the retained band: outside it the filtered
     # composition exerts no feedback and the correction loop is unstable
     return (
-        fourier.dealias(lx * xi_l + nx * xi_n),
-        fourier.dealias(ly * xi_l + ny * xi_n),
+        fourier.dealias(_fresh(lx * xi_l + nx * xi_n)),
+        fourier.dealias(_fresh(ly * xi_l + ny * xi_n)),
         delta_mu,
     )
 
@@ -296,7 +309,8 @@ def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
                eps_offset: float = 0.0):
     """Frame stage at the point a fraction t along the correction."""
     d_eta, d_ky, delta_mu = step
-    kc = TorusEmbedding(ws.k.eta_x + t * d_eta, ws.k.k_y + t * d_ky)
+    kc = TorusEmbedding(_fresh(ws.k.eta_x.values + t * d_eta.values),
+                        _fresh(ws.k.k_y.values + t * d_ky.values))
     return _frame_stage(problem, kc, ws.a + t * delta_a,
                         ws.mu + t * delta_mu, ws.eps + eps_offset)
 
@@ -486,8 +500,8 @@ def eps_derivative(
     dex, dey = problem.family.d_eps(x, y, par)
     ex = fourier.dealias(PeriodicScalar(dex))
     ey = fourier.dealias(PeriodicScalar(dey))
-    eta_l = -(ws.ny_s * ex - ws.nx_s * ey)
-    eta_n = ws.ly_s * ex - ws.lx_s * ey
+    eta_l = _fresh(-_cross(ws.ny_s, ex, ws.nx_s, ey))
+    eta_n = _fresh(_cross(ws.ly_s, ex, ws.lx_s, ey))
 
     def direction(d_a: float):
         return _solve_linear(problem, ws, eta_l, eta_n, d_a, 0.0)

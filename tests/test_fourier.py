@@ -69,12 +69,56 @@ class TestPeriodicScalar:
         u = PeriodicScalar(view)
         w[0] = 5.0
         assert u.values[0] == 1.0
+        # read-only and owning its memory: the caller can make it
+        # writable again, so it is copied as well
+        own = np.ones(8)
+        own.setflags(write=False)
+        u = PeriodicScalar(own)
+        own.setflags(write=True)
+        own[0] = 5.0
+        assert u.values[0] == 1.0
 
     def test_results_are_read_only(self):
         u = rand_scalar(16, 3, 1)
-        for r in (u + 1.0, -u, u * u, shift(u, 0.3), dealias(u)):
+        for r in (u + 1.0, -u, u * u, 1.0 - u, u / 2.0, shift(u, 0.3),
+                  dealias(u), fourier._fresh(u.values * u.values)):
             with pytest.raises(ValueError):
                 r.values[0] = 1.0
+
+    @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+    def test_non_finite_operand_raises(self, bad):
+        u = rand_scalar(16, 3, 1)
+        for op in (lambda: u + bad, lambda: u * bad, lambda: bad - u,
+                   lambda: u - np.full(16, bad)):
+            with pytest.raises(ValueError):
+                op()
+
+    def test_overflow_raises(self):
+        big = PeriodicScalar(np.full(8, 1e200))
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            big * big
+        with pytest.raises(ValueError), np.errstate(over="ignore"):
+            fourier._fresh(big.values * big.values - 1.0)
+
+    def test_inf_minus_inf_raises(self):
+        # a fused formula whose intermediates are infinite but whose
+        # result would be NaN: the one check on the result catches it
+        inf = np.full(8, np.inf)
+        with pytest.raises(ValueError), np.errstate(invalid="ignore"):
+            fourier._fresh(inf - inf)
+
+    def test_broadcast_to_two_dimensions_raises(self):
+        with pytest.raises(ValueError):
+            PeriodicScalar(np.ones(8)) + np.ones((2, 8))
+        with pytest.raises(ValueError):
+            fourier._fresh(np.ones((2, 8)))
+
+    def test_fresh_samples_are_adopted(self):
+        v = np.ones(8)
+        assert fourier._fresh(v).values is v
+        # a view is copied, so it cannot pin the array it looks into
+        block = np.ones((2, 8))
+        assert fourier._fresh(block[0]).values.base is None
 
     def test_grid_mismatch_raises(self):
         with pytest.raises(ValueError):
@@ -199,6 +243,23 @@ class TestResampleDealias:
         clean, tail = fourier.dealias_tail(u, 0.25)
         assert clean.values.tobytes() == dealias(u).values.tobytes()
         assert tail == tail_fraction(u, 0.25)
+
+    @pytest.mark.parametrize("n", [8, 64, 1 << 12, 1 << 16])
+    @pytest.mark.parametrize("band", [0.25, 0.2, 1.0 / 3.0, 0.01, 0.9])
+    def test_tail_bitwise_equal_to_mask_form(self, n, band):
+        u = rand_scalar(n, min(n // 2, 40), n)
+        half = np.abs(np.fft.rfft(u.values)) / n
+        weights = np.full(n // 2 + 1, 2.0)
+        weights[0] = weights[-1] = 1.0
+        mass = weights * half
+        k = np.arange(n // 2 + 1, dtype=float)
+        masked = float(np.sum(mass[k > (1.0 - band) * (n / 2.0)]))
+        assert tail_fraction(u, band) == masked / float(np.sum(mass))
+
+    def test_tail_weights_read_only_and_shared(self):
+        w = fourier._mass_weights(64)
+        assert not w.flags.writeable
+        assert fourier._mass_weights(64) is w
 
     def test_tail_fraction_detects_band_edge(self):
         n = 64

@@ -1,5 +1,6 @@
 """Quasi-periodic solver: closed forms, Newton behavior, continuation."""
 
+import dataclasses
 import math
 from dataclasses import replace
 
@@ -22,7 +23,12 @@ from ntcircle import (
     eps_derivative,
     fourier,
     newton_solve,
+    normal0,
+    solve_contractive,
+    solve_small_divisor,
     solver_qp,
+    tangent,
+    torsion0,
     twist_surface,
 )
 
@@ -132,11 +138,25 @@ class TestIterationCost:
     # reads the shifted frame columns the workspace holds
     PER_SOLVE = 4 + FRAME + COMPLETE
 
+    # PeriodicScalar wraps by part, one per field and none per
+    # intermediate: frame stage = 4 + 3 (Jacobian copies and dealiased
+    # entries, the sigma entry is constant) + 2 + 1 (D_a F) + 3 (tangent)
+    # + 3 (N0, gram) + 3 (torsion shifts, t0) + 2 (vartheta) + 2 (frame
+    # normal) + 2 (shifted normal) + 1 (b_la); completion = 4 + 2
+    # (compositions, D_mu F) + 4 (shifts) + 7 (b-fields, E, eta);
+    # linear solve = 2 (right-hand sides) + 2 (solutions) + 2 + 2
+    # (corrections, dealiased); candidate embedding = 2
+    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 26, 17, 8, 2
+    WRAPS_PER_ITERATION = (3 * (WRAP_SOLVE + WRAP_CAND + WRAP_FRAME)
+                           + WRAP_COMPLETE)
+    # start projection, start geometry, the reducibility residual
+    WRAPS_PER_SOLVE = 2 + WRAP_FRAME + WRAP_COMPLETE + 4
+
     @staticmethod
     def counted(monkeypatch, prob):
-        """Count FFTs, map calls and frames; tag calls made by probes."""
-        c = dict(fft=0, eval_lift=0, d_mu=0, tangent=0, steffensen=0,
-                 closed=0, probe_eval_lift=0, probe_d_mu=0)
+        """Count FFTs, wraps, map calls and frames; tag probe calls."""
+        c = dict(fft=0, wraps=0, eval_lift=0, d_mu=0, tangent=0,
+                 steffensen=0, closed=0, probe_eval_lift=0, probe_d_mu=0)
 
         def count(key, fn):
             def wrapped(*args, **kwargs):
@@ -144,6 +164,8 @@ class TestIterationCost:
                 return fn(*args, **kwargs)
             return wrapped
 
+        monkeypatch.setattr(PeriodicScalar, "__init__",
+                            count("wraps", PeriodicScalar.__init__))
         monkeypatch.setattr(np.fft, "rfft", count("fft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", count("fft", np.fft.irfft))
         fam = prob.family
@@ -178,6 +200,8 @@ class TestIterationCost:
         assert c["eval_lift"] == c["d_mu"] == 1 + iters
         assert c["tangent"] == 1 + 3 * iters
         assert c["fft"] <= self.PER_SOLVE + iters * self.PER_ITERATION
+        assert c["wraps"] <= (self.WRAPS_PER_SOLVE
+                              + iters * self.WRAPS_PER_ITERATION), c["wraps"]
 
     def test_closed_twist_completes_its_probe(self, monkeypatch):
         # odd forcing at b_a0 = 0: b_a vanishes by symmetry, so every
@@ -208,6 +232,86 @@ class TestIterationCost:
         assert frame.b_a == full.b_a
         assert frame.alpha == full.alpha
         assert frame.e_b == full.e_b
+
+    @staticmethod
+    def generic_workspace():
+        """Full geometry at a nonsymmetric point with no special values."""
+        prob = nonsym_problem(b_a0=0.1)
+        th = np.arange(128) / 128
+        k = TorusEmbedding(
+            PeriodicScalar(0.01 * np.sin(2 * np.pi * th)
+                           + 0.004 * np.cos(6 * np.pi * th)),
+            PeriodicScalar(0.02 * np.cos(2 * np.pi * th) + 0.003),
+        )
+        return prob, solver_qp._geometry(prob, k, 0.013, 0.61, 0.9)
+
+    def test_fused_fields_equal_operator_form(self):
+        # each field is computed on sample arrays and wrapped once; the
+        # operator form wraps every intermediate and must agree bitwise
+        prob, ws = self.generic_workspace()
+        k, om = ws.k, OMEGA
+        same = lambda u, v: u.values.tobytes() == v.values.tobytes()
+        dax, day = ws.d_a
+        dmx, dmy = ws.d_mu
+        fx, fy, _, _ = solver_qp._composition_fields(
+            prob.family, k, ParamPoint(ws.a, ws.mu, ws.eps))
+        n0, _ = normal0(tangent(k))
+        wx = ws.dfk[0][0] * n0[0] + ws.dfk[0][1] * n0[1]
+        wy = ws.dfk[1][0] * n0[0] + ws.dfk[1][1] * n0[1]
+        t0 = fourier.shift(n0[1], om) * wx - fourier.shift(n0[0], om) * wy
+        assert same(torsion0(n0, ws.dfk, om), t0)
+        expected = dict(
+            bla=ws.ny_s * dax - ws.nx_s * day,
+            bna=-(ws.ly_s * dax - ws.lx_s * day),
+            blm=ws.ny_s * dmx - ws.nx_s * dmy,
+            bnm=-(ws.ly_s * dmx - ws.lx_s * dmy),
+            ex=fx - om - fourier.shift(k.eta_x, om),
+            ey=fy - fourier.shift(k.k_y, om),
+            eta_l=-(ws.ny_s * ws.ex - ws.nx_s * ws.ey),
+            eta_n=ws.ly_s * ws.ex - ws.lx_s * ws.ey,
+        )
+        for name, want in expected.items():
+            assert same(getattr(ws, name), want), name
+
+        delta_a = 0.003
+        d_eta, d_ky, d_mu = solver_qp._solve_linear(
+            prob, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
+        delta_mu = (fourier.average(ws.eta_l) - ws.b_a * delta_a) / ws.b_mu
+        xi_n = solve_contractive(
+            ws.eta_n - ws.bna * delta_a - ws.bnm * delta_mu, SIGMA, om)
+        xi_l, _ = solve_small_divisor(
+            ws.eta_l - ws.bla * delta_a - ws.blm * delta_mu, om)
+        (lx, ly), (nx, ny) = ws.frame.l, ws.frame.nvec
+        xi_l = xi_l + (-ws.e_p - fourier.average(lx * xi_l + nx * xi_n))
+        assert d_mu == delta_mu
+        assert same(d_eta, fourier.dealias(lx * xi_l + nx * xi_n))
+        assert same(d_ky, fourier.dealias(ly * xi_l + ny * xi_n))
+
+        t = 0.5
+        cand = solver_qp._candidate(prob, ws, (d_eta, d_ky, d_mu),
+                                    delta_a, t)
+        assert same(cand.k.eta_x, k.eta_x + t * d_eta)
+        assert same(cand.k.k_y, k.k_y + t * d_ky)
+
+    def test_workspace_fields_own_their_memory(self):
+        # a field adopted as a view would pin the whole array behind it,
+        # the Jacobian block for the dfk entries
+        _, ws = self.generic_workspace()
+
+        def scalars(obj):
+            if isinstance(obj, PeriodicScalar):
+                yield obj
+            elif isinstance(obj, tuple):
+                for o in obj:
+                    yield from scalars(o)
+            elif dataclasses.is_dataclass(obj):
+                for f in dataclasses.fields(obj):
+                    yield from scalars(getattr(obj, f.name))
+
+        fields = [u for name in solver_qp.NewtonWorkspace.__slots__
+                  for u in scalars(getattr(ws, name))]
+        assert len(fields) == 27
+        assert all(u.values.base is None for u in fields)
 
     def test_diagnostics_reuse_workspace_shifts(self, monkeypatch):
         prob = nonsym_problem()
