@@ -31,6 +31,7 @@ from .errors import (
     FrameDegeneracyError,
     InversionError,
     MuDegeneracyError,
+    NonFiniteError,
     NtCircleError,
     SmallDivisorError,
     ToleranceNotMetError,
@@ -117,6 +118,7 @@ __all__ = [
     "InternalMap",
     "InversionError",
     "MuDegeneracyError",
+    "NonFiniteError",
     "NtCircleError",
     "ParamPoint",
     "PeriodicScalar",

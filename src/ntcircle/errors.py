@@ -44,6 +44,10 @@ class TwistDegeneracyError(NtCircleError):
     """The scalar twist closure has a vanishing sensitivity to a."""
 
 
+class NonFiniteError(NtCircleError, ValueError):
+    """A field came out with non-finite samples: a solver blow-up."""
+
+
 class DivergenceError(NtCircleError):
     """Newton ran out of iterations or the residual blew up.
 

@@ -29,7 +29,7 @@ The solvers compute a field's +, - and * formula on sample arrays and
 wrap only its result: under IEEE rules a +, - or * with a NaN or
 infinite operand never gives a finite result, so checking the result is
 exactly as strict as checking every intermediate, and the same
-ValueError comes from the same call.  Divisions are not fused, since
+NonFiniteError comes from the same call.  Divisions are not fused, since
 x/inf = 0 would hide an inf.
 """
 
@@ -40,7 +40,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import SmallDivisorError
+from .errors import NonFiniteError, SmallDivisorError
 
 _DIVISOR_FLOOR = 1e-13
 
@@ -99,7 +99,7 @@ class PeriodicScalar:
             raise ValueError("samples must be one-dimensional")
         _check_size(v.size)
         if not np.isfinite(v).all():
-            raise ValueError("samples must be finite")
+            raise NonFiniteError("samples must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "n", v.size)
@@ -172,27 +172,31 @@ def shift(u: PeriodicScalar, delta: float) -> PeriodicScalar:
     return _fresh(np.fft.irfft(_shift_half(half, u.n, delta) * u.n, u.n))
 
 
+def _derivative_values(v: np.ndarray) -> np.ndarray:
+    """Samples of the spectral d/dtheta of the samples v."""
+    n = v.size
+    dh = np.fft.rfft(v) / n * (2j * np.pi * _wavenumbers(n))
+    dh[-1] = 0.0
+    return np.fft.irfft(dh * n, n)
+
+
 def derivative(u: PeriodicScalar) -> PeriodicScalar:
     """Spectral d/dtheta; the Nyquist bin is annihilated (odd operator)."""
-    half = np.fft.rfft(u.values) / u.n
-    k = _wavenumbers(u.n)
-    dh = half * (2j * np.pi * k)
-    dh[-1] = 0.0
-    return _fresh(np.fft.irfft(dh * u.n, u.n))
+    return _fresh(_derivative_values(u.values))
 
 
 def _solve_linear_shift(
-    eta: PeriodicScalar, lam: float, rho: float, omega: float
+    eta: np.ndarray, lam: float, rho: float, omega: float
 ) -> PeriodicScalar:
     """Solve lam*xi(theta) - rho*xi(theta+omega) = eta(theta) mode by mode.
 
-    Divisors lam - rho*e(k*omega) stay away from zero when |lam| != |rho|.
-    The Nyquist bin uses the grid eigenvalue cos(pi*n*omega) of the shift,
-    which makes the identity exact on the nodes; that divisor can in
-    principle degenerate, which is reported as a small-divisor failure.
+    eta comes as samples.  Divisors lam - rho*e(k*omega) stay away from
+    zero when |lam| != |rho|.  The Nyquist bin uses the grid eigenvalue
+    cos(pi*n*omega) of the shift, which makes the identity exact on the
+    nodes; that divisor can degenerate, reported as a small divisor.
     """
-    n = eta.n
-    half = np.fft.rfft(eta.values) / n
+    n = eta.size
+    half = np.fft.rfft(eta) / n
     div = lam - rho * _phases(n, omega)
     nyq = lam - rho * np.cos(np.pi * n * omega)
     if abs(nyq) < _DIVISOR_FLOOR:
@@ -213,7 +217,7 @@ def solve_contractive(
     """
     if abs(sigma) >= 1.0:
         raise ValueError(f"need |sigma| < 1, got {sigma}")
-    return _solve_linear_shift(eta, sigma, 1.0, omega)
+    return _solve_linear_shift(eta.values, sigma, 1.0, omega)
 
 
 def solve_small_divisor(
@@ -303,9 +307,11 @@ def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
     return _fresh(np.fft.irfft(out * n_new, n_new))
 
 
-def _dealias_half(half: np.ndarray, n: int) -> PeriodicScalar:
-    half[n // 3 + 1 :] = 0.0
-    return _fresh(np.fft.irfft(half, n))
+def dealias_values(v: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
+    """The 1/3 cut of samples v, from half = rfft(v) if given (overwritten)."""
+    half = np.fft.rfft(v) if half is None else half
+    half[v.size // 3 + 1 :] = 0.0
+    return np.fft.irfft(half, v.size)
 
 
 def dealias(u: PeriodicScalar) -> PeriodicScalar:
@@ -320,7 +326,7 @@ def dealias(u: PeriodicScalar) -> PeriodicScalar:
     lo = v.min()
     if lo == v.max() and (lo != 0.0 or not np.signbit(v).any()):
         return u
-    return _dealias_half(np.fft.rfft(v), u.n)
+    return _fresh(dealias_values(v))
 
 
 def dealias_tail(u: PeriodicScalar, band: float) -> tuple[PeriodicScalar, float]:
@@ -328,4 +334,4 @@ def dealias_tail(u: PeriodicScalar, band: float) -> tuple[PeriodicScalar, float]
     _check_band(band)
     half = np.fft.rfft(u.values)
     tail = _tail(half, u.n, band)
-    return _dealias_half(half, u.n), tail
+    return _fresh(dealias_values(u.values, half)), tail

@@ -106,17 +106,13 @@ class Diagnostics:
     min_angle: float
     twist_a: float
     twist_mu: float
-    contraction: float
     tail: float
-    modes: int
 
 
 def tangent(k: TorusEmbedding) -> Pair:
     """L = K' = (1 + eta_x', K_y')."""
-    return (
-        fourier.derivative(k.eta_x) + 1.0,
-        fourier.derivative(k.k_y),
-    )
+    return (_fresh(fourier._derivative_values(k.eta_x.values) + 1.0),
+            fourier.derivative(k.k_y))
 
 
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
@@ -159,7 +155,7 @@ def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScala
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    return fourier._solve_linear_shift(-t0, 1.0, sigma, omega)
+    return fourier._solve_linear_shift(-t0.values, 1.0, sigma, omega)
 
 
 def solve_transfer(a, b, idx, w, sigma: float, x0=None,

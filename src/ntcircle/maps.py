@@ -74,7 +74,6 @@ class StandardNonTwistMap:
             forcing = Forcing(forcing)
         self.sigma = float(sigma)
         self.forcing = forcing
-        self.name = f"dsntm-{forcing.variant}"
 
     def _momentum(self, x, y, p: ParamPoint):
         # q = sigma*y + eps*p(x) - a, the folded frequency variable

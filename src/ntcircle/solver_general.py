@@ -23,8 +23,10 @@ Newton makes one pass per solve and keeps its best iterate: near a
 resonance tongue the achievable grid residual rises just above the
 tolerance, and a pass that stops short settles on its best iterate when
 that is within _FLOOR_FACTOR of the tolerance, as the quasi-periodic
-solver settles on its floor.  Sweeps take each point from that one
-solve, or from the ambient orbit when it fails; both rotation numbers
+solver settles on its floor.  Each iterate's residual and stencil of f
+are computed once, for the check and its step.  Sweeps take each point
+from that one solve, or from the ambient orbit when it fails, and then
+bisect every locking boundary in each round; both rotation numbers
 come from one weighted Birkhoff doubling loop.
 
 Everything lives on a uniform grid with local Lagrange interpolation of
@@ -36,6 +38,7 @@ on lifts, so rational and irrational dynamics are handled alike.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -47,6 +50,7 @@ from .errors import (
     NtCircleError,
     ToleranceNotMetError,
 )
+from .fourier import dealias_values
 from .frame import (
     normal0_values,
     normal_values,
@@ -226,11 +230,12 @@ def invert_map(
     return InternalMap(r - theta, f.order)
 
 
-def invariance_error(
-    circle: GridCircle, f: InternalMap, family: StandardNonTwistMap,
-    par: ParamPoint,
-) -> float:
-    """sup |F(K(theta)) - K(f(theta))| on the grid."""
+_Residual = namedtuple("_Residual", "ex ey err idx w")
+
+
+def _residual(circle: GridCircle, f: InternalMap,
+              family: StandardNonTwistMap, par: ParamPoint) -> _Residual:
+    """E = F(K) - K o f on the nodes, its sup, and the stencil of f there."""
     n = circle.n
     theta = np.arange(n) / n
     fx, fy = family.eval_lift(theta + circle.eta_x, circle.k_y, par)
@@ -238,7 +243,14 @@ def invariance_error(
     idx, w = interp_stencil(n, s, circle.order)
     ex = fx - (s + interp_apply(circle.eta_x, idx, w))
     ey = fy - interp_apply(circle.k_y, idx, w)
-    return float(max(np.max(np.abs(ex)), np.max(np.abs(ey))))
+    err = float(max(np.max(np.abs(ex)), np.max(np.abs(ey))))
+    return _Residual(ex, ey, err, idx, w)
+
+
+def invariance_error(circle: GridCircle, f: InternalMap,
+                     family: StandardNonTwistMap, par: ParamPoint) -> float:
+    """sup |F(K(theta)) - K(f(theta))| on the grid."""
+    return _residual(circle, f, family, par).err
 
 
 @dataclass(frozen=True)
@@ -256,13 +268,6 @@ _INNER_TOL = 1e-12
 _FORCING_CAP = 1e-2
 
 
-def _smooth(values: np.ndarray) -> np.ndarray:
-    """Zero the top third of the spectrum of a grid function."""
-    coeff = np.fft.rfft(values)
-    coeff[values.size // 3 + 1:] = 0.0
-    return np.fft.irfft(coeff, values.size)
-
-
 def newton_step_general(
     circle: GridCircle,
     f: InternalMap,
@@ -270,6 +275,7 @@ def newton_step_general(
     par: ParamPoint,
     vartheta0: np.ndarray | None = None,
     finv0: InternalMap | None = None,
+    residual: _Residual | None = None,
 ):
     """One Newton update of (K, f); returns the new pair and a report.
 
@@ -279,25 +285,20 @@ def newton_step_general(
     _FORCING_CAP); the normal solve, whose solution is the correction
     itself, starts cold and stops at eta**2 (neither below _INNER_TOL), so
     the step stays quadratic.  f^-1 is solved to its full tolerance, from
-    finv0 when given.  vartheta0 and finv0 are the report fields of an
-    earlier step on the same grid.
+    finv0 when given; both are report fields of an earlier step on the
+    same grid.  residual, _residual of (K, f), is computed when None.
     """
     n = circle.n
     p = circle.order
     sigma = family.sigma
     theta = np.arange(n) / n
 
-    g = f.g
     fp = f.fprime_grid()
     if float(np.min(fp)) <= 0.0:
         raise InversionError("internal map lost monotonicity")
-    s = theta + g
-    s_idx, s_w = interp_stencil(n, s, p)
-
-    fx, fy = family.eval_lift(theta + circle.eta_x, circle.k_y, par)
-    ex = fx - (s + interp_apply(circle.eta_x, s_idx, s_w))
-    ey = fy - interp_apply(circle.k_y, s_idx, s_w)
-    err = float(max(np.max(np.abs(ex)), np.max(np.abs(ey))))
+    if residual is None:
+        residual = _residual(circle, f, family, par)
+    ex, ey, err, s_idx, s_w = residual
 
     lx = 1.0 + grid_derivative(circle.eta_x, p)
     ly = grid_derivative(circle.k_y, p)
@@ -332,11 +333,11 @@ def newton_step_general(
     # them, so unfiltered steps go unstable; top-octave content of the
     # solution itself is recovered by grid refinement instead
     new_circle = GridCircle(
-        circle.eta_x + _smooth(nx * xi),
-        circle.k_y + _smooth(ny * xi),
+        circle.eta_x + dealias_values(nx * xi),
+        circle.k_y + dealias_values(ny * xi),
         p,
     )
-    new_f = InternalMap(g - _smooth(eta_l), p)
+    new_f = InternalMap(f.g - dealias_values(eta_l), p)
     report = GeneralStepReport(vth_iters + xi_iters, vth, finv)
     return new_circle, new_f, report
 
@@ -380,7 +381,8 @@ def newton_solve_general(
     failure = None
     vth, finv = vartheta0, None
     for it in range(max_newton + 1):
-        err = invariance_error(circle, f, family, par)
+        res = _residual(circle, f, family, par)
+        err = res.err
         if first is None:
             first = err
         if err <= tol:
@@ -392,7 +394,8 @@ def newton_solve_general(
         if it == max_newton:
             break
         try:
-            circle, f, report = newton_step_general(circle, f, family, par, vth, finv)
+            circle, f, report = newton_step_general(circle, f, family, par,
+                                                    vth, finv, res)
         except NtCircleError as exc:
             failure = exc
             break
@@ -571,8 +574,9 @@ def sweep_parameter(
     """Rotation number versus a or mu around the given parameter point.
 
     Walks outward from the center in both directions with warm restarts,
-    then bisects every locked/unlocked boundary until the bracketing
-    parameter gap is below refine_width, so plateau edges are resolved.
+    then bisects in rounds, each halving every locked/unlocked gap wider
+    than refine_width whose midpoint falls strictly inside it (warm from
+    its lower end), until a round finds none.
     A point where Newton fails takes its rotation number from the ambient
     orbit (err is nan there) and the walk goes on from the last circle.
     A point whose circle Newton settled on a floor above tol keeps its
@@ -586,13 +590,11 @@ def sweep_parameter(
     solutions: dict[float, GeneralSolution] = {}
     records: dict[float, SweepRecord] = {}
 
-    def solve_at(value: float, start: GeneralSolution | None):
+    def solve_at(value: float, start: GeneralSolution):
         par_v = par.replace(**{which: value})
-        c0 = start.circle if start else circle
-        f0 = start.f if start else f
-        vth0 = start.vartheta if start else None
         try:
-            sol = newton_solve_general(c0, f0, family, par_v, tol, max_newton, vth0)
+            sol = newton_solve_general(start.circle, start.f, family, par_v,
+                                       tol, max_newton, start.vartheta)
             err = sol.err
         except NtCircleError:
             # inside (or hugging) a resonance tongue the circle-map pair
@@ -603,7 +605,7 @@ def sweep_parameter(
             sol, err = start, float("nan")
         try:
             if math.isnan(err):   # ambient point
-                xy0 = (c0.eta_x[0], c0.k_y[0])
+                xy0 = (start.circle.eta_x[0], start.circle.k_y[0])
                 rho = ambient_rotation_number(family, par_v, xy0, rho_tol)
             else:
                 rho = rotation_number(sol.f, rho_tol, theta0)
@@ -612,37 +614,29 @@ def sweep_parameter(
             rho_err = float("nan") if err > tol else rho_tol
         except ToleranceNotMetError as exc:
             rho, rho_err = exc.best, float("nan")
-        if sol is not None:
-            solutions[value] = sol
+        solutions[value] = sol
         records[value] = SweepRecord(
             value, rho, rho_err, err,
             lock_fraction(rho, q_max, lock_tol) is not None,
         )
         return sol
 
-    base = solve_at(center, None)
+    base = solve_at(center, GeneralSolution(circle, f, float("nan"), 0))
     steps = int(math.floor(halfwidth / step + 1e-9))
     for sign in (1.0, -1.0):
         prev = base
         for j in range(1, steps + 1):
             prev = solve_at(center + sign * j * step, prev)
 
-    # bisection refinement of every locking boundary
-    pending = True
-    guard = 0
-    while pending and guard < 200:
-        pending = False
-        guard += 1
+    while True:
         keys = sorted(records)
-        for lo, hi in zip(keys, keys[1:]):
-            if records[lo].locked == records[hi].locked:
-                continue
-            if hi - lo <= refine_width:
-                continue
-            solve_at(0.5 * (lo + hi), solutions.get(lo))
-            pending = True
-            break
-    return [records[k] for k in sorted(records)]
+        gaps = [(lo, hi) for lo, hi in zip(keys, keys[1:])
+                if records[lo].locked != records[hi].locked
+                and hi - lo > refine_width and lo < 0.5 * (lo + hi) < hi]
+        if not gaps:
+            return [records[k] for k in keys]
+        for lo, hi in gaps:
+            solve_at(0.5 * (lo + hi), solutions[lo])
 
 
 def induced_internal_map(

@@ -360,7 +360,7 @@ def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
     return _close_twist(defect, 1e-14 * max(1.0, abs(problem.b_a0)))
 
 
-def _diagnostics(problem: QpProblem, ws: NewtonWorkspace) -> Diagnostics:
+def _diagnostics(ws: NewtonWorkspace) -> Diagnostics:
     _, red_sup = reducibility_error(
         ws.frame, ws.dfk, (ws.lx_s, ws.ly_s), (ws.nx_s, ws.ny_s)
     )
@@ -370,9 +370,7 @@ def _diagnostics(problem: QpProblem, ws: NewtonWorkspace) -> Diagnostics:
         min_angle=ws.alpha,
         twist_a=ws.b_a,
         twist_mu=ws.b_mu,
-        contraction=problem.family.sigma,
         tail=ws.tail,
-        modes=ws.k.n,
     )
 
 
@@ -398,7 +396,7 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
     def converged(ws: NewtonWorkspace, iterations: int) -> QpState:
         return QpState(
             ws.k, ws.a, ws.mu, ws.eps,
-            diagnostics=_diagnostics(problem, ws),
+            diagnostics=_diagnostics(ws),
             history=tuple(history),
             iterations=iterations,
         )
@@ -529,10 +527,9 @@ def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
 def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
     """Rebuild state on the next dyadic grid that converges cleanly.
 
-    Levels whose retained-band edge sits near a resonance refuse the
-    strict tolerance and are skipped, and so are levels where the solve
-    blows up into non-finite samples (ValueError); None when no level
-    up to n_max takes.
+    Levels that refuse the strict tolerance (a retained-band edge near a
+    resonance) or blow up are skipped; None when no level up to n_max
+    takes.
     """
     # a level that can only offer a high residual floor would poison
     # every later predictor, so a rebuild is held near the strict
@@ -542,7 +539,7 @@ def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
     while n2 <= problem.n_max:
         try:
             return newton_solve(picky, replace(state, k=state.k.resample(n2)))
-        except (NtCircleError, ValueError):
+        except NtCircleError:
             n2 *= 2
     return None
 
@@ -632,7 +629,7 @@ def continue_in_eps(
                     new.diagnostics.invariance_error
                     > _LEVEL_SUSPECT * problem.tol
                 )
-            except (NtCircleError, ValueError) as exc:
+            except NtCircleError as exc:
                 # a small-residual failure with a fat spectral tail means
                 # the base no longer resolves the circle.  Everything
                 # else (blow-ups, floors above the acceptance window) is

@@ -10,6 +10,10 @@ def families():
     return [StandardNonTwistMap(0.8, v) for v in ("symmetric", "nonsymmetric")]
 
 
+def family_id(fam):
+    return f"dsntm-{fam.forcing.variant}"
+
+
 def rand_points(m, seed):
     rng = np.random.default_rng(seed)
     return rng.random(m), rng.uniform(-2.0, 2.0, m)
@@ -46,14 +50,14 @@ class TestStandardNonTwistMap:
         with pytest.raises(ValueError):
             StandardNonTwistMap(0.0)
 
-    @pytest.mark.parametrize("fam", families(), ids=lambda f: f.name)
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
     def test_jacobian_det_is_sigma(self, fam):
         x, y = rand_points(200, 11)
         j = fam.jacobian(x, y, PAR)
         det = j[0, 0] * j[1, 1] - j[0, 1] * j[1, 0]
         np.testing.assert_allclose(det, fam.sigma, atol=1e-12)
 
-    @pytest.mark.parametrize("fam", families(), ids=lambda f: f.name)
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
     def test_jacobian_matches_finite_difference(self, fam):
         x, y = rand_points(40, 12)
         h = 1e-6
@@ -67,7 +71,7 @@ class TestStandardNonTwistMap:
             np.testing.assert_allclose(j[1, i], (fp[1] - fm[1]) / (2 * h),
                                        atol=1e-6)
 
-    @pytest.mark.parametrize("fam", families(), ids=lambda f: f.name)
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
     @pytest.mark.parametrize("which", ["a", "mu", "eps"])
     def test_parameter_derivatives_match_finite_difference(self, fam, which):
         x, y = rand_points(40, 13)

@@ -392,12 +392,13 @@ class TestResidualFloor:
         that step (counted from 1) raise InversionError.
         """
         self.errs, self.steps = [], []
-        residual = solver_general.invariance_error
+        residual = solver_general._residual
         step = solver_general.newton_step_general
 
         def record_residual(*args):
-            self.errs.append(residual(*args))
-            return self.errs[-1]
+            out = residual(*args)
+            self.errs.append(out.err)
+            return out
 
         def count_step(*args):
             self.steps.append(len(self.errs) - 1)
@@ -405,7 +406,7 @@ class TestResidualFloor:
                 raise InversionError("injected")
             return step(*args)
 
-        monkeypatch.setattr(solver_general, "invariance_error", record_residual)
+        monkeypatch.setattr(solver_general, "_residual", record_residual)
         monkeypatch.setattr(solver_general, "newton_step_general", count_step)
         return newton_solve_general(self.circle, self.f, sym_family(),
                                     self.par, tol=tol, max_newton=max_newton)
@@ -512,3 +513,92 @@ class TestSweep:
         with pytest.raises(ValueError):
             sweep_parameter(circle, f, sym_family(), par, "sigma",
                             halfwidth=0.01, step=0.01)
+
+
+class TestOneResidualPerIterate:
+    """The residual of an iterate is computed once, by newton_solve_general."""
+
+    # the circle perturbed by 1e-2, which takes several steps
+    setup_method = TestInnerSolveCost.setup_method
+
+    def test_one_map_evaluation_per_iterate(self, monkeypatch):
+        fam = sym_family()
+        evals, steps = [], []
+        eval_lift = fam.eval_lift
+        step = solver_general.newton_step_general
+
+        def count_eval(*args):
+            evals.append(1)
+            return eval_lift(*args)
+
+        def count_step(*args):
+            steps.append(1)
+            return step(*args)
+
+        monkeypatch.setattr(fam, "eval_lift", count_eval)
+        monkeypatch.setattr(solver_general, "newton_step_general", count_step)
+        sol = newton_solve_general(self.circle, self.f, fam, self.par,
+                                   tol=1e-11)
+        assert sol.err <= 1e-11
+        assert len(steps) == sol.iterations >= 3
+        assert len(evals) == len(steps) + 1
+
+    def test_step_without_residual_computes_its_own(self):
+        fam = sym_family()
+        res = solver_general._residual(self.circle, self.f, fam, self.par)
+        given = solver_general.newton_step_general(
+            self.circle, self.f, fam, self.par, None, None, res)
+        own = solver_general.newton_step_general(
+            self.circle, self.f, fam, self.par)
+        assert np.array_equal(given[0].eta_x, own[0].eta_x)
+        assert np.array_equal(given[0].k_y, own[0].k_y)
+        assert np.array_equal(given[1].g, own[1].g)
+        assert res.err == solver_general.invariance_error(
+            self.circle, self.f, fam, self.par)
+
+
+class TestBisectionRounds:
+    """Every locking boundary is halved in each round, each point once."""
+
+    EDGE = 0.0123
+
+    def sweep(self, monkeypatch, refine_width):
+        # eps = 0: rho(a) = mu + a^2, locked here iff |a| > EDGE
+        n = 256
+        circle = GridCircle(np.zeros(n), np.zeros(n))
+        f = InternalMap.rotation(n, OMEGA)
+        par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
+        solves = []
+        solve = solver_general.newton_solve_general
+
+        def count_solve(*args):
+            solves.append(args[3].a)
+            return solve(*args)
+
+        def lock(rho, q_max, lock_tol):
+            return Fraction(1) if rho > OMEGA + self.EDGE**2 else None
+
+        monkeypatch.setattr(solver_general, "newton_solve_general", count_solve)
+        monkeypatch.setattr(solver_general, "lock_fraction", lock)
+        recs = sweep_parameter(circle, f, sym_family(), par, "a",
+                               halfwidth=0.03, step=0.01, tol=1e-11,
+                               rho_tol=1e-11, refine_width=refine_width)
+        edges = [(lo.param, hi.param) for lo, hi in zip(recs, recs[1:])
+                 if lo.locked != hi.locked]
+        return solves, recs, edges
+
+    def test_both_edges_bracketed(self, monkeypatch):
+        solves, recs, edges = self.sweep(monkeypatch, 1e-4)
+        assert len(edges) == 2
+        for (lo, hi), edge in zip(edges, (-self.EDGE, self.EDGE)):
+            assert hi - lo <= 1e-4
+            assert lo - 1e-9 <= edge <= hi + 1e-9
+        assert len(solves) == len(recs) == len(set(solves))
+
+    def test_ends_when_midpoints_stop_being_new(self, monkeypatch):
+        solves, recs, edges = self.sweep(monkeypatch, 1e-300)
+        assert len(solves) - 7 == 105
+        assert len(recs) == len(solves) == len(set(solves))
+        assert len(edges) == 2
+        for lo, hi in edges:
+            assert 0.5 * (lo + hi) in (lo, hi)

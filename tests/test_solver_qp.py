@@ -11,6 +11,7 @@ from ntcircle import (
     GOLDEN_MEAN,
     ContinuationRecord,
     DivergenceError,
+    NonFiniteError,
     NtCircleError,
     ParamPoint,
     PeriodicScalar,
@@ -140,13 +141,13 @@ class TestIterationCost:
 
     # PeriodicScalar wraps by part, one per field and none per
     # intermediate: frame stage = 4 + 3 (Jacobian copies and dealiased
-    # entries, the sigma entry is constant) + 2 + 1 (D_a F) + 3 (tangent)
-    # + 3 (N0, gram) + 3 (torsion shifts, t0) + 2 (vartheta) + 2 (frame
+    # entries, the sigma entry is constant) + 2 + 1 (D_a F) + 2 (tangent)
+    # + 3 (N0, gram) + 3 (torsion shifts, t0) + 1 (vartheta) + 2 (frame
     # normal) + 2 (shifted normal) + 1 (b_la); completion = 4 + 2
     # (compositions, D_mu F) + 4 (shifts) + 7 (b-fields, E, eta);
     # linear solve = 2 (right-hand sides) + 2 (solutions) + 2 + 2
     # (corrections, dealiased); candidate embedding = 2
-    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 26, 17, 8, 2
+    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 24, 17, 8, 2
     WRAPS_PER_ITERATION = (3 * (WRAP_SOLVE + WRAP_CAND + WRAP_FRAME)
                            + WRAP_COMPLETE)
     # start projection, start geometry, the reducibility residual
@@ -319,7 +320,7 @@ class TestIterationCost:
         state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
         ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
         c = self.counted(monkeypatch, prob)
-        diag = solver_qp._diagnostics(prob, ws)
+        diag = solver_qp._diagnostics(ws)
         reused = c["fft"]
         # the frame's own residual DF P - P(. + omega) diag(1, sigma)
         cols = []
@@ -540,3 +541,20 @@ class TestTwistSurface:
             st = p.result.state
             assert abs(st.a - p.b_a0 / 2.0) <= 1e-10
             assert abs(st.mu - (OMEGA - (p.b_a0 / 2.0) ** 2)) <= 1e-10
+
+    def test_blow_up_is_a_path_failure(self):
+        # the Jacobian goes non-finite once a leaves the b_a0 = 0 level
+        class BlowUp(StandardNonTwistMap):
+            def jacobian(self, x, y, p):
+                j = super().jacobian(x, y, p)
+                return j * np.nan if p.a > 0.01 else j
+
+        prob = QpProblem(BlowUp(SIGMA, "symmetric"), omega=OMEGA)
+        flat, lifted = twist_surface(prob, [0.0, 0.1], 0.05)
+        assert flat.result.reason == "target"
+        assert flat.result.state.eps == 0.05
+        assert lifted.result.records == ()
+        assert lifted.result.reason.startswith("error: ")
+        with pytest.raises(NonFiniteError):
+            newton_solve(replace(prob, b_a0=0.1),
+                         QpState.flat_start(64, OMEGA, 0.1))
