@@ -13,12 +13,32 @@ that, so the algebraic identities behind the cohomological solvers hold
 on the grid for every representable input, Nyquist content included.
 Odd spectral operations (derivative) send the bin to zero.
 
+Every spectral operator is diagonal in Fourier space and is written
+once, as a multiplier acting in place on a block of half-spectra: the
+rows of spectra(v) for an (m, N) block v of samples, one rfft along the
+last axis.  The operators are shift_spectra, derivative_spectra,
+cut_spectra (the 1/3 truncation; tails gauges the raw tail first) and
+the two cohomological solves, linear_shift_spectra and
+small_divisor_spectra.  samples() brings a block back with one irfft,
+written over the block the spectra came from.  transform() is the three
+steps for one operator on every row; a block whose rows need different
+operators applies each to its own rows between spectra() and samples().
+The single-field functions below (shift, derivative, dealias, the
+solvers) are the m = 1 calls of the same multipliers, and the solvers
+put every group of fields that is ready at the same time through one
+block, so a transform pair is paid per group, not per field.  Each
+multiplier keeps the operation order of the single-field form (divide
+by N, multiply, multiply by N), and numpy transforms the rows of a block
+bit for bit as it transforms each row alone, so a block changes no bit
+of any field.
+
 Work that never changes is done once.  The phase vectors e(k*delta) of
-shift and of the cohomological solvers come from one bounded cache
-keyed on (n, delta), read-only like the grids.  dealias returns a
-constant field as it is, and dealias_tail filters a composition and
-gauges its raw tail from one transform, whose mode weights are cached
-per n.
+shift come from one bounded cache keyed on (n, delta), read-only like
+the grids, and each (n, omega) has its small divisors checked once; a
+degenerate divisor is reported before a block is changed.  dealias
+returns a constant field as it is, and tails gauges the raw tails of a
+block's rows from the spectra the cut then filters, with mode weights
+cached per n.
 
 Each field is wrapped once, and the wrap is the one place finiteness is
 checked.  PeriodicScalar.__init__ is the only constructor; it adopts the
@@ -30,7 +50,13 @@ wrap only its result: under IEEE rules a +, - or * with a NaN or
 infinite operand never gives a finite result, so checking the result is
 exactly as strict as checking every intermediate, and the same
 NonFiniteError comes from the same call.  Divisions are not fused, since
-x/inf = 0 would hide an inf.
+x/inf = 0 would hide an inf.  A transform is such a formula too: every
+bin takes every sample through + and *, and every multiplier carries
+some bins on through * or / by finite nonzero numbers, so samples()
+checks a block once for all its rows.  fields() copies each row of a
+checked block out into a field of its own, never a view that would pin
+the block, and the fields' memory is taken before the block
+(field_memory), so the block is freed on top of it.
 """
 
 from __future__ import annotations
@@ -84,12 +110,13 @@ class PeriodicScalar:
     copied.  _owned marks samples this package has just allocated and
     references nowhere else: a 1-D float64 array that owns its memory is
     then frozen and adopted without a copy, and anything else is still
-    copied, so a view never pins the array it looks into.
+    copied, so a view never pins the array it looks into.  _finite marks
+    a row of a block that samples() has already checked.
     """
 
     __slots__ = ("values", "n")
 
-    def __init__(self, values, *, _owned=False):
+    def __init__(self, values, *, _owned=False, _finite=False):
         if (_owned and type(values) is np.ndarray and values.base is None
                 and values.dtype == np.float64):
             v = values
@@ -98,7 +125,7 @@ class PeriodicScalar:
         if v.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         _check_size(v.size)
-        if not np.isfinite(v).all():
+        if not _finite and not np.isfinite(v).all():
             raise NonFiniteError("samples must be finite")
         v.setflags(write=False)
         object.__setattr__(self, "values", v)
@@ -158,52 +185,195 @@ def average(u: PeriodicScalar) -> float:
     return float(np.mean(u.values))
 
 
-def _shift_half(half: np.ndarray, n: int, delta: float) -> np.ndarray:
-    out = half * _phases(n, delta)
+# -- blocks: one rfft, multipliers in place, one irfft ------------------
+
+
+def _size(half: np.ndarray) -> int:
+    """Grid size n of half-spectra with n/2 + 1 bins."""
+    return 2 * (half.shape[-1] - 1)
+
+
+def spectra(v: np.ndarray) -> np.ndarray:
+    """Unnormalized rfft half-spectra of the sample rows v (last axis)."""
+    return np.fft.rfft(v)
+
+
+def _inverse(half: np.ndarray) -> np.ndarray:
+    return np.fft.irfft(half, _size(half))
+
+
+def samples(half: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Sample rows of the half-spectra, checked for finiteness once.
+
+    The rows are written into out, the sample block the spectra came
+    from, so a block costs no third array of its size.
+    """
+    np.fft.irfft(half, _size(half), out=out)
+    if not np.isfinite(out).all():
+        raise NonFiniteError("samples must be finite")
+    return out
+
+
+def transform(v: np.ndarray, op, *args) -> np.ndarray:
+    """The multiplier op(half, *args) on every row of the block v.
+
+    v is the caller's own scratch block: the checked result is written
+    over it and returned.
+    """
+    half = spectra(v)
+    op(half, *args)
+    return samples(half, v)
+
+
+def field_memory(m: int, n: int) -> list[np.ndarray]:
+    """Memory for m fields on the grid of size n, one array each.
+
+    Taken before a block's sample rows and spectra, so those, the large
+    short-lived arrays, are the last allocated and the first freed, and
+    the fields cut no holes into memory the next block could reuse.
+    """
+    return [np.empty(n) for _ in range(m)]
+
+
+def fields(block: np.ndarray,
+           memory: list[np.ndarray]) -> list[PeriodicScalar]:
+    """The rows of a block from samples(), copied into memory and wrapped.
+
+    memory comes from field_memory; each field owns its row's copy.
+    """
+    for dest, row in zip(memory, block):
+        np.copyto(dest, row)
+    return [PeriodicScalar(dest, _owned=True, _finite=True)
+            for dest in memory]
+
+
+def _field(v: np.ndarray, op, *args) -> PeriodicScalar:
+    """The m = 1 call: op on the samples v, wrapped and checked once."""
+    half = spectra(v)
+    op(half, *args)
+    return _fresh(_inverse(half))
+
+
+def shift_spectra(half: np.ndarray, delta: float) -> None:
+    """Shift by delta, in place: the spectra of theta -> u(theta + delta)."""
+    n = _size(half)
+    half /= n
     # the Nyquist pair collapses to a cos mode; on the nodes a shift
     # scales it by cos(pi*n*delta) and keeps it real
-    out[-1] = half[-1].real * np.cos(np.pi * n * delta)
-    return out
+    top = half[..., -1].real * np.cos(np.pi * n * delta)
+    half *= _phases(n, delta)
+    half[..., -1] = top
+    half *= n
+
+
+def derivative_spectra(half: np.ndarray) -> None:
+    """Spectral d/dtheta, in place; the Nyquist bin is annihilated."""
+    n = _size(half)
+    half /= n
+    half *= 2j * np.pi * _wavenumbers(n)
+    half[..., -1] = 0.0
+    half *= n
+
+
+def cut_spectra(half: np.ndarray, n: int | None = None) -> None:
+    """The 1/3 truncation, in place: zero all modes with |k| > n/3.
+
+    n is the grid size; by default the even size the bins imply.
+    """
+    n = _size(half) if n is None else n
+    half[..., n // 3 + 1:] = 0.0
+
+
+def linear_shift_spectra(half: np.ndarray, lam: float, rho: float,
+                         omega: float) -> None:
+    """Solve lam*xi(theta) - rho*xi(theta+omega) = eta(theta), in place.
+
+    Divisors lam - rho*e(k*omega) stay away from zero when |lam| !=
+    |rho|.  The Nyquist bin uses the grid eigenvalue cos(pi*n*omega) of
+    the shift, which makes the identity exact on the nodes; that divisor
+    can degenerate, reported as a small divisor before anything changes.
+    """
+    n = _size(half)
+    nyq = lam - rho * np.cos(np.pi * n * omega)
+    if abs(nyq) < _DIVISOR_FLOOR:
+        raise SmallDivisorError(n // 2, abs(nyq))
+    half /= n
+    top = half[..., -1].real / nyq
+    half /= lam - rho * _phases(n, omega)
+    half[..., -1] = top
+    half *= n
+
+
+@lru_cache(maxsize=32)
+def _check_small_divisors(n: int, omega: float) -> None:
+    """Fail if a divisor 1 - e(k*omega), 0 < k <= n/2, is below the floor.
+
+    The Nyquist divisor is 1 - cos(pi*n*omega); the offending k is
+    reported.  Only a pass is cached.
+    """
+    div = 1.0 - _phases(n, omega)
+    mags = np.abs(div[1:-1])
+    nyq = 1.0 - np.cos(np.pi * n * omega)
+    worst = int(np.argmin(mags)) + 1 if mags.size else n // 2
+    worst_mag = mags[worst - 1] if mags.size else abs(nyq)
+    if abs(nyq) < worst_mag:
+        worst, worst_mag = n // 2, abs(nyq)
+    if worst_mag < _DIVISOR_FLOOR:
+        raise SmallDivisorError(worst, float(worst_mag))
+
+
+def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
+    """Solve xi(theta) - xi(theta + omega) = eta(theta) - <eta>, in place.
+
+    Leaves the zero-average solutions and returns the averages <eta>,
+    the exact obstructions, one per row.
+    """
+    n = _size(half)
+    _check_small_divisors(n, omega)
+    half /= n
+    mean = half[..., 0].real.copy()
+    top = half[..., -1].real / (1.0 - np.cos(np.pi * n * omega))
+    half[..., 1:-1] /= (1.0 - _phases(n, omega))[1:-1]
+    half[..., 0] = 0.0
+    half[..., -1] = top
+    half *= n
+    return mean
+
+
+@lru_cache(maxsize=64)
+def _mass_weights(n: int) -> np.ndarray:
+    """l1 weights of the half-spectrum: 2 for each conjugate pair, read-only."""
+    w = np.full(n // 2 + 1, 2.0)
+    w[0] = 1.0
+    w[-1] = 1.0
+    w.setflags(write=False)
+    return w
+
+
+def tails(half: np.ndarray, band: float) -> list[float]:
+    """tail_fraction of each row, from unnormalized half-spectra rows."""
+    _check_band(band)
+    n = _size(half)
+    mass = _mass_weights(n) * (np.abs(half) / n)
+    total = np.sum(mass, axis=-1)
+    # the modes k > (1 - band)*(n/2) are the suffix after its floor
+    start = math.floor((1.0 - band) * (n / 2.0)) + 1
+    tail = np.sum(mass[..., start:], axis=-1)
+    return [float(t) / float(s) if s != 0.0 else 0.0
+            for t, s in zip(tail, total)]
+
+
+# -- single fields: the m = 1 calls --------------------------------------
 
 
 def shift(u: PeriodicScalar, delta: float) -> PeriodicScalar:
     """Samples of theta -> u(theta + delta)."""
-    half = np.fft.rfft(u.values) / u.n
-    return _fresh(np.fft.irfft(_shift_half(half, u.n, delta) * u.n, u.n))
-
-
-def _derivative_values(v: np.ndarray) -> np.ndarray:
-    """Samples of the spectral d/dtheta of the samples v."""
-    n = v.size
-    dh = np.fft.rfft(v) / n * (2j * np.pi * _wavenumbers(n))
-    dh[-1] = 0.0
-    return np.fft.irfft(dh * n, n)
+    return _field(u.values, shift_spectra, delta)
 
 
 def derivative(u: PeriodicScalar) -> PeriodicScalar:
     """Spectral d/dtheta; the Nyquist bin is annihilated (odd operator)."""
-    return _fresh(_derivative_values(u.values))
-
-
-def _solve_linear_shift(
-    eta: np.ndarray, lam: float, rho: float, omega: float
-) -> PeriodicScalar:
-    """Solve lam*xi(theta) - rho*xi(theta+omega) = eta(theta) mode by mode.
-
-    eta comes as samples.  Divisors lam - rho*e(k*omega) stay away from
-    zero when |lam| != |rho|.  The Nyquist bin uses the grid eigenvalue
-    cos(pi*n*omega) of the shift, which makes the identity exact on the
-    nodes; that divisor can degenerate, reported as a small divisor.
-    """
-    n = eta.size
-    half = np.fft.rfft(eta) / n
-    div = lam - rho * _phases(n, omega)
-    nyq = lam - rho * np.cos(np.pi * n * omega)
-    if abs(nyq) < _DIVISOR_FLOOR:
-        raise SmallDivisorError(n // 2, abs(nyq))
-    out = half / div
-    out[-1] = half[-1].real / nyq
-    return _fresh(np.fft.irfft(out * n, n))
+    return _field(u.values, derivative_spectra)
 
 
 def solve_contractive(
@@ -217,7 +387,7 @@ def solve_contractive(
     """
     if abs(sigma) >= 1.0:
         raise ValueError(f"need |sigma| < 1, got {sigma}")
-    return _solve_linear_shift(eta.values, sigma, 1.0, omega)
+    return _field(eta.values, linear_shift_spectra, sigma, 1.0, omega)
 
 
 def solve_small_divisor(
@@ -229,50 +399,14 @@ def solve_small_divisor(
     obstruction.  Fails if any represented mode has a divisor
     |1 - e(k*omega)| below 1e-13, reporting the offending k.
     """
-    n = eta.n
-    half = np.fft.rfft(eta.values) / n
-    div = 1.0 - _phases(n, omega)
-    mags = np.abs(div[1:-1])
-    nyq = 1.0 - np.cos(np.pi * n * omega)
-    worst = int(np.argmin(mags)) + 1 if mags.size else n // 2
-    worst_mag = mags[worst - 1] if mags.size else abs(nyq)
-    if abs(nyq) < worst_mag:
-        worst, worst_mag = n // 2, abs(nyq)
-    if worst_mag < _DIVISOR_FLOOR:
-        raise SmallDivisorError(worst, float(worst_mag))
-    out = np.empty_like(half)
-    out[0] = 0.0
-    out[1:-1] = half[1:-1] / div[1:-1]
-    out[-1] = half[-1].real / nyq
-    mean = float(half[0].real)
-    return _fresh(np.fft.irfft(out * n, n)), mean
+    half = spectra(eta.values)
+    mean = small_divisor_spectra(half, omega)
+    return _fresh(_inverse(half)), float(mean)
 
 
 def _check_band(band: float) -> None:
     if not 0.0 < band < 1.0:
         raise ValueError(f"band must lie in (0, 1), got {band}")
-
-
-@lru_cache(maxsize=64)
-def _mass_weights(n: int) -> np.ndarray:
-    """l1 weights of the half-spectrum: 2 for each conjugate pair, read-only."""
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    w.setflags(write=False)
-    return w
-
-
-def _tail(half: np.ndarray, n: int, band: float) -> float:
-    """tail_fraction from the unnormalized rfft half-spectrum."""
-    half = np.abs(half) / n
-    mass = _mass_weights(n) * half
-    total = float(np.sum(mass))
-    if total == 0.0:
-        return 0.0
-    # the modes k > (1 - band)*(n/2) are the suffix after its floor
-    start = math.floor((1.0 - band) * (n / 2.0)) + 1
-    return float(np.sum(mass[start:])) / total
 
 
 def tail_fraction(u: PeriodicScalar, band: float) -> float:
@@ -281,8 +415,7 @@ def tail_fraction(u: PeriodicScalar, band: float) -> float:
     Gauges how close the representation is to spectral exhaustion; 0 for
     well-resolved data, approaching 1 when the tail carries everything.
     """
-    _check_band(band)
-    return _tail(np.fft.rfft(u.values), u.n, band)
+    return tails(spectra(u.values[None]), band)[0]
 
 
 def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
@@ -307,11 +440,16 @@ def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
     return _fresh(np.fft.irfft(out * n_new, n_new))
 
 
-def dealias_values(v: np.ndarray, half: np.ndarray | None = None) -> np.ndarray:
-    """The 1/3 cut of samples v, from half = rfft(v) if given (overwritten)."""
-    half = np.fft.rfft(v) if half is None else half
-    half[v.size // 3 + 1 :] = 0.0
-    return np.fft.irfft(half, v.size)
+def dealias_values(v: np.ndarray) -> np.ndarray:
+    """The 1/3 cut of the sample rows v, as a plain (unchecked) array.
+
+    The rows may have any size n, odd included (the grid solver's grids
+    need not be dyadic).
+    """
+    n = v.shape[-1]
+    half = spectra(v)
+    cut_spectra(half, n)
+    return np.fft.irfft(half, n)
 
 
 def dealias(u: PeriodicScalar) -> PeriodicScalar:
@@ -326,12 +464,4 @@ def dealias(u: PeriodicScalar) -> PeriodicScalar:
     lo = v.min()
     if lo == v.max() and (lo != 0.0 or not np.signbit(v).any()):
         return u
-    return _fresh(dealias_values(v))
-
-
-def dealias_tail(u: PeriodicScalar, band: float) -> tuple[PeriodicScalar, float]:
-    """dealias(u) together with tail_fraction(u, band), from one transform."""
-    _check_band(band)
-    half = np.fft.rfft(u.values)
-    tail = _tail(half, u.n, band)
-    return _fresh(dealias_values(u.values, half)), tail
+    return _field(v, cut_spectra)

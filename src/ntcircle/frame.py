@@ -16,7 +16,8 @@ which is the frame's health check.
 
 The quasi-periodic solver works with PeriodicScalar fields and solves
 for vartheta spectrally; each field's formula runs on its sample arrays
-and is wrapped once (see fourier).  The grid solver, whose f is free,
+and is wrapped once, and fields that are ready together share one
+transform pair (see fourier).  The grid solver, whose f is free,
 works on plain sample arrays: the *_values kernels below build its
 frame, and solve_transfer is the one fixed-point kernel for both of its
 transfer equations, the torsion equation here and the normal equation of
@@ -81,9 +82,11 @@ def half_shift_deviation(k: TorusEmbedding) -> float:
     eta_x half-periodic and K_y half-antiperiodic, the symmetry of
     circles of the symmetric forcing at a = 0.  x is compared mod 1.
     """
-    dx = (k.eta_x - fourier.shift(k.eta_x, 0.5)).values
+    sx, sy = fourier.transform(np.stack((k.eta_x.values, k.k_y.values)),
+                               fourier.shift_spectra, 0.5)
+    dx = k.eta_x.values - sx
     dx = dx - np.round(dx)
-    dy = (k.k_y + fourier.shift(k.k_y, 0.5)).sup()
+    dy = float(np.max(np.abs(k.k_y.values + sy)))
     return max(float(np.max(np.abs(dx))), dy)
 
 
@@ -109,10 +112,21 @@ class Diagnostics:
     tail: float
 
 
-def tangent(k: TorusEmbedding) -> Pair:
-    """L = K' = (1 + eta_x', K_y')."""
-    return (_fresh(fourier._derivative_values(k.eta_x.values) + 1.0),
-            fourier.derivative(k.k_y))
+def tangent(k: TorusEmbedding, cut=()) -> tuple[PeriodicScalar, ...]:
+    """L = K' = (1 + eta_x', K_y'), then the 1/3 cut of each row in cut.
+
+    cut holds sample rows on the grid of k, such as the entries of DF
+    along the circle; the derivatives and the cuts share one transform
+    pair.  Returns (L_x, L_y) followed by one field per row of cut.
+    """
+    memory = fourier.field_memory(2 + len(cut), k.n)
+    rows = np.stack((k.eta_x.values, k.k_y.values, *cut))
+    half = fourier.spectra(rows)
+    fourier.derivative_spectra(half[:2])
+    fourier.cut_spectra(half[2:])
+    fourier.samples(half, rows)
+    rows[0] += 1.0    # finite samples stay finite
+    return tuple(fourier.fields(rows, memory))
 
 
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
@@ -142,9 +156,11 @@ def torsion0(n0: Pair, dfk, omega: float) -> PeriodicScalar:
     n0x, n0y = n0[0].values, n0[1].values
     wx = d00 * n0x + d01 * n0y
     wy = d10 * n0x + d11 * n0y
-    n0x_s = fourier.shift(n0[0], omega).values
-    n0y_s = fourier.shift(n0[1], omega).values
-    return _fresh(n0y_s * wx - n0x_s * wy)
+    t0, = fourier.field_memory(1, n0x.size)
+    n0x_s, n0y_s = fourier.transform(np.stack((n0x, n0y)),
+                                     fourier.shift_spectra, omega)
+    np.subtract(n0y_s * wx, n0x_s * wy, out=t0)
+    return _fresh(t0)
 
 
 def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScalar:
@@ -155,7 +171,8 @@ def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScala
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    return fourier._solve_linear_shift(-t0.values, 1.0, sigma, omega)
+    return fourier._field(-t0.values, fourier.linear_shift_spectra,
+                          1.0, sigma, omega)
 
 
 def solve_transfer(a, b, idx, w, sigma: float, x0=None,

@@ -24,10 +24,11 @@ resonance tongue the achievable grid residual rises just above the
 tolerance, and a pass that stops short settles on its best iterate when
 that is within _FLOOR_FACTOR of the tolerance, as the quasi-periodic
 solver settles on its floor.  Each iterate's residual and stencil of f
-are computed once, for the check and its step.  Sweeps take each point
-from that one solve, or from the ambient orbit when it fails, and then
-bisect every locking boundary in each round; both rotation numbers
-come from one weighted Birkhoff doubling loop.
+are computed once, for the check and its step, and each step
+differentiates g once, for f', its check and the inverse-map Newton.
+Sweeps take each point from that one solve, or from the ambient orbit
+when it fails, and then bisect every locking boundary in each round;
+both rotation numbers come from one weighted Birkhoff doubling loop.
 
 Everything lives on a uniform grid with local Lagrange interpolation of
 even order p; derivatives use the matching central stencils.  Internal
@@ -50,7 +51,7 @@ from .errors import (
     NtCircleError,
     ToleranceNotMetError,
 )
-from .fourier import dealias_values
+from .fourier import dealias_values, field_memory
 from .frame import (
     normal0_values,
     normal_values,
@@ -118,9 +119,6 @@ class InternalMap:
     def __call__(self, theta):
         return np.asarray(theta) + interp(self.g, theta, self.order)
 
-    def fprime_grid(self) -> np.ndarray:
-        return 1.0 + grid_derivative(self.g, self.order)
-
 
 # order -> (offsets, coefficients) of the central first-derivative stencil
 _DERIV_STENCILS = {
@@ -184,16 +182,16 @@ def interp(values: np.ndarray, theta, order: int) -> np.ndarray:
     return float(out[0]) if scalar else out
 
 
-def _lift_newton(h, order, target, y, tol, max_iter, failure):
+def _lift_newton(h, dh, order, target, y, tol, max_iter, failure):
     """Solve y + h(y) = target node by node on lifts, starting from y.
 
-    h is a displacement field on the grid; each iteration builds one
-    Lagrange stencil at y and reads both h and h' through it.  The
-    residual is taken mod 1, the slope is floored at 0.05, and the
-    iteration stops once every node is within tol; not getting there in
-    max_iter iterations raises InversionError with the message failure.
+    h is a displacement field on the grid and dh its grid_derivative;
+    each iteration builds one Lagrange stencil at y and reads both h and
+    h' through it.  The residual is taken mod 1, the slope is floored at
+    0.05, and the iteration stops once every node is within tol; not
+    getting there in max_iter iterations raises InversionError with the
+    message failure.
     """
-    dh = grid_derivative(h, order)
     for _ in range(max_iter):
         idx, w = interp_stencil(h.size, y, order)
         res = y + interp_apply(h, idx, w) - target
@@ -210,22 +208,26 @@ def invert_map(
     tol: float = 1e-13,
     max_iter: int = 60,
     guess: InternalMap | None = None,
+    dg: np.ndarray | None = None,
 ) -> InternalMap:
     """Inverse circle map on the same grid, by per-node Newton on lifts.
 
     The Newton starts from guess, an earlier inverse on the same grid,
     when one is given, and from the rotation by -mean(g) otherwise; the
-    tolerance is the same either way.
+    tolerance is the same either way.  dg is grid_derivative(f.g,
+    f.order) when the caller already has it, and is computed otherwise.
     """
     n = f.n
-    fp = f.fprime_grid()
+    if dg is None:
+        dg = grid_derivative(f.g, f.order)
+    fp = 1.0 + dg
     if float(np.min(fp)) <= 0.0:
         raise InversionError(
             f"f' reaches {float(np.min(fp)):.3e}; the map is not invertible"
         )
     theta = np.arange(n) / n
     r = theta - float(np.mean(f.g)) if guess is None else theta + guess.g
-    r = _lift_newton(f.g, f.order, theta, r, tol, max_iter,
+    r = _lift_newton(f.g, dg, f.order, theta, r, tol, max_iter,
                      "inverse-map Newton did not converge")
     return InternalMap(r - theta, f.order)
 
@@ -293,7 +295,8 @@ def newton_step_general(
     sigma = family.sigma
     theta = np.arange(n) / n
 
-    fp = f.fprime_grid()
+    dg = grid_derivative(f.g, p)
+    fp = 1.0 + dg
     if float(np.min(fp)) <= 0.0:
         raise InversionError("internal map lost monotonicity")
     if residual is None:
@@ -320,7 +323,7 @@ def newton_step_general(
 
     # normal equation (sigma/f') xi - xi o f = eta_n, as the backward
     # fixed point xi = -eta_n(f^-1) + (sigma/f'(f^-1)) * xi(f^-1)
-    finv = invert_map(f, guess=finv0)
+    finv = invert_map(f, guess=finv0, dg=dg)
     r_idx, r_w = interp_stencil(n, theta + finv.g, p)
     xi, xi_iters = solve_transfer(
         -interp_apply(eta_n, r_idx, r_w),
@@ -331,13 +334,16 @@ def newton_step_general(
     # smooth the updates: grid-frequency components of the correction are
     # amplified by the derivative stencils faster than Newton contracts
     # them, so unfiltered steps go unstable; top-octave content of the
-    # solution itself is recovered by grid refinement instead
-    new_circle = GridCircle(
-        circle.eta_x + dealias_values(nx * xi),
-        circle.k_y + dealias_values(ny * xi),
-        p,
-    )
-    new_f = InternalMap(f.g - dealias_values(eta_l), p)
+    # solution itself is recovered by grid refinement instead.  The new
+    # samples' memory is taken before the filter's block, which is then
+    # freed on top of it (see fourier.field_memory)
+    eta_new, ky_new, g_new = field_memory(3, n)
+    upd = dealias_values(np.stack((nx * xi, ny * xi, eta_l)))
+    np.add(circle.eta_x, upd[0], out=eta_new)
+    np.add(circle.k_y, upd[1], out=ky_new)
+    np.subtract(f.g, upd[2], out=g_new)
+    new_circle = GridCircle(eta_new, ky_new, p)
+    new_f = InternalMap(g_new, p)
     report = GeneralStepReport(vth_iters + xi_iters, vth, finv)
     return new_circle, new_f, report
 
@@ -652,7 +658,8 @@ def induced_internal_map(
     n = circle.n
     theta = np.arange(n) / n
     fx, _ = family.eval_lift(theta + circle.eta_x, circle.k_y, par)
-    phi = _lift_newton(circle.eta_x, circle.order, fx,
+    dh = grid_derivative(circle.eta_x, circle.order)
+    phi = _lift_newton(circle.eta_x, dh, circle.order, fx,
                        fx - float(np.mean(circle.eta_x)), tol, max_iter,
                        "conjugacy solve did not converge")
     return InternalMap(phi - theta, circle.order)

@@ -15,7 +15,10 @@ extremum and sweeping b_a0 charts the twist surface.
 
 Each field of the linearization is one formula on sample arrays,
 wrapped and checked for finiteness once (see fourier); the intermediates
-of a formula are never wrapped.
+of a formula are never wrapped.  Every spectral operator runs on a block
+of the fields that are ready at the same time, one rfft and one irfft
+per block; the constant fields (J_11 = sigma, D_a F_y = 0, D_mu F) stay
+out of the blocks.
 
 Compositions with the map are dealiased with the 1/3 truncation, and the
 invariance residual is measured on the filtered system; spectral
@@ -24,16 +27,22 @@ mode adaptation during continuation.
 
 The linearization at a point is built in two stages.  The frame stage
 takes the Jacobian and D_a F along the circle, the tangent, N0, the
-torsion, vartheta, the frame, the shifted normal and the twist b_a.
-Completion adds the composition itself with its raw tail, D_mu F, the
-shifted tangent, the drift twist b_mu, the residual E and its frame
-projections.  A full geometry is completion applied to the frame stage.
-The Steffensen probes and the eps-derivative probes read only b_a, so
-they run the frame stage alone: about two thirds of the FFTs of a full
-geometry and no map evaluation.  When the twist is already closed the
-zero probe is the full-step candidate, and the iteration completes it
-instead of building it again; the eps-derivative likewise keeps the zero
-probe's direction instead of solving for it again.
+torsion, vartheta, the frame, the shifted normal and the twist b_a, in
+four blocks: the tangent with the cut of DF and D_a F, the shifted N0,
+vartheta, the shifted normal.  Completion adds the composition itself
+with its raw tail, D_mu F, the shifted tangent, the drift twist b_mu,
+the residual E and its frame projections, in one block: the cut
+composition with the shifted tangent and embedding.  A linear solve is
+two blocks: both cohomological equations, then the cut of both
+corrections.  A full geometry is completion applied to the frame stage,
+8 + 2 FFTs, and a Newton iteration with the twist open costs 38: two
+probes and the step, each a solve and a frame stage, and one
+completion.  The Steffensen probes and the eps-derivative probes read
+only b_a, so they run the frame stage alone, with no map evaluation.
+When the twist is already closed the zero probe is the full-step
+candidate, and the iteration completes it instead of building it again;
+the eps-derivative likewise keeps the zero probe's direction instead of
+solving for it again.
 """
 
 from __future__ import annotations
@@ -169,42 +178,38 @@ def _cross(a, u, b, v) -> np.ndarray:
     return a.values * u.values - b.values * v.values
 
 
+def _shifted(pair: tuple[PeriodicScalar, PeriodicScalar], omega: float):
+    """The two fields of pair shifted by omega, from one transform pair."""
+    memory = fourier.field_memory(2, pair[0].n)
+    return tuple(fourier.fields(fourier.transform(
+        np.stack((pair[0].values, pair[1].values)),
+        fourier.shift_spectra, omega), memory))
+
+
 def _derivative_fields(family: StandardNonTwistMap, k: TorusEmbedding,
                        par: ParamPoint):
-    """Dealiased Jacobian and D_a F along the circle."""
+    """Tangent, and the dealiased Jacobian and D_a F along the circle.
+
+    The tangent and the cut of the non-constant entries share one
+    transform pair; the constant J_11 = sigma and D_a F_y = 0 keep the
+    constant rule of dealias.
+    """
     x = k.x_lift()
     y = k.k_y.values
     jac = family.jacobian(x, y, par)
-    dfk = tuple(
-        tuple(fourier.dealias(PeriodicScalar(jac[i, j])) for j in range(2))
-        for i in range(2)
-    )
     dax, day = family.d_a(x, y, par)
-    return dfk, (fourier.dealias(PeriodicScalar(dax)),
-                 fourier.dealias(PeriodicScalar(day)))
-
-
-def _composition_fields(family: StandardNonTwistMap, k: TorusEmbedding,
-                        par: ParamPoint):
-    """Dealiased composition with its raw tail, and D_mu F along the circle."""
-    x = k.x_lift()
-    y = k.k_y.values
-    fx_lift, fy = family.eval_lift(x, y, par)
-    ux = fx_lift - fourier.grid(k.n)   # periodic part of F^x
-    fx, tail_x = fourier.dealias_tail(_fresh(ux), 0.25)
-    fy, tail_y = fourier.dealias_tail(PeriodicScalar(fy), 0.25)
-    dmx, dmy = family.d_mu(x, y, par)
-    d_mu = (fourier.dealias(PeriodicScalar(dmx)),
-            fourier.dealias(PeriodicScalar(dmy)))
-    return fx, fy, max(tail_x, tail_y), d_mu
+    lx, ly, d00, d01, d10, dax = tangent(
+        k, (jac[0, 0], jac[0, 1], jac[1, 0], dax))
+    dfk = ((d00, d01), (d10, fourier.dealias(PeriodicScalar(jac[1, 1]))))
+    return (lx, ly), dfk, (dax, fourier.dealias(_fresh(day)))
 
 
 def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     """Frame, torsion and twist b_a at (K, a, mu, eps): all a probe reads."""
     om = problem.omega
     sig = problem.family.sigma
-    dfk, d_a = _derivative_fields(problem.family, k, ParamPoint(a, mu, eps))
-    l = tangent(k)
+    l, dfk, d_a = _derivative_fields(problem.family, k,
+                                     ParamPoint(a, mu, eps))
     n0, gram = normal0(l)
     t0 = torsion0(n0, dfk, om)
     vth = vartheta_qp(t0, sig, om)
@@ -216,24 +221,46 @@ def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     ws.dfk = dfk
     ws.d_a = d_a
     ws.alpha = min_angle(vth.values, gram.values)
-    ws.nx_s = fourier.shift(fr.nvec[0], om)
-    ws.ny_s = fourier.shift(fr.nvec[1], om)
-    dax, day = d_a
-    ws.bla = _fresh(_cross(ws.ny_s, dax, ws.nx_s, day))
+    ws.nx_s, ws.ny_s = _shifted(fr.nvec, om)
+    ws.bla = _fresh(_cross(ws.ny_s, d_a[0], ws.nx_s, d_a[1]))
     ws.b_a = fourier.average(ws.bla)
     ws.e_b = ws.b_a - problem.b_a0
     return ws
 
 
+def _residual(problem: QpProblem, ws: NewtonWorkspace, x, par) -> None:
+    """Fill the raw tail, the shifted tangent and the residual E.
+
+    The cut of the composition (F^x less its lift theta) with its raw
+    tail, and the shifts of L and of K, share one transform pair.
+    """
+    k = ws.k
+    lx, ly = ws.frame.l
+    memory = fourier.field_memory(4, k.n)
+    rows = np.empty((6, k.n))
+    rows[:2] = problem.family.eval_lift(x, k.k_y.values, par)
+    rows[0] -= fourier.grid(k.n)
+    rows[2:] = lx.values, ly.values, k.eta_x.values, k.k_y.values
+    half = fourier.spectra(rows)
+    ws.tail = max(fourier.tails(half[:2], 0.25))
+    fourier.cut_spectra(half[:2])
+    fourier.shift_spectra(half[2:], problem.omega)
+    fourier.samples(half, rows)
+    ws.lx_s, ws.ly_s = fourier.fields(rows[2:4], memory[:2])
+    ex, ey = memory[2:]
+    np.subtract(rows[0] - problem.omega, rows[4], out=ex)
+    np.subtract(rows[1], rows[5], out=ey)
+    ws.ex, ws.ey = _fresh(ex), _fresh(ey)
+
+
 def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Add the residual, the raw tail and the remaining projections."""
-    om = problem.omega
     k = ws.k
-    fx, fy, ws.tail, ws.d_mu = _composition_fields(
-        problem.family, k, ParamPoint(ws.a, ws.mu, ws.eps)
-    )
-    ws.lx_s = fourier.shift(ws.frame.l[0], om)
-    ws.ly_s = fourier.shift(ws.frame.l[1], om)
+    par = ParamPoint(ws.a, ws.mu, ws.eps)
+    x = k.x_lift()
+    _residual(problem, ws, x, par)
+    dmx, dmy = problem.family.d_mu(x, k.k_y.values, par)
+    ws.d_mu = (fourier.dealias(_fresh(dmx)), fourier.dealias(_fresh(dmy)))
 
     dax, day = ws.d_a
     dmx, dmy = ws.d_mu
@@ -242,8 +269,6 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     ws.bnm = _fresh(-_cross(ws.ly_s, dmx, ws.lx_s, dmy))
     ws.b_mu = fourier.average(ws.blm)
 
-    ws.ex = _fresh(fx.values - om - fourier.shift(k.eta_x, om).values)
-    ws.ey = _fresh(fy.values - fourier.shift(k.k_y, om).values)
     ws.err = max(ws.ex.sup(), ws.ey.sup())
     ws.e_p = fourier.average(k.eta_x)
 
@@ -270,6 +295,12 @@ def frame_fields(problem: QpProblem, state: QpState):
     )
 
 
+def _cut(rows, memory) -> list[PeriodicScalar]:
+    """The 1/3 cut of two sample rows as fields in memory, in one block."""
+    return fourier.fields(fourier.transform(np.stack(rows),
+                                            fourier.cut_spectra), memory)
+
+
 def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
     """Frame-coordinate solve for a given delta_a; returns the update.
 
@@ -284,25 +315,26 @@ def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
             f"drift average b_mu = {ws.b_mu:.3e} below {_DRIFT_FLOOR:.0e}"
         )
     delta_mu = (fourier.average(eta_l) - ws.b_a * delta_a) / ws.b_mu
-    rhs_n = _fresh(
-        eta_n.values - ws.bna.values * delta_a - ws.bnm.values * delta_mu
-    )
-    xi_n = fourier.solve_contractive(rhs_n, sig, om).values
-    rhs_l = _fresh(
-        eta_l.values - ws.bla.values * delta_a - ws.blm.values * delta_mu
-    )
-    xi_l = fourier.solve_small_divisor(rhs_l, om)[0].values
+    memory = fourier.field_memory(2, eta_l.n)
+    # the normal (contractive) and tangent (small-divisor) equations
+    # share one transform pair
+    rows = np.stack((
+        eta_n.values - ws.bna.values * delta_a - ws.bnm.values * delta_mu,
+        eta_l.values - ws.bla.values * delta_a - ws.blm.values * delta_mu,
+    ))
+    half = fourier.spectra(rows)
+    fourier.linear_shift_spectra(half[:1], sig, 1.0, om)
+    fourier.small_divisor_spectra(half[1:], om)
+    xi_n, xi_l = fourier.samples(half, rows)
     lx, ly = (c.values for c in ws.frame.l)
     nx, ny = (c.values for c in ws.frame.nvec)
     const = -phase - float(np.mean(lx * xi_l + nx * xi_n))
     xi_l = xi_l + const
     # keep the embedding in the retained band: outside it the filtered
     # composition exerts no feedback and the correction loop is unstable
-    return (
-        fourier.dealias(_fresh(lx * xi_l + nx * xi_n)),
-        fourier.dealias(_fresh(ly * xi_l + ny * xi_n)),
-        delta_mu,
-    )
+    d_eta, d_ky = _cut((lx * xi_l + nx * xi_n, ly * xi_l + ny * xi_n),
+                       memory)
+    return d_eta, d_ky, delta_mu
 
 
 def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
@@ -387,9 +419,8 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
     tails, or genuine blow-ups raise.
     """
     # project the start onto the retained band; corrections stay there
-    k = TorusEmbedding(
-        fourier.dealias(state.k.eta_x), fourier.dealias(state.k.k_y)
-    )
+    k = TorusEmbedding(*_cut((state.k.eta_x.values, state.k.k_y.values),
+                             fourier.field_memory(2, state.k.n)))
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 
@@ -495,9 +526,8 @@ def eps_derivative(
     x = state.k.x_lift()
     y = state.k.k_y.values
     par = ParamPoint(state.a, state.mu, state.eps)
-    dex, dey = problem.family.d_eps(x, y, par)
-    ex = fourier.dealias(PeriodicScalar(dex))
-    ey = fourier.dealias(PeriodicScalar(dey))
+    ex, ey = _cut(problem.family.d_eps(x, y, par),
+                  fourier.field_memory(2, state.k.n))
     eta_l = _fresh(-_cross(ws.ny_s, ex, ws.nx_s, ey))
     eta_n = _fresh(_cross(ws.ly_s, ex, ws.lx_s, ey))
 
@@ -691,39 +721,65 @@ def breakdown_extrapolate(
     The window is the last decade of alpha (points with alpha within
     10x of the final one) or the last `window` records, whichever is
     smaller, widened to at least `min_points` records when the final
-    collapse is too abrupt to populate the decade.  The fit is reliable
-    only when the window actually shrinks: monotone non-increasing, a
-    real net drop of at least a decade (alpha[0] >= 10 alpha[-1]), and
-    a negative slope.  A window cut short of a decade says little about
-    where the angle would cross zero.  Anything else degrades to
-    reliable=False; the numbers are still returned.
+    collapse is too abrupt to populate the decade.  eps_c and the fit
+    come from the window.
+
+    Reliability is judged on the window extended by its closing record,
+    the last record with alpha >= 10 alpha[-1], which closes the decade
+    (a record already in the window adds nothing).  The extended window
+    must shrink: monotone non-increasing, a real net drop of at least a
+    decade and a negative slope; and its own linear fit must have an rms
+    of at most 1% of its alpha drop, so a closing record off the line
+    (a plateau before the collapse) cannot vouch for it.  A run with no
+    closing record has not been seen to drop a decade.  Anything else
+    degrades to reliable=False; the numbers are still returned.
     """
     eps = np.array([r.eps for r in records], dtype=float)
     alpha = np.array([r.alpha for r in records], dtype=float)
+    start = 0
+    closing = -1
     if alpha.size:
         above = np.nonzero(alpha > 10.0 * alpha[-1])[0]
         start = int(above[-1]) + 1 if above.size else 0
         if alpha.size - start < min_points:
             # abrupt final collapse: too few points in the last decade
             start = max(0, alpha.size - min_points)
-        eps, alpha = eps[start:], alpha[start:]
-    if eps.size > window:
-        eps, alpha = eps[-window:], alpha[-window:]
-    if eps.size < min_points:
+        start = max(start, alpha.size - window)
+        decade_closers = np.nonzero(alpha >= 10.0 * alpha[-1])[0]
+        if decade_closers.size:
+            closing = int(decade_closers[-1])
+    if alpha.size - start < min_points:
         raise ValueError(
             f"need at least {min_points} records in the fit window, "
-            f"have {eps.size}"
+            f"have {alpha.size - start}"
         )
-    m, c = np.polyfit(eps, alpha, 1)
-    fitted = m * eps + c
-    rms = float(np.sqrt(np.mean((fitted - alpha) ** 2)))
-    monotone = bool(np.all(np.diff(alpha) <= 1e-12))
-    # a flat stretch fits with slope ~ -1e-17; demand a real decrease
-    shrinking = alpha[0] - alpha[-1] > 1e-12
-    decade = alpha[0] >= 10.0 * alpha[-1]
-    reliable = bool(monotone and shrinking and decade and m < 0.0)
+    m, c, rms = _line_fit(eps[start:], alpha[start:])
+    reliable = False
+    if closing >= 0:
+        ext = np.arange(start, alpha.size)
+        if closing < start:
+            ext = np.r_[closing, ext]
+        a_ext = alpha[ext]
+        m_ext, _, rms_ext = _line_fit(eps[ext], a_ext)
+        drop = a_ext[0] - a_ext[-1]
+        reliable = bool(
+            np.all(np.diff(a_ext) <= 1e-12)
+            # a flat stretch fits with slope ~ -1e-17; demand a real drop
+            and drop > 1e-12
+            and a_ext[0] >= 10.0 * a_ext[-1]
+            and m_ext < 0.0
+            and rms_ext <= 0.01 * drop
+        )
     eps_c = -c / m if m < 0.0 else float("nan")
-    return BreakdownFit(float(eps_c), float(m), rms, reliable, int(eps.size))
+    return BreakdownFit(float(eps_c), float(m), rms, reliable,
+                        alpha.size - start)
+
+
+def _line_fit(x: np.ndarray, y: np.ndarray) -> tuple[float, float, float]:
+    """Least-squares line y = m*x + c and the rms of its residual."""
+    m, c = np.polyfit(x, y, 1)
+    rms = float(np.sqrt(np.mean((m * x + c - y) ** 2)))
+    return m, c, rms
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 from ntcircle import (
     GOLDEN_MEAN,
     fourier,
+    NonFiniteError,
     PeriodicScalar,
     SmallDivisorError,
     average,
@@ -16,6 +17,7 @@ from ntcircle import (
     solve_contractive,
     solve_small_divisor,
     tail_fraction,
+    vartheta_qp,
 )
 
 TWO_PI = 2.0 * np.pi
@@ -238,11 +240,18 @@ class TestResampleDealias:
         half[n // 3 + 1:] = 0.0
         assert dealias(u).values.tobytes() == np.fft.irfft(half, n).tobytes()
 
-    def test_dealias_tail_matches_separate_calls(self):
-        u = rand_scalar(128, 60, 8)
-        clean, tail = fourier.dealias_tail(u, 0.25)
-        assert clean.values.tobytes() == dealias(u).values.tobytes()
-        assert tail == tail_fraction(u, 0.25)
+    @pytest.mark.parametrize("n", [33, 35, 48, 64])
+    def test_dealias_values_any_grid_size(self, n):
+        # the grid solver's grids need not be dyadic: rows of any size,
+        # odd included, keep their size and are cut at n // 3
+        rng = np.random.default_rng(n)
+        rows = rng.normal(size=(3, n))
+        out = fourier.dealias_values(rows)
+        assert out.shape == (3, n)
+        for got, row in zip(out, rows):
+            half = np.fft.rfft(row)
+            half[n // 3 + 1:] = 0.0
+            assert got.tobytes() == np.fft.irfft(half, n).tobytes()
 
     @pytest.mark.parametrize("n", [8, 64, 1 << 12, 1 << 16])
     @pytest.mark.parametrize("band", [0.25, 0.2, 1.0 / 3.0, 0.01, 0.9])
@@ -300,3 +309,143 @@ class TestCohomologicalSolvers:
     def test_contractive_rejects_expanding_factor(self):
         with pytest.raises(ValueError):
             solve_contractive(rand_scalar(32, 5, 1), 1.0, GOLDEN_MEAN)
+
+
+class TestBlockKernels:
+    """A block of rows through one kernel equals m = 1 calls bit for bit."""
+
+    @staticmethod
+    def block(n):
+        """Rows with Nyquist content, a pure Nyquist mode, constants and
+        signed zeros, as the solvers meet them."""
+        zeros = np.zeros(n)
+        zeros[1::2] = -0.0
+        rows = [
+            rand_scalar(n, n // 2, n).values,           # Nyquist included
+            trig(n, [(n // 2, 0.7, 0.0)]).values,       # the cos(pi n x) mode
+            rand_scalar(n, min(n // 8, 20), n + 1).values,
+            np.full(n, 0.8),
+            np.full(n, -2.5),
+            np.zeros(n),
+            zeros,
+            np.full(n, -0.0),
+        ]
+        return np.stack(rows)
+
+    @staticmethod
+    def rows_equal(block, singles):
+        assert len(block) == len(singles)
+        for got, want in zip(block, singles):
+            assert got.tobytes() == want.values.tobytes()
+
+    N = [8, 64, 2048]
+
+    @pytest.mark.parametrize("n", N)
+    @pytest.mark.parametrize("delta", [GOLDEN_MEAN, 0.5, -0.3])
+    def test_shift(self, n, delta):
+        v = self.block(n)
+        out = fourier.transform(v.copy(), fourier.shift_spectra, delta)
+        self.rows_equal(out, [shift(PeriodicScalar(r), delta) for r in v])
+
+    @pytest.mark.parametrize("n", N)
+    def test_derivative(self, n):
+        v = self.block(n)
+        out = fourier.transform(v.copy(), fourier.derivative_spectra)
+        self.rows_equal(out, [derivative(PeriodicScalar(r)) for r in v])
+
+    @pytest.mark.parametrize("n", N)
+    def test_cut_and_tails(self, n):
+        # dealias leaves constants alone; the block transforms them and
+        # must give back the same bytes, signed zeros included
+        v = self.block(n)
+        half = fourier.spectra(v)
+        tails = fourier.tails(half, 0.25)
+        fourier.cut_spectra(half)
+        out = fourier.samples(half, np.empty_like(v))
+        self.rows_equal(out, [dealias(PeriodicScalar(r)) for r in v])
+        assert tails == [tail_fraction(PeriodicScalar(r), 0.25) for r in v]
+
+    @pytest.mark.parametrize("n", N)
+    def test_contractive_and_vartheta(self, n):
+        v = self.block(n)
+        out = fourier.transform(v.copy(), fourier.linear_shift_spectra,
+                                0.8, 1.0, GOLDEN_MEAN)
+        self.rows_equal(
+            out, [solve_contractive(PeriodicScalar(r), 0.8, GOLDEN_MEAN)
+                  for r in v])
+        out = fourier.transform(-v, fourier.linear_shift_spectra,
+                                1.0, 0.8, GOLDEN_MEAN)
+        self.rows_equal(
+            out, [vartheta_qp(PeriodicScalar(r), 0.8, GOLDEN_MEAN)
+                  for r in v])
+
+    @pytest.mark.parametrize("n", N)
+    def test_small_divisor(self, n):
+        v = self.block(n)
+        half = fourier.spectra(v)
+        means = fourier.small_divisor_spectra(half, GOLDEN_MEAN)
+        out = fourier.samples(half, np.empty_like(v))
+        singles = [solve_small_divisor(PeriodicScalar(r), GOLDEN_MEAN)
+                   for r in v]
+        self.rows_equal(out, [xi for xi, _ in singles])
+        assert [float(m) for m in means] == [m for _, m in singles]
+
+    @pytest.mark.parametrize("n", N)
+    def test_mixed_block(self, n):
+        # each operator on its own rows, one transform pair for all
+        v = self.block(n)
+        half = fourier.spectra(v)
+        fourier.linear_shift_spectra(half[:3], 0.8, 1.0, GOLDEN_MEAN)
+        fourier.small_divisor_spectra(half[3:5], GOLDEN_MEAN)
+        fourier.shift_spectra(half[5:], GOLDEN_MEAN)
+        out = fourier.samples(half, np.empty_like(v))
+        want = [solve_contractive(PeriodicScalar(r), 0.8, GOLDEN_MEAN)
+                for r in v[:3]]
+        want += [solve_small_divisor(PeriodicScalar(r), GOLDEN_MEAN)[0]
+                 for r in v[3:5]]
+        want += [shift(PeriodicScalar(r), GOLDEN_MEAN) for r in v[5:]]
+        self.rows_equal(out, want)
+
+    def test_small_divisor_error_from_block(self):
+        v = self.block(64)
+        with pytest.raises(SmallDivisorError) as single:
+            solve_small_divisor(PeriodicScalar(v[0]), 0.25)
+        with pytest.raises(SmallDivisorError) as block:
+            fourier.transform(v.copy(), fourier.small_divisor_spectra, 0.25)
+        assert block.value.args == single.value.args
+        # the Nyquist divisor sigma - cos(pi n omega) of a contractive solve
+        omega = 1.0 / (3 * 64)
+        with pytest.raises(SmallDivisorError) as single:
+            solve_contractive(PeriodicScalar(v[0]), 0.5, omega)
+        with pytest.raises(SmallDivisorError) as block:
+            fourier.transform(v.copy(), fourier.linear_shift_spectra,
+                              0.5, 1.0, omega)
+        assert block.value.args == single.value.args
+
+    @pytest.mark.parametrize("op, args", [
+        (fourier.shift_spectra, (GOLDEN_MEAN,)),
+        (fourier.derivative_spectra, ()),
+        (fourier.cut_spectra, ()),
+        (fourier.linear_shift_spectra, (0.8, 1.0, GOLDEN_MEAN)),
+        (fourier.small_divisor_spectra, (GOLDEN_MEAN,)),
+    ])
+    def test_non_finite_error_from_block(self, op, args):
+        # a row whose transform overflows fails the block's one check, as
+        # it fails the single call's wrap
+        v = self.block(8)
+        v[2] = 1e308 * np.cos(TWO_PI * np.arange(8) / 8)
+        v[2, 0] = 1e308
+        with np.errstate(all="ignore"):
+            with pytest.raises(NonFiniteError):
+                fourier._field(v[2], op, *args)
+            with pytest.raises(NonFiniteError):
+                fourier.transform(v.copy(), op, *args)
+
+    def test_fields_own_their_rows(self):
+        out = fourier.transform(self.block(64), fourier.shift_spectra, 0.3)
+        fields = fourier.fields(out, fourier.field_memory(len(out), 64))
+        assert len(fields) == len(out)
+        for f, row in zip(fields, out):
+            assert f.values.base is None
+            assert not f.values.flags.writeable
+            assert f.values.tobytes() == row.tobytes()

@@ -10,6 +10,8 @@ from ntcircle import (
     StandardNonTwistMap,
     TorusEmbedding,
     assemble_frame,
+    dealias,
+    derivative,
     grid,
     min_angle,
     newton_solve,
@@ -53,6 +55,26 @@ class TestFrameConstruction:
         l = tangent(k)
         np.testing.assert_allclose(l[0].values, 1.0, atol=1e-13)
         np.testing.assert_allclose(l[1].values, 0.0, atol=1e-13)
+
+    def test_tangent_block_equals_single_fields(self):
+        # the derivatives and the cut rows of one block are bitwise the
+        # single-field derivative and dealias
+        th = grid(128)
+        k = TorusEmbedding(
+            PeriodicScalar(0.01 * np.sin(TWO_PI * th)
+                           + 0.002 * np.cos(TWO_PI * 64 * th)),
+            PeriodicScalar(0.02 * np.cos(TWO_PI * 3 * th) + 0.003))
+        fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
+        jac = fam.jacobian(k.x_lift(), k.k_y.values,
+                           ParamPoint(0.01, 0.6, 0.9))
+        rows = (jac[0, 0], jac[0, 1], jac[1, 0], np.full(128, -0.0))
+        lx, ly, *cut = tangent(k, rows)
+        same = lambda u, v: u.values.tobytes() == v.values.tobytes()
+        assert same(lx, derivative(k.eta_x) + 1.0)
+        assert same(ly, derivative(k.k_y))
+        for got, row in zip(cut, rows):
+            assert same(got, dealias(PeriodicScalar(row)))
+        assert all(u.values.base is None for u in (lx, ly, *cut))
 
     def test_normal0_is_unit_rotation_of_tangent(self):
         _, k, _ = integrable_frame(0.1)

@@ -292,6 +292,25 @@ class TestGeneralSolver:
         assert abs(rotation_number(sol.f, 1e-11) - OMEGA) <= 1e-8
 
 
+class TestOddGrid:
+    def test_newton_step_keeps_odd_grid(self):
+        # GridCircle and InternalMap accept any n >= 4 * order; the
+        # step's 1/3 filter must keep an odd grid's size
+        fam = sym_family()
+        par = ParamPoint(0.0, OMEGA, 0.1)
+        n = 33
+        th = np.arange(n) / n
+        circle = GridCircle(1e-3 * np.sin(2 * np.pi * th),
+                            1e-3 * np.cos(2 * np.pi * th), 6)
+        f = induced_internal_map(circle, fam, par)
+        new_circle, new_f, _ = solver_general.newton_step_general(
+            circle, f, fam, par)
+        assert new_circle.n == new_f.g.size == n
+        before = solver_general._residual(circle, f, fam, par).err
+        after = solver_general._residual(new_circle, new_f, fam, par).err
+        assert after <= 0.01 * before
+
+
 class TestInnerSolveCost:
     """Warm-started, inexact inner solves keep the Newton step count."""
 
@@ -332,7 +351,8 @@ class TestInnerSolveCost:
             monkeypatch.setattr(solver_general, "solve_transfer",
                                 lambda *args: transfer(*args[:5]))
             monkeypatch.setattr(solver_general, "invert_map",
-                                lambda f, guess=None: invert(f))
+                                lambda f, guess=None, dg=None:
+                                invert(f, dg=dg))
         sol = newton_solve_general(self.circle, self.f, sym_family(),
                                    self.par, tol=1e-11)
         monkeypatch.undo()

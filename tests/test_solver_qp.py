@@ -127,27 +127,28 @@ class TestNewtonBehavior:
 class TestIterationCost:
     """Operation counts of one Newton solve; no timing involved."""
 
-    # FFTs by part, at a generic point: frame stage = 6 (Jacobian, the
-    # sigma entry is constant) + 2 (D_a F, y part zero) + 4 (tangent)
-    # + 4 (torsion shifts) + 2 (vartheta) + 4 (shifted normal);
-    # completion = 4 (compositions with their tails) + 4 (shifted
-    # tangent) + 4 (residual shifts); linear solve = 4 + 4 (dealias)
-    FRAME, COMPLETE, SOLVE = 22, 12, 8
-    # two probes, then the step and its full candidate
+    # FFTs by part, at a generic point, one rfft and one irfft per block
+    # of fields that are ready together: frame stage = 2 (tangent with
+    # the cut of DF and D_a F; J_11 = sigma and D_a F_y = 0 are constant)
+    # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal);
+    # completion = 2 (compositions with their tails, shifted tangent and
+    # embedding); linear solve = 2 (both cohomological equations) + 2
+    # (the cut of both corrections)
+    FRAME, COMPLETE, SOLVE = 8, 2, 4
+    # two probes, then the step and its full candidate: 38 FFTs
     PER_ITERATION = 2 * (SOLVE + FRAME) + SOLVE + FRAME + COMPLETE
     # start projection and start geometry; the reducibility diagnostic
     # reads the shifted frame columns the workspace holds
-    PER_SOLVE = 4 + FRAME + COMPLETE
+    PER_SOLVE = 2 + FRAME + COMPLETE
 
     # PeriodicScalar wraps by part, one per field and none per
-    # intermediate: frame stage = 4 + 3 (Jacobian copies and dealiased
-    # entries, the sigma entry is constant) + 2 + 1 (D_a F) + 2 (tangent)
-    # + 3 (N0, gram) + 3 (torsion shifts, t0) + 1 (vartheta) + 2 (frame
-    # normal) + 2 (shifted normal) + 1 (b_la); completion = 4 + 2
-    # (compositions, D_mu F) + 4 (shifts) + 7 (b-fields, E, eta);
-    # linear solve = 2 (right-hand sides) + 2 (solutions) + 2 + 2
-    # (corrections, dealiased); candidate embedding = 2
-    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 24, 17, 8, 2
+    # intermediate or per constant: frame stage = 6 (tangent, the cut
+    # DF and D_a F entries) + 1 (the copy of the J_11 view) + 1 (D_a F_y)
+    # + 3 (N0, gram) + 1 (t0) + 1 (vartheta) + 2 (frame normal) + 2
+    # (shifted normal) + 1 (b_la); completion = 2 (D_mu F) + 2 (shifted
+    # tangent) + 7 (b-fields, E, eta); linear solve = 2 (corrections);
+    # candidate embedding = 2
+    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 18, 11, 2, 2
     WRAPS_PER_ITERATION = (3 * (WRAP_SOLVE + WRAP_CAND + WRAP_FRAME)
                            + WRAP_COMPLETE)
     # start projection, start geometry, the reducibility residual
@@ -200,8 +201,8 @@ class TestIterationCost:
         # one completion per geometry that is not a probe
         assert c["eval_lift"] == c["d_mu"] == 1 + iters
         assert c["tangent"] == 1 + 3 * iters
-        assert c["fft"] <= self.PER_SOLVE + iters * self.PER_ITERATION
-        assert c["wraps"] <= (self.WRAPS_PER_SOLVE
+        assert c["fft"] == self.PER_SOLVE + iters * self.PER_ITERATION
+        assert c["wraps"] == (self.WRAPS_PER_SOLVE
                               + iters * self.WRAPS_PER_ITERATION), c["wraps"]
 
     def test_closed_twist_completes_its_probe(self, monkeypatch):
@@ -254,8 +255,13 @@ class TestIterationCost:
         same = lambda u, v: u.values.tobytes() == v.values.tobytes()
         dax, day = ws.d_a
         dmx, dmy = ws.d_mu
-        fx, fy, _, _ = solver_qp._composition_fields(
-            prob.family, k, ParamPoint(ws.a, ws.mu, ws.eps))
+        fx_lift, fy_raw = prob.family.eval_lift(
+            k.x_lift(), k.k_y.values, ParamPoint(ws.a, ws.mu, ws.eps))
+        ux = PeriodicScalar(fx_lift - fourier.grid(k.n))
+        fy = PeriodicScalar(fy_raw)
+        assert ws.tail == max(fourier.tail_fraction(ux, 0.25),
+                              fourier.tail_fraction(fy, 0.25))
+        fx, fy = fourier.dealias(ux), fourier.dealias(fy)
         n0, _ = normal0(tangent(k))
         wx = ws.dfk[0][0] * n0[0] + ws.dfk[0][1] * n0[1]
         wy = ws.dfk[1][0] * n0[0] + ws.dfk[1][1] * n0[1]
@@ -293,6 +299,26 @@ class TestIterationCost:
                                     delta_a, t)
         assert same(cand.k.eta_x, k.eta_x + t * d_eta)
         assert same(cand.k.k_y, k.k_y + t * d_ky)
+
+    def test_derivative_block_equals_single_fields(self):
+        # the tangent derivatives and the cut DF and D_a F entries of
+        # one block are bitwise the single-field derivative and dealias
+        prob, ws = self.generic_workspace()
+        k = ws.k
+        same = lambda u, v: u.values.tobytes() == v.values.tobytes()
+        par = ParamPoint(ws.a, ws.mu, ws.eps)
+        jac = prob.family.jacobian(k.x_lift(), k.k_y.values, par)
+        dax, day = prob.family.d_a(k.x_lift(), k.k_y.values, par)
+        (lx, ly), dfk, d_a = solver_qp._derivative_fields(prob.family, k,
+                                                           par)
+        assert same(lx, fourier.derivative(k.eta_x) + 1.0)
+        assert same(ly, fourier.derivative(k.k_y))
+        for i in (0, 1):
+            for j in (0, 1):
+                want = fourier.dealias(PeriodicScalar(jac[i, j]))
+                assert same(dfk[i][j], want), (i, j)
+        assert same(d_a[0], fourier.dealias(PeriodicScalar(dax)))
+        assert same(d_a[1], fourier.dealias(PeriodicScalar(day)))
 
     def test_workspace_fields_own_their_memory(self):
         # a field adopted as a view would pin the whole array behind it,
@@ -530,6 +556,41 @@ class TestBreakdownFit:
         recs = [self.rec(e, 0.7) for e in np.linspace(0.0, 1.0, 8)]
         fit = breakdown_extrapolate(recs)
         assert not fit.reliable
+
+    @staticmethod
+    def dense_decade():
+        """200 records on alpha = 0.1 (3.51 - eps): the last decade holds
+        about 40 of them, more than the 20-record window."""
+        eps = np.linspace(3.0, 3.5, 200)
+        alpha = 0.1 * (3.51 - eps)
+        closing = int(np.nonzero(alpha >= 10.0 * alpha[-1])[0][-1])
+        assert closing < 200 - 20
+        return eps, alpha, closing
+
+    def test_dense_decade_is_reliable(self):
+        # the 20-record window alone drops less than a decade; its
+        # closing record extends it to one, on the same line
+        eps, alpha, _ = self.dense_decade()
+        fit = breakdown_extrapolate(
+            [self.rec(e, a) for e, a in zip(eps, alpha)])
+        assert fit.window == 20
+        assert alpha[-20] < 10.0 * alpha[-1]
+        assert fit.reliable
+        assert abs(fit.eps_c - 3.51) <= 1e-12
+
+    def test_closing_record_off_the_line_is_unreliable(self):
+        # still monotone and a decade, but the extended fit misses the
+        # closing record by far more than 1% of the drop; eps_c and the
+        # fit come from the window and do not move
+        eps, alpha, closing = self.dense_decade()
+        clean = breakdown_extrapolate(
+            [self.rec(e, a) for e, a in zip(eps, alpha)])
+        alpha[closing] *= 3.0
+        fit = breakdown_extrapolate(
+            [self.rec(e, a) for e, a in zip(eps, alpha)])
+        assert not fit.reliable
+        assert fit.eps_c == clean.eps_c and fit.window == clean.window
+        assert fit.slope == clean.slope and fit.residual == clean.residual
 
 
 class TestTwistSurface:
