@@ -54,10 +54,8 @@ from .frame import (
     AdaptedFrame,
     Diagnostics,
     TorusEmbedding,
-    assemble_frame,
     half_shift_deviation,
     min_angle,
-    normal0,
     reducibility_error,
     tangent,
     torsion0,
@@ -132,7 +130,6 @@ __all__ = [
     "TorusEmbedding",
     "TwistDegeneracyError",
     "ambient_rotation_number",
-    "assemble_frame",
     "average",
     "breakdown_extrapolate",
     "check_symmetry",
@@ -151,7 +148,6 @@ __all__ = [
     "newton_solve",
     "newton_solve_general",
     "newton_step_general",
-    "normal0",
     "reducibility_error",
     "resample",
     "rotation_number",

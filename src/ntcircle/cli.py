@@ -35,6 +35,7 @@ from .frame import TorusEmbedding, half_shift_deviation, tangent
 from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
 from .solver_general import GridCircle, InternalMap, sweep_parameter
 from .solver_qp import (
+    _FIT_MIN_POINTS,
     GOLDEN_MEAN,
     ContinuationPolicy,
     QpProblem,
@@ -185,6 +186,13 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"sweep_which must be 'a' or 'mu', got {cfg.sweep_which!r}")
     if cfg.sweep_order not in (2, 4, 6, 8):
         raise ValueError("sweep_order must be one of 2, 4, 6, 8")
+    low = max(8, 4 * cfg.sweep_order)
+    if cfg.sweep_grid < low or cfg.sweep_grid & (cfg.sweep_grid - 1):
+        raise ValueError(f"sweep_grid must be a power of two >= {low}, "
+                         f"got {cfg.sweep_grid}")
+    if cfg.fit_window < _FIT_MIN_POINTS:
+        raise ValueError(f"fit_window must be at least {_FIT_MIN_POINTS}, "
+                         f"got {cfg.fit_window}")
 
 
 def load_config(path: str) -> RunConfig:

@@ -33,7 +33,7 @@ class FrameDegeneracyError(NtCircleError):
 
 
 class ContractionFailureError(NtCircleError):
-    """A geometric series or fixed-point iteration did not contract."""
+    """A transfer fixed-point iteration did not contract."""
 
 
 class MuDegeneracyError(NtCircleError):

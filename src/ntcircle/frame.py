@@ -14,14 +14,15 @@ tangent direction; vartheta cancels that shear and is the quantity whose
 blow-up signals loss of normal hyperbolicity.  det P = 1 identically,
 which is the frame's health check.
 
-The quasi-periodic solver works with PeriodicScalar fields and solves
-for vartheta spectrally; each field's formula runs on its sample arrays
-and is wrapped once, and fields that are ready together share one
-transform pair (see fourier).  The grid solver, whose f is free,
-works on plain sample arrays: the *_values kernels below build its
-frame, and solve_transfer is the one fixed-point kernel for both of its
-transfer equations, the torsion equation here and the normal equation of
-its Newton step.
+The frame is written once, on sample arrays, for both solvers:
+normal0_values gives N0 and the gram <L, L>, torsion0 the torsion from N0
+composed with f (shifted spectrally in the quasi-periodic solver, read
+through the Lagrange stencil of f in the grid solver), and normal_values
+N with its det P = 1 check.  vartheta_qp solves the torsion equation
+spectrally; the grid solver, whose f is free, uses vartheta_general, and
+solve_transfer is the one fixed-point kernel for both of its transfer
+equations, the torsion equation here and the normal equation of its
+Newton step.
 
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
 and <L, Omega N> = -1; the inverse transition P^{-1} has rows N^T Omega
@@ -36,8 +37,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fourier
-from .errors import ContractionFailureError, DegenerateCircleError, FrameDegeneracyError
-from .fourier import PeriodicScalar, _fresh
+from .errors import (ContractionFailureError, DegenerateCircleError,
+                     FrameDegeneracyError, NonFiniteError)
+from .fourier import PeriodicScalar
 
 _GRAM_FLOOR = 1e-12
 _DET_TOL = 1e-8
@@ -140,38 +142,30 @@ def normal0_values(lx: np.ndarray, ly: np.ndarray):
     return -ly / gram, lx / gram, gram
 
 
-def normal0(l: Pair) -> tuple[Pair, PeriodicScalar]:
-    """N0 = Omega L / <L, L> and the gram function <L, L>."""
-    n0x, n0y, gram = normal0_values(l[0].values, l[1].values)
-    return (_fresh(n0x), _fresh(n0y)), _fresh(gram)
+def torsion0(n0x, n0y, n0x_f, n0y_f, dfk) -> np.ndarray:
+    """t0(theta) = N0(f(theta))^T Omega DF(K(theta)) N0(theta) on samples.
 
-
-def torsion0(n0: Pair, dfk, omega: float) -> PeriodicScalar:
-    """t0(theta) = N0(theta+omega)^T Omega DF(K(theta)) N0(theta).
-
-    dfk holds the four entries of DF along the circle as PeriodicScalars,
-    indexed dfk[i][j].
+    (n0x_f, n0y_f) are the samples of N0 o f, N0 composed with the
+    internal dynamics; dfk holds the four entries of DF along the circle
+    as sample arrays, indexed dfk[i][j].
     """
-    (d00, d01), (d10, d11) = [[d.values for d in row] for row in dfk]
-    n0x, n0y = n0[0].values, n0[1].values
+    (d00, d01), (d10, d11) = dfk
     wx = d00 * n0x + d01 * n0y
     wy = d10 * n0x + d11 * n0y
-    t0, = fourier.field_memory(1, n0x.size)
-    n0x_s, n0y_s = fourier.transform(np.stack((n0x, n0y)),
-                                     fourier.shift_spectra, omega)
-    np.subtract(n0y_s * wx, n0x_s * wy, out=t0)
-    return _fresh(t0)
+    return n0y_f * wx - n0x_f * wy
 
 
-def vartheta_qp(t0: PeriodicScalar, sigma: float, omega: float) -> PeriodicScalar:
+def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> PeriodicScalar:
     """Solve vartheta - sigma * vartheta(. + omega) = -t0 spectrally.
 
-    Divisors 1 - sigma*e(k*omega) stay within distance 1 - sigma of 1,
-    so the solve is uniformly stable for sigma in (0, 1).
+    t0 holds the torsion samples; the solution is wrapped and checked
+    for finiteness once.  Divisors 1 - sigma*e(k*omega) stay within
+    distance 1 - sigma of 1, so the solve is uniformly stable for sigma
+    in (0, 1).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    return fourier._field(-t0.values, fourier.linear_shift_spectra,
+    return fourier._field(-t0, fourier.linear_shift_spectra,
                           1.0, sigma, omega)
 
 
@@ -234,39 +228,22 @@ def normal_values(lx, ly, n0x, n0y, vartheta):
     return nx, ny
 
 
-def assemble_frame(
-    l: Pair,
-    n0: Pair,
-    gram: PeriodicScalar,
-    vartheta: PeriodicScalar,
-    sigma: float,
-) -> AdaptedFrame:
-    """Build P = [L, N], N = L*vartheta + N0, and check det P = 1."""
-    nx, ny = normal_values(
-        l[0].values, l[1].values, n0[0].values, n0[1].values, vartheta.values
-    )
-    nvec = (_fresh(nx), _fresh(ny))
-    return AdaptedFrame(l, gram, nvec, sigma)
-
-
 def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):
-    """Residual DF P - P(. + omega) diag(1, sigma) and its sup-norm.
+    """sup-norm of the residual DF P - P(. + omega) diag(1, sigma).
 
     l_shifted and n_shifted are the frame columns L(. + omega) and
-    N(. + omega), as pairs of PeriodicScalar.
+    N(. + omega), as pairs of PeriodicScalar.  A residual column with a
+    NaN or infinite sample has a non-finite sup and raises NonFiniteError.
     """
-    sig = frame.sigma
-    (d00, d01), (d10, d11) = [[d.values for d in row] for row in dfk]
-    cols = []
-    for (vx, vy), (sx, sy), mult in (
-        (frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, sig)
-    ):
-        vx, vy = vx.values, vy.values
-        rx = _fresh(d00 * vx + d01 * vy - mult * sx.values)
-        ry = _fresh(d10 * vx + d11 * vy - mult * sy.values)
-        cols.append((rx, ry))
-    sup = max(c.sup() for col in cols for c in col)
-    return cols, sup
+    rows = [[d.values for d in row] for row in dfk]
+    cols = ((frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, frame.sigma))
+    sups = [float(np.max(np.abs(d0 * vx.values + d1 * vy.values
+                                - mult * s.values)))
+            for (vx, vy), shifted, mult in cols
+            for (d0, d1), s in zip(rows, shifted)]
+    if not all(map(math.isfinite, sups)):
+        raise NonFiniteError("samples must be finite")
+    return max(sups)
 
 
 def min_angle(vartheta: np.ndarray, gram: np.ndarray) -> float:

@@ -6,9 +6,10 @@ tangent correction is taken up by f (Delta f = -eta_L) and the normal
 correction by a contractive transfer equation.  That equation and the
 torsion equation of the adapted frame are both solved by the one
 fixed-point kernel frame.solve_transfer, on the Lagrange stencils of f
-and of its inverse; the frame itself comes from the sample-array kernels
-of frame.  This variant follows the circle into phase locking, which is
-what the rotation-number sweeps exploit.
+and of its inverse; N0, the torsion and N come from the sample kernels
+of frame that the quasi-periodic solver uses too.  This variant follows
+the circle into phase locking, which is what the rotation-number sweeps
+exploit.
 
 The inner solves of a Newton step are warm-started and inexact, with
 forcing terms sized by the step's residual err (Dembo, Eisenstat &
@@ -18,6 +19,7 @@ previous sweep point) and stops at err; the normal solve, whose
 solution is the correction, starts cold and stops at err**2; f^-1 starts
 from the previous step's inverse and is solved to full accuracy, since
 an inexact inverse moves the residual floors near resonance tongues.
+f^-1 comes first in a step, so its check f' > 0 guards the whole step.
 
 Newton makes one pass per solve and keeps its best iterate: near a
 resonance tongue the achievable grid residual rises just above the
@@ -53,9 +55,11 @@ from .errors import (
 )
 from .fourier import dealias_values, field_memory
 from .frame import (
+    _FIXED_POINT_TOL,
     normal0_values,
     normal_values,
     solve_transfer,
+    torsion0,
     vartheta_general,
 )
 from .maps import ParamPoint, StandardNonTwistMap
@@ -264,9 +268,8 @@ class GeneralStepReport:
 
 # forcing terms of the transfer solves: the torsion solve stops at the
 # relative tolerance eta = min(err, _FORCING_CAP) and the normal solve at
-# eta**2, neither below _INNER_TOL; the cap keeps a large residual from
-# cutting a solve down to a pass or two
-_INNER_TOL = 1e-12
+# eta**2, neither below frame's default transfer tolerance; the cap keeps
+# a large residual from cutting a solve down to a pass or two
 _FORCING_CAP = 1e-2
 
 
@@ -285,10 +288,12 @@ def newton_step_general(
     the torsion solve, which only preconditions the step, starts from
     vartheta0 and stops at the relative tolerance eta = min(err,
     _FORCING_CAP); the normal solve, whose solution is the correction
-    itself, starts cold and stops at eta**2 (neither below _INNER_TOL), so
-    the step stays quadratic.  f^-1 is solved to its full tolerance, from
-    finv0 when given; both are report fields of an earlier step on the
-    same grid.  residual, _residual of (K, f), is computed when None.
+    itself, starts cold and stops at eta**2 (neither below the default
+    tolerance of solve_transfer), so the step stays quadratic.  f^-1 is
+    solved first and to its full tolerance, from finv0 when given, and
+    invert_map's check that f' > 0 is the step's monotonicity check;
+    vartheta0 and finv0 are report fields of an earlier step on the same
+    grid.  residual, _residual of (K, f), is computed when None.
     """
     n = circle.n
     p = circle.order
@@ -296,9 +301,8 @@ def newton_step_general(
     theta = np.arange(n) / n
 
     dg = grid_derivative(f.g, p)
+    finv = invert_map(f, guess=finv0, dg=dg)
     fp = 1.0 + dg
-    if float(np.min(fp)) <= 0.0:
-        raise InversionError("internal map lost monotonicity")
     if residual is None:
         residual = _residual(circle, f, family, par)
     ex, ey, err, s_idx, s_w = residual
@@ -306,15 +310,13 @@ def newton_step_general(
     lx = 1.0 + grid_derivative(circle.eta_x, p)
     ly = grid_derivative(circle.k_y, p)
     n0x, n0y, _ = normal0_values(lx, ly)
-
-    jac = family.jacobian(theta + circle.eta_x, circle.k_y, par)
-    wx = jac[0, 0] * n0x + jac[0, 1] * n0y
-    wy = jac[1, 0] * n0x + jac[1, 1] * n0y
-    t0 = interp_apply(n0y, s_idx, s_w) * wx - interp_apply(n0x, s_idx, s_w) * wy
+    t0 = torsion0(n0x, n0y, interp_apply(n0x, s_idx, s_w),
+                  interp_apply(n0y, s_idx, s_w),
+                  family.jacobian(theta + circle.eta_x, circle.k_y, par))
 
     forcing = min(err, _FORCING_CAP)
     vth, vth_iters = vartheta_general(
-        t0, fp, sigma, s_idx, s_w, vartheta0, max(_INNER_TOL, forcing)
+        t0, fp, sigma, s_idx, s_w, vartheta0, max(_FIXED_POINT_TOL, forcing)
     )
     nx, ny = normal_values(lx, ly, n0x, n0y, vth)
 
@@ -323,12 +325,11 @@ def newton_step_general(
 
     # normal equation (sigma/f') xi - xi o f = eta_n, as the backward
     # fixed point xi = -eta_n(f^-1) + (sigma/f'(f^-1)) * xi(f^-1)
-    finv = invert_map(f, guess=finv0, dg=dg)
     r_idx, r_w = interp_stencil(n, theta + finv.g, p)
     xi, xi_iters = solve_transfer(
         -interp_apply(eta_n, r_idx, r_w),
         sigma / interp_apply(fp, r_idx, r_w),
-        r_idx, r_w, sigma, None, max(_INNER_TOL, forcing * forcing),
+        r_idx, r_w, sigma, None, max(_FIXED_POINT_TOL, forcing * forcing),
     )
 
     # smooth the updates: grid-frequency components of the correction are

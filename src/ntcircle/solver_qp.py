@@ -29,20 +29,21 @@ The linearization at a point is built in two stages.  The frame stage
 takes the Jacobian and D_a F along the circle, the tangent, N0, the
 torsion, vartheta, the frame, the shifted normal and the twist b_a, in
 four blocks: the tangent with the cut of DF and D_a F, the shifted N0,
-vartheta, the shifted normal.  Completion adds the composition itself
-with its raw tail, D_mu F, the shifted tangent, the drift twist b_mu,
-the residual E and its frame projections, in one block: the cut
-composition with the shifted tangent and embedding.  A linear solve is
-two blocks: both cohomological equations, then the cut of both
-corrections.  A full geometry is completion applied to the frame stage,
-8 + 2 FFTs, and a Newton iteration with the twist open costs 38: two
-probes and the step, each a solve and a frame stage, and one
+vartheta, the shifted normal; N0, the torsion and N come from the sample
+kernels of frame that the grid solver uses too.  Completion adds the
+composition itself with its raw tail, D_mu F, the shifted tangent, the
+drift twist b_mu, the residual E and its frame projections, in one
+block: the cut composition with the shifted tangent and embedding.  A
+linear solve is two blocks: both cohomological equations, then the cut
+of both corrections.  A full geometry is completion applied to the frame
+stage, 8 + 2 FFTs, and a Newton iteration with the twist open costs 38:
+two probes and the step, each a solve and a frame stage, and one
 completion.  The Steffensen probes and the eps-derivative probes read
-only b_a, so they run the frame stage alone, with no map evaluation.
-When the twist is already closed the zero probe is the full-step
-candidate, and the iteration completes it instead of building it again;
-the eps-derivative likewise keeps the zero probe's direction instead of
-solving for it again.
+only b_a, and the export of N only the frame, so they run the frame
+stage alone, with no map evaluation.  When the twist is already closed
+the zero probe is the full-step candidate, and the iteration completes
+it instead of building it again; the eps-derivative likewise keeps the
+zero probe's direction instead of solving for it again.
 """
 
 from __future__ import annotations
@@ -62,11 +63,12 @@ from .errors import (
 )
 from .fourier import PeriodicScalar, _fresh
 from .frame import (
+    AdaptedFrame,
     Diagnostics,
     TorusEmbedding,
-    assemble_frame,
     min_angle,
-    normal0,
+    normal0_values,
+    normal_values,
     reducibility_error,
     tangent,
     torsion0,
@@ -80,6 +82,7 @@ _TWIST_SLOPE_FLOOR = 1e-8
 _DRIFT_FLOOR = 1e-8
 _BLOWUP_FACTOR = 1e3
 _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
+_FIT_MIN_POINTS = 5      # fewest records a breakdown fit takes
 
 
 @dataclass(frozen=True)
@@ -210,10 +213,19 @@ def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     sig = problem.family.sigma
     l, dfk, d_a = _derivative_fields(problem.family, k,
                                      ParamPoint(a, mu, eps))
-    n0, gram = normal0(l)
-    t0 = torsion0(n0, dfk, om)
+    lx, ly = l[0].values, l[1].values
+    n0x, n0y, gram = normal0_values(lx, ly)
+    gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
+    # t0's memory is taken before the shift block of N0, and each is
+    # freed once read (see fourier.field_memory)
+    t0, = fourier.field_memory(1, k.n)
+    n0_f = fourier.transform(np.stack((n0x, n0y)), fourier.shift_spectra, om)
+    t0[:] = torsion0(n0x, n0y, *n0_f, [[d.values for d in r] for r in dfk])
+    del n0_f
     vth = vartheta_qp(t0, sig, om)
-    fr = assemble_frame(l, n0, gram, vth, sig)
+    del t0
+    nx, ny = normal_values(lx, ly, n0x, n0y, vth.values)
+    fr = AdaptedFrame(l, gram, (_fresh(nx), _fresh(ny)), sig)
 
     ws = NewtonWorkspace()
     ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
@@ -284,7 +296,7 @@ def _geometry(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
 
 def frame_fields(problem: QpProblem, state: QpState):
     """Circle and normal-bundle samples for export: theta, Kx, Ky, Nx, Ny."""
-    ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
+    ws = _frame_stage(problem, state.k, state.a, state.mu, state.eps)
     th = fourier.grid(state.k.n)
     return (
         th,
@@ -393,12 +405,10 @@ def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
 
 
 def _diagnostics(ws: NewtonWorkspace) -> Diagnostics:
-    _, red_sup = reducibility_error(
-        ws.frame, ws.dfk, (ws.lx_s, ws.ly_s), (ws.nx_s, ws.ny_s)
-    )
     return Diagnostics(
         invariance_error=ws.err,
-        reducibility_error=red_sup,
+        reducibility_error=reducibility_error(
+            ws.frame, ws.dfk, (ws.lx_s, ws.ly_s), (ws.nx_s, ws.ny_s)),
         min_angle=ws.alpha,
         twist_a=ws.b_a,
         twist_mu=ws.b_mu,
@@ -714,7 +724,7 @@ class BreakdownFit:
 
 
 def breakdown_extrapolate(
-    records, window: int = 20, min_points: int = 5
+    records, window: int = 20, min_points: int = _FIT_MIN_POINTS
 ) -> BreakdownFit:
     """Fit alpha = m*eps + c on the final stretch and report eps_c = -c/m.
 

@@ -126,6 +126,9 @@ class TestConfigValidation:
             ("n_min = 512\nn_max = 256", "n_min <= n_max"),
             ("sweep_which = b", "sweep_which"),
             ("sweep_order = 3", "sweep_order"),
+            ("sweep_grid = 3000", "sweep_grid must be a power of two >= 16"),
+            ("sweep_order = 8\nsweep_grid = 16", "sweep_grid .* >= 32, got 16"),
+            ("fit_window = 3", "fit_window must be at least 5, got 3"),
             ("tail_halve = 1e-16", "unknown config key"),
         ],
     )

@@ -3,29 +3,30 @@ import pytest
 
 from ntcircle import (
     GOLDEN_MEAN,
+    GridCircle,
     ParamPoint,
     PeriodicScalar,
     QpProblem,
     QpState,
     StandardNonTwistMap,
     TorusEmbedding,
-    assemble_frame,
     dealias,
     derivative,
     grid,
+    induced_internal_map,
     min_angle,
     newton_solve,
-    normal0,
     shift,
     tangent,
     torsion0,
     vartheta_general,
     vartheta_qp,
 )
-from ntcircle import solver_qp
-from ntcircle.errors import ContractionFailureError
-from ntcircle.frame import solve_transfer
-from ntcircle.solver_general import interp_stencil
+from ntcircle import frame, solver_general, solver_qp
+from ntcircle.errors import ContractionFailureError, NonFiniteError
+from ntcircle.frame import normal0_values, normal_values, solve_transfer
+from ntcircle.solver_general import (grid_derivative, interp_apply,
+                                     interp_stencil)
 
 SIGMA = 0.8
 OMEGA = GOLDEN_MEAN
@@ -36,17 +37,24 @@ def integrable_frame(a, n=64):
     """Closed-form frame data on the flat circle y = 0 of the map family.
 
     There L = (1, 0), N0 = (0, 1), and the torsion is -2*sigma*a, so the
-    whole construction can be checked against constants.
+    whole construction can be checked against constants.  dfk holds the
+    entries of DF along the circle as sample arrays.
     """
     fam = StandardNonTwistMap(SIGMA, "symmetric")
     k = TorusEmbedding.zero_section(n)
     par = ParamPoint(a=a, mu=OMEGA - a * a, eps=0.0)
     x = k.x_lift()
-    jac = fam.jacobian(x, k.k_y.values, par)
-    dfk = tuple(
-        tuple(PeriodicScalar(jac[i, j]) for j in range(2)) for i in range(2)
-    )
+    dfk = fam.jacobian(x, k.k_y.values, par)
     return fam, k, dfk
+
+
+def torsion_qp(k, dfk):
+    """N0 on the circle k and the torsion, N0 composed with the shift."""
+    l = tangent(k)
+    n0x, n0y, gram = normal0_values(l[0].values, l[1].values)
+    n0x_f = shift(PeriodicScalar(n0x), OMEGA).values
+    n0y_f = shift(PeriodicScalar(n0y), OMEGA).values
+    return l, (n0x, n0y), gram, torsion0(n0x, n0y, n0x_f, n0y_f, dfk)
 
 
 class TestFrameConstruction:
@@ -79,40 +87,37 @@ class TestFrameConstruction:
     def test_normal0_is_unit_rotation_of_tangent(self):
         _, k, _ = integrable_frame(0.1)
         l = tangent(k)
-        n0, gram = normal0(l)
-        np.testing.assert_allclose(n0[0].values, 0.0, atol=1e-13)
-        np.testing.assert_allclose(n0[1].values, 1.0, atol=1e-13)
-        np.testing.assert_allclose(gram.values, 1.0, atol=1e-13)
+        n0x, n0y, gram = normal0_values(l[0].values, l[1].values)
+        np.testing.assert_allclose(n0x, 0.0, atol=1e-13)
+        np.testing.assert_allclose(n0y, 1.0, atol=1e-13)
+        np.testing.assert_allclose(gram, 1.0, atol=1e-13)
 
     def test_torsion_closed_form(self):
         # on the flat circle the torsion is the constant -2*sigma*a
         a = 0.13
         _, k, dfk = integrable_frame(a)
-        l = tangent(k)
-        n0, _ = normal0(l)
-        t0 = torsion0(n0, dfk, OMEGA)
-        np.testing.assert_allclose(t0.values, -2.0 * SIGMA * a, atol=1e-13)
+        t0 = torsion_qp(k, dfk)[3]
+        np.testing.assert_allclose(t0, -2.0 * SIGMA * a, atol=1e-13)
 
     def test_vartheta_solves_its_equation(self):
         x = grid(128)
         t0 = PeriodicScalar(np.cos(TWO_PI * x) + 0.3 * np.sin(2 * TWO_PI * x))
-        vth = vartheta_qp(t0, SIGMA, OMEGA)
+        vth = vartheta_qp(t0.values, SIGMA, OMEGA)
         res = vth - SIGMA * shift(vth, OMEGA) + t0
         assert res.sup() <= 1e-12
 
     def test_frame_identities_on_integrable_circle(self):
         a = 0.2
         _, k, dfk = integrable_frame(a)
-        l = tangent(k)
-        n0, gram = normal0(l)
-        t0 = torsion0(n0, dfk, OMEGA)
+        l, (n0x, n0y), _, t0 = torsion_qp(k, dfk)
         vth = vartheta_qp(t0, SIGMA, OMEGA)
-        fr = assemble_frame(l, n0, gram, vth, SIGMA)
-        det = fr.l[0] * fr.nvec[1] - fr.l[1] * fr.nvec[0]
-        np.testing.assert_allclose(det.values, 1.0, atol=1e-12)
+        lx, ly = l[0].values, l[1].values
+        nx, ny = normal_values(lx, ly, n0x, n0y, vth.values)
+        det = lx * ny - ly * nx
+        np.testing.assert_allclose(det, 1.0, atol=1e-12)
         # N = L*vartheta + N0 with constant vartheta = 2*sigma*a/(1-sigma)
         np.testing.assert_allclose(
-            fr.nvec[0].values, 2.0 * SIGMA * a / (1.0 - SIGMA), atol=1e-12)
+            nx, 2.0 * SIGMA * a / (1.0 - SIGMA), atol=1e-12)
 
     def test_integrable_twists(self):
         # the solver's own twists on the flat circle: b_a = 2a, b_mu = 1
@@ -131,6 +136,80 @@ class TestFrameConstruction:
         assert min_angle(small, gram) > min_angle(large, gram) > 0.0
 
 
+class TestOneFrame:
+    """Both solvers build the frame from frame's sample kernels."""
+
+    def test_overflowing_gram_raises_nonfinite(self):
+        # L_x ~ 2 pi 1e200 cos squares to inf, while N0 = Omega L / gram
+        # stays finite: the gram's own wrap must report the blow-up
+        th = grid(64)
+        k = TorusEmbedding(PeriodicScalar(1e200 * np.sin(TWO_PI * th)),
+                           PeriodicScalar.zeros(64))
+        prob = QpProblem(StandardNonTwistMap(SIGMA, "symmetric"),
+                         omega=OMEGA)
+        with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
+            solver_qp._frame_stage(prob, k, 0.0, OMEGA, 0.5)
+
+    @staticmethod
+    def inline_torsion(n0x, n0y, n0x_f, n0y_f, dfk):
+        """Reference torsion: N0(f)^T Omega DF N0, written out in full."""
+        wx = dfk[0][0] * n0x + dfk[0][1] * n0y
+        wy = dfk[1][0] * n0x + dfk[1][1] * n0y
+        return n0y_f * wx - n0x_f * wy
+
+    def test_both_solvers_take_t0_from_torsion0(self, monkeypatch):
+        assert solver_qp.torsion0 is frame.torsion0
+        assert solver_general.torsion0 is frame.torsion0
+        calls = []
+
+        def counted(*args):
+            out = frame.torsion0(*args)
+            calls.append(out)
+            return out
+
+        monkeypatch.setattr(solver_qp, "torsion0", counted)
+        monkeypatch.setattr(solver_general, "torsion0", counted)
+
+        # quasi-periodic frame stage: N0 composed with the shift by omega
+        th = grid(128)
+        fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
+        k = TorusEmbedding(PeriodicScalar(0.01 * np.sin(TWO_PI * th)),
+                           PeriodicScalar(0.02 * np.cos(TWO_PI * th) + 0.003))
+        ws = solver_qp._frame_stage(QpProblem(fam, omega=OMEGA), k,
+                                    0.013, 0.61, 0.9)
+        assert len(calls) == 1
+        lx, ly = (c.values for c in ws.frame.l)
+        n0x, n0y, _ = normal0_values(lx, ly)
+        n0_f = [shift(PeriodicScalar(c), OMEGA).values for c in (n0x, n0y)]
+        dfk = [[d.values for d in row] for row in ws.dfk]
+        t0 = self.inline_torsion(n0x, n0y, *n0_f, dfk)
+        assert calls[0].tobytes() == t0.tobytes()
+        vth = vartheta_qp(t0, SIGMA, OMEGA)
+        for got, want in zip(ws.frame.nvec,
+                             normal_values(lx, ly, n0x, n0y, vth.values)):
+            assert got.values.tobytes() == want.tobytes()
+
+        # grid Newton step: N0 read through the Lagrange stencil of f
+        par = ParamPoint(0.0, OMEGA, 0.1)
+        fam = StandardNonTwistMap(SIGMA, "symmetric")
+        n = 64
+        th = grid(n)
+        circle = GridCircle(1e-3 * np.sin(TWO_PI * th),
+                            1e-3 * np.cos(TWO_PI * th), 6)
+        f = induced_internal_map(circle, fam, par)
+        solver_general.newton_step_general(circle, f, fam, par)
+        assert len(calls) == 2
+        res = solver_general._residual(circle, f, fam, par)
+        lx = 1.0 + grid_derivative(circle.eta_x, 6)
+        ly = grid_derivative(circle.k_y, 6)
+        n0x, n0y, _ = normal0_values(lx, ly)
+        t0 = self.inline_torsion(
+            n0x, n0y, interp_apply(n0x, res.idx, res.w),
+            interp_apply(n0y, res.idx, res.w),
+            fam.jacobian(th + circle.eta_x, circle.k_y, par))
+        assert calls[1].tobytes() == t0.tobytes()
+
+
 def spectral_eval(values, q):
     """Trigonometric interpolant of grid samples, evaluated at points q."""
     n = values.size
@@ -147,7 +226,7 @@ class TestVarthetaGeneral:
         n = 256
         x = grid(n)
         t0v = np.cos(TWO_PI * x) - 0.4 * np.sin(3 * TWO_PI * x) + 0.2
-        vth_qp = vartheta_qp(PeriodicScalar(t0v), SIGMA, OMEGA)
+        vth_qp = vartheta_qp(t0v, SIGMA, OMEGA)
         idx, w = interp_stencil(n, x + OMEGA, 8)
         vth_gen, _ = vartheta_general(t0v, np.ones(n), SIGMA, idx, w)
         assert np.max(np.abs(vth_gen - vth_qp.values)) <= 1e-9
