@@ -447,8 +447,7 @@ def _run_checks(cfg: RunConfig):
         yield "prescribed twist level met", twist <= max(cfg.tol_twist, 1e-9), f"{twist:.2e}"
 
         if cfg.variant == Forcing.SYMMETRIC:
-            dev = half_shift_deviation(st.k)
-            yield "circle symmetry K = S K(.+1/2)", dev <= 1e-8, f"{dev:.2e}"
+            yield from _symmetry_checks(cfg, problem, st)
 
         # quadratic decay of the Newton residual from a rough start
         bump = fourier.PeriodicScalar(
@@ -484,6 +483,32 @@ def _run_checks(cfg: RunConfig):
         yield "family symmetry S F_a S = F_{-a}", sym <= 1e-12, f"{sym:.2e}"
     else:
         yield "family is genuinely nonsymmetric", sym > 1e-3, f"{sym:.2e}"
+
+
+def _symmetry_checks(cfg: RunConfig, problem, st: QpState):
+    """Symmetric forcing: S F_a S = F_{-a} with S(x, y) = (x - 1/2, -y).
+
+    S maps the circle at twist level b onto the circle at -b, with
+    K_{-b}(theta) = S K_b(theta + 1/2), a_{-b} = -a_b, mu_{-b} = mu_b.
+    At b = 0 that is a symmetry of the circle itself; otherwise it is
+    checked against the circle at -b, continued the same way.
+    """
+    if problem.b_a0 == 0.0:
+        dev = half_shift_deviation(st.k)
+        yield "circle symmetry K = S K(.+1/2)", dev <= 1e-8, f"{dev:.2e}"
+        return
+    mirror = replace(problem, b_a0=-problem.b_a0)
+    res = continue_in_eps(
+        mirror, QpState.flat_start(cfg.n_min, mirror.omega, mirror.b_a0),
+        st.eps, build_policy(cfg))
+    name = "mirror circle K_{-b} = S K_b(.+1/2), a_{-b} = -a_b, mu_{-b} = mu_b"
+    if res.reason != "target":
+        yield name, False, f"mirror continuation: reason={res.reason}"
+        return
+    n = max(st.k.n, res.state.k.n)
+    dev = max(half_shift_deviation(st.k.resample(n), res.state.k.resample(n)),
+              abs(res.state.a + st.a), abs(res.state.mu - st.mu))
+    yield name, dev <= 1e-8, f"{dev:.2e}"
 
 
 def cmd_verify(cfg: RunConfig, out_dir: str) -> int:

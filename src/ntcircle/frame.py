@@ -77,18 +77,22 @@ class TorusEmbedding:
         )
 
 
-def half_shift_deviation(k: TorusEmbedding) -> float:
-    """sup distance between K(theta) and S K(theta + 1/2).
+def half_shift_deviation(k: TorusEmbedding,
+                         image: TorusEmbedding | None = None) -> float:
+    """sup distance between image(theta) and S K(theta + 1/2); image = K.
 
     With S(x, y) = (x - 1/2, -y) the x-shifts cancel: the condition is
-    eta_x half-periodic and K_y half-antiperiodic, the symmetry of
-    circles of the symmetric forcing at a = 0.  x is compared mod 1.
+    image's eta_x = eta_x(. + 1/2) and image's K_y = -K_y(. + 1/2).  With
+    image = K it is the symmetry of circles of the symmetric forcing at
+    a = 0; the circle at twist level -b_a0 is the image of the one at
+    b_a0.  x is compared mod 1.
     """
+    image = k if image is None else image
     sx, sy = fourier.transform(np.stack((k.eta_x.values, k.k_y.values)),
                                fourier.shift_spectra, 0.5)
-    dx = k.eta_x.values - sx
+    dx = image.eta_x.values - sx
     dx = dx - np.round(dx)
-    dy = float(np.max(np.abs(k.k_y.values + sy)))
+    dy = float(np.max(np.abs(image.k_y.values + sy)))
     return max(float(np.max(np.abs(dx))), dy)
 
 

@@ -33,17 +33,23 @@ vartheta, the shifted normal; N0, the torsion and N come from the sample
 kernels of frame that the grid solver uses too.  Completion adds the
 composition itself with its raw tail, D_mu F, the shifted tangent, the
 drift twist b_mu, the residual E and its frame projections, in one
-block: the cut composition with the shifted tangent and embedding.  A
-linear solve is two blocks: both cohomological equations, then the cut
-of both corrections.  A full geometry is completion applied to the frame
-stage, 8 + 2 FFTs, and a Newton iteration with the twist open costs 38:
-two probes and the step, each a solve and a frame stage, and one
-completion.  The Steffensen probes and the eps-derivative probes read
-only b_a, and the export of N only the frame, so they run the frame
-stage alone, with no map evaluation.  When the twist is already closed
-the zero probe is the full-step candidate, and the iteration completes
-it instead of building it again; the eps-derivative likewise keeps the
-zero probe's direction instead of solving for it again.
+block: the cut composition with the shifted tangent and embedding.
+
+The correction is affine in the twist unknown delta_a, so a Newton
+iteration solves its linearization once: _solve_linear returns the
+correction at delta_a = 0 and its rate per unit delta_a, in two blocks
+of four rows (both cohomological equations for both, then the cut of
+both corrections), and the Steffensen probes, the step and its damped
+fractions all combine that basis on samples.  A full geometry is
+completion applied to the frame stage, 8 + 2 FFTs, and a Newton
+iteration with the twist open costs 30: one solve, three frame stages
+(two probes and the step) and one completion.  The probes read only
+b_a, and the export of N only the frame, so they run the frame stage
+alone, with no map evaluation.  When the twist is already closed the
+zero probe is the full-step candidate, and the iteration completes it
+instead of building it again.  The eps-derivative makes one solve too,
+and reads the workspace of the solve that converged its state instead
+of building the geometry again.
 """
 
 from __future__ import annotations
@@ -313,12 +319,16 @@ def _cut(rows, memory) -> list[PeriodicScalar]:
                                             fourier.cut_spectra), memory)
 
 
-def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
-    """Frame-coordinate solve for a given delta_a; returns the update.
+def _solve_linear(problem, ws, eta_l, eta_n, phase):
+    """Frame-coordinate solve, affine in delta_a: the update and its rate.
 
-    delta_mu kills the average of the tangent equation; the tangent
-    constant is chosen so the x-average of the updated embedding is
-    -phase (the phase lock).  Returns (d_eta_x, d_ky, delta_mu).
+    delta_mu = <eta_l>/b_mu - (b_a/b_mu) delta_a kills the average of the
+    tangent equation; the tangent constant is chosen so the x-average of
+    the updated embedding is -phase (the phase lock).  Every part of the
+    update is affine in delta_a, so one solve serves every delta_a: returns
+    the basis ((d_eta_x, d_ky, delta_mu) at delta_a = 0, their rates per
+    unit delta_a), the corrections as read-only sample arrays, which
+    _correction combines.
     """
     om = problem.omega
     sig = problem.family.sigma
@@ -326,43 +336,54 @@ def _solve_linear(problem, ws, eta_l, eta_n, delta_a, phase):
         raise MuDegeneracyError(
             f"drift average b_mu = {ws.b_mu:.3e} below {_DRIFT_FLOOR:.0e}"
         )
-    delta_mu = (fourier.average(eta_l) - ws.b_a * delta_a) / ws.b_mu
-    memory = fourier.field_memory(2, eta_l.n)
-    # the normal (contractive) and tangent (small-divisor) equations
-    # share one transform pair
+    mu0 = fourier.average(eta_l) / ws.b_mu
+    mu1 = -ws.b_a / ws.b_mu
+    # the basis rows stay samples, checked once by their block; their
+    # memory is taken before the blocks (see fourier.field_memory)
+    corr = np.empty((4, eta_l.n))
+    # the normal (contractive) and tangent (small-divisor) equations, at
+    # delta_a = 0 and their rates, share one transform pair
     rows = np.stack((
-        eta_n.values - ws.bna.values * delta_a - ws.bnm.values * delta_mu,
-        eta_l.values - ws.bla.values * delta_a - ws.blm.values * delta_mu,
+        eta_n.values - ws.bnm.values * mu0,
+        -ws.bna.values - ws.bnm.values * mu1,
+        eta_l.values - ws.blm.values * mu0,
+        -ws.bla.values - ws.blm.values * mu1,
     ))
     half = fourier.spectra(rows)
-    fourier.linear_shift_spectra(half[:1], sig, 1.0, om)
-    fourier.small_divisor_spectra(half[1:], om)
-    xi_n, xi_l = fourier.samples(half, rows)
+    fourier.linear_shift_spectra(half[:2], sig, 1.0, om)
+    fourier.small_divisor_spectra(half[2:], om)
+    xi_n0, xi_n1, xi_l0, xi_l1 = fourier.samples(half, rows)
     lx, ly = (c.values for c in ws.frame.l)
     nx, ny = (c.values for c in ws.frame.nvec)
-    const = -phase - float(np.mean(lx * xi_l + nx * xi_n))
-    xi_l = xi_l + const
+    xi_l0 = xi_l0 + (-phase - float(np.mean(lx * xi_l0 + nx * xi_n0)))
+    xi_l1 = xi_l1 - float(np.mean(lx * xi_l1 + nx * xi_n1))
     # keep the embedding in the retained band: outside it the filtered
     # composition exerts no feedback and the correction loop is unstable
-    d_eta, d_ky = _cut((lx * xi_l + nx * xi_n, ly * xi_l + ny * xi_n),
-                       memory)
-    return d_eta, d_ky, delta_mu
+    np.copyto(corr, fourier.transform(
+        np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
+                  lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
+        fourier.cut_spectra))
+    corr.setflags(write=False)
+    e0, y0, e1, y1 = corr
+    return (e0, y0, mu0), (e1, y1, mu1)
+
+
+def _correction(basis, delta_a: float):
+    """The step for this delta_a: samples of (d_eta_x, d_ky), delta_mu."""
+    (e0, y0, mu0), (e1, y1, mu1) = basis
+    return e0 + delta_a * e1, y0 + delta_a * y1, mu0 + delta_a * mu1
 
 
 def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
                eps_offset: float = 0.0):
-    """Frame stage at the point a fraction t along the correction."""
+    """Frame stage at the point a fraction t along the step for delta_a."""
     d_eta, d_ky, delta_mu = step
-    kc = TorusEmbedding(_fresh(ws.k.eta_x.values + t * d_eta.values),
-                        _fresh(ws.k.k_y.values + t * d_ky.values))
+    kc = TorusEmbedding(_fresh(ws.k.eta_x.values + t * d_eta),
+                        _fresh(ws.k.k_y.values + t * d_ky))
+    # a probe's step is freed before its frame stage allocates
+    del step, d_eta, d_ky
     return _frame_stage(problem, kc, ws.a + t * delta_a,
                         ws.mu + t * delta_mu, ws.eps + eps_offset)
-
-
-def _probe(problem: QpProblem, ws, delta_a: float):
-    """Full correction for this delta_a and the frame stage it leads to."""
-    step = _solve_linear(problem, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
-    return step, _candidate(problem, ws, step, delta_a, 1.0)
 
 
 def _close_twist(defect, closed: float):
@@ -386,20 +407,22 @@ def _close_twist(defect, closed: float):
     return -g0 / slope, None
 
 
-def steffensen_update(problem: QpProblem, ws: NewtonWorkspace):
+def steffensen_update(problem: QpProblem, ws: NewtonWorkspace, basis):
     """Root delta_a of g(delta_a) = b_a[after step] - b_a0.
 
     Derivative-free: probes at h = g(0), so the probe shrinks with the
     residual and the overall iteration stays quadratic.  A probe reads
-    only b_a, so it runs the frame stage alone.  Returns delta_a and,
-    when the twist is already closed (delta_a = 0), the zero probe as a
-    pair (step, frame stage): it is the full-step candidate, which the
-    caller completes instead of rebuilding.  Otherwise the pair is None.
+    only b_a, so it runs the frame stage alone, at the correction the
+    basis of _solve_linear gives for its delta_a.  Returns delta_a and,
+    when the twist is already closed (delta_a = 0), the zero probe's
+    frame stage: it is the full-step candidate, which the caller
+    completes instead of rebuilding.  Otherwise the probe is None.
     """
 
     def defect(delta_a: float):
-        step, cand = _probe(problem, ws, delta_a)
-        return cand.b_a - problem.b_a0, (step, cand)
+        cand = _candidate(problem, ws, _correction(basis, delta_a), delta_a,
+                          1.0)
+        return cand.b_a - problem.b_a0, cand
 
     return _close_twist(defect, 1e-14 * max(1.0, abs(problem.b_a0)))
 
@@ -416,7 +439,8 @@ def _diagnostics(ws: NewtonWorkspace) -> Diagnostics:
     )
 
 
-def newton_solve(problem: QpProblem, state: QpState) -> QpState:
+def newton_solve(problem: QpProblem, state: QpState,
+                 out: list | None = None) -> QpState:
     """Iterate to tolerance at fixed eps; raises DivergenceError if lost.
 
     The iteration has a structural floor: truncation error at the
@@ -427,6 +451,11 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
     phase and twist closed) is returned as a success with its true
     residual in the diagnostics; only floors above that window, fat
     tails, or genuine blow-ups raise.
+
+    When out is a list, the workspace of the returned state is appended
+    to it, for eps_derivative to read instead of rebuilding it.  The
+    caller drops it before its next solve: a workspace holds some thirty
+    fields of the grid.
     """
     # project the start onto the retained band; corrections stay there
     k = TorusEmbedding(*_cut((state.k.eta_x.values, state.k.k_y.values),
@@ -435,6 +464,8 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
     history: list[float] = [ws.err]
 
     def converged(ws: NewtonWorkspace, iterations: int) -> QpState:
+        if out is not None:
+            out.append(ws)
         return QpState(
             ws.k, ws.a, ws.mu, ws.eps,
             diagnostics=_diagnostics(ws),
@@ -469,8 +500,13 @@ def newton_solve(problem: QpProblem, state: QpState) -> QpState:
                 f"residual blew up to {ws.err:.3e} from {history[0]:.3e}",
                 residual=ws.err,
             )
-        delta_a, zero_probe = steffensen_update(problem, ws)
-        step, cand = zero_probe or _probe(problem, ws, delta_a)
+        basis = _solve_linear(problem, ws, ws.eta_l, ws.eta_n, ws.e_p)
+        delta_a, cand = steffensen_update(problem, ws, basis)
+        # the step holds two fields where the basis holds four
+        step = _correction(basis, delta_a)
+        del basis
+        if cand is None:
+            cand = _candidate(problem, ws, step, delta_a, 1.0)
         # damped acceptance: a fractional step restores descent when the
         # full-step iteration turns into a neutral oscillation, which
         # happens when near-resonant modes enter the retained band; the
@@ -520,19 +556,26 @@ class EpsDerivative:
 
 
 def eps_derivative(
-    problem: QpProblem, state: QpState, probe: float = 1e-6
+    problem: QpProblem, state: QpState, probe: float = 1e-6,
+    ws: NewtonWorkspace | None = None,
 ) -> EpsDerivative:
     """Differentiate the branch (K, a, mu)(eps) at a converged state.
 
     The linear solve mirrors the Newton step with D_eps F as the data and
-    zero phase drift.  The twist constraint d b_a / d eps = 0 fixes the
-    d_a component; its value is found from a finite-difference directional
+    zero phase drift, and is made once: its basis gives the direction
+    for every d_a.  The twist constraint d b_a / d eps = 0 fixes the d_a
+    component; its value is found from a finite-difference directional
     probe of b_a at distance `probe` along the candidate direction, made
-    affine-exact by the secant step of the Newton twist closure.  When
-    the twist rate is already closed the zero probe's direction is the
-    tangent.
+    affine-exact by the secant step of the Newton twist closure.
+
+    ws is the converged workspace of state, as newton_solve's out list
+    hands it over; without it the geometry of state is built here.
     """
-    ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
+    if ws is None:
+        ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
+    elif ws.k is not state.k or (ws.a, ws.mu, ws.eps) != (
+            state.a, state.mu, state.eps):
+        raise ValueError("workspace does not belong to this state")
     x = state.k.x_lift()
     y = state.k.k_y.values
     par = ParamPoint(state.a, state.mu, state.eps)
@@ -540,18 +583,16 @@ def eps_derivative(
                   fourier.field_memory(2, state.k.n))
     eta_l = _fresh(-_cross(ws.ny_s, ex, ws.nx_s, ey))
     eta_n = _fresh(_cross(ws.ly_s, ex, ws.lx_s, ey))
-
-    def direction(d_a: float):
-        return _solve_linear(problem, ws, eta_l, eta_n, d_a, 0.0)
+    basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)
 
     def twist_rate(d_a: float):
-        step = direction(d_a)
-        cand = _candidate(problem, ws, step, d_a, probe, eps_offset=probe)
-        return (cand.b_a - ws.b_a) / probe, step
+        cand = _candidate(problem, ws, _correction(basis, d_a), d_a, probe,
+                          eps_offset=probe)
+        return (cand.b_a - ws.b_a) / probe, None
 
-    d_a, step = _close_twist(twist_rate, 1e-9)
-    d_eta, d_ky, d_mu = step or direction(d_a)
-    return EpsDerivative(d_eta, d_ky, d_a, d_mu)
+    d_a, _ = _close_twist(twist_rate, 1e-9)
+    d_eta, d_ky, d_mu = _correction(basis, d_a)
+    return EpsDerivative(_fresh(d_eta), _fresh(d_ky), d_a, d_mu)
 
 
 def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
@@ -564,12 +605,13 @@ def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
     )
 
 
-def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
+def _grow_base(problem: QpProblem, state: QpState,
+               out: list) -> QpState | None:
     """Rebuild state on the next dyadic grid that converges cleanly.
 
     Levels that refuse the strict tolerance (a retained-band edge near a
     resonance) or blow up are skipped; None when no level up to n_max
-    takes.
+    takes.  out is passed to newton_solve.
     """
     # a level that can only offer a high residual floor would poison
     # every later predictor, so a rebuild is held near the strict
@@ -578,24 +620,28 @@ def _grow_base(problem: QpProblem, state: QpState) -> QpState | None:
     n2 = 2 * state.k.n
     while n2 <= problem.n_max:
         try:
-            return newton_solve(picky, replace(state, k=state.k.resample(n2)))
+            return newton_solve(picky, replace(state, k=state.k.resample(n2)),
+                                out)
         except NtCircleError:
             n2 *= 2
     return None
 
 
-def _adapt_modes(problem: QpProblem, state: QpState) -> tuple[QpState, bool]:
+def _adapt_modes(problem: QpProblem, state: QpState,
+                 out: list) -> tuple[QpState, bool]:
     """Grow the grid while the raw tail is fat; True if n_max binds.
 
     Each pass rebuilds the base on a finer level (_grow_base), so N at
     least doubles and the loop ends by n_max.  When no level takes, the
     state is valid as is, just under-resolved, and the caller retries on
-    later steps.
+    later steps.  out holds the workspace of state, if any; it is emptied
+    before each rebuild and holds the returned state's workspace, if any.
     """
     while state.diagnostics.tail > problem.tail_double:
         if 2 * state.k.n > problem.n_max:
             return state, True
-        grown = _grow_base(problem, state)
+        out.clear()
+        grown = _grow_base(problem, state, out)
         if grown is None:
             return state, False
         state = grown
@@ -618,16 +664,21 @@ def continue_in_eps(
     """
     if policy is None:
         policy = ContinuationPolicy()
+    # the workspace of the last accepted or rebuilt state, until the
+    # predictor has read it: no workspace outlives its predictor or is
+    # alive while another solve runs
+    out: list[NewtonWorkspace] = []
 
     def predictor(state: QpState) -> EpsDerivative | None:
+        ws = out.pop() if out else None
         try:
-            return eps_derivative(problem, state, policy.probe)
+            return eps_derivative(problem, state, policy.probe, ws)
         except NtCircleError:
             return None   # zero-order continuation still works
 
     t0 = time.perf_counter() if policy.timing else 0.0
-    state = newton_solve(problem, state)
-    state, nmax_hit = _adapt_modes(problem, state)
+    state = newton_solve(problem, state, out)
+    state, nmax_hit = _adapt_modes(problem, state, out)
     wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
     records = [_record(state, wall)]
     if nmax_hit:
@@ -661,7 +712,7 @@ def continue_in_eps(
                     state.eps + d,
                 )
             try:
-                new = newton_solve(problem, pred)
+                new = newton_solve(problem, pred, out)
                 # a step that settled on a high floor over a thin tail:
                 # this dyadic level recycles band-edge error, and the
                 # degraded state would poison later predictors
@@ -682,7 +733,8 @@ def continue_in_eps(
                 )
             if regrid and grows < 3:
                 # redo the step from a base rebuilt on a finer grid
-                grown = _grow_base(problem, state)
+                out.clear()
+                grown = _grow_base(problem, state, out)
                 if grown is not None:
                     grows += 1
                     state = grown
@@ -695,7 +747,7 @@ def continue_in_eps(
                     reason = "step-floor"
                     break
                 continue
-            new, nmax_hit = _adapt_modes(problem, new)
+            new, nmax_hit = _adapt_modes(problem, new, out)
             wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
             state = new
             records.append(_record(state, wall))

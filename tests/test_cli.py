@@ -349,6 +349,45 @@ class TestVerifyCommand:
         assert rc == 0
         assert "OK (0 failing checks)" in out
         assert "FAIL " not in out
+        assert "PASS  circle symmetry K = S K(.+1/2)" in out
+        assert "mirror circle" not in out
+
+    @pytest.mark.parametrize("b_a0", ["0.1", "-0.15"])
+    def test_twisted_symmetric_circle_checked_against_its_mirror(
+            self, tmp_path, capsys, b_a0):
+        # S maps the circle at b_a0 onto the one at -b_a0, not onto itself
+        cfg = write_cfg(tmp_path, BASE_CFG + f"b_a0 = {b_a0}\n"
+                        "eps_target = 0.5\n")
+        rc = cli.main(["verify", "--config", cfg])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "FAIL " not in out
+        assert "PASS  mirror circle K_{-b} = S K_b(.+1/2)" in out
+        assert "circle symmetry" not in out
+
+
+def pyproject_text(pkg_root):
+    path = os.path.join(pkg_root, os.pardir, "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        return fh.read()
+
+
+def script_target(text, name):
+    """The [project.scripts] target of `name` in pyproject.toml's text.
+
+    A scan of the table's `key = "value"` lines, all that table holds, so
+    it runs on Python 3.10 too, which has no tomllib.
+    """
+    table = None
+    for line in text.splitlines():
+        line = line.strip()
+        if line.startswith("["):
+            table = line.strip("[]").strip()
+        elif table == "project.scripts" and "=" in line:
+            key, _, value = line.partition("=")
+            if key.strip().strip('"') == name:
+                return ast.literal_eval(value.strip())
+    raise KeyError(f"no [project.scripts] entry {name!r}")
 
 
 def console_script(name):
@@ -362,12 +401,8 @@ def console_script(name):
     exe = shutil.which(name)
     if exe is not None:
         return [exe], None
-    import tomllib
-
     pkg_root = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    with open(os.path.join(pkg_root, os.pardir, "pyproject.toml"), "rb") as fh:
-        target = tomllib.load(fh)["project"]["scripts"][name]
-    module, func = target.split(":")
+    module, func = script_target(pyproject_text(pkg_root), name).split(":")
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (pkg_root, env.get("PYTHONPATH")) if p)
@@ -376,6 +411,18 @@ def console_script(name):
 
 
 class TestConsoleScript:
+    def test_script_target_reads_like_tomllib(self):
+        tomllib = pytest.importorskip("tomllib")     # Python 3.11+
+        pkg_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(cli.__file__)))
+        text = pyproject_text(pkg_root)
+        scripts = tomllib.loads(text)["project"]["scripts"]
+        assert scripts
+        for name, target in scripts.items():
+            assert script_target(text, name) == target
+        with pytest.raises(KeyError):
+            script_target(text, "no-such-script")
+
     def test_installed_entry_point(self, tmp_path):
         table = str(tmp_path / "alpha_in.csv")
         eps = 1.0 + 0.05 * np.arange(8)

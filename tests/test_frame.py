@@ -293,3 +293,29 @@ class TestConvergedCircleFrame:
         assert d.reducibility_error <= 1e-9
         assert d.min_angle > 0.1
         assert abs(d.twist_mu - 1.0) < 0.2
+
+
+class TestHalfShiftDeviation:
+    @staticmethod
+    def embedding(n=64):
+        th = np.arange(n) / n
+        return TorusEmbedding(
+            PeriodicScalar(0.01 * np.sin(TWO_PI * th)
+                           + 0.003 * np.cos(2 * TWO_PI * th)),
+            PeriodicScalar(0.02 * np.cos(TWO_PI * th) + 0.004
+                           + 0.001 * np.sin(3 * TWO_PI * th)),
+        )
+
+    def test_mirror_image(self):
+        # the image S K(. + 1/2), S(x, y) = (x - 1/2, -y), is at distance
+        # 0 from K; K itself is not, having even modes and a mean in y
+        k = self.embedding()
+        half = k.k_y.n // 2
+        image = TorusEmbedding(
+            PeriodicScalar(np.roll(k.eta_x.values, -half)),
+            PeriodicScalar(-np.roll(k.k_y.values, -half)),
+        )
+        assert frame.half_shift_deviation(k, image) <= 1e-15
+        assert frame.half_shift_deviation(image, k) <= 1e-15
+        assert frame.half_shift_deviation(k) >= 0.006
+        assert frame.half_shift_deviation(k, k) == frame.half_shift_deviation(k)

@@ -1,6 +1,7 @@
 """Quasi-periodic solver: closed forms, Newton behavior, continuation."""
 
 import dataclasses
+import gc
 import math
 from dataclasses import replace
 
@@ -45,6 +46,42 @@ def sym_problem(**kw):
 def nonsym_problem(**kw):
     fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
     return QpProblem(fam, omega=OMEGA, **kw)
+
+
+def operator_solve(prob, ws, eta_l, eta_n, delta_a, phase):
+    """The linear solve at one delta_a, in operator form, field by field."""
+    om = prob.omega
+    delta_mu = (fourier.average(eta_l) - ws.b_a * delta_a) / ws.b_mu
+    xi_n = solve_contractive(
+        eta_n - ws.bna * delta_a - ws.bnm * delta_mu, SIGMA, om)
+    xi_l, _ = solve_small_divisor(
+        eta_l - ws.bla * delta_a - ws.blm * delta_mu, om)
+    (lx, ly), (nx, ny) = ws.frame.l, ws.frame.nvec
+    xi_l = xi_l + (-phase - fourier.average(lx * xi_l + nx * xi_n))
+    return (fourier.dealias(lx * xi_l + nx * xi_n),
+            fourier.dealias(ly * xi_l + ny * xi_n), delta_mu)
+
+
+# the basis of _solve_linear, combined at delta_a, against operator_solve:
+# the combination reorders the rounding, so away from delta_a = 0 the two
+# agree within AFFINE_TOL * max(1, sup) (measured: under 3e-16)
+AFFINE_TOL = 1e-14
+
+
+def assert_affine_matches(prob, ws, basis, eta_l, eta_n, phase, delta_a):
+    d_eta, d_ky, d_mu = solver_qp._correction(basis, delta_a)
+    want_eta, want_ky, want_mu = operator_solve(prob, ws, eta_l, eta_n,
+                                                delta_a, phase)
+    if delta_a == 0.0:
+        # the delta_a = 0 rows are the operator form's, bit for bit
+        assert d_mu == want_mu
+        assert d_eta.tobytes() == want_eta.values.tobytes()
+        assert d_ky.tobytes() == want_ky.values.tobytes()
+        return
+    assert abs(d_mu - want_mu) <= AFFINE_TOL * max(1.0, abs(want_mu))
+    for got, want in ((d_eta, want_eta), (d_ky, want_ky)):
+        assert np.max(np.abs(got - want.values)) <= (
+            AFFINE_TOL * max(1.0, want.sup()))
 
 
 class TestIntegrableClosedForm:
@@ -135,8 +172,9 @@ class TestIterationCost:
     # embedding); linear solve = 2 (both cohomological equations) + 2
     # (the cut of both corrections)
     FRAME, COMPLETE, SOLVE = 8, 2, 4
-    # two probes, then the step and its full candidate: 38 FFTs
-    PER_ITERATION = 2 * (SOLVE + FRAME) + SOLVE + FRAME + COMPLETE
+    # one solve, affine in delta_a, serves the two probes and the step:
+    # three frame stages and the full candidate's completion, 30 FFTs
+    PER_ITERATION = SOLVE + 3 * FRAME + COMPLETE
     # start projection and start geometry; the reducibility diagnostic
     # reads the shifted frame columns the workspace holds
     PER_SOLVE = 2 + FRAME + COMPLETE
@@ -146,10 +184,11 @@ class TestIterationCost:
     # DF and D_a F entries) + 1 (the copy of the J_11 view) + 1 (D_a F_y)
     # + 1 (gram) + 1 (vartheta) + 2 (frame normal) + 2 (shifted normal)
     # + 1 (b_la), with N0 and t0 kept as samples; completion = 2 (D_mu F)
-    # + 2 (shifted tangent) + 7 (b-fields, E, eta); linear solve = 2
-    # (corrections); candidate embedding = 2
-    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 15, 11, 2, 2
-    WRAPS_PER_ITERATION = (3 * (WRAP_SOLVE + WRAP_CAND + WRAP_FRAME)
+    # + 2 (shifted tangent) + 7 (b-fields, E, eta); linear solve = 0 (the
+    # corrections at delta_a = 0 and their rates stay samples, checked
+    # once by their block); candidate embedding = 2
+    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 15, 11, 0, 2
+    WRAPS_PER_ITERATION = (WRAP_SOLVE + 3 * (WRAP_CAND + WRAP_FRAME)
                            + WRAP_COMPLETE)
     # start projection and start geometry; the reducibility residual
     # checks its columns without wrapping them
@@ -286,25 +325,22 @@ class TestIterationCost:
         for name, want in expected.items():
             assert same(getattr(ws, name), want), name
 
-        delta_a = 0.003
-        d_eta, d_ky, d_mu = solver_qp._solve_linear(
-            prob, ws, ws.eta_l, ws.eta_n, delta_a, ws.e_p)
-        delta_mu = (fourier.average(ws.eta_l) - ws.b_a * delta_a) / ws.b_mu
-        xi_n = solve_contractive(
-            ws.eta_n - ws.bna * delta_a - ws.bnm * delta_mu, SIGMA, om)
-        xi_l, _ = solve_small_divisor(
-            ws.eta_l - ws.bla * delta_a - ws.blm * delta_mu, om)
-        (lx, ly), (nx, ny) = ws.frame.l, ws.frame.nvec
-        xi_l = xi_l + (-ws.e_p - fourier.average(lx * xi_l + nx * xi_n))
-        assert d_mu == delta_mu
-        assert same(d_eta, fourier.dealias(lx * xi_l + nx * xi_n))
-        assert same(d_ky, fourier.dealias(ly * xi_l + ny * xi_n))
+        # one solve gives the correction for every delta_a
+        basis = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
+                                        ws.e_p)
+        for delta_a in (0.0, 0.003, -0.05, 0.7):
+            assert_affine_matches(prob, ws, basis, ws.eta_l, ws.eta_n,
+                                  ws.e_p, delta_a)
 
-        t = 0.5
-        cand = solver_qp._candidate(prob, ws, (d_eta, d_ky, d_mu),
-                                    delta_a, t)
-        assert same(cand.k.eta_x, k.eta_x + t * d_eta)
-        assert same(cand.k.k_y, k.k_y + t * d_ky)
+        t, delta_a = 0.5, 0.003
+        (e0, y0, mu0), (e1, y1, mu1) = basis
+        assert not any(r.flags.writeable for r in (e0, y0, e1, y1))
+        cand = solver_qp._candidate(
+            prob, ws, solver_qp._correction(basis, delta_a), delta_a, t)
+        assert same(cand.k.eta_x, k.eta_x + t * (e0 + delta_a * e1))
+        assert same(cand.k.k_y, k.k_y + t * (y0 + delta_a * y1))
+        assert cand.a == ws.a + t * delta_a
+        assert cand.mu == ws.mu + t * (mu0 + delta_a * mu1)
 
     def test_derivative_block_equals_single_fields(self):
         # the tangent derivatives and the cut DF and D_a F entries of
@@ -398,19 +434,50 @@ class TestContinuation:
     def test_grid_stays_when_no_level_converges(self, monkeypatch):
         prob = sym_problem(n_max=512)
         start = QpState.flat_start(64, OMEGA)
-        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        out = []
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5),
+                             out)
         # a tail above tail_double asks for a finer grid
         prob = replace(prob, tail_double=0.5 * state.diagnostics.tail)
         levels = []
 
-        def refuse(problem, st):
-            levels.append(st.k.n)
+        def refuse(problem, st, out=None):
+            levels.append((st.k.n, out))
             raise DivergenceError("injected", residual=1.0)
 
         monkeypatch.setattr(solver_qp, "newton_solve", refuse)
-        adapted, capped = solver_qp._adapt_modes(prob, state)
+        adapted, capped = solver_qp._adapt_modes(prob, state, out)
         assert adapted is state and not capped
-        assert levels == [128, 256, 512]
+        assert levels == [(128, out), (256, out), (512, out)]
+        # the state's workspace went before the first rebuild
+        assert out == []
+
+    def test_no_workspace_outlives_its_predictor(self, monkeypatch):
+        # the predictor reads the converged workspace; none may be alive
+        # when a later solve starts (it would hold some thirty fields of
+        # the grid through every regrid).  Both regrid paths run: the
+        # tail-driven rebuilds of _adapt_modes, and one step whose
+        # accepted floor is made to look suspect
+        prob = nonsym_problem()
+        solve = solver_qp.newton_solve
+        alive, grids = [], []
+
+        def counted(problem, st, out=None):
+            alive.append(sum(isinstance(o, solver_qp.NewtonWorkspace)
+                             for o in gc.get_objects()))
+            grids.append(st.k.n)
+            new = solve(problem, st, out)
+            if len(alive) == 4:
+                new = replace(new, diagnostics=replace(
+                    new.diagnostics, invariance_error=1.0))
+            return new
+
+        gc.collect()
+        monkeypatch.setattr(solver_qp, "newton_solve", counted)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
+        assert res.reason == "target" and res.state.k.n == 512
+        assert grids[4] == 2 * grids[3]     # the suspect step regridded
+        assert len(alive) > 10 and alive == [0] * len(alive)
 
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
@@ -457,7 +524,7 @@ class TestEpsDerivative:
 
     @staticmethod
     def own_closure(prob, state, probe):
-        """The eps-derivative as it was before it shared the Newton closure."""
+        """The eps-derivative with a fresh operator-form solve per d_a."""
         ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
         par = ParamPoint(state.a, state.mu, state.eps)
         dex, dey = prob.family.d_eps(state.k.x_lift(), state.k.k_y.values, par)
@@ -467,7 +534,7 @@ class TestEpsDerivative:
         eta_n = ws.ly_s * ex - ws.lx_s * ey
 
         def direction(d_a):
-            return solver_qp._solve_linear(prob, ws, eta_l, eta_n, d_a, 0.0)
+            return operator_solve(prob, ws, eta_l, eta_n, d_a, 0.0)
 
         def twist_rate(d_a):
             d_eta, d_ky, d_mu = direction(d_a)
@@ -483,31 +550,77 @@ class TestEpsDerivative:
         if abs(g0) >= 1e-9:
             h = g0
             d_a = -g0 / ((twist_rate(h) - g0) / h)
-        return direction(d_a), d_a
+        return direction(d_a), d_a, (ws, eta_l, eta_n)
 
-    @pytest.mark.parametrize("variant, solves", [("symmetric", 1),
-                                                 ("nonsymmetric", 3)])
-    def test_shared_twist_closure(self, monkeypatch, variant, solves):
-        # the symmetric twist rate is closed, so the zero probe's direction
-        # is the tangent; otherwise a secant probe and the final solve
+    @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
+    def test_shared_twist_closure(self, monkeypatch, variant):
+        # one solve serves the zero probe, the secant probe (when the
+        # twist rate is open) and the tangent; the symmetric twist rate
+        # is closed and d_a = 0
         prob = QpProblem(StandardNonTwistMap(SIGMA, variant), omega=OMEGA)
         start = QpState.flat_start(128, OMEGA)
         base = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
-        calls = []
+        bases = []
         solve = solver_qp._solve_linear
 
         def counted(*args):
-            calls.append(args[4])
-            return solve(*args)
+            bases.append(solve(*args))
+            return bases[-1]
 
         monkeypatch.setattr(solver_qp, "_solve_linear", counted)
         der = eps_derivative(prob, base, 1e-6)
-        assert len(calls) == solves
-        assert calls[0] == 0.0 and calls[-1] == der.d_a
-        (d_eta, d_ky, d_mu), d_a = self.own_closure(prob, base, 1e-6)
-        assert der.d_a == d_a and der.d_mu == d_mu
-        assert np.array_equal(der.d_eta_x.values, d_eta.values)
-        assert np.array_equal(der.d_ky.values, d_ky.values)
+        assert len(bases) == 1
+        (d_eta, d_ky, d_mu), d_a, (ws, eta_l, eta_n) = self.own_closure(
+            prob, base, 1e-6)
+        for delta_a in (0.0, 1e-3, -0.1, der.d_a):
+            assert_affine_matches(prob, ws, bases[0], eta_l, eta_n, 0.0,
+                                  delta_a)
+        got_eta, got_ky, got_mu = solver_qp._correction(bases[0], der.d_a)
+        assert der.d_mu == got_mu
+        assert der.d_eta_x.values.tobytes() == got_eta.tobytes()
+        assert der.d_ky.values.tobytes() == got_ky.tobytes()
+        assert (der.d_a == 0.0) == (variant == "symmetric")
+        # the secant reads b_a differences over the 1e-6 probe, which
+        # scales the rounding of the directions by 1/probe
+        assert abs(der.d_a - d_a) <= 1e-9 * max(1.0, abs(d_a))
+        assert abs(der.d_mu - d_mu) <= 1e-9
+        assert np.max(np.abs(der.d_eta_x.values - d_eta.values)) <= 1e-9
+        assert np.max(np.abs(der.d_ky.values - d_ky.values)) <= 1e-9
+
+    def test_converged_workspace_is_the_geometry(self, monkeypatch):
+        # the workspace newton_solve hands out is the geometry that
+        # eps_derivative would build: bitwise the same tangent, no rebuild
+        prob = nonsym_problem(b_a0=0.1)
+        start = QpState.flat_start(128, OMEGA, 0.1)
+        out = []
+        base = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5),
+                            out)
+        (ws,) = out
+        fresh = eps_derivative(prob, base, 1e-6)
+        calls = []
+        for name in ("_geometry", "_complete"):
+            fn = getattr(solver_qp, name)
+            monkeypatch.setattr(solver_qp, name,
+                                lambda *a, fn=fn, name=name:
+                                calls.append(name) or fn(*a))
+        der = eps_derivative(prob, base, 1e-6, ws)
+        assert calls == []
+        assert der.d_a == fresh.d_a != 0.0 and der.d_mu == fresh.d_mu
+        assert der.d_eta_x.values.tobytes() == fresh.d_eta_x.values.tobytes()
+        assert der.d_ky.values.tobytes() == fresh.d_ky.values.tobytes()
+
+    def test_foreign_workspace_rejected(self):
+        prob = sym_problem()
+        start = QpState.flat_start(64, OMEGA)
+        out = []
+        base = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.3),
+                            out)
+        other = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
+        with pytest.raises(ValueError):
+            eps_derivative(prob, other, 1e-6, out[0])
+        with pytest.raises(ValueError):
+            eps_derivative(prob, replace(base, mu=base.mu + 1e-9), 1e-6,
+                           out[0])
 
 
 class TestBreakdownFit:
