@@ -47,7 +47,6 @@ from .fourier import (
     shift,
     solve_contractive,
     solve_small_divisor,
-    tail_fraction,
 )
 from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
 from .frame import (
@@ -86,7 +85,6 @@ from .solver_general import (
     SweepRecord,
     ambient_rotation_number,
     induced_internal_map,
-    interp,
     invert_map,
     lock_fraction,
     newton_solve_general,
@@ -141,7 +139,6 @@ __all__ = [
     "grid",
     "half_shift_deviation",
     "induced_internal_map",
-    "interp",
     "invert_map",
     "lock_fraction",
     "min_angle",
@@ -155,7 +152,6 @@ __all__ = [
     "solve_contractive",
     "solve_small_divisor",
     "sweep_parameter",
-    "tail_fraction",
     "tangent",
     "torsion0",
     "twist_surface",

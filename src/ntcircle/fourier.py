@@ -26,15 +26,19 @@ operators applies each to its own rows between spectra() and samples().
 The single-field functions below (shift, derivative, dealias, the
 solvers) are the m = 1 calls of the same multipliers, and the solvers
 put every group of fields that is ready at the same time through one
-block, so a transform pair is paid per group, not per field.  Each
-multiplier keeps the operation order of the single-field form (divide
-by N, multiply, multiply by N), and numpy transforms the rows of a block
-bit for bit as it transforms each row alone, so a block changes no bit
-of any field.
+block, so a transform pair is paid per group, not per field.  numpy
+transforms the rows of a block bit for bit as it transforms each row
+alone, so a block changes no bit of any field.  A multiplier acts on
+the unnormalized spectra as they come: N is a power of two, so dividing
+every bin by N before the multiplier and multiplying by N after would
+only move exponents.  Leaving both passes out changes no bin beyond the
+sign of a zero part (complex passes by N + 0j reset it), barring a
+quotient by N that would have been subnormal.
 
 Work that never changes is done once.  The phase vectors e(k*delta) of
-shift come from one bounded cache keyed on (n, delta), read-only like
-the grids, and each (n, omega) has its small divisors checked once; a
+shift come from one bounded cache keyed on (n, delta), and the
+derivative multipliers 2 pi i k from one keyed on n, read-only like the
+grids, and each (n, omega) has its small divisors checked once; a
 degenerate divisor is reported before a block is changed.  dealias
 returns a constant field as it is, and tails gauges the raw tails of a
 block's rows from the spectra the cut then filters, with mode weights
@@ -98,6 +102,14 @@ def _phases(n: int, delta: float) -> np.ndarray:
     ph = np.exp(2j * np.pi * _wavenumbers(n) * delta)
     ph.setflags(write=False)
     return ph
+
+
+@lru_cache(maxsize=64)
+def _derivative_multiplier(n: int) -> np.ndarray:
+    """2 pi i k for k = 0 .. n/2, read-only."""
+    m = 2j * np.pi * _wavenumbers(n)
+    m.setflags(write=False)
+    return m
 
 
 class PeriodicScalar:
@@ -257,22 +269,17 @@ def _field(v: np.ndarray, op, *args) -> PeriodicScalar:
 def shift_spectra(half: np.ndarray, delta: float) -> None:
     """Shift by delta, in place: the spectra of theta -> u(theta + delta)."""
     n = _size(half)
-    half /= n
     # the Nyquist pair collapses to a cos mode; on the nodes a shift
     # scales it by cos(pi*n*delta) and keeps it real
     top = half[..., -1].real * np.cos(np.pi * n * delta)
     half *= _phases(n, delta)
     half[..., -1] = top
-    half *= n
 
 
 def derivative_spectra(half: np.ndarray) -> None:
     """Spectral d/dtheta, in place; the Nyquist bin is annihilated."""
-    n = _size(half)
-    half /= n
-    half *= 2j * np.pi * _wavenumbers(n)
+    half *= _derivative_multiplier(_size(half))
     half[..., -1] = 0.0
-    half *= n
 
 
 def cut_spectra(half: np.ndarray, n: int | None = None) -> None:
@@ -297,11 +304,9 @@ def linear_shift_spectra(half: np.ndarray, lam: float, rho: float,
     nyq = lam - rho * np.cos(np.pi * n * omega)
     if abs(nyq) < _DIVISOR_FLOOR:
         raise SmallDivisorError(n // 2, abs(nyq))
-    half /= n
     top = half[..., -1].real / nyq
     half /= lam - rho * _phases(n, omega)
     half[..., -1] = top
-    half *= n
 
 
 @lru_cache(maxsize=32)
@@ -330,13 +335,11 @@ def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
     """
     n = _size(half)
     _check_small_divisors(n, omega)
-    half /= n
-    mean = half[..., 0].real.copy()
+    mean = half[..., 0].real / n
     top = half[..., -1].real / (1.0 - np.cos(np.pi * n * omega))
     half[..., 1:-1] /= (1.0 - _phases(n, omega))[1:-1]
     half[..., 0] = 0.0
     half[..., -1] = top
-    half *= n
     return mean
 
 
@@ -351,7 +354,12 @@ def _mass_weights(n: int) -> np.ndarray:
 
 
 def tails(half: np.ndarray, band: float) -> list[float]:
-    """tail_fraction of each row, from unnormalized half-spectra rows."""
+    """l1 mass fraction of the modes with |k| > (1 - band)*(n/2), per row.
+
+    Takes unnormalized half-spectra rows.  Gauges how close each row is
+    to spectral exhaustion: 0 for well-resolved data, approaching 1 when
+    the tail carries everything.
+    """
     _check_band(band)
     n = _size(half)
     mass = _mass_weights(n) * (np.abs(half) / n)
@@ -407,15 +415,6 @@ def solve_small_divisor(
 def _check_band(band: float) -> None:
     if not 0.0 < band < 1.0:
         raise ValueError(f"band must lie in (0, 1), got {band}")
-
-
-def tail_fraction(u: PeriodicScalar, band: float) -> float:
-    """l1 mass fraction of the modes with |k| > (1 - band)*(n/2).
-
-    Gauges how close the representation is to spectral exhaustion; 0 for
-    well-resolved data, approaching 1 when the tail carries everything.
-    """
-    return tails(spectra(u.values[None]), band)[0]
 
 
 def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:

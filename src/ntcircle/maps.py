@@ -11,7 +11,10 @@ and the quadratic x-advance makes the frequency map fold: the twist
 condition fails on the curve sigma*y + eps*p(x) = a.
 
 All evaluations are vectorized: points may be passed as a pair of floats
-or as a (2, m) array of m points.
+or as a (2, m) array of m points.  Every formula of the family reads the
+forcing p(x) and q = sigma*y + eps*p(x) - a; an Evaluation holds the two
+at a batch of points, so callers that need several formulas at the same
+points evaluate the forcing once.
 """
 
 from __future__ import annotations
@@ -59,12 +62,50 @@ class Forcing:
         return np.cos(TWO_PI * x) - 2.0 * np.sin(2.0 * TWO_PI * x)
 
 
+class Evaluation:
+    """The family at a batch of points x, y and a parameter point.
+
+    Holds x, the parameter point, p(x) and the folded frequency variable
+    q = sigma*y + eps*p(x) - a.  The lift, the Jacobian, D_a F and D_eps F
+    are formulas in these; the Jacobian evaluates p'(x).
+    """
+
+    __slots__ = ("family", "x", "par", "px", "q")
+
+    def __init__(self, family: "StandardNonTwistMap", x, y, par: ParamPoint):
+        self.family, self.x, self.par = family, x, par
+        self.px = family.forcing(x)
+        self.q = family.sigma * y + par.eps * self.px - par.a
+
+    def lift(self):
+        q = self.q
+        return self.x + q * q + self.par.mu, q + self.par.a
+
+    def jacobian(self):
+        q, sigma = self.q, self.family.sigma
+        pd = self.par.eps * self.family.forcing.deriv(self.x)
+        j = np.empty((2, 2) + np.shape(q))
+        j[0, 0] = 1.0 + 2.0 * q * pd
+        j[0, 1] = 2.0 * q * sigma
+        j[1, 0] = pd
+        j[1, 1] = sigma
+        return j
+
+    def d_a(self):
+        return -2.0 * self.q, np.zeros_like(self.q)
+
+    def d_eps(self):
+        return 2.0 * self.q * self.px, self.px
+
+
 class StandardNonTwistMap:
     """The dissipative standard non-twist family defined above.
 
     Provides the lifted map, its phase-space Jacobian and the three
     parameter derivatives, all vectorized over point batches; sigma is
-    the constant conformal factor (Jacobian determinant).
+    the constant conformal factor (Jacobian determinant).  Each method
+    evaluates the forcing afresh; evaluate() is the one evaluation they
+    all read.
     """
 
     def __init__(self, sigma: float, forcing: Forcing | str = Forcing.SYMMETRIC):
@@ -75,40 +116,28 @@ class StandardNonTwistMap:
         self.sigma = float(sigma)
         self.forcing = forcing
 
-    def _momentum(self, x, y, p: ParamPoint):
-        # q = sigma*y + eps*p(x) - a, the folded frequency variable
-        return self.sigma * y + p.eps * self.forcing(x) - p.a
+    def evaluate(self, x, y, p: ParamPoint) -> Evaluation:
+        return Evaluation(self, x, y, p)
 
     def eval_lift(self, x, y, p: ParamPoint):
-        q = self._momentum(x, y, p)
-        return x + q * q + p.mu, q + p.a
+        return self.evaluate(x, y, p).lift()
 
     def eval(self, x, y, p: ParamPoint):
         xl, yn = self.eval_lift(x, y, p)
         return np.mod(xl, 1.0), yn
 
     def jacobian(self, x, y, p: ParamPoint):
-        q = self._momentum(x, y, p)
-        pd = p.eps * self.forcing.deriv(x)
-        j = np.empty((2, 2) + np.shape(q))
-        j[0, 0] = 1.0 + 2.0 * q * pd
-        j[0, 1] = 2.0 * q * self.sigma
-        j[1, 0] = pd
-        j[1, 1] = self.sigma
-        return j
+        return self.evaluate(x, y, p).jacobian()
 
     def d_a(self, x, y, p: ParamPoint):
-        q = self._momentum(x, y, p)
-        return -2.0 * q, np.zeros_like(q)
+        return self.evaluate(x, y, p).d_a()
 
     def d_mu(self, x, y, p: ParamPoint):
         shape = np.shape(np.asarray(x, dtype=float))
         return np.ones(shape), np.zeros(shape)
 
     def d_eps(self, x, y, p: ParamPoint):
-        q = self._momentum(x, y, p)
-        px = self.forcing(x)
-        return 2.0 * q * px, px
+        return self.evaluate(x, y, p).d_eps()
 
 
 def check_symmetry(

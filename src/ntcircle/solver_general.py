@@ -120,9 +120,6 @@ class InternalMap:
     def rotation(cls, n: int, omega: float, order: int = 4) -> "InternalMap":
         return cls(np.full(n, omega), order)
 
-    def __call__(self, theta):
-        return np.asarray(theta) + interp(self.g, theta, self.order)
-
 
 # order -> (offsets, coefficients) of the central first-derivative stencil
 _DERIV_STENCILS = {
@@ -175,15 +172,6 @@ def interp_stencil(n: int, theta, order: int):
 
 def interp_apply(values: np.ndarray, idx, w) -> np.ndarray:
     return np.sum(values[idx] * w, axis=0)
-
-
-def interp(values: np.ndarray, theta, order: int) -> np.ndarray:
-    """Local Lagrange interpolation of grid samples at points theta."""
-    values = np.asarray(values, dtype=float)
-    scalar = np.isscalar(theta) or np.ndim(theta) == 0
-    idx, w = interp_stencil(values.size, np.atleast_1d(theta), order)
-    out = interp_apply(values, idx, w)
-    return float(out[0]) if scalar else out
 
 
 def _lift_newton(h, dh, order, target, y, tol, max_iter, failure):
@@ -423,8 +411,9 @@ def _cell_polynomials(values: np.ndarray, order: int) -> np.ndarray:
     """Per-cell monomial coefficients of the Lagrange interpolant, times n.
 
     Row i, highest degree first, is the polynomial c(s) with
-    c(s) = n * interp(values, (i + s) / n, order) for s in [0, 1): the
-    stencil of interp_stencil written out in powers of s.  Row n repeats
+    c(s) = n * interp_apply(values, *interp_stencil(n, (i + s) / n, order))
+    for s in [0, 1): the stencil of interp_stencil written out in powers
+    of s.  Row n repeats
     row 0, for a grid coordinate that rounds up to n.
     """
     n = values.size

@@ -25,31 +25,37 @@ invariance residual is measured on the filtered system; spectral
 exhaustion is monitored on the raw compositions and drives the dyadic
 mode adaptation during continuation.
 
-The linearization at a point is built in two stages.  The frame stage
-takes the Jacobian and D_a F along the circle, the tangent, N0, the
-torsion, vartheta, the frame, the shifted normal and the twist b_a, in
-four blocks: the tangent with the cut of DF and D_a F, the shifted N0,
-vartheta, the shifted normal; N0, the torsion and N come from the sample
-kernels of frame that the grid solver uses too.  Completion adds the
-composition itself with its raw tail, D_mu F, the shifted tangent, the
-drift twist b_mu, the residual E and its frame projections, in one
-block: the cut composition with the shifted tangent and embedding.
+A point of the iteration is built in stages, each run only when
+something reads it.  The map is evaluated along the circle once per
+point (maps.Evaluation: the forcing p(x) and q = sigma*y + eps*p(x) - a),
+and the composition, DF, D_a F and D_eps F are all read from it.  The
+residual stage takes the invariance residual E with the raw tail of the
+composition, in one block: the cut composition with the shifted
+embedding.  The frame stage takes DF and D_a F along the circle, the
+tangent, N0, the torsion, vartheta, the frame, the shifted normal and
+the twist b_a, in four blocks: the tangent with the cut of DF and
+D_a F, the shifted N0, vartheta, the shifted normal; N0, the torsion and
+N come from the sample kernels of frame that the grid solver uses too.
+The shifted tangent rides in the last block of whichever of the two
+stages runs second.  Completion adds D_mu F, the drift twist b_mu and
+the frame projections of E, with no transform.
 
 The correction is affine in the twist unknown delta_a, so a Newton
 iteration solves its linearization once: _solve_linear returns the
 correction at delta_a = 0 and its rate per unit delta_a, in two blocks
 of four rows (both cohomological equations for both, then the cut of
 both corrections), and the Steffensen probes, the step and its damped
-fractions all combine that basis on samples.  A full geometry is
-completion applied to the frame stage, 8 + 2 FFTs, and a Newton
-iteration with the twist open costs 30: one solve, three frame stages
-(two probes and the step) and one completion.  The probes read only
+fractions all combine that basis on samples.  The probes read only
 b_a, and the export of N only the frame, so they run the frame stage
-alone, with no map evaluation.  When the twist is already closed the
-zero probe is the full-step candidate, and the iteration completes it
-instead of building it again.  The eps-derivative makes one solve too,
-and reads the workspace of the solve that converged its state instead
-of building the geometry again.
+alone.  A step or a damped fraction of it is judged on its residual
+alone, 2 FFTs, and only the point that is kept runs the frame stage
+and completion: a full geometry is 2 + 8 FFTs, and a Newton iteration
+with the twist open costs 30, one solve, three frame stages (two probes
+and the kept point) and one residual.  When the twist is already closed
+the zero probe is the full-step candidate, and the iteration takes its
+residual instead of building it again.  The eps-derivative makes one
+solve too, and reads D_eps F and the frame from the workspace of the
+solve that converged its state instead of building the geometry again.
 """
 
 from __future__ import annotations
@@ -168,13 +174,16 @@ class NewtonWorkspace:
 
     E is the dealiased invariance residual, (eta_l, eta_n) its projection
     -P(theta+omega)^{-1} E on the frame, and the b-fields the matching
-    projections of the parameter directions D_a F and D_mu F.  The frame
-    stage fills k, a, mu, eps, frame, dfk, d_a, alpha, nx_s, ny_s, bla,
-    b_a and e_b; completion fills the rest.
+    projections of the parameter directions D_a F and D_mu F.  A point
+    is filled in stages: _point sets k, a, mu, eps and ev, the map
+    evaluated along K; the residual stage sets ex, ey, err, e_p and
+    tail; the frame stage frame, dfk, d_a, alpha, nx_s, ny_s, bla, b_a
+    and e_b; the shifted tangent lx_s, ly_s comes with whichever of
+    those two runs second; completion fills the rest.
     """
 
     __slots__ = (
-        "k", "a", "mu", "eps", "frame", "dfk", "d_a", "d_mu",
+        "k", "a", "mu", "eps", "ev", "frame", "dfk", "d_a", "d_mu",
         "nx_s", "ny_s", "lx_s", "ly_s",
         "ex", "ey", "err", "e_p", "e_b",
         "eta_l", "eta_n", "bla", "bna", "blm", "bnm",
@@ -187,44 +196,54 @@ def _cross(a, u, b, v) -> np.ndarray:
     return a.values * u.values - b.values * v.values
 
 
-def _shifted(pair: tuple[PeriodicScalar, PeriodicScalar], omega: float):
-    """The two fields of pair shifted by omega, from one transform pair."""
-    memory = fourier.field_memory(2, pair[0].n)
+def _shifted(block: tuple[PeriodicScalar, ...], omega: float):
+    """The fields of block shifted by omega, from one transform pair."""
+    memory = fourier.field_memory(len(block), block[0].n)
     return tuple(fourier.fields(fourier.transform(
-        np.stack((pair[0].values, pair[1].values)),
+        np.stack([u.values for u in block]),
         fourier.shift_spectra, omega), memory))
 
 
-def _derivative_fields(family: StandardNonTwistMap, k: TorusEmbedding,
-                       par: ParamPoint):
+def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
+    """The workspace of (K, a, mu, eps), with the map evaluated along K."""
+    ws = NewtonWorkspace()
+    ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
+    ws.ev = problem.family.evaluate(k.x_lift(), k.k_y.values,
+                                    ParamPoint(a, mu, eps))
+    ws.frame = ws.err = None
+    return ws
+
+
+def _derivative_fields(k: TorusEmbedding, ev):
     """Tangent, and the dealiased Jacobian and D_a F along the circle.
 
-    The tangent and the cut of the non-constant entries share one
-    transform pair; the constant J_11 = sigma and D_a F_y = 0 keep the
-    constant rule of dealias.
+    ev is the map evaluated along k.  The tangent and the cut of the
+    non-constant entries share one transform pair; the constant J_11 =
+    sigma and D_a F_y = 0 keep the constant rule of dealias.
     """
-    x = k.x_lift()
-    y = k.k_y.values
-    jac = family.jacobian(x, y, par)
-    dax, day = family.d_a(x, y, par)
+    jac = ev.jacobian()
+    dax, day = ev.d_a()
     lx, ly, d00, d01, d10, dax = tangent(
         k, (jac[0, 0], jac[0, 1], jac[1, 0], dax))
     dfk = ((d00, d01), (d10, fourier.dealias(PeriodicScalar(jac[1, 1]))))
     return (lx, ly), dfk, (dax, fourier.dealias(_fresh(day)))
 
 
-def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
-    """Frame, torsion and twist b_a at (K, a, mu, eps): all a probe reads."""
+def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
+    """Frame, torsion and twist b_a at the point ws: all a probe reads.
+
+    A point whose residual is in is being kept, and its shifted tangent
+    rides in the block of the shifted normal.
+    """
     om = problem.omega
     sig = problem.family.sigma
-    l, dfk, d_a = _derivative_fields(problem.family, k,
-                                     ParamPoint(a, mu, eps))
+    l, dfk, d_a = _derivative_fields(ws.k, ws.ev)
     lx, ly = l[0].values, l[1].values
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
     # t0's memory is taken before the shift block of N0, and each is
     # freed once read (see fourier.field_memory)
-    t0, = fourier.field_memory(1, k.n)
+    t0, = fourier.field_memory(1, ws.k.n)
     n0_f = fourier.transform(np.stack((n0x, n0y)), fourier.shift_spectra, om)
     t0[:] = torsion0(n0x, n0y, *n0_f, [[d.values for d in r] for r in dfk])
     del n0_f
@@ -233,51 +252,58 @@ def _frame_stage(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     nx, ny = normal_values(lx, ly, n0x, n0y, vth.values)
     fr = AdaptedFrame(l, gram, (_fresh(nx), _fresh(ny)), sig)
 
-    ws = NewtonWorkspace()
-    ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
     ws.frame = fr
     ws.dfk = dfk
     ws.d_a = d_a
     ws.alpha = min_angle(vth.values, gram.values)
-    ws.nx_s, ws.ny_s = _shifted(fr.nvec, om)
+    if ws.err is None:
+        ws.nx_s, ws.ny_s = _shifted(fr.nvec, om)
+    else:
+        ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s = _shifted(fr.nvec + l, om)
     ws.bla = _fresh(_cross(ws.ny_s, d_a[0], ws.nx_s, d_a[1]))
     ws.b_a = fourier.average(ws.bla)
     ws.e_b = ws.b_a - problem.b_a0
     return ws
 
 
-def _residual(problem: QpProblem, ws: NewtonWorkspace, x, par) -> None:
-    """Fill the raw tail, the shifted tangent and the residual E.
+def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
+    """The residual E, its size err, the phase e_p and the raw tail at ws.
 
     The cut of the composition (F^x less its lift theta) with its raw
-    tail, and the shifts of L and of K, share one transform pair.
+    tail, and the shift of K, share one transform pair; a point whose
+    frame stage has run (the zero probe of a closed twist) shifts L in
+    the same pair.
     """
     k = ws.k
-    lx, ly = ws.frame.l
-    memory = fourier.field_memory(4, k.n)
-    rows = np.empty((6, k.n))
-    rows[:2] = problem.family.eval_lift(x, k.k_y.values, par)
+    l = () if ws.frame is None else ws.frame.l
+    memory = fourier.field_memory(2 + len(l), k.n)
+    rows = np.stack((*ws.ev.lift(), *(u.values for u in l),
+                     k.eta_x.values, k.k_y.values))
     rows[0] -= fourier.grid(k.n)
-    rows[2:] = lx.values, ly.values, k.eta_x.values, k.k_y.values
     half = fourier.spectra(rows)
     ws.tail = max(fourier.tails(half[:2], 0.25))
     fourier.cut_spectra(half[:2])
     fourier.shift_spectra(half[2:], problem.omega)
     fourier.samples(half, rows)
-    ws.lx_s, ws.ly_s = fourier.fields(rows[2:4], memory[:2])
-    ex, ey = memory[2:]
-    np.subtract(rows[0] - problem.omega, rows[4], out=ex)
-    np.subtract(rows[1], rows[5], out=ey)
+    if l:
+        ws.lx_s, ws.ly_s = fourier.fields(rows[2:4], memory[2:])
+    ex, ey = memory[:2]
+    np.subtract(rows[0] - problem.omega, rows[-2], out=ex)
+    np.subtract(rows[1], rows[-1], out=ey)
     ws.ex, ws.ey = _fresh(ex), _fresh(ey)
+    ws.err = max(ws.ex.sup(), ws.ey.sup())
+    ws.e_p = fourier.average(k.eta_x)
+    return ws
 
 
 def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
-    """Add the residual, the raw tail and the remaining projections."""
-    k = ws.k
-    par = ParamPoint(ws.a, ws.mu, ws.eps)
-    x = k.x_lift()
-    _residual(problem, ws, x, par)
-    dmx, dmy = problem.family.d_mu(x, k.k_y.values, par)
+    """Keep the point ws, whose residual is in: the remaining projections.
+
+    Runs the frame stage first unless the point already has its frame.
+    """
+    if ws.frame is None:
+        _frame_stage(problem, ws)
+    dmx, dmy = problem.family.d_mu(ws.ev.x, ws.k.k_y.values, ws.ev.par)
     ws.d_mu = (fourier.dealias(_fresh(dmx)), fourier.dealias(_fresh(dmy)))
 
     dax, day = ws.d_a
@@ -287,9 +313,6 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     ws.bnm = _fresh(-_cross(ws.ly_s, dmx, ws.lx_s, dmy))
     ws.b_mu = fourier.average(ws.blm)
 
-    ws.err = max(ws.ex.sup(), ws.ey.sup())
-    ws.e_p = fourier.average(k.eta_x)
-
     ws.eta_l = _fresh(-_cross(ws.ny_s, ws.ex, ws.nx_s, ws.ey))
     ws.eta_n = _fresh(_cross(ws.ly_s, ws.ex, ws.lx_s, ws.ey))
     return ws
@@ -297,12 +320,14 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
 
 def _geometry(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     """Frame, twists and parameter projections at (K, a, mu, eps)."""
-    return _complete(problem, _frame_stage(problem, k, a, mu, eps))
+    return _complete(problem, _residual(problem,
+                                        _point(problem, k, a, mu, eps)))
 
 
 def frame_fields(problem: QpProblem, state: QpState):
     """Circle and normal-bundle samples for export: theta, Kx, Ky, Nx, Ny."""
-    ws = _frame_stage(problem, state.k, state.a, state.mu, state.eps)
+    ws = _frame_stage(problem, _point(problem, state.k, state.a, state.mu,
+                                      state.eps))
     th = fourier.grid(state.k.n)
     return (
         th,
@@ -375,15 +400,15 @@ def _correction(basis, delta_a: float):
 
 
 def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
-               eps_offset: float = 0.0):
-    """Frame stage at the point a fraction t along the step for delta_a."""
+               eps_offset: float = 0.0) -> NewtonWorkspace:
+    """The point a fraction t along the step for delta_a (see _point)."""
     d_eta, d_ky, delta_mu = step
     kc = TorusEmbedding(_fresh(ws.k.eta_x.values + t * d_eta),
                         _fresh(ws.k.k_y.values + t * d_ky))
-    # a probe's step is freed before its frame stage allocates
+    # a probe's step is freed before its map evaluation allocates
     del step, d_eta, d_ky
-    return _frame_stage(problem, kc, ws.a + t * delta_a,
-                        ws.mu + t * delta_mu, ws.eps + eps_offset)
+    return _point(problem, kc, ws.a + t * delta_a, ws.mu + t * delta_mu,
+                  ws.eps + eps_offset)
 
 
 def _close_twist(defect, closed: float):
@@ -414,14 +439,14 @@ def steffensen_update(problem: QpProblem, ws: NewtonWorkspace, basis):
     residual and the overall iteration stays quadratic.  A probe reads
     only b_a, so it runs the frame stage alone, at the correction the
     basis of _solve_linear gives for its delta_a.  Returns delta_a and,
-    when the twist is already closed (delta_a = 0), the zero probe's
-    frame stage: it is the full-step candidate, which the caller
-    completes instead of rebuilding.  Otherwise the probe is None.
+    when the twist is already closed (delta_a = 0), the zero probe: it
+    is the full-step candidate with its frame stage built, which the
+    caller tries instead of rebuilding.  Otherwise the probe is None.
     """
 
     def defect(delta_a: float):
-        cand = _candidate(problem, ws, _correction(basis, delta_a), delta_a,
-                          1.0)
+        cand = _frame_stage(problem, _candidate(
+            problem, ws, _correction(basis, delta_a), delta_a, 1.0))
         return cand.b_a - problem.b_a0, cand
 
     return _close_twist(defect, 1e-14 * max(1.0, abs(problem.b_a0)))
@@ -509,16 +534,14 @@ def newton_solve(problem: QpProblem, state: QpState,
             cand = _candidate(problem, ws, step, delta_a, 1.0)
         # damped acceptance: a fractional step restores descent when the
         # full-step iteration turns into a neutral oscillation, which
-        # happens when near-resonant modes enter the retained band; the
-        # candidate geometry is reused, so the clean path pays nothing
+        # happens when near-resonant modes enter the retained band.  A
+        # fraction is judged on its residual alone, and only the point
+        # that is kept builds its frame, so the clean path pays nothing
         t = 1.0
-        while True:
-            ws2 = _complete(problem, cand)
-            if ws2.err <= 1.2 * ws.err or t <= 0.25:
-                break
+        while _residual(problem, cand).err > 1.2 * ws.err and t > 0.25:
             t *= 0.5
             cand = _candidate(problem, ws, step, delta_a, t)
-        ws = ws2
+        ws = _complete(problem, cand)
         history.append(ws.err)
         if (
             abs(ws.e_p) <= problem.tol_phase
@@ -576,18 +599,15 @@ def eps_derivative(
     elif ws.k is not state.k or (ws.a, ws.mu, ws.eps) != (
             state.a, state.mu, state.eps):
         raise ValueError("workspace does not belong to this state")
-    x = state.k.x_lift()
-    y = state.k.k_y.values
-    par = ParamPoint(state.a, state.mu, state.eps)
-    ex, ey = _cut(problem.family.d_eps(x, y, par),
-                  fourier.field_memory(2, state.k.n))
+    ex, ey = _cut(ws.ev.d_eps(), fourier.field_memory(2, state.k.n))
     eta_l = _fresh(-_cross(ws.ny_s, ex, ws.nx_s, ey))
     eta_n = _fresh(_cross(ws.ly_s, ex, ws.lx_s, ey))
     basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)
 
     def twist_rate(d_a: float):
-        cand = _candidate(problem, ws, _correction(basis, d_a), d_a, probe,
-                          eps_offset=probe)
+        cand = _frame_stage(problem, _candidate(
+            problem, ws, _correction(basis, d_a), d_a, probe,
+            eps_offset=probe))
         return (cand.b_a - ws.b_a) / probe, None
 
     d_a, _ = _close_twist(twist_rate, 1e-9)

@@ -16,7 +16,6 @@ from ntcircle import (
     shift,
     solve_contractive,
     solve_small_divisor,
-    tail_fraction,
     vartheta_qp,
 )
 
@@ -30,6 +29,11 @@ def trig(n, terms):
     for k, a, b in terms:
         v += a * np.cos(TWO_PI * k * x) + b * np.sin(TWO_PI * k * x)
     return PeriodicScalar(v)
+
+
+def tail_fraction(u, band):
+    """The raw tail of one field, through the block gauge."""
+    return fourier.tails(fourier.spectra(u.values[None]), band)[0]
 
 
 def rand_scalar(n, kmax, seed):
@@ -449,3 +453,96 @@ class TestBlockKernels:
             assert f.values.base is None
             assert not f.values.flags.writeable
             assert f.values.tobytes() == row.tobytes()
+
+
+class TestUnscaledMultipliers:
+    """Each multiplier, applied to the unnormalized spectra as they come,
+    equals its three-pass form (divide by n, multiply, multiply by n) bit
+    for bit on power-of-two grids, up to the sign of a zero: the passes
+    by n were complex operations, which reset the signs of zero parts."""
+
+    @staticmethod
+    def rows(n):
+        """Nyquist, constant and signed-zero rows, as the solvers meet them."""
+        zeros = np.zeros(n)
+        zeros[1::2] = -0.0
+        return np.stack((
+            np.random.default_rng(n).standard_normal(n),   # Nyquist included
+            0.7 * np.cos(np.pi * n * grid(n)),             # cos(pi n x)
+            np.full(n, 0.8),
+            np.full(n, -2.5),
+            np.zeros(n),
+            zeros,
+            np.full(n, -0.0),
+        ))
+
+    @staticmethod
+    def three_pass(op):
+        def run(half, *args):
+            n = 2 * (half.shape[-1] - 1)
+            half /= n
+            out = op(half, n, *args)
+            half *= n
+            return out
+        return run
+
+    @staticmethod
+    def scaled_shift(half, n, delta):
+        top = half[..., -1].real * np.cos(np.pi * n * delta)
+        half *= np.exp(2j * np.pi * np.arange(n // 2 + 1) * delta)
+        half[..., -1] = top
+
+    @staticmethod
+    def scaled_derivative(half, n):
+        half *= 2j * np.pi * np.arange(n // 2 + 1, dtype=float)
+        half[..., -1] = 0.0
+
+    @staticmethod
+    def scaled_linear_shift(half, n, lam, rho, omega):
+        top = half[..., -1].real / (lam - rho * np.cos(np.pi * n * omega))
+        half /= lam - rho * np.exp(2j * np.pi * np.arange(n // 2 + 1) * omega)
+        half[..., -1] = top
+
+    @staticmethod
+    def scaled_small_divisor(half, n, omega):
+        mean = half[..., 0].real.copy()
+        top = half[..., -1].real / (1.0 - np.cos(np.pi * n * omega))
+        div = 1.0 - np.exp(2j * np.pi * np.arange(n // 2 + 1) * omega)
+        half[..., 1:-1] /= div[1:-1]
+        half[..., 0] = 0.0
+        half[..., -1] = top
+        return mean
+
+    CASES = [
+        (fourier.shift_spectra, scaled_shift, (GOLDEN_MEAN,)),
+        (fourier.shift_spectra, scaled_shift, (0.5,)),
+        (fourier.shift_spectra, scaled_shift, (-0.3,)),
+        (fourier.derivative_spectra, scaled_derivative, ()),
+        (fourier.linear_shift_spectra, scaled_linear_shift,
+         (0.8, 1.0, GOLDEN_MEAN)),
+        (fourier.linear_shift_spectra, scaled_linear_shift,
+         (1.0, 0.8, GOLDEN_MEAN)),
+        (fourier.small_divisor_spectra, scaled_small_divisor, (GOLDEN_MEAN,)),
+    ]
+
+    @staticmethod
+    def unsigned(a):
+        """The bytes of a with every zero made +0 (-0 + 0 = +0)."""
+        return (a + 0.0).tobytes()
+
+    @pytest.mark.parametrize("n", [1 << p for p in range(3, 17)])
+    def test_bitwise_equal_to_three_pass_form(self, n):
+        half = fourier.spectra(self.rows(n))
+        for op, scaled, args in self.CASES:
+            got, want = half.copy(), half.copy()
+            got_mean = op(got, *args)
+            want_mean = self.three_pass(scaled.__func__)(want, *args)
+            case = (op.__name__, args)
+            assert self.unsigned(got) == self.unsigned(want), case
+            if want_mean is not None:
+                assert self.unsigned(got_mean) == self.unsigned(want_mean)
+
+    def test_derivative_multipliers_read_only_and_shared(self):
+        m = fourier._derivative_multiplier(64)
+        assert not m.flags.writeable
+        assert fourier._derivative_multiplier(64) is m

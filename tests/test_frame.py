@@ -148,7 +148,8 @@ class TestOneFrame:
         prob = QpProblem(StandardNonTwistMap(SIGMA, "symmetric"),
                          omega=OMEGA)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
-            solver_qp._frame_stage(prob, k, 0.0, OMEGA, 0.5)
+            solver_qp._frame_stage(
+                prob, solver_qp._point(prob, k, 0.0, OMEGA, 0.5))
 
     @staticmethod
     def inline_torsion(n0x, n0y, n0x_f, n0y_f, dfk):
@@ -175,8 +176,9 @@ class TestOneFrame:
         fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
         k = TorusEmbedding(PeriodicScalar(0.01 * np.sin(TWO_PI * th)),
                            PeriodicScalar(0.02 * np.cos(TWO_PI * th) + 0.003))
-        ws = solver_qp._frame_stage(QpProblem(fam, omega=OMEGA), k,
-                                    0.013, 0.61, 0.9)
+        prob = QpProblem(fam, omega=OMEGA)
+        ws = solver_qp._frame_stage(
+            prob, solver_qp._point(prob, k, 0.013, 0.61, 0.9))
         assert len(calls) == 1
         lx, ly = (c.values for c in ws.frame.l)
         n0x, n0y, _ = normal0_values(lx, ly)

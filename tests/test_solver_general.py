@@ -19,7 +19,6 @@ from ntcircle import (
     ToleranceNotMetError,
     ambient_rotation_number,
     induced_internal_map,
-    interp,
     invert_map,
     lock_fraction,
     newton_solve,
@@ -37,6 +36,17 @@ def sym_family():
     return StandardNonTwistMap(SIGMA, "symmetric")
 
 
+def lagrange(values, theta, order):
+    """Grid samples at points theta, through the solver's Lagrange stencil."""
+    return solver_general.interp_apply(
+        values, *solver_general.interp_stencil(values.size, theta, order))
+
+
+def apply_map(f, theta):
+    """f(theta) = theta + g(theta) for an InternalMap f."""
+    return theta + lagrange(f.g, theta, f.order)
+
+
 class TestInterp:
     @pytest.mark.parametrize("order,bound", [(4, 1e-6), (6, 1e-9)])
     def test_trig_accuracy(self, order, bound):
@@ -46,14 +56,14 @@ class TestInterp:
         rng = np.random.default_rng(7)
         q = rng.uniform(0, 1, 64)
         exact = np.sin(2 * np.pi * q) + 0.3 * np.cos(6 * np.pi * q)
-        assert np.max(np.abs(interp(vals, q, order) - exact)) <= bound
+        assert np.max(np.abs(lagrange(vals, q, order) - exact)) <= bound
 
     def test_exact_at_nodes(self):
         n = 64
         rng = np.random.default_rng(3)
         vals = rng.standard_normal(n)
         th = np.arange(n) / n
-        assert np.array_equal(interp(vals, th, 4), vals)
+        assert np.array_equal(lagrange(vals, th, 4), vals)
 
     def test_bad_grid_rejected(self):
         with pytest.raises(ValueError):
@@ -69,7 +79,7 @@ class TestInvertMap:
         g = OMEGA + 0.1 * np.sin(2 * np.pi * th) / (2 * np.pi)
         f = InternalMap(g)
         finv = invert_map(f)
-        comp = f(finv(th))
+        comp = apply_map(f, apply_map(finv, th))
         err = comp - th
         err -= np.round(err)
         assert np.max(np.abs(err)) <= 1e-11
@@ -106,7 +116,7 @@ class TestInvertMap:
         # one converges, for g'
         assert all(not np.array_equal(a, b) for a, b in zip(points, points[1:]))
         assert applied == sorted(2 * list(range(1, iters)) + [iters])
-        err = f(finv(th)) - th
+        err = apply_map(f, apply_map(finv, th)) - th
         assert np.max(np.abs(err - np.round(err))) <= 1e-11
 
 
@@ -142,8 +152,8 @@ class TestRotationNumber:
         th = np.arange(n) / n
         psi = InternalMap(0.08 * np.sin(2 * np.pi * th) / (2 * np.pi))
         psi_inv = invert_map(psi)
-        u = psi_inv(th)
-        f = InternalMap(psi(u + OMEGA) - th)
+        u = apply_map(psi_inv, th)
+        f = InternalMap(apply_map(psi, u + OMEGA) - th)
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-10
 
     @pytest.mark.parametrize("order", [6, 8])
@@ -151,8 +161,8 @@ class TestRotationNumber:
         n = 1024
         th = np.arange(n) / n
         psi = InternalMap(0.08 * np.sin(2 * np.pi * th) / (2 * np.pi), order)
-        u = invert_map(psi)(th)
-        f = InternalMap(psi(u + OMEGA) - th, order)
+        u = apply_map(invert_map(psi), th)
+        f = InternalMap(apply_map(psi, u + OMEGA) - th, order)
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-10
 
     def test_orbit_state_carried_across_doublings(self, monkeypatch):
@@ -173,12 +183,13 @@ class TestRotationNumber:
         assert np.array_equal(stepwise(2048), whole(2048))
         # with n a power of two, t = n * theta holds exactly: the orbit
         # visits the points theta_{k+1} = theta_k + d_k mod 1, and each
-        # step is interp of g there up to the rounding of the Horner form
+        # step is the Lagrange interpolant of g there, up to the rounding
+        # of the Horner form
         d = whole(2048)
         x = [0.3]
         for dk in d[:-1]:
             x.append((x[-1] + dk) % 1.0)
-        assert np.max(np.abs(d - interp(f.g, np.array(x), 4))) <= 1e-15
+        assert np.max(np.abs(d - lagrange(f.g, np.array(x), 4))) <= 1e-15
 
     def test_rational_lock(self):
         f = InternalMap.rotation(64, 0.625)
@@ -210,7 +221,7 @@ class TestCellPolynomials:
         val = np.zeros_like(q)
         for c in table[cell].T:
             val = val * s + c
-        assert np.max(np.abs(val / n - interp(g, q, order))) <= 1e-15
+        assert np.max(np.abs(val / n - lagrange(g, q, order))) <= 1e-15
 
 
 class TestLockFraction:
@@ -261,7 +272,8 @@ class TestGeneralSolver:
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-9
 
     def test_induced_map_matches_interp_loop(self):
-        # reference: the conjugacy Newton written node-wise with interp
+        # reference: the conjugacy Newton written node-wise with the
+        # Lagrange stencil
         circle = GridCircle(self.state.k.eta_x.values,
                             self.state.k.k_y.values, 6)
         th = np.arange(circle.n) / circle.n
@@ -269,10 +281,10 @@ class TestGeneralSolver:
         d_eta = solver_general.grid_derivative(circle.eta_x, 6)
         phi = fx - float(np.mean(circle.eta_x))
         for _ in range(60):
-            res = phi + interp(circle.eta_x, phi, 6) - fx
+            res = phi + lagrange(circle.eta_x, phi, 6) - fx
             if float(np.max(np.abs(res))) < 1e-13:
                 break
-            phi = phi - res / np.maximum(1.0 + interp(d_eta, phi, 6), 0.05)
+            phi = phi - res / np.maximum(1.0 + lagrange(d_eta, phi, 6), 0.05)
         f = induced_internal_map(circle, sym_family(), self.par)
         assert np.array_equal(f.g, phi - th)
 

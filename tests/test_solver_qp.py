@@ -33,6 +33,7 @@ from ntcircle import (
     twist_surface,
 )
 from ntcircle.frame import normal0_values
+from ntcircle.maps import Evaluation
 
 SIGMA = 0.8
 OMEGA = GOLDEN_MEAN
@@ -167,38 +168,51 @@ class TestIterationCost:
     # FFTs by part, at a generic point, one rfft and one irfft per block
     # of fields that are ready together: frame stage = 2 (tangent with
     # the cut of DF and D_a F; J_11 = sigma and D_a F_y = 0 are constant)
-    # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal);
-    # completion = 2 (compositions with their tails, shifted tangent and
-    # embedding); linear solve = 2 (both cohomological equations) + 2
-    # (the cut of both corrections)
-    FRAME, COMPLETE, SOLVE = 8, 2, 4
+    # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal, with the
+    # shifted tangent at a kept point); residual = 2 (compositions with
+    # their tails, and the embedding shifted); completion = 0; linear
+    # solve = 2 (both cohomological equations) + 2 (the cut of both
+    # corrections)
+    FRAME, RESIDUAL, COMPLETE, SOLVE = 8, 2, 0, 4
     # one solve, affine in delta_a, serves the two probes and the step:
-    # three frame stages and the full candidate's completion, 30 FFTs
-    PER_ITERATION = SOLVE + 3 * FRAME + COMPLETE
+    # three frame stages and the kept point's residual, 30 FFTs
+    PER_ITERATION = SOLVE + 3 * FRAME + RESIDUAL + COMPLETE
     # start projection and start geometry; the reducibility diagnostic
     # reads the shifted frame columns the workspace holds
-    PER_SOLVE = 2 + FRAME + COMPLETE
+    PER_SOLVE = 2 + RESIDUAL + FRAME + COMPLETE
 
     # PeriodicScalar wraps by part, one per field and none per
     # intermediate or per constant: frame stage = 6 (tangent, the cut
     # DF and D_a F entries) + 1 (the copy of the J_11 view) + 1 (D_a F_y)
     # + 1 (gram) + 1 (vartheta) + 2 (frame normal) + 2 (shifted normal)
-    # + 1 (b_la), with N0 and t0 kept as samples; completion = 2 (D_mu F)
-    # + 2 (shifted tangent) + 7 (b-fields, E, eta); linear solve = 0 (the
-    # corrections at delta_a = 0 and their rates stay samples, checked
-    # once by their block); candidate embedding = 2
-    WRAP_FRAME, WRAP_COMPLETE, WRAP_SOLVE, WRAP_CAND = 15, 11, 0, 2
+    # + 1 (b_la), with N0 and t0 kept as samples, and 2 more at a kept
+    # point (shifted tangent); residual = 2 (E); completion = 2 (D_mu F)
+    # + 5 (b-fields, eta); linear solve = 0 (the corrections at
+    # delta_a = 0 and their rates stay samples, checked once by their
+    # block); candidate embedding = 2
+    WRAP_FRAME, WRAP_KEPT, WRAP_RESIDUAL, WRAP_COMPLETE = 15, 2, 2, 7
+    WRAP_SOLVE, WRAP_CAND = 0, 2
     WRAPS_PER_ITERATION = (WRAP_SOLVE + 3 * (WRAP_CAND + WRAP_FRAME)
-                           + WRAP_COMPLETE)
+                           + WRAP_RESIDUAL + WRAP_KEPT + WRAP_COMPLETE)
     # start projection and start geometry; the reducibility residual
     # checks its columns without wrapping them
-    WRAPS_PER_SOLVE = 2 + WRAP_FRAME + WRAP_COMPLETE
+    WRAPS_PER_SOLVE = (2 + WRAP_RESIDUAL + WRAP_FRAME + WRAP_KEPT
+                       + WRAP_COMPLETE)
+    # a trial rejected on its residual: its embedding and E, no frame
+    FFTS_REJECTED, WRAPS_REJECTED = RESIDUAL, WRAP_CAND + WRAP_RESIDUAL
 
     @staticmethod
-    def counted(monkeypatch, prob):
-        """Count FFTs, wraps, map calls and frames; tag probe calls."""
-        c = dict(fft=0, wraps=0, eval_lift=0, d_mu=0, tangent=0,
-                 steffensen=0, closed=0, probe_eval_lift=0, probe_d_mu=0)
+    def counted(monkeypatch, prob, reject=()):
+        """Count FFTs, wraps, map calls and frames; tag probe calls.
+
+        The residual calls whose index (0: the start) is in reject report
+        a residual a million times too large, which damps their step.
+        marks holds the FFT and tangent counts at the entry of each
+        residual call.
+        """
+        c = dict(fft=0, wraps=0, evaluate=0, d_mu=0, tangent=0, residual=0,
+                 steffensen=0, closed=0, probe_residual=0, probe_d_mu=0,
+                 marks=[])
 
         def count(key, fn):
             def wrapped(*args, **kwargs):
@@ -211,18 +225,29 @@ class TestIterationCost:
         monkeypatch.setattr(np.fft, "rfft", count("fft", np.fft.rfft))
         monkeypatch.setattr(np.fft, "irfft", count("fft", np.fft.irfft))
         fam = prob.family
-        monkeypatch.setattr(fam, "eval_lift", count("eval_lift", fam.eval_lift))
+        monkeypatch.setattr(fam, "evaluate", count("evaluate", fam.evaluate))
         monkeypatch.setattr(fam, "d_mu", count("d_mu", fam.d_mu))
         monkeypatch.setattr(solver_qp, "tangent",
                             count("tangent", solver_qp.tangent))
+        residual = solver_qp._residual
+
+        def tracked(*args):
+            c["marks"].append((c["fft"], c["tangent"]))
+            out = residual(*args)
+            if c["residual"] in reject:
+                out.err *= 1e6
+            c["residual"] += 1
+            return out
+
+        monkeypatch.setattr(solver_qp, "_residual", tracked)
         steffensen = solver_qp.steffensen_update
 
         def probed(*args):
-            before = c["eval_lift"], c["d_mu"]
+            before = c["residual"], c["d_mu"]
             out = steffensen(*args)
             c["steffensen"] += 1
             c["closed"] += out[1] is not None
-            c["probe_eval_lift"] += c["eval_lift"] - before[0]
+            c["probe_residual"] += c["residual"] - before[0]
             c["probe_d_mu"] += c["d_mu"] - before[1]
             return out
 
@@ -237,13 +262,41 @@ class TestIterationCost:
         iters = c["steffensen"]
         assert iters == state.iterations >= 3
         assert c["closed"] == 0          # the twist closure runs every time
-        assert c["probe_eval_lift"] == 0 and c["probe_d_mu"] == 0
-        # one completion per geometry that is not a probe
-        assert c["eval_lift"] == c["d_mu"] == 1 + iters
+        assert c["probe_residual"] == 0 and c["probe_d_mu"] == 0
+        # one map evaluation per point, one residual and one completion
+        # per point that is not a probe
+        assert c["evaluate"] == 1 + 3 * iters
+        assert c["residual"] == c["d_mu"] == 1 + iters
         assert c["tangent"] == 1 + 3 * iters
         assert c["fft"] == self.PER_SOLVE + iters * self.PER_ITERATION
         assert c["wraps"] == (self.WRAPS_PER_SOLVE
                               + iters * self.WRAPS_PER_ITERATION), c["wraps"]
+
+    def test_rejected_trial_builds_no_frame(self, monkeypatch):
+        # the full step of the second iteration is made to fail the
+        # damping test; its half step is judged on its own residual
+        prob = nonsym_problem()
+        start = QpState.flat_start(256, OMEGA)
+        c = self.counted(monkeypatch, prob, reject=(2,))
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        iters = c["steffensen"]
+        assert iters == state.iterations >= 3
+        assert state.diagnostics.invariance_error <= prob.tol
+        rejected = c["residual"] - (1 + iters)
+        assert rejected == 1
+        # from the rejected trial's residual to the next trial's: one
+        # residual block and no tangent
+        (fft0, tan0), (fft1, tan1) = c["marks"][2:4]
+        assert (fft1 - fft0, tan1 - tan0) == (self.FFTS_REJECTED, 0)
+        # frame stages: two probes per iteration and every kept point
+        assert c["tangent"] == 2 * iters + (1 + iters)
+        assert c["evaluate"] == 1 + 3 * iters + rejected
+        assert c["d_mu"] == 1 + iters
+        assert c["fft"] == (self.PER_SOLVE + iters * self.PER_ITERATION
+                            + rejected * self.FFTS_REJECTED)
+        assert c["wraps"] == (self.WRAPS_PER_SOLVE
+                              + iters * self.WRAPS_PER_ITERATION
+                              + rejected * self.WRAPS_REJECTED), c["wraps"]
 
     def test_closed_twist_completes_its_probe(self, monkeypatch):
         # odd forcing at b_a0 = 0: b_a vanishes by symmetry, so every
@@ -255,9 +308,12 @@ class TestIterationCost:
         iters = c["steffensen"]
         assert iters == state.iterations >= 3
         assert c["closed"] == iters
-        assert c["probe_eval_lift"] == 0
-        # no second full geometry: one frame and one completion per step
-        assert c["tangent"] == c["eval_lift"] == 1 + iters
+        assert c["probe_residual"] == 0
+        # no second frame: one frame and one residual per step, and the
+        # shifted tangent rides in the residual block
+        assert c["tangent"] == c["evaluate"] == c["residual"] == 1 + iters
+        assert c["fft"] == self.PER_SOLVE + iters * (
+            self.SOLVE + self.FRAME + self.RESIDUAL)
 
     @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
     def test_frame_stage_twist_is_bitwise(self, variant):
@@ -269,7 +325,7 @@ class TestIterationCost:
             PeriodicScalar(0.02 * np.cos(2 * np.pi * th) + 0.003),
         )
         args = (prob, k, 0.013, 0.61, 0.9)
-        frame = solver_qp._frame_stage(*args)
+        frame = solver_qp._frame_stage(prob, solver_qp._point(*args))
         full = solver_qp._geometry(*args)
         assert frame.b_a == full.b_a
         assert frame.alpha == full.alpha
@@ -299,8 +355,9 @@ class TestIterationCost:
             k.x_lift(), k.k_y.values, ParamPoint(ws.a, ws.mu, ws.eps))
         ux = PeriodicScalar(fx_lift - fourier.grid(k.n))
         fy = PeriodicScalar(fy_raw)
-        assert ws.tail == max(fourier.tail_fraction(ux, 0.25),
-                              fourier.tail_fraction(fy, 0.25))
+        assert ws.tail == max(
+            fourier.tails(fourier.spectra(u.values[None]), 0.25)[0]
+            for u in (ux, fy))
         fx, fy = fourier.dealias(ux), fourier.dealias(fy)
         l = tangent(k)
         n0 = [PeriodicScalar(c)
@@ -351,8 +408,8 @@ class TestIterationCost:
         par = ParamPoint(ws.a, ws.mu, ws.eps)
         jac = prob.family.jacobian(k.x_lift(), k.k_y.values, par)
         dax, day = prob.family.d_a(k.x_lift(), k.k_y.values, par)
-        (lx, ly), dfk, d_a = solver_qp._derivative_fields(prob.family, k,
-                                                           par)
+        (lx, ly), dfk, d_a = solver_qp._derivative_fields(
+            k, prob.family.evaluate(k.x_lift(), k.k_y.values, par))
         assert same(lx, fourier.derivative(k.eta_x) + 1.0)
         assert same(ly, fourier.derivative(k.k_y))
         for i in (0, 1):
@@ -540,9 +597,9 @@ class TestEpsDerivative:
             d_eta, d_ky, d_mu = direction(d_a)
             kc = TorusEmbedding(state.k.eta_x + probe * d_eta,
                                 state.k.k_y + probe * d_ky)
-            cand = solver_qp._frame_stage(
+            cand = solver_qp._frame_stage(prob, solver_qp._point(
                 prob, kc, state.a + probe * d_a, state.mu + probe * d_mu,
-                state.eps + probe)
+                state.eps + probe))
             return (cand.b_a - ws.b_a) / probe
 
         g0 = twist_rate(0.0)
@@ -723,11 +780,16 @@ class TestTwistSurface:
             assert abs(st.mu - (OMEGA - (p.b_a0 / 2.0) ** 2)) <= 1e-10
 
     def test_blow_up_is_a_path_failure(self):
-        # the Jacobian goes non-finite once a leaves the b_a0 = 0 level
+        # the Jacobian goes non-finite once a leaves the b_a0 = 0 level;
+        # the solver reads it from the one map evaluation per point
+        class BlowUpEvaluation(Evaluation):
+            def jacobian(self):
+                j = super().jacobian()
+                return j * np.nan if self.par.a > 0.01 else j
+
         class BlowUp(StandardNonTwistMap):
-            def jacobian(self, x, y, p):
-                j = super().jacobian(x, y, p)
-                return j * np.nan if p.a > 0.01 else j
+            def evaluate(self, x, y, p):
+                return BlowUpEvaluation(self, x, y, p)
 
         prob = QpProblem(BlowUp(SIGMA, "symmetric"), omega=OMEGA)
         flat, lifted = twist_surface(prob, [0.0, 0.1], 0.05)
