@@ -19,8 +19,9 @@ Layout:
   locked to a fixed irrational, plus continuation, breakdown fitting
   and the twist-surface driver.
 - ``solver_general``: the grid-based solver with the internal circle
-  map free, rotation numbers by weighted Birkhoff averaging, and
-  parameter sweeps.
+  map free (a cross-check of the quasi-periodic circles), rotation
+  numbers by weighted Birkhoff averaging, and parameter sweeps from the
+  ambient orbit.
 - ``cli``: command-line driver writing CSV tables.
 """
 

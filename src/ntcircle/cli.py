@@ -7,7 +7,8 @@ continue-nontwist   march a non-twist circle branch in eps; writes
 breakdown           push the branch to breakdown and extrapolate the
                     bundle-angle zero crossing; writes alpha.csv, fit.txt
 rotnum-sweep        rotation number versus a or mu around a converged
-                    circle; writes rho_vs_param.csv
+                    circle, each point from the ambient orbit of the
+                    circle's point K(0); writes rho_vs_param.csv
 twist-surface       one branch per prescribed twist level b_a0; writes
                     surface.csv
 verify              self-check battery; prints PASS/FAIL lines
@@ -17,7 +18,10 @@ Exit codes: 0 success, 2 continuation stopped before the target
 significant digits so the tables re-parse to the exact binary values,
 and rerunning a command reproduces the files byte for byte (timing is
 off by default; wall_ms written as 0.0).  Every command runs on one
-thread; the config key `threads` is accepted only as 1.
+thread; the config key `threads` is accepted only as 1.  The keys
+`sweep_grid`, `sweep_order` and `sweep_tol` are accepted and validated
+but inert: they set the grid circle of an earlier sweep, and the sweep
+now solves no circle.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from . import fourier
 from .errors import NtCircleError
 from .frame import TorusEmbedding, half_shift_deviation, tangent
 from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
-from .solver_general import GridCircle, InternalMap, sweep_parameter
+from .solver_general import sweep_parameter
 from .solver_qp import (
     _FIT_MIN_POINTS,
     GOLDEN_MEAN,
@@ -167,8 +171,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("eps_target must be nonnegative")
     for key in ("step_init", "step_min", "step_max", "probe", "tol",
                 "tol_phase", "tol_twist", "alpha_floor", "tail_double",
-                "sweep_halfwidth", "sweep_step", "sweep_tol", "rho_tol",
-                "lock_tol", "refine_width"):
+                "sweep_halfwidth", "sweep_step", "rho_tol", "lock_tol",
+                "refine_width"):
         if getattr(cfg, key) <= 0.0:
             raise ValueError(f"{key} must be positive")
     if not cfg.step_min <= cfg.step_init <= cfg.step_max:
@@ -184,6 +188,10 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("need n_min <= n_max")
     if cfg.sweep_which not in ("a", "mu"):
         raise ValueError(f"sweep_which must be 'a' or 'mu', got {cfg.sweep_which!r}")
+    # sweep_tol, sweep_order and sweep_grid no longer act (the sweep
+    # solves no circle) but are validated as before, as threads is
+    if cfg.sweep_tol <= 0.0:
+        raise ValueError("sweep_tol must be positive")
     if cfg.sweep_order not in (2, 4, 6, 8):
         raise ValueError("sweep_order must be one of 2, 4, 6, 8")
     low = max(8, 4 * cfg.sweep_order)
@@ -343,14 +351,11 @@ def cmd_rotnum_sweep(cfg: RunConfig, out_dir: str) -> int:
         print(f"stopped: {result.reason} before eps_target; no sweep")
         return _reason_code(result.reason)
     state = result.state
-    base = state.k.resample(cfg.sweep_grid)
-    circle = GridCircle(base.eta_x.values, base.k_y.values, cfg.sweep_order)
-    f0 = InternalMap.rotation(cfg.sweep_grid, problem.omega, cfg.sweep_order)
+    xy0 = (state.k.eta_x.values[0], state.k.k_y.values[0])   # K(0)
     par = ParamPoint(state.a, state.mu, state.eps)
     records = sweep_parameter(
-        circle, f0, problem.family, par, cfg.sweep_which,
-        cfg.sweep_halfwidth, cfg.sweep_step,
-        tol=cfg.sweep_tol, max_newton=cfg.max_newton, rho_tol=cfg.rho_tol,
+        problem.family, par, xy0, cfg.sweep_which,
+        cfg.sweep_halfwidth, cfg.sweep_step, rho_tol=cfg.rho_tol,
         lock_tol=cfg.lock_tol, q_max=cfg.q_max,
         refine_width=cfg.refine_width,
     )

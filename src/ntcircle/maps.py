@@ -14,11 +14,15 @@ All evaluations are vectorized: points may be passed as a pair of floats
 or as a (2, m) array of m points.  Every formula of the family reads the
 forcing p(x) and q = sigma*y + eps*p(x) - a; an Evaluation holds the two
 at a batch of points, so callers that need several formulas at the same
-points evaluate the forcing once.
+points evaluate the forcing once.  A long orbit of one point runs on
+Python floats instead (StandardNonTwistMap.orbit), where a numpy scalar
+would cost more than the arithmetic; p(x) is written once and evaluated
+with numpy on arrays and with math on floats.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +44,23 @@ class ParamPoint:
         return ParamPoint(**d)
 
 
+# p(x) of each forcing variant, written once; lib supplies sin and cos:
+# numpy on arrays, math on Python floats
+def _symmetric(x, lib=math):
+    return lib.sin(TWO_PI * x) / TWO_PI
+
+
+def _nonsymmetric(x, lib=math):
+    return (lib.sin(TWO_PI * x) + lib.cos(2.0 * TWO_PI * x)) / TWO_PI
+
+
 class Forcing:
-    """Periodic forcing p(x) with derivative, amplitude-normalized by 2 pi."""
+    """Periodic forcing p(x) with derivative, amplitude-normalized by 2 pi.
+
+    Calling it evaluates p with numpy, on arrays or scalars.  `formula`
+    is p itself, formula(x, lib=math): called on one Python float it
+    runs on math, with no numpy scalar in the way.
+    """
 
     SYMMETRIC = "symmetric"
     NONSYMMETRIC = "nonsymmetric"
@@ -50,11 +69,11 @@ class Forcing:
         if variant not in (self.SYMMETRIC, self.NONSYMMETRIC):
             raise ValueError(f"unknown forcing variant {variant!r}")
         self.variant = variant
+        self.formula = (_symmetric if variant == self.SYMMETRIC
+                        else _nonsymmetric)
 
     def __call__(self, x):
-        if self.variant == self.SYMMETRIC:
-            return np.sin(TWO_PI * x) / TWO_PI
-        return (np.sin(TWO_PI * x) + np.cos(2.0 * TWO_PI * x)) / TWO_PI
+        return self.formula(x, np)
 
     def deriv(self, x):
         if self.variant == self.SYMMETRIC:
@@ -138,6 +157,25 @@ class StandardNonTwistMap:
 
     def d_eps(self, x, y, p: ParamPoint):
         return self.evaluate(x, y, p).d_eps()
+
+    def orbit(self, x: float, y: float, p: ParamPoint, steps: int):
+        """steps iterates of one point, on Python floats.
+
+        Returns the lift displacements x' - x = q^2 + mu of the steps, as
+        a list, and the end point, with x reduced mod 1.  x stays in
+        [0, 1) all along, so no digits are lost to a growing lift.
+        """
+        px = self.forcing.formula          # p(x), on math
+        sigma, eps, a, mu = self.sigma, p.eps, p.a, p.mu
+        out = []
+        append = out.append
+        for _ in range(steps):
+            q = sigma * y + eps * px(x) - a
+            d = q * q + mu
+            append(d)
+            x = (x + d) % 1.0
+            y = q + a
+        return out, x, y
 
 
 def check_symmetry(

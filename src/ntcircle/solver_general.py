@@ -8,17 +8,18 @@ torsion equation of the adapted frame are both solved by the one
 fixed-point kernel frame.solve_transfer, on the Lagrange stencils of f
 and of its inverse; N0, the torsion and N come from the sample kernels
 of frame that the quasi-periodic solver uses too.  This variant follows
-the circle into phase locking, which is what the rotation-number sweeps
-exploit.
+the circle into phase locking; its job is to cross-validate the circles
+of the quasi-periodic solver.
 
 The inner solves of a Newton step are warm-started and inexact, with
 forcing terms sized by the step's residual err (Dembo, Eisenstat &
 Steihaug 1982): the frame only preconditions the step, so the torsion
-solve starts from the previous vartheta (of the last step, or of the
-previous sweep point) and stops at err; the normal solve, whose
-solution is the correction, starts cold and stops at err**2; f^-1 starts
-from the previous step's inverse and is solved to full accuracy, since
-an inexact inverse moves the residual floors near resonance tongues.
+solve starts from the previous vartheta (of the last step, or one the
+caller hands over from a nearby parameter) and stops at err; the normal
+solve, whose solution is the correction, starts cold and stops at
+err**2; f^-1 starts from the previous step's inverse and is solved to
+full accuracy, since an inexact inverse moves the residual floors near
+resonance tongues.
 f^-1 comes first in a step, so its check f' > 0 guards the whole step.
 
 Newton makes one pass per solve and keeps its best iterate: near a
@@ -28,14 +29,18 @@ that is within _FLOOR_FACTOR of the tolerance, as the quasi-periodic
 solver settles on its floor.  Each iterate's residual and stencil of f
 are computed once, for the check and its step, and each step
 differentiates g once, for f', its check and the inverse-map Newton.
-Sweeps take each point from that one solve, or from the ambient orbit
-when it fails, and then bisect every locking boundary in each round;
-both rotation numbers come from one weighted Birkhoff doubling loop.
 
 Everything lives on a uniform grid with local Lagrange interpolation of
 even order p; derivatives use the matching central stencils.  Internal
 maps are stored as displacement fields g with f(theta) = theta + g(theta)
 on lifts, so rational and irrational dynamics are handled alike.
+
+Rotation-number sweeps solve no circle: on a dissipative map the
+attracting circle is the attractor, so every sweep point takes its
+rotation number from the ambient orbit of one start point, run on
+Python floats, and the sweep then bisects every locking boundary in
+each round.  The rotation numbers of the ambient orbit and of a grid
+circle map come from one weighted Birkhoff doubling loop.
 """
 
 from __future__ import annotations
@@ -512,9 +517,7 @@ def lock_fraction(rho: float, q_max: int = 64, lock_tol: float = 1e-8):
 class SweepRecord:
     param: float
     rho: float
-    rho_err: float       # rho_tol; nan when the cap was hit or the
-                         # circle was floor-accepted (err > tol)
-    err: float           # invariance residual of the converged circle
+    rho_err: float       # rho_tol; nan when the Birkhoff cap was hit
     locked: bool
 
 
@@ -532,97 +535,71 @@ def ambient_rotation_number(
     fast, so after a short transient the lift displacements x' - x can
     be averaged exactly like the displacements of an internal circle
     map.  Works across resonance tongues where a circle parameterization
-    is out of reach; locked windows give p/q to machine accuracy.
+    is out of reach; locked windows give p/q to machine accuracy.  The
+    orbit runs on Python floats (StandardNonTwistMap.orbit), with x
+    reduced mod 1 and each displacement q^2 + mu taken as it is.
     """
-    x, y = float(xy0[0]), float(xy0[1])
-    for _ in range(transient):
-        x, y = family.eval_lift(x, y, par)
+    x, y = float(xy0[0]) % 1.0, float(xy0[1])
+    _, x, y = family.orbit(x, y, par, transient)
     out: list = []
 
     def extend(count: int) -> np.ndarray:
         nonlocal x, y
-        while len(out) < count:
-            x1, y1 = family.eval_lift(x, y, par)
-            out.append(x1 - x)
-            x, y = float(x1), float(y1)
+        more, x, y = family.orbit(x, y, par, count - len(out))
+        out.extend(more)
         return np.asarray(out)
 
     return _birkhoff(extend, tol, m_max, "ambient rotation number")
 
 
 def sweep_parameter(
-    circle: GridCircle,
-    f: InternalMap,
     family: StandardNonTwistMap,
     par: ParamPoint,
+    xy0,
     which: str,
     halfwidth: float,
     step: float,
     *,
-    tol: float = 1e-10,
-    max_newton: int = 16,
     rho_tol: float = 1e-10,
     lock_tol: float = 1e-8,
     q_max: int = 64,
     refine_width: float = 1e-4,
-    theta0: float = 0.0,
 ) -> list[SweepRecord]:
     """Rotation number versus a or mu around the given parameter point.
 
-    Walks outward from the center in both directions with warm restarts,
-    then bisects in rounds, each halving every locked/unlocked gap wider
-    than refine_width whose midpoint falls strictly inside it (warm from
-    its lower end), until a round finds none.
-    A point where Newton fails takes its rotation number from the ambient
-    orbit (err is nan there) and the walk goes on from the last circle.
-    A point whose circle Newton settled on a floor above tol keeps its
-    rho but gets rho_err = nan: its accuracy is not established.
+    Every point takes its rotation number from the ambient orbit of xy0
+    (ambient_rotation_number, to rho_tol): on a dissipative map the
+    attracting circle is the attractor, so no circle is solved for.  As
+    every point starts from the same xy0, the order of the points does
+    not matter.  The sweep walks outward from the center in both
+    directions, then bisects in rounds, each halving every locked/unlocked
+    gap wider than refine_width whose midpoint falls strictly inside it,
+    until a round finds none.  A point whose average hits its cap keeps
+    the best estimate with rho_err = nan, and the sweep goes on.
     Records are returned sorted by parameter.
     """
     if which not in ("a", "mu"):
         raise ValueError(f"sweep parameter must be 'a' or 'mu', got {which!r}")
     center = getattr(par, which)
-
-    solutions: dict[float, GeneralSolution] = {}
     records: dict[float, SweepRecord] = {}
 
-    def solve_at(value: float, start: GeneralSolution):
-        par_v = par.replace(**{which: value})
+    def rho_at(value: float) -> None:
         try:
-            sol = newton_solve_general(start.circle, start.f, family, par_v,
-                                       tol, max_newton, start.vartheta)
-            err = sol.err
-        except NtCircleError:
-            # inside (or hugging) a resonance tongue the circle-map pair
-            # stops being reachable on any sensible grid; the rotation
-            # number itself is still well defined on the attractor, so
-            # take it from the ambient orbit and keep the last circle
-            # as the warm start for later points
-            sol, err = start, float("nan")
-        try:
-            if math.isnan(err):   # ambient point
-                xy0 = (start.circle.eta_x[0], start.circle.k_y[0])
-                rho = ambient_rotation_number(family, par_v, xy0, rho_tol)
-            else:
-                rho = rotation_number(sol.f, rho_tol, theta0)
-            # a circle settled on a floor above tol is only near the
-            # invariant one, so its rho is not established to rho_tol
-            rho_err = float("nan") if err > tol else rho_tol
+            rho = ambient_rotation_number(
+                family, par.replace(**{which: value}), xy0, rho_tol)
+            rho_err = rho_tol
         except ToleranceNotMetError as exc:
             rho, rho_err = exc.best, float("nan")
-        solutions[value] = sol
         records[value] = SweepRecord(
-            value, rho, rho_err, err,
+            value, rho, rho_err,
             lock_fraction(rho, q_max, lock_tol) is not None,
         )
-        return sol
 
-    base = solve_at(center, GeneralSolution(circle, f, float("nan"), 0))
+    rho_at(center)
     steps = int(math.floor(halfwidth / step + 1e-9))
     for sign in (1.0, -1.0):
-        prev = base
         for j in range(1, steps + 1):
-            prev = solve_at(center + sign * j * step, prev)
+            rho_at(center + sign * j * step)
 
     while True:
         keys = sorted(records)
@@ -632,7 +609,7 @@ def sweep_parameter(
         if not gaps:
             return [records[k] for k in keys]
         for lo, hi in gaps:
-            solve_at(0.5 * (lo + hi), solutions[lo])
+            rho_at(0.5 * (lo + hi))
 
 
 def induced_internal_map(

@@ -29,7 +29,7 @@ from ntcircle import (
 from ntcircle.maps import ParamPoint
 from ntcircle.solver_general import (
     GridCircle,
-    InternalMap,
+    ambient_rotation_number,
     induced_internal_map,
     interp_stencil,
     rotation_number,
@@ -122,13 +122,10 @@ def test_5_rotation_number_sweep():
     assert abs(state.mu - 0.5984626) <= 1e-6
     assert abs(state.a) <= 1e-8
 
-    base = state.k.resample(8192)
-    circle = GridCircle(base.eta_x.values, base.k_y.values, 4)
-    f0 = InternalMap.rotation(8192, OMEGA, 4)
+    xy0 = (state.k.eta_x.values[0], state.k.k_y.values[0])   # K(0)
     par = ParamPoint(state.a, state.mu, state.eps)
 
-    recs = sweep_parameter(circle, f0, problem.family, par, "a",
-                           0.1, 0.004, tol=1e-9)
+    recs = sweep_parameter(problem.family, par, xy0, "a", 0.1, 0.004)
     rho = {r.param: r for r in recs}
     grid = sorted(p for p in rho if p > 0.0 and -p in rho)
 
@@ -145,8 +142,7 @@ def test_5_rotation_number_sweep():
         assert plateau, f"5/8 plateau missing for a {'>' if sign > 0 else '<'} 0"
 
     # rho(mu) climbs monotonically away from plateaus
-    recs_mu = sweep_parameter(circle, f0, problem.family, par, "mu",
-                              0.012, 0.002, tol=1e-9)
+    recs_mu = sweep_parameter(problem.family, par, xy0, "mu", 0.012, 0.002)
     assert len(recs_mu) >= 9
     for lo, hi in zip(recs_mu, recs_mu[1:]):
         if lo.locked and hi.locked:
@@ -212,12 +208,17 @@ def test_6_property_suite():
             for i in range(len(decades) - 2)]
     assert max(exps) >= 1.7
 
-    # circle-map view of the converged circle rotates by omega
+    # circle-map view of the converged circle rotates by omega, and so
+    # does the ambient orbit from its point K(0): two independent checks
+    # of the circle's rotation number
+    par = ParamPoint(state.a, state.mu, state.eps)
     base = state.k.resample(512)
     circle = GridCircle(base.eta_x.values, base.k_y.values, 4)
-    f = induced_internal_map(circle, problem.family,
-                             ParamPoint(state.a, state.mu, state.eps))
+    f = induced_internal_map(circle, problem.family, par)
     assert abs(rotation_number(f, 1e-12) - OMEGA) <= 1e-9
+    xy0 = (state.k.eta_x.values[0], state.k.k_y.values[0])
+    rho = ambient_rotation_number(problem.family, par, xy0, 1e-12)
+    assert abs(rho - OMEGA) <= 1e-9
 
 
 def test_7_symmetry_suite():

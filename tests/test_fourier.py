@@ -321,13 +321,24 @@ class TestBlockKernels:
     @staticmethod
     def block(n):
         """Rows with Nyquist content, a pure Nyquist mode, constants and
-        signed zeros, as the solvers meet them."""
+        signed zeros, as the solvers meet them.
+
+        The two random rows come from seeded half-spectra through one
+        irfft, in O(n log n): one with every mode up to the Nyquist bin,
+        one band-limited.  Mode k has amplitude O(1), as in trig.
+        """
+        rng = np.random.default_rng(n)
+        half = np.zeros((2, n // 2 + 1), dtype=complex)
+        band = (n // 2 + 1, min(n // 8, 20) + 1)
+        for row, k in zip(half, band):
+            row[:k] = rng.normal(size=k) + 1j * rng.normal(size=k)
+        random_rows = np.fft.irfft(half * (n / 2), n)
         zeros = np.zeros(n)
         zeros[1::2] = -0.0
         rows = [
-            rand_scalar(n, n // 2, n).values,           # Nyquist included
+            random_rows[0],                             # Nyquist included
             trig(n, [(n // 2, 0.7, 0.0)]).values,       # the cos(pi n x) mode
-            rand_scalar(n, min(n // 8, 20), n + 1).values,
+            random_rows[1],
             np.full(n, 0.8),
             np.full(n, -2.5),
             np.zeros(n),
@@ -342,7 +353,7 @@ class TestBlockKernels:
         for got, want in zip(block, singles):
             assert got.tobytes() == want.values.tobytes()
 
-    N = [8, 64, 2048]
+    N = [8, 64, 2048, 1 << 16]      # 2^16: a grid qp_breakdown reaches
 
     @pytest.mark.parametrize("n", N)
     @pytest.mark.parametrize("delta", [GOLDEN_MEAN, 0.5, -0.3])

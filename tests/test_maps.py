@@ -99,3 +99,28 @@ class TestStandardNonTwistMap:
     def test_nonsymmetric_family_has_no_conjugacy(self):
         fam = StandardNonTwistMap(0.8, "nonsymmetric")
         assert check_symmetry(fam, PAR) > 1e-3
+
+
+class TestFloatOrbit:
+    """StandardNonTwistMap.orbit: the lift on Python floats."""
+
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
+    def test_step_matches_eval_lift(self, fam):
+        x, y = rand_points(200, 14)
+        x1, y1 = fam.eval_lift(x, y, PAR)
+        for xi, yi, xl, yl in zip(x.tolist(), y.tolist(), x1, y1):
+            (d,), xe, ye = fam.orbit(xi, yi, PAR, 1)
+            assert type(d) is type(xe) is type(ye) is float
+            assert abs(d - (xl - xi)) <= 1e-14
+            assert abs(ye - yl) <= 1e-14
+            assert xe == (xi + d) % 1.0
+
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
+    def test_orbit_resumes_from_its_end_point(self, fam):
+        whole, xw, yw = fam.orbit(0.3, 0.2, PAR, 50)
+        x, y, parts = 0.3, 0.2, []
+        for count in (1, 7, 42):
+            more, x, y = fam.orbit(x, y, PAR, count)
+            parts += more
+        assert parts == whole and (x, y) == (xw, yw)
+        assert 0.0 <= x < 1.0

@@ -1,6 +1,5 @@
 """Grid solver: interpolation, inversion, rotation numbers, sweeps."""
 
-import math
 from fractions import Fraction
 
 import numpy as np
@@ -469,81 +468,63 @@ class TestResidualFloor:
         assert self.steps == [0, 1, 2, 3]
         assert exc.value.residual == min(self.errs) > 100 * 1e-16
 
-    def sweep_center(self, tol, max_newton):
-        (rec,) = sweep_parameter(self.circle, self.f, sym_family(), self.par,
-                                 "a", halfwidth=0.0, step=0.01, tol=tol,
-                                 max_newton=max_newton, rho_tol=1e-10)
-        assert rec.param == self.par.a and math.isfinite(rec.rho)
-        return rec
-
-    def test_floor_accepted_sweep_point_claims_no_rho_tol(self):
-        # four steps settle on a floor above tol = 1e-13, within 100 tol
-        rec = self.sweep_center(1e-13, 4)
-        assert 1e-13 < rec.err <= 1e-11
-        assert math.isnan(rec.rho_err)
-        rec = self.sweep_center(1e-11, 20)
-        assert rec.err <= 1e-11
-        assert rec.rho_err == 1e-10
-
 
 class TestSweep:
+    @staticmethod
+    def count_points(monkeypatch):
+        """Record the parameter point of every ambient orbit the sweep runs."""
+        points = []
+        ambient = solver_general.ambient_rotation_number
+
+        def counted(*args):
+            points.append(args[1])
+            return ambient(*args)
+
+        monkeypatch.setattr(solver_general, "ambient_rotation_number", counted)
+        return points
+
     def test_integrable_parabola_in_a(self, monkeypatch):
         # eps = 0: the attractor is flat and rho(a) = mu + a^2 exactly
-        n = 256
-        circle = GridCircle(np.zeros(n), np.zeros(n))
-        f = InternalMap.rotation(n, OMEGA)
         par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
-        solves = []
-        solve = solver_general.newton_solve_general
-
-        def count_solve(*args):
-            solves.append(args[3])
-            return solve(*args)
-
-        monkeypatch.setattr(solver_general, "newton_solve_general", count_solve)
-        recs = sweep_parameter(circle, f, sym_family(), par, "a",
-                               halfwidth=0.03, step=0.01,
-                               tol=1e-11, rho_tol=1e-11)
-        # one Newton pass per point
-        assert sorted(p.a for p in solves) == [r.param for r in recs]
+        points = self.count_points(monkeypatch)
+        recs = sweep_parameter(sym_family(), par, (0.3, 0.2), "a",
+                               halfwidth=0.03, step=0.01, rho_tol=1e-11)
+        # one ambient orbit per point
+        assert sorted(p.a for p in points) == [r.param for r in recs]
         assert len(recs) == 7
         by_a = {round(r.param, 12): r for r in recs}
         for a, r in by_a.items():
-            assert abs(r.rho - (OMEGA + a * a)) <= 1e-9
+            assert abs(r.rho - (OMEGA + a * a)) <= 1e-10
+            assert r.rho_err == 1e-11
             assert not r.locked
         # evenness comes out exactly on the integrable family
         for a in (0.01, 0.02, 0.03):
             assert abs(by_a[a].rho - by_a[-a].rho) <= 1e-10
 
-    def test_failed_point_is_ambient_and_walk_continues(self, monkeypatch):
-        n = 256
-        circle = GridCircle(np.zeros(n), np.zeros(n))
-        f = InternalMap.rotation(n, OMEGA)
+    def test_capped_point_has_no_rho_err_and_walk_continues(self,
+                                                            monkeypatch):
         par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
-        solve = solver_general.newton_solve_general
+        ambient = solver_general.ambient_rotation_number
 
-        def fail_once(c, f, fam, par_v, *rest):
-            if abs(par_v.a - 0.02) < 1e-12:
-                raise DivergenceError("injected", residual=1.0)
-            return solve(c, f, fam, par_v, *rest)
+        def cap_at_002(family, par_v, *rest):
+            # at a = 0.02: one 1024-iterate estimate, then the cap
+            m_max = 1 << 10 if abs(par_v.a - 0.02) < 1e-12 else 1 << 22
+            return ambient(family, par_v, *rest, m_max=m_max)
 
-        monkeypatch.setattr(solver_general, "newton_solve_general", fail_once)
-        recs = sweep_parameter(circle, f, sym_family(), par, "a",
-                               halfwidth=0.03, step=0.01,
-                               tol=1e-11, rho_tol=1e-10)
+        monkeypatch.setattr(solver_general, "ambient_rotation_number",
+                            cap_at_002)
+        recs = sweep_parameter(sym_family(), par, (0.3, 0.2), "a",
+                               halfwidth=0.03, step=0.01, rho_tol=1e-10)
         by_a = {round(r.param, 12): r for r in recs}
         assert sorted(by_a) == [-0.03, -0.02, -0.01, 0.0, 0.01, 0.02, 0.03]
-        assert np.isnan(by_a[0.02].err)
+        assert np.isnan(by_a[0.02].rho_err)
         assert abs(by_a[0.02].rho - (OMEGA + 0.02**2)) <= 1e-9
-        assert all(r.err <= 1e-11 for a, r in by_a.items() if a != 0.02)
+        assert all(r.rho_err == 1e-10 for a, r in by_a.items() if a != 0.02)
 
     def test_bad_parameter_name(self):
-        n = 64
-        circle = GridCircle(np.zeros(n), np.zeros(n))
-        f = InternalMap.rotation(n, OMEGA)
         par = ParamPoint(0.0, OMEGA, 0.0)
         with pytest.raises(ValueError):
-            sweep_parameter(circle, f, sym_family(), par, "sigma",
+            sweep_parameter(sym_family(), par, (0.0, 0.0), "sigma",
                             halfwidth=0.01, step=0.01)
 
 
@@ -596,25 +577,17 @@ class TestBisectionRounds:
 
     def sweep(self, monkeypatch, refine_width):
         # eps = 0: rho(a) = mu + a^2, locked here iff |a| > EDGE
-        n = 256
-        circle = GridCircle(np.zeros(n), np.zeros(n))
-        f = InternalMap.rotation(n, OMEGA)
         par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
-        solves = []
-        solve = solver_general.newton_solve_general
-
-        def count_solve(*args):
-            solves.append(args[3].a)
-            return solve(*args)
 
         def lock(rho, q_max, lock_tol):
             return Fraction(1) if rho > OMEGA + self.EDGE**2 else None
 
-        monkeypatch.setattr(solver_general, "newton_solve_general", count_solve)
         monkeypatch.setattr(solver_general, "lock_fraction", lock)
-        recs = sweep_parameter(circle, f, sym_family(), par, "a",
-                               halfwidth=0.03, step=0.01, tol=1e-11,
-                               rho_tol=1e-11, refine_width=refine_width)
+        points = TestSweep.count_points(monkeypatch)
+        recs = sweep_parameter(sym_family(), par, (0.3, 0.2), "a",
+                               halfwidth=0.03, step=0.01, rho_tol=1e-11,
+                               refine_width=refine_width)
+        solves = [p.a for p in points]
         edges = [(lo.param, hi.param) for lo, hi in zip(recs, recs[1:])
                  if lo.locked != hi.locked]
         return solves, recs, edges
