@@ -18,11 +18,12 @@ The frame is written once, on sample arrays, for both solvers:
 normal0_values gives N0 and the gram <L, L>, torsion0 the torsion from N0
 composed with f (shifted spectrally in the quasi-periodic solver, read
 through the Lagrange stencil of f in the grid solver), and normal_values
-N with its det P = 1 check.  vartheta_qp solves the torsion equation
-spectrally; the grid solver, whose f is free, uses vartheta_general, and
-solve_transfer is the one fixed-point kernel for both of its transfer
-equations, the torsion equation here and the normal equation of its
-Newton step.
+N with its det P = 1 check; DF along the circle comes in one form, the
+(2, 2, N) sample array of Evaluation.jacobian.  vartheta_qp solves the
+torsion equation spectrally; the grid solver, whose f is free, uses
+vartheta_general, and solve_transfer is the one fixed-point kernel for
+both of its transfer equations, the torsion equation here and the normal
+equation of its Newton step.
 
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
 and <L, Omega N> = -1; the inverse transition P^{-1} has rows N^T Omega
@@ -118,21 +119,24 @@ class Diagnostics:
     tail: float
 
 
-def tangent(k: TorusEmbedding, cut=()) -> tuple[PeriodicScalar, ...]:
-    """L = K' = (1 + eta_x', K_y'), then the 1/3 cut of each row in cut.
+def tangent(k: TorusEmbedding, cut=()) -> Pair:
+    """L = K' = (1 + eta_x', K_y'); the 1/3 cut of each row of cut in place.
 
-    cut holds sample rows on the grid of k, such as the entries of DF
-    along the circle; the derivatives and the cuts share one transform
-    pair.  Returns (L_x, L_y) followed by one field per row of cut.
+    cut holds writable sample rows on the grid of k, such as entries of
+    DF along the circle; the derivatives and the cuts share one checked
+    transform pair, and each cut is copied back over its row, so nothing
+    pins the block.  Returns (L_x, L_y).
     """
-    memory = fourier.field_memory(2 + len(cut), k.n)
+    memory = fourier.field_memory(2, k.n)
     rows = np.stack((k.eta_x.values, k.k_y.values, *cut))
     half = fourier.spectra(rows)
     fourier.derivative_spectra(half[:2])
     fourier.cut_spectra(half[2:])
     fourier.samples(half, rows)
     rows[0] += 1.0    # finite samples stay finite
-    return tuple(fourier.fields(rows, memory))
+    for dest, row in zip(cut, rows[2:]):
+        np.copyto(dest, row)
+    return tuple(fourier.fields(rows[:2], memory))
 
 
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
@@ -150,8 +154,8 @@ def torsion0(n0x, n0y, n0x_f, n0y_f, dfk) -> np.ndarray:
     """t0(theta) = N0(f(theta))^T Omega DF(K(theta)) N0(theta) on samples.
 
     (n0x_f, n0y_f) are the samples of N0 o f, N0 composed with the
-    internal dynamics; dfk holds the four entries of DF along the circle
-    as sample arrays, indexed dfk[i][j].
+    internal dynamics; dfk is DF along the circle, the (2, 2, N) sample
+    array of Evaluation.jacobian.
     """
     (d00, d01), (d10, d11) = dfk
     wx = d00 * n0x + d01 * n0y
@@ -235,16 +239,16 @@ def normal_values(lx, ly, n0x, n0y, vartheta):
 def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):
     """sup-norm of the residual DF P - P(. + omega) diag(1, sigma).
 
-    l_shifted and n_shifted are the frame columns L(. + omega) and
-    N(. + omega), as pairs of PeriodicScalar.  A residual column with a
-    NaN or infinite sample has a non-finite sup and raises NonFiniteError.
+    dfk is DF along the circle as torsion0 takes it; l_shifted and
+    n_shifted are the frame columns L(. + omega) and N(. + omega), as
+    pairs of PeriodicScalar.  A residual column with a NaN or infinite
+    sample has a non-finite sup and raises NonFiniteError.
     """
-    rows = [[d.values for d in row] for row in dfk]
     cols = ((frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, frame.sigma))
     sups = [float(np.max(np.abs(d0 * vx.values + d1 * vy.values
                                 - mult * s.values)))
             for (vx, vy), shifted, mult in cols
-            for (d0, d1), s in zip(rows, shifted)]
+            for (d0, d1), s in zip(dfk, shifted)]
     if not all(map(math.isfinite, sups)):
         raise NonFiniteError("samples must be finite")
     return max(sups)

@@ -541,13 +541,13 @@ def ambient_rotation_number(
     """
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
     _, x, y = family.orbit(x, y, par, transient)
-    out: list = []
+    done = np.empty(0)
 
     def extend(count: int) -> np.ndarray:
-        nonlocal x, y
-        more, x, y = family.orbit(x, y, par, count - len(out))
-        out.extend(more)
-        return np.asarray(out)
+        nonlocal x, y, done
+        more, x, y = family.orbit(x, y, par, count - done.size)
+        done = np.concatenate((done, np.asarray(more)))
+        return done
 
     return _birkhoff(extend, tol, m_max, "ambient rotation number")
 

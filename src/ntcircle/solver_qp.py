@@ -15,13 +15,16 @@ extremum and sweeping b_a0 charts the twist surface.
 
 Each field of the linearization is one formula on sample arrays,
 wrapped and checked for finiteness once (see fourier); the intermediates
-of a formula are never wrapped.  Every spectral operator runs on a block
-of the fields that are ready at the same time, one rfft and one irfft
-per block; the constant fields (J_11 = sigma, D_a F_y = 0, D_mu F) stay
-out of the blocks.
+of a formula are never wrapped, nor are the map's derivatives along the
+circle: DF is the (2, 2, N) array of Evaluation.jacobian, as in the grid
+solver, and D_a F, D_mu F and D_eps F are pairs of arrays.  Every
+spectral operator runs on a block of the fields that are ready at the
+same time, one rfft and one irfft per block; the constants J_11 = sigma,
+D_a F_y = 0 and D_mu F = (1, 0) stay out of the blocks.
 
-Compositions with the map are dealiased with the 1/3 truncation, and the
-invariance residual is measured on the filtered system; spectral
+The 1/3 truncation cuts the start of a solve, the composition, the
+non-constant entries of DF and D_a F, D_eps F and the correction, and
+the invariance residual is measured on the filtered system; spectral
 exhaustion is monitored on the raw compositions and drives the dyadic
 mode adaptation during continuation.
 
@@ -177,13 +180,13 @@ class NewtonWorkspace:
     projections of the parameter directions D_a F and D_mu F.  A point
     is filled in stages: _point sets k, a, mu, eps and ev, the map
     evaluated along K; the residual stage sets ex, ey, err, e_p and
-    tail; the frame stage frame, dfk, d_a, alpha, nx_s, ny_s, bla, b_a
-    and e_b; the shifted tangent lx_s, ly_s comes with whichever of
-    those two runs second; completion fills the rest.
+    tail; the frame stage frame, the sample arrays dfk and d_a, alpha,
+    nx_s, ny_s, bla, b_a and e_b; the shifted tangent lx_s, ly_s comes
+    with whichever of those two runs second; completion fills the rest.
     """
 
     __slots__ = (
-        "k", "a", "mu", "eps", "ev", "frame", "dfk", "d_a", "d_mu",
+        "k", "a", "mu", "eps", "ev", "frame", "dfk", "d_a",
         "nx_s", "ny_s", "lx_s", "ly_s",
         "ex", "ey", "err", "e_p", "e_b",
         "eta_l", "eta_n", "bla", "bna", "blm", "bnm",
@@ -192,8 +195,8 @@ class NewtonWorkspace:
 
 
 def _cross(a, u, b, v) -> np.ndarray:
-    """Samples of a*u - b*v, in this order, for fields a, u, b, v."""
-    return a.values * u.values - b.values * v.values
+    """a*u - b*v, in this order, for sample arrays a, u, b, v."""
+    return a * u - b * v
 
 
 def _shifted(block: tuple[PeriodicScalar, ...], omega: float):
@@ -214,30 +217,21 @@ def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     return ws
 
 
-def _derivative_fields(k: TorusEmbedding, ev):
-    """Tangent, and the dealiased Jacobian and D_a F along the circle.
-
-    ev is the map evaluated along k.  The tangent and the cut of the
-    non-constant entries share one transform pair; the constant J_11 =
-    sigma and D_a F_y = 0 keep the constant rule of dealias.
-    """
-    jac = ev.jacobian()
-    dax, day = ev.d_a()
-    lx, ly, d00, d01, d10, dax = tangent(
-        k, (jac[0, 0], jac[0, 1], jac[1, 0], dax))
-    dfk = ((d00, d01), (d10, fourier.dealias(PeriodicScalar(jac[1, 1]))))
-    return (lx, ly), dfk, (dax, fourier.dealias(_fresh(day)))
-
-
 def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Frame, torsion and twist b_a at the point ws: all a probe reads.
 
-    A point whose residual is in is being kept, and its shifted tangent
-    rides in the block of the shifted normal.
+    DF and D_a F stay the evaluation's arrays: J_00, J_01, J_10 and
+    D_a F_x are cut in place in the tangent's block, which checks them,
+    and J_11 = sigma and D_a F_y = 0 are left alone, so a NaN or inf in
+    them still raises NonFiniteError from this call.  A point whose
+    residual is in is being kept, and its shifted tangent rides in the
+    block of the shifted normal.
     """
     om = problem.omega
     sig = problem.family.sigma
-    l, dfk, d_a = _derivative_fields(ws.k, ws.ev)
+    dfk = ws.ev.jacobian()
+    d_a = ws.ev.d_a()
+    l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], d_a[0]))
     lx, ly = l[0].values, l[1].values
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
@@ -245,7 +239,7 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     # freed once read (see fourier.field_memory)
     t0, = fourier.field_memory(1, ws.k.n)
     n0_f = fourier.transform(np.stack((n0x, n0y)), fourier.shift_spectra, om)
-    t0[:] = torsion0(n0x, n0y, *n0_f, [[d.values for d in r] for r in dfk])
+    t0[:] = torsion0(n0x, n0y, *n0_f, dfk)
     del n0_f
     vth = vartheta_qp(t0, sig, om)
     del t0
@@ -260,7 +254,7 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
         ws.nx_s, ws.ny_s = _shifted(fr.nvec, om)
     else:
         ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s = _shifted(fr.nvec + l, om)
-    ws.bla = _fresh(_cross(ws.ny_s, d_a[0], ws.nx_s, d_a[1]))
+    ws.bla = _fresh(_cross(ws.ny_s.values, d_a[0], ws.nx_s.values, d_a[1]))
     ws.b_a = fourier.average(ws.bla)
     ws.e_b = ws.b_a - problem.b_a0
     return ws
@@ -300,21 +294,21 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Keep the point ws, whose residual is in: the remaining projections.
 
     Runs the frame stage first unless the point already has its frame.
+    D_mu F = (1, 0) stays samples, read only by the wrapped b-fields.
     """
     if ws.frame is None:
         _frame_stage(problem, ws)
     dmx, dmy = problem.family.d_mu(ws.ev.x, ws.k.k_y.values, ws.ev.par)
-    ws.d_mu = (fourier.dealias(_fresh(dmx)), fourier.dealias(_fresh(dmy)))
-
     dax, day = ws.d_a
-    dmx, dmy = ws.d_mu
-    ws.bna = _fresh(-_cross(ws.ly_s, dax, ws.lx_s, day))
-    ws.blm = _fresh(_cross(ws.ny_s, dmx, ws.nx_s, dmy))
-    ws.bnm = _fresh(-_cross(ws.ly_s, dmx, ws.lx_s, dmy))
+    lx, ly, nx, ny = (u.values for u in (ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s))
+    ws.bna = _fresh(-_cross(ly, dax, lx, day))
+    ws.blm = _fresh(_cross(ny, dmx, nx, dmy))
+    ws.bnm = _fresh(-_cross(ly, dmx, lx, dmy))
     ws.b_mu = fourier.average(ws.blm)
 
-    ws.eta_l = _fresh(-_cross(ws.ny_s, ws.ex, ws.nx_s, ws.ey))
-    ws.eta_n = _fresh(_cross(ws.ly_s, ws.ex, ws.lx_s, ws.ey))
+    ex, ey = ws.ex.values, ws.ey.values
+    ws.eta_l = _fresh(-_cross(ny, ex, nx, ey))
+    ws.eta_n = _fresh(_cross(ly, ex, lx, ey))
     return ws
 
 
@@ -336,12 +330,6 @@ def frame_fields(problem: QpProblem, state: QpState):
         ws.frame.nvec[0].values,
         ws.frame.nvec[1].values,
     )
-
-
-def _cut(rows, memory) -> list[PeriodicScalar]:
-    """The 1/3 cut of two sample rows as fields in memory, in one block."""
-    return fourier.fields(fourier.transform(np.stack(rows),
-                                            fourier.cut_spectra), memory)
 
 
 def _solve_linear(problem, ws, eta_l, eta_n, phase):
@@ -483,8 +471,10 @@ def newton_solve(problem: QpProblem, state: QpState,
     fields of the grid.
     """
     # project the start onto the retained band; corrections stay there
-    k = TorusEmbedding(*_cut((state.k.eta_x.values, state.k.k_y.values),
-                             fourier.field_memory(2, state.k.n)))
+    memory = fourier.field_memory(2, state.k.n)
+    k = TorusEmbedding(*fourier.fields(fourier.transform(
+        np.stack((state.k.eta_x.values, state.k.k_y.values)),
+        fourier.cut_spectra), memory))
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 
@@ -599,9 +589,11 @@ def eps_derivative(
     elif ws.k is not state.k or (ws.a, ws.mu, ws.eps) != (
             state.a, state.mu, state.eps):
         raise ValueError("workspace does not belong to this state")
-    ex, ey = _cut(ws.ev.d_eps(), fourier.field_memory(2, state.k.n))
-    eta_l = _fresh(-_cross(ws.ny_s, ex, ws.nx_s, ey))
-    eta_n = _fresh(_cross(ws.ly_s, ex, ws.lx_s, ey))
+    # the cut rows of D_eps F stay samples, checked by their block
+    ex, ey = fourier.transform(np.stack(ws.ev.d_eps()), fourier.cut_spectra)
+    lx, ly, nx, ny = (u.values for u in (ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s))
+    eta_l = _fresh(-_cross(ny, ex, nx, ey))
+    eta_n = _fresh(_cross(ly, ex, lx, ey))
     basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)
 
     def twist_rate(d_a: float):

@@ -66,7 +66,8 @@ class TestFrameConstruction:
 
     def test_tangent_block_equals_single_fields(self):
         # the derivatives and the cut rows of one block are bitwise the
-        # single-field derivative and dealias
+        # single-field derivative and dealias; each cut is written over
+        # its own row, and a row left out of cut is left alone
         th = grid(128)
         k = TorusEmbedding(
             PeriodicScalar(0.01 * np.sin(TWO_PI * th)
@@ -75,14 +76,17 @@ class TestFrameConstruction:
         fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
         jac = fam.jacobian(k.x_lift(), k.k_y.values,
                            ParamPoint(0.01, 0.6, 0.9))
-        rows = (jac[0, 0], jac[0, 1], jac[1, 0], np.full(128, -0.0))
-        lx, ly, *cut = tangent(k, rows)
+        dax = np.full(128, -0.0)
+        rows = (jac[0, 0], jac[0, 1], jac[1, 0], dax)
+        want = [dealias(PeriodicScalar(row)).values for row in rows]
+        lx, ly = tangent(k, rows)
         same = lambda u, v: u.values.tobytes() == v.values.tobytes()
         assert same(lx, derivative(k.eta_x) + 1.0)
         assert same(ly, derivative(k.k_y))
-        for got, row in zip(cut, rows):
-            assert same(got, dealias(PeriodicScalar(row)))
-        assert all(u.values.base is None for u in (lx, ly, *cut))
+        for got, row in zip(rows, want):
+            assert got.tobytes() == row.tobytes()
+        assert np.all(jac[1, 1] == SIGMA)
+        assert all(a.base is None for a in (lx.values, ly.values, jac, dax))
 
     def test_normal0_is_unit_rotation_of_tangent(self):
         _, k, _ = integrable_frame(0.1)
@@ -161,11 +165,12 @@ class TestOneFrame:
     def test_both_solvers_take_t0_from_torsion0(self, monkeypatch):
         assert solver_qp.torsion0 is frame.torsion0
         assert solver_general.torsion0 is frame.torsion0
-        calls = []
+        calls, forms = [], []
 
         def counted(*args):
             out = frame.torsion0(*args)
             calls.append(out)
+            forms.append((type(args[4]), args[4].shape))
             return out
 
         monkeypatch.setattr(solver_qp, "torsion0", counted)
@@ -183,8 +188,7 @@ class TestOneFrame:
         lx, ly = (c.values for c in ws.frame.l)
         n0x, n0y, _ = normal0_values(lx, ly)
         n0_f = [shift(PeriodicScalar(c), OMEGA).values for c in (n0x, n0y)]
-        dfk = [[d.values for d in row] for row in ws.dfk]
-        t0 = self.inline_torsion(n0x, n0y, *n0_f, dfk)
+        t0 = self.inline_torsion(n0x, n0y, *n0_f, ws.dfk)
         assert calls[0].tobytes() == t0.tobytes()
         vth = vartheta_qp(t0, SIGMA, OMEGA)
         for got, want in zip(ws.frame.nvec,
@@ -210,6 +214,8 @@ class TestOneFrame:
             interp_apply(n0y, res.idx, res.w),
             fam.jacobian(th + circle.eta_x, circle.k_y, par))
         assert calls[1].tobytes() == t0.tobytes()
+        # one form of DF along the circle: the (2, 2, N) sample array
+        assert forms == [(np.ndarray, (2, 2, 128)), (np.ndarray, (2, 2, n))]
 
 
 def spectral_eval(values, q):

@@ -167,7 +167,8 @@ class TestIterationCost:
 
     # FFTs by part, at a generic point, one rfft and one irfft per block
     # of fields that are ready together: frame stage = 2 (tangent with
-    # the cut of DF and D_a F; J_11 = sigma and D_a F_y = 0 are constant)
+    # the cut of J_00, J_01, J_10 and D_a F_x; J_11 = sigma and
+    # D_a F_y = 0 are constant)
     # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal, with the
     # shifted tangent at a kept point); residual = 2 (compositions with
     # their tails, and the embedding shifted); completion = 0; linear
@@ -182,15 +183,15 @@ class TestIterationCost:
     PER_SOLVE = 2 + RESIDUAL + FRAME + COMPLETE
 
     # PeriodicScalar wraps by part, one per field and none per
-    # intermediate or per constant: frame stage = 6 (tangent, the cut
-    # DF and D_a F entries) + 1 (the copy of the J_11 view) + 1 (D_a F_y)
-    # + 1 (gram) + 1 (vartheta) + 2 (frame normal) + 2 (shifted normal)
-    # + 1 (b_la), with N0 and t0 kept as samples, and 2 more at a kept
-    # point (shifted tangent); residual = 2 (E); completion = 2 (D_mu F)
-    # + 5 (b-fields, eta); linear solve = 0 (the corrections at
-    # delta_a = 0 and their rates stay samples, checked once by their
-    # block); candidate embedding = 2
-    WRAP_FRAME, WRAP_KEPT, WRAP_RESIDUAL, WRAP_COMPLETE = 15, 2, 2, 7
+    # intermediate or per derivative of the map (DF, D_a F and D_mu F
+    # stay sample arrays): frame stage = 2 (tangent) + 1 (gram)
+    # + 1 (vartheta) + 2 (frame normal) + 2 (shifted normal) + 1 (b_la),
+    # with N0 and t0 kept as samples, and 2 more at a kept point
+    # (shifted tangent); residual = 2 (E); completion = 5 (b-fields,
+    # eta); linear solve = 0 (the corrections at delta_a = 0 and their
+    # rates stay samples, checked once by their block); candidate
+    # embedding = 2
+    WRAP_FRAME, WRAP_KEPT, WRAP_RESIDUAL, WRAP_COMPLETE = 9, 2, 2, 5
     WRAP_SOLVE, WRAP_CAND = 0, 2
     WRAPS_PER_ITERATION = (WRAP_SOLVE + 3 * (WRAP_CAND + WRAP_FRAME)
                            + WRAP_RESIDUAL + WRAP_KEPT + WRAP_COMPLETE)
@@ -255,6 +256,7 @@ class TestIterationCost:
         return c
 
     def test_probes_skip_completion_and_fft_budget(self, monkeypatch):
+        assert self.PER_ITERATION == 30 and self.WRAPS_PER_ITERATION == 42
         prob = nonsym_problem()
         start = QpState.flat_start(256, OMEGA)
         c = self.counted(monkeypatch, prob)
@@ -350,9 +352,10 @@ class TestIterationCost:
         k, om = ws.k, OMEGA
         same = lambda u, v: u.values.tobytes() == v.values.tobytes()
         dax, day = ws.d_a
-        dmx, dmy = ws.d_mu
+        par = ParamPoint(ws.a, ws.mu, ws.eps)
+        dmx, dmy = prob.family.d_mu(k.x_lift(), k.k_y.values, par)
         fx_lift, fy_raw = prob.family.eval_lift(
-            k.x_lift(), k.k_y.values, ParamPoint(ws.a, ws.mu, ws.eps))
+            k.x_lift(), k.k_y.values, par)
         ux = PeriodicScalar(fx_lift - fourier.grid(k.n))
         fy = PeriodicScalar(fy_raw)
         assert ws.tail == max(
@@ -362,12 +365,12 @@ class TestIterationCost:
         l = tangent(k)
         n0 = [PeriodicScalar(c)
               for c in normal0_values(l[0].values, l[1].values)[:2]]
-        wx = ws.dfk[0][0] * n0[0] + ws.dfk[0][1] * n0[1]
-        wy = ws.dfk[1][0] * n0[0] + ws.dfk[1][1] * n0[1]
+        df = [[PeriodicScalar(d) for d in row] for row in ws.dfk]
+        wx = df[0][0] * n0[0] + df[0][1] * n0[1]
+        wy = df[1][0] * n0[0] + df[1][1] * n0[1]
         t0 = fourier.shift(n0[1], om) * wx - fourier.shift(n0[0], om) * wy
-        dfk = [[d.values for d in row] for row in ws.dfk]
         got = torsion0(n0[0].values, n0[1].values,
-                       *(fourier.shift(c, om).values for c in n0), dfk)
+                       *(fourier.shift(c, om).values for c in n0), ws.dfk)
         assert got.tobytes() == t0.values.tobytes()
         expected = dict(
             bla=ws.ny_s * dax - ws.nx_s * day,
@@ -400,44 +403,55 @@ class TestIterationCost:
         assert cand.mu == ws.mu + t * (mu0 + delta_a * mu1)
 
     def test_derivative_block_equals_single_fields(self):
-        # the tangent derivatives and the cut DF and D_a F entries of
-        # one block are bitwise the single-field derivative and dealias
+        # the frame stage's tangent and its DF and D_a F sample arrays
+        # are bitwise the single-field derivative and dealias of the
+        # map's own derivatives; DF keeps the (2, 2, N) form
         prob, ws = self.generic_workspace()
         k = ws.k
-        same = lambda u, v: u.values.tobytes() == v.values.tobytes()
+        same = lambda u, v: u.tobytes() == v.values.tobytes()
         par = ParamPoint(ws.a, ws.mu, ws.eps)
         jac = prob.family.jacobian(k.x_lift(), k.k_y.values, par)
         dax, day = prob.family.d_a(k.x_lift(), k.k_y.values, par)
-        (lx, ly), dfk, d_a = solver_qp._derivative_fields(
-            k, prob.family.evaluate(k.x_lift(), k.k_y.values, par))
-        assert same(lx, fourier.derivative(k.eta_x) + 1.0)
-        assert same(ly, fourier.derivative(k.k_y))
+        lx, ly = ws.frame.l
+        assert same(lx.values, fourier.derivative(k.eta_x) + 1.0)
+        assert same(ly.values, fourier.derivative(k.k_y))
+        assert type(ws.dfk) is np.ndarray and ws.dfk.shape == (2, 2, k.n)
         for i in (0, 1):
             for j in (0, 1):
                 want = fourier.dealias(PeriodicScalar(jac[i, j]))
-                assert same(dfk[i][j], want), (i, j)
-        assert same(d_a[0], fourier.dealias(PeriodicScalar(dax)))
-        assert same(d_a[1], fourier.dealias(PeriodicScalar(day)))
+                assert same(ws.dfk[i, j], want), (i, j)
+        assert same(ws.d_a[0], fourier.dealias(PeriodicScalar(dax)))
+        assert same(ws.d_a[1], fourier.dealias(PeriodicScalar(day)))
 
     def test_workspace_fields_own_their_memory(self):
-        # a field adopted as a view would pin the whole array behind it,
-        # the Jacobian block for the dfk entries
+        # a field or sample array that is a view would pin the whole
+        # array behind it, such as the tangent's block for the cut DF
+        # and D_a F rows
         _, ws = self.generic_workspace()
 
-        def scalars(obj):
+        def arrays(obj):
             if isinstance(obj, PeriodicScalar):
-                yield obj
+                yield obj, obj.values
+            elif isinstance(obj, np.ndarray):
+                yield None, obj
             elif isinstance(obj, tuple):
                 for o in obj:
-                    yield from scalars(o)
+                    yield from arrays(o)
             elif dataclasses.is_dataclass(obj):
                 for f in dataclasses.fields(obj):
-                    yield from scalars(getattr(obj, f.name))
+                    yield from arrays(getattr(obj, f.name))
+            elif isinstance(obj, Evaluation):
+                for name in Evaluation.__slots__:
+                    yield from arrays(getattr(obj, name))
 
-        fields = [u for name in solver_qp.NewtonWorkspace.__slots__
-                  for u in scalars(getattr(ws, name))]
-        assert len(fields) == 27
-        assert all(u.values.base is None for u in fields)
+        found = [a for name in solver_qp.NewtonWorkspace.__slots__
+                 for a in arrays(getattr(ws, name))]
+        fields = [u for u, _ in found if u is not None]
+        samples = [v for u, v in found if u is None]
+        assert len(fields) == 19
+        # DF, D_a F (two rows) and the evaluation's x, p(x) and q
+        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 5
+        assert all(v.base is None for _, v in found)
 
     def test_diagnostics_reuse_workspace_shifts(self, monkeypatch):
         prob = nonsym_problem()
@@ -449,10 +463,11 @@ class TestIterationCost:
         reused = c["fft"]
         # the frame's own residual DF P - P(. + omega) diag(1, sigma)
         cols = []
+        df = [[PeriodicScalar(d) for d in row] for row in ws.dfk]
         for (vx, vy), mult in ((ws.frame.l, 1.0),
                                 (ws.frame.nvec, ws.frame.sigma)):
             for v, row in ((vx, 0), (vy, 1)):
-                r = (ws.dfk[row][0] * vx + ws.dfk[row][1] * vy
+                r = (df[row][0] * vx + df[row][1] * vy
                      - mult * fourier.shift(v, OMEGA))
                 cols.append(r.sup())
         assert c["fft"] - reused == 8
