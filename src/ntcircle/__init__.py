@@ -19,9 +19,10 @@ Layout:
   locked to a fixed irrational, plus continuation, breakdown fitting
   and the twist-surface driver.
 - ``solver_general``: the grid-based solver with the internal circle
-  map free (a cross-check of the quasi-periodic circles), rotation
-  numbers by weighted Birkhoff averaging, and parameter sweeps from the
-  ambient orbit.
+  map free (a cross-check of the quasi-periodic circles, with exact,
+  cold-started Newton steps on the same dyadic grids), rotation numbers
+  by weighted Birkhoff averaging, and parameter sweeps from the ambient
+  orbit.
 - ``cli``: command-line driver writing CSV tables.
 """
 

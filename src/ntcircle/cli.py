@@ -27,6 +27,7 @@ now solves no circle.
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
 from dataclasses import dataclass, fields, replace
@@ -112,23 +113,31 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected a boolean, got {text!r}")
 
 
+def _parse_float(text: str) -> float:
+    """A finite float: no config key or table cell takes a NaN or an inf."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _parse_omega(text: str) -> float:
     if text.strip().lower() == "golden":
         return GOLDEN_MEAN
-    return float(text)
+    return _parse_float(text)
 
 
 def _parse_float_list(text: str) -> tuple:
     items = [t for t in (s.strip() for s in text.split(",")) if t]
     if not items:
         raise ValueError("expected a comma-separated list of numbers")
-    return tuple(float(t) for t in items)
+    return tuple(_parse_float(t) for t in items)
 
 
 # one parser per RunConfig annotation (a string, as annotations are
 # postponed in this module); omega also takes `golden`
-_PARSERS = {"str": str, "float": float, "int": int, "bool": _parse_bool,
-            "tuple": _parse_float_list}
+_PARSERS = {"str": str, "float": _parse_float, "int": int,
+            "bool": _parse_bool, "tuple": _parse_float_list}
 _CASTERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 _CASTERS["omega"] = _parse_omega
 
@@ -260,16 +269,30 @@ def write_csv(path: str, header, rows) -> None:
 
 
 def read_alpha_csv(path: str):
-    """Parse a two-column (eps, alpha) table with a header row."""
+    """Parse a two-column (eps, alpha) table with a header row.
+
+    A missing header, a row with fewer than two cells or a cell that is
+    not a finite number raises ValueError naming the path and the line.
+    """
     out = []
     with open(path, "r", encoding="ascii") as fh:
-        next(fh)                           # header
-        for line in fh:
+        if not fh.readline():
+            raise ValueError(f"{path}, line 1: empty table, "
+                             "expected a header row")
+        for lineno, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             parts = line.split(",")
-            out.append(_AlphaPoint(float(parts[0]), float(parts[1])))
+            if len(parts) < 2:
+                raise ValueError(f"{path}, line {lineno}: expected "
+                                 f"eps,alpha, got {line!r}")
+            try:
+                point = _AlphaPoint(_parse_float(parts[0]),
+                                    _parse_float(parts[1]))
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {lineno}: {exc}") from exc
+            out.append(point)
     return out
 
 

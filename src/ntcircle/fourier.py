@@ -39,10 +39,11 @@ Work that never changes is done once.  The phase vectors e(k*delta) of
 shift come from one bounded cache keyed on (n, delta), and the
 derivative multipliers 2 pi i k from one keyed on n, read-only like the
 grids, and each (n, omega) has its small divisors checked once; a
-degenerate divisor is reported before a block is changed.  dealias
-returns a constant field as it is, and tails gauges the raw tails of a
-block's rows from the spectra the cut then filters, with mode weights
-cached per n.
+degenerate divisor is reported before a block is changed.  tails
+gauges the raw tails of a block's rows from the spectra the cut then
+filters, with mode weights cached per n.  dealias takes constants
+through the transforms too: they give every constant but -0.0 back bit
+for bit.
 
 Each field is wrapped once, and the wrap is the one place finiteness is
 checked.  PeriodicScalar.__init__ is the only constructor; it adopts the
@@ -282,13 +283,9 @@ def derivative_spectra(half: np.ndarray) -> None:
     half[..., -1] = 0.0
 
 
-def cut_spectra(half: np.ndarray, n: int | None = None) -> None:
-    """The 1/3 truncation, in place: zero all modes with |k| > n/3.
-
-    n is the grid size; by default the even size the bins imply.
-    """
-    n = _size(half) if n is None else n
-    half[..., n // 3 + 1:] = 0.0
+def cut_spectra(half: np.ndarray) -> None:
+    """The 1/3 truncation, in place: zero all modes with |k| > n/3."""
+    half[..., _size(half) // 3 + 1:] = 0.0
 
 
 def linear_shift_spectra(half: np.ndarray, lam: float, rho: float,
@@ -439,28 +436,10 @@ def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
     return _fresh(np.fft.irfft(out * n_new, n_new))
 
 
-def dealias_values(v: np.ndarray) -> np.ndarray:
-    """The 1/3 cut of the sample rows v, as a plain (unchecked) array.
-
-    The rows may have any size n, odd included (the grid solver's grids
-    need not be dyadic).
-    """
-    n = v.shape[-1]
-    half = spectra(v)
-    cut_spectra(half, n)
-    return np.fft.irfft(half, n)
-
-
 def dealias(u: PeriodicScalar) -> PeriodicScalar:
     """Zero all modes with |k| > n/3 (the classical 1/3 truncation).
 
     Applied to pointwise products and compositions so that quadratic
     nonlinearities cannot fold spurious energy back into retained modes.
-    A constant is returned as it is: the transforms give it back bit for
-    bit, except for signed zeros, which are left to them.
     """
-    v = u.values
-    lo = v.min()
-    if lo == v.max() and (lo != 0.0 or not np.signbit(v).any()):
-        return u
-    return _field(v, cut_spectra)
+    return _field(u.values, cut_spectra)

@@ -23,7 +23,8 @@ N with its det P = 1 check; DF along the circle comes in one form, the
 torsion equation spectrally; the grid solver, whose f is free, uses
 vartheta_general, and solve_transfer is the one fixed-point kernel for
 both of its transfer equations, the torsion equation here and the normal
-equation of its Newton step.
+equation of its Newton step.  Every transfer solve is exact: it starts
+from x = a and runs to _FIXED_POINT_TOL.
 
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
 and <L, Omega N> = -1; the inverse transition P^{-1} has rows N^T Omega
@@ -177,37 +178,34 @@ def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> PeriodicScalar:
                           1.0, sigma, omega)
 
 
-def solve_transfer(a, b, idx, w, sigma: float, x0=None,
-                   tol: float = _FIXED_POINT_TOL):
+def solve_transfer(a, b, idx, w, sigma: float):
     """Solve x = a + b * x(s) on grid samples by fixed-point iteration.
 
     x(s) is read through the Lagrange stencil (idx, w) of the points s.
-    The iteration starts from x0 (default a, the cold start) and stops
-    once a pass moves x by less than tol relative to max(1, |x|): a warm
-    start near the fixed point and a looser tol both cut the passes, and
-    since b contracts like sigma the error left is a few times tol.  The
-    iteration budget is ten times the count sigma**k needs to reach the
-    default tolerance, whatever tol is; not settling within it means b
-    does not contract along the orbits of s, reported as a contraction
-    failure.  Returns the solution and the number of iterations used.
+    The iteration starts from x = a and stops once a pass moves x by less
+    than _FIXED_POINT_TOL relative to max(1, |x|); since b contracts like
+    sigma, the error left is a few times that.  The iteration budget is
+    ten times the count sigma**k needs to reach the tolerance; not
+    settling within it means b does not contract along the orbits of s,
+    reported as a contraction failure.  Returns the solution and the
+    number of iterations used.
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
     cap = int(math.ceil(10.0 * math.log(_FIXED_POINT_TOL) / math.log(sigma)))
-    x = a if x0 is None else x0
+    x = a
     for it in range(cap):
         nxt = a + b * np.sum(x[idx] * w, axis=0)
         delta = float(np.max(np.abs(nxt - x)))
         x = nxt
-        if delta < tol * max(1.0, float(np.max(np.abs(x)))):
+        if delta < _FIXED_POINT_TOL * max(1.0, float(np.max(np.abs(x)))):
             return x, it + 1
     raise ContractionFailureError(
         f"transfer fixed point stalled after {cap} iterations"
     )
 
 
-def vartheta_general(t0, fprime, sigma: float, idx, w, x0=None,
-                     tol: float = _FIXED_POINT_TOL):
+def vartheta_general(t0, fprime, sigma: float, idx, w):
     """Torsion-cancelling coefficient for general internal dynamics f.
 
     Solves f'*vartheta - (sigma/f')*vartheta(f(.)) = -t0 on the grid as
@@ -217,11 +215,11 @@ def vartheta_general(t0, fprime, sigma: float, idx, w, x0=None,
 
     which contracts like sigma^k / prod f'(f^i)^2 along the orbits of f.
     t0 and fprime are samples on the nodes and (idx, w) the Lagrange
-    stencil of f at the nodes; x0 and tol are the start and relative
-    tolerance of solve_transfer.  Returns vartheta and the iteration count.
+    stencil of f at the nodes.  Returns vartheta and the iteration count
+    of solve_transfer.
     """
     return solve_transfer(-t0 / fprime, sigma / (fprime * fprime), idx, w,
-                          sigma, x0, tol)
+                          sigma)
 
 
 def normal_values(lx, ly, n0x, n0y, vartheta):

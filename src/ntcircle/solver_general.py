@@ -11,16 +11,11 @@ of frame that the quasi-periodic solver uses too.  This variant follows
 the circle into phase locking; its job is to cross-validate the circles
 of the quasi-periodic solver.
 
-The inner solves of a Newton step are warm-started and inexact, with
-forcing terms sized by the step's residual err (Dembo, Eisenstat &
-Steihaug 1982): the frame only preconditions the step, so the torsion
-solve starts from the previous vartheta (of the last step, or one the
-caller hands over from a nearby parameter) and stops at err; the normal
-solve, whose solution is the correction, starts cold and stops at
-err**2; f^-1 starts from the previous step's inverse and is solved to
-full accuracy, since an inexact inverse moves the residual floors near
-resonance tongues.
-f^-1 comes first in a step, so its check f' > 0 guards the whole step.
+Every Newton step is exact and cold-started: both transfer solves start
+from their cold start and run to frame's fixed-point tolerance, and f^-1
+starts from the rotation by -mean(g) and runs to its full tolerance, so
+a step depends on (K, f) alone.  f^-1 comes first in a step, so its
+check f' > 0 guards the whole step.
 
 Newton makes one pass per solve and keeps its best iterate: near a
 resonance tongue the achievable grid residual rises just above the
@@ -30,10 +25,12 @@ solver settles on its floor.  Each iterate's residual and stencil of f
 are computed once, for the check and its step, and each step
 differentiates g once, for f', its check and the inverse-map Newton.
 
-Everything lives on a uniform grid with local Lagrange interpolation of
-even order p; derivatives use the matching central stencils.  Internal
-maps are stored as displacement fields g with f(theta) = theta + g(theta)
-on lifts, so rational and irrational dynamics are handled alike.
+Everything lives on the dyadic grids of the quasi-periodic solver (a
+power of two n >= 8, and n >= 4p) with local Lagrange interpolation of
+even order p; derivatives use the matching central stencils, and each
+step's updates get the 1/3 cut of fourier.cut_spectra.  Internal maps
+are stored as displacement fields g with f(theta) = theta + g(theta) on
+lifts, so rational and irrational dynamics are handled alike.
 
 Rotation-number sweeps solve no circle: on a dissipative map the
 attracting circle is the attractor, so every sweep point takes its
@@ -58,9 +55,8 @@ from .errors import (
     NtCircleError,
     ToleranceNotMetError,
 )
-from .fourier import dealias_values, field_memory
+from .fourier import _check_size, cut_spectra, field_memory, transform
 from .frame import (
-    _FIXED_POINT_TOL,
     normal0_values,
     normal_values,
     solve_transfer,
@@ -77,6 +73,7 @@ def _check_order(order: int) -> None:
 
 def _check_grid(n: int, order: int) -> None:
     _check_order(order)
+    _check_size(n)
     if n < 4 * order:
         raise ValueError(f"need at least 4*order = {4 * order} nodes, got {n}")
 
@@ -204,15 +201,13 @@ def invert_map(
     f: InternalMap,
     tol: float = 1e-13,
     max_iter: int = 60,
-    guess: InternalMap | None = None,
     dg: np.ndarray | None = None,
 ) -> InternalMap:
     """Inverse circle map on the same grid, by per-node Newton on lifts.
 
-    The Newton starts from guess, an earlier inverse on the same grid,
-    when one is given, and from the rotation by -mean(g) otherwise; the
-    tolerance is the same either way.  dg is grid_derivative(f.g,
-    f.order) when the caller already has it, and is computed otherwise.
+    The Newton starts from the rotation by -mean(g).  dg is
+    grid_derivative(f.g, f.order) when the caller already has it, and is
+    computed otherwise.
     """
     n = f.n
     if dg is None:
@@ -223,8 +218,8 @@ def invert_map(
             f"f' reaches {float(np.min(fp)):.3e}; the map is not invertible"
         )
     theta = np.arange(n) / n
-    r = theta - float(np.mean(f.g)) if guess is None else theta + guess.g
-    r = _lift_newton(f.g, dg, f.order, theta, r, tol, max_iter,
+    r = _lift_newton(f.g, dg, f.order, theta, theta - float(np.mean(f.g)),
+                     tol, max_iter,
                      "inverse-map Newton did not converge")
     return InternalMap(r - theta, f.order)
 
@@ -255,15 +250,6 @@ def invariance_error(circle: GridCircle, f: InternalMap,
 @dataclass(frozen=True)
 class GeneralStepReport:
     fixed_point_iters: int   # torsion and normal transfer solves together
-    vartheta: np.ndarray     # torsion solution, the next step's start
-    finv: InternalMap        # inverse of the step's f, the next step's start
-
-
-# forcing terms of the transfer solves: the torsion solve stops at the
-# relative tolerance eta = min(err, _FORCING_CAP) and the normal solve at
-# eta**2, neither below frame's default transfer tolerance; the cap keeps
-# a large residual from cutting a solve down to a pass or two
-_FORCING_CAP = 1e-2
 
 
 def newton_step_general(
@@ -271,22 +257,15 @@ def newton_step_general(
     f: InternalMap,
     family: StandardNonTwistMap,
     par: ParamPoint,
-    vartheta0: np.ndarray | None = None,
-    finv0: InternalMap | None = None,
     residual: _Residual | None = None,
 ):
     """One Newton update of (K, f); returns the new pair and a report.
 
-    The inner solves are inexact, sized by the step's own residual err:
-    the torsion solve, which only preconditions the step, starts from
-    vartheta0 and stops at the relative tolerance eta = min(err,
-    _FORCING_CAP); the normal solve, whose solution is the correction
-    itself, starts cold and stops at eta**2 (neither below the default
-    tolerance of solve_transfer), so the step stays quadratic.  f^-1 is
-    solved first and to its full tolerance, from finv0 when given, and
+    The step is exact and cold-started: f^-1 is solved first, and
     invert_map's check that f' > 0 is the step's monotonicity check;
-    vartheta0 and finv0 are report fields of an earlier step on the same
-    grid.  residual, _residual of (K, f), is computed when None.
+    then the torsion and normal transfer solves run from their cold
+    starts to full tolerance.  residual, _residual of (K, f), is
+    computed when None.
     """
     n = circle.n
     p = circle.order
@@ -294,11 +273,11 @@ def newton_step_general(
     theta = np.arange(n) / n
 
     dg = grid_derivative(f.g, p)
-    finv = invert_map(f, guess=finv0, dg=dg)
+    finv = invert_map(f, dg=dg)
     fp = 1.0 + dg
     if residual is None:
         residual = _residual(circle, f, family, par)
-    ex, ey, err, s_idx, s_w = residual
+    ex, ey, _, s_idx, s_w = residual
 
     lx = 1.0 + grid_derivative(circle.eta_x, p)
     ly = grid_derivative(circle.k_y, p)
@@ -307,10 +286,7 @@ def newton_step_general(
                   interp_apply(n0y, s_idx, s_w),
                   family.jacobian(theta + circle.eta_x, circle.k_y, par))
 
-    forcing = min(err, _FORCING_CAP)
-    vth, vth_iters = vartheta_general(
-        t0, fp, sigma, s_idx, s_w, vartheta0, max(_FIXED_POINT_TOL, forcing)
-    )
+    vth, vth_iters = vartheta_general(t0, fp, sigma, s_idx, s_w)
     nx, ny = normal_values(lx, ly, n0x, n0y, vth)
 
     eta_l = -(interp_apply(ny, s_idx, s_w) * ex - interp_apply(nx, s_idx, s_w) * ey)
@@ -322,7 +298,7 @@ def newton_step_general(
     xi, xi_iters = solve_transfer(
         -interp_apply(eta_n, r_idx, r_w),
         sigma / interp_apply(fp, r_idx, r_w),
-        r_idx, r_w, sigma, None, max(_FIXED_POINT_TOL, forcing * forcing),
+        r_idx, r_w, sigma,
     )
 
     # smooth the updates: grid-frequency components of the correction are
@@ -330,15 +306,16 @@ def newton_step_general(
     # them, so unfiltered steps go unstable; top-octave content of the
     # solution itself is recovered by grid refinement instead.  The new
     # samples' memory is taken before the filter's block, which is then
-    # freed on top of it (see fourier.field_memory)
+    # freed on top of it (see fourier.field_memory); the transforms check
+    # the block for finiteness
     eta_new, ky_new, g_new = field_memory(3, n)
-    upd = dealias_values(np.stack((nx * xi, ny * xi, eta_l)))
+    upd = transform(np.stack((nx * xi, ny * xi, eta_l)), cut_spectra)
     np.add(circle.eta_x, upd[0], out=eta_new)
     np.add(circle.k_y, upd[1], out=ky_new)
     np.subtract(f.g, upd[2], out=g_new)
     new_circle = GridCircle(eta_new, ky_new, p)
     new_f = InternalMap(g_new, p)
-    report = GeneralStepReport(vth_iters + xi_iters, vth, finv)
+    report = GeneralStepReport(vth_iters + xi_iters)
     return new_circle, new_f, report
 
 
@@ -348,7 +325,6 @@ class GeneralSolution:
     f: InternalMap
     err: float
     iterations: int
-    vartheta: np.ndarray | None = None   # torsion of the last step taken
 
 
 # widest residual floor, relative to tol, a stopped pass may settle on
@@ -362,14 +338,9 @@ def newton_solve_general(
     par: ParamPoint,
     tol: float = 1e-11,
     max_newton: int = 20,
-    vartheta0: np.ndarray | None = None,
 ) -> GeneralSolution:
     """Iterate newton_step_general to tolerance, in one pass.
 
-    Each step starts its torsion solve from the previous step's vartheta
-    (the first one from vartheta0, e.g. the vartheta of a solution at a
-    nearby parameter on the same grid) and its f^-1 Newton from the
-    previous inverse.
     Returns the first iterate within tol.  A pass that stops short (the
     iteration cap, a non-finite or blown-up residual, or a step raising
     NtCircleError) returns its best iterate, with its true residual, if
@@ -379,27 +350,24 @@ def newton_solve_general(
     first = None
     best = None
     failure = None
-    vth, finv = vartheta0, None
     for it in range(max_newton + 1):
         res = _residual(circle, f, family, par)
         err = res.err
         if first is None:
             first = err
         if err <= tol:
-            return GeneralSolution(circle, f, err, it, vth)
+            return GeneralSolution(circle, f, err, it)
         if not math.isfinite(err) or err > 1e3 * (first + tol):
             break
         if best is None or err < best.err:
-            best = GeneralSolution(circle, f, err, it, vth)
+            best = GeneralSolution(circle, f, err, it)
         if it == max_newton:
             break
         try:
-            circle, f, report = newton_step_general(circle, f, family, par,
-                                                    vth, finv, res)
+            circle, f, _ = newton_step_general(circle, f, family, par, res)
         except NtCircleError as exc:
             failure = exc
             break
-        vth, finv = report.vartheta, report.finv
     if best is not None and best.err <= _FLOOR_FACTOR * tol:
         return best
     if failure is not None:

@@ -78,6 +78,25 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match="line 1"):
             cli.parse_config("b_a0_list = ,\n")
 
+    @pytest.mark.parametrize("line", [
+        "tol = nan",                # float
+        "eps_target = nan",
+        "b_a0 = NaN",
+        "rho_tol = inf",
+        "step_max = inf",
+        "b_a0 = -inf",
+        "omega = nan",              # omega
+        "omega = inf",
+        "b_a0_list = 0, nan",       # list
+        "b_a0_list = inf",
+    ])
+    def test_non_finite_value_rejected_at_its_line(self, line):
+        key = line.partition("=")[0].strip()
+        with pytest.raises(ValueError,
+                           match=rf"line 2: bad value for {key}: "
+                                 r"expected a finite number"):
+            cli.parse_config("sigma = 0.8\n" + line + "\n")
+
 
 def cfg_reads(source):
     """Attribute names read as cfg.<name> in source."""
@@ -290,6 +309,24 @@ class TestBreakdownCommand:
                        "--out", str(tmp_path / "out")])
         assert rc == 0
         assert "low confidence" in capsys.readouterr().out
+
+
+    @pytest.mark.parametrize("text, where", [
+        ("", "line 1: empty table"),
+        ("eps,alpha\n1.0,0.5\n1.1\n", "line 3: expected eps,alpha"),
+        ("eps,alpha\n1.0,0.5\n\n1.2,half\n", "line 4: could not convert"),
+        ("eps,alpha\n1.0,0.5\n1.1,nan\n", "line 3: expected a finite"),
+    ], ids=["empty", "short-row", "non-numeric", "non-finite"])
+    def test_bad_input_table_is_an_error(self, tmp_path, capsys, text, where):
+        table = tmp_path / "alpha_in.csv"
+        table.write_text(text, encoding="ascii")
+        cfg = write_cfg(tmp_path, BASE_CFG + f"alpha_input = {table}\n")
+        rc = cli.main(["breakdown", "--config", cfg,
+                       "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {table}")
+        assert where in err
 
 
 class TestSweepCommand:

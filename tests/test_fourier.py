@@ -244,19 +244,6 @@ class TestResampleDealias:
         half[n // 3 + 1:] = 0.0
         assert dealias(u).values.tobytes() == np.fft.irfft(half, n).tobytes()
 
-    @pytest.mark.parametrize("n", [33, 35, 48, 64])
-    def test_dealias_values_any_grid_size(self, n):
-        # the grid solver's grids need not be dyadic: rows of any size,
-        # odd included, keep their size and are cut at n // 3
-        rng = np.random.default_rng(n)
-        rows = rng.normal(size=(3, n))
-        out = fourier.dealias_values(rows)
-        assert out.shape == (3, n)
-        for got, row in zip(out, rows):
-            half = np.fft.rfft(row)
-            half[n // 3 + 1:] = 0.0
-            assert got.tobytes() == np.fft.irfft(half, n).tobytes()
-
     @pytest.mark.parametrize("n", [8, 64, 1 << 12, 1 << 16])
     @pytest.mark.parametrize("band", [0.25, 0.2, 1.0 / 3.0, 0.01, 0.9])
     def test_tail_bitwise_equal_to_mask_form(self, n, band):

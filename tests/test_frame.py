@@ -254,33 +254,6 @@ class TestVarthetaGeneral:
         res = fp * vth - (SIGMA / fp) * spectral_eval(vth, f) + t0
         assert np.max(np.abs(res)) <= 1e-11
 
-    def transfer_problem(self):
-        """x = a + b * x(f) on a warped circle map, order-6 stencil."""
-        n = 256
-        x = grid(n)
-        f = x + OMEGA + 0.08 * np.sin(TWO_PI * x) / TWO_PI
-        a = np.cos(TWO_PI * x) + 0.2 * np.sin(3 * TWO_PI * x)
-        b = SIGMA * (1.0 + 0.1 * np.cos(TWO_PI * x)) / 1.1
-        idx, w = interp_stencil(n, f, 6)
-        return a, b, idx, w
-
-    def test_start_at_fixed_point_takes_one_pass(self):
-        a, b, idx, w = self.transfer_problem()
-        x, iters = solve_transfer(a, b, idx, w, SIGMA)
-        assert iters > 50
-        again, one = solve_transfer(a, b, idx, w, SIGMA, x)
-        assert one == 1
-        assert np.max(np.abs(again - x)) <= 1e-12 * max(1.0, np.max(np.abs(x)))
-
-    @pytest.mark.parametrize("tol", [1e-4, 1e-8])
-    def test_looser_tolerance_fewer_passes_bounded_residual(self, tol):
-        a, b, idx, w = self.transfer_problem()
-        _, exact_iters = solve_transfer(a, b, idx, w, SIGMA)
-        x, iters = solve_transfer(a, b, idx, w, SIGMA, tol=tol)
-        assert iters < exact_iters
-        res = x - a - b * np.sum(x[idx] * w, axis=0)
-        assert np.max(np.abs(res)) <= 2.0 * tol * max(1.0, np.max(np.abs(x)))
-
     def test_non_contracting_transfer_raises(self):
         # b = 1 is neutral: the iterates drift and never settle
         n = 64

@@ -69,6 +69,9 @@ class TestInterp:
             GridCircle(np.zeros(7), np.zeros(7))
         with pytest.raises(ValueError):
             GridCircle(np.zeros(16), np.zeros(8))
+        # the grids are the dyadic grids of the quasi-periodic solver
+        with pytest.raises(ValueError):
+            GridCircle(np.zeros(48), np.zeros(48))
 
 
 class TestInvertMap:
@@ -117,27 +120,6 @@ class TestInvertMap:
         assert applied == sorted(2 * list(range(1, iters)) + [iters])
         err = apply_map(f, apply_map(finv, th)) - th
         assert np.max(np.abs(err - np.round(err))) <= 1e-11
-
-
-    def test_warm_start_matches_cold(self, monkeypatch):
-        n = 256
-        th = np.arange(n) / n
-        g = OMEGA + 0.1 * np.sin(2 * np.pi * th) / (2 * np.pi)
-        finv = invert_map(InternalMap(g))
-        moved = InternalMap(g + 1e-4 * np.cos(2 * np.pi * th))
-        builds = []
-        stencil = solver_general.interp_stencil
-
-        def count_stencil(*args):
-            builds.append(1)
-            return stencil(*args)
-
-        monkeypatch.setattr(solver_general, "interp_stencil", count_stencil)
-        cold = invert_map(moved)
-        cold_builds = len(builds)
-        warm = invert_map(moved, guess=finv)
-        assert len(builds) - cold_builds < cold_builds
-        assert np.max(np.abs(warm.g - cold.g)) <= 1e-13
 
 
 class TestRotationNumber:
@@ -303,117 +285,28 @@ class TestGeneralSolver:
         assert abs(rotation_number(sol.f, 1e-11) - OMEGA) <= 1e-8
 
 
-class TestOddGrid:
-    def test_newton_step_keeps_odd_grid(self):
-        # GridCircle and InternalMap accept any n >= 4 * order; the
-        # step's 1/3 filter must keep an odd grid's size
-        fam = sym_family()
-        par = ParamPoint(0.0, OMEGA, 0.1)
-        n = 33
-        th = np.arange(n) / n
-        circle = GridCircle(1e-3 * np.sin(2 * np.pi * th),
-                            1e-3 * np.cos(2 * np.pi * th), 6)
-        f = induced_internal_map(circle, fam, par)
-        new_circle, new_f, _ = solver_general.newton_step_general(
-            circle, f, fam, par)
-        assert new_circle.n == new_f.g.size == n
-        before = solver_general._residual(circle, f, fam, par).err
-        after = solver_general._residual(new_circle, new_f, fam, par).err
-        assert after <= 0.01 * before
+def perturbed_start(amp):
+    """(circle, f, par): the eps = 0.4 QP circle with K moved by amp.
 
-
-class TestInnerSolveCost:
-    """Warm-started, inexact inner solves keep the Newton step count."""
-
-    def setup_method(self):
-        fam = sym_family()
-        prob = QpProblem(fam, omega=OMEGA, tol=1e-12)
-        start = QpState.flat_start(128, OMEGA)
-        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
-        self.par = ParamPoint(state.a, state.mu, 0.4)
-        th = np.arange(state.k.n) / state.k.n
-        exact = GridCircle(state.k.eta_x.values, state.k.k_y.values, 6)
-        self.circle = GridCircle(
-            exact.eta_x + 1e-2 * np.sin(2 * np.pi * th),
-            exact.k_y + 1e-2 * np.cos(4 * np.pi * th), 6)
-        self.f = induced_internal_map(exact, fam, self.par)
-
-    def solve(self, monkeypatch, cold):
-        """Fixed-point passes per Newton step and the solution.
-
-        cold makes every inner solve start cold and run to its default
-        tolerance, as each did before the forcing terms.
-        """
-        passes = []
-        step = solver_general.newton_step_general
-        vartheta = solver_general.vartheta_general
-        transfer = solver_general.solve_transfer
-        invert = solver_general.invert_map
-
-        def count_step(*args):
-            out = step(*args)
-            passes.append(out[2].fixed_point_iters)
-            return out
-
-        monkeypatch.setattr(solver_general, "newton_step_general", count_step)
-        if cold:
-            monkeypatch.setattr(solver_general, "vartheta_general",
-                                lambda *args: vartheta(*args[:5]))
-            monkeypatch.setattr(solver_general, "solve_transfer",
-                                lambda *args: transfer(*args[:5]))
-            monkeypatch.setattr(solver_general, "invert_map",
-                                lambda f, guess=None, dg=None:
-                                invert(f, dg=dg))
-        sol = newton_solve_general(self.circle, self.f, sym_family(),
-                                   self.par, tol=1e-11)
-        monkeypatch.undo()
-        return passes, sol
-
-    def test_same_steps_half_the_passes(self, monkeypatch):
-        cold, cold_sol = self.solve(monkeypatch, cold=True)
-        warm, warm_sol = self.solve(monkeypatch, cold=False)
-        assert len(warm) == len(cold) >= 3
-        assert warm_sol.err <= 1e-11 and cold_sol.err <= 1e-11
-        assert 2 * sum(warm) <= sum(cold)
-
-    def test_vartheta_of_solved_point_warms_next_point(self, monkeypatch):
-        fam = sym_family()
-        sol = newton_solve_general(self.circle, self.f, fam, self.par,
-                                   tol=1e-11)
-        assert sol.vartheta is not None and sol.vartheta.size == self.circle.n
-        nxt = self.par.replace(a=self.par.a + 2e-4)
-        vartheta = solver_general.vartheta_general
-        first = []
-        for start in (None, sol.vartheta):
-            passes = []
-
-            def record(*args):
-                out = vartheta(*args)
-                passes.append(out[1])
-                return out
-
-            monkeypatch.setattr(solver_general, "vartheta_general", record)
-            newton_solve_general(sol.circle, sol.f, fam, nxt, 1e-11, 20, start)
-            first.append(passes[0])
-        cold, warm = first
-        assert 2 * warm <= cold
+    f is the internal map induced by the unperturbed circle.
+    """
+    fam = sym_family()
+    prob = QpProblem(fam, omega=OMEGA, tol=1e-12)
+    start = QpState.flat_start(128, OMEGA)
+    state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
+    par = ParamPoint(state.a, state.mu, 0.4)
+    th = np.arange(state.k.n) / state.k.n
+    exact = GridCircle(state.k.eta_x.values, state.k.k_y.values, 6)
+    circle = GridCircle(exact.eta_x + amp * np.sin(2 * np.pi * th),
+                        exact.k_y + amp * np.cos(4 * np.pi * th), 6)
+    return circle, induced_internal_map(exact, fam, par), par
 
 
 class TestResidualFloor:
     """One Newton pass that settles on its best iterate near tol."""
 
     def setup_method(self):
-        fam = sym_family()
-        prob = QpProblem(fam, omega=OMEGA, tol=1e-12)
-        start = QpState.flat_start(128, OMEGA)
-        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
-        self.par = ParamPoint(state.a, state.mu, 0.4)
-        th = np.arange(state.k.n) / state.k.n
-        exact = GridCircle(state.k.eta_x.values, state.k.k_y.values, 6)
-        self.circle = GridCircle(
-            exact.eta_x + 1e-4 * np.sin(2 * np.pi * th),
-            exact.k_y + 1e-4 * np.cos(4 * np.pi * th), 6)
-        self.f = induced_internal_map(exact, fam, self.par)
+        self.circle, self.f, self.par = perturbed_start(1e-4)
 
     def solve(self, monkeypatch, tol, max_newton, fail_at=None):
         """newton_solve_general, recording residuals and steps on self.
@@ -531,8 +424,9 @@ class TestSweep:
 class TestOneResidualPerIterate:
     """The residual of an iterate is computed once, by newton_solve_general."""
 
-    # the circle perturbed by 1e-2, which takes several steps
-    setup_method = TestInnerSolveCost.setup_method
+    def setup_method(self):
+        # the circle perturbed by 1e-2, which takes several steps
+        self.circle, self.f, self.par = perturbed_start(1e-2)
 
     def test_one_map_evaluation_per_iterate(self, monkeypatch):
         fam = sym_family()
@@ -560,7 +454,7 @@ class TestOneResidualPerIterate:
         fam = sym_family()
         res = solver_general._residual(self.circle, self.f, fam, self.par)
         given = solver_general.newton_step_general(
-            self.circle, self.f, fam, self.par, None, None, res)
+            self.circle, self.f, fam, self.par, res)
         own = solver_general.newton_step_general(
             self.circle, self.f, fam, self.par)
         assert np.array_equal(given[0].eta_x, own[0].eta_x)
