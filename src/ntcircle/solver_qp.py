@@ -59,6 +59,13 @@ the zero probe is the full-step candidate, and the iteration takes its
 residual instead of building it again.  The eps-derivative makes one
 solve too, and reads D_eps F and the frame from the workspace of the
 solve that converged its state instead of building the geometry again.
+
+A solve keeps a workspace alive only while it reads it: a frame stage
+runs with at most the current iterate and the point being built, and a
+kept point is completed after the previous iterate and its step are
+gone.  The floor snapshot is kept as its state, not its workspace, so
+a state accepted at the floor of an earlier iterate hands over no
+workspace and the eps-derivative builds its geometry, bitwise the same.
 """
 
 from __future__ import annotations
@@ -410,6 +417,7 @@ def _close_twist(defect, closed: float):
     g0, zero = defect(0.0)
     if abs(g0) < closed:
         return 0.0, zero
+    del zero    # freed before the second probe is built
     h = g0
     slope = (defect(h)[0] - g0) / h
     if abs(slope) < _TWIST_SLOPE_FLOOR:
@@ -463,12 +471,16 @@ def newton_solve(problem: QpProblem, state: QpState,
     floor_factor * tol on a spectrally resolved circle (thin raw tail,
     phase and twist closed) is returned as a success with its true
     residual in the diagnostics; only floors above that window, fat
-    tails, or genuine blow-ups raise.
+    tails, or genuine blow-ups raise.  The DivergenceError names what
+    stopped the solve: a blow-up, pumping (the residual stopped
+    contracting) or the spent iteration budget, with the iterations run.
 
     When out is a list, the workspace of the returned state is appended
     to it, for eps_derivative to read instead of rebuilding it.  The
     caller drops it before its next solve: a workspace holds some thirty
-    fields of the grid.
+    fields of the grid.  Only the current iterate keeps its workspace:
+    the floor snapshot is kept as its state, so a state accepted at the
+    floor of an earlier iterate hands over no workspace.
     """
     # project the start onto the retained band; corrections stay there
     memory = fourier.field_memory(2, state.k.n)
@@ -478,15 +490,18 @@ def newton_solve(problem: QpProblem, state: QpState,
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 
-    def converged(ws: NewtonWorkspace, iterations: int) -> QpState:
-        if out is not None:
-            out.append(ws)
+    def settled(ws: NewtonWorkspace, iterations: int) -> QpState:
         return QpState(
             ws.k, ws.a, ws.mu, ws.eps,
             diagnostics=_diagnostics(ws),
             history=tuple(history),
             iterations=iterations,
         )
+
+    def converged(ws: NewtonWorkspace, iterations: int) -> QpState:
+        if out is not None:
+            out.append(ws)
+        return settled(ws, iterations)
 
     # re-entry with a state this solver already accepted at its floor
     # must be a no-op, not a doomed attempt to beat the floor again
@@ -500,7 +515,8 @@ def newton_solve(problem: QpProblem, state: QpState,
         return converged(ws, 0)
     scale0 = max(ws.err, abs(ws.e_p), abs(ws.e_b))
     best, best_tail, stale = ws.err, ws.tail, 0
-    snap = None    # best iterate with phase and twist closed
+    snap = None    # the state of the best iterate with phase and twist closed
+    pumping = False
     for it in range(problem.max_newton + 1):
         if (
             ws.err <= problem.tol
@@ -530,30 +546,45 @@ def newton_solve(problem: QpProblem, state: QpState,
         t = 1.0
         while _residual(problem, cand).err > 1.2 * ws.err and t > 0.25:
             t *= 0.5
+            del cand    # a rejected trial goes before the next is built
             cand = _candidate(problem, ws, step, delta_a, t)
-        ws = _complete(problem, cand)
+        # the previous iterate and the step go before the kept point is
+        # completed
+        ws = cand
+        del cand, step
+        _complete(problem, ws)
         history.append(ws.err)
+        # the floor snapshot; a closed iterate within tol returns at the top
         if (
-            abs(ws.e_p) <= problem.tol_phase
+            ws.err > problem.tol
+            and abs(ws.e_p) <= problem.tol_phase
             and abs(ws.e_b) <= problem.tol_twist
-            and (snap is None or ws.err < snap[0].err)
+            and (snap is None or ws.err < snap.diagnostics.invariance_error)
         ):
-            snap = (ws, it + 1)
+            snap = settled(ws, it + 1)
         if ws.err < best:
             best, best_tail, stale = ws.err, ws.tail, 0
         elif ws.err > problem.tol:
             stale += 1
             if stale >= 6 or (stale >= 3 and ws.err >= 2.0 * best):
-                break   # pumping, not contracting; settle on the floor
+                pumping = True    # not contracting; settle on the floor
+                break
     if (
         snap is not None
-        and snap[0].err <= problem.floor_factor * problem.tol
-        and snap[0].tail <= problem.tail_double
+        and snap.diagnostics.invariance_error
+        <= problem.floor_factor * problem.tol
+        and snap.diagnostics.tail <= problem.tail_double
     ):
-        return converged(*snap)
+        # only the current iterate still has its workspace to hand over
+        if out is not None and snap.k is ws.k:
+            out.append(ws)
+        return replace(snap, history=tuple(history))
+    ran = len(history) - 1
+    why = (f"residual stopped contracting (pumping) after {ran} iterations"
+           if pumping else f"no convergence in the budget of {ran} iterations")
     raise DivergenceError(
-        f"no convergence in {problem.max_newton} iterations, "
-        f"best residual {best:.3e}, phase {ws.e_p:.3e}, twist {ws.e_b:.3e}",
+        f"{why}, best residual {best:.3e}; last iterate residual "
+        f"{ws.err:.3e}, phase {ws.e_p:.3e}, twist {ws.e_b:.3e}",
         residual=best, tail=best_tail,
     )
 

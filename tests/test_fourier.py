@@ -453,6 +453,42 @@ class TestBlockKernels:
             assert f.values.tobytes() == row.tobytes()
 
 
+class TestSpectraBuffer:
+    """spectra writes into one buffer per grid size; its contents are the
+    rfft's, bit for bit, and stay valid until the next call."""
+
+    N = [8, 64, 1 << 16]
+
+    @staticmethod
+    def rows(n, m):
+        return np.random.default_rng(n + m).standard_normal((m, n))
+
+    @staticmethod
+    def same(got, want):
+        return got.shape == want.shape and got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("n", N)
+    def test_equals_rfft(self, n):
+        v = self.rows(n, 7)
+        assert self.same(fourier.spectra(v[0]), np.fft.rfft(v[0]))
+        for m in range(1, 8):   # 7 rows: more than the buffer holds
+            assert self.same(fourier.spectra(v[:m]), np.fft.rfft(v[:m])), m
+
+    def test_same_grid_reuses_memory(self):
+        v = self.rows(64, 7)
+        first = fourier.spectra(v[:6])
+        for got in (fourier.spectra(v[:2]), fourier.spectra(v[3])):
+            assert np.shares_memory(got, first)
+        # the latest call's contents, and a block the buffer cannot hold
+        # gets memory of its own
+        assert self.same(first[0], np.fft.rfft(v[3]))
+        assert not np.shares_memory(fourier.spectra(v), first)
+        # another grid gets a buffer of its own
+        other = fourier.spectra(self.rows(128, 2))
+        assert not np.shares_memory(other, first)
+        assert np.shares_memory(fourier.spectra(self.rows(128, 1)), other)
+
+
 class TestUnscaledMultipliers:
     """Each multiplier, applied to the unnormalized spectra as they come,
     equals its three-pass form (divide by n, multiply, multiply by n) bit

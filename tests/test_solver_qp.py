@@ -161,6 +161,45 @@ class TestNewtonBehavior:
         assert abs(fourier.average(state.k.eta_x)) <= 1e-11
         assert abs(d.twist_a - prob.b_a0) <= 1e-11
 
+    def test_budget_stop_names_the_budget(self):
+        prob = sym_problem(max_newton=2, floor_factor=1.0)
+        start = QpState.flat_start(128, OMEGA)
+        with pytest.raises(DivergenceError) as exc:
+            newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
+        msg = str(exc.value)
+        assert msg.startswith("no convergence in the budget of 2 iterations, "
+                              f"best residual {exc.value.residual:.3e}; "
+                              "last iterate residual ")
+        assert "pumping" not in msg
+
+    def test_pumping_stop_names_the_guard(self, monkeypatch):
+        # every kept iterate reports twice the start's residual: after
+        # three stale iterations at twice the best the guard stops the
+        # solve, well inside the budget
+        prob = sym_problem()
+        start = QpState.flat_start(128, OMEGA)
+        complete, steffensen = solver_qp._complete, solver_qp.steffensen_update
+        errs, iterations = [], []
+
+        def stale(problem, ws):
+            complete(problem, ws)
+            if errs:
+                ws.err = 2.0 * errs[0]
+            errs.append(ws.err)
+            return ws
+
+        monkeypatch.setattr(solver_qp, "_complete", stale)
+        monkeypatch.setattr(solver_qp, "steffensen_update",
+                            lambda *a: iterations.append(1) or steffensen(*a))
+        with pytest.raises(DivergenceError) as exc:
+            newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
+        assert len(iterations) == 3 < prob.max_newton
+        assert exc.value.residual == errs[0]
+        assert str(exc.value).startswith(
+            "residual stopped contracting (pumping) after 3 iterations, "
+            f"best residual {errs[0]:.3e}; "
+            f"last iterate residual {errs[-1]:.3e}, phase ")
+
 
 class TestIterationCost:
     """Operation counts of one Newton solve; no timing involved."""
@@ -452,6 +491,10 @@ class TestIterationCost:
         # DF, D_a F (two rows) and the evaluation's x, p(x) and q
         assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 5
         assert all(v.base is None for _, v in found)
+        # nor is any of them the spectra buffer of the grid, which the
+        # next transform overwrites
+        buffer = fourier.spectra(np.zeros((6, ws.k.n)))
+        assert not any(np.shares_memory(v, buffer) for _, v in found)
 
     def test_diagnostics_reuse_workspace_shifts(self, monkeypatch):
         prob = nonsym_problem()
@@ -550,6 +593,100 @@ class TestContinuation:
         assert res.reason == "target" and res.state.k.n == 512
         assert grids[4] == 2 * grids[3]     # the suspect step regridded
         assert len(alive) > 10 and alive == [0] * len(alive)
+
+    @staticmethod
+    def floor_problem():
+        # a tolerance below the iteration's residual floor: some steps
+        # settle on a floor an earlier iterate reached.  A low n_max
+        # keeps the grid levels that refuse the tolerance cheap
+        return nonsym_problem(tol=3e-15, tol_twist=3e-15, n_max=1024)
+
+    def test_frame_stage_runs_with_two_workspaces(self, monkeypatch):
+        # at most the current iterate and the point being built are
+        # alive when a frame stage starts (probes, kept points, the
+        # predictor's geometry), and a kept point is completed alone;
+        # floor accepts hand their iterate over as a state, with no
+        # workspace
+        prob = self.floor_problem()
+        solve, frame_stage = solver_qp.newton_solve, solver_qp._frame_stage
+        complete = solver_qp._complete
+        live, completing, handed = [], [], []
+
+        class Counted(solver_qp.NewtonWorkspace):
+            """A workspace that counts the live ones (see _point)."""
+
+            __slots__ = ()
+            alive = 0
+
+            def __init__(self):
+                Counted.alive += 1
+
+            def __del__(self):
+                Counted.alive -= 1
+
+        def counted_solve(problem, st, out=None):
+            before = len(out)
+            new = solve(problem, st, out)
+            if new.diagnostics.invariance_error > problem.tol:
+                handed.append(len(out) - before)
+            return new
+
+        def counted_frame(problem, ws):
+            live.append(Counted.alive)
+            return frame_stage(problem, ws)
+
+        def counted_complete(problem, ws):
+            completing.append(Counted.alive)
+            return complete(problem, ws)
+
+        monkeypatch.setattr(solver_qp, "NewtonWorkspace", Counted)
+        monkeypatch.setattr(solver_qp, "newton_solve", counted_solve)
+        monkeypatch.setattr(solver_qp, "_frame_stage", counted_frame)
+        monkeypatch.setattr(solver_qp, "_complete", counted_complete)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.3)
+        assert res.reason == "target"
+        assert handed and handed == [0] * len(handed)
+        assert max(live) == 2
+        assert completing and set(completing) == {1}
+
+    def test_predictor_rebuilds_floor_geometry(self, monkeypatch):
+        # the predictor of a floor-accepted state builds its geometry,
+        # and gets the derivative the iterate's own workspace gives
+        prob = self.floor_problem()
+        solve, complete = solver_qp.newton_solve, solver_qp._complete
+        derive = solver_qp.eps_derivative
+        built, kept, checked = [], [], []
+
+        def recorded_complete(problem, ws):
+            built.append(ws)
+            return complete(problem, ws)
+
+        def recorded_solve(problem, st, out=None):
+            built.clear()
+            new = solve(problem, st, out)
+            if new.diagnostics.invariance_error > problem.tol:
+                kept.append((new, next(w for w in built if w.k is new.k)))
+            built.clear()
+            return new
+
+        def checked_derive(problem, state, probe=1e-6, ws=None):
+            der = derive(problem, state, probe, ws)
+            for st, own in kept:
+                if st is state:
+                    assert ws is None
+                    want = derive(problem, state, probe, own)
+                    assert (der.d_a, der.d_mu) == (want.d_a, want.d_mu)
+                    for got, ref in ((der.d_eta_x, want.d_eta_x),
+                                     (der.d_ky, want.d_ky)):
+                        assert got.values.tobytes() == ref.values.tobytes()
+                    checked.append(state)
+            return der
+
+        monkeypatch.setattr(solver_qp, "_complete", recorded_complete)
+        monkeypatch.setattr(solver_qp, "newton_solve", recorded_solve)
+        monkeypatch.setattr(solver_qp, "eps_derivative", checked_derive)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.3)
+        assert res.reason == "target" and checked
 
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
