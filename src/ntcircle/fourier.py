@@ -37,13 +37,12 @@ quotient by N that would have been subnormal.
 
 The half-spectra of a block are written into one buffer per grid size,
 with rfft(out=), so the half-spectra of a Newton iteration's blocks
-fault no fresh pages in: the buffer holds the six rows of the largest
-block, and only the latest grid's buffer is kept.  Its contents stay
-valid until the next spectra() call, and every caller reads them, and
-brings them back with samples() or an irfft of its own, before its
-next transform; a block of more rows gets arrays of its own.  Nothing
-that outlives a block looks into the buffer: fields() copies, and irfft
-allocates.
+fault no fresh pages in: the buffer grows to the rows of the largest
+block met, and only the latest grid's buffer is kept.  Its contents
+stay valid until the next spectra() call, and every caller reads them,
+and brings them back with samples() or an irfft of its own, before its
+next transform.  Nothing that outlives a block looks into the buffer:
+fields() copies, and irfft allocates.
 
 Work that never changes is done once.  The phase vectors e(k*delta) of
 shift come from one bounded cache keyed on (n, delta), and the
@@ -217,28 +216,24 @@ def _size(half: np.ndarray) -> int:
 
 
 # the half-spectra of the latest grid's blocks, as many rows as the
-# largest block the solvers transform: the tangent's (with the cut of DF
-# and D_a F) and the residual's with L
-_SPECTRA_ROWS = 6
-_spectra_buffer = np.empty((_SPECTRA_ROWS, 0), dtype=complex)
+# largest block met
+_spectra_buffer = np.empty((1, 0), dtype=complex)
 
 
 def spectra(v: np.ndarray) -> np.ndarray:
     """Unnormalized rfft half-spectra of the sample rows v (last axis).
 
     The result is written into one buffer per grid size and stays valid
-    until the next call on that grid: read it, and bring it back with
-    samples(), before the next transform.  A 1-D v takes the buffer's
-    first row; a block of more rows than the buffer holds gets arrays of
-    its own.
+    until the next call: read it, and bring it back with samples(),
+    before the next transform.  A 1-D v takes the buffer's first row; a
+    block of more rows than the buffer holds grows it.
     """
     global _spectra_buffer
     rows = 1 if v.ndim == 1 else len(v)
-    if rows > _SPECTRA_ROWS:
-        return np.fft.rfft(v)
     bins = v.shape[-1] // 2 + 1
-    if _spectra_buffer.shape[1] != bins:
-        _spectra_buffer = np.empty((_SPECTRA_ROWS, bins), dtype=complex)
+    held = len(_spectra_buffer)
+    if _spectra_buffer.shape[1] != bins or held < rows:
+        _spectra_buffer = np.empty((max(rows, held), bins), dtype=complex)
     out = _spectra_buffer[0] if v.ndim == 1 else _spectra_buffer[:rows]
     return np.fft.rfft(v, out=out)
 

@@ -471,22 +471,28 @@ class TestSpectraBuffer:
     def test_equals_rfft(self, n):
         v = self.rows(n, 7)
         assert self.same(fourier.spectra(v[0]), np.fft.rfft(v[0]))
-        for m in range(1, 8):   # 7 rows: more than the buffer holds
+        for m in range(1, 8):   # 7 rows: more than the solvers' blocks
             assert self.same(fourier.spectra(v[:m]), np.fft.rfft(v[:m])), m
 
-    def test_same_grid_reuses_memory(self):
+    def test_same_grid_reuses_memory(self, monkeypatch):
+        monkeypatch.setattr(fourier, "_spectra_buffer",
+                            np.empty((1, 0), dtype=complex))
         v = self.rows(64, 7)
         first = fourier.spectra(v[:6])
         for got in (fourier.spectra(v[:2]), fourier.spectra(v[3])):
             assert np.shares_memory(got, first)
-        # the latest call's contents, and a block the buffer cannot hold
-        # gets memory of its own
+        # the latest call's contents
         assert self.same(first[0], np.fft.rfft(v[3]))
-        assert not np.shares_memory(fourier.spectra(v), first)
-        # another grid gets a buffer of its own
+        # a block of more rows grows the buffer, and smaller blocks then
+        # reuse the grown one
+        grown = fourier.spectra(v)
+        assert not np.shares_memory(grown, first)
+        assert np.shares_memory(fourier.spectra(v[:6]), grown)
+        # another grid gets a buffer of its own, as tall as the last one
         other = fourier.spectra(self.rows(128, 2))
-        assert not np.shares_memory(other, first)
-        assert np.shares_memory(fourier.spectra(self.rows(128, 1)), other)
+        assert not np.shares_memory(other, grown)
+        assert fourier._spectra_buffer.shape == (7, 65)
+        assert np.shares_memory(fourier.spectra(self.rows(128, 7)), other)
 
 
 class TestUnscaledMultipliers:
