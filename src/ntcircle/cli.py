@@ -336,13 +336,12 @@ def cmd_continue_nontwist(cfg: RunConfig, out_dir: str) -> int:
     problem, result = _continue(cfg)
     write_csv(os.path.join(out_dir, "path.csv"), PATH_HEADER,
               _path_rows(result.records))
-    if result.state is not None:
-        th, kx, ky, nx, ny = frame_fields(problem, result.state)
-        write_csv(
-            os.path.join(out_dir, "final_circle.csv"),
-            ("theta", "Kx", "Ky", "Nx", "Ny"),
-            zip(th, kx, ky, nx, ny),
-        )
+    th, kx, ky, nx, ny = frame_fields(problem, result.state)
+    write_csv(
+        os.path.join(out_dir, "final_circle.csv"),
+        ("theta", "Kx", "Ky", "Nx", "Ny"),
+        zip(th, kx, ky, nx, ny),
+    )
     print(f"stopped: {result.reason} at eps={result.state.eps:.6g} "
           f"(N={result.state.k.n}, {len(result.records)} points)")
     return _reason_code(result.reason)

@@ -37,7 +37,9 @@ attracting circle is the attractor, so every sweep point takes its
 rotation number from the ambient orbit of one start point, run on
 Python floats, and the sweep then bisects every locking boundary in
 each round.  The rotation numbers of the ambient orbit and of a grid
-circle map come from one weighted Birkhoff doubling loop.
+circle map come from one weighted Birkhoff doubling loop; a locked
+ambient orbit stops iterating once it closes an exact floating-point
+cycle, which is then tiled out to the Birkhoff length.
 """
 
 from __future__ import annotations
@@ -414,9 +416,12 @@ def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
     extend(m) returns the first m displacements.  The orbit length is
     doubled from 1024 until two successive estimates agree within tol;
     hitting m_max first raises ToleranceNotMetError carrying the best
-    estimate, with `what` naming the quantity in its message.
+    estimate, with `what` naming the quantity in its message.  m_max
+    below 1024, the length of the first estimate, raises ValueError.
     """
     m = 1 << 10
+    if m_max < m:
+        raise ValueError(f"m_max must be at least {m}, got {m_max}")
     est = _weighted_average(extend(m))
     while True:
         if 2 * m > m_max:
@@ -489,6 +494,11 @@ class SweepRecord:
     locked: bool
 
 
+# longest exact floating-point cycle, in map steps, that an ambient orbit
+# looks for at the start of each chunk
+_CYCLE_PROBE = 64
+
+
 def ambient_rotation_number(
     family: StandardNonTwistMap,
     par: ParamPoint,
@@ -506,15 +516,41 @@ def ambient_rotation_number(
     is out of reach; locked windows give p/q to machine accuracy.  The
     orbit runs on Python floats (StandardNonTwistMap.orbit), with x
     reduced mod 1 and each displacement q^2 + mu taken as it is.
+
+    A locked orbit settles onto an exact floating-point cycle.  Each
+    chunk of new iterates starts with up to _CYCLE_PROBE single steps,
+    each compared with the chunk's start point by == on x and y.  The
+    map is a deterministic function of the float pair (x, y), so once
+    the point returns after P steps the orbit is P-periodic for good:
+    those P displacements are tiled over this chunk and every later one,
+    with no further map steps.  The tiled displacements are the very
+    floats that iterating would give, so the average, and rho, are the
+    same bit for bit.  An orbit that never returns runs the rest of each
+    chunk in one orbit call, as many map steps as without the probe.
     """
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
     _, x, y = family.orbit(x, y, par, transient)
     done = np.empty(0)
+    cycle = None            # the cycle's displacements, from the next index
 
     def extend(count: int) -> np.ndarray:
-        nonlocal x, y, done
-        more, x, y = family.orbit(x, y, par, count - done.size)
-        done = np.concatenate((done, np.asarray(more)))
+        nonlocal x, y, done, cycle
+        need = count - done.size
+        if cycle is None:
+            x0, y0 = x, y
+            more = []
+            for _ in range(min(_CYCLE_PROBE, need)):
+                d, x, y = family.orbit(x, y, par, 1)
+                more += d
+                if x == x0 and y == y0:
+                    cycle = np.asarray(more)
+                    break
+            else:
+                rest, x, y = family.orbit(x, y, par, need - len(more))
+                done = np.concatenate((done, more, rest))
+                return done
+        done = np.concatenate((done, np.resize(cycle, need)))
+        cycle = np.roll(cycle, -need)
         return done
 
     return _birkhoff(extend, tol, m_max, "ambient rotation number")

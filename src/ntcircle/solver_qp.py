@@ -176,7 +176,7 @@ class ContinuationPolicy:
 class ContinuationResult:
     records: tuple[ContinuationRecord, ...]
     reason: str                   # target / alpha-floor / step-floor / n-max
-    state: QpState | None
+    state: QpState | None         # None only on a twist_surface branch that raised
 
 
 class NewtonWorkspace:

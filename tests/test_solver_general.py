@@ -219,7 +219,113 @@ class TestLockFraction:
         assert lock_fraction(OMEGA) is None
 
 
+def untiled_rotation_number(family, par, xy0, tol=1e-10, m_max=1 << 22,
+                            transient=256):
+    """ambient_rotation_number with every iterate a map step, no cycle rule."""
+    x, y = float(xy0[0]) % 1.0, float(xy0[1])
+    _, x, y = family.orbit(x, y, par, transient)
+    done = np.empty(0)
+
+    def extend(count):
+        nonlocal x, y, done
+        more, x, y = family.orbit(x, y, par, count - done.size)
+        done = np.concatenate((done, np.asarray(more)))
+        return done
+
+    return solver_general._birkhoff(extend, tol, m_max,
+                                    "ambient rotation number")
+
+
+def count_steps(monkeypatch):
+    """Count the map steps of every StandardNonTwistMap.orbit call."""
+    steps = [0]
+    orbit = StandardNonTwistMap.orbit
+
+    def counted(self, x, y, p, n):
+        steps[0] += n
+        return orbit(self, x, y, p, n)
+
+    monkeypatch.setattr(StandardNonTwistMap, "orbit", counted)
+    return steps
+
+
+# the eps = 2.2 non-twist circle's mu on the symmetric branch
+MU_22 = 0.5984626
+
+
 class TestAmbientRotationNumber:
+    # (a, lock): 5/8; a period-1 lock, rho = 1, whose float orbit is a
+    # 3-cycle; and two unlocked points, one just outside the 5/8 window
+    POINTS = [(0.075, Fraction(5, 8)), (0.0, Fraction(1)),
+              (0.05, None), (0.0763125, None)]
+
+    @pytest.mark.parametrize("a,lock", POINTS)
+    def test_same_rho_as_untiled_orbit(self, monkeypatch, a, lock):
+        fam = sym_family()
+        par = ParamPoint(a=a, mu=MU_22, eps=2.2)
+        steps = count_steps(monkeypatch)
+        rho = ambient_rotation_number(fam, par, (0.3, 0.2))
+        tiled = steps[0]
+        steps[0] = 0
+        assert rho == untiled_rotation_number(fam, par, (0.3, 0.2))
+        assert lock_fraction(rho) == lock
+        if lock is None:
+            assert tiled == steps[0]
+        else:
+            # the cycle closes before the last doubling, whose chunk (half
+            # the iterates past the transient) costs at most the probe
+            assert tiled <= steps[0] - (steps[0] - 256) // 2 + 64
+
+    @pytest.mark.parametrize("a", [0.075, 0.0, 0.05])
+    def test_tiled_orbit_is_the_iterated_one(self, monkeypatch, a):
+        # every doubling's displacements, not only the average, agree
+        extends = []
+
+        def capture(extend, tol, m_max, what):
+            extends.append(extend)
+            return 0.0
+
+        monkeypatch.setattr(solver_general, "_birkhoff", capture)
+        fam = sym_family()
+        par = ParamPoint(a=a, mu=MU_22, eps=2.2)
+        ambient_rotation_number(fam, par, (0.3, 0.2))
+        untiled_rotation_number(fam, par, (0.3, 0.2))
+        tiled, iterated = extends
+        for m in (1 << k for k in range(10, 16)):
+            assert np.array_equal(tiled(m), iterated(m))
+
+    @pytest.mark.parametrize("cycling", ["x", "y"])
+    def test_one_coordinate_returning_is_no_cycle(self, cycling):
+        # a stand-in map whose one coordinate has period 2 while the other
+        # never returns, and whose displacements read the one that drifts
+        class HalfCycle:
+            def orbit(self, x, y, p, steps):
+                out = []
+                for _ in range(steps):
+                    if cycling == "x":
+                        out.append(0.5 + 0.01 * np.sin(y))
+                        x, y = (x + 0.5) % 1.0, y + 1.0
+                    else:
+                        out.append(0.5 + 0.01 * np.sin(2 * np.pi * x))
+                        x, y = (x + OMEGA) % 1.0, 1.0 - y
+                return out, x, y
+
+        par = ParamPoint(0.0, 0.0, 0.0)
+        rho = ambient_rotation_number(HalfCycle(), par, (0.25, 0.0))
+        assert rho == untiled_rotation_number(HalfCycle(), par, (0.25, 0.0))
+        assert abs(rho - 0.5) <= 1e-9
+
+    def test_cap_below_first_estimate_rejected(self, monkeypatch):
+        steps = count_steps(monkeypatch)
+        fam = sym_family()
+        par = ParamPoint(a=0.07, mu=0.55, eps=0.0)
+        with pytest.raises(ValueError, match="m_max"):
+            ambient_rotation_number(fam, par, (0.3, 0.2), m_max=512)
+        # only the transient ran
+        assert steps[0] == 256
+        with pytest.raises(ValueError, match="m_max"):
+            rotation_number(InternalMap.rotation(64, OMEGA), m_max=1023)
+
     def test_integrable_value(self):
         # on the eps = 0 attractor the lift advances by mu + a^2 per step
         fam = sym_family()
@@ -413,6 +519,16 @@ class TestSweep:
         assert np.isnan(by_a[0.02].rho_err)
         assert abs(by_a[0.02].rho - (OMEGA + 0.02**2)) <= 1e-9
         assert all(r.rho_err == 1e-10 for a, r in by_a.items() if a != 0.02)
+
+    def test_records_match_untiled_orbits(self, monkeypatch):
+        # both edges of the 5/8 window, bisected down to refine_width
+        par = ParamPoint(a=0.075, mu=MU_22, eps=2.2)
+        args = (sym_family(), par, (0.3, 0.2), "a", 0.003, 0.002)
+        recs = sweep_parameter(*args)
+        assert any(r.locked for r in recs) and not all(r.locked for r in recs)
+        monkeypatch.setattr(solver_general, "ambient_rotation_number",
+                            untiled_rotation_number)
+        assert recs == sweep_parameter(*args)
 
     def test_bad_parameter_name(self):
         par = ParamPoint(0.0, OMEGA, 0.0)
