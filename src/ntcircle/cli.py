@@ -193,6 +193,8 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("threads must be 1: every command runs on one thread")
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
+    if cfg.n_min < 8 or cfg.n_min & (cfg.n_min - 1):
+        raise ValueError(f"n_min must be a power of two >= 8, got {cfg.n_min}")
     if cfg.n_min > cfg.n_max:
         raise ValueError("need n_min <= n_max")
     if cfg.sweep_which not in ("a", "mu"):

@@ -44,15 +44,18 @@ and brings them back with samples() or an irfft of its own, before its
 next transform.  Nothing that outlives a block looks into the buffer:
 fields() copies, and irfft allocates.
 
-Work that never changes is done once.  The phase vectors e(k*delta) of
-shift come from one bounded cache keyed on (n, delta), and the
-derivative multipliers 2 pi i k from one keyed on n, read-only like the
-grids, and each (n, omega) has its small divisors checked once; a
-degenerate divisor is reported before a block is changed.  tails
-gauges the raw tails of a block's rows from the spectra the cut then
-filters, with mode weights cached per n.  dealias takes constants
-through the transforms too: they give every constant but -0.0 back bit
-for bit.
+Work that never changes is done once per grid.  The nodes, the phase
+vectors e(k*delta) of shift, the derivative multipliers 2 pi i k and
+the mode weights of tails are read-only arrays, each cached for the
+latest grid size only, like the spectra buffer: a continuation climbs
+from grid to grid, so the constants of every grid it has left would
+only pin memory (at N = 2^16 a set of them takes 2 MiB).  A grid is
+visited again only when a rebuild on a finer one fails, and then its
+constants are built once more.  Each (n, omega) has its small divisors
+checked once; a degenerate divisor is reported before a block is
+changed.  tails gauges the raw tails of a block's rows from the spectra
+the cut then filters.  dealias takes constants through the transforms
+too: they give every constant but -0.0 back bit for bit.
 
 Each field is wrapped once, and the wrap is the one place finiteness is
 checked.  PeriodicScalar.__init__ is the only constructor; it adopts the
@@ -76,7 +79,7 @@ the block, and the fields' memory is taken before the block
 from __future__ import annotations
 
 import math
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 import numpy as np
 
@@ -90,7 +93,36 @@ def _check_size(n: int) -> None:
         raise ValueError(f"grid size must be a power of two >= 8, got {n}")
 
 
-@lru_cache(maxsize=64)
+# most keys a per-grid cache holds for its one grid (the solvers ask for
+# shifts by omega and 1/2 only)
+_HELD = 32
+
+
+def _latest_grid(build):
+    """Cache build(n, *args), read-only arrays, for the latest n only.
+
+    A call on another grid size empties the cache once the new value is
+    built, so the constants of a grid the solver has left are freed, as
+    the spectra buffer is.  The held values are in .held, keyed (n, *args).
+    """
+    held: dict = {}
+
+    @wraps(build)
+    def cached(n: int, *args):
+        key = (n, *args)
+        value = held.get(key)
+        if value is None:
+            value = build(n, *args)
+            if len(held) >= _HELD or next(iter(held), key)[0] != n:
+                held.clear()
+            held[key] = value
+        return value
+
+    cached.held = held
+    return cached
+
+
+@_latest_grid
 def grid(n: int) -> np.ndarray:
     """Nodes theta_j = j/n as a read-only array."""
     _check_size(n)
@@ -99,14 +131,14 @@ def grid(n: int) -> np.ndarray:
     return g
 
 
-@lru_cache(maxsize=64)
+@_latest_grid
 def _wavenumbers(n: int) -> np.ndarray:
     k = np.arange(n // 2 + 1, dtype=float)
     k.setflags(write=False)
     return k
 
 
-@lru_cache(maxsize=32)
+@_latest_grid
 def _phases(n: int, delta: float) -> np.ndarray:
     """e(k*delta) = exp(2 pi i k delta) for k = 0 .. n/2, read-only."""
     ph = np.exp(2j * np.pi * _wavenumbers(n) * delta)
@@ -114,7 +146,7 @@ def _phases(n: int, delta: float) -> np.ndarray:
     return ph
 
 
-@lru_cache(maxsize=64)
+@_latest_grid
 def _derivative_multiplier(n: int) -> np.ndarray:
     """2 pi i k for k = 0 .. n/2, read-only."""
     m = 2j * np.pi * _wavenumbers(n)
@@ -367,7 +399,7 @@ def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
     return mean
 
 
-@lru_cache(maxsize=64)
+@_latest_grid
 def _mass_weights(n: int) -> np.ndarray:
     """l1 weights of the half-spectrum: 2 for each conjugate pair, read-only."""
     w = np.full(n // 2 + 1, 2.0)

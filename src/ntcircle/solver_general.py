@@ -404,10 +404,22 @@ def _cell_polynomials(values: np.ndarray, order: int) -> np.ndarray:
 
 
 def _weighted_average(d: np.ndarray) -> float:
+    """sum(w*d) / sum(w) with the bump w(t) = exp(-1/(t(1-t))) at midpoints.
+
+    The weights are built in place in one buffer, which then takes w*d:
+    the same operations on the same arrays as the plain formula, so the
+    same bits.
+    """
     m = d.size
-    t = (np.arange(m) + 0.5) / m
-    w = np.exp(-1.0 / (t * (1.0 - t)))
-    return float(np.sum(w * d) / np.sum(w))
+    w = np.arange(m, dtype=float)
+    w += 0.5
+    w /= m
+    w *= 1.0 - w
+    np.divide(-1.0, w, out=w)
+    np.exp(w, out=w)
+    total = np.sum(w)
+    w *= d
+    return float(np.sum(w) / total)
 
 
 def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
@@ -497,6 +509,8 @@ class SweepRecord:
 # longest exact floating-point cycle, in map steps, that an ambient orbit
 # looks for at the start of each chunk
 _CYCLE_PROBE = 64
+# most map steps an ambient orbit takes in one orbit call
+_ORBIT_CALL = 4096
 
 
 def ambient_rotation_number(
@@ -526,31 +540,46 @@ def ambient_rotation_number(
     with no further map steps.  The tiled displacements are the very
     floats that iterating would give, so the average, and rho, are the
     same bit for bit.  An orbit that never returns runs the rest of each
-    chunk in one orbit call, as many map steps as without the probe.
+    chunk, as many map steps as without the probe, in orbit calls of at
+    most _ORBIT_CALL steps.  The displacements are written into one
+    float64 array, grown each time _birkhoff doubles the orbit length, so
+    no chunk is ever held as a list of Python floats.
     """
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
     _, x, y = family.orbit(x, y, par, transient)
-    done = np.empty(0)
-    cycle = None            # the cycle's displacements, from the next index
+    done = np.empty(0)      # the displacements, grown to each new length
+    cycle = None            # (first index, period) of the exact cycle
 
     def extend(count: int) -> np.ndarray:
         nonlocal x, y, done, cycle
-        need = count - done.size
+        filled = done.size
+        grown = np.empty(count)
+        grown[:filled] = done
+        done = grown
         if cycle is None:
-            x0, y0 = x, y
-            more = []
-            for _ in range(min(_CYCLE_PROBE, need)):
+            x0, y0, start = x, y, filled
+            for _ in range(min(_CYCLE_PROBE, count - filled)):
                 d, x, y = family.orbit(x, y, par, 1)
-                more += d
+                done[filled] = d[0]
+                filled += 1
                 if x == x0 and y == y0:
-                    cycle = np.asarray(more)
+                    cycle = (start, filled - start)
                     break
             else:
-                rest, x, y = family.orbit(x, y, par, need - len(more))
-                done = np.concatenate((done, more, rest))
+                while filled < count:
+                    steps = min(_ORBIT_CALL, count - filled)
+                    d, x, y = family.orbit(x, y, par, steps)
+                    done[filled:filled + steps] = d
+                    filled += steps
                 return done
-        done = np.concatenate((done, np.resize(cycle, need)))
-        cycle = np.roll(cycle, -need)
+        # tile whole periods: each copy doubles the stretch it copies from
+        start, period = cycle
+        while filled < count:
+            span = (filled - start) // period * period
+            steps = min(span, count - filled)
+            done[filled:filled + steps] = done[filled - span:
+                                               filled - span + steps]
+            filled += steps
         return done
 
     return _birkhoff(extend, tol, m_max, "ambient rotation number")

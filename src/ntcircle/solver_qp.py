@@ -60,12 +60,21 @@ residual instead of building it again.  The eps-derivative makes one
 solve too, and reads D_eps F and the frame from the workspace of the
 solve that converged its state instead of building the geometry again.
 
-A solve keeps a workspace alive only while it reads it: a frame stage
-runs with at most the current iterate and the point being built, and a
-kept point is completed after the previous iterate and its step are
-gone.  The floor snapshot is kept as its state, not its workspace, so
-a state accepted at the floor of an earlier iterate hands over no
-workspace and the eps-derivative builds its geometry, bitwise the same.
+A solve keeps a field alive only while it reads it.  An iterate that
+has passed the checks at the top of the loop lets go of the map
+evaluation, DF, D_a F, E and the shifted L and N, and keeps what the
+linear solve reads: the frame, eta_l, eta_n and the b-fields.  Once
+the basis is built it keeps only its point (K, a, mu, eps and err), so
+the probes and the trials run beside K and the basis alone.  A frame
+stage runs with at most the current iterate and the point being built,
+and a kept point is completed after the previous iterate and its step
+are gone.  The eps-derivative treats the workspace it reads the same
+way, so its twist-rate probes run beside K and b_a, and the
+continuation drops the previous step's tangent and prediction before
+the next predictor runs.  The floor snapshot is kept as its state, not
+its workspace, so a state accepted at the floor of an earlier iterate
+hands over no workspace and the eps-derivative builds its geometry,
+bitwise the same.
 """
 
 from __future__ import annotations
@@ -190,6 +199,7 @@ class NewtonWorkspace:
     tail; the frame stage frame, the sample arrays dfk and d_a, alpha,
     nx_s, ny_s, bla, b_a and e_b; the shifted tangent lx_s, ly_s comes
     with whichever of those two runs second; completion fills the rest.
+    keep_only empties it again, field by field, as its readers finish.
     """
 
     __slots__ = (
@@ -199,6 +209,20 @@ class NewtonWorkspace:
         "eta_l", "eta_n", "bla", "bna", "blm", "bnm",
         "b_a", "b_mu", "alpha", "tail",
     )
+
+    def keep_only(self, names) -> None:
+        """Let go of every field but names; the others read None after."""
+        for name in _FIELDS:
+            if name not in names:
+                setattr(self, name, None)
+
+
+_FIELDS = NewtonWorkspace.__slots__
+# the point of a workspace, all an iterate keeps once its basis is built
+_POINT = ("k", "a", "mu", "eps", "err")
+# what _solve_linear reads of a workspace, its point aside
+_LINEAR = _POINT + ("frame", "eta_l", "eta_n", "bla", "bna", "blm", "bnm",
+                    "b_a", "b_mu", "e_p")
 
 
 def _cross(a, u, b, v) -> np.ndarray:
@@ -531,7 +555,11 @@ def newton_solve(problem: QpProblem, state: QpState,
                 f"residual blew up to {ws.err:.3e} from {history[0]:.3e}",
                 residual=ws.err,
             )
+        # the iterate keeps what the linear solve reads, then only its
+        # point: the probes and trials run beside K and the basis alone
+        ws.keep_only(_LINEAR)
         basis = _solve_linear(problem, ws, ws.eta_l, ws.eta_n, ws.e_p)
+        ws.keep_only(_POINT)
         delta_a, cand = steffensen_update(problem, ws, basis)
         # the step holds two fields where the basis holds four
         step = _correction(basis, delta_a)
@@ -613,7 +641,8 @@ def eps_derivative(
     affine-exact by the secant step of the Newton twist closure.
 
     ws is the converged workspace of state, as newton_solve's out list
-    hands it over; without it the geometry of state is built here.
+    hands it over; without it the geometry of state is built here.  The
+    workspace is used up: it keeps only its point and b_a after.
     """
     if ws is None:
         ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
@@ -625,7 +654,12 @@ def eps_derivative(
     lx, ly, nx, ny = (u.values for u in (ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s))
     eta_l = _fresh(-_cross(ny, ex, nx, ey))
     eta_n = _fresh(_cross(ly, ex, lx, ey))
+    del ex, ey, lx, ly, nx, ny
+    # as in newton_solve: the twist-rate probes run beside K and b_a alone
+    ws.keep_only(_LINEAR)
     basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)
+    del eta_l, eta_n
+    ws.keep_only(_POINT + ("b_a",))
 
     def twist_rate(d_a: float):
         cand = _frame_stage(problem, _candidate(
@@ -713,9 +747,9 @@ def continue_in_eps(
     out: list[NewtonWorkspace] = []
 
     def predictor(state: QpState) -> EpsDerivative | None:
-        ws = out.pop() if out else None
         try:
-            return eps_derivative(problem, state, policy.probe, ws)
+            return eps_derivative(problem, state, policy.probe,
+                                  out.pop() if out else None)
         except NtCircleError:
             return None   # zero-order continuation still works
 
@@ -736,6 +770,9 @@ def continue_in_eps(
         if state.diagnostics.min_angle < policy.alpha_floor:
             reason = "alpha-floor"
             break
+        # the previous step's tangent and prediction go before the
+        # predictor runs
+        der = pred = None
         der = predictor(state)
         accepted = False
         grows = 0   # base rebuilds spent on this step
@@ -781,6 +818,7 @@ def continue_in_eps(
                 if grown is not None:
                     grows += 1
                     state = grown
+                    der = pred = new = None
                     der = predictor(state)
                     continue
             if new is None:

@@ -143,6 +143,8 @@ class TestConfigValidation:
             ("threads = 0", "at least 1"),
             ("threads = 2", "must be 1"),
             ("n_min = 512\nn_max = 256", "n_min <= n_max"),
+            ("n_min = 100", "n_min must be a power of two >= 8, got 100"),
+            ("n_min = 4", "n_min must be a power of two >= 8, got 4"),
             ("sweep_which = b", "sweep_which"),
             ("sweep_order = 3", "sweep_order"),
             ("sweep_grid = 3000", "sweep_grid must be a power of two >= 16"),

@@ -7,8 +7,12 @@ from ntcircle import (
     fourier,
     NonFiniteError,
     PeriodicScalar,
+    QpProblem,
+    QpState,
     SmallDivisorError,
+    StandardNonTwistMap,
     average,
+    continue_in_eps,
     dealias,
     derivative,
     grid,
@@ -203,6 +207,50 @@ class TestCachedPhases:
         with pytest.raises(ValueError):
             ph[0] = 0.0
         assert fourier._phases(64, GOLDEN_MEAN) is ph
+
+
+class TestGridConstants:
+    """The per-grid constants are kept for the latest grid size only."""
+
+    CACHES = ("grid", "_wavenumbers", "_phases", "_derivative_multiplier",
+              "_mass_weights")
+
+    @classmethod
+    def held_grids(cls):
+        return {name: {key[0] for key in getattr(fourier, name).held}
+                for name in cls.CACHES}
+
+    def test_another_grid_empties_the_cache(self):
+        g = grid(64)
+        ph = fourier._phases(64, GOLDEN_MEAN)
+        assert fourier._phases(64, 0.5) is not ph
+        assert grid(64) is g and fourier._phases(64, GOLDEN_MEAN) is ph
+        assert set(fourier._phases.held) == {(64, GOLDEN_MEAN), (64, 0.5)}
+        grid(128)
+        fourier._phases(128, GOLDEN_MEAN)
+        assert set(grid.held) == {(128,)}
+        assert set(fourier._phases.held) == {(128, GOLDEN_MEAN)}
+        # a rejected size leaves the latest grid's constants alone
+        with pytest.raises(ValueError, match="power of two"):
+            grid(100)
+        assert set(grid.held) == {(128,)}
+        assert np.array_equal(grid(64), g) and grid(64) is not g
+
+    def test_bounded_on_one_grid(self):
+        for j in range(3 * fourier._HELD):
+            fourier._phases(64, j / 1000.0)
+            assert len(fourier._phases.held) <= fourier._HELD
+
+    def test_continuation_keeps_its_last_grid_only(self):
+        # every constant held for a grid the continuation never visits
+        for name in self.CACHES:
+            args = (GOLDEN_MEAN,) if name == "_phases" else ()
+            getattr(fourier, name)(1024, *args)
+        prob = QpProblem(StandardNonTwistMap(0.8, "nonsymmetric"),
+                         omega=GOLDEN_MEAN)
+        res = continue_in_eps(prob, QpState.flat_start(64, GOLDEN_MEAN), 1.0)
+        assert res.reason == "target" and res.state.k.n == 512
+        assert self.held_grids() == {name: {512} for name in self.CACHES}
 
 
 class TestResampleDealias:

@@ -253,6 +253,21 @@ def count_steps(monkeypatch):
 MU_22 = 0.5984626
 
 
+class TestWeightedAverage:
+    @staticmethod
+    def plain(d):
+        m = d.size
+        t = (np.arange(m) + 0.5) / m
+        w = np.exp(-1.0 / (t * (1.0 - t)))
+        return float(np.sum(w * d) / np.sum(w))
+
+    @pytest.mark.parametrize("k", range(10, 18))
+    def test_equals_plain_formula_bitwise(self, k):
+        rng = np.random.default_rng(k)
+        d = 0.5 + 0.25 * rng.standard_normal(1 << k)
+        assert solver_general._weighted_average(d) == self.plain(d)
+
+
 class TestAmbientRotationNumber:
     # (a, lock): 5/8; a period-1 lock, rho = 1, whose float orbit is a
     # 3-cycle; and two unlocked points, one just outside the 5/8 window
@@ -314,6 +329,24 @@ class TestAmbientRotationNumber:
         rho = ambient_rotation_number(HalfCycle(), par, (0.25, 0.0))
         assert rho == untiled_rotation_number(HalfCycle(), par, (0.25, 0.0))
         assert abs(rho - 0.5) <= 1e-9
+
+    def test_orbit_calls_are_bounded(self, monkeypatch):
+        # an unlocked orbit runs in calls of at most _ORBIT_CALL steps,
+        # written into one array, so no chunk is held as a list
+        calls = []
+        orbit = StandardNonTwistMap.orbit
+
+        def recorded(self, x, y, p, n):
+            calls.append(n)
+            return orbit(self, x, y, p, n)
+
+        monkeypatch.setattr(StandardNonTwistMap, "orbit", recorded)
+        fam = sym_family()
+        par = ParamPoint(a=0.0763125, mu=MU_22, eps=2.2)
+        ambient_rotation_number(fam, par, (0.3, 0.2))
+        assert calls[0] == 256          # the transient
+        assert max(calls[1:]) == solver_general._ORBIT_CALL
+        assert sum(calls) > 4 * solver_general._ORBIT_CALL
 
     def test_cap_below_first_estimate_rejected(self, monkeypatch):
         steps = count_steps(monkeypatch)

@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -594,6 +595,85 @@ class TestContinuation:
         assert grids[4] == 2 * grids[3]     # the suspect step regridded
         assert len(alive) > 10 and alive == [0] * len(alive)
 
+    def test_probes_run_beside_points_only(self, monkeypatch):
+        # a Steffensen probe, and a twist-rate probe of the predictor,
+        # runs beside workspaces that keep no map evaluation, DF or
+        # frame: an iterate, and the converged workspace, keep little
+        # more than their point once their linear solve is built
+        prob = nonsym_problem()
+        live = weakref.WeakSet()
+        frame_stage = solver_qp._frame_stage
+        probing, seen = [], []
+
+        class Tracked(solver_qp.NewtonWorkspace):
+            """A workspace that the live set sees (see _point)."""
+
+            __slots__ = ("__weakref__",)
+
+            def __init__(self):
+                live.add(self)
+
+        def in_probe(name):
+            fn = getattr(solver_qp, name)
+
+            def run(*args):
+                probing.append(name)
+                try:
+                    return fn(*args)
+                finally:
+                    probing.pop()
+            monkeypatch.setattr(solver_qp, name, run)
+
+        def checked_frame(problem, ws):
+            if probing:
+                others = [o for o in live if o is not ws]
+                for o in others:
+                    for name in ("ev", "dfk", "frame"):
+                        assert getattr(o, name, None) is None, name
+                seen.append((probing[-1], len(others)))
+            return frame_stage(problem, ws)
+
+        monkeypatch.setattr(solver_qp, "NewtonWorkspace", Tracked)
+        monkeypatch.setattr(solver_qp, "_frame_stage", checked_frame)
+        in_probe("steffensen_update")
+        in_probe("eps_derivative")
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.5)
+        assert res.reason == "target"
+        # both kinds of probe ran, beside the workspace they step from
+        assert {name for name, others in seen if others} == {
+            "steffensen_update", "eps_derivative"}
+
+    def test_predictor_runs_without_the_previous_step(self, monkeypatch):
+        # when the predictor runs, the previous step's tangent and
+        # prediction are gone (each holds two fields of the grid), on
+        # both of its paths: after an accepted step, and after a regrid
+        # redoes a step whose floor is made to look suspect
+        prob = nonsym_problem()
+        solve, derive = solver_qp.newton_solve, solver_qp.eps_derivative
+        tangents, starts, alive = [], [], []
+
+        def recorded_solve(problem, st, out=None):
+            starts.append(weakref.ref(st))
+            new = solve(problem, st, out)
+            if len(starts) == 4:
+                new = replace(new, diagnostics=replace(
+                    new.diagnostics, invariance_error=1.0))
+            return new
+
+        def recorded_derive(problem, state, probe=1e-6, ws=None):
+            # the first start is the caller's own state
+            alive.append(sum(r() is not None
+                             for r in tangents + starts[1:]))
+            der = derive(problem, state, probe, ws)
+            tangents.append(weakref.ref(der))
+            return der
+
+        monkeypatch.setattr(solver_qp, "newton_solve", recorded_solve)
+        monkeypatch.setattr(solver_qp, "eps_derivative", recorded_derive)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
+        assert res.reason == "target"
+        assert len(alive) > 10 and alive == [0] * len(alive)
+
     @staticmethod
     def floor_problem():
         # a tolerance below the iteration's residual floor: some steps
@@ -658,8 +738,14 @@ class TestContinuation:
         built, kept, checked = [], [], []
 
         def recorded_complete(problem, ws):
-            built.append(ws)
-            return complete(problem, ws)
+            complete(problem, ws)
+            # a copy of the kept point: the solve lets go of an iterate's
+            # fields once its linear solve is built
+            own = solver_qp.NewtonWorkspace()
+            for name in own.__slots__:
+                setattr(own, name, getattr(ws, name))
+            built.append(own)
+            return ws
 
         def recorded_solve(problem, st, out=None):
             built.clear()
