@@ -43,7 +43,6 @@ from .fourier import (
     PeriodicScalar,
     average,
     dealias,
-    derivative,
     grid,
     resample,
     shift,
@@ -135,7 +134,6 @@ __all__ = [
     "check_symmetry",
     "continue_in_eps",
     "dealias",
-    "derivative",
     "eps_derivative",
     "frame_fields",
     "grid",

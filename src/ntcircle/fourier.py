@@ -11,7 +11,7 @@ grid can see.  On the nodes this mode is an eigenvector of the shift by
 delta with eigenvalue cos(pi*N*delta), and shift() implements exactly
 that, so the algebraic identities behind the cohomological solvers hold
 on the grid for every representable input, Nyquist content included.
-Odd spectral operations (derivative) send the bin to zero.
+Odd spectral operations (derivative_spectra) send the bin to zero.
 
 Every spectral operator is diagonal in Fourier space and is written
 once, as a multiplier acting in place on a block of half-spectra: the
@@ -23,10 +23,10 @@ small_divisor_spectra.  samples() brings a block back with one irfft,
 written over the block the spectra came from.  transform() is the three
 steps for one operator on every row; a block whose rows need different
 operators applies each to its own rows between spectra() and samples().
-The single-field functions below (shift, derivative, dealias, the
-solvers) are the m = 1 calls of the same multipliers, and the solvers
-put every group of fields that is ready at the same time through one
-block, so a transform pair is paid per group, not per field.  numpy
+The single-field functions below (shift, dealias, the solvers) are
+the m = 1 calls of the same multipliers, and the solvers put every
+group of fields that is ready at the same time through one block, so a
+transform pair is paid per group, not per field.  numpy
 transforms the rows of a block bit for bit as it transforms each row
 alone, so a block changes no bit of any field.  A multiplier acts on
 the unnormalized spectra as they come: N is a power of two, so dividing
@@ -433,11 +433,6 @@ def tails(half: np.ndarray, band: float) -> list[float]:
 def shift(u: PeriodicScalar, delta: float) -> PeriodicScalar:
     """Samples of theta -> u(theta + delta)."""
     return _field(u.values, shift_spectra, delta)
-
-
-def derivative(u: PeriodicScalar) -> PeriodicScalar:
-    """Spectral d/dtheta; the Nyquist bin is annihilated (odd operator)."""
-    return _field(u.values, derivative_spectra)
 
 
 def solve_contractive(

@@ -466,25 +466,30 @@ def rotation_number(
 
     The orbit runs in grid units t = n * theta on the per-cell table of
     the interpolant of g, so each step is one row lookup and one Horner
-    pass, at every interpolation order.
+    pass, at every interpolation order.  As in ambient_rotation_number,
+    the displacements are written into one float64 array, grown each
+    time _birkhoff doubles the orbit length.
     """
     n = f.n
     rows = _cell_polynomials(f.g, f.order).tolist()
     t = (theta0 % 1.0) * n
-    done = np.empty(0)
+    done = np.empty(0)      # the displacements, grown to each new length
 
     def extend(count: int) -> np.ndarray:
         nonlocal t, done
-        out = []
-        for _ in range(count - done.size):
+        filled = done.size
+        grown = np.empty(count)
+        grown[:filled] = done
+        done = grown
+        for j in range(filled, count):
             i = int(t)
             s = t - i
             d = 0.0
             for c in rows[i]:
                 d = d * s + c
-            out.append(d)
+            done[j] = d
             t = (t + d) % n
-        done = np.concatenate((done, np.asarray(out) / n))
+        done[filled:] /= n
         return done
 
     return _birkhoff(extend, tol, m_max, "rotation number")

@@ -25,8 +25,23 @@ D_a F_y = 0 and D_mu F = (1, 0) stay out of the blocks.
 The 1/3 truncation cuts the start of a solve, the composition, the
 non-constant entries of DF and D_a F, D_eps F and the correction, and
 the invariance residual is measured on the filtered system; spectral
-exhaustion is monitored on the raw compositions and drives the dyadic
-mode adaptation during continuation.
+exhaustion is monitored on the raw compositions (the tail, the l1 mass
+fraction above 3N/8).
+
+Continuation grows the grid in one place, _rebuild_finer: it rebuilds
+a state on the next dyadic level up to n_max that converges cleanly,
+skipping refused levels, with floor_factor held at 10 or less.  Three
+rules call it.  Tail: an accepted state, the first solve included, is
+rebuilt while its tail is above tail_double; when no level takes it is
+kept and later steps retry, and a fat tail at n_max stops the run.
+Floor: a step that settles above _LEVEL_SUSPECT * tol, and failure: a
+step that fails with a DivergenceError of residual at most 1e-3 over a
+fat tail, rebuild the base and redo the step, three times a step at
+most.  At seed 1 the benchmark takes 12 tail rebuilds in qp_paths, 1 in
+rho_sweep, and 5 with 4 failure rebuilds in qp_breakdown; the symmetric
+breakdown run of the acceptance tests takes 3 tail, 3 failure and 10
+floor rebuilds, 4 of them from N = n_max, where no level is left;
+without the floor rule it stops on N = 2^16 and fails its gate.
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
@@ -682,14 +697,17 @@ def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
     )
 
 
-def _grow_base(problem: QpProblem, state: QpState,
-               out: list) -> QpState | None:
+def _rebuild_finer(problem: QpProblem, state: QpState,
+                   out: list) -> QpState | None:
     """Rebuild state on the next dyadic grid that converges cleanly.
 
     Levels that refuse the strict tolerance (a retained-band edge near a
     resonance) or blow up are skipped; None when no level up to n_max
-    takes.  out is passed to newton_solve.
+    takes, and state stays valid as is.  out, which holds the workspace
+    of the state being replaced, if any, is emptied first and passed to
+    newton_solve: it holds the rebuilt state's workspace, if any.
     """
+    out.clear()
     # a level that can only offer a high residual floor would poison
     # every later predictor, so a rebuild is held near the strict
     # tolerance and may not settle on one
@@ -702,27 +720,6 @@ def _grow_base(problem: QpProblem, state: QpState,
         except NtCircleError:
             n2 *= 2
     return None
-
-
-def _adapt_modes(problem: QpProblem, state: QpState,
-                 out: list) -> tuple[QpState, bool]:
-    """Grow the grid while the raw tail is fat; True if n_max binds.
-
-    Each pass rebuilds the base on a finer level (_grow_base), so N at
-    least doubles and the loop ends by n_max.  When no level takes, the
-    state is valid as is, just under-resolved, and the caller retries on
-    later steps.  out holds the workspace of state, if any; it is emptied
-    before each rebuild and holds the returned state's workspace, if any.
-    """
-    while state.diagnostics.tail > problem.tail_double:
-        if 2 * state.k.n > problem.n_max:
-            return state, True
-        out.clear()
-        grown = _grow_base(problem, state, out)
-        if grown is None:
-            return state, False
-        state = grown
-    return state, False
 
 
 def continue_in_eps(
@@ -738,6 +735,8 @@ def continue_in_eps(
     Stops on the target, on loss of frame transversality (alpha below the
     floor), when the step underflows, or when n_max is reached; the
     records of all accepted points and the stop reason are returned.
+    The first solve and every step are accepted through one path, which
+    applies the tail rule of the grid (see the module docstring).
     """
     if policy is None:
         policy = ContinuationPolicy()
@@ -753,91 +752,83 @@ def continue_in_eps(
         except NtCircleError:
             return None   # zero-order continuation still works
 
-    t0 = time.perf_counter() if policy.timing else 0.0
-    state = newton_solve(problem, state, out)
-    state, nmax_hit = _adapt_modes(problem, state, out)
-    wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
-    records = [_record(state, wall)]
-    if nmax_hit:
-        return ContinuationResult(tuple(records), "n-max", state)
+    def fat(state: QpState) -> bool:
+        return state.diagnostics.tail > problem.tail_double
 
+    records: list[ContinuationRecord] = []
     step = policy.step_init
     streak = 0
-    reason = "target"
+    t0 = time.perf_counter() if policy.timing else 0.0
+    new = newton_solve(problem, state, out)
     while True:
-        if state.eps >= eps_target - 1e-15:
-            break
-        if state.diagnostics.min_angle < policy.alpha_floor:
-            reason = "alpha-floor"
-            break
-        # the previous step's tangent and prediction go before the
-        # predictor runs
-        der = pred = None
-        der = predictor(state)
-        accepted = False
-        grows = 0   # base rebuilds spent on this step
-        while not accepted:
-            d = min(step, eps_target - state.eps)
-            t0 = time.perf_counter() if policy.timing else 0.0
-            if der is None:
-                pred = replace(state, eps=state.eps + d, diagnostics=None)
-            else:
-                pred = QpState(
-                    TorusEmbedding(
-                        state.k.eta_x + d * der.d_eta_x,
-                        state.k.k_y + d * der.d_ky,
-                    ),
-                    state.a + d * der.d_a,
-                    state.mu + d * der.d_mu,
-                    state.eps + d,
-                )
-            try:
-                new = newton_solve(problem, pred, out)
-                # a step that settled on a high floor over a thin tail:
-                # this dyadic level recycles band-edge error, and the
-                # degraded state would poison later predictors
-                regrid = (
-                    new.diagnostics.invariance_error
-                    > _LEVEL_SUSPECT * problem.tol
-                )
-            except NtCircleError as exc:
-                # a small-residual failure with a fat spectral tail means
-                # the base no longer resolves the circle.  Everything
-                # else (blow-ups, floors above the acceptance window) is
-                # a step problem: halve.
-                new = None
-                regrid = (
-                    isinstance(exc, DivergenceError)
-                    and exc.residual <= 1e-3
-                    and exc.tail > problem.tail_double
-                )
-            if regrid and grows < 3:
-                # redo the step from a base rebuilt on a finer grid
-                out.clear()
-                grown = _grow_base(problem, state, out)
-                if grown is not None:
-                    grows += 1
-                    state = grown
-                    der = pred = new = None
-                    der = predictor(state)
-                    continue
-            if new is None:
-                step /= 2.0
-                streak = 0
-                if step < policy.step_min:
-                    reason = "step-floor"
-                    break
-                continue
-            new, nmax_hit = _adapt_modes(problem, new, out)
+        if new is not None:
+            # the one accept path, of the first solve and of every step:
+            # grow while the raw tail is fat, then record
+            while fat(new) and 2 * new.k.n <= problem.n_max:
+                grown = _rebuild_finer(problem, new, out)
+                if grown is None:
+                    break   # valid, just under-resolved: later steps retry
+                new = grown
             wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
             state = new
             records.append(_record(state, wall))
-            accepted = True
-        if not accepted:
-            break
-        if nmax_hit:
-            reason = "n-max"
-            break
+            if fat(state) and 2 * state.k.n > problem.n_max:
+                reason = "n-max"    # under-resolved with no level left
+                break
+            if state.eps >= eps_target - 1e-15:
+                reason = "target"
+                break
+            if state.diagnostics.min_angle < policy.alpha_floor:
+                reason = "alpha-floor"
+                break
+            # the previous step's tangent and prediction go before the
+            # predictor runs, and no name holds a rebuilt state past it
+            der = pred = grown = None
+            der = predictor(state)
+            grows = 0   # base rebuilds spent on this step
+        d = min(step, eps_target - state.eps)
+        t0 = time.perf_counter() if policy.timing else 0.0
+        if der is None:
+            pred = replace(state, eps=state.eps + d, diagnostics=None)
+        else:
+            pred = QpState(TorusEmbedding(state.k.eta_x + d * der.d_eta_x,
+                                          state.k.k_y + d * der.d_ky),
+                           state.a + d * der.d_a, state.mu + d * der.d_mu,
+                           state.eps + d)
+        try:
+            new = newton_solve(problem, pred, out)
+            # a step that settled on a high floor over a thin tail: this
+            # dyadic level recycles band-edge error, and the degraded
+            # state would poison later predictors
+            regrid = (new.diagnostics.invariance_error
+                      > _LEVEL_SUSPECT * problem.tol)
+        except NtCircleError as exc:
+            # a small-residual failure with a fat spectral tail means the
+            # base no longer resolves the circle.  Everything else
+            # (blow-ups, floors above the acceptance window) is a step
+            # problem: halve.
+            new = None
+            regrid = (
+                isinstance(exc, DivergenceError)
+                and exc.residual <= 1e-3
+                and exc.tail > problem.tail_double
+            )
+        if regrid and grows < 3:
+            # redo the step from a base rebuilt on a finer grid
+            grown = _rebuild_finer(problem, state, out)
+            if grown is not None:
+                grows += 1
+                state = grown
+                der = pred = new = None
+                der = predictor(state)
+                continue
+        if new is None:
+            step /= 2.0
+            streak = 0
+            if step < policy.step_min:
+                reason = "step-floor"
+                break
+            continue
         streak += 1
         if streak >= policy.grow_after:
             step = min(2.0 * step, policy.step_max)

@@ -102,7 +102,13 @@ def run_breakdown(variant, n_max):
     result = continue_in_eps(
         problem, QpState.flat_start(64, OMEGA, 0.0), 10.0, policy)
     assert result.reason in ("step-floor", "alpha-floor", "n-max")
-    return breakdown_extrapolate(result.records, window=20)
+    fit = breakdown_extrapolate(result.records, window=20)
+    # one line to hold against the recorded baseline (pytest -rP shows it)
+    print(f"{variant} breakdown: {result.reason} at eps = "
+          f"{result.state.eps:.6f} on N = {result.state.k.n}, "
+          f"{len(result.records)} records, eps_c = {fit.eps_c:.7f}, "
+          f"reliable = {fit.reliable}")
+    return fit
 
 
 @pytest.mark.slow

@@ -146,6 +146,49 @@ class TestRotationNumber:
         f = InternalMap(apply_map(psi, u + OMEGA) - th, order)
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-10
 
+    def test_orbit_array_equals_list_form(self, monkeypatch):
+        # the displacements go into one growing array; the list form (each
+        # chunk a list of Python floats, the orbit concatenated at every
+        # doubling) gives the same rho and the same array at every doubling
+        n, theta0, tol = 512, 0.3, 1e-15
+        th = np.arange(n) / n
+        f = InternalMap(OMEGA + 0.15 * np.sin(2 * np.pi * th) / (2 * np.pi))
+        birkhoff = solver_general._birkhoff
+        arrays = []
+
+        def recorded(extend, tol, m_max, what):
+            def extend_copied(count):
+                arrays.append(extend(count).copy())
+                return arrays[-1]
+            return birkhoff(extend_copied, tol, m_max, what)
+
+        monkeypatch.setattr(solver_general, "_birkhoff", recorded)
+        rho = rotation_number(f, tol, theta0)
+
+        rows = solver_general._cell_polynomials(f.g, f.order).tolist()
+        t = (theta0 % 1.0) * n
+        done, listed = np.empty(0), []
+
+        def extend_list(count):
+            nonlocal t, done
+            out = []
+            for _ in range(count - done.size):
+                i = int(t)
+                s = t - i
+                d = 0.0
+                for c in rows[i]:
+                    d = d * s + c
+                out.append(d)
+                t = (t + d) % n
+            done = np.concatenate((done, np.asarray(out) / n))
+            listed.append(done)
+            return done
+
+        assert birkhoff(extend_list, tol, 1 << 22, "rotation number") == rho
+        assert len(arrays) == len(listed) >= 3
+        for got, want in zip(arrays, listed):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
     def test_orbit_state_carried_across_doublings(self, monkeypatch):
         n = 512
         th = np.arange(n) / n

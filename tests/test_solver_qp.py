@@ -453,8 +453,10 @@ class TestIterationCost:
         jac = prob.family.jacobian(k.x_lift(), k.k_y.values, par)
         dax, day = prob.family.d_a(k.x_lift(), k.k_y.values, par)
         lx, ly = ws.frame.l
-        assert same(lx.values, fourier.derivative(k.eta_x) + 1.0)
-        assert same(ly.values, fourier.derivative(k.k_y))
+        d_theta = lambda u: PeriodicScalar(fourier.transform(
+            u.values.copy(), fourier.derivative_spectra))
+        assert same(lx.values, d_theta(k.eta_x) + 1.0)
+        assert same(ly.values, d_theta(k.k_y))
         assert type(ws.dfk) is np.ndarray and ws.dfk.shape == (2, 2, k.n)
         for i in (0, 1):
             for j in (0, 1):
@@ -547,26 +549,44 @@ class TestContinuation:
         assert res.state.eps < 3.0 and res.state.k.n == 64
         assert res.state.diagnostics.tail > prob.tail_double
 
+    def test_first_state_stops_on_n_max(self):
+        # the first solve is accepted through the same path as every
+        # step: a fat tail with no finer level allowed stops the run
+        prob = sym_problem()
+        start = QpState.flat_start(64, OMEGA)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
+        prob = replace(prob, n_max=64,
+                       tail_double=0.5 * state.diagnostics.tail)
+        res = continue_in_eps(prob, state, 3.0)
+        assert res.reason == "n-max" and len(res.records) == 1
+        assert res.state.k.n == 64 and res.records[0].eps == 0.5
+
     def test_grid_stays_when_no_level_converges(self, monkeypatch):
         prob = sym_problem(n_max=512)
         start = QpState.flat_start(64, OMEGA)
-        out = []
-        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5),
-                             out)
+        first = QpState(start.k, start.a, start.mu, 0.5)
         # a tail above tail_double asks for a finer grid
-        prob = replace(prob, tail_double=0.5 * state.diagnostics.tail)
-        levels = []
+        tail = newton_solve(prob, first).diagnostics.tail
+        prob = replace(prob, tail_double=0.5 * tail)
+        solve = solver_qp.newton_solve
+        kept, levels = [], []
 
-        def refuse(problem, st, out=None):
-            levels.append((st.k.n, out))
+        def refuse_finer(problem, st, out=None):
+            if st.k.n == 64:
+                kept.append((solve(problem, st, out), out, len(out)))
+                return kept[-1][0]
+            levels.append((st.k.n, out, len(out)))
             raise DivergenceError("injected", residual=1.0)
 
-        monkeypatch.setattr(solver_qp, "newton_solve", refuse)
-        adapted, capped = solver_qp._adapt_modes(prob, state, out)
-        assert adapted is state and not capped
-        assert levels == [(128, out), (256, out), (512, out)]
+        monkeypatch.setattr(solver_qp, "newton_solve", refuse_finer)
+        res = continue_in_eps(prob, first, 0.5)
+        (state, out, held), = kept
+        # every level up to n_max is tried, and the state is kept as is
+        assert levels == [(128, out, 0), (256, out, 0), (512, out, 0)]
+        assert res.reason == "target" and res.state is state
+        assert len(res.records) == 1 and res.records[0].n == 64
         # the state's workspace went before the first rebuild
-        assert out == []
+        assert held == 1
 
     def test_no_workspace_outlives_its_predictor(self, monkeypatch):
         # the predictor reads the converged workspace; none may be alive
