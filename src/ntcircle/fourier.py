@@ -19,19 +19,22 @@ rows of spectra(v) for an (m, N) block v of samples, one rfft along the
 last axis.  The operators are shift_spectra, derivative_spectra,
 cut_spectra (the 1/3 truncation; tails gauges the raw tail first) and
 the two cohomological solves, linear_shift_spectra and
-small_divisor_spectra.  samples() brings a block back with one irfft,
-written over the block the spectra came from.  transform() is the three
-steps for one operator on every row; a block whose rows need different
-operators applies each to its own rows between spectra() and samples().
-The single-field functions below (shift, dealias, the solvers) are
-the m = 1 calls of the same multipliers, and the solvers put every
-group of fields that is ready at the same time through one block, so a
-transform pair is paid per group, not per field.  numpy
-transforms the rows of a block bit for bit as it transforms each row
-alone, so a block changes no bit of any field.  A multiplier acts on
-the unnormalized spectra as they come: N is a power of two, so dividing
-every bin by N before the multiplier and multiplying by N after would
-only move exponents.  Leaving both passes out changes no bin beyond the
+small_divisor_spectra.  samples() is the one way back: one irfft
+brings a block of any height back over the block the spectra came from,
+and checks it.  transform() is the three steps for one operator on every
+row; a block whose rows need different operators applies each to its
+own rows between spectra() and samples().  The solvers put every group
+of fields that is ready at the same time through one block, so a
+transform pair is paid per group, not per field.  The single-field
+functions below (shift, dealias and the two solves) are the m = 1 calls,
+on a copy of the samples; nothing in the package calls them, and they
+are kept only for the tests and the benchmark's tracer, which wraps them
+by name.  resample() changes the grid size and keeps its own rfft/irfft
+pair.  numpy transforms the rows of a block bit for bit as it transforms
+each row alone, so a block changes no bit of any field.  A multiplier
+acts on the unnormalized spectra as they come: N is a power of two, so
+dividing every bin by N before the multiplier and multiplying by N after
+would only move exponents.  Leaving both passes out changes no bin beyond the
 sign of a zero part (complex passes by N + 0j reset it), barring a
 quotient by N that would have been subnormal.
 
@@ -40,29 +43,28 @@ with rfft(out=), so the half-spectra of a Newton iteration's blocks
 fault no fresh pages in: the buffer grows to the rows of the largest
 block met, and only the latest grid's buffer is kept.  Its contents
 stay valid until the next spectra() call, and every caller reads them,
-and brings them back with samples() or an irfft of its own, before its
-next transform.  Nothing that outlives a block looks into the buffer:
-fields() copies, and irfft allocates.
+and brings them back with samples(), before its next transform.
+Nothing that outlives a block looks into the buffer: fields() copies.
 
 Work that never changes is done once per grid.  The nodes, the phase
-vectors e(k*delta) of shift, the derivative multipliers 2 pi i k and
-the mode weights of tails are read-only arrays, each cached for the
-latest grid size only, like the spectra buffer: a continuation climbs
-from grid to grid, so the constants of every grid it has left would
-only pin memory (at N = 2^16 a set of them takes 2 MiB).  A grid is
-visited again only when a rebuild on a finer one fails, and then its
-constants are built once more.  Each (n, omega) has its small divisors
-checked once; a degenerate divisor is reported before a block is
-changed.  tails gauges the raw tails of a block's rows from the spectra
-the cut then filters.  dealias takes constants through the transforms
-too: they give every constant but -0.0 back bit for bit.
+vectors e(k*delta) of shift, the derivative multipliers 2 pi i k, the
+small divisors 1 - e(k*omega) and the mode weights of tails are
+read-only arrays, each cached for the latest grid size only, like the
+spectra buffer: a continuation climbs from grid to grid, so the
+constants of every grid it has left would only pin memory (at N = 2^16
+a set of them takes 2 MiB).  A grid is visited again only when a
+rebuild on a finer one fails, and then its constants are built once
+more.  The divisors are checked as they are built, before a block is
+changed; a degenerate one is reported and not held.  tails gauges the
+raw tails of a block's rows from the spectra the cut then filters.
+dealias gives every constant but -0.0 back bit for bit.
 
 Each field is wrapped once, and the wrap is the one place finiteness is
 checked.  PeriodicScalar.__init__ is the only constructor; it adopts the
-samples the package has just allocated (arithmetic results, inverse
-transforms, the fused formulas of the solvers, all through _fresh) and
-copies everything else, so no outside reference reaches the samples.
-The solvers compute a field's +, - and * formula on sample arrays and
+samples the package has just allocated (arithmetic results, checked
+rows of samples(), the fused formulas of the solvers) and copies
+everything else, so no outside reference reaches the samples.  The
+solvers compute a field's +, - and * formula on sample arrays and
 wrap only its result: under IEEE rules a +, - or * with a NaN or
 infinite operand never gives a finite result, so checking the result is
 exactly as strict as checking every intermediate, and the same
@@ -79,7 +81,7 @@ the block, and the fields' memory is taken before the block
 from __future__ import annotations
 
 import math
-from functools import lru_cache, wraps
+from functools import wraps
 
 import numpy as np
 
@@ -99,11 +101,12 @@ _HELD = 32
 
 
 def _latest_grid(build):
-    """Cache build(n, *args), read-only arrays, for the latest n only.
+    """Cache build(n, *args), arrays frozen read-only, for the latest n only.
 
     A call on another grid size empties the cache once the new value is
     built, so the constants of a grid the solver has left are freed, as
-    the spectra buffer is.  The held values are in .held, keyed (n, *args).
+    the spectra buffer is; a build that raises leaves the cache alone.
+    The held values are in .held, keyed (n, *args).
     """
     held: dict = {}
 
@@ -113,6 +116,7 @@ def _latest_grid(build):
         value = held.get(key)
         if value is None:
             value = build(n, *args)
+            value.setflags(write=False)
             if len(held) >= _HELD or next(iter(held), key)[0] != n:
                 held.clear()
             held[key] = value
@@ -126,32 +130,24 @@ def _latest_grid(build):
 def grid(n: int) -> np.ndarray:
     """Nodes theta_j = j/n as a read-only array."""
     _check_size(n)
-    g = np.arange(n) / n
-    g.setflags(write=False)
-    return g
+    return np.arange(n) / n
 
 
 @_latest_grid
 def _wavenumbers(n: int) -> np.ndarray:
-    k = np.arange(n // 2 + 1, dtype=float)
-    k.setflags(write=False)
-    return k
+    return np.arange(n // 2 + 1, dtype=float)
 
 
 @_latest_grid
 def _phases(n: int, delta: float) -> np.ndarray:
     """e(k*delta) = exp(2 pi i k delta) for k = 0 .. n/2, read-only."""
-    ph = np.exp(2j * np.pi * _wavenumbers(n) * delta)
-    ph.setflags(write=False)
-    return ph
+    return np.exp(2j * np.pi * _wavenumbers(n) * delta)
 
 
 @_latest_grid
 def _derivative_multiplier(n: int) -> np.ndarray:
     """2 pi i k for k = 0 .. n/2, read-only."""
-    m = 2j * np.pi * _wavenumbers(n)
-    m.setflags(write=False)
-    return m
+    return 2j * np.pi * _wavenumbers(n)
 
 
 class PeriodicScalar:
@@ -270,10 +266,6 @@ def spectra(v: np.ndarray) -> np.ndarray:
     return np.fft.rfft(v, out=out)
 
 
-def _inverse(half: np.ndarray) -> np.ndarray:
-    return np.fft.irfft(half, _size(half))
-
-
 def samples(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Sample rows of the half-spectra, checked for finiteness once.
 
@@ -319,13 +311,6 @@ def fields(block: np.ndarray,
             for dest in memory]
 
 
-def _field(v: np.ndarray, op, *args) -> PeriodicScalar:
-    """The m = 1 call: op on the samples v, wrapped and checked once."""
-    half = spectra(v)
-    op(half, *args)
-    return _fresh(_inverse(half))
-
-
 def shift_spectra(half: np.ndarray, delta: float) -> None:
     """Shift by delta, in place: the spectra of theta -> u(theta + delta)."""
     n = _size(half)
@@ -365,22 +350,20 @@ def linear_shift_spectra(half: np.ndarray, lam: float, rho: float,
     half[..., -1] = top
 
 
-@lru_cache(maxsize=32)
-def _check_small_divisors(n: int, omega: float) -> None:
-    """Fail if a divisor 1 - e(k*omega), 0 < k <= n/2, is below the floor.
+@_latest_grid
+def _divisors(n: int, omega: float) -> np.ndarray:
+    """1 - e(k*omega) for k = 0 .. n/2, Nyquist 1 - cos(pi*n*omega), read-only.
 
-    The Nyquist divisor is 1 - cos(pi*n*omega); the offending k is
-    reported.  Only a pass is cached.
+    A divisor 0 < k <= n/2 below the floor raises, naming the k of the
+    smallest (the lowest on a tie).
     """
     div = 1.0 - _phases(n, omega)
-    mags = np.abs(div[1:-1])
-    nyq = 1.0 - np.cos(np.pi * n * omega)
-    worst = int(np.argmin(mags)) + 1 if mags.size else n // 2
-    worst_mag = mags[worst - 1] if mags.size else abs(nyq)
-    if abs(nyq) < worst_mag:
-        worst, worst_mag = n // 2, abs(nyq)
-    if worst_mag < _DIVISOR_FLOOR:
-        raise SmallDivisorError(worst, float(worst_mag))
+    div[-1] = 1.0 - np.cos(np.pi * n * omega)
+    mags = np.abs(div[1:])
+    worst = int(np.argmin(mags))
+    if mags[worst] < _DIVISOR_FLOOR:
+        raise SmallDivisorError(worst + 1, float(mags[worst]))
+    return div
 
 
 def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
@@ -390,10 +373,11 @@ def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
     the exact obstructions, one per row.
     """
     n = _size(half)
-    _check_small_divisors(n, omega)
+    div = _divisors(n, omega)
     mean = half[..., 0].real / n
-    top = half[..., -1].real / (1.0 - np.cos(np.pi * n * omega))
-    half[..., 1:-1] /= (1.0 - _phases(n, omega))[1:-1]
+    # the Nyquist bin stays real: divide it by the real divisor
+    top = half[..., -1].real / div[-1].real
+    half[..., 1:-1] /= div[1:-1]
     half[..., 0] = 0.0
     half[..., -1] = top
     return mean
@@ -405,7 +389,6 @@ def _mass_weights(n: int) -> np.ndarray:
     w = np.full(n // 2 + 1, 2.0)
     w[0] = 1.0
     w[-1] = 1.0
-    w.setflags(write=False)
     return w
 
 
@@ -416,7 +399,8 @@ def tails(half: np.ndarray, band: float) -> list[float]:
     to spectral exhaustion: 0 for well-resolved data, approaching 1 when
     the tail carries everything.
     """
-    _check_band(band)
+    if not 0.0 < band < 1.0:
+        raise ValueError(f"band must lie in (0, 1), got {band}")
     n = _size(half)
     mass = _mass_weights(n) * (np.abs(half) / n)
     total = np.sum(mass, axis=-1)
@@ -427,12 +411,20 @@ def tails(half: np.ndarray, band: float) -> list[float]:
             for t, s in zip(tail, total)]
 
 
-# -- single fields: the m = 1 calls --------------------------------------
+# -- single fields: the m = 1 calls, kept for the tests and the tracer --
+
+
+def _field(u: PeriodicScalar, op, *args):
+    """op on a copy of u's samples: (the checked field, op's return value)."""
+    v = u.values.copy()
+    half = spectra(v)
+    result = op(half, *args)
+    return PeriodicScalar(samples(half, v), _owned=True, _finite=True), result
 
 
 def shift(u: PeriodicScalar, delta: float) -> PeriodicScalar:
     """Samples of theta -> u(theta + delta)."""
-    return _field(u.values, shift_spectra, delta)
+    return _field(u, shift_spectra, delta)[0]
 
 
 def solve_contractive(
@@ -446,7 +438,7 @@ def solve_contractive(
     """
     if abs(sigma) >= 1.0:
         raise ValueError(f"need |sigma| < 1, got {sigma}")
-    return _field(eta.values, linear_shift_spectra, sigma, 1.0, omega)
+    return _field(eta, linear_shift_spectra, sigma, 1.0, omega)[0]
 
 
 def solve_small_divisor(
@@ -458,14 +450,8 @@ def solve_small_divisor(
     obstruction.  Fails if any represented mode has a divisor
     |1 - e(k*omega)| below 1e-13, reporting the offending k.
     """
-    half = spectra(eta.values)
-    mean = small_divisor_spectra(half, omega)
-    return _fresh(_inverse(half)), float(mean)
-
-
-def _check_band(band: float) -> None:
-    if not 0.0 < band < 1.0:
-        raise ValueError(f"band must lie in (0, 1), got {band}")
+    xi, mean = _field(eta, small_divisor_spectra, omega)
+    return xi, float(mean)
 
 
 def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
@@ -496,4 +482,4 @@ def dealias(u: PeriodicScalar) -> PeriodicScalar:
     Applied to pointwise products and compositions so that quadratic
     nonlinearities cannot fold spurious energy back into retained modes.
     """
-    return _field(u.values, cut_spectra)
+    return _field(u, cut_spectra)[0]

@@ -167,15 +167,17 @@ def torsion0(n0x, n0y, n0x_f, n0y_f, dfk) -> np.ndarray:
 def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> PeriodicScalar:
     """Solve vartheta - sigma * vartheta(. + omega) = -t0 spectrally.
 
-    t0 holds the torsion samples; the solution is wrapped and checked
-    for finiteness once.  Divisors 1 - sigma*e(k*omega) stay within
-    distance 1 - sigma of 1, so the solve is uniformly stable for sigma
-    in (0, 1).
+    t0 holds the torsion samples; linear_shift_spectra solves on a
+    one-row block of -t0, checked once, whose row fourier.fields wraps.
+    Divisors 1 - sigma*e(k*omega) stay within distance 1 - sigma of 1,
+    so the solve is uniformly stable for sigma in (0, 1).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    return fourier._field(-t0, fourier.linear_shift_spectra,
-                          1.0, sigma, omega)
+    memory = fourier.field_memory(1, t0.size)
+    vth, = fourier.fields(fourier.transform(
+        -t0[None], fourier.linear_shift_spectra, 1.0, sigma, omega), memory)
+    return vth
 
 
 def solve_transfer(a, b, idx, w, sigma: float):

@@ -40,8 +40,9 @@ fat tail, rebuild the base and redo the step, three times a step at
 most.  At seed 1 the benchmark takes 12 tail rebuilds in qp_paths, 1 in
 rho_sweep, and 5 with 4 failure rebuilds in qp_breakdown; the symmetric
 breakdown run of the acceptance tests takes 3 tail, 3 failure and 10
-floor rebuilds, 4 of them from N = n_max, where no level is left;
-without the floor rule it stops on N = 2^16 and fails its gate.
+floor rebuilds, 4 of them from N = n_max, where no level is left and
+the step keeps its workspace; without the floor rule it stops on
+N = 2^16 and fails its gate.
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
@@ -704,15 +705,18 @@ def _rebuild_finer(problem: QpProblem, state: QpState,
     Levels that refuse the strict tolerance (a retained-band edge near a
     resonance) or blow up are skipped; None when no level up to n_max
     takes, and state stays valid as is.  out, which holds the workspace
-    of the state being replaced, if any, is emptied first and passed to
-    newton_solve: it holds the rebuilt state's workspace, if any.
+    of the state being replaced, if any, is kept when no level is left
+    (2N > n_max); otherwise it is emptied and passed to newton_solve: it
+    holds the rebuilt state's workspace, if any.
     """
+    n2 = 2 * state.k.n
+    if n2 > problem.n_max:
+        return None
     out.clear()
     # a level that can only offer a high residual floor would poison
     # every later predictor, so a rebuild is held near the strict
     # tolerance and may not settle on one
     picky = replace(problem, floor_factor=min(10.0, problem.floor_factor))
-    n2 = 2 * state.k.n
     while n2 <= problem.n_max:
         try:
             return newton_solve(picky, replace(state, k=state.k.resample(n2)),
@@ -764,7 +768,7 @@ def continue_in_eps(
         if new is not None:
             # the one accept path, of the first solve and of every step:
             # grow while the raw tail is fat, then record
-            while fat(new) and 2 * new.k.n <= problem.n_max:
+            while fat(new):
                 grown = _rebuild_finer(problem, new, out)
                 if grown is None:
                     break   # valid, just under-resolved: later steps retry

@@ -11,7 +11,7 @@ import sys
 import numpy as np
 import pytest
 
-from ntcircle import GOLDEN_MEAN, ContinuationPolicy, QpProblem, cli
+from ntcircle import GOLDEN_MEAN, ContinuationPolicy, QpProblem, cli, fourier
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -390,6 +390,24 @@ class TestVerifyCommand:
         assert "FAIL " not in out
         assert "PASS  circle symmetry K = S K(.+1/2)" in out
         assert "mirror circle" not in out
+
+    def test_battery_runs_the_block_kernels(self, tmp_path, capsys,
+                                            monkeypatch):
+        # the checks run the kernels the solvers run, not the m = 1
+        # wrappers of fourier
+        def unused(*args):
+            raise AssertionError("an m = 1 wrapper was called")
+
+        for name in ("shift", "dealias", "solve_contractive",
+                     "solve_small_divisor"):
+            monkeypatch.setattr(fourier, name, unused)
+        cfg = write_cfg(tmp_path, BASE_CFG + "eps_target = 0.5\n")
+        rc = cli.main(["verify", "--config", cfg])
+        out = capsys.readouterr().out
+        assert rc == 0, out
+        assert "OK (0 failing checks)" in out
+        assert "PASS  cohomological (contractive) residual" in out
+        assert "PASS  cohomological (small-divisor) residual" in out
 
     @pytest.mark.parametrize("b_a0", ["0.1", "-0.15"])
     def test_twisted_symmetric_circle_checked_against_its_mirror(

@@ -218,7 +218,9 @@ class TestGridConstants:
     """The per-grid constants are kept for the latest grid size only."""
 
     CACHES = ("grid", "_wavenumbers", "_phases", "_derivative_multiplier",
-              "_mass_weights")
+              "_divisors", "_mass_weights")
+    # the caches keyed (n, omega) as well as n
+    BY_OMEGA = ("_phases", "_divisors")
 
     @classmethod
     def held_grids(cls):
@@ -249,13 +251,41 @@ class TestGridConstants:
     def test_continuation_keeps_its_last_grid_only(self):
         # every constant held for a grid the continuation never visits
         for name in self.CACHES:
-            args = (GOLDEN_MEAN,) if name == "_phases" else ()
+            args = (GOLDEN_MEAN,) if name in self.BY_OMEGA else ()
             getattr(fourier, name)(1024, *args)
         prob = QpProblem(StandardNonTwistMap(0.8, "nonsymmetric"),
                          omega=GOLDEN_MEAN)
         res = continue_in_eps(prob, QpState.flat_start(64, GOLDEN_MEAN), 1.0)
         assert res.reason == "target" and res.state.k.n == 512
         assert self.held_grids() == {name: {512} for name in self.CACHES}
+
+    def test_divisors_checked_read_only_and_shared(self):
+        n = 64
+        div = fourier._divisors(n, GOLDEN_MEAN)
+        assert not div.flags.writeable
+        assert fourier._divisors(n, GOLDEN_MEAN) is div
+        k = np.arange(n // 2)
+        assert div[:-1].tobytes() == (
+            1.0 - np.exp(2j * np.pi * k * GOLDEN_MEAN)).tobytes()
+        assert div[-1] == 1.0 - np.cos(np.pi * n * GOLDEN_MEAN)
+
+    def test_resonant_divisor_raises_and_is_not_held(self):
+        fourier._divisors(64, GOLDEN_MEAN)
+        held = dict(fourier._divisors.held)
+        # omega = 1/5: the divisors k = 5, 10, .. vanish up to rounding,
+        # the smallest at k = 5
+        with pytest.raises(SmallDivisorError) as err:
+            fourier._divisors(64, 0.2)
+        assert err.value.k == 5
+        # and the check runs again on every call: no pass was recorded
+        with pytest.raises(SmallDivisorError):
+            fourier._divisors(64, 0.2)
+        assert fourier._divisors.held == held
+        # a degenerate Nyquist divisor 1 - cos(pi n omega) names n/2
+        fourier._divisors.held.clear()
+        with pytest.raises(SmallDivisorError) as err:
+            fourier._divisors(64, 2.0 / 64)
+        assert err.value.k == 32 and fourier._divisors.held == {}
 
 
 class TestResampleDealias:
@@ -486,13 +516,22 @@ class TestBlockKernels:
     ])
     def test_non_finite_error_from_block(self, op, args):
         # a row whose transform overflows fails the block's one check, as
-        # it fails the single call's wrap
+        # it fails the m = 1 call's (the derivative has no m = 1 helper in
+        # fourier: d_theta is the one-row transform)
+        single = {
+            fourier.shift_spectra: shift,
+            fourier.derivative_spectra: d_theta,
+            fourier.cut_spectra: dealias,
+            fourier.linear_shift_spectra:
+                lambda u, lam, rho, om: solve_contractive(u, lam, om),
+            fourier.small_divisor_spectra: solve_small_divisor,
+        }[op]
         v = self.block(8)
         v[2] = 1e308 * np.cos(TWO_PI * np.arange(8) / 8)
         v[2, 0] = 1e308
         with np.errstate(all="ignore"):
             with pytest.raises(NonFiniteError):
-                fourier._field(v[2], op, *args)
+                single(PeriodicScalar(v[2]), *args)
             with pytest.raises(NonFiniteError):
                 fourier.transform(v.copy(), op, *args)
 

@@ -588,6 +588,16 @@ class TestContinuation:
         # the state's workspace went before the first rebuild
         assert held == 1
 
+    def test_rebuild_at_n_max_keeps_the_workspace(self):
+        # with no level left above n_max there is nothing to rebuild: the
+        # state's workspace stays for the predictor
+        prob = sym_problem(n_max=64)
+        out = []
+        state = newton_solve(prob, QpState.flat_start(64, OMEGA), out)
+        ws, = out
+        assert solver_qp._rebuild_finer(prob, state, out) is None
+        assert len(out) == 1 and out[0] is ws
+
     def test_no_workspace_outlives_its_predictor(self, monkeypatch):
         # the predictor reads the converged workspace; none may be alive
         # when a later solve starts (it would hold some thirty fields of
