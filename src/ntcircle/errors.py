@@ -71,11 +71,10 @@ class InversionError(NtCircleError):
 class ToleranceNotMetError(NtCircleError):
     """An averaging process hit its cap before reaching the tolerance.
 
-    Carries the best estimate and its error gauge so callers can degrade
-    gracefully instead of discarding the run.
+    Carries the best estimate so callers can degrade gracefully instead
+    of discarding the run.
     """
 
-    def __init__(self, best: float, err: float, message: str):
+    def __init__(self, best: float, message: str):
         self.best = best
-        self.err = err
         super().__init__(message)

@@ -74,8 +74,7 @@ bin takes every sample through + and *, and every multiplier carries
 some bins on through * or / by finite nonzero numbers, so samples()
 checks a block once for all its rows.  fields() copies each row of a
 checked block out into a field of its own, never a view that would pin
-the block, and the fields' memory is taken before the block
-(field_memory), so the block is freed on top of it.
+the block.
 """
 
 from __future__ import annotations
@@ -289,26 +288,13 @@ def transform(v: np.ndarray, op, *args) -> np.ndarray:
     return samples(half, v)
 
 
-def field_memory(m: int, n: int) -> list[np.ndarray]:
-    """Memory for m fields on the grid of size n, one array each.
+def fields(block: np.ndarray) -> list[PeriodicScalar]:
+    """The rows of a block from samples(), each copied out and wrapped.
 
-    Taken before a block's sample rows and spectra, so those, the large
-    short-lived arrays, are the last allocated and the first freed, and
-    the fields cut no holes into memory the next block could reuse.
+    Each field owns its row's copy, so no field pins the block.
     """
-    return [np.empty(n) for _ in range(m)]
-
-
-def fields(block: np.ndarray,
-           memory: list[np.ndarray]) -> list[PeriodicScalar]:
-    """The rows of a block from samples(), copied into memory and wrapped.
-
-    memory comes from field_memory; each field owns its row's copy.
-    """
-    for dest, row in zip(memory, block):
-        np.copyto(dest, row)
-    return [PeriodicScalar(dest, _owned=True, _finite=True)
-            for dest in memory]
+    return [PeriodicScalar(row.copy(), _owned=True, _finite=True)
+            for row in block]
 
 
 def shift_spectra(half: np.ndarray, delta: float) -> None:

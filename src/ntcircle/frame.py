@@ -128,7 +128,6 @@ def tangent(k: TorusEmbedding, cut=()) -> Pair:
     transform pair, and each cut is copied back over its row, so nothing
     pins the block.  Returns (L_x, L_y).
     """
-    memory = fourier.field_memory(2, k.n)
     rows = np.stack((k.eta_x.values, k.k_y.values, *cut))
     half = fourier.spectra(rows)
     fourier.derivative_spectra(half[:2])
@@ -137,7 +136,7 @@ def tangent(k: TorusEmbedding, cut=()) -> Pair:
     rows[0] += 1.0    # finite samples stay finite
     for dest, row in zip(cut, rows[2:]):
         np.copyto(dest, row)
-    return tuple(fourier.fields(rows[:2], memory))
+    return tuple(fourier.fields(rows[:2]))
 
 
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
@@ -174,9 +173,8 @@ def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> PeriodicScalar:
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    memory = fourier.field_memory(1, t0.size)
     vth, = fourier.fields(fourier.transform(
-        -t0[None], fourier.linear_shift_spectra, 1.0, sigma, omega), memory)
+        -t0[None], fourier.linear_shift_spectra, 1.0, sigma, omega))
     return vth
 
 

@@ -57,7 +57,7 @@ from .errors import (
     NtCircleError,
     ToleranceNotMetError,
 )
-from .fourier import _check_size, cut_spectra, field_memory, transform
+from .fourier import _check_size, cut_spectra, transform
 from .frame import (
     normal0_values,
     normal_values,
@@ -306,17 +306,11 @@ def newton_step_general(
     # smooth the updates: grid-frequency components of the correction are
     # amplified by the derivative stencils faster than Newton contracts
     # them, so unfiltered steps go unstable; top-octave content of the
-    # solution itself is recovered by grid refinement instead.  The new
-    # samples' memory is taken before the filter's block, which is then
-    # freed on top of it (see fourier.field_memory); the transforms check
-    # the block for finiteness
-    eta_new, ky_new, g_new = field_memory(3, n)
+    # solution itself is recovered by grid refinement instead.  The
+    # transforms check the block for finiteness
     upd = transform(np.stack((nx * xi, ny * xi, eta_l)), cut_spectra)
-    np.add(circle.eta_x, upd[0], out=eta_new)
-    np.add(circle.k_y, upd[1], out=ky_new)
-    np.subtract(f.g, upd[2], out=g_new)
-    new_circle = GridCircle(eta_new, ky_new, p)
-    new_f = InternalMap(g_new, p)
+    new_circle = GridCircle(circle.eta_x + upd[0], circle.k_y + upd[1], p)
+    new_f = InternalMap(f.g - upd[2], p)
     report = GeneralStepReport(vth_iters + xi_iters)
     return new_circle, new_f, report
 
@@ -438,7 +432,7 @@ def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
     while True:
         if 2 * m > m_max:
             raise ToleranceNotMetError(
-                est, float("nan"),
+                est,
                 f"{what} did not stabilize to {tol:.0e} "
                 f"within {m_max} iterates",
             )

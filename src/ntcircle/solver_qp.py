@@ -248,10 +248,8 @@ def _cross(a, u, b, v) -> np.ndarray:
 
 def _shifted(block: tuple[PeriodicScalar, ...], omega: float):
     """The fields of block shifted by omega, from one transform pair."""
-    memory = fourier.field_memory(len(block), block[0].n)
     return tuple(fourier.fields(fourier.transform(
-        np.stack([u.values for u in block]),
-        fourier.shift_spectra, omega), memory))
+        np.stack([u.values for u in block]), fourier.shift_spectra, omega)))
 
 
 def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
@@ -282,11 +280,9 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     lx, ly = l[0].values, l[1].values
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
-    # t0's memory is taken before the shift block of N0, and each is
-    # freed once read (see fourier.field_memory)
-    t0, = fourier.field_memory(1, ws.k.n)
+    # the shift block of N0 and t0 are each freed once read
     n0_f = fourier.transform(np.stack((n0x, n0y)), fourier.shift_spectra, om)
-    t0[:] = torsion0(n0x, n0y, *n0_f, dfk)
+    t0 = torsion0(n0x, n0y, *n0_f, dfk)
     del n0_f
     vth = vartheta_qp(t0, sig, om)
     del t0
@@ -317,7 +313,6 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """
     k = ws.k
     l = () if ws.frame is None else ws.frame.l
-    memory = fourier.field_memory(2 + len(l), k.n)
     rows = np.stack((*ws.ev.lift(), *(u.values for u in l),
                      k.eta_x.values, k.k_y.values))
     rows[0] -= fourier.grid(k.n)
@@ -327,11 +322,9 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     fourier.shift_spectra(half[2:], problem.omega)
     fourier.samples(half, rows)
     if l:
-        ws.lx_s, ws.ly_s = fourier.fields(rows[2:4], memory[2:])
-    ex, ey = memory[:2]
-    np.subtract(rows[0] - problem.omega, rows[-2], out=ex)
-    np.subtract(rows[1], rows[-1], out=ey)
-    ws.ex, ws.ey = _fresh(ex), _fresh(ey)
+        ws.lx_s, ws.ly_s = fourier.fields(rows[2:4])
+    ws.ex = _fresh(rows[0] - problem.omega - rows[-2])
+    ws.ey = _fresh(rows[1] - rows[-1])
     ws.err = max(ws.ex.sup(), ws.ey.sup())
     ws.e_p = fourier.average(k.eta_x)
     return ws
@@ -398,9 +391,6 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
         )
     mu0 = fourier.average(eta_l) / ws.b_mu
     mu1 = -ws.b_a / ws.b_mu
-    # the basis rows stay samples, checked once by their block; their
-    # memory is taken before the blocks (see fourier.field_memory)
-    corr = np.empty((4, eta_l.n))
     # the normal (contractive) and tangent (small-divisor) equations, at
     # delta_a = 0 and their rates, share one transform pair
     rows = np.stack((
@@ -418,11 +408,12 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
     xi_l0 = xi_l0 + (-phase - float(np.mean(lx * xi_l0 + nx * xi_n0)))
     xi_l1 = xi_l1 - float(np.mean(lx * xi_l1 + nx * xi_n1))
     # keep the embedding in the retained band: outside it the filtered
-    # composition exerts no feedback and the correction loop is unstable
-    np.copyto(corr, fourier.transform(
+    # composition exerts no feedback and the correction loop is unstable;
+    # the basis rows stay samples, checked once by their block
+    corr = fourier.transform(
         np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
                   lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
-        fourier.cut_spectra))
+        fourier.cut_spectra)
     corr.setflags(write=False)
     e0, y0, e1, y1 = corr
     return (e0, y0, mu0), (e1, y1, mu1)
@@ -523,10 +514,9 @@ def newton_solve(problem: QpProblem, state: QpState,
     floor of an earlier iterate hands over no workspace.
     """
     # project the start onto the retained band; corrections stay there
-    memory = fourier.field_memory(2, state.k.n)
     k = TorusEmbedding(*fourier.fields(fourier.transform(
         np.stack((state.k.eta_x.values, state.k.k_y.values)),
-        fourier.cut_spectra), memory))
+        fourier.cut_spectra)))
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 

@@ -11,7 +11,16 @@ import sys
 import numpy as np
 import pytest
 
-from ntcircle import GOLDEN_MEAN, ContinuationPolicy, QpProblem, cli, fourier
+from ntcircle import (
+    GOLDEN_MEAN,
+    ContinuationPolicy,
+    QpProblem,
+    QpState,
+    breakdown_extrapolate,
+    cli,
+    continue_in_eps,
+    fourier,
+)
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -300,6 +309,30 @@ class TestBreakdownCommand:
         back = cli.read_alpha_csv(os.path.join(out, "alpha.csv"))
         assert [(p.eps, p.alpha) for p in back] == \
             [(p.eps, p.alpha) for p in cli.read_alpha_csv(table)]
+
+    def test_continuation_mode_fits_its_own_records(self, tmp_path, capsys):
+        # without alpha_input the command marches the configured branch
+        # and fits the angles of the records the continuation returns
+        cfg = write_cfg(tmp_path, "family = dsntm\nvariant = nonsymmetric\n"
+                        "sigma = 0.8\nomega = golden\n"
+                        "eps_target = 0.3\nstep_init = 0.05\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["breakdown", "--config", cfg, "--out", out]) == 0
+        assert "stopped: target" in capsys.readouterr().out
+
+        conf = cli.load_config(cfg)
+        problem = cli.build_problem(conf)
+        records = continue_in_eps(
+            problem, QpState.flat_start(conf.n_min, problem.omega,
+                                        problem.b_a0),
+            conf.eps_target, cli.build_policy(conf)).records
+        assert len(records) == 6
+        back = cli.read_alpha_csv(os.path.join(out, "alpha.csv"))
+        assert [(p.eps, p.alpha) for p in back] == \
+            [(r.eps, r.alpha) for r in records]
+        fit = breakdown_extrapolate(records, 20)
+        for name in ("eps_c", "slope", "residual"):
+            assert self.fit_value(out, name) == getattr(fit, name)
 
     def test_non_shrinking_angle_flagged_low_confidence(self, tmp_path,
                                                         capsys):

@@ -537,7 +537,7 @@ class TestBlockKernels:
 
     def test_fields_own_their_rows(self):
         out = fourier.transform(self.block(64), fourier.shift_spectra, 0.3)
-        fields = fourier.fields(out, fourier.field_memory(len(out), 64))
+        fields = fourier.fields(out)
         assert len(fields) == len(out)
         for f, row in zip(fields, out):
             assert f.values.base is None

@@ -21,6 +21,7 @@ from ntcircle import (
     QpState,
     StandardNonTwistMap,
     TorusEmbedding,
+    TwistDegeneracyError,
     breakdown_extrapolate,
     continue_in_eps,
     eps_derivative,
@@ -803,6 +804,22 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "eps_derivative", checked_derive)
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.3)
         assert res.reason == "target" and checked
+
+    def test_zero_order_predictor_when_the_tangent_fails(self, monkeypatch):
+        # a predictor that raises leaves the zero-order step: the last
+        # state moved to the new eps.  The symmetric branch still reaches
+        # the target, in as many records and on the tangent run's mu
+        prob = sym_problem()
+        ref = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
+
+        def degenerate(*args, **kwargs):
+            raise TwistDegeneracyError("no tangent")
+
+        monkeypatch.setattr(solver_qp, "eps_derivative", degenerate)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
+        assert res.reason == "target"
+        assert len(res.records) == len(ref.records) == 19
+        assert abs(res.state.mu - ref.state.mu) <= 1e-12
 
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
