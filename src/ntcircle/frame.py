@@ -20,7 +20,8 @@ composed with f (shifted spectrally in the quasi-periodic solver, read
 through the Lagrange stencil of f in the grid solver), and normal_values
 N with its det P = 1 check; DF along the circle comes in one form, the
 (2, 2, N) sample array of Evaluation.jacobian.  vartheta_qp solves the
-torsion equation spectrally; the grid solver, whose f is free, uses
+torsion equation spectrally, in place on the samples of -t0, which the
+field then adopts; the grid solver, whose f is free, uses
 vartheta_general, and solve_transfer is the one fixed-point kernel for
 both of its transfer equations, the torsion equation here and the normal
 equation of its Newton step.  Every transfer solve is exact: it starts
@@ -166,16 +167,17 @@ def torsion0(n0x, n0y, n0x_f, n0y_f, dfk) -> np.ndarray:
 def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> PeriodicScalar:
     """Solve vartheta - sigma * vartheta(. + omega) = -t0 spectrally.
 
-    t0 holds the torsion samples; linear_shift_spectra solves on a
-    one-row block of -t0, checked once, whose row fourier.fields wraps.
-    Divisors 1 - sigma*e(k*omega) stay within distance 1 - sigma of 1,
-    so the solve is uniformly stable for sigma in (0, 1).
+    t0 holds the torsion samples; linear_shift_spectra solves in place
+    on -t0, a fresh 1-D array checked once by the transform, and the
+    field adopts it without a copy.  Divisors 1 - sigma*e(k*omega) stay
+    within distance 1 - sigma of 1, so the solve is uniformly stable for
+    sigma in (0, 1).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    vth, = fourier.fields(fourier.transform(
-        -t0[None], fourier.linear_shift_spectra, 1.0, sigma, omega))
-    return vth
+    v = -t0
+    fourier.transform(v, fourier.linear_shift_spectra, 1.0, sigma, omega)
+    return PeriodicScalar(v, _owned=True, _finite=True)
 
 
 def solve_transfer(a, b, idx, w, sigma: float):

@@ -456,6 +456,70 @@ class TestVerifyCommand:
         assert "circle symmetry" not in out
 
 
+class FakeLibc:
+    def __init__(self):
+        self.calls = []
+        # a plain function, so the caller can declare its C signature
+        self.mallopt = lambda param, value: self.calls.append((param, value))
+
+
+class TestAllocatorSettings:
+    def test_sets_both_glibc_thresholds(self, monkeypatch):
+        libc = FakeLibc()
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: libc)
+        cli._keep_freed_memory()
+        # (M_MMAP_THRESHOLD, 32 MiB), then (M_TRIM_THRESHOLD, 1 GiB)
+        assert libc.calls == [(-3, 33554432), (-1, 1073741824)]
+        assert libc.mallopt.argtypes == (cli.ctypes.c_int, cli.ctypes.c_int)
+
+    def test_no_libc_is_a_silent_no_op(self, monkeypatch, capsys):
+        def missing(name):
+            raise OSError(f"{name}: cannot open shared object file")
+        monkeypatch.setattr(cli.ctypes, "CDLL", missing)
+        assert cli._keep_freed_memory() is None
+        assert capsys.readouterr() == ("", "")
+
+    def test_libc_without_mallopt_is_a_silent_no_op(self, monkeypatch,
+                                                    capsys):
+        monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: object())
+        assert cli._keep_freed_memory() is None
+        assert capsys.readouterr() == ("", "")
+
+    def test_main_sets_them_before_the_command(self, tmp_path, monkeypatch):
+        order = []
+        monkeypatch.setattr(cli, "_keep_freed_memory",
+                            lambda: order.append("allocator"))
+        monkeypatch.setitem(cli._COMMANDS, "verify",
+                            lambda cfg, out: order.append("command") or 0)
+        cfg = write_cfg(tmp_path, BASE_CFG)
+        assert cli.main(["verify", "--config", cfg,
+                         "--out", str(tmp_path)]) == 0
+        assert order == ["allocator", "command"]
+
+    def test_second_call_is_harmless(self, tmp_path):
+        cli._keep_freed_memory()
+        cli._keep_freed_memory()
+        cfg = write_cfg(tmp_path, BASE_CFG + "eps_target = 0.15\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["continue-nontwist", "--config", cfg,
+                         "--out", out]) == 0
+
+    def test_importing_the_package_leaves_the_allocator_alone(self):
+        pkg_root = os.path.dirname(os.path.dirname(
+            os.path.abspath(cli.__file__)))
+        code = ("import ctypes\n"
+                "opened = []\n"
+                "ctypes.CDLL = lambda *a, **k: opened.append(a)\n"
+                "import ntcircle, ntcircle.cli\n"
+                "assert opened == [], opened\n")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (pkg_root, env.get("PYTHONPATH")) if p)
+        proc = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=False)
+        assert proc.returncode == 0, proc.stderr
+
+
 def pyproject_text(pkg_root):
     path = os.path.join(pkg_root, os.pardir, "pyproject.toml")
     with open(path, encoding="utf-8") as fh:

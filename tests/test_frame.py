@@ -116,6 +116,20 @@ class TestFrameConstruction:
         res = vth - SIGMA * shift(vth, OMEGA) + t0
         assert res.sup() <= 1e-12
 
+    def test_vartheta_owns_its_samples(self):
+        # the in-place solve is adopted, not copied, and matches the
+        # one-row block form bit for bit
+        x = grid(256)
+        t0 = np.cos(TWO_PI * x) + 0.3 * np.sin(3 * TWO_PI * x)
+        before = t0.copy()
+        vth = vartheta_qp(t0, SIGMA, OMEGA)
+        assert vth.values.base is None
+        assert not vth.values.flags.writeable
+        block = fourier.transform(-t0[None], fourier.linear_shift_spectra,
+                                  1.0, SIGMA, OMEGA)
+        assert vth.values.tobytes() == block[0].tobytes()
+        assert t0.tobytes() == before.tobytes()
+
     def test_frame_identities_on_integrable_circle(self):
         a = 0.2
         _, k, dfk = integrable_frame(a)
