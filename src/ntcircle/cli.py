@@ -470,7 +470,7 @@ def _run_checks(cfg: RunConfig):
     if ok:
         _, _, _, nx, ny = frame_fields(problem, st)
         l = tangent(st.k)
-        det = l[0].values * ny - l[1].values * nx    # det [L N] = N^T Omega L
+        det = l[0] * ny - l[1] * nx    # det [L N] = N^T Omega L
         derr = float(np.max(np.abs(det - 1.0)))
         yield "frame identity N^T Omega L = 1 (det P = 1)", derr <= 1e-10, f"{derr:.2e}"
 

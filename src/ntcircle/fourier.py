@@ -59,22 +59,21 @@ changed; a degenerate one is reported and not held.  tails gauges the
 raw tails of a block's rows from the spectra the cut then filters.
 dealias gives every constant but -0.0 back bit for bit.
 
-Each field is wrapped once, and the wrap is the one place finiteness is
-checked.  PeriodicScalar.__init__ is the only constructor; it adopts the
-samples the package has just allocated (arithmetic results, checked
-rows of samples(), the fused formulas of the solvers) and copies
-everything else, so no outside reference reaches the samples.  The
-solvers compute a field's +, - and * formula on sample arrays and
-wrap only its result: under IEEE rules a +, - or * with a NaN or
-infinite operand never gives a finite result, so checking the result is
-exactly as strict as checking every intermediate, and the same
-NonFiniteError comes from the same call.  Divisions are not fused, since
-x/inf = 0 would hide an inf.  A transform is such a formula too: every
-bin takes every sample through + and *, and every multiplier carries
-some bins on through * or / by finite nonzero numbers, so samples()
-checks a block once for all its rows.  fields() copies each row of a
-checked block out into a field of its own, never a view that would pin
-the block.
+Finiteness is checked in one place, checked(): it rejects an array with
+a NaN or infinite sample and freezes the rest read-only.  The solvers
+keep their fields as such checked arrays, and PeriodicScalar, the
+public field of states and embeddings, is checked by the same call as
+it is built.  A solver computes a field's +, - and * formula on sample
+arrays and checks only its result: under IEEE rules a +, - or * with a
+NaN or infinite operand never gives a finite result, so checking the
+result is exactly as strict as checking every intermediate, and the
+same NonFiniteError comes from the same call.  Divisions are not fused,
+since x/inf = 0 would hide an inf.  A transform is such a formula too:
+every bin takes every sample through + and *, and every multiplier
+carries some bins on through * or / by finite nonzero numbers, so
+samples() checks a block once for all its rows.  fields() copies each
+row of a checked block out into a frozen array of its own, never a
+view that would pin the block.
 """
 
 from __future__ import annotations
@@ -149,23 +148,33 @@ def _derivative_multiplier(n: int) -> np.ndarray:
     return 2j * np.pi * _wavenumbers(n)
 
 
+def checked(v: np.ndarray) -> np.ndarray:
+    """v itself, frozen read-only once every sample is finite."""
+    if not np.isfinite(v).all():
+        raise NonFiniteError("samples must be finite")
+    v.setflags(write=False)
+    return v
+
+
 class PeriodicScalar:
     """Real 1-periodic function sampled on the dyadic grid of size n.
 
     Immutable; arithmetic is pointwise and requires matching grids.
-    Non-finite samples are rejected so solver blow-ups surface early.
-    Every instance, arithmetic results included, is built here and
-    checked here, once.  Samples handed in by a caller are always
-    copied.  _owned marks samples this package has just allocated and
-    references nowhere else: a 1-D float64 array that owns its memory is
-    then frozen and adopted without a copy, and anything else is still
-    copied, so a view never pins the array it looks into.  _finite marks
-    a row of a block that samples() has already checked.
+    Non-finite samples are rejected by checked() so solver blow-ups
+    surface early.  Every instance, arithmetic results included, is
+    built here.  Samples handed in by a caller are always copied.
+    _owned marks samples this package has just allocated and references
+    nowhere else: a 1-D float64 array that owns its memory is then
+    adopted without a copy, and anything else is still copied, so a view
+    never pins the array it looks into.
     """
 
     __slots__ = ("values", "n")
+    # an array on the left defers to the reflected operators below, so a
+    # solver field mixed with a PeriodicScalar gives a PeriodicScalar
+    __array_ufunc__ = None
 
-    def __init__(self, values, *, _owned=False, _finite=False):
+    def __init__(self, values, *, _owned=False):
         if (_owned and type(values) is np.ndarray and values.base is None
                 and values.dtype == np.float64):
             v = values
@@ -174,10 +183,7 @@ class PeriodicScalar:
         if v.ndim != 1:
             raise ValueError("samples must be one-dimensional")
         _check_size(v.size)
-        if not _finite and not np.isfinite(v).all():
-            raise NonFiniteError("samples must be finite")
-        v.setflags(write=False)
-        object.__setattr__(self, "values", v)
+        object.__setattr__(self, "values", checked(v))
         object.__setattr__(self, "n", v.size)
 
     def __setattr__(self, name, value):
@@ -266,15 +272,13 @@ def spectra(v: np.ndarray) -> np.ndarray:
 
 
 def samples(half: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Sample rows of the half-spectra, checked for finiteness once.
+    """Sample rows of the half-spectra, checked and frozen once.
 
     The rows are written into out, the sample block the spectra came
     from, so a block costs no third array of its size.
     """
     np.fft.irfft(half, _size(half), out=out)
-    if not np.isfinite(out).all():
-        raise NonFiniteError("samples must be finite")
-    return out
+    return checked(out)
 
 
 def transform(v: np.ndarray, op, *args) -> np.ndarray:
@@ -288,13 +292,15 @@ def transform(v: np.ndarray, op, *args) -> np.ndarray:
     return samples(half, v)
 
 
-def fields(block: np.ndarray) -> list[PeriodicScalar]:
-    """The rows of a block from samples(), each copied out and wrapped.
+def fields(block: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The rows of a block from samples(), each copied out and frozen.
 
     Each field owns its row's copy, so no field pins the block.
     """
-    return [PeriodicScalar(row.copy(), _owned=True, _finite=True)
-            for row in block]
+    rows = tuple(row.copy() for row in block)
+    for row in rows:
+        row.setflags(write=False)
+    return rows
 
 
 def shift_spectra(half: np.ndarray, delta: float) -> None:
@@ -405,7 +411,7 @@ def _field(u: PeriodicScalar, op, *args):
     v = u.values.copy()
     half = spectra(v)
     result = op(half, *args)
-    return PeriodicScalar(samples(half, v), _owned=True, _finite=True), result
+    return _fresh(samples(half, v)), result
 
 
 def shift(u: PeriodicScalar, delta: float) -> PeriodicScalar:

@@ -21,10 +21,10 @@ through the Lagrange stencil of f in the grid solver), and normal_values
 N with its det P = 1 check; DF along the circle comes in one form, the
 (2, 2, N) sample array of Evaluation.jacobian.  vartheta_qp solves the
 torsion equation spectrally, in place on the samples of -t0, which the
-field then adopts; the grid solver, whose f is free, uses
-vartheta_general, and solve_transfer is the one fixed-point kernel for
-both of its transfer equations, the torsion equation here and the normal
-equation of its Newton step.  Every transfer solve is exact: it starts
+transform checks and freezes and the caller keeps; the grid solver,
+whose f is free, uses vartheta_general, and solve_transfer is the one
+fixed-point kernel for both of its transfer equations, the torsion
+equation here and the normal equation of its Newton step.  Every transfer solve is exact: it starts
 from x = a and runs to _FIXED_POINT_TOL.
 
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
@@ -48,7 +48,7 @@ _GRAM_FLOOR = 1e-12
 _DET_TOL = 1e-8
 _FIXED_POINT_TOL = 1e-12
 
-Pair = tuple[PeriodicScalar, PeriodicScalar]
+Pair = tuple[np.ndarray, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -101,9 +101,11 @@ def half_shift_deviation(k: TorusEmbedding,
 
 @dataclass(frozen=True)
 class AdaptedFrame:
-    """Tangent/normal pair reducing DF to triangular form."""
+    """Tangent/normal pair reducing DF to triangular form, as samples."""
 
     l: Pair
+    # the one wrapped field: its wrap reports a gram overflowed to inf,
+    # and the benchmark's tracer sizes the reducibility span by gram.n
     gram: PeriodicScalar
     nvec: Pair
     sigma: float
@@ -127,17 +129,18 @@ def tangent(k: TorusEmbedding, cut=()) -> Pair:
     cut holds writable sample rows on the grid of k, such as entries of
     DF along the circle; the derivatives and the cuts share one checked
     transform pair, and each cut is copied back over its row, so nothing
-    pins the block.  Returns (L_x, L_y).
+    pins the block.  Returns (L_x, L_y), read-only sample arrays.
     """
     rows = np.stack((k.eta_x.values, k.k_y.values, *cut))
     half = fourier.spectra(rows)
     fourier.derivative_spectra(half[:2])
     fourier.cut_spectra(half[2:])
     fourier.samples(half, rows)
-    rows[0] += 1.0    # finite samples stay finite
     for dest, row in zip(cut, rows[2:]):
         np.copyto(dest, row)
-    return tuple(fourier.fields(rows[:2]))
+    lx = rows[0] + 1.0    # finite samples stay finite
+    lx.setflags(write=False)
+    return (lx, *fourier.fields(rows[1:2]))
 
 
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
@@ -164,20 +167,18 @@ def torsion0(n0x, n0y, n0x_f, n0y_f, dfk) -> np.ndarray:
     return n0y_f * wx - n0x_f * wy
 
 
-def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> PeriodicScalar:
+def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> np.ndarray:
     """Solve vartheta - sigma * vartheta(. + omega) = -t0 spectrally.
 
     t0 holds the torsion samples; linear_shift_spectra solves in place
-    on -t0, a fresh 1-D array checked once by the transform, and the
-    field adopts it without a copy.  Divisors 1 - sigma*e(k*omega) stay
-    within distance 1 - sigma of 1, so the solve is uniformly stable for
-    sigma in (0, 1).
+    on -t0, a fresh 1-D array that the transform checks and freezes once
+    and returns.  Divisors 1 - sigma*e(k*omega) stay within distance
+    1 - sigma of 1, so the solve is uniformly stable for sigma in (0, 1).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    v = -t0
-    fourier.transform(v, fourier.linear_shift_spectra, 1.0, sigma, omega)
-    return PeriodicScalar(v, _owned=True, _finite=True)
+    return fourier.transform(-t0, fourier.linear_shift_spectra, 1.0, sigma,
+                             omega)
 
 
 def solve_transfer(a, b, idx, w, sigma: float):
@@ -241,12 +242,11 @@ def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):
 
     dfk is DF along the circle as torsion0 takes it; l_shifted and
     n_shifted are the frame columns L(. + omega) and N(. + omega), as
-    pairs of PeriodicScalar.  A residual column with a NaN or infinite
+    pairs of sample arrays.  A residual column with a NaN or infinite
     sample has a non-finite sup and raises NonFiniteError.
     """
     cols = ((frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, frame.sigma))
-    sups = [float(np.max(np.abs(d0 * vx.values + d1 * vy.values
-                                - mult * s.values)))
+    sups = [float(np.max(np.abs(d0 * vx + d1 * vy - mult * s)))
             for (vx, vy), shifted, mult in cols
             for (d0, d1), s in zip(dfk, shifted)]
     if not all(map(math.isfinite, sups)):

@@ -13,14 +13,16 @@ the extremum of the rotation-number profile: these are the non-twist
 (shearless) circles.  Prescribing b_a0 != 0 selects circles off the
 extremum and sweeping b_a0 charts the twist surface.
 
-Each field of the linearization is one formula on sample arrays,
-wrapped and checked for finiteness once (see fourier); the intermediates
-of a formula are never wrapped, nor are the map's derivatives along the
-circle: DF is the (2, 2, N) array of Evaluation.jacobian, as in the grid
-solver, and D_a F, D_mu F and D_eps F are pairs of arrays.  Every
-spectral operator runs on a block of the fields that are ready at the
-same time, one rfft and one irfft per block; the constants J_11 = sigma,
-D_a F_y = 0 and D_mu F = (1, 0) stay out of the blocks.
+Each field of the linearization is one formula on sample arrays, kept
+as a read-only array checked for finiteness once (fourier.checked); the
+intermediates of a formula are never checked, nor are the map's
+derivatives along the circle: DF is the (2, 2, N) array of
+Evaluation.jacobian, as in the grid solver, and D_a F, D_mu F and D_eps F
+are pairs of arrays.  PeriodicScalar is kept for the embeddings, the
+states and the gram of the frame.  Every spectral operator runs on a
+block of the fields that are ready at the same time, one rfft and one
+irfft per block; the constants J_11 = sigma, D_a F_y = 0 and
+D_mu F = (1, 0) stay out of the blocks.
 
 The 1/3 truncation cuts the start of a solve, the composition, the
 non-constant entries of DF and D_a F, D_eps F and the correction, and
@@ -108,7 +110,7 @@ from .errors import (
     NtCircleError,
     TwistDegeneracyError,
 )
-from .fourier import PeriodicScalar, _fresh
+from .fourier import PeriodicScalar, _fresh, checked
 from .frame import (
     AdaptedFrame,
     Diagnostics,
@@ -209,12 +211,13 @@ class NewtonWorkspace:
 
     E is the dealiased invariance residual, (eta_l, eta_n) its projection
     -P(theta+omega)^{-1} E on the frame, and the b-fields the matching
-    projections of the parameter directions D_a F and D_mu F.  A point
-    is filled in stages: _point sets k, a, mu, eps and ev, the map
-    evaluated along K; the residual stage sets ex, ey, err, e_p and
-    tail; the frame stage frame, the sample arrays dfk and d_a, alpha,
-    nx_s, ny_s, bla, b_a and e_b; the shifted tangent lx_s, ly_s comes
-    with whichever of those two runs second; completion fills the rest.
+    projections of the parameter directions D_a F and D_mu F, all of
+    them checked read-only sample arrays.  A point is filled in stages:
+    _point sets k, a, mu, eps and ev, the map evaluated along K; the
+    residual stage sets ex, ey, err, e_p and tail; the frame stage
+    frame, the sample arrays dfk and d_a, alpha, nx_s, ny_s, bla, b_a
+    and e_b; the shifted tangent lx_s, ly_s comes with whichever of
+    those two runs second; completion fills the rest.
     keep_only empties it again, field by field, as its readers finish.
     """
 
@@ -246,10 +249,10 @@ def _cross(a, u, b, v) -> np.ndarray:
     return a * u - b * v
 
 
-def _shifted(block: tuple[PeriodicScalar, ...], omega: float):
+def _shifted(block: tuple[np.ndarray, ...], omega: float):
     """The fields of block shifted by omega, from one transform pair."""
-    return tuple(fourier.fields(fourier.transform(
-        np.stack([u.values for u in block]), fourier.shift_spectra, omega)))
+    return fourier.fields(fourier.transform(np.stack(block),
+                                            fourier.shift_spectra, omega))
 
 
 def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
@@ -276,8 +279,7 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     sig = problem.family.sigma
     dfk = ws.ev.jacobian()
     d_a = ws.ev.d_a()
-    l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], d_a[0]))
-    lx, ly = l[0].values, l[1].values
+    lx, ly = l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], d_a[0]))
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
     # the shift block of N0 and t0 are each freed once read
@@ -286,19 +288,19 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     del n0_f
     vth = vartheta_qp(t0, sig, om)
     del t0
-    nx, ny = normal_values(lx, ly, n0x, n0y, vth.values)
-    fr = AdaptedFrame(l, gram, (_fresh(nx), _fresh(ny)), sig)
+    nx, ny = normal_values(lx, ly, n0x, n0y, vth)
+    fr = AdaptedFrame(l, gram, (checked(nx), checked(ny)), sig)
 
     ws.frame = fr
     ws.dfk = dfk
     ws.d_a = d_a
-    ws.alpha = min_angle(vth.values, gram.values)
+    ws.alpha = min_angle(vth, gram.values)
     if ws.err is None:
         ws.nx_s, ws.ny_s = _shifted(fr.nvec, om)
     else:
         ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s = _shifted(fr.nvec + l, om)
-    ws.bla = _fresh(_cross(ws.ny_s.values, d_a[0], ws.nx_s.values, d_a[1]))
-    ws.b_a = fourier.average(ws.bla)
+    ws.bla = checked(_cross(ws.ny_s, d_a[0], ws.nx_s, d_a[1]))
+    ws.b_a = float(np.mean(ws.bla))
     ws.e_b = ws.b_a - problem.b_a0
     return ws
 
@@ -313,8 +315,7 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """
     k = ws.k
     l = () if ws.frame is None else ws.frame.l
-    rows = np.stack((*ws.ev.lift(), *(u.values for u in l),
-                     k.eta_x.values, k.k_y.values))
+    rows = np.stack((*ws.ev.lift(), *l, k.eta_x.values, k.k_y.values))
     rows[0] -= fourier.grid(k.n)
     half = fourier.spectra(rows)
     ws.tail = max(fourier.tails(half[:2], 0.25))
@@ -323,9 +324,9 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     fourier.samples(half, rows)
     if l:
         ws.lx_s, ws.ly_s = fourier.fields(rows[2:4])
-    ws.ex = _fresh(rows[0] - problem.omega - rows[-2])
-    ws.ey = _fresh(rows[1] - rows[-1])
-    ws.err = max(ws.ex.sup(), ws.ey.sup())
+    ws.ex = checked(rows[0] - problem.omega - rows[-2])
+    ws.ey = checked(rows[1] - rows[-1])
+    ws.err = max(float(np.max(np.abs(e))) for e in (ws.ex, ws.ey))
     ws.e_p = fourier.average(k.eta_x)
     return ws
 
@@ -334,21 +335,21 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Keep the point ws, whose residual is in: the remaining projections.
 
     Runs the frame stage first unless the point already has its frame.
-    D_mu F = (1, 0) stays samples, read only by the wrapped b-fields.
+    D_mu F = (1, 0) stays samples, read only by the checked b-fields.
     """
     if ws.frame is None:
         _frame_stage(problem, ws)
     dmx, dmy = problem.family.d_mu(ws.ev.x, ws.k.k_y.values, ws.ev.par)
     dax, day = ws.d_a
-    lx, ly, nx, ny = (u.values for u in (ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s))
-    ws.bna = _fresh(-_cross(ly, dax, lx, day))
-    ws.blm = _fresh(_cross(ny, dmx, nx, dmy))
-    ws.bnm = _fresh(-_cross(ly, dmx, lx, dmy))
-    ws.b_mu = fourier.average(ws.blm)
+    lx, ly, nx, ny = ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s
+    ws.bna = checked(-_cross(ly, dax, lx, day))
+    ws.blm = checked(_cross(ny, dmx, nx, dmy))
+    ws.bnm = checked(-_cross(ly, dmx, lx, dmy))
+    ws.b_mu = float(np.mean(ws.blm))
 
-    ex, ey = ws.ex.values, ws.ey.values
-    ws.eta_l = _fresh(-_cross(ny, ex, nx, ey))
-    ws.eta_n = _fresh(_cross(ly, ex, lx, ey))
+    ex, ey = ws.ex, ws.ey
+    ws.eta_l = checked(-_cross(ny, ex, nx, ey))
+    ws.eta_n = checked(_cross(ly, ex, lx, ey))
     return ws
 
 
@@ -363,13 +364,8 @@ def frame_fields(problem: QpProblem, state: QpState):
     ws = _frame_stage(problem, _point(problem, state.k, state.a, state.mu,
                                       state.eps))
     th = fourier.grid(state.k.n)
-    return (
-        th,
-        th + state.k.eta_x.values,
-        state.k.k_y.values,
-        ws.frame.nvec[0].values,
-        ws.frame.nvec[1].values,
-    )
+    return (th, th + state.k.eta_x.values, state.k.k_y.values,
+            *ws.frame.nvec)
 
 
 def _solve_linear(problem, ws, eta_l, eta_n, phase):
@@ -389,33 +385,31 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
         raise MuDegeneracyError(
             f"drift average b_mu = {ws.b_mu:.3e} below {_DRIFT_FLOOR:.0e}"
         )
-    mu0 = fourier.average(eta_l) / ws.b_mu
+    mu0 = float(np.mean(eta_l)) / ws.b_mu
     mu1 = -ws.b_a / ws.b_mu
     # the normal (contractive) and tangent (small-divisor) equations, at
     # delta_a = 0 and their rates, share one transform pair
     rows = np.stack((
-        eta_n.values - ws.bnm.values * mu0,
-        -ws.bna.values - ws.bnm.values * mu1,
-        eta_l.values - ws.blm.values * mu0,
-        -ws.bla.values - ws.blm.values * mu1,
+        eta_n - ws.bnm * mu0,
+        -ws.bna - ws.bnm * mu1,
+        eta_l - ws.blm * mu0,
+        -ws.bla - ws.blm * mu1,
     ))
     half = fourier.spectra(rows)
     fourier.linear_shift_spectra(half[:2], sig, 1.0, om)
     fourier.small_divisor_spectra(half[2:], om)
     xi_n0, xi_n1, xi_l0, xi_l1 = fourier.samples(half, rows)
-    lx, ly = (c.values for c in ws.frame.l)
-    nx, ny = (c.values for c in ws.frame.nvec)
+    lx, ly = ws.frame.l
+    nx, ny = ws.frame.nvec
     xi_l0 = xi_l0 + (-phase - float(np.mean(lx * xi_l0 + nx * xi_n0)))
     xi_l1 = xi_l1 - float(np.mean(lx * xi_l1 + nx * xi_n1))
     # keep the embedding in the retained band: outside it the filtered
     # composition exerts no feedback and the correction loop is unstable;
-    # the basis rows stay samples, checked once by their block
-    corr = fourier.transform(
+    # the basis rows stay samples, checked and frozen once by their block
+    e0, y0, e1, y1 = fourier.transform(
         np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
                   lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
         fourier.cut_spectra)
-    corr.setflags(write=False)
-    e0, y0, e1, y1 = corr
     return (e0, y0, mu0), (e1, y1, mu1)
 
 
@@ -514,7 +508,7 @@ def newton_solve(problem: QpProblem, state: QpState,
     floor of an earlier iterate hands over no workspace.
     """
     # project the start onto the retained band; corrections stay there
-    k = TorusEmbedding(*fourier.fields(fourier.transform(
+    k = TorusEmbedding(*map(PeriodicScalar, fourier.transform(
         np.stack((state.k.eta_x.values, state.k.k_y.values)),
         fourier.cut_spectra)))
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
@@ -627,8 +621,8 @@ def newton_solve(problem: QpProblem, state: QpState,
 class EpsDerivative:
     """Tangent of the solution branch with respect to eps."""
 
-    d_eta_x: PeriodicScalar
-    d_ky: PeriodicScalar
+    d_eta_x: np.ndarray
+    d_ky: np.ndarray
     d_a: float
     d_mu: float
 
@@ -657,9 +651,9 @@ def eps_derivative(
         raise ValueError("workspace does not belong to this state")
     # the cut rows of D_eps F stay samples, checked by their block
     ex, ey = fourier.transform(np.stack(ws.ev.d_eps()), fourier.cut_spectra)
-    lx, ly, nx, ny = (u.values for u in (ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s))
-    eta_l = _fresh(-_cross(ny, ex, nx, ey))
-    eta_n = _fresh(_cross(ly, ex, lx, ey))
+    lx, ly, nx, ny = ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s
+    eta_l = checked(-_cross(ny, ex, nx, ey))
+    eta_n = checked(_cross(ly, ex, lx, ey))
     del ex, ey, lx, ly, nx, ny
     # as in newton_solve: the twist-rate probes run beside K and b_a alone
     ws.keep_only(_LINEAR)
@@ -675,7 +669,7 @@ def eps_derivative(
 
     d_a, _ = _close_twist(twist_rate, 1e-9)
     d_eta, d_ky, d_mu = _correction(basis, d_a)
-    return EpsDerivative(_fresh(d_eta), _fresh(d_ky), d_a, d_mu)
+    return EpsDerivative(checked(d_eta), checked(d_ky), d_a, d_mu)
 
 
 def _record(state: QpState, wall_ms: float) -> ContinuationRecord:

@@ -146,6 +146,41 @@ class TestPeriodicScalar:
                                    u.values * v.values - 2.0)
 
 
+class TestChecked:
+    """checked() is the one finiteness check, of the solvers' sample
+    arrays and of every PeriodicScalar."""
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        v = np.zeros(8)
+        v[5] = bad
+        with pytest.raises(NonFiniteError):
+            fourier.checked(v)
+
+    def test_returns_the_array_read_only(self):
+        v = np.arange(8.0)
+        assert fourier.checked(v) is v
+        assert not v.flags.writeable
+        with pytest.raises(ValueError):
+            v[0] = 1.0
+
+    def test_periodic_scalar_is_checked_by_it(self, monkeypatch):
+        seen = []
+        check = fourier.checked
+        monkeypatch.setattr(fourier, "checked",
+                            lambda v: seen.append(v) or check(v))
+        u = PeriodicScalar(np.ones(8))
+        assert len(seen) == 1 and seen[0] is u.values
+
+    def test_array_on_the_left_gives_a_periodic_scalar(self):
+        # no object array of PeriodicScalars: the array defers
+        u = rand_scalar(16, 3, 1)
+        v = np.linspace(0.0, 1.0, 16)
+        for got, want in ((v + u, u + v), (v * u, u * v), (v - u, -(u - v))):
+            assert type(got) is PeriodicScalar
+            assert got.values.tobytes() == want.values.tobytes()
+
+
 class TestAnalysisRoundtrip:
     def test_average_is_mode_zero(self):
         u = trig(64, [(0, 1.7, 0.0), (3, 0.5, 0.2)])
@@ -421,7 +456,9 @@ class TestBlockKernels:
     def rows_equal(block, singles):
         assert len(block) == len(singles)
         for got, want in zip(block, singles):
-            assert got.tobytes() == want.values.tobytes()
+            if isinstance(want, PeriodicScalar):
+                want = want.values
+            assert got.tobytes() == want.tobytes()
 
     N = [8, 64, 2048, 1 << 16]      # 2^16: a grid qp_breakdown reaches
 
@@ -540,9 +577,9 @@ class TestBlockKernels:
         fields = fourier.fields(out)
         assert len(fields) == len(out)
         for f, row in zip(fields, out):
-            assert f.values.base is None
-            assert not f.values.flags.writeable
-            assert f.values.tobytes() == row.tobytes()
+            assert f.base is None
+            assert not f.flags.writeable
+            assert f.tobytes() == row.tobytes()
 
 
 class TestSpectraBuffer:

@@ -52,14 +52,20 @@ def nonsym_problem(**kw):
 
 
 def operator_solve(prob, ws, eta_l, eta_n, delta_a, phase):
-    """The linear solve at one delta_a, in operator form, field by field."""
+    """The linear solve at one delta_a, in operator form, field by field.
+
+    The sample arrays eta_l, eta_n and those of ws are wrapped first, so
+    every intermediate is a PeriodicScalar.
+    """
     om = prob.omega
+    eta_l, eta_n = PeriodicScalar(eta_l), PeriodicScalar(eta_n)
+    bla, bna, blm, bnm = map(PeriodicScalar, (ws.bla, ws.bna, ws.blm, ws.bnm))
     delta_mu = (fourier.average(eta_l) - ws.b_a * delta_a) / ws.b_mu
     xi_n = solve_contractive(
-        eta_n - ws.bna * delta_a - ws.bnm * delta_mu, SIGMA, om)
+        eta_n - bna * delta_a - bnm * delta_mu, SIGMA, om)
     xi_l, _ = solve_small_divisor(
-        eta_l - ws.bla * delta_a - ws.blm * delta_mu, om)
-    (lx, ly), (nx, ny) = ws.frame.l, ws.frame.nvec
+        eta_l - bla * delta_a - blm * delta_mu, om)
+    lx, ly, nx, ny = map(PeriodicScalar, (*ws.frame.l, *ws.frame.nvec))
     xi_l = xi_l + (-phase - fourier.average(lx * xi_l + nx * xi_n))
     return (fourier.dealias(lx * xi_l + nx * xi_n),
             fourier.dealias(ly * xi_l + ny * xi_n), delta_mu)
@@ -223,16 +229,14 @@ class TestIterationCost:
     # reads the shifted frame columns the workspace holds
     PER_SOLVE = 2 + RESIDUAL + FRAME + COMPLETE
 
-    # PeriodicScalar wraps by part, one per field and none per
-    # intermediate or per derivative of the map (DF, D_a F and D_mu F
-    # stay sample arrays): frame stage = 2 (tangent) + 1 (gram)
-    # + 1 (vartheta) + 2 (frame normal) + 2 (shifted normal) + 1 (b_la),
-    # with N0 and t0 kept as samples, and 2 more at a kept point
-    # (shifted tangent); residual = 2 (E); completion = 5 (b-fields,
-    # eta); linear solve = 0 (the corrections at delta_a = 0 and their
-    # rates stay samples, checked once by their block); candidate
+    # PeriodicScalar wraps by part, none per field of the workspace, per
+    # intermediate or per derivative of the map (the tangent, vartheta,
+    # the frame normal, the shifted normal and tangent, b_la, E, the
+    # b-fields, eta and the corrections are checked read-only sample
+    # arrays): frame stage = 1 (gram); residual, completion, the kept
+    # point's shifted tangent and the linear solve = 0; candidate
     # embedding = 2
-    WRAP_FRAME, WRAP_KEPT, WRAP_RESIDUAL, WRAP_COMPLETE = 9, 2, 2, 5
+    WRAP_FRAME, WRAP_KEPT, WRAP_RESIDUAL, WRAP_COMPLETE = 1, 0, 0, 0
     WRAP_SOLVE, WRAP_CAND = 0, 2
     WRAPS_PER_ITERATION = (WRAP_SOLVE + 3 * (WRAP_CAND + WRAP_FRAME)
                            + WRAP_RESIDUAL + WRAP_KEPT + WRAP_COMPLETE)
@@ -297,7 +301,8 @@ class TestIterationCost:
         return c
 
     def test_probes_skip_completion_and_fft_budget(self, monkeypatch):
-        assert self.PER_ITERATION == 30 and self.WRAPS_PER_ITERATION == 42
+        assert self.PER_ITERATION == 30 and self.WRAPS_PER_ITERATION == 9
+        assert self.WRAPS_PER_SOLVE == 3
         prob = nonsym_problem()
         start = QpState.flat_start(256, OMEGA)
         c = self.counted(monkeypatch, prob)
@@ -387,11 +392,13 @@ class TestIterationCost:
         return prob, solver_qp._geometry(prob, k, 0.013, 0.61, 0.9)
 
     def test_fused_fields_equal_operator_form(self):
-        # each field is computed on sample arrays and wrapped once; the
+        # each field is computed on sample arrays and checked once; the
         # operator form wraps every intermediate and must agree bitwise
         prob, ws = self.generic_workspace()
         k, om = ws.k, OMEGA
-        same = lambda u, v: u.values.tobytes() == v.values.tobytes()
+        same = lambda u, v: u.tobytes() == v.values.tobytes()
+        nx_s, ny_s, lx_s, ly_s, ex, ey = map(PeriodicScalar, (
+            ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s, ws.ex, ws.ey))
         dax, day = ws.d_a
         par = ParamPoint(ws.a, ws.mu, ws.eps)
         dmx, dmy = prob.family.d_mu(k.x_lift(), k.k_y.values, par)
@@ -404,8 +411,7 @@ class TestIterationCost:
             for u in (ux, fy))
         fx, fy = fourier.dealias(ux), fourier.dealias(fy)
         l = tangent(k)
-        n0 = [PeriodicScalar(c)
-              for c in normal0_values(l[0].values, l[1].values)[:2]]
+        n0 = [PeriodicScalar(c) for c in normal0_values(*l)[:2]]
         df = [[PeriodicScalar(d) for d in row] for row in ws.dfk]
         wx = df[0][0] * n0[0] + df[0][1] * n0[1]
         wy = df[1][0] * n0[0] + df[1][1] * n0[1]
@@ -414,17 +420,18 @@ class TestIterationCost:
                        *(fourier.shift(c, om).values for c in n0), ws.dfk)
         assert got.tobytes() == t0.values.tobytes()
         expected = dict(
-            bla=ws.ny_s * dax - ws.nx_s * day,
-            bna=-(ws.ly_s * dax - ws.lx_s * day),
-            blm=ws.ny_s * dmx - ws.nx_s * dmy,
-            bnm=-(ws.ly_s * dmx - ws.lx_s * dmy),
+            bla=ny_s * dax - nx_s * day,
+            bna=-(ly_s * dax - lx_s * day),
+            blm=ny_s * dmx - nx_s * dmy,
+            bnm=-(ly_s * dmx - lx_s * dmy),
             ex=fx - om - fourier.shift(k.eta_x, om),
             ey=fy - fourier.shift(k.k_y, om),
-            eta_l=-(ws.ny_s * ws.ex - ws.nx_s * ws.ey),
-            eta_n=ws.ly_s * ws.ex - ws.lx_s * ws.ey,
+            eta_l=-(ny_s * ex - nx_s * ey),
+            eta_n=ly_s * ex - lx_s * ey,
         )
         for name, want in expected.items():
             assert same(getattr(ws, name), want), name
+            assert not getattr(ws, name).flags.writeable, name
 
         # one solve gives the correction for every delta_a
         basis = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
@@ -438,10 +445,29 @@ class TestIterationCost:
         assert not any(r.flags.writeable for r in (e0, y0, e1, y1))
         cand = solver_qp._candidate(
             prob, ws, solver_qp._correction(basis, delta_a), delta_a, t)
-        assert same(cand.k.eta_x, k.eta_x + t * (e0 + delta_a * e1))
-        assert same(cand.k.k_y, k.k_y + t * (y0 + delta_a * y1))
+        assert same(cand.k.eta_x.values, k.eta_x + t * (e0 + delta_a * e1))
+        assert same(cand.k.k_y.values, k.k_y + t * (y0 + delta_a * y1))
         assert cand.a == ws.a + t * delta_a
         assert cand.mu == ws.mu + t * (mu0 + delta_a * mu1)
+
+    def test_non_finite_drift_raises_from_complete(self):
+        # a NaN or inf that reaches a solver formula raises from the call
+        # that makes the field: one inf in D_mu F, read only by the
+        # b-fields of completion
+        class InfiniteDrift(StandardNonTwistMap):
+            def d_mu(self, x, y, p):
+                dmx, dmy = super().d_mu(x, y, p)
+                dmx[3] = np.inf
+                return dmx, dmy
+
+        prob = QpProblem(InfiniteDrift(SIGMA, "nonsymmetric"), omega=OMEGA)
+        _, ref = self.generic_workspace()
+        ws = solver_qp._frame_stage(prob, solver_qp._residual(
+            prob, solver_qp._point(prob, ref.k, ref.a, ref.mu, ref.eps)))
+        with pytest.raises(NonFiniteError):
+            solver_qp._complete(prob, ws)
+        with pytest.raises(NonFiniteError):
+            solver_qp._geometry(prob, ref.k, ref.a, ref.mu, ref.eps)
 
     def test_derivative_block_equals_single_fields(self):
         # the frame stage's tangent and its DF and D_a F sample arrays
@@ -456,8 +482,8 @@ class TestIterationCost:
         lx, ly = ws.frame.l
         d_theta = lambda u: PeriodicScalar(fourier.transform(
             u.values.copy(), fourier.derivative_spectra))
-        assert same(lx.values, d_theta(k.eta_x) + 1.0)
-        assert same(ly.values, d_theta(k.k_y))
+        assert same(lx, d_theta(k.eta_x) + 1.0)
+        assert same(ly, d_theta(k.k_y))
         assert type(ws.dfk) is np.ndarray and ws.dfk.shape == (2, 2, k.n)
         for i in (0, 1):
             for j in (0, 1):
@@ -491,9 +517,19 @@ class TestIterationCost:
                  for a in arrays(getattr(ws, name))]
         fields = [u for u, _ in found if u is not None]
         samples = [v for u, v in found if u is None]
-        assert len(fields) == 19
-        # DF, D_a F (two rows) and the evaluation's x, p(x) and q
-        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 5
+        # K and the gram are the workspace's only wrapped fields
+        assert len(fields) == 3
+        # the other 16 fields are checked read-only samples: the frame's
+        # L and N, the shifted L and N, E, eta and the b-fields
+        checked = [*ws.frame.l, *ws.frame.nvec] + [
+            getattr(ws, name) for name in ("nx_s", "ny_s", "lx_s", "ly_s",
+                                           "ex", "ey", "eta_l", "eta_n",
+                                           "bla", "bna", "blm", "bnm")]
+        assert all(any(v is w for w in samples) for v in checked)
+        assert not any(v.flags.writeable for v in checked)
+        # besides them DF, D_a F (two rows) and the evaluation's x, p(x)
+        # and q
+        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 21
         assert all(v.base is None for _, v in found)
         # nor is any of them the spectra buffer of the grid, which the
         # next transform overwrites
@@ -511,8 +547,9 @@ class TestIterationCost:
         # the frame's own residual DF P - P(. + omega) diag(1, sigma)
         cols = []
         df = [[PeriodicScalar(d) for d in row] for row in ws.dfk]
-        for (vx, vy), mult in ((ws.frame.l, 1.0),
-                                (ws.frame.nvec, ws.frame.sigma)):
+        for pair, mult in ((ws.frame.l, 1.0),
+                           (ws.frame.nvec, ws.frame.sigma)):
+            vx, vy = map(PeriodicScalar, pair)
             for v, row in ((vx, 0), (vy, 1)):
                 r = (df[row][0] * vx + df[row][1] * vy
                      - mult * fourier.shift(v, OMEGA))
@@ -795,7 +832,7 @@ class TestContinuation:
                     assert (der.d_a, der.d_mu) == (want.d_a, want.d_mu)
                     for got, ref in ((der.d_eta_x, want.d_eta_x),
                                      (der.d_ky, want.d_ky)):
-                        assert got.values.tobytes() == ref.values.tobytes()
+                        assert got.tobytes() == ref.tobytes()
                     checked.append(state)
             return der
 
@@ -862,7 +899,7 @@ class TestEpsDerivative:
         )
         assert abs(der.d_mu - (plus.mu - minus.mu) / (2 * h)) <= 1e-4
         fd_eta = (plus.k.eta_x.values - minus.k.eta_x.values) / (2 * h)
-        assert np.max(np.abs(der.d_eta_x.values - fd_eta)) <= 1e-4
+        assert np.max(np.abs(der.d_eta_x - fd_eta)) <= 1e-4
 
     @staticmethod
     def own_closure(prob, state, probe):
@@ -872,8 +909,10 @@ class TestEpsDerivative:
         dex, dey = prob.family.d_eps(state.k.x_lift(), state.k.k_y.values, par)
         ex = fourier.dealias(PeriodicScalar(dex))
         ey = fourier.dealias(PeriodicScalar(dey))
-        eta_l = -(ws.ny_s * ex - ws.nx_s * ey)
-        eta_n = ws.ly_s * ex - ws.lx_s * ey
+        nx, ny, lx, ly = map(PeriodicScalar, (ws.nx_s, ws.ny_s, ws.lx_s,
+                                              ws.ly_s))
+        eta_l = (-(ny * ex - nx * ey)).values
+        eta_n = (ly * ex - lx * ey).values
 
         def direction(d_a):
             return operator_solve(prob, ws, eta_l, eta_n, d_a, 0.0)
@@ -919,15 +958,15 @@ class TestEpsDerivative:
                                   delta_a)
         got_eta, got_ky, got_mu = solver_qp._correction(bases[0], der.d_a)
         assert der.d_mu == got_mu
-        assert der.d_eta_x.values.tobytes() == got_eta.tobytes()
-        assert der.d_ky.values.tobytes() == got_ky.tobytes()
+        assert der.d_eta_x.tobytes() == got_eta.tobytes()
+        assert der.d_ky.tobytes() == got_ky.tobytes()
         assert (der.d_a == 0.0) == (variant == "symmetric")
         # the secant reads b_a differences over the 1e-6 probe, which
         # scales the rounding of the directions by 1/probe
         assert abs(der.d_a - d_a) <= 1e-9 * max(1.0, abs(d_a))
         assert abs(der.d_mu - d_mu) <= 1e-9
-        assert np.max(np.abs(der.d_eta_x.values - d_eta.values)) <= 1e-9
-        assert np.max(np.abs(der.d_ky.values - d_ky.values)) <= 1e-9
+        assert np.max(np.abs(der.d_eta_x - d_eta.values)) <= 1e-9
+        assert np.max(np.abs(der.d_ky - d_ky.values)) <= 1e-9
 
     def test_converged_workspace_is_the_geometry(self, monkeypatch):
         # the workspace newton_solve hands out is the geometry that
@@ -948,8 +987,8 @@ class TestEpsDerivative:
         der = eps_derivative(prob, base, 1e-6, ws)
         assert calls == []
         assert der.d_a == fresh.d_a != 0.0 and der.d_mu == fresh.d_mu
-        assert der.d_eta_x.values.tobytes() == fresh.d_eta_x.values.tobytes()
-        assert der.d_ky.values.tobytes() == fresh.d_ky.values.tobytes()
+        assert der.d_eta_x.tobytes() == fresh.d_eta_x.tobytes()
+        assert der.d_ky.tobytes() == fresh.d_ky.tobytes()
 
     def test_foreign_workspace_rejected(self):
         prob = sym_problem()
