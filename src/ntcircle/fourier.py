@@ -29,9 +29,10 @@ transform pair is paid per group, not per field.  The single-field
 functions below (shift, dealias and the two solves) are the m = 1 calls,
 on a copy of the samples; nothing in the package calls them, and they
 are kept only for the tests and the benchmark's tracer, which wraps them
-by name.  resample() changes the grid size and keeps its own rfft/irfft
-pair.  numpy transforms the rows of a block bit for bit as it transforms
-each row alone, so a block changes no bit of any field.  A multiplier
+by name.  resample() changes the grid size of a block between spectra()
+and samples(), so irfft is called in samples() alone.  numpy transforms
+the rows of a block bit for bit as it transforms each row alone, so a
+block changes no bit of any field.  A multiplier
 acts on the unnormalized spectra as they come: N is a power of two, so
 dividing every bin by N before the multiplier and multiplying by N after
 would only move exponents.  Leaving both passes out changes no bin beyond the
@@ -403,6 +404,26 @@ def tails(half: np.ndarray, band: float) -> list[float]:
             for t, s in zip(tail, total)]
 
 
+def resample(v: np.ndarray, n_new: int) -> np.ndarray:
+    """The rows v (last axis) spectrally interpolated onto n_new nodes.
+
+    Refining splits the Nyquist amplitude into the +-n/2 pair it stands
+    for; coarsening folds that pair back, so refine-then-coarsen is the
+    identity.  Modes beyond the new band are dropped, the rest scaled by
+    the power of two n_new/n.  Returns a new checked block.
+    """
+    _check_size(n_new)
+    n = v.shape[-1]
+    scale = n_new / n
+    fold = 0.5 if n_new > n else 2.0 if n_new < n else 1.0
+    m = min(n, n_new) // 2
+    half = spectra(v)
+    out = np.zeros(v.shape[:-1] + (n_new // 2 + 1,), dtype=complex)
+    out[..., :m] = half[..., :m] * scale
+    out[..., m] = half[..., m].real * (fold * scale)
+    return samples(out, np.empty(v.shape[:-1] + (n_new,)))
+
+
 # -- single fields: the m = 1 calls, kept for the tests and the tracer --
 
 
@@ -444,28 +465,6 @@ def solve_small_divisor(
     """
     xi, mean = _field(eta, small_divisor_spectra, omega)
     return xi, float(mean)
-
-
-def resample(u: PeriodicScalar, n_new: int) -> PeriodicScalar:
-    """Spectral interpolation onto a finer or coarser dyadic grid.
-
-    Refining splits the Nyquist amplitude into the +-n/2 pair it stands
-    for; coarsening folds that pair back, so refine-then-coarsen is the
-    identity.  Modes beyond the new band are dropped.
-    """
-    _check_size(n_new)
-    n = u.n
-    if n_new == n:
-        return u
-    half = np.fft.rfft(u.values) / n
-    out = np.zeros(n_new // 2 + 1, dtype=complex)
-    if n_new > n:
-        out[: n // 2] = half[: n // 2]
-        out[n // 2] = half[n // 2].real / 2.0
-    else:
-        out[: n_new // 2] = half[: n_new // 2]
-        out[-1] = 2.0 * half[n_new // 2].real
-    return _fresh(np.fft.irfft(out * n_new, n_new))
 
 
 def dealias(u: PeriodicScalar) -> PeriodicScalar:

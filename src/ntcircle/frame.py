@@ -75,9 +75,12 @@ class TorusEmbedding:
         return fourier.grid(self.n) + self.eta_x.values
 
     def resample(self, n_new: int) -> "TorusEmbedding":
-        return TorusEmbedding(
-            fourier.resample(self.eta_x, n_new), fourier.resample(self.k_y, n_new)
-        )
+        """Both fields on n_new nodes, in one two-row block; self on its own."""
+        if n_new == self.n:
+            return self
+        rows = fourier.resample(
+            np.stack((self.eta_x.values, self.k_y.values)), n_new)
+        return TorusEmbedding(*map(PeriodicScalar, rows))
 
 
 def half_shift_deviation(k: TorusEmbedding,

@@ -17,12 +17,14 @@ Each field of the linearization is one formula on sample arrays, kept
 as a read-only array checked for finiteness once (fourier.checked); the
 intermediates of a formula are never checked, nor are the map's
 derivatives along the circle: DF is the (2, 2, N) array of
-Evaluation.jacobian, as in the grid solver, and D_a F, D_mu F and D_eps F
-are pairs of arrays.  PeriodicScalar is kept for the embeddings, the
+Evaluation.jacobian, as in the grid solver, D_eps F a pair of arrays
+and D_a F its x row.  PeriodicScalar is kept for the embeddings, the
 states and the gram of the frame.  Every spectral operator runs on a
 block of the fields that are ready at the same time, one rfft and one
-irfft per block; the constants J_11 = sigma, D_a F_y = 0 and
-D_mu F = (1, 0) stay out of the blocks.
+irfft per block.  J_11 = sigma, D_a F_y = 0 and D_mu F = (1, 0) are
+taken as given, as tests/test_maps.py checks in
+test_constant_rows_solver_qp_takes_as_given: J_11 stays out of the
+blocks and the other two are never formed.
 
 The 1/3 truncation cuts the start of a solve, the composition, the
 non-constant entries of DF and D_a F, D_eps F and the correction, and
@@ -52,14 +54,14 @@ point (maps.Evaluation: the forcing p(x) and q = sigma*y + eps*p(x) - a),
 and the composition, DF, D_a F and D_eps F are all read from it.  The
 residual stage takes the invariance residual E with the raw tail of the
 composition, in one block: the cut composition with the shifted
-embedding.  The frame stage takes DF and D_a F along the circle, the
+embedding.  The frame stage takes DF and D_a F_x along the circle, the
 tangent, N0, the torsion, vartheta, the frame, the shifted normal and
 the twist b_a, in four blocks: the tangent with the cut of DF and
-D_a F, the shifted N0, vartheta, the shifted normal; N0, the torsion and
-N come from the sample kernels of frame that the grid solver uses too.
-The shifted tangent rides in the last block of whichever of the two
-stages runs second.  Completion adds D_mu F, the drift twist b_mu and
-the frame projections of E, with no transform.
+D_a F_x, the shifted N0, vartheta, the shifted normal; N0, the torsion
+and N come from the sample kernels of frame that the grid solver uses
+too.  A probe shifts N_y alone; N_x and the shifted tangent ride in the
+last block of whichever of the two stages runs second.  Completion adds
+b_mu and the frame projections of E, with no transform.
 
 The correction is affine in the twist unknown delta_a, so a Newton
 iteration solves its linearization once: _solve_linear returns the
@@ -80,19 +82,19 @@ solve that converged its state instead of building the geometry again.
 
 A solve keeps a field alive only while it reads it.  An iterate that
 has passed the checks at the top of the loop lets go of the map
-evaluation, DF, D_a F, E and the shifted L and N, and keeps what the
-linear solve reads: the frame, eta_l, eta_n and the b-fields.  Once
-the basis is built it keeps only its point (K, a, mu, eps and err), so
-the probes and the trials run beside K and the basis alone.  A frame
-stage runs with at most the current iterate and the point being built,
-and a kept point is completed after the previous iterate and its step
-are gone.  The eps-derivative treats the workspace it reads the same
-way, so its twist-rate probes run beside K and b_a, and the
-continuation drops the previous step's tangent and prediction before
-the next predictor runs.  The floor snapshot is kept as its state, not
-its workspace, so a state accepted at the floor of an earlier iterate
-hands over no workspace and the eps-derivative builds its geometry,
-bitwise the same.
+evaluation, DF, E, the shifted L_x and N_x, and keeps what the linear
+solve reads: the frame, eta_l, eta_n, b_la, D_a F_x and the shifted
+N_y and L_y.  Once the basis is built it keeps only its point (K, a,
+mu, eps and err), so the probes and the trials run beside K and the
+basis alone.  A frame stage runs with at most the current iterate and
+the point being built, and a kept point is completed after the
+previous iterate and its step are gone.  The eps-derivative treats the
+workspace it reads the same way, so its twist-rate probes run beside K
+and b_a, and the continuation drops the previous step's tangent and
+prediction before the next predictor runs.  The floor snapshot is kept
+as its state, not its workspace, so a state accepted at the floor of an
+earlier iterate hands over no workspace and the eps-derivative builds
+its geometry, bitwise the same.
 """
 
 from __future__ import annotations
@@ -210,14 +212,13 @@ class NewtonWorkspace:
     """All fields of one linearization, shared by step and closure.
 
     E is the dealiased invariance residual, (eta_l, eta_n) its projection
-    -P(theta+omega)^{-1} E on the frame, and the b-fields the matching
-    projections of the parameter directions D_a F and D_mu F, all of
-    them checked read-only sample arrays.  A point is filled in stages:
-    _point sets k, a, mu, eps and ev, the map evaluated along K; the
-    residual stage sets ex, ey, err, e_p and tail; the frame stage
-    frame, the sample arrays dfk and d_a, alpha, nx_s, ny_s, bla, b_a
-    and e_b; the shifted tangent lx_s, ly_s comes with whichever of
-    those two runs second; completion fills the rest.
+    -P(theta+omega)^{-1} E on the frame and bla = N_y(. + omega) D_a F_x
+    the tangent projection of D_a F, all checked read-only sample arrays.
+    A point is filled in stages: _point sets k, a, mu, eps and ev, the
+    map evaluated along K; the residual stage sets ex, ey, err, e_p and
+    tail; the frame stage frame, dfk, d_a (D_a F_x), alpha, ny_s, bla,
+    b_a and e_b; nx_s, lx_s and ly_s come with whichever of those two
+    runs second; completion sets b_mu, eta_l and eta_n.
     keep_only empties it again, field by field, as its readers finish.
     """
 
@@ -225,7 +226,7 @@ class NewtonWorkspace:
         "k", "a", "mu", "eps", "ev", "frame", "dfk", "d_a",
         "nx_s", "ny_s", "lx_s", "ly_s",
         "ex", "ey", "err", "e_p", "e_b",
-        "eta_l", "eta_n", "bla", "bna", "blm", "bnm",
+        "eta_l", "eta_n", "bla",
         "b_a", "b_mu", "alpha", "tail",
     )
 
@@ -240,13 +241,8 @@ _FIELDS = NewtonWorkspace.__slots__
 # the point of a workspace, all an iterate keeps once its basis is built
 _POINT = ("k", "a", "mu", "eps", "err")
 # what _solve_linear reads of a workspace, its point aside
-_LINEAR = _POINT + ("frame", "eta_l", "eta_n", "bla", "bna", "blm", "bnm",
+_LINEAR = _POINT + ("frame", "eta_l", "eta_n", "bla", "d_a", "ny_s", "ly_s",
                     "b_a", "b_mu", "e_p")
-
-
-def _cross(a, u, b, v) -> np.ndarray:
-    """a*u - b*v, in this order, for sample arrays a, u, b, v."""
-    return a * u - b * v
 
 
 def _shifted(block: tuple[np.ndarray, ...], omega: float):
@@ -268,18 +264,18 @@ def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
 def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Frame, torsion and twist b_a at the point ws: all a probe reads.
 
-    DF and D_a F stay the evaluation's arrays: J_00, J_01, J_10 and
-    D_a F_x are cut in place in the tangent's block, which checks them,
-    and J_11 = sigma and D_a F_y = 0 are left alone, so a NaN or inf in
-    them still raises NonFiniteError from this call.  A point whose
-    residual is in is being kept, and its shifted tangent rides in the
-    block of the shifted normal.
+    DF stays the evaluation's array and D_a F_x its x row: J_00, J_01,
+    J_10 and D_a F_x are cut in place in the tangent's block, which
+    checks them, and J_11 = sigma is left alone, so a NaN or inf in it
+    still raises NonFiniteError from this call.  A probe shifts N_y
+    alone, all b_a reads; a point whose residual is in is being kept,
+    and N_x and L ride in the block of the shifted normal.
     """
     om = problem.omega
     sig = problem.family.sigma
     dfk = ws.ev.jacobian()
-    d_a = ws.ev.d_a()
-    lx, ly = l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], d_a[0]))
+    dax = ws.ev.d_a()[0]
+    lx, ly = l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], dax))
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
     # the shift block of N0 and t0 are each freed once read
@@ -293,13 +289,13 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
 
     ws.frame = fr
     ws.dfk = dfk
-    ws.d_a = d_a
+    ws.d_a = dax
     ws.alpha = min_angle(vth, gram.values)
     if ws.err is None:
-        ws.nx_s, ws.ny_s = _shifted(fr.nvec, om)
+        ws.ny_s, = _shifted(fr.nvec[1:], om)
     else:
         ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s = _shifted(fr.nvec + l, om)
-    ws.bla = checked(_cross(ws.ny_s, d_a[0], ws.nx_s, d_a[1]))
+    ws.bla = checked(ws.ny_s * dax)
     ws.b_a = float(np.mean(ws.bla))
     ws.e_b = ws.b_a - problem.b_a0
     return ws
@@ -310,20 +306,21 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
 
     The cut of the composition (F^x less its lift theta) with its raw
     tail, and the shift of K, share one transform pair; a point whose
-    frame stage has run (the zero probe of a closed twist) shifts L in
-    the same pair.
+    frame stage has run (the zero probe of a closed twist) shifts N_x
+    and L in the same pair.
     """
     k = ws.k
-    l = () if ws.frame is None else ws.frame.l
-    rows = np.stack((*ws.ev.lift(), *l, k.eta_x.values, k.k_y.values))
+    fr = ws.frame
+    rest = () if fr is None else (fr.nvec[0], *fr.l)
+    rows = np.stack((*ws.ev.lift(), *rest, k.eta_x.values, k.k_y.values))
     rows[0] -= fourier.grid(k.n)
     half = fourier.spectra(rows)
     ws.tail = max(fourier.tails(half[:2], 0.25))
     fourier.cut_spectra(half[:2])
     fourier.shift_spectra(half[2:], problem.omega)
     fourier.samples(half, rows)
-    if l:
-        ws.lx_s, ws.ly_s = fourier.fields(rows[2:4])
+    if rest:
+        ws.nx_s, ws.lx_s, ws.ly_s = fourier.fields(rows[2:5])
     ws.ex = checked(rows[0] - problem.omega - rows[-2])
     ws.ey = checked(rows[1] - rows[-1])
     ws.err = max(float(np.max(np.abs(e))) for e in (ws.ex, ws.ey))
@@ -331,25 +328,22 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     return ws
 
 
+def _projections(ws: NewtonWorkspace, ex, ey):
+    """(eta_l, eta_n) = -P(theta+omega)^{-1} (ex, ey) on the shifted frame."""
+    lx, ly, nx, ny = ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s
+    return checked(-(ny * ex - nx * ey)), checked(ly * ex - lx * ey)
+
+
 def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
-    """Keep the point ws, whose residual is in: the remaining projections.
+    """Keep the point ws, whose residual is in: b_mu and the projections of E.
 
     Runs the frame stage first unless the point already has its frame.
-    D_mu F = (1, 0) stays samples, read only by the checked b-fields.
+    D_mu F = (1, 0), so b_mu is the average of N_y(. + omega).
     """
     if ws.frame is None:
         _frame_stage(problem, ws)
-    dmx, dmy = problem.family.d_mu(ws.ev.x, ws.k.k_y.values, ws.ev.par)
-    dax, day = ws.d_a
-    lx, ly, nx, ny = ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s
-    ws.bna = checked(-_cross(ly, dax, lx, day))
-    ws.blm = checked(_cross(ny, dmx, nx, dmy))
-    ws.bnm = checked(-_cross(ly, dmx, lx, dmy))
-    ws.b_mu = float(np.mean(ws.blm))
-
-    ex, ey = ws.ex, ws.ey
-    ws.eta_l = checked(-_cross(ny, ex, nx, ey))
-    ws.eta_n = checked(_cross(ly, ex, lx, ey))
+    ws.b_mu = float(np.mean(ws.ny_s))
+    ws.eta_l, ws.eta_n = _projections(ws, ws.ex, ws.ey)
     return ws
 
 
@@ -387,13 +381,16 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
         )
     mu0 = float(np.mean(eta_l)) / ws.b_mu
     mu1 = -ws.b_a / ws.b_mu
+    # D_a F = (D_a F_x, 0), D_mu F = (1, 0): their projections on the
+    # shifted frame are -L_y D_a F_x, -L_y, b_la and N_y
+    ly, ny, dax = ws.ly_s, ws.ny_s, ws.d_a
     # the normal (contractive) and tangent (small-divisor) equations, at
     # delta_a = 0 and their rates, share one transform pair
     rows = np.stack((
-        eta_n - ws.bnm * mu0,
-        -ws.bna - ws.bnm * mu1,
-        eta_l - ws.blm * mu0,
-        -ws.bla - ws.blm * mu1,
+        eta_n + ly * mu0,
+        ly * dax + ly * mu1,
+        eta_l - ny * mu0,
+        -ws.bla - ny * mu1,
     ))
     half = fourier.spectra(rows)
     fourier.linear_shift_spectra(half[:2], sig, 1.0, om)
@@ -502,7 +499,7 @@ def newton_solve(problem: QpProblem, state: QpState,
 
     When out is a list, the workspace of the returned state is appended
     to it, for eps_derivative to read instead of rebuilding it.  The
-    caller drops it before its next solve: a workspace holds some thirty
+    caller drops it before its next solve: a workspace holds two dozen
     fields of the grid.  Only the current iterate keeps its workspace:
     the floor snapshot is kept as its state, so a state accepted at the
     floor of an earlier iterate hands over no workspace.
@@ -651,10 +648,8 @@ def eps_derivative(
         raise ValueError("workspace does not belong to this state")
     # the cut rows of D_eps F stay samples, checked by their block
     ex, ey = fourier.transform(np.stack(ws.ev.d_eps()), fourier.cut_spectra)
-    lx, ly, nx, ny = ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s
-    eta_l = checked(-_cross(ny, ex, nx, ey))
-    eta_n = checked(_cross(ly, ex, lx, ey))
-    del ex, ey, lx, ly, nx, ny
+    eta_l, eta_n = _projections(ws, ex, ey)
+    del ex, ey
     # as in newton_solve: the twist-rate probes run beside K and b_a alone
     ws.keep_only(_LINEAR)
     basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)

@@ -86,6 +86,19 @@ class TestStandardNonTwistMap:
         np.testing.assert_allclose(der[1], (fp[1] - fm[1]) / (2 * h),
                                    atol=1e-6)
 
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
+    def test_constant_rows_solver_qp_takes_as_given(self, fam):
+        # solver_qp never forms these rows: D_a F_y = 0, D_mu F = (1, 0)
+        # and J_11 = sigma, exactly, at every point and parameter
+        x, y = rand_points(200, 14)
+        rng = np.random.default_rng(15)
+        for a, mu, eps in rng.uniform(-3.0, 3.0, (5, 3)):
+            par = ParamPoint(a, mu, eps)
+            assert np.all(fam.d_a(x, y, par)[1] == 0.0)
+            dmx, dmy = fam.d_mu(x, y, par)
+            assert np.all(dmx == 1.0) and np.all(dmy == 0.0)
+            assert np.all(fam.jacobian(x, y, par)[1, 1] == fam.sigma)
+
     def test_eval_wraps_x(self):
         fam = StandardNonTwistMap(0.8)
         x, y = fam.eval(np.array([0.9]), np.array([1.5]), PAR)

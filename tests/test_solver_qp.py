@@ -51,20 +51,43 @@ def nonsym_problem(**kw):
     return QpProblem(fam, omega=OMEGA, **kw)
 
 
+def parameter_projections(prob, ws):
+    """The four projections of D_a F and D_mu F, in their general form.
+
+    The family's own d_a and d_mu at the point of ws (D_a F cut as the
+    frame stage cuts it), crossed with the shifted frame columns of ws:
+    b_la and b_lm on N(. + omega), b_na and b_nm on L(. + omega).
+    """
+    k = ws.k
+    par = ParamPoint(ws.a, ws.mu, ws.eps)
+    dax, day = (fourier.dealias(PeriodicScalar(d)) for d in
+                prob.family.d_a(k.x_lift(), k.k_y.values, par))
+    dmx, dmy = prob.family.d_mu(k.x_lift(), k.k_y.values, par)
+    nx_s, ny_s, lx_s, ly_s = map(PeriodicScalar, (
+        ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s))
+    return dict(
+        bla=ny_s * dax - nx_s * day,
+        bna=-(ly_s * dax - lx_s * day),
+        blm=ny_s * dmx - nx_s * dmy,
+        bnm=-(ly_s * dmx - lx_s * dmy),
+    )
+
+
 def operator_solve(prob, ws, eta_l, eta_n, delta_a, phase):
     """The linear solve at one delta_a, in operator form, field by field.
 
     The sample arrays eta_l, eta_n and those of ws are wrapped first, so
-    every intermediate is a PeriodicScalar.
+    every intermediate is a PeriodicScalar; the parameter directions are
+    the general projections of parameter_projections.
     """
     om = prob.omega
     eta_l, eta_n = PeriodicScalar(eta_l), PeriodicScalar(eta_n)
-    bla, bna, blm, bnm = map(PeriodicScalar, (ws.bla, ws.bna, ws.blm, ws.bnm))
+    b = parameter_projections(prob, ws)
     delta_mu = (fourier.average(eta_l) - ws.b_a * delta_a) / ws.b_mu
     xi_n = solve_contractive(
-        eta_n - bna * delta_a - bnm * delta_mu, SIGMA, om)
+        eta_n - b["bna"] * delta_a - b["bnm"] * delta_mu, SIGMA, om)
     xi_l, _ = solve_small_divisor(
-        eta_l - bla * delta_a - blm * delta_mu, om)
+        eta_l - b["bla"] * delta_a - b["blm"] * delta_mu, om)
     lx, ly, nx, ny = map(PeriodicScalar, (*ws.frame.l, *ws.frame.nvec))
     xi_l = xi_l + (-phase - fourier.average(lx * xi_l + nx * xi_n))
     return (fourier.dealias(lx * xi_l + nx * xi_n),
@@ -214,13 +237,12 @@ class TestIterationCost:
 
     # FFTs by part, at a generic point, one rfft and one irfft per block
     # of fields that are ready together: frame stage = 2 (tangent with
-    # the cut of J_00, J_01, J_10 and D_a F_x; J_11 = sigma and
-    # D_a F_y = 0 are constant)
-    # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal, with the
-    # shifted tangent at a kept point); residual = 2 (compositions with
-    # their tails, and the embedding shifted); completion = 0; linear
-    # solve = 2 (both cohomological equations) + 2 (the cut of both
-    # corrections)
+    # the cut of J_00, J_01, J_10 and D_a F_x; J_11 = sigma is constant)
+    # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal: N_y alone
+    # at a probe, N_x and the shifted tangent too at a kept point);
+    # residual = 2 (compositions with their tails, and the embedding
+    # shifted); completion = 0; linear solve = 2 (both cohomological
+    # equations) + 2 (the cut of both corrections)
     FRAME, RESIDUAL, COMPLETE, SOLVE = 8, 2, 0, 4
     # one solve, affine in delta_a, serves the two probes and the step:
     # three frame stages and the kept point's residual, 30 FFTs
@@ -231,11 +253,10 @@ class TestIterationCost:
 
     # PeriodicScalar wraps by part, none per field of the workspace, per
     # intermediate or per derivative of the map (the tangent, vartheta,
-    # the frame normal, the shifted normal and tangent, b_la, E, the
-    # b-fields, eta and the corrections are checked read-only sample
-    # arrays): frame stage = 1 (gram); residual, completion, the kept
-    # point's shifted tangent and the linear solve = 0; candidate
-    # embedding = 2
+    # the frame normal, the shifted normal and tangent, b_la, E, eta and
+    # the corrections are checked read-only sample arrays): frame stage
+    # = 1 (gram); residual, completion, the kept point's shifted tangent
+    # and the linear solve = 0; candidate embedding = 2
     WRAP_FRAME, WRAP_KEPT, WRAP_RESIDUAL, WRAP_COMPLETE = 1, 0, 0, 0
     WRAP_SOLVE, WRAP_CAND = 0, 2
     WRAPS_PER_ITERATION = (WRAP_SOLVE + 3 * (WRAP_CAND + WRAP_FRAME)
@@ -249,16 +270,16 @@ class TestIterationCost:
 
     @staticmethod
     def counted(monkeypatch, prob, reject=()):
-        """Count FFTs, wraps, map calls and frames; tag probe calls.
+        """Count FFTs, wraps, map calls, frames and completions; tag probes.
 
         The residual calls whose index (0: the start) is in reject report
         a residual a million times too large, which damps their step.
         marks holds the FFT and tangent counts at the entry of each
         residual call.
         """
-        c = dict(fft=0, wraps=0, evaluate=0, d_mu=0, tangent=0, residual=0,
-                 steffensen=0, closed=0, probe_residual=0, probe_d_mu=0,
-                 marks=[])
+        c = dict(fft=0, wraps=0, evaluate=0, complete=0, tangent=0,
+                 residual=0, steffensen=0, closed=0, probe_residual=0,
+                 probe_complete=0, marks=[])
 
         def count(key, fn):
             def wrapped(*args, **kwargs):
@@ -272,7 +293,8 @@ class TestIterationCost:
         monkeypatch.setattr(np.fft, "irfft", count("fft", np.fft.irfft))
         fam = prob.family
         monkeypatch.setattr(fam, "evaluate", count("evaluate", fam.evaluate))
-        monkeypatch.setattr(fam, "d_mu", count("d_mu", fam.d_mu))
+        monkeypatch.setattr(solver_qp, "_complete",
+                            count("complete", solver_qp._complete))
         monkeypatch.setattr(solver_qp, "tangent",
                             count("tangent", solver_qp.tangent))
         residual = solver_qp._residual
@@ -289,12 +311,12 @@ class TestIterationCost:
         steffensen = solver_qp.steffensen_update
 
         def probed(*args):
-            before = c["residual"], c["d_mu"]
+            before = c["residual"], c["complete"]
             out = steffensen(*args)
             c["steffensen"] += 1
             c["closed"] += out[1] is not None
             c["probe_residual"] += c["residual"] - before[0]
-            c["probe_d_mu"] += c["d_mu"] - before[1]
+            c["probe_complete"] += c["complete"] - before[1]
             return out
 
         monkeypatch.setattr(solver_qp, "steffensen_update", probed)
@@ -310,11 +332,11 @@ class TestIterationCost:
         iters = c["steffensen"]
         assert iters == state.iterations >= 3
         assert c["closed"] == 0          # the twist closure runs every time
-        assert c["probe_residual"] == 0 and c["probe_d_mu"] == 0
+        assert c["probe_residual"] == 0 and c["probe_complete"] == 0
         # one map evaluation per point, one residual and one completion
         # per point that is not a probe
         assert c["evaluate"] == 1 + 3 * iters
-        assert c["residual"] == c["d_mu"] == 1 + iters
+        assert c["residual"] == c["complete"] == 1 + iters
         assert c["tangent"] == 1 + 3 * iters
         assert c["fft"] == self.PER_SOLVE + iters * self.PER_ITERATION
         assert c["wraps"] == (self.WRAPS_PER_SOLVE
@@ -339,7 +361,7 @@ class TestIterationCost:
         # frame stages: two probes per iteration and every kept point
         assert c["tangent"] == 2 * iters + (1 + iters)
         assert c["evaluate"] == 1 + 3 * iters + rejected
-        assert c["d_mu"] == 1 + iters
+        assert c["complete"] == 1 + iters
         assert c["fft"] == (self.PER_SOLVE + iters * self.PER_ITERATION
                             + rejected * self.FFTS_REJECTED)
         assert c["wraps"] == (self.WRAPS_PER_SOLVE
@@ -391,7 +413,7 @@ class TestIterationCost:
         )
         return prob, solver_qp._geometry(prob, k, 0.013, 0.61, 0.9)
 
-    def test_fused_fields_equal_operator_form(self):
+    def test_fused_fields_equal_operator_form(self, monkeypatch):
         # each field is computed on sample arrays and checked once; the
         # operator form wraps every intermediate and must agree bitwise
         prob, ws = self.generic_workspace()
@@ -399,9 +421,7 @@ class TestIterationCost:
         same = lambda u, v: u.tobytes() == v.values.tobytes()
         nx_s, ny_s, lx_s, ly_s, ex, ey = map(PeriodicScalar, (
             ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s, ws.ex, ws.ey))
-        dax, day = ws.d_a
         par = ParamPoint(ws.a, ws.mu, ws.eps)
-        dmx, dmy = prob.family.d_mu(k.x_lift(), k.k_y.values, par)
         fx_lift, fy_raw = prob.family.eval_lift(
             k.x_lift(), k.k_y.values, par)
         ux = PeriodicScalar(fx_lift - fourier.grid(k.n))
@@ -420,10 +440,6 @@ class TestIterationCost:
                        *(fourier.shift(c, om).values for c in n0), ws.dfk)
         assert got.tobytes() == t0.values.tobytes()
         expected = dict(
-            bla=ny_s * dax - nx_s * day,
-            bna=-(ly_s * dax - lx_s * day),
-            blm=ny_s * dmx - nx_s * dmy,
-            bnm=-(ly_s * dmx - lx_s * dmy),
             ex=fx - om - fourier.shift(k.eta_x, om),
             ey=fy - fourier.shift(k.k_y, om),
             eta_l=-(ny_s * ex - nx_s * ey),
@@ -433,9 +449,28 @@ class TestIterationCost:
             assert same(getattr(ws, name), want), name
             assert not getattr(ws, name).flags.writeable, name
 
+        # the parameter directions in their general form, from the
+        # family's own D_a F and D_mu F, give b_la and b_mu, and the rows
+        # of the linear solve bit for bit: the solver's reduced rows
+        # drop only exact zeros and unit factors
+        b = parameter_projections(prob, ws)
+        assert same(ws.bla, b["bla"]) and not ws.bla.flags.writeable
+        assert ws.b_mu == fourier.average(b["blm"])
+        eta_l, eta_n = map(PeriodicScalar, (ws.eta_l, ws.eta_n))
+        mu0 = fourier.average(eta_l) / ws.b_mu
+        mu1 = -ws.b_a / ws.b_mu
+        want_rows = (eta_n - b["bnm"] * mu0, -b["bna"] - b["bnm"] * mu1,
+                     eta_l - b["blm"] * mu0, -b["bla"] - b["blm"] * mu1)
+        blocks, spectra = [], fourier.spectra
+        monkeypatch.setattr(fourier, "spectra",
+                            lambda v: blocks.append(v.copy()) or spectra(v))
         # one solve gives the correction for every delta_a
         basis = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
                                         ws.e_p)
+        monkeypatch.setattr(fourier, "spectra", spectra)
+        assert len(blocks[0]) == len(want_rows)
+        for row, want in zip(blocks[0], want_rows):
+            assert same(row, want)
         for delta_a in (0.0, 0.003, -0.05, 0.7):
             assert_affine_matches(prob, ws, basis, ws.eta_l, ws.eta_n,
                                   ws.e_p, delta_a)
@@ -450,35 +485,68 @@ class TestIterationCost:
         assert cand.a == ws.a + t * delta_a
         assert cand.mu == ws.mu + t * (mu0 + delta_a * mu1)
 
-    def test_non_finite_drift_raises_from_complete(self):
-        # a NaN or inf that reaches a solver formula raises from the call
-        # that makes the field: one inf in D_mu F, read only by the
-        # b-fields of completion
-        class InfiniteDrift(StandardNonTwistMap):
-            def d_mu(self, x, y, p):
-                dmx, dmy = super().d_mu(x, y, p)
-                dmx[3] = np.inf
-                return dmx, dmy
-
-        prob = QpProblem(InfiniteDrift(SIGMA, "nonsymmetric"), omega=OMEGA)
-        _, ref = self.generic_workspace()
+    def test_overflowed_projection_raises_from_complete(self, monkeypatch):
+        # a completion formula is checked on its result: finite operands
+        # whose product overflows raise from the call that makes the
+        # field.  E at the largest finite double times L_x(. + omega) > 1
+        # overflows in eta_n
+        big = np.full(128, np.finfo(float).max)
+        prob, ref = self.generic_workspace()
+        assert np.max(ref.lx_s) > 1.0
         ws = solver_qp._frame_stage(prob, solver_qp._residual(
             prob, solver_qp._point(prob, ref.k, ref.a, ref.mu, ref.eps)))
-        with pytest.raises(NonFiniteError):
-            solver_qp._complete(prob, ws)
-        with pytest.raises(NonFiniteError):
-            solver_qp._geometry(prob, ref.k, ref.a, ref.mu, ref.eps)
+        ws.ex, ws.ey = big, big
+        residual = solver_qp._residual
+
+        def inflated(problem, ws):
+            residual(problem, ws)
+            ws.ex, ws.ey = big, big
+            return ws
+
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonFiniteError):
+                solver_qp._complete(prob, ws)
+            monkeypatch.setattr(solver_qp, "_residual", inflated)
+            with pytest.raises(NonFiniteError):
+                solver_qp._geometry(prob, ref.k, ref.a, ref.mu, ref.eps)
+
+    def test_probe_shifts_n_y_alone(self, monkeypatch):
+        # a probe reads b_a = <N_y(. + omega) D_a F_x> alone, so its
+        # shifted normal block is the one row N_y; N_x(. + omega) and
+        # the shifted tangent come with the residual of a reused zero
+        # probe, and with the shifted normal of a kept point
+        prob, ref = self.generic_workspace()
+        rows, shift = [], fourier.shift_spectra
+        monkeypatch.setattr(fourier, "shift_spectra",
+                            lambda half, d: rows.append(len(half))
+                            or shift(half, d))
+        point = (prob, ref.k, ref.a, ref.mu, ref.eps)
+        probe = solver_qp._frame_stage(prob, solver_qp._point(*point))
+        assert rows == [2, 1]          # N0, then N_y
+        assert probe.b_a == ref.b_a
+        rows.clear()
+        reused = solver_qp._complete(prob, solver_qp._residual(prob, probe))
+        assert rows == [5]             # N_x, L and K in the residual block
+        rows.clear()
+        solver_qp._geometry(*point)
+        assert rows == [2, 2, 4]       # K, N0, then N and L
+        for name in ("nx_s", "ny_s", "lx_s", "ly_s", "bla", "eta_l",
+                     "eta_n"):
+            assert getattr(reused, name).tobytes() == (
+                getattr(ref, name).tobytes()), name
+        assert reused.b_mu == ref.b_mu
 
     def test_derivative_block_equals_single_fields(self):
-        # the frame stage's tangent and its DF and D_a F sample arrays
+        # the frame stage's tangent and its DF and D_a F_x sample arrays
         # are bitwise the single-field derivative and dealias of the
-        # map's own derivatives; DF keeps the (2, 2, N) form
+        # map's own derivatives; DF keeps the (2, 2, N) form, and of
+        # D_a F only the x row is kept
         prob, ws = self.generic_workspace()
         k = ws.k
         same = lambda u, v: u.tobytes() == v.values.tobytes()
         par = ParamPoint(ws.a, ws.mu, ws.eps)
         jac = prob.family.jacobian(k.x_lift(), k.k_y.values, par)
-        dax, day = prob.family.d_a(k.x_lift(), k.k_y.values, par)
+        dax = prob.family.d_a(k.x_lift(), k.k_y.values, par)[0]
         lx, ly = ws.frame.l
         d_theta = lambda u: PeriodicScalar(fourier.transform(
             u.values.copy(), fourier.derivative_spectra))
@@ -489,13 +557,13 @@ class TestIterationCost:
             for j in (0, 1):
                 want = fourier.dealias(PeriodicScalar(jac[i, j]))
                 assert same(ws.dfk[i, j], want), (i, j)
-        assert same(ws.d_a[0], fourier.dealias(PeriodicScalar(dax)))
-        assert same(ws.d_a[1], fourier.dealias(PeriodicScalar(day)))
+        assert ws.d_a.shape == (k.n,)
+        assert same(ws.d_a, fourier.dealias(PeriodicScalar(dax)))
 
     def test_workspace_fields_own_their_memory(self):
         # a field or sample array that is a view would pin the whole
         # array behind it, such as the tangent's block for the cut DF
-        # and D_a F rows
+        # and D_a F_x rows
         _, ws = self.generic_workspace()
 
         def arrays(obj):
@@ -519,17 +587,16 @@ class TestIterationCost:
         samples = [v for u, v in found if u is None]
         # K and the gram are the workspace's only wrapped fields
         assert len(fields) == 3
-        # the other 16 fields are checked read-only samples: the frame's
-        # L and N, the shifted L and N, E, eta and the b-fields
+        # the other 13 fields are checked read-only samples: the frame's
+        # L and N, the shifted L and N, E, eta and b_la
         checked = [*ws.frame.l, *ws.frame.nvec] + [
             getattr(ws, name) for name in ("nx_s", "ny_s", "lx_s", "ly_s",
                                            "ex", "ey", "eta_l", "eta_n",
-                                           "bla", "bna", "blm", "bnm")]
+                                           "bla")]
         assert all(any(v is w for w in samples) for v in checked)
         assert not any(v.flags.writeable for v in checked)
-        # besides them DF, D_a F (two rows) and the evaluation's x, p(x)
-        # and q
-        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 21
+        # besides them DF, D_a F_x and the evaluation's x, p(x) and q
+        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 17
         assert all(v.base is None for _, v in found)
         # nor is any of them the spectra buffer of the grid, which the
         # next transform overwrites
