@@ -41,7 +41,6 @@ from .errors import (
 )
 from .fourier import (
     PeriodicScalar,
-    average,
     dealias,
     grid,
     resample,
@@ -129,7 +128,6 @@ __all__ = [
     "TorusEmbedding",
     "TwistDegeneracyError",
     "ambient_rotation_number",
-    "average",
     "breakdown_extrapolate",
     "check_symmetry",
     "continue_in_eps",

@@ -78,7 +78,6 @@ class RunConfig:
     step_max: float = 0.1
     grow_after: int = 3
     alpha_floor: float = 1e-4
-    probe: float = 1e-6
     tol: float = 1e-11
     tol_phase: float = 1e-11
     tol_twist: float = 1e-11
@@ -182,7 +181,7 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"need omega in (0, 1), got {cfg.omega}")
     if cfg.eps_target < 0.0:
         raise ValueError("eps_target must be nonnegative")
-    for key in ("step_init", "step_min", "step_max", "probe", "tol",
+    for key in ("step_init", "step_min", "step_max", "tol",
                 "tol_phase", "tol_twist", "alpha_floor", "tail_double",
                 "sweep_halfwidth", "sweep_step", "rho_tol", "lock_tol",
                 "refine_width"):
@@ -249,7 +248,6 @@ def build_policy(cfg: RunConfig) -> ContinuationPolicy:
         step_max=cfg.step_max,
         grow_after=cfg.grow_after,
         alpha_floor=cfg.alpha_floor,
-        probe=cfg.probe,
         timing=cfg.timing,
     )
 
@@ -379,7 +377,7 @@ def cmd_rotnum_sweep(cfg: RunConfig, out_dir: str) -> int:
         print(f"stopped: {result.reason} before eps_target; no sweep")
         return _reason_code(result.reason)
     state = result.state
-    xy0 = (state.k.eta_x.values[0], state.k.k_y.values[0])   # K(0)
+    xy0 = (state.k.eta_x[0], state.k.k_y[0])   # K(0)
     par = ParamPoint(state.a, state.mu, state.eps)
     records = sweep_parameter(
         problem.family, par, xy0, cfg.sweep_which,
@@ -449,8 +447,8 @@ def _run_checks(cfg: RunConfig):
             worst,
             abs(st.a - b / 2.0),
             abs(st.mu - (om - st.a ** 2)),
-            st.k.eta_x.sup(),
-            st.k.k_y.sup(),
+            float(np.max(np.abs(st.k.eta_x))),
+            float(np.max(np.abs(st.k.k_y))),
             abs(st.diagnostics.twist_mu - 1.0),
             abs(st.diagnostics.twist_a - b),
         )
@@ -477,7 +475,7 @@ def _run_checks(cfg: RunConfig):
         red = st.diagnostics.reducibility_error
         yield "frame reducibility defect", red <= 1e-7, f"{red:.2e}"
 
-        phase = abs(fourier.average(st.k.eta_x))
+        phase = abs(float(np.mean(st.k.eta_x)))
         yield "phase normalization <eta_x> = 0", phase <= max(cfg.tol_phase, 1e-10), f"{phase:.2e}"
 
         twist = abs(st.diagnostics.twist_a - problem.b_a0)
@@ -487,8 +485,7 @@ def _run_checks(cfg: RunConfig):
             yield from _symmetry_checks(cfg, problem, st)
 
         # quadratic decay of the Newton residual from a rough start
-        bump = fourier.PeriodicScalar(
-            1e-2 * np.cos(2.0 * np.pi * fourier.grid(st.k.n)))
+        bump = 1e-2 * np.cos(2.0 * np.pi * fourier.grid(st.k.n))
         rough = replace(st, k=TorusEmbedding(st.k.eta_x + bump,
                                              st.k.k_y - bump),
                         diagnostics=None)

@@ -61,10 +61,12 @@ raw tails of a block's rows from the spectra the cut then filters.
 dealias gives every constant but -0.0 back bit for bit.
 
 Finiteness is checked in one place, checked(): it rejects an array with
-a NaN or infinite sample and freezes the rest read-only.  The solvers
-keep their fields as such checked arrays, and PeriodicScalar, the
-public field of states and embeddings, is checked by the same call as
-it is built.  A solver computes a field's +, - and * formula on sample
+a NaN or infinite sample and freezes the rest read-only.  Every field
+is such a checked array.  checked_field() adds the shape of one field,
+1-D on a dyadic grid, and is the check of the two fields of an
+embedding (frame.TorusEmbedding) and of PeriodicScalar, which wraps
+only the gram of a frame and the fields of the m = 1 calls.  A solver
+computes a field's +, - and * formula on sample
 arrays and checks only its result: under IEEE rules a +, - or * with a
 NaN or infinite operand never gives a finite result, so checking the
 result is exactly as strict as checking every intermediate, and the
@@ -157,23 +159,26 @@ def checked(v: np.ndarray) -> np.ndarray:
     return v
 
 
+def checked_field(v: np.ndarray) -> np.ndarray:
+    """checked(v) for the samples of one field: 1-D, on a dyadic grid."""
+    if v.ndim != 1:
+        raise ValueError("samples must be one-dimensional")
+    _check_size(v.size)
+    return checked(v)
+
+
 class PeriodicScalar:
     """Real 1-periodic function sampled on the dyadic grid of size n.
 
-    Immutable; arithmetic is pointwise and requires matching grids.
-    Non-finite samples are rejected by checked() so solver blow-ups
-    surface early.  Every instance, arithmetic results included, is
-    built here.  Samples handed in by a caller are always copied.
-    _owned marks samples this package has just allocated and references
-    nowhere else: a 1-D float64 array that owns its memory is then
-    adopted without a copy, and anything else is still copied, so a view
-    never pins the array it looks into.
+    Immutable.  Non-finite samples are rejected by checked() so solver
+    blow-ups surface early.  Samples handed in by a caller are always
+    copied.  _owned marks samples this package has just allocated and
+    references nowhere else: a 1-D float64 array that owns its memory is
+    then adopted without a copy, and anything else is still copied, so a
+    view never pins the array it looks into.
     """
 
     __slots__ = ("values", "n")
-    # an array on the left defers to the reflected operators below, so a
-    # solver field mixed with a PeriodicScalar gives a PeriodicScalar
-    __array_ufunc__ = None
 
     def __init__(self, values, *, _owned=False):
         if (_owned and type(values) is np.ndarray and values.base is None
@@ -181,48 +186,11 @@ class PeriodicScalar:
             v = values
         else:
             v = np.array(values, dtype=float)
-        if v.ndim != 1:
-            raise ValueError("samples must be one-dimensional")
-        _check_size(v.size)
-        object.__setattr__(self, "values", checked(v))
+        object.__setattr__(self, "values", checked_field(v))
         object.__setattr__(self, "n", v.size)
 
     def __setattr__(self, name, value):
         raise AttributeError("PeriodicScalar is immutable")
-
-    @classmethod
-    def zeros(cls, n: int) -> "PeriodicScalar":
-        _check_size(n)
-        return _fresh(np.zeros(n))
-
-    def _other_values(self, other):
-        if isinstance(other, PeriodicScalar):
-            if other.n != self.n:
-                raise ValueError(f"grid mismatch: {self.n} vs {other.n}")
-            return other.values
-        return other
-
-    def __add__(self, other):
-        return _fresh(self.values + self._other_values(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return _fresh(self.values - self._other_values(other))
-
-    def __rsub__(self, other):
-        return _fresh(self._other_values(other) - self.values)
-
-    def __mul__(self, other):
-        return _fresh(self.values * self._other_values(other))
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        return _fresh(self.values / self._other_values(other))
-
-    def __neg__(self):
-        return _fresh(-self.values)
 
     def sup(self) -> float:
         return float(np.max(np.abs(self.values)))
@@ -234,11 +202,6 @@ class PeriodicScalar:
 def _fresh(values: np.ndarray) -> PeriodicScalar:
     """Wrap samples that nothing else references, without a copy."""
     return PeriodicScalar(values, _owned=True)
-
-
-def average(u: PeriodicScalar) -> float:
-    """Mean value, identical to the k = 0 coefficient."""
-    return float(np.mean(u.values))
 
 
 # -- blocks: one rfft, multipliers in place, one irfft ------------------

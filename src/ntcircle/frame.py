@@ -14,7 +14,9 @@ tangent direction; vartheta cancels that shear and is the quantity whose
 blow-up signals loss of normal hyperbolicity.  det P = 1 identically,
 which is the frame's health check.
 
-The frame is written once, on sample arrays, for both solvers:
+An embedding (TorusEmbedding) holds eta_x and K_y as checked read-only
+sample arrays, as every other field is held.  The frame is written
+once, on sample arrays, for both solvers:
 normal0_values gives N0 and the gram <L, L>, torsion0 the torsion from N0
 composed with f (shifted spectrally in the quasi-periodic solver, read
 through the Lagrange stencil of f in the grid solver), and normal_values
@@ -51,36 +53,49 @@ _FIXED_POINT_TOL = 1e-12
 Pair = tuple[np.ndarray, np.ndarray]
 
 
-@dataclass(frozen=True)
+# compared by identity: == on two sample arrays gives no single truth value
+@dataclass(frozen=True, eq=False)
 class TorusEmbedding:
-    """Circle embedding stored as (eta_x, K_y) with K_x = theta + eta_x."""
+    """Circle embedding stored as (eta_x, K_y) with K_x = theta + eta_x.
 
-    eta_x: PeriodicScalar
-    k_y: PeriodicScalar
+    Both fields are checked read-only float64 sample arrays on one
+    dyadic grid.  Arrays handed in are copied, except a read-only
+    float64 array that owns its memory, which is adopted as it is: that
+    is what fourier.checked gives back for a formula the package has
+    just computed, such as a Newton candidate K + t*d.
+    """
+
+    eta_x: np.ndarray
+    k_y: np.ndarray
 
     def __post_init__(self):
-        if self.eta_x.n != self.k_y.n:
+        for name in ("eta_x", "k_y"):
+            v = getattr(self, name)
+            if not (type(v) is np.ndarray and v.dtype == np.float64
+                    and v.base is None and not v.flags.writeable):
+                v = np.array(v, dtype=float)
+            object.__setattr__(self, name, fourier.checked_field(v))
+        if self.eta_x.size != self.k_y.size:
             raise ValueError("components must share one grid")
 
     @property
     def n(self) -> int:
-        return self.eta_x.n
+        return self.eta_x.size
 
     @classmethod
     def zero_section(cls, n: int) -> "TorusEmbedding":
-        return cls(PeriodicScalar.zeros(n), PeriodicScalar.zeros(n))
+        return cls(np.zeros(n), np.zeros(n))
 
     def x_lift(self) -> np.ndarray:
         """Samples of K_x as a lift (theta_j + eta_x, not reduced mod 1)."""
-        return fourier.grid(self.n) + self.eta_x.values
+        return fourier.grid(self.n) + self.eta_x
 
     def resample(self, n_new: int) -> "TorusEmbedding":
         """Both fields on n_new nodes, in one two-row block; self on its own."""
         if n_new == self.n:
             return self
-        rows = fourier.resample(
-            np.stack((self.eta_x.values, self.k_y.values)), n_new)
-        return TorusEmbedding(*map(PeriodicScalar, rows))
+        return TorusEmbedding(*fourier.resample(
+            np.stack((self.eta_x, self.k_y)), n_new))
 
 
 def half_shift_deviation(k: TorusEmbedding,
@@ -94,11 +109,11 @@ def half_shift_deviation(k: TorusEmbedding,
     b_a0.  x is compared mod 1.
     """
     image = k if image is None else image
-    sx, sy = fourier.transform(np.stack((k.eta_x.values, k.k_y.values)),
+    sx, sy = fourier.transform(np.stack((k.eta_x, k.k_y)),
                                fourier.shift_spectra, 0.5)
-    dx = image.eta_x.values - sx
+    dx = image.eta_x - sx
     dx = dx - np.round(dx)
-    dy = float(np.max(np.abs(image.k_y.values + sy)))
+    dy = float(np.max(np.abs(image.k_y + sy)))
     return max(float(np.max(np.abs(dx))), dy)
 
 
@@ -134,7 +149,7 @@ def tangent(k: TorusEmbedding, cut=()) -> Pair:
     transform pair, and each cut is copied back over its row, so nothing
     pins the block.  Returns (L_x, L_y), read-only sample arrays.
     """
-    rows = np.stack((k.eta_x.values, k.k_y.values, *cut))
+    rows = np.stack((k.eta_x, k.k_y, *cut))
     half = fourier.spectra(rows)
     fourier.derivative_spectra(half[:2])
     fourier.cut_spectra(half[2:])

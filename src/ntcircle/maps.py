@@ -85,8 +85,8 @@ class Evaluation:
     """The family at a batch of points x, y and a parameter point.
 
     Holds x, the parameter point, p(x) and the folded frequency variable
-    q = sigma*y + eps*p(x) - a.  The lift, the Jacobian, D_a F and D_eps F
-    are formulas in these; the Jacobian evaluates p'(x).
+    q = sigma*y + eps*p(x) - a.  The lift, the Jacobian, D_a F_x and
+    D_eps F are formulas in these; the Jacobian evaluates p'(x).
     """
 
     __slots__ = ("family", "x", "par", "px", "q")
@@ -111,7 +111,8 @@ class Evaluation:
         return j
 
     def d_a(self):
-        return -2.0 * self.q, np.zeros_like(self.q)
+        """D_a F_x; the y row, D_a F_y, is zero."""
+        return -2.0 * self.q
 
     def d_eps(self):
         return 2.0 * self.q * self.px, self.px
@@ -149,7 +150,8 @@ class StandardNonTwistMap:
         return self.evaluate(x, y, p).jacobian()
 
     def d_a(self, x, y, p: ParamPoint):
-        return self.evaluate(x, y, p).d_a()
+        dax = self.evaluate(x, y, p).d_a()
+        return dax, np.zeros_like(dax)
 
     def d_mu(self, x, y, p: ParamPoint):
         shape = np.shape(np.asarray(x, dtype=float))

@@ -18,11 +18,13 @@ as a read-only array checked for finiteness once (fourier.checked); the
 intermediates of a formula are never checked, nor are the map's
 derivatives along the circle: DF is the (2, 2, N) array of
 Evaluation.jacobian, as in the grid solver, D_eps F a pair of arrays
-and D_a F its x row.  PeriodicScalar is kept for the embeddings, the
-states and the gram of the frame.  Every spectral operator runs on a
-block of the fields that are ready at the same time, one rfft and one
-irfft per block.  J_11 = sigma, D_a F_y = 0 and D_mu F = (1, 0) are
-taken as given, as tests/test_maps.py checks in
+and D_a F its x row, as Evaluation.d_a gives it.  The embedding of a
+state or a candidate holds two such arrays (frame.TorusEmbedding
+checks them), so a candidate K + t*d is one checked formula per field;
+the gram of the frame alone is wrapped (fourier._fresh).  Every spectral
+operator runs on a block of the fields that are ready at the same
+time, one rfft and one irfft per block.  J_11 = sigma, D_a F_y = 0 and
+D_mu F = (1, 0) are taken as given, as tests/test_maps.py checks in
 test_constant_rows_solver_qp_takes_as_given: J_11 stays out of the
 blocks and the other two are never formed.
 
@@ -112,7 +114,7 @@ from .errors import (
     NtCircleError,
     TwistDegeneracyError,
 )
-from .fourier import PeriodicScalar, _fresh, checked
+from .fourier import _fresh, checked
 from .frame import (
     AdaptedFrame,
     Diagnostics,
@@ -134,6 +136,7 @@ _DRIFT_FLOOR = 1e-8
 _BLOWUP_FACTOR = 1e3
 _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
 _FIT_MIN_POINTS = 5      # fewest records a breakdown fit takes
+_PROBE = 1e-6            # finite-difference probe of the eps-derivative
 
 
 @dataclass(frozen=True)
@@ -197,7 +200,6 @@ class ContinuationPolicy:
     step_max: float = 0.1
     grow_after: int = 3           # consecutive accepts before doubling
     alpha_floor: float = 1e-4     # stop when the frame angle drops below
-    probe: float = 1e-6           # finite-difference probe for d/d eps
     timing: bool = False          # keep wall_ms at 0 for reproducible output
 
 
@@ -255,8 +257,7 @@ def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     """The workspace of (K, a, mu, eps), with the map evaluated along K."""
     ws = NewtonWorkspace()
     ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
-    ws.ev = problem.family.evaluate(k.x_lift(), k.k_y.values,
-                                    ParamPoint(a, mu, eps))
+    ws.ev = problem.family.evaluate(k.x_lift(), k.k_y, ParamPoint(a, mu, eps))
     ws.frame = ws.err = None
     return ws
 
@@ -264,7 +265,7 @@ def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
 def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Frame, torsion and twist b_a at the point ws: all a probe reads.
 
-    DF stays the evaluation's array and D_a F_x its x row: J_00, J_01,
+    DF stays the evaluation's array and D_a F_x its own row: J_00, J_01,
     J_10 and D_a F_x are cut in place in the tangent's block, which
     checks them, and J_11 = sigma is left alone, so a NaN or inf in it
     still raises NonFiniteError from this call.  A probe shifts N_y
@@ -274,7 +275,7 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     om = problem.omega
     sig = problem.family.sigma
     dfk = ws.ev.jacobian()
-    dax = ws.ev.d_a()[0]
+    dax = ws.ev.d_a()
     lx, ly = l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], dax))
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
@@ -312,7 +313,7 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     k = ws.k
     fr = ws.frame
     rest = () if fr is None else (fr.nvec[0], *fr.l)
-    rows = np.stack((*ws.ev.lift(), *rest, k.eta_x.values, k.k_y.values))
+    rows = np.stack((*ws.ev.lift(), *rest, k.eta_x, k.k_y))
     rows[0] -= fourier.grid(k.n)
     half = fourier.spectra(rows)
     ws.tail = max(fourier.tails(half[:2], 0.25))
@@ -324,7 +325,7 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     ws.ex = checked(rows[0] - problem.omega - rows[-2])
     ws.ey = checked(rows[1] - rows[-1])
     ws.err = max(float(np.max(np.abs(e))) for e in (ws.ex, ws.ey))
-    ws.e_p = fourier.average(k.eta_x)
+    ws.e_p = float(np.mean(k.eta_x))
     return ws
 
 
@@ -358,8 +359,7 @@ def frame_fields(problem: QpProblem, state: QpState):
     ws = _frame_stage(problem, _point(problem, state.k, state.a, state.mu,
                                       state.eps))
     th = fourier.grid(state.k.n)
-    return (th, th + state.k.eta_x.values, state.k.k_y.values,
-            *ws.frame.nvec)
+    return (th, th + state.k.eta_x, state.k.k_y, *ws.frame.nvec)
 
 
 def _solve_linear(problem, ws, eta_l, eta_n, phase):
@@ -420,8 +420,8 @@ def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
                eps_offset: float = 0.0) -> NewtonWorkspace:
     """The point a fraction t along the step for delta_a (see _point)."""
     d_eta, d_ky, delta_mu = step
-    kc = TorusEmbedding(_fresh(ws.k.eta_x.values + t * d_eta),
-                        _fresh(ws.k.k_y.values + t * d_ky))
+    kc = TorusEmbedding(checked(ws.k.eta_x + t * d_eta),
+                        checked(ws.k.k_y + t * d_ky))
     # a probe's step is freed before its map evaluation allocates
     del step, d_eta, d_ky
     return _point(problem, kc, ws.a + t * delta_a, ws.mu + t * delta_mu,
@@ -505,9 +505,8 @@ def newton_solve(problem: QpProblem, state: QpState,
     floor of an earlier iterate hands over no workspace.
     """
     # project the start onto the retained band; corrections stay there
-    k = TorusEmbedding(*map(PeriodicScalar, fourier.transform(
-        np.stack((state.k.eta_x.values, state.k.k_y.values)),
-        fourier.cut_spectra)))
+    k = TorusEmbedding(*fourier.transform(
+        np.stack((state.k.eta_x, state.k.k_y)), fourier.cut_spectra))
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 
@@ -625,8 +624,7 @@ class EpsDerivative:
 
 
 def eps_derivative(
-    problem: QpProblem, state: QpState, probe: float = 1e-6,
-    ws: NewtonWorkspace | None = None,
+    problem: QpProblem, state: QpState, ws: NewtonWorkspace | None = None,
 ) -> EpsDerivative:
     """Differentiate the branch (K, a, mu)(eps) at a converged state.
 
@@ -634,7 +632,7 @@ def eps_derivative(
     zero phase drift, and is made once: its basis gives the direction
     for every d_a.  The twist constraint d b_a / d eps = 0 fixes the d_a
     component; its value is found from a finite-difference directional
-    probe of b_a at distance `probe` along the candidate direction, made
+    probe of b_a at distance _PROBE along the candidate direction, made
     affine-exact by the secant step of the Newton twist closure.
 
     ws is the converged workspace of state, as newton_solve's out list
@@ -658,9 +656,9 @@ def eps_derivative(
 
     def twist_rate(d_a: float):
         cand = _frame_stage(problem, _candidate(
-            problem, ws, _correction(basis, d_a), d_a, probe,
-            eps_offset=probe))
-        return (cand.b_a - ws.b_a) / probe, None
+            problem, ws, _correction(basis, d_a), d_a, _PROBE,
+            eps_offset=_PROBE))
+        return (cand.b_a - ws.b_a) / _PROBE, None
 
     d_a, _ = _close_twist(twist_rate, 1e-9)
     d_eta, d_ky, d_mu = _correction(basis, d_a)
@@ -730,8 +728,7 @@ def continue_in_eps(
 
     def predictor(state: QpState) -> EpsDerivative | None:
         try:
-            return eps_derivative(problem, state, policy.probe,
-                                  out.pop() if out else None)
+            return eps_derivative(problem, state, out.pop() if out else None)
         except NtCircleError:
             return None   # zero-order continuation still works
 
@@ -774,10 +771,11 @@ def continue_in_eps(
         if der is None:
             pred = replace(state, eps=state.eps + d, diagnostics=None)
         else:
-            pred = QpState(TorusEmbedding(state.k.eta_x + d * der.d_eta_x,
-                                          state.k.k_y + d * der.d_ky),
-                           state.a + d * der.d_a, state.mu + d * der.d_mu,
-                           state.eps + d)
+            pred = QpState(
+                TorusEmbedding(checked(state.k.eta_x + d * der.d_eta_x),
+                               checked(state.k.k_y + d * der.d_ky)),
+                state.a + d * der.d_a, state.mu + d * der.d_mu,
+                state.eps + d)
         try:
             new = newton_solve(problem, pred, out)
             # a step that settled on a high floor over a thin tail: this

@@ -224,6 +224,28 @@ class TestContinueCommand:
                          md5(os.path.join(out, "final_circle.csv"))))
         assert sums[0] == sums[1]
 
+    def test_timing_fills_the_wall_ms_column_alone(self, tmp_path):
+        # timing = on writes the elapsed time of each record; every other
+        # cell of path.csv, and final_circle.csv, stay byte for byte
+        tables = []
+        for timing in ("off", "on"):
+            cfg = write_cfg(tmp_path, BASE_CFG + "eps_target = 0.15\n"
+                            f"timing = {timing}\n", name=f"{timing}.cfg")
+            out = str(tmp_path / timing)
+            assert cli.main(["continue-nontwist", "--config", cfg,
+                             "--out", out]) == 0
+            with open(os.path.join(out, "path.csv")) as fh:
+                tables.append([line.rstrip("\n").split(",") for line in fh])
+            tables.append(md5(os.path.join(out, "final_circle.csv")))
+        off, circle_off, on, circle_on = tables
+        assert circle_on == circle_off
+        wall = cli.PATH_HEADER.index("wall_ms")
+        assert on[0] == off[0] and len(on) == len(off) > 2
+        for row_on, row_off in zip(on[1:], off[1:]):
+            assert row_off[wall] == "0" and float(row_on[wall]) > 0.0
+            del row_on[wall], row_off[wall]
+            assert row_on == row_off
+
     def test_alpha_floor_stop_returns_2(self, tmp_path, capsys):
         cfg = write_cfg(tmp_path, BASE_CFG
                         + "eps_target = 5.0\nalpha_floor = 1.5\n")

@@ -11,7 +11,6 @@ from ntcircle import (
     QpState,
     SmallDivisorError,
     StandardNonTwistMap,
-    average,
     continue_in_eps,
     dealias,
     grid,
@@ -71,7 +70,7 @@ class TestPeriodicScalar:
 
     def test_division_by_zero_raises(self):
         with pytest.raises(ValueError), np.errstate(divide="ignore"):
-            PeriodicScalar(np.ones(8)) / 0.0
+            fourier._fresh(np.ones(8) / 0.0)
 
     def test_caller_arrays_are_copied(self):
         v = np.ones(8)
@@ -95,23 +94,27 @@ class TestPeriodicScalar:
 
     def test_results_are_read_only(self):
         u = rand_scalar(16, 3, 1)
-        for r in (u + 1.0, -u, u * u, 1.0 - u, u / 2.0, shift(u, 0.3),
-                  dealias(u), fourier._fresh(u.values * u.values)):
+        v = u.values
+        for r in (fourier._fresh(v + 1.0), fourier._fresh(-v),
+                  fourier._fresh(1.0 - v), fourier._fresh(v / 2.0),
+                  shift(u, 0.3), dealias(u), fourier._fresh(v * v)):
             with pytest.raises(ValueError):
                 r.values[0] = 1.0
 
     @pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
     def test_non_finite_operand_raises(self, bad):
-        u = rand_scalar(16, 3, 1)
-        for op in (lambda: u + bad, lambda: u * bad, lambda: bad - u,
-                   lambda: u - np.full(16, bad)):
+        v = rand_scalar(16, 3, 1).values
+        for op in (lambda: fourier._fresh(v + bad),
+                   lambda: fourier._fresh(v * bad),
+                   lambda: fourier._fresh(bad - v),
+                   lambda: fourier._fresh(v - np.full(16, bad))):
             with pytest.raises(ValueError):
                 op()
 
     def test_overflow_raises(self):
         big = PeriodicScalar(np.full(8, 1e200))
         with pytest.raises(ValueError), np.errstate(over="ignore"):
-            big * big
+            fourier._fresh(big.values * big.values)
         with pytest.raises(ValueError), np.errstate(over="ignore"):
             fourier._fresh(big.values * big.values - 1.0)
 
@@ -124,7 +127,7 @@ class TestPeriodicScalar:
 
     def test_broadcast_to_two_dimensions_raises(self):
         with pytest.raises(ValueError):
-            PeriodicScalar(np.ones(8)) + np.ones((2, 8))
+            PeriodicScalar(np.ones((2, 8)))
         with pytest.raises(ValueError):
             fourier._fresh(np.ones((2, 8)))
 
@@ -134,16 +137,6 @@ class TestPeriodicScalar:
         # a view is copied, so it cannot pin the array it looks into
         block = np.ones((2, 8))
         assert fourier._fresh(block[0]).values.base is None
-
-    def test_grid_mismatch_raises(self):
-        with pytest.raises(ValueError):
-            PeriodicScalar(np.zeros(8)) + PeriodicScalar(np.zeros(16))
-
-    def test_arithmetic_pointwise(self):
-        u = rand_scalar(32, 5, 1)
-        v = rand_scalar(32, 5, 2)
-        np.testing.assert_allclose((u * v - 2.0).values,
-                                   u.values * v.values - 2.0)
 
 
 class TestChecked:
@@ -171,20 +164,6 @@ class TestChecked:
                             lambda v: seen.append(v) or check(v))
         u = PeriodicScalar(np.ones(8))
         assert len(seen) == 1 and seen[0] is u.values
-
-    def test_array_on_the_left_gives_a_periodic_scalar(self):
-        # no object array of PeriodicScalars: the array defers
-        u = rand_scalar(16, 3, 1)
-        v = np.linspace(0.0, 1.0, 16)
-        for got, want in ((v + u, u + v), (v * u, u * v), (v - u, -(u - v))):
-            assert type(got) is PeriodicScalar
-            assert got.values.tobytes() == want.values.tobytes()
-
-
-class TestAnalysisRoundtrip:
-    def test_average_is_mode_zero(self):
-        u = trig(64, [(0, 1.7, 0.0), (3, 0.5, 0.2)])
-        assert average(u) == pytest.approx(1.7, abs=1e-14)
 
 
 class TestDerivativeShift:
@@ -396,8 +375,8 @@ class TestCohomologicalSolvers:
         sigma, omega = 0.8, GOLDEN_MEAN
         eta = rand_scalar(128, 30, seed)
         xi = solve_contractive(eta, sigma, omega)
-        res = sigma * xi - shift(xi, omega) - eta
-        assert res.sup() <= 1e-10 * max(1.0, eta.sup())
+        res = sigma * xi.values - shift(xi, omega).values - eta.values
+        assert np.max(np.abs(res)) <= 1e-10 * max(1.0, eta.sup())
 
     @pytest.mark.parametrize("seed", range(5))
     def test_small_divisor_residual(self, seed):
@@ -405,10 +384,10 @@ class TestCohomologicalSolvers:
         omega = GOLDEN_MEAN
         eta = rand_scalar(128, 30, seed + 50)
         xi, mean = solve_small_divisor(eta, omega)
-        res = xi - shift(xi, omega) - (eta - mean)
-        assert res.sup() <= 1e-10 * max(1.0, eta.sup())
-        assert abs(average(xi)) <= 1e-12
-        assert mean == pytest.approx(average(eta), abs=1e-13)
+        res = xi.values - shift(xi, omega).values - (eta.values - mean)
+        assert np.max(np.abs(res)) <= 1e-10 * max(1.0, eta.sup())
+        assert abs(np.mean(xi.values)) <= 1e-12
+        assert mean == pytest.approx(np.mean(eta.values), abs=1e-13)
 
     def test_small_divisor_rejects_resonant_rotation(self):
         eta = rand_scalar(64, 20, 9)

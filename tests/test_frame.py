@@ -34,9 +34,8 @@ TWO_PI = 2.0 * np.pi
 
 
 def d_theta(u):
-    """Spectral d/dtheta of u: the derivative multiplier on one row."""
-    return PeriodicScalar(fourier.transform(u.values.copy(),
-                                            fourier.derivative_spectra))
+    """Spectral d/dtheta of the samples u: the derivative multiplier on one row."""
+    return fourier.transform(u.copy(), fourier.derivative_spectra)
 
 
 def integrable_frame(a, n=64):
@@ -50,7 +49,7 @@ def integrable_frame(a, n=64):
     k = TorusEmbedding.zero_section(n)
     par = ParamPoint(a=a, mu=OMEGA - a * a, eps=0.0)
     x = k.x_lift()
-    dfk = fam.jacobian(x, k.k_y.values, par)
+    dfk = fam.jacobian(x, k.k_y, par)
     return fam, k, dfk
 
 
@@ -61,6 +60,65 @@ def torsion_qp(k, dfk):
     n0x_f = shift(PeriodicScalar(n0x), OMEGA).values
     n0y_f = shift(PeriodicScalar(n0y), OMEGA).values
     return l, (n0x, n0y), gram, torsion0(n0x, n0y, n0x_f, n0y_f, dfk)
+
+
+class TestTorusEmbedding:
+    """The embedding holds checked read-only float64 samples on one grid."""
+
+    def test_caller_arrays_are_copied(self):
+        v, w = np.ones(8), np.zeros(8)
+        k = TorusEmbedding(v, w)
+        v[0] = w[0] = 5.0
+        assert k.eta_x[0] == 1.0 and k.k_y[0] == 0.0
+        # a read-only view is copied: the array it looks into can change
+        block = np.ones((2, 8))
+        view = block[0]
+        view.setflags(write=False)
+        k = TorusEmbedding(view, [0.0] * 8)
+        block[0, 0] = 5.0
+        assert k.eta_x[0] == 1.0 and k.eta_x.base is None
+        assert k.k_y.dtype == np.float64
+
+    def test_checked_fresh_arrays_are_adopted(self):
+        # what fourier.checked gives back for a formula just computed
+        v = fourier.checked(np.ones(8) + 1.0)
+        w = fourier.checked(np.zeros(8))
+        k = TorusEmbedding(v, w)
+        assert k.eta_x is v and k.k_y is w
+
+    def test_fields_are_read_only(self):
+        k = TorusEmbedding(np.ones(8), np.zeros(8))
+        r, z = k.resample(16), TorusEmbedding.zero_section(8)
+        for field in (k.eta_x, k.k_y, r.eta_x, r.k_y, z.eta_x, z.k_y):
+            assert not field.flags.writeable
+            with pytest.raises(ValueError):
+                field[0] = 1.0
+        with pytest.raises(AttributeError):
+            k.eta_x = np.zeros(8)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        v = np.zeros(8)
+        v[3] = bad
+        with pytest.raises(NonFiniteError):
+            TorusEmbedding(v, np.zeros(8))
+        with pytest.raises(NonFiniteError):
+            TorusEmbedding(np.zeros(8), v)
+
+    def test_rejects_odd_sizes(self):
+        for n in (7, 12, 4):
+            with pytest.raises(ValueError):
+                TorusEmbedding(np.zeros(n), np.zeros(n))
+
+    def test_rejects_two_dimensions(self):
+        with pytest.raises(ValueError):
+            TorusEmbedding(np.zeros((2, 8)), np.zeros(8))
+        with pytest.raises(ValueError):
+            TorusEmbedding(np.zeros(8), np.zeros((2, 8)))
+
+    def test_grid_mismatch_raises(self):
+        with pytest.raises(ValueError):
+            TorusEmbedding(np.zeros(8), np.zeros(16))
 
 
 class TestFrameConstruction:
@@ -76,17 +134,15 @@ class TestFrameConstruction:
         # its own row, and a row left out of cut is left alone
         th = grid(128)
         k = TorusEmbedding(
-            PeriodicScalar(0.01 * np.sin(TWO_PI * th)
-                           + 0.002 * np.cos(TWO_PI * 64 * th)),
-            PeriodicScalar(0.02 * np.cos(TWO_PI * 3 * th) + 0.003))
+            0.01 * np.sin(TWO_PI * th) + 0.002 * np.cos(TWO_PI * 64 * th),
+            0.02 * np.cos(TWO_PI * 3 * th) + 0.003)
         fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
-        jac = fam.jacobian(k.x_lift(), k.k_y.values,
-                           ParamPoint(0.01, 0.6, 0.9))
+        jac = fam.jacobian(k.x_lift(), k.k_y, ParamPoint(0.01, 0.6, 0.9))
         dax = np.full(128, -0.0)
         rows = (jac[0, 0], jac[0, 1], jac[1, 0], dax)
         want = [dealias(PeriodicScalar(row)).values for row in rows]
         lx, ly = tangent(k, rows)
-        same = lambda u, v: u.tobytes() == v.values.tobytes()
+        same = lambda u, v: u.tobytes() == v.tobytes()
         assert same(lx, d_theta(k.eta_x) + 1.0)
         assert same(ly, d_theta(k.k_y))
         for got, row in zip(rows, want):
@@ -112,10 +168,10 @@ class TestFrameConstruction:
 
     def test_vartheta_solves_its_equation(self):
         x = grid(128)
-        t0 = PeriodicScalar(np.cos(TWO_PI * x) + 0.3 * np.sin(2 * TWO_PI * x))
-        vth = vartheta_qp(t0.values, SIGMA, OMEGA)
-        res = vth - SIGMA * shift(PeriodicScalar(vth), OMEGA) + t0
-        assert res.sup() <= 1e-12
+        t0 = np.cos(TWO_PI * x) + 0.3 * np.sin(2 * TWO_PI * x)
+        vth = vartheta_qp(t0, SIGMA, OMEGA)
+        res = vth - SIGMA * shift(PeriodicScalar(vth), OMEGA).values + t0
+        assert np.max(np.abs(res)) <= 1e-12
 
     def test_vartheta_owns_its_samples(self):
         # the in-place solve is returned, not copied, and matches the
@@ -168,8 +224,7 @@ class TestOneFrame:
         # L_x ~ 2 pi 1e200 cos squares to inf, while N0 = Omega L / gram
         # stays finite: the gram's own wrap must report the blow-up
         th = grid(64)
-        k = TorusEmbedding(PeriodicScalar(1e200 * np.sin(TWO_PI * th)),
-                           PeriodicScalar.zeros(64))
+        k = TorusEmbedding(1e200 * np.sin(TWO_PI * th), np.zeros(64))
         prob = QpProblem(StandardNonTwistMap(SIGMA, "symmetric"),
                          omega=OMEGA)
         with np.errstate(over="ignore"), pytest.raises(NonFiniteError):
@@ -200,8 +255,8 @@ class TestOneFrame:
         # quasi-periodic frame stage: N0 composed with the shift by omega
         th = grid(128)
         fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
-        k = TorusEmbedding(PeriodicScalar(0.01 * np.sin(TWO_PI * th)),
-                           PeriodicScalar(0.02 * np.cos(TWO_PI * th) + 0.003))
+        k = TorusEmbedding(0.01 * np.sin(TWO_PI * th),
+                           0.02 * np.cos(TWO_PI * th) + 0.003)
         prob = QpProblem(fam, omega=OMEGA)
         ws = solver_qp._frame_stage(
             prob, solver_qp._point(prob, k, 0.013, 0.61, 0.9))
@@ -302,21 +357,18 @@ class TestHalfShiftDeviation:
     def embedding(n=64):
         th = np.arange(n) / n
         return TorusEmbedding(
-            PeriodicScalar(0.01 * np.sin(TWO_PI * th)
-                           + 0.003 * np.cos(2 * TWO_PI * th)),
-            PeriodicScalar(0.02 * np.cos(TWO_PI * th) + 0.004
-                           + 0.001 * np.sin(3 * TWO_PI * th)),
+            0.01 * np.sin(TWO_PI * th) + 0.003 * np.cos(2 * TWO_PI * th),
+            0.02 * np.cos(TWO_PI * th) + 0.004
+            + 0.001 * np.sin(3 * TWO_PI * th),
         )
 
     def test_mirror_image(self):
         # the image S K(. + 1/2), S(x, y) = (x - 1/2, -y), is at distance
         # 0 from K; K itself is not, having even modes and a mean in y
         k = self.embedding()
-        half = k.k_y.n // 2
-        image = TorusEmbedding(
-            PeriodicScalar(np.roll(k.eta_x.values, -half)),
-            PeriodicScalar(-np.roll(k.k_y.values, -half)),
-        )
+        half = k.n // 2
+        image = TorusEmbedding(np.roll(k.eta_x, -half),
+                               -np.roll(k.k_y, -half))
         assert frame.half_shift_deviation(k, image) <= 1e-15
         assert frame.half_shift_deviation(image, k) <= 1e-15
         assert frame.half_shift_deviation(k) >= 0.006

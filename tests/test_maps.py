@@ -99,6 +99,16 @@ class TestStandardNonTwistMap:
             assert np.all(dmx == 1.0) and np.all(dmy == 0.0)
             assert np.all(fam.jacobian(x, y, par)[1, 1] == fam.sigma)
 
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
+    def test_evaluation_gives_the_d_a_x_row(self, fam):
+        # solver_qp reads D_a F_x from the evaluation: the x row of the
+        # family's two-row D_a F, bit for bit, on arrays and on floats
+        x, y = rand_points(200, 16)
+        for pts in ((x, y), (float(x[0]), float(y[0]))):
+            got = fam.evaluate(*pts, PAR).d_a()
+            want = fam.d_a(*pts, PAR)[0]
+            assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
     def test_eval_wraps_x(self):
         fam = StandardNonTwistMap(0.8)
         x, y = fam.eval(np.array([0.9]), np.array([1.5]), PAR)

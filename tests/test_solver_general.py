@@ -427,16 +427,16 @@ class TestGeneralSolver:
         self.par = ParamPoint(self.state.a, self.state.mu, 0.4)
 
     def test_cross_solver_rotation_number(self):
-        circle = GridCircle(self.state.k.eta_x.values,
-                            self.state.k.k_y.values, 6)
+        circle = GridCircle(self.state.k.eta_x,
+                            self.state.k.k_y, 6)
         f = induced_internal_map(circle, sym_family(), self.par)
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-9
 
     def test_induced_map_matches_interp_loop(self):
         # reference: the conjugacy Newton written node-wise with the
         # Lagrange stencil
-        circle = GridCircle(self.state.k.eta_x.values,
-                            self.state.k.k_y.values, 6)
+        circle = GridCircle(self.state.k.eta_x,
+                            self.state.k.k_y, 6)
         th = np.arange(circle.n) / circle.n
         fx, _ = sym_family().eval_lift(th + circle.eta_x, circle.k_y, self.par)
         d_eta = solver_general.grid_derivative(circle.eta_x, 6)
@@ -453,11 +453,11 @@ class TestGeneralSolver:
         n = self.state.k.n
         th = np.arange(n) / n
         circle = GridCircle(
-            self.state.k.eta_x.values + 1e-4 * np.sin(2 * np.pi * th),
-            self.state.k.k_y.values + 1e-4 * np.cos(4 * np.pi * th), 6)
+            self.state.k.eta_x + 1e-4 * np.sin(2 * np.pi * th),
+            self.state.k.k_y + 1e-4 * np.cos(4 * np.pi * th), 6)
         f = induced_internal_map(
-            GridCircle(self.state.k.eta_x.values,
-                       self.state.k.k_y.values, 6),
+            GridCircle(self.state.k.eta_x,
+                       self.state.k.k_y, 6),
             sym_family(), self.par)
         sol = newton_solve_general(circle, f, sym_family(), self.par,
                                    tol=1e-11)
@@ -476,7 +476,7 @@ def perturbed_start(amp):
     state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
     par = ParamPoint(state.a, state.mu, 0.4)
     th = np.arange(state.k.n) / state.k.n
-    exact = GridCircle(state.k.eta_x.values, state.k.k_y.values, 6)
+    exact = GridCircle(state.k.eta_x, state.k.k_y, 6)
     circle = GridCircle(exact.eta_x + amp * np.sin(2 * np.pi * th),
                         exact.k_y + amp * np.cos(4 * np.pi * th), 6)
     return circle, induced_internal_map(exact, fam, par), par
