@@ -258,6 +258,8 @@ def build_policy(cfg: RunConfig) -> ContinuationPolicy:
 
 def _fmt(value) -> str:
     """One CSV cell; floats at 17 significant digits (exact round trip)."""
+    if type(value) is float:    # most cells: no dispatch needed
+        return format(value, ".17g")
     if isinstance(value, (bool, np.bool_)):
         return "1" if value else "0"
     if isinstance(value, (int, np.integer)):

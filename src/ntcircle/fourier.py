@@ -19,25 +19,26 @@ rows of spectra(v) for an (m, N) block v of samples, one rfft along the
 last axis.  The operators are shift_spectra, derivative_spectra,
 cut_spectra (the 1/3 truncation; tails gauges the raw tail first) and
 the two cohomological solves, linear_shift_spectra and
-small_divisor_spectra.  samples() is the one way back: one irfft
-brings a block of any height back over the block the spectra came from,
-and checks it.  transform() is the three steps for one operator on every
-row; a block whose rows need different operators applies each to its
-own rows between spectra() and samples().  The solvers put every group
-of fields that is ready at the same time through one block, so a
-transform pair is paid per group, not per field.  The single-field
-functions below (shift, dealias and the two solves) are the m = 1 calls,
-on a copy of the samples; nothing in the package calls them, and they
-are kept only for the tests and the benchmark's tracer, which wraps them
-by name.  resample() changes the grid size of a block between spectra()
-and samples(), so irfft is called in samples() alone.  numpy transforms
-the rows of a block bit for bit as it transforms each row alone, so a
-block changes no bit of any field.  A multiplier
-acts on the unnormalized spectra as they come: N is a power of two, so
-dividing every bin by N before the multiplier and multiplying by N after
-would only move exponents.  Leaving both passes out changes no bin beyond the
-sign of a zero part (complex passes by N + 0j reset it), barring a
-quotient by N that would have been subnormal.
+small_divisor_spectra.  samples() is the one way back: one irfft brings
+a block of any height back over the block the spectra came from, and
+checks it.  transform() is the three steps for one operator on every
+row; a block whose rows need different operators applies each to its own
+rows between spectra() and samples().  The solvers put every group of
+fields that is ready at the same time through one block, so a transform
+pair is paid per group, not per field.  Blocks are built by
+np.array(rows), np.stack's copy bit for bit, without its per-row Python
+work.  The single-field functions below (shift, dealias and the two
+solves) are the m = 1 calls, on a copy of the samples; nothing in the
+package calls them, and they are kept only for the tests and the
+benchmark's tracer, which wraps them by name. resample() changes the
+grid size of a block between spectra() and samples(), so irfft is called
+in samples() alone.  numpy transforms the rows of a block bit for bit as
+it transforms each row alone, so a block changes no bit of any field.  A
+multiplier acts on the unnormalized spectra as they come: N is a power
+of two, so dividing every bin by N before the multiplier and multiplying
+by N after would only move exponents.  Leaving both passes out changes
+no bin beyond the sign of a zero part (complex passes by N + 0j reset
+it), barring a quotient by N that would have been subnormal.
 
 The half-spectra of a block are written into one buffer per grid size,
 with rfft(out=), so the half-spectra of a Newton iteration's blocks
@@ -61,22 +62,23 @@ raw tails of a block's rows from the spectra the cut then filters.
 dealias gives every constant but -0.0 back bit for bit.
 
 Finiteness is checked in one place, checked(): it rejects an array with
-a NaN or infinite sample and freezes the rest read-only.  Every field
+a NaN or infinite sample and freezes the rest read-only.  Its scan is
+np.isfinite reduced by logical_and, exact and silent on every input (a
+sum warns on inf - inf, and max with min takes two passes).  Every field
 is such a checked array.  checked_field() adds the shape of one field,
-1-D on a dyadic grid, and is the check of the two fields of an
-embedding (frame.TorusEmbedding) and of PeriodicScalar, which wraps
-only the gram of a frame and the fields of the m = 1 calls.  A solver
-computes a field's +, - and * formula on sample
-arrays and checks only its result: under IEEE rules a +, - or * with a
-NaN or infinite operand never gives a finite result, so checking the
-result is exactly as strict as checking every intermediate, and the
-same NonFiniteError comes from the same call.  Divisions are not fused,
-since x/inf = 0 would hide an inf.  A transform is such a formula too:
-every bin takes every sample through + and *, and every multiplier
-carries some bins on through * or / by finite nonzero numbers, so
-samples() checks a block once for all its rows.  fields() copies each
-row of a checked block out into a frozen array of its own, never a
-view that would pin the block.
+1-D on a dyadic grid, and is the check of the two fields of an embedding
+(frame.TorusEmbedding) and of PeriodicScalar, which wraps only the gram
+of a frame and the fields of the m = 1 calls.  A solver computes a
+field's +, - and * formula on sample arrays and checks only its result:
+under IEEE rules a +, - or * with a NaN or infinite operand never gives
+a finite result, so checking the result is exactly as strict as checking
+every intermediate, and the same NonFiniteError comes from the same
+call.  Divisions are not fused, since x/inf = 0 would hide an inf.  A
+transform is such a formula too: every bin takes every sample through +
+and *, and every multiplier carries some bins on through * or / by
+finite nonzero numbers, so samples() checks a block once for all its
+rows.  fields() copies each row of a checked block out into a frozen
+array of its own, never a view that would pin the block.
 """
 
 from __future__ import annotations
@@ -153,7 +155,7 @@ def _derivative_multiplier(n: int) -> np.ndarray:
 
 def checked(v: np.ndarray) -> np.ndarray:
     """v itself, frozen read-only once every sample is finite."""
-    if not np.isfinite(v).all():
+    if not np.logical_and.reduce(np.isfinite(v), axis=None):
         raise NonFiniteError("samples must be finite")
     v.setflags(write=False)
     return v
@@ -261,7 +263,7 @@ def fields(block: np.ndarray) -> tuple[np.ndarray, ...]:
 
     Each field owns its row's copy, so no field pins the block.
     """
-    rows = tuple(row.copy() for row in block)
+    rows = tuple([row.copy() for row in block])
     for row in rows:
         row.setflags(write=False)
     return rows
@@ -359,10 +361,10 @@ def tails(half: np.ndarray, band: float) -> list[float]:
         raise ValueError(f"band must lie in (0, 1), got {band}")
     n = _size(half)
     mass = _mass_weights(n) * (np.abs(half) / n)
-    total = np.sum(mass, axis=-1)
+    total = np.add.reduce(mass, axis=-1)
     # the modes k > (1 - band)*(n/2) are the suffix after its floor
     start = math.floor((1.0 - band) * (n / 2.0)) + 1
-    tail = np.sum(mass[..., start:], axis=-1)
+    tail = np.add.reduce(mass[..., start:], axis=-1)
     return [float(t) / float(s) if s != 0.0 else 0.0
             for t, s in zip(tail, total)]
 

@@ -61,8 +61,7 @@ class TorusEmbedding:
     Both fields are checked read-only float64 sample arrays on one
     dyadic grid.  Arrays handed in are copied, except a read-only
     float64 array that owns its memory, which is adopted as it is: that
-    is what fourier.checked gives back for a formula the package has
-    just computed, such as a Newton candidate K + t*d.
+    is what fourier.checked gives back, and what fresh() hands in.
     """
 
     eta_x: np.ndarray
@@ -77,6 +76,13 @@ class TorusEmbedding:
             object.__setattr__(self, name, fourier.checked_field(v))
         if self.eta_x.size != self.k_y.size:
             raise ValueError("components must share one grid")
+
+    @classmethod
+    def fresh(cls, eta_x: np.ndarray, k_y: np.ndarray) -> "TorusEmbedding":
+        """Adopt two fresh arrays held nowhere else, frozen: one scan each."""
+        eta_x.setflags(write=False)
+        k_y.setflags(write=False)
+        return cls(eta_x, k_y)
 
     @property
     def n(self) -> int:
@@ -95,7 +101,7 @@ class TorusEmbedding:
         if n_new == self.n:
             return self
         return TorusEmbedding(*fourier.resample(
-            np.stack((self.eta_x, self.k_y)), n_new))
+            np.array((self.eta_x, self.k_y)), n_new))
 
 
 def half_shift_deviation(k: TorusEmbedding,
@@ -109,12 +115,12 @@ def half_shift_deviation(k: TorusEmbedding,
     b_a0.  x is compared mod 1.
     """
     image = k if image is None else image
-    sx, sy = fourier.transform(np.stack((k.eta_x, k.k_y)),
+    sx, sy = fourier.transform(np.array((k.eta_x, k.k_y)),
                                fourier.shift_spectra, 0.5)
     dx = image.eta_x - sx
     dx = dx - np.round(dx)
-    dy = float(np.max(np.abs(image.k_y + sy)))
-    return max(float(np.max(np.abs(dx))), dy)
+    dy = float(np.abs(image.k_y + sy).max())
+    return max(float(np.abs(dx).max()), dy)
 
 
 @dataclass(frozen=True)
@@ -149,7 +155,7 @@ def tangent(k: TorusEmbedding, cut=()) -> Pair:
     transform pair, and each cut is copied back over its row, so nothing
     pins the block.  Returns (L_x, L_y), read-only sample arrays.
     """
-    rows = np.stack((k.eta_x, k.k_y, *cut))
+    rows = np.array((k.eta_x, k.k_y, *cut))
     half = fourier.spectra(rows)
     fourier.derivative_spectra(half[:2])
     fourier.cut_spectra(half[2:])
@@ -164,9 +170,9 @@ def tangent(k: TorusEmbedding, cut=()) -> Pair:
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
     """N0 = Omega L / <L, L> and the gram function <L, L> on samples."""
     gram = lx * lx + ly * ly
-    if float(np.min(gram)) < _GRAM_FLOOR:
+    if float(gram.min()) < _GRAM_FLOOR:
         raise DegenerateCircleError(
-            f"tangent gram min {float(np.min(gram)):.3e} below "
+            f"tangent gram min {float(gram.min()):.3e} below "
             f"{_GRAM_FLOOR:.0e}; the embedding has (nearly) stalled"
         )
     return -ly / gram, lx / gram, gram
@@ -247,7 +253,7 @@ def normal_values(lx, ly, n0x, n0y, vartheta):
     """N = L*vartheta + N0 on samples, checked by det [L, N] = 1."""
     nx = lx * vartheta + n0x
     ny = ly * vartheta + n0y
-    defect = float(np.max(np.abs(lx * ny - ly * nx - 1.0)))
+    defect = float(np.abs(lx * ny - ly * nx - 1.0).max())
     if defect > _DET_TOL:
         raise FrameDegeneracyError(
             f"frame determinant deviates from 1 by {defect:.3e}"
@@ -264,7 +270,7 @@ def reducibility_error(frame: AdaptedFrame, dfk, l_shifted, n_shifted):
     sample has a non-finite sup and raises NonFiniteError.
     """
     cols = ((frame.l, l_shifted, 1.0), (frame.nvec, n_shifted, frame.sigma))
-    sups = [float(np.max(np.abs(d0 * vx + d1 * vy - mult * s)))
+    sups = [float(np.abs(d0 * vx + d1 * vy - mult * s).max())
             for (vx, vy), shifted, mult in cols
             for (d0, d1), s in zip(dfk, shifted)]
     if not all(map(math.isfinite, sups)):
@@ -279,7 +285,7 @@ def min_angle(vartheta: np.ndarray, gram: np.ndarray) -> float:
     indicator: alignment of the frame columns sends it to zero.  Takes
     samples of vartheta and of the gram function.
     """
-    m = float(np.max(np.abs(vartheta * gram)))
+    m = float(np.abs(vartheta * gram).max())
     if m == 0.0:
         return math.pi / 2.0
     return math.atan(1.0 / m)

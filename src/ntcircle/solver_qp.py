@@ -13,18 +13,19 @@ the extremum of the rotation-number profile: these are the non-twist
 (shearless) circles.  Prescribing b_a0 != 0 selects circles off the
 extremum and sweeping b_a0 charts the twist surface.
 
-Each field of the linearization is one formula on sample arrays, kept
-as a read-only array checked for finiteness once (fourier.checked); the
+Each field of the linearization is one formula on sample arrays, kept as
+a read-only array checked for finiteness once (fourier.checked); the
 intermediates of a formula are never checked, nor are the map's
 derivatives along the circle: DF is the (2, 2, N) array of
-Evaluation.jacobian, as in the grid solver, D_eps F a pair of arrays
-and D_a F its x row, as Evaluation.d_a gives it.  The embedding of a
-state or a candidate holds two such arrays (frame.TorusEmbedding
-checks them), so a candidate K + t*d is one checked formula per field;
-the gram of the frame alone is wrapped (fourier._fresh).  Every spectral
-operator runs on a block of the fields that are ready at the same
-time, one rfft and one irfft per block.  J_11 = sigma, D_a F_y = 0 and
-D_mu F = (1, 0) are taken as given, as tests/test_maps.py checks in
+Evaluation.jacobian, as in the grid solver, D_eps F a pair of arrays and
+D_a F its x row, as Evaluation.d_a gives it.  The embedding of a state
+or a candidate holds two such arrays (frame.TorusEmbedding checks them),
+so a candidate K + t*d is one formula per field, scanned once by
+TorusEmbedding.fresh; the gram of the frame alone is wrapped
+(fourier._fresh).  Every spectral operator runs on a block of the fields
+that are ready at the same time, one rfft and one irfft per block.
+J_11 = sigma, D_a F_y = 0 and D_mu F = (1, 0) are taken as given, as
+tests/test_maps.py checks in
 test_constant_rows_solver_qp_takes_as_given: J_11 stays out of the
 blocks and the other two are never formed.
 
@@ -101,6 +102,7 @@ its geometry, bitwise the same.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, replace
@@ -232,14 +234,18 @@ class NewtonWorkspace:
         "b_a", "b_mu", "alpha", "tail",
     )
 
-    def keep_only(self, names) -> None:
+    def keep_only(self, names: tuple) -> None:
         """Let go of every field but names; the others read None after."""
-        for name in _FIELDS:
-            if name not in names:
-                setattr(self, name, None)
+        for name in _dropped(names):
+            setattr(self, name, None)
 
 
-_FIELDS = NewtonWorkspace.__slots__
+@functools.cache
+def _dropped(names: tuple) -> tuple:
+    """The workspace slots outside names, in slot order."""
+    return tuple(f for f in NewtonWorkspace.__slots__ if f not in names)
+
+
 # the point of a workspace, all an iterate keeps once its basis is built
 _POINT = ("k", "a", "mu", "eps", "err")
 # what _solve_linear reads of a workspace, its point aside
@@ -247,9 +253,14 @@ _LINEAR = _POINT + ("frame", "eta_l", "eta_n", "bla", "d_a", "ny_s", "ly_s",
                     "b_a", "b_mu", "e_p")
 
 
+def _mean(v: np.ndarray) -> float:
+    """np.mean(v) bit for bit: the same sum, divided by v.size, undispatched."""
+    return float(np.add.reduce(v, axis=None)) / v.size
+
+
 def _shifted(block: tuple[np.ndarray, ...], omega: float):
     """The fields of block shifted by omega, from one transform pair."""
-    return fourier.fields(fourier.transform(np.stack(block),
+    return fourier.fields(fourier.transform(np.array(block),
                                             fourier.shift_spectra, omega))
 
 
@@ -280,7 +291,7 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
     # the shift block of N0 and t0 are each freed once read
-    n0_f = fourier.transform(np.stack((n0x, n0y)), fourier.shift_spectra, om)
+    n0_f = fourier.transform(np.array((n0x, n0y)), fourier.shift_spectra, om)
     t0 = torsion0(n0x, n0y, *n0_f, dfk)
     del n0_f
     vth = vartheta_qp(t0, sig, om)
@@ -297,7 +308,7 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     else:
         ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s = _shifted(fr.nvec + l, om)
     ws.bla = checked(ws.ny_s * dax)
-    ws.b_a = float(np.mean(ws.bla))
+    ws.b_a = _mean(ws.bla)
     ws.e_b = ws.b_a - problem.b_a0
     return ws
 
@@ -313,7 +324,7 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     k = ws.k
     fr = ws.frame
     rest = () if fr is None else (fr.nvec[0], *fr.l)
-    rows = np.stack((*ws.ev.lift(), *rest, k.eta_x, k.k_y))
+    rows = np.array((*ws.ev.lift(), *rest, k.eta_x, k.k_y))
     rows[0] -= fourier.grid(k.n)
     half = fourier.spectra(rows)
     ws.tail = max(fourier.tails(half[:2], 0.25))
@@ -324,8 +335,8 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
         ws.nx_s, ws.lx_s, ws.ly_s = fourier.fields(rows[2:5])
     ws.ex = checked(rows[0] - problem.omega - rows[-2])
     ws.ey = checked(rows[1] - rows[-1])
-    ws.err = max(float(np.max(np.abs(e))) for e in (ws.ex, ws.ey))
-    ws.e_p = float(np.mean(k.eta_x))
+    ws.err = max(float(np.abs(ws.ex).max()), float(np.abs(ws.ey).max()))
+    ws.e_p = _mean(k.eta_x)
     return ws
 
 
@@ -343,7 +354,7 @@ def _complete(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """
     if ws.frame is None:
         _frame_stage(problem, ws)
-    ws.b_mu = float(np.mean(ws.ny_s))
+    ws.b_mu = _mean(ws.ny_s)
     ws.eta_l, ws.eta_n = _projections(ws, ws.ex, ws.ey)
     return ws
 
@@ -379,14 +390,14 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
         raise MuDegeneracyError(
             f"drift average b_mu = {ws.b_mu:.3e} below {_DRIFT_FLOOR:.0e}"
         )
-    mu0 = float(np.mean(eta_l)) / ws.b_mu
+    mu0 = _mean(eta_l) / ws.b_mu
     mu1 = -ws.b_a / ws.b_mu
     # D_a F = (D_a F_x, 0), D_mu F = (1, 0): their projections on the
     # shifted frame are -L_y D_a F_x, -L_y, b_la and N_y
     ly, ny, dax = ws.ly_s, ws.ny_s, ws.d_a
     # the normal (contractive) and tangent (small-divisor) equations, at
     # delta_a = 0 and their rates, share one transform pair
-    rows = np.stack((
+    rows = np.array((
         eta_n + ly * mu0,
         ly * dax + ly * mu1,
         eta_l - ny * mu0,
@@ -398,13 +409,13 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
     xi_n0, xi_n1, xi_l0, xi_l1 = fourier.samples(half, rows)
     lx, ly = ws.frame.l
     nx, ny = ws.frame.nvec
-    xi_l0 = xi_l0 + (-phase - float(np.mean(lx * xi_l0 + nx * xi_n0)))
-    xi_l1 = xi_l1 - float(np.mean(lx * xi_l1 + nx * xi_n1))
+    xi_l0 = xi_l0 + (-phase - _mean(lx * xi_l0 + nx * xi_n0))
+    xi_l1 = xi_l1 - _mean(lx * xi_l1 + nx * xi_n1)
     # keep the embedding in the retained band: outside it the filtered
     # composition exerts no feedback and the correction loop is unstable;
     # the basis rows stay samples, checked and frozen once by their block
     e0, y0, e1, y1 = fourier.transform(
-        np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
+        np.array((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
                   lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
         fourier.cut_spectra)
     return (e0, y0, mu0), (e1, y1, mu1)
@@ -420,8 +431,7 @@ def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
                eps_offset: float = 0.0) -> NewtonWorkspace:
     """The point a fraction t along the step for delta_a (see _point)."""
     d_eta, d_ky, delta_mu = step
-    kc = TorusEmbedding(checked(ws.k.eta_x + t * d_eta),
-                        checked(ws.k.k_y + t * d_ky))
+    kc = TorusEmbedding.fresh(ws.k.eta_x + t * d_eta, ws.k.k_y + t * d_ky)
     # a probe's step is freed before its map evaluation allocates
     del step, d_eta, d_ky
     return _point(problem, kc, ws.a + t * delta_a, ws.mu + t * delta_mu,
@@ -506,7 +516,7 @@ def newton_solve(problem: QpProblem, state: QpState,
     """
     # project the start onto the retained band; corrections stay there
     k = TorusEmbedding(*fourier.transform(
-        np.stack((state.k.eta_x, state.k.k_y)), fourier.cut_spectra))
+        np.array((state.k.eta_x, state.k.k_y)), fourier.cut_spectra))
     ws = _geometry(problem, k, state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 
@@ -645,7 +655,7 @@ def eps_derivative(
             state.a, state.mu, state.eps):
         raise ValueError("workspace does not belong to this state")
     # the cut rows of D_eps F stay samples, checked by their block
-    ex, ey = fourier.transform(np.stack(ws.ev.d_eps()), fourier.cut_spectra)
+    ex, ey = fourier.transform(np.array(ws.ev.d_eps()), fourier.cut_spectra)
     eta_l, eta_n = _projections(ws, ex, ey)
     del ex, ey
     # as in newton_solve: the twist-rate probes run beside K and b_a alone
@@ -772,8 +782,8 @@ def continue_in_eps(
             pred = replace(state, eps=state.eps + d, diagnostics=None)
         else:
             pred = QpState(
-                TorusEmbedding(checked(state.k.eta_x + d * der.d_eta_x),
-                               checked(state.k.k_y + d * der.d_ky)),
+                TorusEmbedding.fresh(state.k.eta_x + d * der.d_eta_x,
+                                     state.k.k_y + d * der.d_ky),
                 state.a + d * der.d_a, state.mu + d * der.d_mu,
                 state.eps + d)
         try:

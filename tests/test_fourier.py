@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -156,6 +158,41 @@ class TestChecked:
         assert not v.flags.writeable
         with pytest.raises(ValueError):
             v[0] = 1.0
+
+    @staticmethod
+    def silent_check(v):
+        """checked(v) with every floating-point warning raised as an error."""
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            return fourier.checked(v)
+
+    @pytest.mark.parametrize("bad", [(np.nan,), (np.inf,), (-np.inf,),
+                                     (np.inf, -np.inf), (-np.inf, np.nan)])
+    def test_rejects_non_finite_silently(self, bad):
+        # a +inf/-inf pair would make a sum compute inf - inf
+        v = np.full(64, 1.0)
+        v[3:3 + len(bad)] = bad
+        with pytest.raises(NonFiniteError):
+            self.silent_check(v)
+
+    def test_huge_finite_samples_pass_silently(self):
+        # their squares and their sum overflow; the samples are finite
+        v = np.full(64, 1e300)
+        v[::2] = -np.finfo(float).max
+        assert self.silent_check(v) is v
+
+    def test_block_is_checked_whole(self):
+        block = np.ones((4, 64))
+        assert self.silent_check(block) is block
+        assert not block.flags.writeable
+        bad = np.ones((4, 64))
+        bad[3, 63] = np.nan
+        with pytest.raises(NonFiniteError):
+            self.silent_check(bad)
+        bad[3, 63] = 1.0
+        bad[0, 0] = -np.inf
+        with pytest.raises(NonFiniteError):
+            self.silent_check(bad)
 
     def test_periodic_scalar_is_checked_by_it(self, monkeypatch):
         seen = []

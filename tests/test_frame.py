@@ -86,6 +86,21 @@ class TestTorusEmbedding:
         k = TorusEmbedding(v, w)
         assert k.eta_x is v and k.k_y is w
 
+    def test_fresh_arrays_are_frozen_and_scanned_once(self, monkeypatch):
+        seen = []
+        check = fourier.checked
+        monkeypatch.setattr(fourier, "checked",
+                            lambda v: seen.append(v) or check(v))
+        v, w = np.ones(8) + 1.0, np.zeros(8) - 1.0
+        k = TorusEmbedding.fresh(v, w)
+        assert k.eta_x is v and k.k_y is w
+        assert not v.flags.writeable and not w.flags.writeable
+        assert [id(u) for u in seen] == [id(v), id(w)]
+        bad = np.zeros(8)
+        bad[5] = np.nan
+        with pytest.raises(NonFiniteError):
+            TorusEmbedding.fresh(np.zeros(8), bad)
+
     def test_fields_are_read_only(self):
         k = TorusEmbedding(np.ones(8), np.zeros(8))
         r, z = k.resample(16), TorusEmbedding.zero_section(8)

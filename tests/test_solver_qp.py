@@ -614,7 +614,158 @@ class TestIterationCost:
         assert diag.reducibility_error == max(cols)
 
 
+def real_workspace(variant, n):
+    """The solver's full workspace at a generic point on n nodes."""
+    prob = QpProblem(StandardNonTwistMap(SIGMA, variant), omega=OMEGA,
+                     b_a0=0.1)
+    th = fourier.grid(n)
+    k = TorusEmbedding(
+        0.01 * np.sin(2 * np.pi * th) + 0.004 * np.cos(6 * np.pi * th)
+        + 0.002,
+        0.02 * np.cos(2 * np.pi * th) + 0.001 * np.sin(10 * np.pi * th)
+        + 0.003)
+    return prob, solver_qp._geometry(prob, k, 0.013, 0.61, 0.9)
+
+
+def reference_solve_linear(problem, ws, eta_l, eta_n, phase):
+    """_solve_linear written with np.stack and np.mean, as it once was."""
+    om, sig = problem.omega, problem.family.sigma
+    mu0 = float(np.mean(eta_l)) / ws.b_mu
+    mu1 = -ws.b_a / ws.b_mu
+    ly, ny, dax = ws.ly_s, ws.ny_s, ws.d_a
+    rows = np.stack((eta_n + ly * mu0, ly * dax + ly * mu1,
+                     eta_l - ny * mu0, -ws.bla - ny * mu1))
+    half = fourier.spectra(rows)
+    fourier.linear_shift_spectra(half[:2], sig, 1.0, om)
+    fourier.small_divisor_spectra(half[2:], om)
+    xi_n0, xi_n1, xi_l0, xi_l1 = fourier.samples(half, rows)
+    lx, ly = ws.frame.l
+    nx, ny = ws.frame.nvec
+    xi_l0 = xi_l0 + (-phase - float(np.mean(lx * xi_l0 + nx * xi_n0)))
+    xi_l1 = xi_l1 - float(np.mean(lx * xi_l1 + nx * xi_n1))
+    e0, y0, e1, y1 = fourier.transform(
+        np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
+                  lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
+        fourier.cut_spectra)
+    return (e0, y0, mu0), (e1, y1, mu1)
+
+
+REAL_POINTS = [(v, n) for v in ("symmetric", "nonsymmetric")
+               for n in (64, 1024)]
+
+
+class TestPerCallForms:
+    """The undispatched reductions and block builds of the solver are the
+    numpy forms they replace, bit for bit, on real workspaces."""
+
+    @pytest.mark.parametrize("variant,n", REAL_POINTS)
+    def test_reductions_equal_numpy_forms(self, variant, n):
+        _, ws = real_workspace(variant, n)
+        assert ws.b_a == float(np.mean(ws.bla))
+        assert ws.b_mu == float(np.mean(ws.ny_s))
+        assert ws.e_p == float(np.mean(ws.k.eta_x)) != 0.0
+        assert ws.err == max(float(np.max(np.abs(ws.ex))),
+                             float(np.max(np.abs(ws.ey))))
+        for v in (ws.eta_l, ws.eta_n, ws.bla, ws.ex, ws.ny_s * ws.ex):
+            assert solver_qp._mean(v) == float(np.mean(v))
+
+    @pytest.mark.parametrize("variant,n", REAL_POINTS)
+    def test_linear_solve_equals_reference_form(self, variant, n):
+        prob, ws = real_workspace(variant, n)
+        for phase in (ws.e_p, 0.0):
+            got = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
+                                          phase)
+            want = reference_solve_linear(prob, ws, ws.eta_l, ws.eta_n,
+                                          phase)
+            assert got[0][2] == want[0][2] == (
+                float(np.mean(ws.eta_l)) / ws.b_mu)
+            assert got[1][2] == want[1][2]
+            for g, w in zip(got[0][:2] + got[1][:2],
+                            want[0][:2] + want[1][:2]):
+                assert g.tobytes() == w.tobytes()
+
+    @pytest.mark.parametrize("variant,n", REAL_POINTS)
+    def test_blocks_equal_stack(self, variant, n):
+        _, ws = real_workspace(variant, n)
+        dfk = ws.dfk
+        for rows in ((*ws.ev.lift(), ws.frame.nvec[0], *ws.frame.l,
+                      ws.k.eta_x, ws.k.k_y),
+                     (ws.k.eta_x, ws.k.k_y, dfk[0, 0], dfk[0, 1],
+                      dfk[1, 0], ws.d_a),
+                     ws.frame.nvec[1:], ws.ev.d_eps()):
+            got, want = np.array(rows), np.stack(rows)
+            assert got.shape == want.shape and got.dtype == want.dtype
+            assert got.flags.c_contiguous and got.base is None
+            assert got.tobytes() == want.tobytes()
+            assert not any(np.shares_memory(got, r) for r in rows)
+
+    @pytest.mark.parametrize("names", [solver_qp._POINT, solver_qp._LINEAR,
+                                       solver_qp._POINT + ("b_a",)])
+    def test_keep_only_drops_exactly_the_rest(self, names):
+        _, ws = real_workspace("nonsymmetric", 64)
+        slots = solver_qp.NewtonWorkspace.__slots__
+        before = {name: getattr(ws, name) for name in slots}
+        assert not any(v is None for v in before.values())
+        ws.keep_only(names)
+        for name in slots:
+            want = before[name] if name in names else None
+            assert getattr(ws, name) is want, name
+        # a second call drops nothing more
+        ws.keep_only(names)
+        assert all((getattr(ws, name) is None) == (name not in names)
+                   for name in slots)
+
+    def test_candidate_scans_each_field_once(self, monkeypatch):
+        prob, ws = real_workspace("nonsymmetric", 64)
+        basis = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
+                                        ws.e_p)
+        seen = []
+        check = fourier.checked
+        counted = lambda v: seen.append(v) or check(v)
+        monkeypatch.setattr(fourier, "checked", counted)
+        monkeypatch.setattr(solver_qp, "checked", counted)
+        for t in (1.0, 0.5):
+            seen.clear()
+            cand = solver_qp._candidate(
+                prob, ws, solver_qp._correction(basis, 0.003), 0.003, t)
+            for field in (cand.k.eta_x, cand.k.k_y):
+                assert sum(v is field for v in seen) == 1
+                assert not field.flags.writeable and field.base is None
+
+    @pytest.mark.parametrize("row", [0, 1])
+    def test_nan_correction_raises_from_candidate(self, row):
+        prob, ws = real_workspace("symmetric", 64)
+        step = [np.zeros(64), np.zeros(64), 0.0]
+        step[row][7] = np.nan
+        with pytest.raises(NonFiniteError):
+            solver_qp._candidate(prob, ws, tuple(step), 0.0, 0.5)
+
+
 class TestContinuation:
+    def test_predictions_are_scanned_once(self, monkeypatch):
+        # a tangent prediction K + d*K' is adopted by its embedding,
+        # which makes the one finiteness scan of each field
+        seen, scans, ders = [], [], []
+        check = fourier.checked
+        counted = lambda v: seen.append(v) or check(v)
+        monkeypatch.setattr(fourier, "checked", counted)
+        monkeypatch.setattr(solver_qp, "checked", counted)
+        solve, derivative = solver_qp.newton_solve, solver_qp.eps_derivative
+
+        def entered(problem, st, out=None):
+            scans.extend(sum(v is f for v in seen)
+                         for f in (st.k.eta_x, st.k.k_y))
+            return solve(problem, st, out)
+
+        monkeypatch.setattr(solver_qp, "newton_solve", entered)
+        monkeypatch.setattr(solver_qp, "eps_derivative",
+                            lambda *a: ders.append(1) or derivative(*a))
+        res = continue_in_eps(nonsym_problem(),
+                              QpState.flat_start(64, OMEGA), 0.3)
+        assert res.reason == "target"
+        assert len(ders) >= 3 and len(scans) > 2 * len(ders)
+        assert set(scans) == {1}
+
     def test_march_to_moderate_eps(self):
         prob = sym_problem()
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
