@@ -48,6 +48,14 @@ stay valid until the next spectra() call, and every caller reads them,
 and brings them back with samples(), before its next transform.
 Nothing that outlives a block looks into the buffer: fields() copies.
 
+Large grids use two cores (split()): where two CPUs are free, a block of
+two rows or more on SPLIT_MIN = 2^14 nodes or more has half its rows
+transformed on a worker thread, built at the first such block (import
+starts none), as the forcing of maps splits its samples, for any caller.
+numpy transforms each row, and a ufunc each element, alone with the lock
+released, so no bit changes.  At 2^13 a two-row pair ran slower split;
+the breakdown workload ran fastest at 2^14 of 2^13, 2^14 and 2^15.
+
 Work that never changes is done once per grid.  The nodes, the phase
 vectors e(k*delta) of shift, the derivative multipliers 2 pi i k, the
 small divisors 1 - e(k*omega) and the mode weights of tails are
@@ -84,6 +92,7 @@ array of its own, never a view that would pin the block.
 from __future__ import annotations
 
 import math
+import os
 from functools import wraps
 
 import numpy as np
@@ -208,6 +217,41 @@ def _fresh(values: np.ndarray) -> PeriodicScalar:
 
 # -- blocks: one rfft, multipliers in place, one irfft ------------------
 
+SPLIT_MIN = 1 << 14     # the smallest grid, or sample count, that splits
+_pool = None            # (the pid that built it, its one-worker executor)
+
+
+def split(work, count: int, size: int):
+    """(work(s) for the halves s of range(count)): the worker runs the first.
+
+    None, with nothing run, below 2 rows, below SPLIT_MIN or on one CPU.
+    The caller runs the second half, then reads the worker's result; a
+    worker not started yet, its core busy, leaves its half to the caller.
+    """
+    global _pool
+    affinity = getattr(os, "sched_getaffinity", None)    # CPUs we may use
+    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
+    if count < 2 or size < SPLIT_MIN or cpus < 2:
+        return None
+    if _pool is None or _pool[0] != os.getpid():
+        from concurrent.futures import ThreadPoolExecutor
+        _pool = (os.getpid(), ThreadPoolExecutor(max_workers=1))
+    mid = count // 2
+    future = _pool[1].submit(work, slice(0, mid))
+    try:
+        second = work(slice(mid, count))
+    finally:
+        first = work(slice(0, mid)) if future.cancel() else future.result()
+    return first, second
+
+
+def _rows(fft, a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:
+    """fft(a, n, out=out), the rows of a block in two halves (split)."""
+    if n < SPLIT_MIN or a.ndim == 1 or split(
+            lambda s: fft(a[s], n, out=out[s]), len(a), n) is None:
+        fft(a, n, out=out)
+    return out
+
 
 def _size(half: np.ndarray) -> int:
     """Grid size n of half-spectra with n/2 + 1 bins."""
@@ -234,7 +278,7 @@ def spectra(v: np.ndarray) -> np.ndarray:
     if _spectra_buffer.shape[1] != bins or held < rows:
         _spectra_buffer = np.empty((max(rows, held), bins), dtype=complex)
     out = _spectra_buffer[0] if v.ndim == 1 else _spectra_buffer[:rows]
-    return np.fft.rfft(v, out=out)
+    return _rows(np.fft.rfft, v, v.shape[-1], out)
 
 
 def samples(half: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -243,8 +287,7 @@ def samples(half: np.ndarray, out: np.ndarray) -> np.ndarray:
     The rows are written into out, the sample block the spectra came
     from, so a block costs no third array of its size.
     """
-    np.fft.irfft(half, _size(half), out=out)
-    return checked(out)
+    return checked(_rows(np.fft.irfft, half, _size(half), out))
 
 
 def transform(v: np.ndarray, op, *args) -> np.ndarray:

@@ -17,7 +17,8 @@ at a batch of points, so callers that need several formulas at the same
 points evaluate the forcing once.  A long orbit of one point runs on
 Python floats instead (StandardNonTwistMap.orbit), where a numpy scalar
 would cost more than the arithmetic; p(x) is written once and evaluated
-with numpy on arrays and with math on floats.
+with numpy on arrays and with math on floats.  p and p' of a large
+array run in two halves on two threads (fourier.split), bit for bit.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import fourier
 
 TWO_PI = 2.0 * np.pi
 
@@ -54,6 +57,14 @@ def _nonsymmetric(x, lib=math):
     return (lib.sin(TWO_PI * x) + lib.cos(2.0 * TWO_PI * x)) / TWO_PI
 
 
+def _halves(fn, x, *args):
+    """fn(x, *args), a 1-D array in two halves where fourier.split splits."""
+    if getattr(x, "size", 0) < fourier.SPLIT_MIN or x.ndim != 1:
+        return fn(x, *args)     # at once: no closure on small grids
+    halves = fourier.split(lambda s: fn(x[s], *args), x.size, x.size)
+    return fn(x, *args) if halves is None else np.concatenate(halves)
+
+
 class Forcing:
     """Periodic forcing p(x) with derivative, amplitude-normalized by 2 pi.
 
@@ -73,9 +84,12 @@ class Forcing:
                         else _nonsymmetric)
 
     def __call__(self, x):
-        return self.formula(x, np)
+        return _halves(self.formula, x, np)
 
     def deriv(self, x):
+        return _halves(self._deriv, x)
+
+    def _deriv(self, x):
         if self.variant == self.SYMMETRIC:
             return np.cos(TWO_PI * x)
         return np.cos(TWO_PI * x) - 2.0 * np.sin(2.0 * TWO_PI * x)

@@ -1,4 +1,8 @@
+import os
+
 import pytest
+
+from ntcircle import fourier
 
 try:
     from hypothesis import settings
@@ -23,3 +27,26 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "slow" in item.keywords:
             item.add_marker(skip)
+
+
+@pytest.fixture
+def two_cpus(monkeypatch):
+    """A process that may run on two CPUs, whatever the machine, and a
+    pool of the test's own, shut down afterwards.  Yields the list of
+    split() results that were not None."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1},
+                        raising=False)
+    monkeypatch.setattr(fourier, "_pool", None)
+    done = []
+    split = fourier.split
+
+    def recorded(*args):
+        out = split(*args)
+        if out is not None:
+            done.append(out)
+        return out
+
+    monkeypatch.setattr(fourier, "split", recorded)
+    yield done
+    if fourier._pool is not None:
+        fourier._pool[1].shutdown(wait=True)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+import threading
+import time
 import warnings
 
 import numpy as np
@@ -731,3 +736,187 @@ class TestUnscaledMultipliers:
         m = fourier._derivative_multiplier(64)
         assert not m.flags.writeable
         assert fourier._derivative_multiplier(64) is m
+
+
+def one_call_transform(v, op, *args):
+    """rfft, op and irfft, each one np.fft call on the whole block."""
+    half = np.fft.rfft(v)
+    op(half, *args)
+    return np.fft.irfft(half, v.shape[-1])
+
+
+class TestSplitBlocks:
+    """Blocks of SPLIT_MIN samples or more, their rows split between two
+    threads, give the bytes of one np.fft call on the whole block."""
+
+    N = [fourier.SPLIT_MIN, 1 << 16]
+
+    @staticmethod
+    def rows(n, m):
+        return np.random.default_rng(n + m).standard_normal((m, n))
+
+    @pytest.mark.parametrize("n", N)
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_spectra_and_samples(self, two_cpus, n, m):
+        v = self.rows(n, m)
+        want = np.fft.rfft(v)
+        assert fourier.spectra(v).tobytes() == want.tobytes()
+        out = fourier.samples(want.copy(), np.empty_like(v))
+        assert out.tobytes() == np.fft.irfft(want, n).tobytes()
+        assert len(two_cpus) == 2
+
+    @pytest.mark.parametrize("n", N)
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_transform(self, two_cpus, n, m):
+        v = self.rows(n, m)
+        out = fourier.transform(v.copy(), fourier.shift_spectra, GOLDEN_MEAN)
+        want = one_call_transform(v, fourier.shift_spectra, GOLDEN_MEAN)
+        assert out.tobytes() == want.tobytes()
+        assert len(two_cpus) == 2
+
+    @pytest.mark.parametrize("n", N)
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_resample(self, two_cpus, monkeypatch, n, m):
+        # refine, then coarsen back: every grid here splits
+        v = self.rows(n, m)
+        fine = fourier.resample(v, 2 * n)
+        back = fourier.resample(fine, n)
+        assert len(two_cpus) == 4
+        monkeypatch.setattr(fourier, "SPLIT_MIN", 1 << 30)
+        assert fine.tobytes() == fourier.resample(v, 2 * n).tobytes()
+        assert back.tobytes() == fourier.resample(fine, n).tobytes()
+        assert len(two_cpus) == 4
+
+
+class TestSplitLifecycle:
+    """The worker starts at the first block that qualifies, never on one
+    CPU, is rebuilt after a fork, and passes its exceptions on."""
+
+    N = fourier.SPLIT_MIN
+
+    def test_import_starts_no_thread(self):
+        src = os.path.dirname(os.path.dirname(fourier.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH")) if p)
+        code = ("import threading, ntcircle, ntcircle.cli; "
+                "print(threading.active_count())")
+        out = subprocess.run([sys.executable, "-c", code], env=env,
+                             capture_output=True, text=True, timeout=60,
+                             check=True)
+        assert out.stdout.strip() == "1"
+
+    def test_small_blocks_start_no_worker(self, two_cpus):
+        v = TestSplitBlocks.rows(self.N // 2, 7)
+        fourier.transform(v, fourier.shift_spectra, GOLDEN_MEAN)
+        fourier.resample(v[:2], self.N // 4)
+        assert two_cpus == [] and fourier._pool is None
+
+    def test_one_cpu_starts_no_worker(self, two_cpus, monkeypatch):
+        v = TestSplitBlocks.rows(self.N, 4)
+        want = one_call_transform(v, fourier.shift_spectra, GOLDEN_MEAN)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        out = fourier.transform(v.copy(), fourier.shift_spectra, GOLDEN_MEAN)
+        assert out.tobytes() == want.tobytes()
+        # where the affinity call does not exist, the CPU count decides
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        out = fourier.transform(v.copy(), fourier.shift_spectra, GOLDEN_MEAN)
+        assert out.tobytes() == want.tobytes()
+        assert two_cpus == [] and fourier._pool is None
+
+    def test_worker_exception_reaches_caller(self, two_cpus):
+        started = threading.Event()
+        raised_on = []
+
+        def work(s):
+            if s.start == 0:           # the worker's half
+                started.set()
+                raised_on.append(threading.get_ident())
+                raise ZeroDivisionError("worker half")
+            assert started.wait(timeout=60)
+            return s
+
+        with pytest.raises(ZeroDivisionError, match="worker half"):
+            fourier.split(work, 4, self.N)
+        assert raised_on != [threading.get_ident()]
+        # the pool still works
+        v = TestSplitBlocks.rows(self.N, 3)
+        out = fourier.transform(v.copy(), fourier.derivative_spectra)
+        want = one_call_transform(v, fourier.derivative_spectra)
+        assert out.tobytes() == want.tobytes()
+
+    def test_caller_exception_waits_for_worker(self, two_cpus):
+        started = threading.Event()
+        ran = []
+
+        def work(s):
+            if s.start != 0:           # the calling thread's half
+                assert started.wait(timeout=60)
+                raise ZeroDivisionError("caller half")
+            started.set()
+            time.sleep(0.05)
+            ran.append(s)
+            return s
+
+        with pytest.raises(ZeroDivisionError, match="caller half"):
+            fourier.split(work, 2, self.N)
+        assert ran == [slice(0, 1)]     # the worker had finished
+        assert fourier.split(lambda s: s, 5, self.N) == (slice(0, 2),
+                                                          slice(2, 5))
+
+    def test_busy_worker_leaves_its_half_to_the_caller(self, two_cpus):
+        fourier.split(lambda s: s, 2, self.N)
+        gate = threading.Event()
+        blocker = fourier._pool[1].submit(gate.wait, 60)
+        try:
+            ran_on = {}
+
+            def work(s):
+                ran_on[s.start] = threading.get_ident()
+                return s
+
+            assert fourier.split(work, 4, self.N) == (slice(0, 2),
+                                                      slice(2, 4))
+            assert ran_on == dict.fromkeys((0, 2), threading.get_ident())
+            v = TestSplitBlocks.rows(self.N, 5)
+            out = fourier.transform(v.copy(), fourier.shift_spectra, 0.3)
+            want = one_call_transform(v, fourier.shift_spectra, 0.3)
+            assert out.tobytes() == want.tobytes()
+        finally:
+            gate.set()
+        assert blocker.result(timeout=60)
+
+    def test_new_pid_builds_a_fresh_pool(self, two_cpus, monkeypatch):
+        fourier.split(lambda s: s, 2, self.N)
+        pid, first = fourier._pool
+        monkeypatch.setattr(os, "getpid", lambda: pid + 1)
+        fourier.split(lambda s: s, 2, self.N)
+        assert fourier._pool[0] == pid + 1 and fourier._pool[1] is not first
+        first.shutdown(wait=True)
+
+    def test_stress_split_transforms(self, two_cpus):
+        # one worker and a very short switch interval; the run is bounded
+        # by a timed join, so a lost wake-up fails instead of hanging
+        rng = np.random.default_rng(30)
+        same = []
+
+        def run():
+            for m in rng.integers(2, 8, 200):
+                v = rng.standard_normal((int(m), self.N))
+                want = one_call_transform(v, fourier.shift_spectra,
+                                          GOLDEN_MEAN)
+                out = fourier.transform(v, fourier.shift_spectra, GOLDEN_MEAN)
+                same.append(out.tobytes() == want.tobytes())
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=run)
+            runner.start()
+            runner.join(timeout=300)
+        finally:
+            sys.setswitchinterval(old)
+        assert not runner.is_alive()
+        assert len(same) == 200 and all(same)
+        assert len(two_cpus) == 400

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
 
-from ntcircle import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
+from ntcircle import (Forcing, ParamPoint, StandardNonTwistMap,
+                      check_symmetry, fourier)
 
 PAR = ParamPoint(a=0.07, mu=0.55, eps=1.3)
 
@@ -41,6 +42,45 @@ class TestForcing:
         h = 1e-6
         fd = (p(x + h) - p(x - h)) / (2 * h)
         np.testing.assert_allclose(p.deriv(x), fd, atol=1e-8)
+
+
+class TestSplitForcing:
+    """p and p' of a 1-D array of fourier.SPLIT_MIN samples or more, its
+    halves evaluated on two threads, equal the formulas bit for bit."""
+
+    TWO_PI = 2.0 * np.pi
+
+    def formulas(self, variant):
+        """(p, p') written out, evaluated in one numpy pass each."""
+        t = self.TWO_PI
+        if variant == "symmetric":
+            return (lambda x: np.sin(t * x) / t, lambda x: np.cos(t * x))
+        return (lambda x: (np.sin(t * x) + np.cos(2.0 * t * x)) / t,
+                lambda x: np.cos(t * x) - 2.0 * np.sin(2.0 * t * x))
+
+    @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("size", [fourier.SPLIT_MIN, 1 << 16,
+                                      fourier.SPLIT_MIN + 1, 3 * 7919])
+    def test_split_equals_formula(self, two_cpus, variant, size):
+        # the odd sizes split into halves of unequal lengths
+        x = np.random.default_rng(size).uniform(-1.5, 2.5, size)
+        f = Forcing(variant)
+        p, dp = self.formulas(variant)
+        assert f(x).tobytes() == p(x).tobytes()
+        assert f.deriv(x).tobytes() == dp(x).tobytes()
+        assert len(two_cpus) == 2
+
+    @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
+    def test_blocks_and_small_arrays_unsplit(self, two_cpus, variant):
+        rng = np.random.default_rng(17)
+        f = Forcing(variant)
+        p, dp = self.formulas(variant)
+        for x in (rng.random((2, fourier.SPLIT_MIN)),
+                  rng.random(fourier.SPLIT_MIN - 1), 0.3):
+            assert np.asarray(f(x)).tobytes() == np.asarray(p(x)).tobytes()
+            assert (np.asarray(f.deriv(x)).tobytes()
+                    == np.asarray(dp(x)).tobytes())
+        assert two_cpus == []
 
 
 class TestStandardNonTwistMap:
