@@ -13,16 +13,18 @@ Layout:
   algebra, dealiasing and the two cohomological solvers.
 - ``maps``: the dissipative standard non-twist family and its
   parameter derivatives.
-- ``frame``: the adapted (tangent, stable) frame along a circle, its
-  torsion and transfer solves, and the frame-angle diagnostic.
+- ``frame``: ``TorusEmbedding``, the one circle type of both solvers;
+  the adapted (tangent, stable) frame along a circle, its torsion and
+  transfer solves, and the frame-angle diagnostic.
 - ``solver_qp``: the quasi-periodic Newton solver with the rotation
   locked to a fixed irrational, plus continuation, breakdown fitting
   and the twist-surface driver.
 - ``solver_general``: the grid-based solver with the internal circle
   map free (a cross-check of the quasi-periodic circles, with exact,
-  cold-started Newton steps on the same dyadic grids), rotation numbers
-  by weighted Birkhoff averaging, and parameter sweeps from the ambient
-  orbit.
+  cold-started Newton steps on the same dyadic grids) for a circle
+  and an ``InternalMap``, which alone holds the interpolation order;
+  rotation numbers by weighted Birkhoff averaging, and parameter sweeps
+  from the ambient orbit.
 - ``cli``: command-line driver writing CSV tables.
 """
 
@@ -80,7 +82,6 @@ from .solver_qp import (
 )
 from .solver_general import (
     GeneralSolution,
-    GridCircle,
     InternalMap,
     SweepRecord,
     ambient_rotation_number,
@@ -110,7 +111,6 @@ __all__ = [
     "FrameDegeneracyError",
     "GOLDEN_MEAN",
     "GeneralSolution",
-    "GridCircle",
     "InternalMap",
     "InversionError",
     "MuDegeneracyError",

@@ -12,15 +12,19 @@ class NtCircleError(Exception):
 
 
 class SmallDivisorError(NtCircleError):
-    """A cohomological divisor on the represented modes is below the floor."""
+    """A cohomological divisor on the represented modes is below the floor.
 
-    def __init__(self, k: int, divisor: float):
+    name is the divisor's formula, as the message prints it, and floor
+    the bound it fell below.
+    """
+
+    def __init__(self, k: int, divisor: float, floor: float, name: str):
         self.k = k
         self.divisor = divisor
         super().__init__(
-            f"divisor |1 - e(k*omega)| = {divisor:.3e} at mode k = {k} "
-            f"is below the 1e-13 floor; omega is too close to resonant "
-            f"on this grid"
+            f"divisor {name} = {divisor:.3e} at mode k = {k} "
+            f"is below the {floor:.0e} floor; omega is too close to "
+            f"resonant on this grid"
         )
 
 

@@ -75,8 +75,9 @@ np.isfinite reduced by logical_and, exact and silent on every input (a
 sum warns on inf - inf, and max with min takes two passes).  Every field
 is such a checked array.  checked_field() adds the shape of one field,
 1-D on a dyadic grid, and is the check of the two fields of an embedding
-(frame.TorusEmbedding) and of PeriodicScalar, which wraps only the gram
-of a frame and the fields of the m = 1 calls.  A solver computes a
+(frame.TorusEmbedding), of the displacement of a grid-solver circle map
+(solver_general.InternalMap) and of PeriodicScalar, which wraps only the
+gram of a frame and the fields of the m = 1 calls.  A solver computes a
 field's +, - and * formula on sample arrays and checks only its result:
 under IEEE rules a +, - or * with a NaN or infinite operand never gives
 a finite result, so checking the result is exactly as strict as checking
@@ -345,7 +346,8 @@ def linear_shift_spectra(half: np.ndarray, lam: float, rho: float,
     n = _size(half)
     nyq = lam - rho * np.cos(np.pi * n * omega)
     if abs(nyq) < _DIVISOR_FLOOR:
-        raise SmallDivisorError(n // 2, abs(nyq))
+        raise SmallDivisorError(n // 2, abs(nyq), _DIVISOR_FLOOR,
+                                "|lam - rho*cos(pi*n*omega)|")
     top = half[..., -1].real / nyq
     half /= lam - rho * _phases(n, omega)
     half[..., -1] = top
@@ -363,7 +365,8 @@ def _divisors(n: int, omega: float) -> np.ndarray:
     mags = np.abs(div[1:])
     worst = int(np.argmin(mags))
     if mags[worst] < _DIVISOR_FLOOR:
-        raise SmallDivisorError(worst + 1, float(mags[worst]))
+        raise SmallDivisorError(worst + 1, float(mags[worst]),
+                                _DIVISOR_FLOOR, "|1 - e(k*omega)|")
     return div
 
 

@@ -25,12 +25,16 @@ solver settles on its floor.  Each iterate's residual and stencil of f
 are computed once, for the check and its step, and each step
 differentiates g once, for f', its check and the inverse-map Newton.
 
-Everything lives on the dyadic grids of the quasi-periodic solver (a
-power of two n >= 8, and n >= 4p) with local Lagrange interpolation of
-even order p; derivatives use the matching central stencils, and each
-step's updates get the 1/3 cut of fourier.cut_spectra.  Internal maps
-are stored as displacement fields g with f(theta) = theta + g(theta) on
-lifts, so rational and irrational dynamics are handled alike.
+The circle is a frame.TorusEmbedding, the embedding type of both
+solvers, and the internal map an InternalMap, stored as the displacement
+g with f(theta) = theta + g(theta) on lifts, so rational and irrational
+dynamics are handled alike.  Both hold checked samples on one dyadic
+grid of the quasi-periodic solver (a power of two n >= 8, and n >= 4p),
+whose nodes come from fourier.grid; newton_solve_general checks once
+that the two share it.  The map alone holds the even order p of the
+local Lagrange interpolation: a step builds every stencil and every
+central difference, on the circle's fields as on g, at f.order.  Each
+step's updates get the 1/3 cut of fourier.cut_spectra.
 
 Rotation-number sweeps solve no circle: on a dissipative map the
 attracting circle is the attractor, so every sweep point takes its
@@ -57,8 +61,9 @@ from .errors import (
     NtCircleError,
     ToleranceNotMetError,
 )
-from .fourier import _check_size, cut_spectra, transform
+from .fourier import _check_size, checked_field, cut_spectra, grid, transform
 from .frame import (
+    TorusEmbedding,
     normal0_values,
     normal_values,
     solve_transfer,
@@ -81,38 +86,19 @@ def _check_grid(n: int, order: int) -> None:
 
 
 @dataclass(frozen=True)
-class GridCircle:
-    """Embedding samples (eta_x, k_y) on theta_j = j/n, K_x = theta + eta_x."""
-
-    eta_x: np.ndarray
-    k_y: np.ndarray
-    order: int = 4
-
-    def __post_init__(self):
-        ex = np.asarray(self.eta_x, dtype=float)
-        ky = np.asarray(self.k_y, dtype=float)
-        if ex.shape != ky.shape or ex.ndim != 1:
-            raise ValueError("components must be equal-length vectors")
-        _check_grid(ex.size, self.order)
-        object.__setattr__(self, "eta_x", ex)
-        object.__setattr__(self, "k_y", ky)
-
-    @property
-    def n(self) -> int:
-        return self.eta_x.size
-
-
-@dataclass(frozen=True)
 class InternalMap:
-    """Orientation-preserving circle map f(theta) = theta + g(theta)."""
+    """Orientation-preserving circle map f(theta) = theta + g(theta).
+
+    g is a checked read-only copy of the samples handed in, on a dyadic
+    grid of at least 4*order nodes; order is the interpolation order of
+    every stencil the grid solver builds on this map and on its circle.
+    """
 
     g: np.ndarray
     order: int = 4
 
     def __post_init__(self):
-        g = np.asarray(self.g, dtype=float)
-        if g.ndim != 1:
-            raise ValueError("displacement must be a vector")
+        g = checked_field(np.array(self.g, dtype=float))
         _check_grid(g.size, self.order)
         object.__setattr__(self, "g", g)
 
@@ -219,7 +205,7 @@ def invert_map(
         raise InversionError(
             f"f' reaches {float(np.min(fp)):.3e}; the map is not invertible"
         )
-    theta = np.arange(n) / n
+    theta = grid(n)
     r = _lift_newton(f.g, dg, f.order, theta, theta - float(np.mean(f.g)),
                      tol, max_iter,
                      "inverse-map Newton did not converge")
@@ -229,21 +215,19 @@ def invert_map(
 _Residual = namedtuple("_Residual", "ex ey err idx w")
 
 
-def _residual(circle: GridCircle, f: InternalMap,
+def _residual(circle: TorusEmbedding, f: InternalMap,
               family: StandardNonTwistMap, par: ParamPoint) -> _Residual:
     """E = F(K) - K o f on the nodes, its sup, and the stencil of f there."""
-    n = circle.n
-    theta = np.arange(n) / n
-    fx, fy = family.eval_lift(theta + circle.eta_x, circle.k_y, par)
-    s = theta + f.g
-    idx, w = interp_stencil(n, s, circle.order)
+    fx, fy = family.eval_lift(circle.x_lift(), circle.k_y, par)
+    s = grid(f.n) + f.g
+    idx, w = interp_stencil(f.n, s, f.order)
     ex = fx - (s + interp_apply(circle.eta_x, idx, w))
     ey = fy - interp_apply(circle.k_y, idx, w)
     err = float(max(np.max(np.abs(ex)), np.max(np.abs(ey))))
     return _Residual(ex, ey, err, idx, w)
 
 
-def invariance_error(circle: GridCircle, f: InternalMap,
+def invariance_error(circle: TorusEmbedding, f: InternalMap,
                      family: StandardNonTwistMap, par: ParamPoint) -> float:
     """sup |F(K(theta)) - K(f(theta))| on the grid."""
     return _residual(circle, f, family, par).err
@@ -255,7 +239,7 @@ class GeneralStepReport:
 
 
 def newton_step_general(
-    circle: GridCircle,
+    circle: TorusEmbedding,
     f: InternalMap,
     family: StandardNonTwistMap,
     par: ParamPoint,
@@ -266,13 +250,12 @@ def newton_step_general(
     The step is exact and cold-started: f^-1 is solved first, and
     invert_map's check that f' > 0 is the step's monotonicity check;
     then the torsion and normal transfer solves run from their cold
-    starts to full tolerance.  residual, _residual of (K, f), is
-    computed when None.
+    starts to full tolerance.  Every stencil and derivative of the step
+    is at f.order.  residual, _residual of (K, f), is computed when None.
     """
-    n = circle.n
-    p = circle.order
+    n = f.n
+    p = f.order
     sigma = family.sigma
-    theta = np.arange(n) / n
 
     dg = grid_derivative(f.g, p)
     finv = invert_map(f, dg=dg)
@@ -286,7 +269,7 @@ def newton_step_general(
     n0x, n0y, _ = normal0_values(lx, ly)
     t0 = torsion0(n0x, n0y, interp_apply(n0x, s_idx, s_w),
                   interp_apply(n0y, s_idx, s_w),
-                  family.jacobian(theta + circle.eta_x, circle.k_y, par))
+                  family.jacobian(circle.x_lift(), circle.k_y, par))
 
     vth, vth_iters = vartheta_general(t0, fp, sigma, s_idx, s_w)
     nx, ny = normal_values(lx, ly, n0x, n0y, vth)
@@ -296,7 +279,7 @@ def newton_step_general(
 
     # normal equation (sigma/f') xi - xi o f = eta_n, as the backward
     # fixed point xi = -eta_n(f^-1) + (sigma/f'(f^-1)) * xi(f^-1)
-    r_idx, r_w = interp_stencil(n, theta + finv.g, p)
+    r_idx, r_w = interp_stencil(n, grid(n) + finv.g, p)
     xi, xi_iters = solve_transfer(
         -interp_apply(eta_n, r_idx, r_w),
         sigma / interp_apply(fp, r_idx, r_w),
@@ -309,7 +292,8 @@ def newton_step_general(
     # solution itself is recovered by grid refinement instead.  The
     # transforms check the block for finiteness
     upd = transform(np.stack((nx * xi, ny * xi, eta_l)), cut_spectra)
-    new_circle = GridCircle(circle.eta_x + upd[0], circle.k_y + upd[1], p)
+    new_circle = TorusEmbedding.fresh(circle.eta_x + upd[0],
+                                      circle.k_y + upd[1])
     new_f = InternalMap(f.g - upd[2], p)
     report = GeneralStepReport(vth_iters + xi_iters)
     return new_circle, new_f, report
@@ -317,7 +301,7 @@ def newton_step_general(
 
 @dataclass(frozen=True)
 class GeneralSolution:
-    circle: GridCircle
+    circle: TorusEmbedding
     f: InternalMap
     err: float
     iterations: int
@@ -328,7 +312,7 @@ _FLOOR_FACTOR = 100.0
 
 
 def newton_solve_general(
-    circle: GridCircle,
+    circle: TorusEmbedding,
     f: InternalMap,
     family: StandardNonTwistMap,
     par: ParamPoint,
@@ -342,7 +326,12 @@ def newton_solve_general(
     NtCircleError) returns its best iterate, with its true residual, if
     that is within _FLOOR_FACTOR * tol.  Otherwise the failing step's
     error is re-raised, or DivergenceError carrying the best residual.
+    A circle and a map on different grids raise ValueError before any
+    step.
     """
+    if circle.n != f.n:
+        raise ValueError(f"circle on {circle.n} nodes and map on {f.n}: "
+                         f"they must share one grid")
     first = None
     best = None
     failure = None
@@ -419,16 +408,22 @@ def _weighted_average(d: np.ndarray) -> float:
 def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
     """Weighted Birkhoff average of an orbit's displacements, to tol.
 
-    extend(m) returns the first m displacements.  The orbit length is
-    doubled from 1024 until two successive estimates agree within tol;
-    hitting m_max first raises ToleranceNotMetError carrying the best
-    estimate, with `what` naming the quantity in its message.  m_max
-    below 1024, the length of the first estimate, raises ValueError.
+    The displacements are held in one float64 array, owned here and
+    grown at each doubling with its filled stretch copied over.
+    extend(d, filled) writes the displacements filled .. d.size - 1
+    into d, whose first filled entries hold the earlier ones, and
+    leaves those alone.  The orbit length is doubled from 1024 until two
+    successive estimates agree within tol; hitting m_max first raises
+    ToleranceNotMetError carrying the best estimate, with `what` naming
+    the quantity in its message.  m_max below 1024, the length of the
+    first estimate, raises ValueError.
     """
     m = 1 << 10
     if m_max < m:
         raise ValueError(f"m_max must be at least {m}, got {m_max}")
-    est = _weighted_average(extend(m))
+    d = np.empty(m)
+    extend(d, 0)
+    est = _weighted_average(d)
     while True:
         if 2 * m > m_max:
             raise ToleranceNotMetError(
@@ -436,8 +431,12 @@ def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
                 f"{what} did not stabilize to {tol:.0e} "
                 f"within {m_max} iterates",
             )
+        grown = np.empty(2 * m)
+        grown[:m] = d
+        d = grown
+        extend(d, m)
         m *= 2
-        new = _weighted_average(extend(m))
+        new = _weighted_average(d)
         diff = abs(new - est)
         est = new
         if diff <= tol:
@@ -460,22 +459,15 @@ def rotation_number(
 
     The orbit runs in grid units t = n * theta on the per-cell table of
     the interpolant of g, so each step is one row lookup and one Horner
-    pass, at every interpolation order.  As in ambient_rotation_number,
-    the displacements are written into one float64 array, grown each
-    time _birkhoff doubles the orbit length.
+    pass, at every interpolation order, written into _birkhoff's array.
     """
     n = f.n
     rows = _cell_polynomials(f.g, f.order).tolist()
     t = (theta0 % 1.0) * n
-    done = np.empty(0)      # the displacements, grown to each new length
 
-    def extend(count: int) -> np.ndarray:
-        nonlocal t, done
-        filled = done.size
-        grown = np.empty(count)
-        grown[:filled] = done
-        done = grown
-        for j in range(filled, count):
+    def extend(done: np.ndarray, filled: int) -> None:
+        nonlocal t
+        for j in range(filled, done.size):
             i = int(t)
             s = t - i
             d = 0.0
@@ -484,7 +476,6 @@ def rotation_number(
             done[j] = d
             t = (t + d) % n
         done[filled:] /= n
-        return done
 
     return _birkhoff(extend, tol, m_max, "rotation number")
 
@@ -540,21 +531,17 @@ def ambient_rotation_number(
     floats that iterating would give, so the average, and rho, are the
     same bit for bit.  An orbit that never returns runs the rest of each
     chunk, as many map steps as without the probe, in orbit calls of at
-    most _ORBIT_CALL steps.  The displacements are written into one
-    float64 array, grown each time _birkhoff doubles the orbit length, so
-    no chunk is ever held as a list of Python floats.
+    most _ORBIT_CALL steps.  The displacements are written into
+    _birkhoff's array, so no chunk is ever held as a list of Python
+    floats.
     """
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
     _, x, y = family.orbit(x, y, par, transient)
-    done = np.empty(0)      # the displacements, grown to each new length
     cycle = None            # (first index, period) of the exact cycle
 
-    def extend(count: int) -> np.ndarray:
-        nonlocal x, y, done, cycle
-        filled = done.size
-        grown = np.empty(count)
-        grown[:filled] = done
-        done = grown
+    def extend(done: np.ndarray, filled: int) -> None:
+        nonlocal x, y, cycle
+        count = done.size
         if cycle is None:
             x0, y0, start = x, y, filled
             for _ in range(min(_CYCLE_PROBE, count - filled)):
@@ -570,7 +557,7 @@ def ambient_rotation_number(
                     d, x, y = family.orbit(x, y, par, steps)
                     done[filled:filled + steps] = d
                     filled += steps
-                return done
+                return
         # tile whole periods: each copy doubles the stretch it copies from
         start, period = cycle
         while filled < count:
@@ -579,7 +566,6 @@ def ambient_rotation_number(
             done[filled:filled + steps] = done[filled - span:
                                                filled - span + steps]
             filled += steps
-        return done
 
     return _birkhoff(extend, tol, m_max, "ambient rotation number")
 
@@ -645,20 +631,19 @@ def sweep_parameter(
 
 
 def induced_internal_map(
-    circle: GridCircle, family: StandardNonTwistMap, par: ParamPoint,
-    tol: float = 1e-13, max_iter: int = 60,
+    circle: TorusEmbedding, family: StandardNonTwistMap, par: ParamPoint,
+    tol: float = 1e-13, max_iter: int = 60, order: int = 4,
 ) -> InternalMap:
     """Internal dynamics read off an (approximately) invariant circle.
 
     Solves K_x(phi_j) = F_x(K(theta_j)) on lifts for each node, giving
     the displacement of the conjugated map f = K^{-1} o F o K in the
-    x-coordinate.  Meaningful when the circle is close to invariant.
+    x-coordinate, interpolated at the given order, which the map keeps.
+    Meaningful when the circle is close to invariant.
     """
-    n = circle.n
-    theta = np.arange(n) / n
-    fx, _ = family.eval_lift(theta + circle.eta_x, circle.k_y, par)
-    dh = grid_derivative(circle.eta_x, circle.order)
-    phi = _lift_newton(circle.eta_x, dh, circle.order, fx,
+    fx, _ = family.eval_lift(circle.x_lift(), circle.k_y, par)
+    dh = grid_derivative(circle.eta_x, order)
+    phi = _lift_newton(circle.eta_x, dh, order, fx,
                        fx - float(np.mean(circle.eta_x)), tol, max_iter,
                        "conjugacy solve did not converge")
-    return InternalMap(phi - theta, circle.order)
+    return InternalMap(phi - grid(circle.n), order)

@@ -28,7 +28,6 @@ from ntcircle import (
 )
 from ntcircle.maps import ParamPoint
 from ntcircle.solver_general import (
-    GridCircle,
     ambient_rotation_number,
     induced_internal_map,
     interp_stencil,
@@ -221,8 +220,7 @@ def test_6_property_suite():
     # of the circle's rotation number
     par = ParamPoint(state.a, state.mu, state.eps)
     base = state.k.resample(512)
-    circle = GridCircle(base.eta_x, base.k_y, 4)
-    f = induced_internal_map(circle, problem.family, par)
+    f = induced_internal_map(base, problem.family, par)
     assert abs(rotation_number(f, 1e-12) - OMEGA) <= 1e-9
     xy0 = (state.k.eta_x[0], state.k.k_y[0])
     rho = ambient_rotation_number(problem.family, par, xy0, 1e-12)

@@ -434,7 +434,27 @@ class TestCohomologicalSolvers:
     def test_small_divisor_rejects_resonant_rotation(self):
         eta = rand_scalar(64, 20, 9)
         with pytest.raises(SmallDivisorError):
-            solve_small_divisor(eta, 0.25)   # k=4 divisor is exactly zero
+            solve_small_divisor(eta, 0.25)   # Nyquist divisor is exactly zero
+
+    def test_small_divisor_messages_name_divisor_and_floor(self):
+        eta = rand_scalar(64, 20, 9)
+        with pytest.raises(SmallDivisorError) as err:
+            solve_small_divisor(eta, 0.2)
+        assert err.value.k == 5
+        assert str(err.value).startswith(
+            f"divisor |1 - e(k*omega)| = {err.value.divisor:.3e} at mode "
+            f"k = 5 is below the 1e-13 floor;")
+        # the Nyquist divisor lam - rho*cos(pi n omega) of a contractive
+        # solve, 0.5 - cos(pi/3) here
+        with pytest.raises(SmallDivisorError) as err:
+            solve_contractive(eta, 0.5, 1.0 / (3 * 64))
+        assert err.value.k == 32
+        assert str(err.value).startswith(
+            f"divisor |lam - rho*cos(pi*n*omega)| = {err.value.divisor:.3e} "
+            f"at mode k = 32 is below the 1e-13 floor;")
+        # the floor printed is the one the raiser passes
+        assert "below the 1e-03 floor" in str(
+            SmallDivisorError(3, 1e-4, 1e-3, "|d|"))
 
     def test_contractive_rejects_expanding_factor(self):
         with pytest.raises(ValueError):

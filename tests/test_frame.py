@@ -3,7 +3,6 @@ import pytest
 
 from ntcircle import (
     GOLDEN_MEAN,
-    GridCircle,
     ParamPoint,
     PeriodicScalar,
     QpProblem,
@@ -121,7 +120,8 @@ class TestTorusEmbedding:
             TorusEmbedding(np.zeros(8), v)
 
     def test_rejects_odd_sizes(self):
-        for n in (7, 12, 4):
+        # the grids are the dyadic grids of both solvers
+        for n in (7, 12, 4, 48):
             with pytest.raises(ValueError):
                 TorusEmbedding(np.zeros(n), np.zeros(n))
 
@@ -134,6 +134,8 @@ class TestTorusEmbedding:
     def test_grid_mismatch_raises(self):
         with pytest.raises(ValueError):
             TorusEmbedding(np.zeros(8), np.zeros(16))
+        with pytest.raises(ValueError):
+            TorusEmbedding(np.zeros(16), np.zeros(8))
 
 
 class TestFrameConstruction:
@@ -291,9 +293,9 @@ class TestOneFrame:
         fam = StandardNonTwistMap(SIGMA, "symmetric")
         n = 64
         th = grid(n)
-        circle = GridCircle(1e-3 * np.sin(TWO_PI * th),
-                            1e-3 * np.cos(TWO_PI * th), 6)
-        f = induced_internal_map(circle, fam, par)
+        circle = TorusEmbedding(1e-3 * np.sin(TWO_PI * th),
+                                1e-3 * np.cos(TWO_PI * th))
+        f = induced_internal_map(circle, fam, par, order=6)
         solver_general.newton_step_general(circle, f, fam, par)
         assert len(calls) == 2
         res = solver_general._residual(circle, f, fam, par)

@@ -11,12 +11,12 @@ import numpy as np
 
 from ntcircle import (
     GOLDEN_MEAN,
-    GridCircle,
     InternalMap,
     ParamPoint,
     QpProblem,
     QpState,
     StandardNonTwistMap,
+    TorusEmbedding,
     fourier,
     newton_solve,
     newton_solve_general,
@@ -42,7 +42,7 @@ def test_tracer_counts_layers_and_uninstalls():
         newton_solve(QpProblem(fam, omega=GOLDEN_MEAN),
                      QpState(start.k, start.a, start.mu, 0.3))
         n = 64
-        newton_solve_general(GridCircle(np.zeros(n), np.zeros(n)),
+        newton_solve_general(TorusEmbedding.zero_section(n),
                              InternalMap.rotation(n, GOLDEN_MEAN), fam,
                              ParamPoint(0.01, GOLDEN_MEAN, 0.0))
     finally:

@@ -8,14 +8,15 @@ import pytest
 from ntcircle import (
     GOLDEN_MEAN,
     DivergenceError,
-    GridCircle,
     InternalMap,
     InversionError,
+    NonFiniteError,
     ParamPoint,
     QpProblem,
     QpState,
     StandardNonTwistMap,
     ToleranceNotMetError,
+    TorusEmbedding,
     ambient_rotation_number,
     induced_internal_map,
     invert_map,
@@ -65,13 +66,24 @@ class TestInterp:
         assert np.array_equal(lagrange(vals, th, 4), vals)
 
     def test_bad_grid_rejected(self):
+        # the circle's grid cases are TestTorusEmbedding's; the map adds
+        # the stencil's need for 4*order nodes
+        for n in (7, 48):
+            with pytest.raises(ValueError):
+                InternalMap(np.zeros(n))
         with pytest.raises(ValueError):
-            GridCircle(np.zeros(7), np.zeros(7))
+            InternalMap(np.zeros(16), 6)
         with pytest.raises(ValueError):
-            GridCircle(np.zeros(16), np.zeros(8))
-        # the grids are the dyadic grids of the quasi-periodic solver
-        with pytest.raises(ValueError):
-            GridCircle(np.zeros(48), np.zeros(48))
+            solver_general.interp_stencil(16, np.zeros(3), 6)
+
+    def test_map_holds_a_checked_copy(self):
+        g = np.full(16, OMEGA)
+        f = InternalMap(g)
+        g[0] = 0.0
+        assert f.g[0] == OMEGA and not f.g.flags.writeable
+        g[0] = np.nan
+        with pytest.raises(NonFiniteError):
+            InternalMap(g)
 
 
 class TestInvertMap:
@@ -147,7 +159,8 @@ class TestRotationNumber:
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-10
 
     def test_orbit_array_equals_list_form(self, monkeypatch):
-        # the displacements go into one growing array; the list form (each
+        # each extend fills only the new stretch of _birkhoff's array and
+        # leaves the earlier displacements alone; the list form (each
         # chunk a list of Python floats, the orbit concatenated at every
         # doubling) gives the same rho and the same array at every doubling
         n, theta0, tol = 512, 0.3, 1e-15
@@ -157,9 +170,11 @@ class TestRotationNumber:
         arrays = []
 
         def recorded(extend, tol, m_max, what):
-            def extend_copied(count):
-                arrays.append(extend(count).copy())
-                return arrays[-1]
+            def extend_copied(d, filled):
+                before = d[:filled].tobytes()
+                extend(d, filled)
+                assert d[:filled].tobytes() == before
+                arrays.append(d.copy())
             return birkhoff(extend_copied, tol, m_max, what)
 
         monkeypatch.setattr(solver_general, "_birkhoff", recorded)
@@ -169,10 +184,10 @@ class TestRotationNumber:
         t = (theta0 % 1.0) * n
         done, listed = np.empty(0), []
 
-        def extend_list(count):
+        def extend_list(orbit, filled):
             nonlocal t, done
             out = []
-            for _ in range(count - done.size):
+            for _ in range(orbit.size - filled):
                 i = int(t)
                 s = t - i
                 d = 0.0
@@ -182,7 +197,7 @@ class TestRotationNumber:
                 t = (t + d) % n
             done = np.concatenate((done, np.asarray(out) / n))
             listed.append(done)
-            return done
+            orbit[filled:] = done[filled:]
 
         assert birkhoff(extend_list, tol, 1 << 22, "rotation number") == rho
         assert len(arrays) == len(listed) >= 3
@@ -203,13 +218,19 @@ class TestRotationNumber:
         rotation_number(f, theta0=0.3)
         rotation_number(f, theta0=0.3)
         stepwise, whole = extends
-        assert stepwise(1024).size == 1024
-        assert np.array_equal(stepwise(2048), whole(2048))
+        # an extend writes into the array it is handed and nowhere else
+        d = np.full(2048, np.nan)
+        stepwise(d[:1024], 0)
+        assert np.isfinite(d[:1024]).all() and np.isnan(d[1024:]).all()
+        stepwise(d, 1024)
+        e = np.empty(2048)
+        whole(e, 0)
+        assert np.array_equal(d, e)
         # with n a power of two, t = n * theta holds exactly: the orbit
         # visits the points theta_{k+1} = theta_k + d_k mod 1, and each
         # step is the Lagrange interpolant of g there, up to the rounding
         # of the Horner form
-        d = whole(2048)
+        d = e
         x = [0.3]
         for dk in d[:-1]:
             x.append((x[-1] + dk) % 1.0)
@@ -266,13 +287,11 @@ def untiled_rotation_number(family, par, xy0, tol=1e-10, m_max=1 << 22,
     """ambient_rotation_number with every iterate a map step, no cycle rule."""
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
     _, x, y = family.orbit(x, y, par, transient)
-    done = np.empty(0)
 
-    def extend(count):
-        nonlocal x, y, done
-        more, x, y = family.orbit(x, y, par, count - done.size)
-        done = np.concatenate((done, np.asarray(more)))
-        return done
+    def extend(done, filled):
+        nonlocal x, y
+        more, x, y = family.orbit(x, y, par, done.size - filled)
+        done[filled:] = more
 
     return solver_general._birkhoff(extend, tol, m_max,
                                     "ambient rotation number")
@@ -348,8 +367,13 @@ class TestAmbientRotationNumber:
         ambient_rotation_number(fam, par, (0.3, 0.2))
         untiled_rotation_number(fam, par, (0.3, 0.2))
         tiled, iterated = extends
+        got, want = np.empty(1 << 15), np.empty(1 << 15)
+        filled = 0
         for m in (1 << k for k in range(10, 16)):
-            assert np.array_equal(tiled(m), iterated(m))
+            tiled(got[:m], filled)
+            iterated(want[:m], filled)
+            filled = m
+            assert np.array_equal(got[:m], want[:m])
 
     @pytest.mark.parametrize("cycling", ["x", "y"])
     def test_one_coordinate_returning_is_no_cycle(self, cycling):
@@ -427,16 +451,15 @@ class TestGeneralSolver:
         self.par = ParamPoint(self.state.a, self.state.mu, 0.4)
 
     def test_cross_solver_rotation_number(self):
-        circle = GridCircle(self.state.k.eta_x,
-                            self.state.k.k_y, 6)
-        f = induced_internal_map(circle, sym_family(), self.par)
+        f = induced_internal_map(self.state.k, sym_family(), self.par,
+                                 order=6)
+        assert f.order == 6
         assert abs(rotation_number(f, 1e-11) - OMEGA) <= 1e-9
 
     def test_induced_map_matches_interp_loop(self):
         # reference: the conjugacy Newton written node-wise with the
         # Lagrange stencil
-        circle = GridCircle(self.state.k.eta_x,
-                            self.state.k.k_y, 6)
+        circle = self.state.k
         th = np.arange(circle.n) / circle.n
         fx, _ = sym_family().eval_lift(th + circle.eta_x, circle.k_y, self.par)
         d_eta = solver_general.grid_derivative(circle.eta_x, 6)
@@ -446,19 +469,17 @@ class TestGeneralSolver:
             if float(np.max(np.abs(res))) < 1e-13:
                 break
             phi = phi - res / np.maximum(1.0 + lagrange(d_eta, phi, 6), 0.05)
-        f = induced_internal_map(circle, sym_family(), self.par)
+        f = induced_internal_map(circle, sym_family(), self.par, order=6)
         assert np.array_equal(f.g, phi - th)
 
     def test_converges_from_perturbed_circle(self):
         n = self.state.k.n
         th = np.arange(n) / n
-        circle = GridCircle(
+        circle = TorusEmbedding(
             self.state.k.eta_x + 1e-4 * np.sin(2 * np.pi * th),
-            self.state.k.k_y + 1e-4 * np.cos(4 * np.pi * th), 6)
-        f = induced_internal_map(
-            GridCircle(self.state.k.eta_x,
-                       self.state.k.k_y, 6),
-            sym_family(), self.par)
+            self.state.k.k_y + 1e-4 * np.cos(4 * np.pi * th))
+        f = induced_internal_map(self.state.k, sym_family(), self.par,
+                                 order=6)
         sol = newton_solve_general(circle, f, sym_family(), self.par,
                                    tol=1e-11)
         assert sol.err <= 1e-11
@@ -476,10 +497,9 @@ def perturbed_start(amp):
     state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.4))
     par = ParamPoint(state.a, state.mu, 0.4)
     th = np.arange(state.k.n) / state.k.n
-    exact = GridCircle(state.k.eta_x, state.k.k_y, 6)
-    circle = GridCircle(exact.eta_x + amp * np.sin(2 * np.pi * th),
-                        exact.k_y + amp * np.cos(4 * np.pi * th), 6)
-    return circle, induced_internal_map(exact, fam, par), par
+    circle = TorusEmbedding(state.k.eta_x + amp * np.sin(2 * np.pi * th),
+                            state.k.k_y + amp * np.cos(4 * np.pi * th))
+    return circle, induced_internal_map(state.k, fam, par, order=6), par
 
 
 class TestResidualFloor:
@@ -639,6 +659,32 @@ class TestOneResidualPerIterate:
         assert sol.err <= 1e-11
         assert len(steps) == sol.iterations >= 3
         assert len(evals) == len(steps) + 1
+
+    def test_map_on_another_grid_rejected_before_any_step(self,
+                                                          monkeypatch):
+        calls = []
+        for name in ("_residual", "newton_step_general"):
+            monkeypatch.setattr(solver_general, name,
+                                lambda *args: calls.append(args))
+        f = InternalMap.rotation(2 * self.circle.n, OMEGA, 6)
+        with pytest.raises(ValueError, match="share one grid"):
+            newton_solve_general(self.circle, f, sym_family(), self.par)
+        assert calls == []
+
+    def test_every_stencil_and_derivative_at_the_map_order(self,
+                                                           monkeypatch):
+        # the circle carries no order: a step reads the map's for the
+        # circle's fields as for g
+        orders = []
+        for name in ("interp_stencil", "grid_derivative"):
+            def recorded(*args, _fn=getattr(solver_general, name)):
+                orders.append(args[-1])
+                return _fn(*args)
+            monkeypatch.setattr(solver_general, name, recorded)
+        assert self.f.order == 6
+        solver_general.newton_step_general(self.circle, self.f, sym_family(),
+                                           self.par)
+        assert len(orders) >= 5 and set(orders) == {6}
 
     def test_step_without_residual_computes_its_own(self):
         fam = sym_family()
