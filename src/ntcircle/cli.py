@@ -17,11 +17,15 @@ Exit codes: 0 success, 2 continuation stopped before the target
 (breakdown-type stop), 1 error.  All floats are serialized with 17
 significant digits so the tables re-parse to the exact binary values,
 and rerunning a command reproduces the files byte for byte (timing is
-off by default; wall_ms written as 0.0).  Branches run one at a time
-(`threads` must be 1); grid kernels at N >= 2^14 use a free second core
-(fourier.split), bit for bit.  On glibc, main first raises malloc's mmap
-and trim thresholds, so the blocks a command frees are reused instead of
-faulted in again; importing the package changes no allocator setting.
+off by default; wall_ms written as 0.0).  `threads` must be 1: no key
+selects the second core.  Where the process may run on two CPUs, the
+twist-surface branches and the points of each rotnum-sweep pass are
+shared between the caller and one forked worker process
+(fourier.split_items), and grid kernels at N >= 2^14 between two
+threads (fourier.split), bit for bit.  On glibc, main first raises
+malloc's mmap and trim thresholds, so the blocks a command frees are
+reused instead of faulted in again; importing the package changes no
+allocator setting.
 The keys `sweep_grid`, `sweep_order` and `sweep_tol` are accepted and
 validated but inert: they set the grid circle of an earlier sweep, and
 the sweep now solves no circle.
@@ -193,8 +197,9 @@ def validate_config(cfg: RunConfig) -> None:
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1")
     if cfg.threads != 1:
-        raise ValueError("threads must be 1: branches run one at a time; "
-                         "grid kernels at N >= 2^14 use a free second core")
+        raise ValueError("threads must be 1: surface branches, sweep points "
+                         "and grid kernels at N >= 2^14 use a free second "
+                         "core without it")
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
     if cfg.n_min < 8 or cfg.n_min & (cfg.n_min - 1):

@@ -8,7 +8,23 @@ continuation step or stopping a sweep.
 
 
 class NtCircleError(Exception):
-    """Base class for all solver failures."""
+    """Base class for all solver failures.
+
+    Every subclass pickles with its type, message and attributes: it is
+    rebuilt from its args and attributes without its __init__, whatever
+    that takes, so an error raised in a worker process (fourier.split_items)
+    reaches the caller as it would in serial.
+    """
+
+    def __reduce__(self):
+        return _rebuilt, (type(self), self.args, self.__dict__)
+
+
+def _rebuilt(cls, args: tuple, attributes: dict) -> NtCircleError:
+    """The error of type cls with args and attributes, __init__ not run."""
+    error = cls.__new__(cls, *args)
+    error.__dict__.update(attributes)
+    return error
 
 
 class SmallDivisorError(NtCircleError):

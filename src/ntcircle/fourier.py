@@ -55,6 +55,15 @@ starts none), as the forcing of maps splits its samples, for any caller.
 numpy transforms each row, and a ufunc each element, alone with the lock
 released, so no bit changes.  At 2^13 a two-row pair ran slower split;
 the breakdown workload ran fastest at 2^14 of 2^13, 2^14 and 2^15.
+Independent items of work, the branches of a twist surface and the
+points of a sweep pass, use the second core too (split_items), under the
+same CPU check: a forked worker process runs the even-indexed items,
+while the caller runs the odd ones, and pickles its results back, so
+which process runs an item is fixed and no bit changes.  A fork beside
+a live kernel thread is safe: split() returns only once the thread's
+half is done or cancelled, so the thread is idle, and the worker builds
+a thread of its own at its first split block (the executor is keyed by
+pid).
 
 Work that never changes is done once per grid.  The nodes, the phase
 vectors e(k*delta) of shift, the derivative multipliers 2 pi i k, the
@@ -222,6 +231,12 @@ SPLIT_MIN = 1 << 14     # the smallest grid, or sample count, that splits
 _pool = None            # (the pid that built it, its one-worker executor)
 
 
+def _usable_cpus() -> int | None:
+    """The CPUs this process may run on; None where os cannot tell."""
+    affinity = getattr(os, "sched_getaffinity", None)
+    return len(affinity(0)) if affinity else None
+
+
 def split(work, count: int, size: int):
     """(work(s) for the halves s of range(count)): the worker runs the first.
 
@@ -230,9 +245,8 @@ def split(work, count: int, size: int):
     worker not started yet, its core busy, leaves its half to the caller.
     """
     global _pool
-    affinity = getattr(os, "sched_getaffinity", None)    # CPUs we may use
-    cpus = len(affinity(0)) if affinity else (os.cpu_count() or 1)
-    if count < 2 or size < SPLIT_MIN or cpus < 2:
+    if count < 2 or size < SPLIT_MIN or (
+            _usable_cpus() or os.cpu_count() or 1) < 2:
         return None
     if _pool is None or _pool[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
@@ -244,6 +258,93 @@ def split(work, count: int, size: int):
     finally:
         first = work(slice(0, mid)) if future.cancel() else future.result()
     return first, second
+
+
+def split_items(fn, items) -> list:
+    """[fn(x) for x in items], the even-indexed items run in a forked worker.
+
+    The plain list, with no fork, below 2 items, on one CPU or where
+    os.fork or os.sched_getaffinity does not exist.  Otherwise one worker
+    process runs the even-indexed items while the caller runs the odd
+    ones, a fixed assignment, so which process runs an item never depends
+    on timing.  The worker pickles its results back through a pipe and
+    always ends with os._exit; the caller reaps it before it returns or
+    raises.  Each side stops at its first exception, and the one of the
+    lower index is raised, as a serial run would raise it; an exception
+    that does not pickle comes back as a RuntimeError that carries the
+    worker's traceback.  What fn changes besides its result is lost with
+    the worker.
+    """
+    items = list(items)
+    if len(items) < 2 or not hasattr(os, "fork") or (_usable_cpus() or 1) < 2:
+        return [fn(x) for x in items]
+    import pickle
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:                                    # the worker
+        status = 1
+        try:
+            os.close(read)
+            with open(write, "wb") as pipe:
+                pipe.write(_worker_result(fn, items[0::2]))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(write)
+    payload = None
+    with open(read, "rb") as pipe:
+        try:
+            ours, our_failure = _attempt(fn, items[1::2], 1)
+            payload = pipe.read()
+        finally:
+            if payload is None:                     # the caller is unwinding
+                import signal
+                os.kill(pid, signal.SIGKILL)
+            _, status = os.waitpid(pid, 0)
+    if not payload:
+        raise RuntimeError(f"the worker process ended with wait status "
+                           f"{status} and sent no result")
+    theirs, their_failure = pickle.loads(payload)
+    failures = [f for f in (their_failure, our_failure) if f is not None]
+    if failures:
+        raise min(failures, key=lambda f: f[0])[1]
+    out = [None] * len(items)
+    out[0::2], out[1::2] = theirs, ours
+    return out
+
+
+def _attempt(fn, items, first: int):
+    """fn over items up to its first exception, the items at indices first,
+    first + 2, ...: (results, None) or (results, (index, exception))."""
+    results = []
+    for j, x in enumerate(items):
+        try:
+            results.append(fn(x))
+        except Exception as exc:
+            return results, (first + 2 * j, exc)
+    return results, None
+
+
+def _worker_result(fn, items) -> bytes:
+    """The pickled _attempt of the even-indexed items, in split_items' worker.
+
+    An exception that does not come back from pickle is sent as a
+    RuntimeError with its traceback's text, and so are results that do
+    not pickle, with the traceback of that failure.
+    """
+    import pickle
+    results, failure = _attempt(fn, items, 0)
+    try:
+        if failure is not None:
+            pickle.loads(pickle.dumps(failure[1]))
+        return pickle.dumps((results, failure), pickle.HIGHEST_PROTOCOL)
+    except Exception as exc:
+        import traceback
+        index, error = failure if failure is not None else (0, exc)
+        text = "".join(traceback.format_exception(error))
+        return pickle.dumps(([], (index, RuntimeError(
+            f"a worker process could not send its result or error:\n"
+            f"{text}"))))
 
 
 def _rows(fft, a: np.ndarray, n: int, out: np.ndarray) -> np.ndarray:

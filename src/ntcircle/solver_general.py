@@ -40,10 +40,12 @@ Rotation-number sweeps solve no circle: on a dissipative map the
 attracting circle is the attractor, so every sweep point takes its
 rotation number from the ambient orbit of one start point, run on
 Python floats, and the sweep then bisects every locking boundary in
-each round.  The rotation numbers of the ambient orbit and of a grid
-circle map come from one weighted Birkhoff doubling loop; a locked
-ambient orbit stops iterating once it closes an exact floating-point
-cycle, which is then tiled out to the Birkhoff length.
+each round; the points of the walk and of each round are independent
+and run through fourier.split_items.  The rotation numbers of the
+ambient orbit and of a grid circle map come from one weighted Birkhoff
+doubling loop; a locked ambient orbit stops iterating once it closes an
+exact floating-point cycle, which is then tiled out to the Birkhoff
+length.
 """
 
 from __future__ import annotations
@@ -61,7 +63,14 @@ from .errors import (
     NtCircleError,
     ToleranceNotMetError,
 )
-from .fourier import _check_size, checked_field, cut_spectra, grid, transform
+from .fourier import (
+    _check_size,
+    checked_field,
+    cut_spectra,
+    grid,
+    split_items,
+    transform,
+)
 from .frame import (
     TorusEmbedding,
     normal0_values,
@@ -589,36 +598,39 @@ def sweep_parameter(
     (ambient_rotation_number, to rho_tol): on a dissipative map the
     attracting circle is the attractor, so no circle is solved for.  As
     every point starts from the same xy0, the order of the points does
-    not matter.  The sweep walks outward from the center in both
-    directions, then bisects in rounds, each halving every locked/unlocked
-    gap wider than refine_width whose midpoint falls strictly inside it,
-    until a round finds none.  A point whose average hits its cap keeps
-    the best estimate with rho_err = nan, and the sweep goes on.
-    Records are returned sorted by parameter.
+    not matter, and the points of a pass run through fourier.split_items,
+    on two cores where the process may use two.  The sweep walks outward
+    from the center in both directions in one pass, then bisects in
+    rounds of one pass each, each halving every locked/unlocked gap wider
+    than refine_width whose midpoint falls strictly inside it, until a
+    round finds none.  A point whose average hits its cap keeps the best
+    estimate with rho_err = nan, and the sweep goes on.  Records are
+    returned sorted by parameter.
     """
     if which not in ("a", "mu"):
         raise ValueError(f"sweep parameter must be 'a' or 'mu', got {which!r}")
     center = getattr(par, which)
     records: dict[float, SweepRecord] = {}
 
-    def rho_at(value: float) -> None:
+    def rho_at(value: float) -> SweepRecord:
         try:
             rho = ambient_rotation_number(
                 family, par.replace(**{which: value}), xy0, rho_tol)
             rho_err = rho_tol
         except ToleranceNotMetError as exc:
             rho, rho_err = exc.best, float("nan")
-        records[value] = SweepRecord(
+        return SweepRecord(
             value, rho, rho_err,
             lock_fraction(rho, q_max, lock_tol) is not None,
         )
 
-    rho_at(center)
-    steps = int(math.floor(halfwidth / step + 1e-9))
-    for sign in (1.0, -1.0):
-        for j in range(1, steps + 1):
-            rho_at(center + sign * j * step)
+    def run(values: list) -> None:
+        for rec in split_items(rho_at, values):
+            records[rec.param] = rec
 
+    steps = int(math.floor(halfwidth / step + 1e-9))
+    run([center] + [center + sign * j * step
+                    for sign in (1.0, -1.0) for j in range(1, steps + 1)])
     while True:
         keys = sorted(records)
         gaps = [(lo, hi) for lo, hi in zip(keys, keys[1:])
@@ -626,8 +638,7 @@ def sweep_parameter(
                 and hi - lo > refine_width and lo < 0.5 * (lo + hi) < hi]
         if not gaps:
             return [records[k] for k in keys]
-        for lo, hi in gaps:
-            rho_at(0.5 * (lo + hi))
+        run([0.5 * (lo + hi) for lo, hi in gaps])
 
 
 def induced_internal_map(

@@ -90,8 +90,10 @@ solve reads: the frame, eta_l, eta_n, b_la, D_a F_x and the shifted
 N_y and L_y.  Once the basis is built it keeps only its point (K, a,
 mu, eps and err), so the probes and the trials run beside K and the
 basis alone.  A frame stage runs with at most the current iterate and
-the point being built, and a kept point is completed after the
-previous iterate and its step are gone.  The eps-derivative treats the
+the point being built, and lets go of N0 and vartheta before its
+shifted-normal block; a kept point is completed after the previous
+iterate and its step are gone, and the start projected onto the band
+goes with the first iterate.  The eps-derivative treats the
 workspace it reads the same way, so its twist-rate probes run beside K
 and b_a, and the continuation drops the previous step's tangent and
 prediction before the next predictor runs.  The floor snapshot is kept
@@ -297,12 +299,15 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     vth = vartheta_qp(t0, sig, om)
     del t0
     nx, ny = normal_values(lx, ly, n0x, n0y, vth)
+    del n0x, n0y    # N0 and vartheta go before the shifted-normal block
+    alpha = min_angle(vth, gram.values)
+    del vth
     fr = AdaptedFrame(l, gram, (checked(nx), checked(ny)), sig)
 
     ws.frame = fr
     ws.dfk = dfk
     ws.d_a = dax
-    ws.alpha = min_angle(vth, gram.values)
+    ws.alpha = alpha
     if ws.err is None:
         ws.ny_s, = _shifted(fr.nvec[1:], om)
     else:
@@ -514,10 +519,11 @@ def newton_solve(problem: QpProblem, state: QpState,
     the floor snapshot is kept as its state, so a state accepted at the
     floor of an earlier iterate hands over no workspace.
     """
-    # project the start onto the retained band; corrections stay there
-    k = TorusEmbedding(*fourier.transform(
-        np.array((state.k.eta_x, state.k.k_y)), fourier.cut_spectra))
-    ws = _geometry(problem, k, state.a, state.mu, state.eps)
+    # project the start onto the retained band; corrections stay there.
+    # Only its workspace holds it, so it goes with the first iterate
+    ws = _geometry(problem, TorusEmbedding(*fourier.transform(
+        np.array((state.k.eta_x, state.k.k_y)), fourier.cut_spectra)),
+        state.a, state.mu, state.eps)
     history: list[float] = [ws.err]
 
     def settled(ws: NewtonWorkspace, iterations: int) -> QpState:
@@ -921,10 +927,12 @@ def twist_surface(
 ) -> list[SurfacePath]:
     """Continue one circle branch per twist level b_a0, each from eps = 0.
 
-    The paths run one after another in the order of b_a0_values, and
-    each is bitwise identical to a lone continue_in_eps call.  A path
-    that raises NtCircleError is returned with no records and the
-    error as its stop reason.
+    The branches are independent, so they run through
+    fourier.split_items, on two cores where the process may use two; the
+    paths come back in the order of b_a0_values, and each is bitwise
+    identical to a lone continue_in_eps call.  A path that raises
+    NtCircleError is returned with no records and the error as its stop
+    reason.
     """
 
     def run(b: float) -> SurfacePath:
@@ -936,4 +944,4 @@ def twist_surface(
             res = ContinuationResult((), f"error: {exc}", None)
         return SurfacePath(b, res)
 
-    return [run(float(b)) for b in b_a0_values]
+    return fourier.split_items(run, [float(b) for b in b_a0_values])

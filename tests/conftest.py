@@ -50,3 +50,20 @@ def two_cpus(monkeypatch):
     yield done
     if fourier._pool is not None:
         fourier._pool[1].shutdown(wait=True)
+
+
+@pytest.fixture
+def forks(two_cpus, monkeypatch):
+    """fourier.split_items forced to fork, whatever the machine.  Yields
+    the pids of the workers forked."""
+    pids = []
+    fork = os.fork
+
+    def counted():
+        pid = fork()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counted)
+    yield pids

@@ -940,3 +940,137 @@ class TestSplitLifecycle:
         assert not runner.is_alive()
         assert len(same) == 200 and all(same)
         assert len(two_cpus) == 400
+
+
+def square(x):
+    return x * x
+
+
+class TestSplitItems:
+    """split_items gives the serial list, runs every item once, passes
+    exceptions on as a serial run raises them, and leaves no process."""
+
+    @staticmethod
+    def no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("count", range(8))
+    def test_equals_serial_list(self, two_cpus, count):
+        items = [0.1 * j - 0.3 for j in range(count)]
+        assert fourier.split_items(square, items) == [square(x)
+                                                      for x in items]
+        self.no_child_left()
+
+    def test_even_items_run_in_the_worker(self, two_cpus):
+        here = os.getpid()
+        pids = fourier.split_items(lambda x: os.getpid(), range(5))
+        assert pids[1::2] == [here, here]
+        assert len(set(pids[0::2])) == 1 and pids[0] != here
+
+    def test_each_item_runs_once(self, two_cpus, tmp_path):
+        log = tmp_path / "ran.txt"
+
+        def run(j):
+            with open(log, "a", encoding="ascii") as fh:
+                fh.write(f"{j}\n")
+            return j
+
+        assert fourier.split_items(run, range(9)) == list(range(9))
+        assert sorted(map(int, log.read_text().split())) == list(range(9))
+
+    def test_arrays_come_back_bit_for_bit_and_read_only(self, two_cpus):
+        def field(seed):
+            v = np.random.default_rng(seed).standard_normal(64)
+            return fourier.checked(v), v.copy()
+
+        got = fourier.split_items(field, range(4))
+        for seed, (frozen, plain) in enumerate(got):
+            want, _ = field(seed)
+            assert frozen.tobytes() == want.tobytes()
+            assert not frozen.flags.writeable and plain.flags.writeable
+
+    def test_worker_exception_reaches_caller(self, two_cpus):
+        def run(j):
+            if j == 2:                 # the worker's second item
+                raise SmallDivisorError(j, 1e-14, 1e-13, "1 - e(k omega)")
+            return j
+
+        with pytest.raises(SmallDivisorError, match="at mode k = 2") as exc:
+            fourier.split_items(run, range(5))
+        assert (exc.value.k, exc.value.divisor) == (2, 1e-14)
+        self.no_child_left()
+
+    @pytest.mark.parametrize("worker, caller, first", [
+        (0, 1, 0), (2, 1, 1), (4, 3, 3), (None, 3, 3), (2, None, 2)])
+    def test_the_serial_first_exception_wins(self, two_cpus, worker,
+                                             caller, first):
+        def run(j):
+            if j in (worker, caller):
+                raise ValueError(f"item {j}")
+            return j
+
+        with pytest.raises(ValueError, match=f"item {first}"):
+            fourier.split_items(run, range(6))
+        self.no_child_left()
+
+    def test_unpicklable_exception_comes_back_with_its_traceback(
+            self, two_cpus):
+        class LocalError(Exception):       # a local class does not pickle
+            pass
+
+        def run(j):
+            if j == 0:
+                raise LocalError("lost in the worker")
+            return j
+
+        with pytest.raises(RuntimeError) as exc:
+            fourier.split_items(run, range(3))
+        text = str(exc.value)
+        assert "Traceback" in text and "LocalError: lost in the worker" in text
+        self.no_child_left()
+
+    def test_unwinding_caller_kills_the_worker(self, two_cpus):
+        def run(j):
+            if j == 0:
+                time.sleep(60)
+            raise KeyboardInterrupt
+
+        start = time.perf_counter()
+        with pytest.raises(KeyboardInterrupt):
+            fourier.split_items(run, range(2))
+        assert time.perf_counter() - start < 30
+        self.no_child_left()
+
+    def test_forks_beside_a_live_kernel_worker(self, two_cpus):
+        # the kernel-split thread is running; the worker builds its own
+        v = TestSplitBlocks.rows(fourier.SPLIT_MIN, 4)
+        fourier.transform(v.copy(), fourier.shift_spectra, GOLDEN_MEAN)
+        assert fourier._pool is not None
+
+        def run(delta):
+            out = fourier.transform(v.copy(), fourier.shift_spectra, delta)
+            return out.tobytes()
+
+        deltas = [0.1, 0.2, 0.3]
+        assert fourier.split_items(run, deltas) == [run(d) for d in deltas]
+        self.no_child_left()
+
+    @pytest.mark.parametrize("setup", ["one cpu", "one item",
+                                       "no affinity call"])
+    def test_no_fork_without_two_cpus_and_two_items(self, two_cpus,
+                                                    monkeypatch, setup):
+        def refuse():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", refuse)
+        items = [0.5, 1.5, 2.5]
+        if setup == "one cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        elif setup == "one item":
+            items = items[:1]
+        else:
+            monkeypatch.delattr(os, "sched_getaffinity")
+            monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert fourier.split_items(square, items) == [square(x)
+                                                      for x in items]

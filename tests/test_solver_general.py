@@ -1,5 +1,6 @@
 """Grid solver: interpolation, inversion, rotation numbers, sweeps."""
 
+import os
 from fractions import Fraction
 
 import numpy as np
@@ -30,6 +31,11 @@ from ntcircle import solver_general
 
 OMEGA = GOLDEN_MEAN
 SIGMA = 0.8
+
+
+def bits(rec):
+    """A sweep record with its floats as their hex."""
+    return rec.param.hex(), rec.rho.hex(), rec.rho_err.hex(), rec.locked
 
 
 def sym_family():
@@ -565,7 +571,13 @@ class TestResidualFloor:
 class TestSweep:
     @staticmethod
     def count_points(monkeypatch):
-        """Record the parameter point of every ambient orbit the sweep runs."""
+        """Record the parameter point of every ambient orbit the sweep runs.
+
+        The count is kept in this process, which sees only its own share
+        of a split sweep, so the sweep is pinned to one CPU.
+        """
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
         points = []
         ambient = solver_general.ambient_rotation_number
 
@@ -623,6 +635,20 @@ class TestSweep:
         monkeypatch.setattr(solver_general, "ambient_rotation_number",
                             untiled_rotation_number)
         assert recs == sweep_parameter(*args)
+
+    def test_split_equals_one_cpu(self, forks, monkeypatch):
+        # the outward walk and every bisection round, on two processes
+        par = ParamPoint(a=0.075, mu=MU_22, eps=2.2)
+        args = (sym_family(), par, (0.3, 0.2), "a", 0.003, 0.002)
+        split = sweep_parameter(*args)
+        rounds = len(forks)
+        assert rounds >= 3
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = sweep_parameter(*args)
+        assert len(forks) == rounds
+        assert [bits(r) for r in split] == [bits(r) for r in serial]
+        assert any(r.locked for r in split) and not all(r.locked
+                                                        for r in split)
 
     def test_bad_parameter_name(self):
         par = ParamPoint(0.0, OMEGA, 0.0)

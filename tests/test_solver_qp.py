@@ -3,6 +3,7 @@
 import dataclasses
 import gc
 import math
+import os
 import weakref
 from dataclasses import replace
 
@@ -1310,6 +1311,35 @@ class TestBreakdownFit:
         assert fit.slope == clean.slope and fit.residual == clean.residual
 
 
+def blow_up_family():
+    """The symmetric map, its Jacobian non-finite once a exceeds 0.01."""
+
+    class BlowUpEvaluation(Evaluation):
+        def jacobian(self):
+            j = super().jacobian()
+            return j * np.nan if self.par.a > 0.01 else j
+
+    class BlowUp(StandardNonTwistMap):
+        def evaluate(self, x, y, p):
+            return BlowUpEvaluation(self, x, y, p)
+
+    return BlowUp(SIGMA, "symmetric")
+
+
+def bits(x):
+    """x with every float as its hex and every array as its bytes."""
+    if isinstance(x, float):
+        return x.hex()
+    if isinstance(x, np.ndarray):
+        return x.dtype.str, x.shape, x.tobytes()
+    if dataclasses.is_dataclass(x):
+        return type(x).__name__, bits([getattr(x, f.name)
+                                       for f in dataclasses.fields(x)])
+    if isinstance(x, (tuple, list)):
+        return tuple(bits(v) for v in x)
+    return x
+
+
 class TestTwistSurface:
     def test_integrable_levels(self):
         prob = sym_problem(tol=1e-12)
@@ -1323,16 +1353,7 @@ class TestTwistSurface:
     def test_blow_up_is_a_path_failure(self):
         # the Jacobian goes non-finite once a leaves the b_a0 = 0 level;
         # the solver reads it from the one map evaluation per point
-        class BlowUpEvaluation(Evaluation):
-            def jacobian(self):
-                j = super().jacobian()
-                return j * np.nan if self.par.a > 0.01 else j
-
-        class BlowUp(StandardNonTwistMap):
-            def evaluate(self, x, y, p):
-                return BlowUpEvaluation(self, x, y, p)
-
-        prob = QpProblem(BlowUp(SIGMA, "symmetric"), omega=OMEGA)
+        prob = QpProblem(blow_up_family(), omega=OMEGA)
         flat, lifted = twist_surface(prob, [0.0, 0.1], 0.05)
         assert flat.result.reason == "target"
         assert flat.result.state.eps == 0.05
@@ -1341,3 +1362,27 @@ class TestTwistSurface:
         with pytest.raises(NonFiniteError):
             newton_solve(replace(prob, b_a0=0.1),
                          QpState.flat_start(64, OMEGA, 0.1))
+
+    @pytest.mark.parametrize("family, failed", [
+        (StandardNonTwistMap(SIGMA, "symmetric"), []),
+        (blow_up_family(), [0.1, 0.05])], ids=["symmetric", "blow-up"])
+    def test_split_equals_one_cpu(self, forks, monkeypatch, family, failed):
+        # the worker runs b_a0 = 0.1, -0.1 and -0.05, the caller the rest
+        prob = QpProblem(family, omega=OMEGA)
+        levels = [0.1, 0.0, -0.1, 0.05, -0.05]
+        split = twist_surface(prob, levels, 0.3)
+        assert len(forks) == 1
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        serial = twist_surface(prob, levels, 0.3)
+        assert len(forks) == 1
+        assert bits(split) == bits(serial)
+        assert [p.result.reason for p in split] == [
+            p.result.reason for p in serial]
+        assert [p.b_a0 for p in split if p.result.state is None] == failed
+        assert all(p.result.reason == "target" for p in split
+                   if p.b_a0 not in failed)
+        for p in split:
+            if p.result.state is not None:
+                k = p.result.state.k
+                assert not k.eta_x.flags.writeable
+                assert not k.k_y.flags.writeable
