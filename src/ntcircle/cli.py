@@ -17,18 +17,18 @@ Exit codes: 0 success, 2 continuation stopped before the target
 (breakdown-type stop), 1 error.  All floats are serialized with 17
 significant digits so the tables re-parse to the exact binary values,
 and rerunning a command reproduces the files byte for byte (timing is
-off by default; wall_ms written as 0.0).  `threads` must be 1: no key
-selects the second core.  Where the process may run on two CPUs, the
-twist-surface branches and the points of each rotnum-sweep pass are
-shared between the caller and one forked worker process
-(fourier.split_items), and grid kernels at N >= 2^14 between two
-threads (fourier.split), bit for bit.  On glibc, main first raises
-malloc's mmap and trim thresholds, so the blocks a command frees are
-reused instead of faulted in again; importing the package changes no
-allocator setting.
-The keys `sweep_grid`, `sweep_order` and `sweep_tol` are accepted and
-validated but inert: they set the grid circle of an earlier sweep, and
-the sweep now solves no circle.
+off by default; wall_ms written as 0.0).  No key selects the second
+core.  Where the process may run on two CPUs, the twist-surface
+branches and the points of each rotnum-sweep pass are shared between
+the caller and one forked worker process (fourier.split_items), and
+grid kernels at N >= 2^14 between two threads (fourier.split), bit for
+bit.  On glibc, main first raises malloc's mmap and trim thresholds, so
+the blocks a command frees are reused instead of faulted in again;
+importing the package changes no allocator setting.
+The solver and continuation keys take the defaults of QpProblem and
+ContinuationPolicy, whose fields they name.  The retired keys `threads`,
+`sweep_grid`, `sweep_order` and `sweep_tol` are read and ignored: a
+value of the wrong type is still an error, but no value selects anything.
 """
 
 from __future__ import annotations
@@ -69,30 +69,33 @@ ENV_OUT_DIR = "NTCIRCLE_OUT_DIR"
 
 @dataclass
 class RunConfig:
-    """Flat run configuration; every key has a usable default."""
+    """Flat run configuration; every key has a usable default.
+
+    A key that names a field of QpProblem or ContinuationPolicy takes
+    that field's default and is passed to it by name (_shared).
+    """
 
     family: str = "dsntm"
     variant: str = "symmetric"
     sigma: float = 0.8
-    omega: float = GOLDEN_MEAN     # config accepts a literal or `golden`
-    b_a0: float = 0.0
+    omega: float = QpProblem.omega  # config accepts a literal or `golden`
+    b_a0: float = QpProblem.b_a0
     eps_target: float = 2.0
-    step_init: float = 0.01
-    step_min: float = 1e-6
-    step_max: float = 0.1
-    grow_after: int = 3
-    alpha_floor: float = 1e-4
-    tol: float = 1e-11
-    tol_phase: float = 1e-11
-    tol_twist: float = 1e-11
-    max_newton: int = 20
-    n_min: int = 64
-    n_max: int = 1 << 19
-    tail_double: float = 1e-9
+    step_init: float = ContinuationPolicy.step_init
+    step_min: float = ContinuationPolicy.step_min
+    step_max: float = ContinuationPolicy.step_max
+    grow_after: int = ContinuationPolicy.grow_after
+    alpha_floor: float = ContinuationPolicy.alpha_floor
+    tol: float = QpProblem.tol
+    tol_phase: float = QpProblem.tol_phase
+    tol_twist: float = QpProblem.tol_twist
+    max_newton: int = QpProblem.max_newton
+    n_min: int = QpProblem.n_min
+    n_max: int = QpProblem.n_max
+    tail_double: float = QpProblem.tail_double
     out_dir: str = "."
     seed: int = 0
-    threads: int = 1
-    timing: bool = False
+    timing: bool = ContinuationPolicy.timing
     # breakdown
     fit_window: int = 20
     alpha_input: str = ""          # fit a ready-made (eps, alpha) table instead
@@ -100,9 +103,6 @@ class RunConfig:
     sweep_which: str = "a"
     sweep_halfwidth: float = 0.1
     sweep_step: float = 0.004
-    sweep_grid: int = 8192
-    sweep_order: int = 4
-    sweep_tol: float = 1e-9
     rho_tol: float = 1e-10
     lock_tol: float = 1e-8
     q_max: int = 64
@@ -148,9 +148,18 @@ _PARSERS = {"str": str, "float": _parse_float, "int": int,
 _CASTERS = {f.name: _PARSERS[f.type] for f in fields(RunConfig)}
 _CASTERS["omega"] = _parse_omega
 
+# keys that no longer act, still parsed so that old configs run: the
+# size of a branch pool, and the grid circle of an earlier sweep, which
+# now solves no circle.  A value is type-checked, then dropped.
+_RETIRED = {"threads": int, "sweep_grid": int, "sweep_order": int,
+            "sweep_tol": _parse_float}
+_CASTERS.update(_RETIRED)
+
 
 def parse_config(text: str) -> RunConfig:
-    """Parse key=value lines; '#' starts a comment; unknown keys rejected."""
+    """Parse key=value lines; '#' starts a comment; unknown keys rejected.
+
+    A retired key is parsed like any other key, then dropped."""
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -168,19 +177,21 @@ def parse_config(text: str) -> RunConfig:
             values[key] = _CASTERS[key](val)
         except ValueError as exc:
             raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    cfg = RunConfig(**values)
+    cfg = RunConfig(**{key: value for key, value in values.items()
+                       if key not in _RETIRED})
     validate_config(cfg)
     return cfg
 
 
 def validate_config(cfg: RunConfig) -> None:
-    """Eager checks; deeper preconditions are enforced by the modules."""
+    """Eager checks, so that a bad value fails before any work is done.
+
+    The family is built, and so checks its own sigma and variant; deeper
+    preconditions are enforced by the modules.
+    """
     if cfg.family != "dsntm":
         raise ValueError(f"unknown family {cfg.family!r} (supported: dsntm)")
-    if cfg.variant not in (Forcing.SYMMETRIC, Forcing.NONSYMMETRIC):
-        raise ValueError(f"unknown forcing variant {cfg.variant!r}")
-    if not 0.0 < cfg.sigma < 1.0:
-        raise ValueError(f"need sigma in (0, 1), got {cfg.sigma}")
+    build_family(cfg)
     if not 0.0 < cfg.omega < 1.0:
         raise ValueError(f"need omega in (0, 1), got {cfg.omega}")
     if cfg.eps_target < 0.0:
@@ -193,13 +204,9 @@ def validate_config(cfg: RunConfig) -> None:
             raise ValueError(f"{key} must be positive")
     if not cfg.step_min <= cfg.step_init <= cfg.step_max:
         raise ValueError("need step_min <= step_init <= step_max")
-    for key in ("grow_after", "max_newton", "threads", "q_max"):
+    for key in ("grow_after", "max_newton", "q_max"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1")
-    if cfg.threads != 1:
-        raise ValueError("threads must be 1: surface branches, sweep points "
-                         "and grid kernels at N >= 2^14 use a free second "
-                         "core without it")
     if cfg.seed < 0:
         raise ValueError("seed must be nonnegative")
     if cfg.n_min < 8 or cfg.n_min & (cfg.n_min - 1):
@@ -208,16 +215,6 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError("need n_min <= n_max")
     if cfg.sweep_which not in ("a", "mu"):
         raise ValueError(f"sweep_which must be 'a' or 'mu', got {cfg.sweep_which!r}")
-    # sweep_tol, sweep_order and sweep_grid no longer act (the sweep
-    # solves no circle) but are validated as before, as threads is
-    if cfg.sweep_tol <= 0.0:
-        raise ValueError("sweep_tol must be positive")
-    if cfg.sweep_order not in (2, 4, 6, 8):
-        raise ValueError("sweep_order must be one of 2, 4, 6, 8")
-    low = max(8, 4 * cfg.sweep_order)
-    if cfg.sweep_grid < low or cfg.sweep_grid & (cfg.sweep_grid - 1):
-        raise ValueError(f"sweep_grid must be a power of two >= {low}, "
-                         f"got {cfg.sweep_grid}")
     if cfg.fit_window < _FIT_MIN_POINTS:
         raise ValueError(f"fit_window must be at least {_FIT_MIN_POINTS}, "
                          f"got {cfg.fit_window}")
@@ -232,30 +229,18 @@ def build_family(cfg: RunConfig) -> StandardNonTwistMap:
     return StandardNonTwistMap(cfg.sigma, Forcing(cfg.variant))
 
 
+def _shared(cfg: RunConfig, target) -> dict:
+    """The keys of cfg that name fields of the dataclass target."""
+    return {f.name: getattr(cfg, f.name) for f in fields(target)
+            if f.name != "family" and hasattr(cfg, f.name)}
+
+
 def build_problem(cfg: RunConfig) -> QpProblem:
-    return QpProblem(
-        build_family(cfg),
-        omega=cfg.omega,
-        b_a0=cfg.b_a0,
-        tol=cfg.tol,
-        tol_phase=cfg.tol_phase,
-        tol_twist=cfg.tol_twist,
-        n_min=cfg.n_min,
-        n_max=cfg.n_max,
-        tail_double=cfg.tail_double,
-        max_newton=cfg.max_newton,
-    )
+    return QpProblem(build_family(cfg), **_shared(cfg, QpProblem))
 
 
 def build_policy(cfg: RunConfig) -> ContinuationPolicy:
-    return ContinuationPolicy(
-        step_init=cfg.step_init,
-        step_min=cfg.step_min,
-        step_max=cfg.step_max,
-        grow_after=cfg.grow_after,
-        alpha_floor=cfg.alpha_floor,
-        timing=cfg.timing,
-    )
+    return ContinuationPolicy(**_shared(cfg, ContinuationPolicy))
 
 
 # ---------------------------------------------------------------------------

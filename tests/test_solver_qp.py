@@ -847,6 +847,36 @@ class TestContinuation:
         # the state's workspace went before the first rebuild
         assert held == 1
 
+    def test_rebuild_skips_a_refused_level(self, monkeypatch):
+        # a level that refuses is skipped, not the end of the rebuild:
+        # 2N refuses, 4N converges, and the continuation records 4N.
+        # At eps = 2 the circle's tail on N = 64 is above tail_double
+        coarse = sym_problem(n_max=64, tail_double=1.0)
+        state = continue_in_eps(coarse, QpState.flat_start(64, OMEGA),
+                                2.0).state
+        prob = sym_problem(n_max=512)
+        assert state.k.n == 64 and state.diagnostics.tail > prob.tail_double
+        solve = solver_qp.newton_solve
+        levels = []
+
+        def refuse_128(problem, st, out=None):
+            levels.append(st.k.n)
+            if st.k.n == 128:
+                raise DivergenceError("injected", residual=1.0)
+            return solve(problem, st, out)
+
+        monkeypatch.setattr(solver_qp, "newton_solve", refuse_128)
+        grown = solver_qp._rebuild_finer(prob, state, [])
+        assert levels == [128, 256]
+        assert grown.k.n == 256 and grown.eps == 2.0
+        assert grown.diagnostics.tail <= prob.tail_double
+
+        levels.clear()
+        res = continue_in_eps(prob, state, 2.0)
+        assert levels == [64, 128, 256]
+        assert res.reason == "target" and res.state.k.n == 256
+        assert len(res.records) == 1 and res.records[0].n == 256
+
     def test_rebuild_at_n_max_keeps_the_workspace(self):
         # with no level left above n_max there is nothing to rebuild: the
         # state's workspace stays for the predictor
