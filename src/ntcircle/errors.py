@@ -71,10 +71,18 @@ class NonFiniteError(NtCircleError, ValueError):
 class DivergenceError(NtCircleError):
     """Newton ran out of iterations or the residual blew up.
 
-    `residual` is the best sup-norm invariance error the iteration
-    reached and `tail` the spectral tail fraction at that point; a small
-    residual with a thin tail marks a solver floor on a well-resolved
-    circle rather than a genuinely lost step.
+    `residual` is a sup-norm invariance error and `tail` a raw spectral
+    tail fraction; which ones depends on the stop:
+
+    - newton_solve on a blow-up: the blown-up error, and no tail (nan);
+    - newton_solve when the residual stopped contracting (pumping) or
+      the budget ran out: the best error the iteration reached, and the
+      tail of that iterate;
+    - newton_solve_general: its best error, and no tail.
+
+    A small residual over a fat tail marks a circle the grid no longer
+    resolves, and continue_in_eps regrids on it; a nan tail never
+    compares above a threshold, so a blow-up is never taken for one.
     """
 
     def __init__(self, message: str, residual: float = float("nan"),

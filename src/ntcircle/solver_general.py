@@ -39,13 +39,15 @@ step's updates get the 1/3 cut of fourier.cut_spectra.
 Rotation-number sweeps solve no circle: on a dissipative map the
 attracting circle is the attractor, so every sweep point takes its
 rotation number from the ambient orbit of one start point, run on
-Python floats, and the sweep then bisects every locking boundary in
-each round; the points of the walk and of each round are independent
-and run through fourier.split_items.  The rotation numbers of the
-ambient orbit and of a grid circle map come from one weighted Birkhoff
-doubling loop; a locked ambient orbit stops iterating once it closes an
-exact floating-point cycle, which is then tiled out to the Birkhoff
-length.
+Python floats.  The sweep walks outward, then bisects each locking
+boundary of the walk as one chain; the points of the walk, and the
+chains, are independent and run through fourier.split_items, one pass
+each.  The rotation numbers of the ambient orbit and of a grid circle
+map come from one weighted Birkhoff doubling loop, which stops once two
+successive estimates agree within the tolerance, or once its falling
+differences bound what is left within it; a locked ambient orbit stops
+iterating once it closes an exact floating-point cycle, which is then
+tiled out to the Birkhoff length.
 """
 
 from __future__ import annotations
@@ -334,7 +336,8 @@ def newton_solve_general(
     iteration cap, a non-finite or blown-up residual, or a step raising
     NtCircleError) returns its best iterate, with its true residual, if
     that is within _FLOOR_FACTOR * tol.  Otherwise the failing step's
-    error is re-raised, or DivergenceError carrying the best residual.
+    error is re-raised, or DivergenceError carrying the best residual
+    and no tail.
     A circle and a map on different grids raise ValueError before any
     step.
     """
@@ -421,11 +424,23 @@ def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
     grown at each doubling with its filled stretch copied over.
     extend(d, filled) writes the displacements filled .. d.size - 1
     into d, whose first filled entries hold the earlier ones, and
-    leaves those alone.  The orbit length is doubled from 1024 until two
-    successive estimates agree within tol; hitting m_max first raises
-    ToleranceNotMetError carrying the best estimate, with `what` naming
-    the quantity in its message.  m_max below 1024, the length of the
-    first estimate, raises ValueError.
+    leaves those alone.  The orbit length is doubled from 1024 until
+    the estimates vouch for tol, in one of two ways:
+
+    - two successive estimates agree within tol;
+    - once three differences exist (m >= 8192), the differences
+      converge fast enough to bound the rest.  With d the latest
+      difference, r = d / d_prev and r_prev = d_prev / d_prevprev, the
+      rule asks r <= r_prev, r <= 1/2 and r * d / (1 - r) <= tol.
+      While the ratios keep falling, r * d / (1 - r) bounds the sum of
+      every difference still to come, so the latest estimate is within
+      tol of the limit one doubling before the first rule would say so.
+      The weighted average of a quasi-periodic orbit converges faster
+      than any power of its length, which is where the ratios fall.
+
+    Hitting m_max first raises ToleranceNotMetError carrying the best
+    estimate, with `what` naming the quantity in its message.  m_max
+    below 1024, the length of the first estimate, raises ValueError.
     """
     m = 1 << 10
     if m_max < m:
@@ -433,6 +448,7 @@ def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
     d = np.empty(m)
     extend(d, 0)
     est = _weighted_average(d)
+    diffs: list[float] = []     # the earlier differences, latest last
     while True:
         if 2 * m > m_max:
             raise ToleranceNotMetError(
@@ -450,6 +466,11 @@ def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
         est = new
         if diff <= tol:
             return est
+        if len(diffs) >= 2:
+            r, r_prev = diff / diffs[-1], diffs[-1] / diffs[-2]
+            if r <= r_prev and r <= 0.5 and r * diff / (1.0 - r) <= tol:
+                return est
+        diffs.append(diff)
 
 
 def rotation_number(
@@ -463,8 +484,10 @@ def rotation_number(
     The exponential bump weights suppress boundary (and transient) terms,
     so the average converges superpolynomially for Diophantine rotation
     and settles rapidly onto p/q in locked windows.  The orbit length is
-    doubled until two successive estimates agree within tol; hitting
-    m_max first raises ToleranceNotMetError carrying the best estimate.
+    doubled until the estimates vouch for tol, by either stop of
+    _birkhoff: two successive estimates agree within tol, or the falling
+    differences bound what is left within it.  Hitting m_max first
+    raises ToleranceNotMetError carrying the best estimate.
 
     The orbit runs in grid units t = n * theta on the per-cell table of
     the interpolant of g, so each step is one row lookup and one Horner
@@ -525,10 +548,13 @@ def ambient_rotation_number(
     The attractor of a dissipative annulus map is reached geometrically
     fast, so after a short transient the lift displacements x' - x can
     be averaged exactly like the displacements of an internal circle
-    map.  Works across resonance tongues where a circle parameterization
-    is out of reach; locked windows give p/q to machine accuracy.  The
-    orbit runs on Python floats (StandardNonTwistMap.orbit), with x
-    reduced mod 1 and each displacement q^2 + mu taken as it is.
+    map, to tol by either stop of _birkhoff (two successive estimates
+    agree within tol, or the falling differences bound what is left
+    within it).  Works across resonance tongues where a circle
+    parameterization is out of reach; locked windows give p/q to machine
+    accuracy.  The orbit runs on Python floats
+    (StandardNonTwistMap.orbit), with x reduced mod 1 and each
+    displacement q^2 + mu taken as it is.
 
     A locked orbit settles onto an exact floating-point cycle.  Each
     chunk of new iterates starts with up to _CYCLE_PROBE single steps,
@@ -598,14 +624,17 @@ def sweep_parameter(
     (ambient_rotation_number, to rho_tol): on a dissipative map the
     attracting circle is the attractor, so no circle is solved for.  As
     every point starts from the same xy0, the order of the points does
-    not matter, and the points of a pass run through fourier.split_items,
-    on two cores where the process may use two.  The sweep walks outward
-    from the center in both directions in one pass, then bisects in
-    rounds of one pass each, each halving every locked/unlocked gap wider
-    than refine_width whose midpoint falls strictly inside it, until a
-    round finds none.  A point whose average hits its cap keeps the best
-    estimate with rho_err = nan, and the sweep goes on.  Records are
-    returned sorted by parameter.
+    not matter.  The sweep makes two passes through fourier.split_items,
+    on two cores where the process may use two.  The first walks outward
+    from the center in both directions.  The second bisects every
+    locked/unlocked gap of the walk as one chain: it halves the gap,
+    keeps the half whose ends differ in lock, and stops once the gap is
+    no wider than refine_width or its midpoint no longer falls strictly
+    inside it.  A gap's midpoints depend on the lock flags of its own
+    ends alone, so the chains give the points that rounds of halving
+    every gap at once would give.  A point whose average hits its cap
+    keeps the best estimate with rho_err = nan, and the sweep goes on.
+    Records are returned sorted by parameter.
     """
     if which not in ("a", "mu"):
         raise ValueError(f"sweep parameter must be 'a' or 'mu', got {which!r}")
@@ -624,21 +653,31 @@ def sweep_parameter(
             lock_fraction(rho, q_max, lock_tol) is not None,
         )
 
-    def run(values: list) -> None:
-        for rec in split_items(rho_at, values):
-            records[rec.param] = rec
+    def bisect(gap: tuple) -> list[SweepRecord]:
+        """The midpoints of one locked/unlocked gap, halved to the end."""
+        lo, hi, lo_locked = gap
+        out = []
+        while hi - lo > refine_width and lo < 0.5 * (lo + hi) < hi:
+            rec = rho_at(0.5 * (lo + hi))
+            out.append(rec)
+            if rec.locked == lo_locked:
+                lo = rec.param
+            else:
+                hi = rec.param
+        return out
 
     steps = int(math.floor(halfwidth / step + 1e-9))
-    run([center] + [center + sign * j * step
-                    for sign in (1.0, -1.0) for j in range(1, steps + 1)])
-    while True:
-        keys = sorted(records)
-        gaps = [(lo, hi) for lo, hi in zip(keys, keys[1:])
-                if records[lo].locked != records[hi].locked
-                and hi - lo > refine_width and lo < 0.5 * (lo + hi) < hi]
-        if not gaps:
-            return [records[k] for k in keys]
-        run([0.5 * (lo + hi) for lo, hi in gaps])
+    walk = [center] + [center + sign * j * step
+                       for sign in (1.0, -1.0) for j in range(1, steps + 1)]
+    for rec in split_items(rho_at, walk):
+        records[rec.param] = rec
+    keys = sorted(records)
+    gaps = [(lo, hi, records[lo].locked) for lo, hi in zip(keys, keys[1:])
+            if records[lo].locked != records[hi].locked]
+    for chain in split_items(bisect, gaps):
+        for rec in chain:
+            records[rec.param] = rec
+    return [records[k] for k in sorted(records)]
 
 
 def induced_internal_map(

@@ -511,6 +511,8 @@ def newton_solve(problem: QpProblem, state: QpState,
     tails, or genuine blow-ups raise.  The DivergenceError names what
     stopped the solve: a blow-up, pumping (the residual stopped
     contracting) or the spent iteration budget, with the iterations run.
+    A blow-up carries the blown-up residual and a nan tail; pumping and
+    the spent budget carry the best residual and that iterate's raw tail.
 
     When out is a list, the workspace of the returned state is appended
     to it, for eps_derivative to read instead of rebuilding it.  The

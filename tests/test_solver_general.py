@@ -27,7 +27,7 @@ from ntcircle import (
     rotation_number,
     sweep_parameter,
 )
-from ntcircle import solver_general
+from ntcircle import cli, solver_general
 
 OMEGA = GOLDEN_MEAN
 SIGMA = 0.8
@@ -335,6 +335,97 @@ class TestWeightedAverage:
         assert solver_general._weighted_average(d) == self.plain(d)
 
 
+class TestBirkhoffStop:
+    """The two ways _birkhoff stops, on synthetic estimate sequences.
+
+    The extend records the length of every array it fills, and the
+    weighted average is replaced by a lookup that gives the estimate of
+    each doubling, 1024 << k, from the differences between successive
+    estimates.
+    """
+
+    LIMIT = 0.6
+
+    @classmethod
+    def sequence(cls, diffs):
+        """Orbit length -> estimate, from the successive differences."""
+        estimates = {1 << 10: cls.LIMIT}
+        for k, diff in enumerate(diffs, 1):
+            estimates[1 << (10 + k)] = estimates[1 << (9 + k)] + diff
+        return estimates
+
+    def run(self, monkeypatch, diffs, tol, m_max=1 << 22):
+        estimates = self.sequence(diffs)
+        monkeypatch.setattr(solver_general, "_weighted_average",
+                            lambda d: estimates[d.size])
+        sizes = []
+
+        def extend(d, filled):
+            sizes.append(d.size)
+            d[filled:] = 0.0
+
+        rho = solver_general._birkhoff(extend, tol, m_max, "test average")
+        return rho, sizes, estimates
+
+    def test_geometric_ratio_above_half_stops_on_agreement(self,
+                                                           monkeypatch):
+        # ratio 0.6: the tail bound 1.5 d stays above d, so only the
+        # agreement of two estimates stops the average
+        diffs = [1e-6 * 0.6**k for k in range(20)]
+        rho, sizes, est = self.run(monkeypatch, diffs, 1e-8)
+        first = next(k for k, d in enumerate(diffs, 1) if d <= 1e-8)
+        assert sizes[-1] == 1 << (10 + first)
+        assert rho == est[sizes[-1]]
+
+    @pytest.mark.parametrize("diffs", [
+        [9.1e-6, 2.8e-8, 3.7e-8, 1.6e-12],
+        # r = 0.2 is at most 1/2 and its tail bound 5e-11 within tol, but
+        # it rose from r_prev = 1e-3
+        [1e-6, 1e-9, 2e-10, 1e-12],
+    ], ids=["logged", "rise-within-half"])
+    def test_rising_ratio_does_not_stop_early(self, monkeypatch, diffs):
+        rho, sizes, est = self.run(monkeypatch, diffs, 1e-10)
+        assert sizes[-1] == 1 << 14
+        assert rho == est[1 << 14]
+
+    def test_falling_ratios_stop_one_doubling_sooner(self, monkeypatch):
+        # ratios 1e-2 then 1e-3: the tail bound ~1e-12 vouches for
+        # 1e-10 at 8192, a doubling before the estimates agree
+        diffs = [1e-4, 1e-6, 1e-9, 1e-12]
+        rho, sizes, est = self.run(monkeypatch, diffs, 1e-10)
+        assert sizes[-1] == 1 << 13
+        assert rho == est[1 << 13]
+        assert abs(rho - est[1 << 14]) <= 1e-10
+
+    def test_falling_ratios_need_three_differences(self, monkeypatch):
+        # one difference of ratio 1e-5 is no evidence of a falling ratio
+        rho, sizes, est = self.run(monkeypatch, [1e-4, 1e-9, 1e-11], 1e-10)
+        assert sizes[-1] == 1 << 13
+        assert rho == est[1 << 13]
+
+    def test_tail_bound_above_tol_does_not_stop(self, monkeypatch):
+        # falling ratios 0.25 then 0.2, but 0.2 * 5e-10 / 0.8 = 1.25e-10
+        rho, sizes, est = self.run(monkeypatch,
+                                   [1e-8, 2.5e-9, 5e-10, 1e-11], 1e-10)
+        assert sizes[-1] == 1 << 14
+        assert rho == est[1 << 14]
+
+    def test_growing_differences_do_not_stop(self, monkeypatch):
+        # the ratio falls from 4 to 2, but above 1 the tail bound
+        # r * d / (1 - r) is negative: r <= 1/2 keeps it from passing
+        rho, sizes, est = self.run(monkeypatch,
+                                   [1e-9, 4e-9, 8e-9, 1e-11], 1e-10)
+        assert sizes[-1] == 1 << 14
+        assert rho == est[1 << 14]
+
+    def test_cap_raises_with_latest_estimate(self, monkeypatch):
+        diffs = [1e-6 * 0.6**k for k in range(20)]
+        with pytest.raises(ToleranceNotMetError,
+                           match="^test average did not stabilize") as exc:
+            self.run(monkeypatch, diffs, 1e-8, m_max=1 << 13)
+        assert exc.value.best == self.sequence(diffs)[1 << 13]
+
+
 class TestAmbientRotationNumber:
     # (a, lock): 5/8; a period-1 lock, rho = 1, whose float orbit is a
     # 3-cycle; and two unlocked points, one just outside the 5/8 window
@@ -637,18 +728,63 @@ class TestSweep:
         assert recs == sweep_parameter(*args)
 
     def test_split_equals_one_cpu(self, forks, monkeypatch):
-        # the outward walk and every bisection round, on two processes
+        # the outward walk, then the bisection chains of both 5/8 edges,
+        # each on two processes: one fork apiece
         par = ParamPoint(a=0.075, mu=MU_22, eps=2.2)
         args = (sym_family(), par, (0.3, 0.2), "a", 0.003, 0.002)
         split = sweep_parameter(*args)
-        rounds = len(forks)
-        assert rounds >= 3
+        assert len(forks) == 2
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         serial = sweep_parameter(*args)
-        assert len(forks) == rounds
+        assert len(forks) == 2
         assert [bits(r) for r in split] == [bits(r) for r in serial]
         assert any(r.locked for r in split) and not all(r.locked
                                                         for r in split)
+
+    def test_early_stops_hold_at_the_next_doubling(self, monkeypatch):
+        # the rho_sweep benchmark's sweep: a in [-0.08, 0.08] by 0.004
+        # around the CLI's symmetric eps = 2.2 circle, on one CPU.  An
+        # average that stopped on its tail bound, before two estimates
+        # agreed, moves by at most rho_tol over one more doubling
+        cfg = cli.parse_config("variant = symmetric\neps_target = 2.2\n"
+                               "sweep_halfwidth = 0.08\n")
+        problem, result = cli._continue(cfg)
+        state = result.state
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0},
+                            raising=False)
+        birkhoff = solver_general._birkhoff
+        average = solver_general._weighted_average
+        early = []          # (orbit length, rho, rho one doubling on)
+
+        def checked(extend, tol, m_max, what):
+            arrays = []
+
+            def kept(d, filled):
+                extend(d, filled)
+                arrays.append(d)
+
+            rho = birkhoff(kept, tol, m_max, what)
+            d = arrays[-1]
+            if abs(rho - average(arrays[-2])) > tol:
+                more = np.empty(2 * d.size)
+                more[:d.size] = d
+                extend(more, d.size)
+                early.append((d.size, rho, average(more)))
+            return rho
+
+        monkeypatch.setattr(solver_general, "_birkhoff", checked)
+        recs = sweep_parameter(
+            problem.family, ParamPoint(state.a, state.mu, state.eps),
+            (state.k.eta_x[0], state.k.k_y[0]), "a", cfg.sweep_halfwidth,
+            cfg.sweep_step, rho_tol=cfg.rho_tol, lock_tol=cfg.lock_tol,
+            q_max=cfg.q_max, refine_width=cfg.refine_width)
+        assert len(recs) >= 65 and all(r.rho_err == cfg.rho_tol
+                                       for r in recs)
+        for m, rho, further in early:
+            assert abs(further - rho) <= cfg.rho_tol
+        unlocked = {r.rho for r in recs if not r.locked}
+        lengths = [m for m, rho, _ in early if rho in unlocked]
+        assert len(lengths) >= 3 and max(lengths) >= 1 << 15
 
     def test_bad_parameter_name(self):
         par = ParamPoint(0.0, OMEGA, 0.0)
@@ -727,7 +863,7 @@ class TestOneResidualPerIterate:
 
 
 class TestBisectionRounds:
-    """Every locking boundary is halved in each round, each point once."""
+    """Every locking boundary is halved to the end, each point once."""
 
     EDGE = 0.0123
 

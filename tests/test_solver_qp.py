@@ -213,6 +213,33 @@ class TestNewtonBehavior:
                               "last iterate residual ")
         assert "pumping" not in msg
 
+    def test_blow_up_carries_its_residual_and_no_tail(self, monkeypatch):
+        # _complete runs on the start, then on every kept iterate; the
+        # first kept iterate reports a residual 1e6 times the start's.  The
+        # next pass stops on it, and the error carries that residual with
+        # a nan tail, which continue_in_eps never reads as fat
+        prob = sym_problem()
+        start = QpState.flat_start(128, OMEGA)
+        complete = solver_qp._complete
+        errs, tails = [], []
+
+        def blown(problem, ws):
+            complete(problem, ws)
+            if errs:
+                ws.err = 1e6 * (errs[0] + problem.tol)
+            errs.append(ws.err)
+            tails.append(ws.tail)
+            return ws
+
+        monkeypatch.setattr(solver_qp, "_complete", blown)
+        with pytest.raises(DivergenceError) as exc:
+            newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
+        assert len(errs) == 2 and math.isfinite(tails[1])
+        assert str(exc.value) == (f"residual blew up to {errs[1]:.3e} "
+                                  f"from {errs[0]:.3e}")
+        assert exc.value.residual == errs[1]
+        assert math.isnan(exc.value.tail)
+
     def test_pumping_stop_names_the_guard(self, monkeypatch):
         # every kept iterate reports twice the start's residual: after
         # three stale iterations at twice the best the guard stops the
