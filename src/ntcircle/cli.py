@@ -4,8 +4,9 @@ Commands
 --------
 continue-nontwist   march a non-twist circle branch in eps; writes
                     path.csv and final_circle.csv
-breakdown           push the branch to breakdown and extrapolate the
-                    bundle-angle zero crossing; writes alpha.csv, fit.txt
+breakdown           push the branch toward breakdown, until two successive
+                    fits of the bundle-angle zero crossing agree (stop
+                    `converged`); writes alpha.csv, fit.txt
 rotnum-sweep        rotation number versus a or mu around a converged
                     circle, each point from the ambient orbit of the
                     circle's point K(0); writes rho_vs_param.csv
@@ -14,7 +15,8 @@ twist-surface       one branch per prescribed twist level b_a0; writes
 verify              self-check battery; prints PASS/FAIL lines
 
 Exit codes: 0 success, 2 continuation stopped before the target
-(breakdown-type stop), 1 error.  All floats are serialized with 17
+(breakdown-type stop), 1 error; breakdown exits 0 on any stop of its
+run, `converged` included.  All floats are serialized with 17
 significant digits so the tables re-parse to the exact binary values,
 and rerunning a command reproduces the files byte for byte (timing is
 off by default; wall_ms written as 0.0).  No key selects the second
@@ -320,12 +322,12 @@ PATH_HEADER = ("eps", "a", "mu", "N", "err", "alpha", "b_a", "b_mu",
                "iters", "wall_ms")
 
 
-def _continue(cfg: RunConfig):
+def _continue(cfg: RunConfig, stop=None):
     """The configured branch marched from its flat start to eps_target."""
     problem = build_problem(cfg)
     start = QpState.flat_start(cfg.n_min, problem.omega, problem.b_a0)
     result = continue_in_eps(problem, start, cfg.eps_target,
-                             build_policy(cfg))
+                             build_policy(cfg), stop)
     return problem, result
 
 
@@ -344,12 +346,31 @@ def cmd_continue_nontwist(cfg: RunConfig, out_dir: str) -> int:
     return _reason_code(result.reason)
 
 
+_FIT_AGREEMENT = 1e-3
+
+
+def _fits_agree(window: int):
+    """A breakdown run's stop: its fits with and without the last record
+    are both reliable and agree within _FIT_AGREEMENT * eps_c."""
+
+    def stop(records) -> bool:
+        if len(records) <= _FIT_MIN_POINTS:
+            return False    # too few records for the shorter prefix
+        prev, last = (breakdown_extrapolate(records[:n], window)
+                      for n in (len(records) - 1, len(records)))
+        return (prev.reliable and last.reliable
+                and abs(last.eps_c - prev.eps_c)
+                <= _FIT_AGREEMENT * abs(last.eps_c))
+
+    return stop
+
+
 def cmd_breakdown(cfg: RunConfig, out_dir: str) -> int:
     if cfg.alpha_input:
         records = read_alpha_csv(cfg.alpha_input)
         reason = "input"
     else:
-        _, result = _continue(cfg)
+        _, result = _continue(cfg, _fits_agree(cfg.fit_window))
         records = result.records
         reason = result.reason
     fit = breakdown_extrapolate(records, cfg.fit_window)

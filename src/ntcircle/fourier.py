@@ -40,13 +40,14 @@ by N after would only move exponents.  Leaving both passes out changes
 no bin beyond the sign of a zero part (complex passes by N + 0j reset
 it), barring a quotient by N that would have been subnormal.
 
-The half-spectra of a block are written into one buffer per grid size,
-with rfft(out=), so the half-spectra of a Newton iteration's blocks
-fault no fresh pages in: the buffer grows to the rows of the largest
-block met, and only the latest grid's buffer is kept.  Its contents
-stay valid until the next spectra() call, and every caller reads them,
-and brings them back with samples(), before its next transform.
-Nothing that outlives a block looks into the buffer: fields() copies.
+The half-spectra of a block are written into one buffer per grid size
+and thread, with rfft(out=), so the half-spectra of a Newton iteration's
+blocks fault no fresh pages in: the buffer grows to the rows of the
+largest block met, and only the latest grid's buffer is kept.  Its
+contents stay valid until the thread's next spectra() call, and every
+caller reads them, and brings them back with samples(), before its next
+transform.  Nothing that outlives a block looks into the buffer:
+fields() copies.
 
 Large grids use two cores (split()): where two CPUs are free, a block of
 two rows or more on SPLIT_MIN = 2^14 nodes or more has half its rows
@@ -103,6 +104,7 @@ from __future__ import annotations
 
 import math
 import os
+import threading
 from functools import wraps
 
 import numpy as np
@@ -360,26 +362,31 @@ def _size(half: np.ndarray) -> int:
     return 2 * (half.shape[-1] - 1)
 
 
-# the half-spectra of the latest grid's blocks, as many rows as the
-# largest block met
-_spectra_buffer = np.empty((1, 0), dtype=complex)
+class _PerThread(threading.local):
+    # the half-spectra of the latest grid's blocks, as many rows as the
+    # largest block met: threads that transform at once keep their own
+    spectra = np.empty((1, 0), dtype=complex)
+
+
+_buffers = _PerThread()
 
 
 def spectra(v: np.ndarray) -> np.ndarray:
     """Unnormalized rfft half-spectra of the sample rows v (last axis).
 
-    The result is written into one buffer per grid size and stays valid
-    until the next call: read it, and bring it back with samples(),
-    before the next transform.  A 1-D v takes the buffer's first row; a
-    block of more rows than the buffer holds grows it.
+    The result is written into the calling thread's buffer for the grid
+    size and stays valid until that thread's next call: read it, and
+    bring it back with samples(), before the next transform.  A 1-D v
+    takes the buffer's first row; a block of more rows than the buffer
+    holds grows it.
     """
-    global _spectra_buffer
     rows = 1 if v.ndim == 1 else len(v)
     bins = v.shape[-1] // 2 + 1
-    held = len(_spectra_buffer)
-    if _spectra_buffer.shape[1] != bins or held < rows:
-        _spectra_buffer = np.empty((max(rows, held), bins), dtype=complex)
-    out = _spectra_buffer[0] if v.ndim == 1 else _spectra_buffer[:rows]
+    held = _buffers.spectra
+    if held.shape[1] != bins or len(held) < rows:
+        held = _buffers.spectra = np.empty((max(rows, len(held)), bins),
+                                           dtype=complex)
+    out = held[0] if v.ndim == 1 else held[:rows]
     return _rows(np.fft.rfft, v, v.shape[-1], out)
 
 

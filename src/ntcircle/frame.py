@@ -16,18 +16,19 @@ which is the frame's health check.
 
 An embedding (TorusEmbedding) holds eta_x and K_y as checked read-only
 sample arrays, as every other field is held.  The frame is written
-once, on sample arrays, for both solvers:
-normal0_values gives N0 and the gram <L, L>, torsion0 the torsion from N0
-composed with f (shifted spectrally in the quasi-periodic solver, read
-through the Lagrange stencil of f in the grid solver), and normal_values
-N with its det P = 1 check; DF along the circle comes in one form, the
-(2, 2, N) sample array of Evaluation.jacobian.  vartheta_qp solves the
-torsion equation spectrally, in place on the samples of -t0, which the
-transform checks and freezes and the caller keeps; the grid solver,
-whose f is free, uses vartheta_general, and solve_transfer is the one
-fixed-point kernel for both of its transfer equations, the torsion
-equation here and the normal equation of its Newton step.  Every transfer solve is exact: it starts
-from x = a and runs to _FIXED_POINT_TOL.
+once, on sample arrays, for both solvers: tangent gives L from one
+transform pair, normal0_values N0 and the gram <L, L>, torsion0 the
+torsion from N0 composed with f (shifted spectrally in the
+quasi-periodic solver, read through the Lagrange stencil of f in the
+grid solver), and normal_values N with its det P = 1 check; DF along
+the circle comes in one form, uncut, the (2, 2, N) sample array of
+Evaluation.jacobian.  vartheta_qp solves the torsion equation
+spectrally, in place on the samples of -t0, which the transform checks
+and freezes and the caller keeps; the grid solver, whose f is free,
+uses vartheta_general, and solve_transfer is the one fixed-point kernel
+for both of its transfer equations, the torsion equation here and the
+normal equation of its Newton step.  Every transfer solve is exact: it
+starts from x = a and runs to _FIXED_POINT_TOL.
 
 Sign conventions: <u, Omega v> = u_y v_x - u_x v_y, so <N0, Omega L> = 1
 and <L, Omega N> = -1; the inverse transition P^{-1} has rows N^T Omega
@@ -147,21 +148,11 @@ class Diagnostics:
     tail: float
 
 
-def tangent(k: TorusEmbedding, cut=()) -> Pair:
-    """L = K' = (1 + eta_x', K_y'); the 1/3 cut of each row of cut in place.
-
-    cut holds writable sample rows on the grid of k, such as entries of
-    DF along the circle; the derivatives and the cuts share one checked
-    transform pair, and each cut is copied back over its row, so nothing
-    pins the block.  Returns (L_x, L_y), read-only sample arrays.
-    """
-    rows = np.array((k.eta_x, k.k_y, *cut))
-    half = fourier.spectra(rows)
-    fourier.derivative_spectra(half[:2])
-    fourier.cut_spectra(half[2:])
-    fourier.samples(half, rows)
-    for dest, row in zip(cut, rows[2:]):
-        np.copyto(dest, row)
+def tangent(k: TorusEmbedding) -> Pair:
+    """L = K' = (1 + eta_x', K_y'), read-only sample arrays from one
+    checked transform pair; L_y is copied out, so nothing pins it."""
+    rows = fourier.transform(np.array((k.eta_x, k.k_y)),
+                             fourier.derivative_spectra)
     lx = rows[0] + 1.0    # finite samples stay finite
     lx.setflags(write=False)
     return (lx, *fourier.fields(rows[1:2]))

@@ -29,59 +29,62 @@ tests/test_maps.py checks in
 test_constant_rows_solver_qp_takes_as_given: J_11 stays out of the
 blocks and the other two are never formed.
 
-The 1/3 truncation cuts the start of a solve, the composition, the
-non-constant entries of DF and D_a F, D_eps F and the correction, and
-the invariance residual is measured on the filtered system; spectral
-exhaustion is monitored on the raw compositions (the tail, the l1 mass
-fraction above 3N/8).
+Two bands.  The 1/3 truncation cuts the start of a solve, the
+composition and D_eps F, and the invariance residual is measured on that
+filtered system; DF and D_a F are read raw.  The correction is cut to
+the narrower band |k| <= N/4 (_correction_band): corrected in the very
+band it is measured on, band-edge error is pumped through the small
+divisors instead of contracted (the 2/3 rule; Boyd, Chebyshev and
+Fourier Spectral Methods, 2001, ch. 11).  The residual's modes between
+the two bands, whose l1 mass is the gap, are beyond any correction: the
+gap is the floor of the level, and a solve ends there once the gap holds
+half its residual.  Spectral exhaustion is monitored on the raw
+compositions (the tail, the l1 mass fraction above 3N/8).
 
 Continuation grows the grid in one place, _rebuild_finer: it rebuilds
 a state on the next dyadic level up to n_max that converges cleanly,
-skipping refused levels, with floor_factor held at 10 or less.  Three
-rules call it.  Tail: an accepted state, the first solve included, is
-rebuilt while its tail is above tail_double; when no level takes it is
-kept and later steps retry, and a fat tail at n_max stops the run.
-Floor: a step that settles above _LEVEL_SUSPECT * tol, and failure: a
-step that fails with a DivergenceError of residual at most 1e-3 over a
-fat tail, rebuild the base and redo the step, three times a step at
-most.  At seed 1 the benchmark takes 12 tail rebuilds in qp_paths, 1 in
-rho_sweep, and 5 with 4 failure rebuilds in qp_breakdown; the symmetric
-breakdown run of the acceptance tests takes 3 tail, 3 failure and 10
-floor rebuilds, 4 of them from N = n_max, where no level is left and
-the step keeps its workspace; without the floor rule it stops on
-N = 2^16 and fails its gate.
+skipping refused levels, with floor_factor held at 10 or less.  Two
+rules rebuild the base and redo the step, three times a step at most:
+floor, a step that settles above _LEVEL_SUSPECT * tol, and failure, a
+DivergenceError of residual at most 1e-3 over a fat tail; above n_max
+either stops the run on n-max.  At seed 1 the benchmark takes 13 floor
+and 1 failure rebuilds in qp_paths, 1 floor rebuild in rho_sweep, and 5
+of each in qp_breakdown; the symmetric breakdown run of the acceptance
+tests takes 10 floor and 2 failure rebuilds.
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
 point (maps.Evaluation: the forcing p(x) and q = sigma*y + eps*p(x) - a),
 and the composition, DF, D_a F and D_eps F are all read from it.  The
 residual stage takes the invariance residual E with the raw tail of the
-composition, in one block: the cut composition with the shifted
-embedding.  The frame stage takes DF and D_a F_x along the circle, the
-tangent, N0, the torsion, vartheta, the frame, the shifted normal and
-the twist b_a, in four blocks: the tangent with the cut of DF and
-D_a F_x, the shifted N0, vartheta, the shifted normal; N0, the torsion
-and N come from the sample kernels of frame that the grid solver uses
-too.  A probe shifts N_y alone; N_x and the shifted tangent ride in the
-last block of whichever of the two stages runs second.  Completion adds
-b_mu and the frame projections of E, with no transform.
+composition and the gap, in one block: the cut composition with the
+shifted embedding.  The frame stage takes DF and D_a F_x along the
+circle, the tangent, N0, the torsion, vartheta, the frame, the shifted
+normal and the twist b_a, in four blocks: the tangent, the shifted N0,
+vartheta, the shifted normal; N0, the torsion and N come from the sample
+kernels of frame that the grid solver uses too.  A probe shifts N_y
+alone; N_x and the shifted tangent ride in the last block of whichever
+of the two stages runs second.  Completion adds b_mu and the frame
+projections of E, with no transform.
 
 The correction is affine in the twist unknown delta_a, so a Newton
 iteration solves its linearization once: _solve_linear returns the
 correction at delta_a = 0 and its rate per unit delta_a, in two blocks
-of four rows (both cohomological equations for both, then the cut of
-both corrections), and the Steffensen probes, the step and its damped
-fractions all combine that basis on samples.  The probes read only
-b_a, and the export of N only the frame, so they run the frame stage
-alone.  A step or a damped fraction of it is judged on its residual
-alone, 2 FFTs, and only the point that is kept runs the frame stage
-and completion: a full geometry is 2 + 8 FFTs, and a Newton iteration
-with the twist open costs 30, one solve, three frame stages (two probes
-and the kept point) and one residual.  When the twist is already closed
-the zero probe is the full-step candidate, and the iteration takes its
-residual instead of building it again.  The eps-derivative makes one
-solve too, and reads D_eps F and the frame from the workspace of the
-solve that converged its state instead of building the geometry again.
+of four rows (both cohomological equations for both, then both
+corrections cut to their band), and the Steffensen probes, the step and
+its damped fractions all combine that basis on samples.  The probes read
+only b_a, and the export of N only the frame, so they run the frame
+stage alone.  A step or a damped fraction of it is judged on its
+residual alone, 2 FFTs, and only the point that is kept runs the frame
+stage and completion: a full geometry is 2 + 8 FFTs, and a Newton
+iteration with the twist open costs 30, one solve, three frame stages
+(two probes and the kept point) and one residual.  When the twist is
+already closed the zero probe is the full-step candidate, and the
+iteration takes its residual instead of building it again.  The
+eps-derivative makes one solve and no frame stage: it reads D_eps F and
+the frame from the workspace of the solve that converged its state
+instead of building the geometry again, and takes the rate of a from
+its caller.
 
 A solve keeps a field alive only while it reads it.  An iterate that
 has passed the checks at the top of the loop lets go of the map
@@ -93,13 +96,11 @@ basis alone.  A frame stage runs with at most the current iterate and
 the point being built, and lets go of N0 and vartheta before its
 shifted-normal block; a kept point is completed after the previous
 iterate and its step are gone, and the start projected onto the band
-goes with the first iterate.  The eps-derivative treats the
-workspace it reads the same way, so its twist-rate probes run beside K
-and b_a, and the continuation drops the previous step's tangent and
-prediction before the next predictor runs.  The floor snapshot is kept
-as its state, not its workspace, so a state accepted at the floor of an
-earlier iterate hands over no workspace and the eps-derivative builds
-its geometry, bitwise the same.
+goes with the first iterate.  The continuation drops the previous
+step's tangent and prediction before the next predictor runs.  The
+floor snapshot is kept as its state, not its workspace, so a state
+accepted at the floor of an earlier iterate hands over no workspace and
+the eps-derivative builds its geometry, bitwise the same.
 """
 
 from __future__ import annotations
@@ -140,7 +141,6 @@ _DRIFT_FLOOR = 1e-8
 _BLOWUP_FACTOR = 1e3
 _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
 _FIT_MIN_POINTS = 5      # fewest records a breakdown fit takes
-_PROBE = 1e-6            # finite-difference probe of the eps-derivative
 
 
 @dataclass(frozen=True)
@@ -210,7 +210,7 @@ class ContinuationPolicy:
 @dataclass(frozen=True)
 class ContinuationResult:
     records: tuple[ContinuationRecord, ...]
-    reason: str                   # target / alpha-floor / step-floor / n-max
+    reason: str     # target / alpha-floor / step-floor / n-max / converged
     state: QpState | None         # None only on a twist_surface branch that raised
 
 
@@ -221,8 +221,8 @@ class NewtonWorkspace:
     -P(theta+omega)^{-1} E on the frame and bla = N_y(. + omega) D_a F_x
     the tangent projection of D_a F, all checked read-only sample arrays.
     A point is filled in stages: _point sets k, a, mu, eps and ev, the
-    map evaluated along K; the residual stage sets ex, ey, err, e_p and
-    tail; the frame stage frame, dfk, d_a (D_a F_x), alpha, ny_s, bla,
+    map evaluated along K; the residual stage sets ex, ey, err, e_p, gap
+    and tail; the frame stage frame, dfk, d_a (D_a F_x), alpha, ny_s, bla,
     b_a and e_b; nx_s, lx_s and ly_s come with whichever of those two
     runs second; completion sets b_mu, eta_l and eta_n.
     keep_only empties it again, field by field, as its readers finish.
@@ -233,7 +233,7 @@ class NewtonWorkspace:
         "nx_s", "ny_s", "lx_s", "ly_s",
         "ex", "ey", "err", "e_p", "e_b",
         "eta_l", "eta_n", "bla",
-        "b_a", "b_mu", "alpha", "tail",
+        "b_a", "b_mu", "alpha", "tail", "gap",
     )
 
     def keep_only(self, names: tuple) -> None:
@@ -278,18 +278,17 @@ def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
 def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """Frame, torsion and twist b_a at the point ws: all a probe reads.
 
-    DF stays the evaluation's array and D_a F_x its own row: J_00, J_01,
-    J_10 and D_a F_x are cut in place in the tangent's block, which
-    checks them, and J_11 = sigma is left alone, so a NaN or inf in it
-    still raises NonFiniteError from this call.  A probe shifts N_y
-    alone, all b_a reads; a point whose residual is in is being kept,
-    and N_x and L ride in the block of the shifted normal.
+    DF is the evaluation's array and D_a F_x its own row, both raw: a
+    NaN or inf in them reaches vartheta or b_la, whose checks raise
+    NonFiniteError from this call.  A probe shifts N_y alone, all b_a
+    reads; a point whose residual is in is being kept, and N_x and L
+    ride in the block of the shifted normal.
     """
     om = problem.omega
     sig = problem.family.sigma
     dfk = ws.ev.jacobian()
     dax = ws.ev.d_a()
-    lx, ly = l = tangent(ws.k, (dfk[0, 0], dfk[0, 1], dfk[1, 0], dax))
+    lx, ly = l = tangent(ws.k)
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
     # the shift block of N0 and t0 are each freed once read
@@ -319,12 +318,14 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
 
 
 def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
-    """The residual E, its size err, the phase e_p and the raw tail at ws.
+    """The residual E, its size err, the phase e_p, gap and raw tail at ws.
 
     The cut of the composition (F^x less its lift theta) with its raw
     tail, and the shift of K, share one transform pair; a point whose
     frame stage has run (the zero probe of a closed twist) shifts N_x
-    and L in the same pair.
+    and L in the same pair.  The gap is the l1 mass of E's modes in
+    n/4 < |k| <= n/3, which E is measured on and no correction reaches,
+    read from the same spectra (the larger of its two components).
     """
     k = ws.k
     fr = ws.frame
@@ -335,6 +336,9 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     ws.tail = max(fourier.tails(half[:2], 0.25))
     fourier.cut_spectra(half[:2])
     fourier.shift_spectra(half[2:], problem.omega)
+    band = slice(k.n // 4 + 1, k.n // 3 + 1)
+    gap = np.abs(half[:2, band] - half[-2:, band]).sum(axis=1)
+    ws.gap = 2.0 * float(gap.max()) / k.n
     fourier.samples(half, rows)
     if rest:
         ws.nx_s, ws.lx_s, ws.ly_s = fourier.fields(rows[2:5])
@@ -378,6 +382,11 @@ def frame_fields(problem: QpProblem, state: QpState):
     return (th, th + state.k.eta_x, state.k.k_y, *ws.frame.nvec)
 
 
+def _correction_band(half: np.ndarray) -> None:
+    """The band of a correction, in place: zero all modes with |k| > n/4."""
+    half[..., fourier._size(half) // 4 + 1:] = 0.0
+
+
 def _solve_linear(problem, ws, eta_l, eta_n, phase):
     """Frame-coordinate solve, affine in delta_a: the update and its rate.
 
@@ -416,13 +425,14 @@ def _solve_linear(problem, ws, eta_l, eta_n, phase):
     nx, ny = ws.frame.nvec
     xi_l0 = xi_l0 + (-phase - _mean(lx * xi_l0 + nx * xi_n0))
     xi_l1 = xi_l1 - _mean(lx * xi_l1 + nx * xi_n1)
-    # keep the embedding in the retained band: outside it the filtered
-    # composition exerts no feedback and the correction loop is unstable;
+    # keep the correction inside the residual's band: outside it the
+    # filtered composition exerts no feedback and the correction loop is
+    # unstable, and at its edge band-edge error is pumped, not contracted;
     # the basis rows stay samples, checked and frozen once by their block
     e0, y0, e1, y1 = fourier.transform(
         np.array((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
                   lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
-        fourier.cut_spectra)
+        _correction_band)
     return (e0, y0, mu0), (e1, y1, mu1)
 
 
@@ -432,49 +442,27 @@ def _correction(basis, delta_a: float):
     return e0 + delta_a * e1, y0 + delta_a * y1, mu0 + delta_a * mu1
 
 
-def _candidate(problem: QpProblem, ws, step, delta_a: float, t: float,
-               eps_offset: float = 0.0) -> NewtonWorkspace:
+def _candidate(problem: QpProblem, ws, step, delta_a: float,
+               t: float) -> NewtonWorkspace:
     """The point a fraction t along the step for delta_a (see _point)."""
     d_eta, d_ky, delta_mu = step
     kc = TorusEmbedding.fresh(ws.k.eta_x + t * d_eta, ws.k.k_y + t * d_ky)
     # a probe's step is freed before its map evaluation allocates
     del step, d_eta, d_ky
     return _point(problem, kc, ws.a + t * delta_a, ws.mu + t * delta_mu,
-                  ws.eps + eps_offset)
-
-
-def _close_twist(defect, closed: float):
-    """Root delta_a of a twist defect g by one secant step from 0 to h = g(0).
-
-    defect(delta_a) returns g and the probe it was read from.  When
-    |g(0)| < closed the twist is already closed: returns 0 and the zero
-    probe, which the caller reuses.  Otherwise returns the secant root
-    and None.
-    """
-    g0, zero = defect(0.0)
-    if abs(g0) < closed:
-        return 0.0, zero
-    del zero    # freed before the second probe is built
-    h = g0
-    slope = (defect(h)[0] - g0) / h
-    if abs(slope) < _TWIST_SLOPE_FLOOR:
-        raise TwistDegeneracyError(
-            f"twist sensitivity d b_a / d a = {slope:.3e} below "
-            f"{_TWIST_SLOPE_FLOOR:.0e}; the twist closure cannot pin a"
-        )
-    return -g0 / slope, None
+                  ws.eps)
 
 
 def steffensen_update(problem: QpProblem, ws: NewtonWorkspace, basis):
     """Root delta_a of g(delta_a) = b_a[after step] - b_a0.
 
-    Derivative-free: probes at h = g(0), so the probe shrinks with the
-    residual and the overall iteration stays quadratic.  A probe reads
-    only b_a, so it runs the frame stage alone, at the correction the
-    basis of _solve_linear gives for its delta_a.  Returns delta_a and,
-    when the twist is already closed (delta_a = 0), the zero probe: it
-    is the full-step candidate with its frame stage built, which the
-    caller tries instead of rebuilding.  Otherwise the probe is None.
+    Derivative-free: one secant step from 0 to h = g(0), so the probe
+    shrinks with the residual and the iteration stays quadratic.  A
+    probe reads only b_a, so it runs the frame stage alone, at the
+    correction the basis of _solve_linear gives for its delta_a.
+    Returns delta_a and, when the twist is already closed (delta_a = 0),
+    the zero probe: the full-step candidate with its frame stage built,
+    which the caller tries instead of rebuilding; otherwise None.
     """
 
     def defect(delta_a: float):
@@ -482,7 +470,17 @@ def steffensen_update(problem: QpProblem, ws: NewtonWorkspace, basis):
             problem, ws, _correction(basis, delta_a), delta_a, 1.0))
         return cand.b_a - problem.b_a0, cand
 
-    return _close_twist(defect, 1e-14 * max(1.0, abs(problem.b_a0)))
+    g0, zero = defect(0.0)
+    if abs(g0) < 1e-14 * max(1.0, abs(problem.b_a0)):
+        return 0.0, zero
+    del zero    # freed before the second probe is built
+    slope = (defect(g0)[0] - g0) / g0
+    if abs(slope) < _TWIST_SLOPE_FLOOR:
+        raise TwistDegeneracyError(
+            f"twist sensitivity d b_a / d a = {slope:.3e} below "
+            f"{_TWIST_SLOPE_FLOOR:.0e}; the twist closure cannot pin a"
+        )
+    return -g0 / slope, None
 
 
 def _diagnostics(ws: NewtonWorkspace) -> Diagnostics:
@@ -501,18 +499,17 @@ def newton_solve(problem: QpProblem, state: QpState,
                  out: list | None = None) -> QpState:
     """Iterate to tolerance at fixed eps; raises DivergenceError if lost.
 
-    The iteration has a structural floor: truncation error at the
-    retained-band boundary is recycled through the small divisors there
-    and pumped instead of contracted, so below some level the residual
-    stops improving no matter how many steps run.  A floor within
-    floor_factor * tol on a spectrally resolved circle (thin raw tail,
-    phase and twist closed) is returned as a success with its true
-    residual in the diagnostics; only floors above that window, fat
-    tails, or genuine blow-ups raise.  The DivergenceError names what
-    stopped the solve: a blow-up, pumping (the residual stopped
-    contracting) or the spent iteration budget, with the iterations run.
-    A blow-up carries the blown-up residual and a nan tail; pumping and
-    the spent budget carry the best residual and that iterate's raw tail.
+    The iteration has a floor, the gap (see the module docstring): a
+    solve stops on the closed iterate whose gap holds half its residual,
+    or on pumping (six stale iterations, or three at twice the best).  A
+    floor within floor_factor * tol on a spectrally resolved circle
+    (thin raw tail, phase and twist closed) is returned as a success
+    with its true residual in the diagnostics; only floors above that
+    window, fat tails, or genuine blow-ups raise.  The DivergenceError
+    names what stopped the solve: a blow-up, the gap, pumping or the
+    spent budget, with the iterations run.  A blow-up carries the
+    blown-up residual and a nan tail; the others carry the best
+    residual and that iterate's raw tail.
 
     When out is a list, the workspace of the returned state is appended
     to it, for eps_derivative to read instead of rebuilding it.  The
@@ -521,8 +518,9 @@ def newton_solve(problem: QpProblem, state: QpState,
     the floor snapshot is kept as its state, so a state accepted at the
     floor of an earlier iterate hands over no workspace.
     """
-    # project the start onto the retained band; corrections stay there.
-    # Only its workspace holds it, so it goes with the first iterate
+    # project the start onto the residual's band; corrections stay in
+    # the narrower one.  Only its workspace holds it, so it goes with the
+    # first iterate
     ws = _geometry(problem, TorusEmbedding(*fourier.transform(
         np.array((state.k.eta_x, state.k.k_y)), fourier.cut_spectra)),
         state.a, state.mu, state.eps)
@@ -546,7 +544,6 @@ def newton_solve(problem: QpProblem, state: QpState,
     if (
         state.diagnostics is not None
         and ws.err <= problem.floor_factor * problem.tol
-        and ws.tail <= problem.tail_double
         and abs(ws.e_p) <= problem.tol_phase
         and abs(ws.e_b) <= problem.tol_twist
     ):
@@ -554,7 +551,7 @@ def newton_solve(problem: QpProblem, state: QpState,
     scale0 = max(ws.err, abs(ws.e_p), abs(ws.e_b))
     best, best_tail, stale = ws.err, ws.tail, 0
     snap = None    # the state of the best iterate with phase and twist closed
-    pumping = False
+    why = f"no convergence in the budget of {problem.max_newton} iterations"
     for it in range(problem.max_newton + 1):
         if (
             ws.err <= problem.tol
@@ -609,8 +606,12 @@ def newton_solve(problem: QpProblem, state: QpState,
         elif ws.err > problem.tol:
             stale += 1
             if stale >= 6 or (stale >= 3 and ws.err >= 2.0 * best):
-                pumping = True    # not contracting; settle on the floor
-                break
+                why = ("residual stopped contracting (pumping) after "
+                       f"{it + 1} iterations")
+                break   # not contracting; settle on the floor
+        if snap is not None and snap.k is ws.k and 2.0 * ws.gap >= ws.err:
+            why = f"residual reached its gap after {it + 1} iterations"
+            break   # a new floor snapshot, held up by its gap
     if (
         snap is not None
         and snap.diagnostics.invariance_error
@@ -621,9 +622,6 @@ def newton_solve(problem: QpProblem, state: QpState,
         if out is not None and snap.k is ws.k:
             out.append(ws)
         return replace(snap, history=tuple(history))
-    ran = len(history) - 1
-    why = (f"residual stopped contracting (pumping) after {ran} iterations"
-           if pumping else f"no convergence in the budget of {ran} iterations")
     raise DivergenceError(
         f"{why}, best residual {best:.3e}; last iterate residual "
         f"{ws.err:.3e}, phase {ws.e_p:.3e}, twist {ws.e_b:.3e}",
@@ -643,19 +641,17 @@ class EpsDerivative:
 
 def eps_derivative(
     problem: QpProblem, state: QpState, ws: NewtonWorkspace | None = None,
+    d_a: float = 0.0,
 ) -> EpsDerivative:
     """Differentiate the branch (K, a, mu)(eps) at a converged state.
 
     The linear solve mirrors the Newton step with D_eps F as the data and
-    zero phase drift, and is made once: its basis gives the direction
-    for every d_a.  The twist constraint d b_a / d eps = 0 fixes the d_a
-    component; its value is found from a finite-difference directional
-    probe of b_a at distance _PROBE along the candidate direction, made
-    affine-exact by the secant step of the Newton twist closure.
+    zero phase drift; its basis gives the direction for the rate d_a of
+    a, which the caller supplies, so no frame stage runs.
 
     ws is the converged workspace of state, as newton_solve's out list
     hands it over; without it the geometry of state is built here.  The
-    workspace is used up: it keeps only its point and b_a after.
+    workspace is used up: it keeps only its point after.
     """
     if ws is None:
         ws = _geometry(problem, state.k, state.a, state.mu, state.eps)
@@ -666,19 +662,10 @@ def eps_derivative(
     ex, ey = fourier.transform(np.array(ws.ev.d_eps()), fourier.cut_spectra)
     eta_l, eta_n = _projections(ws, ex, ey)
     del ex, ey
-    # as in newton_solve: the twist-rate probes run beside K and b_a alone
     ws.keep_only(_LINEAR)
     basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)
     del eta_l, eta_n
-    ws.keep_only(_POINT + ("b_a",))
-
-    def twist_rate(d_a: float):
-        cand = _frame_stage(problem, _candidate(
-            problem, ws, _correction(basis, d_a), d_a, _PROBE,
-            eps_offset=_PROBE))
-        return (cand.b_a - ws.b_a) / _PROBE, None
-
-    d_a, _ = _close_twist(twist_rate, 1e-9)
+    ws.keep_only(_POINT)
     d_eta, d_ky, d_mu = _correction(basis, d_a)
     return EpsDerivative(checked(d_eta), checked(d_ky), d_a, d_mu)
 
@@ -699,20 +686,16 @@ def _rebuild_finer(problem: QpProblem, state: QpState,
 
     Levels that refuse the strict tolerance (a retained-band edge near a
     resonance) or blow up are skipped; None when no level up to n_max
-    takes, and state stays valid as is.  out, which holds the workspace
-    of the state being replaced, if any, is kept when no level is left
-    (2N > n_max); otherwise it is emptied and passed to newton_solve: it
-    holds the rebuilt state's workspace, if any.
+    takes, and state stays valid as is.  out is emptied before each
+    level and handed to newton_solve, for the rebuilt state's workspace.
     """
-    n2 = 2 * state.k.n
-    if n2 > problem.n_max:
-        return None
-    out.clear()
     # a level that can only offer a high residual floor would poison
     # every later predictor, so a rebuild is held near the strict
     # tolerance and may not settle on one
     picky = replace(problem, floor_factor=min(10.0, problem.floor_factor))
+    n2 = 2 * state.k.n
     while n2 <= problem.n_max:
+        out.clear()
         try:
             return newton_solve(picky, replace(state, k=state.k.resample(n2)),
                                 out)
@@ -726,16 +709,17 @@ def continue_in_eps(
     state: QpState,
     eps_target: float,
     policy: ContinuationPolicy | None = None,
+    stop=None,
 ) -> ContinuationResult:
     """March the branch from state.eps to eps_target.
 
-    Tangent predictor, Newton corrector, dyadic mode adaptation; the step
-    halves on any solver failure and doubles after `grow_after` accepts.
-    Stops on the target, on loss of frame transversality (alpha below the
-    floor), when the step underflows, or when n_max is reached; the
-    records of all accepted points and the stop reason are returned.
-    The first solve and every step are accepted through one path, which
-    applies the tail rule of the grid (see the module docstring).
+    Tangent predictor, its rate of a the secant through the last two
+    records (0 before), Newton corrector, dyadic mode adaptation (see
+    the module docstring); the step halves on any solver failure and
+    doubles after `grow_after` accepts.  Stops on the target, on loss of
+    frame transversality (alpha below the floor), when the step
+    underflows, when a finer grid is needed above n_max, or as
+    "converged" once stop(records), if given, is true after a record.
     """
     if policy is None:
         policy = ContinuationPolicy()
@@ -743,41 +727,35 @@ def continue_in_eps(
     # predictor has read it: no workspace outlives its predictor or is
     # alive while another solve runs
     out: list[NewtonWorkspace] = []
+    records: list[ContinuationRecord] = []
 
     def predictor(state: QpState) -> EpsDerivative | None:
+        r0, r1 = records[-2:] if len(records) > 1 else (None, None)
+        d_a = 0.0 if r0 is None else (r1.a - r0.a) / (r1.eps - r0.eps)
         try:
-            return eps_derivative(problem, state, out.pop() if out else None)
+            return eps_derivative(problem, state, out.pop() if out else None,
+                                  d_a)
         except NtCircleError:
             return None   # zero-order continuation still works
 
-    def fat(state: QpState) -> bool:
-        return state.diagnostics.tail > problem.tail_double
-
-    records: list[ContinuationRecord] = []
     step = policy.step_init
     streak = 0
     t0 = time.perf_counter() if policy.timing else 0.0
     new = newton_solve(problem, state, out)
     while True:
         if new is not None:
-            # the one accept path, of the first solve and of every step:
-            # grow while the raw tail is fat, then record
-            while fat(new):
-                grown = _rebuild_finer(problem, new, out)
-                if grown is None:
-                    break   # valid, just under-resolved: later steps retry
-                new = grown
+            # the one accept path, of the first solve and of every step
             wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
             state = new
             records.append(_record(state, wall))
-            if fat(state) and 2 * state.k.n > problem.n_max:
-                reason = "n-max"    # under-resolved with no level left
-                break
             if state.eps >= eps_target - 1e-15:
                 reason = "target"
                 break
             if state.diagnostics.min_angle < policy.alpha_floor:
                 reason = "alpha-floor"
+                break
+            if stop is not None and stop(records):
+                reason = "converged"
                 break
             # the previous step's tangent and prediction go before the
             # predictor runs, and no name holds a rebuilt state past it
@@ -796,9 +774,9 @@ def continue_in_eps(
                 state.eps + d)
         try:
             new = newton_solve(problem, pred, out)
-            # a step that settled on a high floor over a thin tail: this
-            # dyadic level recycles band-edge error, and the degraded
-            # state would poison later predictors
+            # a step that settled on a high floor: this dyadic level
+            # recycles band-edge error, and the degraded state would
+            # poison later predictors
             regrid = (new.diagnostics.invariance_error
                       > _LEVEL_SUSPECT * problem.tol)
         except NtCircleError as exc:
@@ -812,6 +790,9 @@ def continue_in_eps(
                 and exc.residual <= 1e-3
                 and exc.tail > problem.tail_double
             )
+        if regrid and 2 * state.k.n > problem.n_max:
+            reason = "n-max"    # a finer level is needed, and none is left
+            break
         if regrid and grows < 3:
             # redo the step from a base rebuilt on a finer grid
             grown = _rebuild_finer(problem, state, out)

@@ -13,22 +13,6 @@ except ImportError:
     pass
 
 
-def pytest_addoption(parser):
-    parser.addoption(
-        "--runslow", action="store_true", default=False,
-        help="run the heavy breakdown-threshold tests",
-    )
-
-
-def pytest_collection_modifyitems(config, items):
-    if config.getoption("--runslow"):
-        return
-    skip = pytest.mark.skip(reason="needs --runslow")
-    for item in items:
-        if "slow" in item.keywords:
-            item.add_marker(skip)
-
-
 @pytest.fixture
 def two_cpus(monkeypatch):
     """A process that may run on two CPUs, whatever the machine, and a

@@ -431,6 +431,33 @@ class TestBreakdownCommand:
         for name in ("eps_c", "slope", "residual"):
             assert self.fit_value(out, name) == getattr(fit, name)
 
+    def test_run_stops_once_two_fits_agree(self, tmp_path, capsys):
+        # the nonsymmetric breakdown at the benchmark's settings ends on
+        # the first record whose fit and the fit without it are both
+        # reliable and agree within 1e-3 eps_c, and exits 0; prefixes too
+        # short to fit are passed over
+        cfg = write_cfg(tmp_path, "variant = nonsymmetric\n"
+                        "tol = 1e-10\ntol_phase = 1e-12\ntol_twist = 1e-10\n"
+                        "step_init = 0.05\nalpha_floor = 1e-3\n"
+                        "eps_target = 10\n")
+        out = str(tmp_path / "out")
+        assert cli.main(["breakdown", "--config", cfg, "--out", out]) == 0
+        printed = capsys.readouterr().out
+        assert "stopped: converged" in printed
+        assert "low confidence" not in printed
+        eps_c = self.fit_value(out, "eps_c")
+        assert abs(eps_c - 1.240522) <= 0.005 * 1.240522
+        with open(os.path.join(out, "fit.txt")) as fh:
+            assert len(fh.readlines()) == 3
+        back = cli.read_alpha_csv(os.path.join(out, "alpha.csv"))
+        stop = cli._fits_agree(20)
+        assert stop(back)
+        assert not any(stop(back[:n]) for n in range(len(back)))
+        prev, last = (breakdown_extrapolate(back[:n], 20)
+                      for n in (len(back) - 1, len(back)))
+        assert last.eps_c == eps_c and prev.reliable and last.reliable
+        assert abs(last.eps_c - prev.eps_c) <= 1e-3 * eps_c
+
     def test_non_shrinking_angle_flagged_low_confidence(self, tmp_path,
                                                         capsys):
         table = str(tmp_path / "alpha_in.csv")

@@ -645,7 +645,7 @@ class TestSpectraBuffer:
             assert self.same(fourier.spectra(v[:m]), np.fft.rfft(v[:m])), m
 
     def test_same_grid_reuses_memory(self, monkeypatch):
-        monkeypatch.setattr(fourier, "_spectra_buffer",
+        monkeypatch.setattr(fourier._buffers, "spectra",
                             np.empty((1, 0), dtype=complex))
         v = self.rows(64, 7)
         first = fourier.spectra(v[:6])
@@ -661,7 +661,7 @@ class TestSpectraBuffer:
         # another grid gets a buffer of its own, as tall as the last one
         other = fourier.spectra(self.rows(128, 2))
         assert not np.shares_memory(other, grown)
-        assert fourier._spectra_buffer.shape == (7, 65)
+        assert fourier._buffers.spectra.shape == (7, 65)
         assert np.shares_memory(fourier.spectra(self.rows(128, 7)), other)
 
 

@@ -4,7 +4,9 @@ import dataclasses
 import gc
 import math
 import os
+import sys
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -58,6 +60,12 @@ def dealiased(v):
     return fourier.dealias(PeriodicScalar(v)).values
 
 
+def banded(v):
+    """The samples v cut to the band of a Newton correction, as one row."""
+    return fourier.transform(np.array(v, dtype=float),
+                             solver_qp._correction_band)
+
+
 def shifted(v, delta):
     """The samples v shifted by delta, through the single-field call."""
     return fourier.shift(PeriodicScalar(v), delta).values
@@ -66,13 +74,13 @@ def shifted(v, delta):
 def parameter_projections(prob, ws):
     """The four projections of D_a F and D_mu F, in their general form.
 
-    The family's own d_a and d_mu at the point of ws (D_a F cut as the
-    frame stage cuts it), crossed with the shifted frame columns of ws:
+    The family's own d_a and d_mu at the point of ws, raw as the frame
+    stage takes them, crossed with the shifted frame columns of ws:
     b_la and b_lm on N(. + omega), b_na and b_nm on L(. + omega).
     """
     k = ws.k
     par = ParamPoint(ws.a, ws.mu, ws.eps)
-    dax, day = map(dealiased, prob.family.d_a(k.x_lift(), k.k_y, par))
+    dax, day = prob.family.d_a(k.x_lift(), k.k_y, par)
     dmx, dmy = prob.family.d_mu(k.x_lift(), k.k_y, par)
     nx_s, ny_s, lx_s, ly_s = ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s
     return dict(
@@ -86,8 +94,8 @@ def parameter_projections(prob, ws):
 def operator_solve(prob, ws, eta_l, eta_n, delta_a, phase):
     """The linear solve at one delta_a, in operator form, field by field.
 
-    Each cohomological equation and each cut runs through its own
-    single-field call; the parameter directions are the general
+    Each cohomological equation and each cut to the correction band runs
+    on its own field; the parameter directions are the general
     projections of parameter_projections.
     """
     om = prob.omega
@@ -100,8 +108,8 @@ def operator_solve(prob, ws, eta_l, eta_n, delta_a, phase):
     lx, ly = ws.frame.l
     nx, ny = ws.frame.nvec
     xi_l = xi_l + (-phase - float(np.mean(lx * xi_l + nx * xi_n)))
-    return (dealiased(lx * xi_l + nx * xi_n),
-            dealiased(ly * xi_l + ny * xi_n), delta_mu)
+    return (banded(lx * xi_l + nx * xi_n),
+            banded(ly * xi_l + ny * xi_n), delta_mu)
 
 
 # the basis of _solve_linear, combined at delta_a, against operator_solve:
@@ -269,17 +277,61 @@ class TestNewtonBehavior:
             f"last iterate residual {errs[-1]:.3e}, phase ")
 
 
+class TestGap:
+    """The gap: the residual's l1 mass between the correction band and the
+    band it is measured on, which no correction can reach."""
+
+    def test_gap_is_the_residual_mass_between_the_bands(self):
+        _, ws = TestIterationCost.generic_workspace()
+        n = ws.k.n
+        mass = [np.abs(np.fft.rfft(e)[n // 4 + 1:n // 3 + 1]).sum()
+                for e in (ws.ex, ws.ey)]
+        assert ws.gap > 0.0
+        assert ws.gap == pytest.approx(2.0 * max(mass) / n, rel=1e-9)
+
+    def test_solve_stops_once_the_gap_holds_half_its_residual(self,
+                                                            monkeypatch):
+        # a tolerance far below the floor of N = 64: the solve stops on the
+        # first closed iterate whose gap reaches half its residual, well
+        # inside the budget, and accepts it in the floor window or names
+        # the gap outside it
+        start = QpState(TorusEmbedding.zero_section(64), 0.0, OMEGA, 0.3)
+        complete = solver_qp._complete
+        kept = []
+
+        def recorded(problem, ws):
+            complete(problem, ws)
+            closed = (abs(ws.e_p) <= problem.tol_phase
+                      and abs(ws.e_b) <= problem.tol_twist)
+            kept.append((ws.k, ws.err, ws.gap, closed))
+            return ws
+
+        monkeypatch.setattr(solver_qp, "_complete", recorded)
+        prob = nonsym_problem(tol=3e-15, tol_twist=3e-15, floor_factor=1e7)
+        state = newton_solve(prob, start)
+        k, err, gap, closed = kept[-1]
+        assert state.k is k and state.iterations == len(kept) - 1
+        assert state.iterations < prob.max_newton
+        assert closed and prob.tol < err <= 2.0 * gap
+        # no earlier closed iterate had a gap of half its residual
+        assert not any(c and e <= 2.0 * g for _, e, g, c in kept[1:-1])
+        kept.clear()
+        with pytest.raises(DivergenceError) as exc:
+            newton_solve(replace(prob, floor_factor=1.0), start)
+        assert str(exc.value).startswith(
+            f"residual reached its gap after {len(kept) - 1} iterations, ")
+
+
 class TestIterationCost:
     """Operation counts of one Newton solve; no timing involved."""
 
     # FFTs by part, at a generic point, one rfft and one irfft per block
-    # of fields that are ready together: frame stage = 2 (tangent with
-    # the cut of J_00, J_01, J_10 and D_a F_x; J_11 = sigma is constant)
+    # of fields that are ready together: frame stage = 2 (tangent)
     # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal: N_y alone
     # at a probe, N_x and the shifted tangent too at a kept point);
     # residual = 2 (compositions with their tails, and the embedding
     # shifted); completion = 0; linear solve = 2 (both cohomological
-    # equations) + 2 (the cut of both corrections)
+    # equations) + 2 (both corrections cut to their band)
     FRAME, RESIDUAL, COMPLETE, SOLVE = 8, 2, 0, 4
     # one solve, affine in delta_a, serves the two probes and the step:
     # three frame stages and the kept point's residual, 30 FFTs
@@ -554,9 +606,9 @@ class TestIterationCost:
         assert reused.b_mu == ref.b_mu
 
     def test_derivative_block_equals_single_fields(self):
-        # the frame stage's tangent and its DF and D_a F_x sample arrays
-        # are bitwise the single-field derivative and dealias of the
-        # map's own derivatives; DF keeps the (2, 2, N) form, and of
+        # the frame stage's tangent is bitwise the single-field
+        # derivatives, and its DF and D_a F_x sample arrays are the map's
+        # own derivatives, uncut; DF keeps the (2, 2, N) form, and of
         # D_a F only the x row is kept
         prob, ws = self.generic_workspace()
         k = ws.k
@@ -572,14 +624,13 @@ class TestIterationCost:
         assert type(ws.dfk) is np.ndarray and ws.dfk.shape == (2, 2, k.n)
         for i in (0, 1):
             for j in (0, 1):
-                assert same(ws.dfk[i, j], dealiased(jac[i, j])), (i, j)
+                assert same(ws.dfk[i, j], jac[i, j]), (i, j)
         assert ws.d_a.shape == (k.n,)
-        assert same(ws.d_a, dealiased(dax))
+        assert same(ws.d_a, dax)
 
     def test_workspace_fields_own_their_memory(self):
         # a field or sample array that is a view would pin the whole
-        # array behind it, such as the tangent's block for the cut DF
-        # and D_a F_x rows
+        # array behind it, such as the tangent's block
         _, ws = self.generic_workspace()
 
         def arrays(obj):
@@ -656,7 +707,8 @@ def real_workspace(variant, n):
 
 
 def reference_solve_linear(problem, ws, eta_l, eta_n, phase):
-    """_solve_linear written with np.stack and np.mean, as it once was."""
+    """_solve_linear written with np.stack and np.mean, as it once was,
+    on the correction band the solver cuts its corrections to."""
     om, sig = problem.omega, problem.family.sigma
     mu0 = float(np.mean(eta_l)) / ws.b_mu
     mu1 = -ws.b_a / ws.b_mu
@@ -674,7 +726,7 @@ def reference_solve_linear(problem, ws, eta_l, eta_n, phase):
     e0, y0, e1, y1 = fourier.transform(
         np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
                   lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
-        fourier.cut_spectra)
+        solver_qp._correction_band)
     return (e0, y0, mu0), (e1, y1, mu1)
 
 
@@ -829,60 +881,82 @@ class TestContinuation:
         assert abs(res.state.diagnostics.twist_a) <= 1e-9
 
     def test_grid_cap_stops_on_n_max(self):
+        # the symmetric branch outgrows N = 64 on its way to eps = 3: the
+        # step that asks for a finer level stops the run, with the last
+        # accepted state
         prob = sym_problem(n_max=64)
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 3.0)
         assert res.reason == "n-max"
         assert res.state.eps < 3.0 and res.state.k.n == 64
-        assert res.state.diagnostics.tail > prob.tail_double
+        assert res.state is not None and res.records[-1].eps == res.state.eps
 
-    def test_first_state_stops_on_n_max(self):
-        # the first solve is accepted through the same path as every
-        # step: a fat tail with no finer level allowed stops the run
-        prob = sym_problem()
+    def test_first_state_stops_on_n_max(self, monkeypatch):
+        # the first step asks for a finer level above n_max, through the
+        # floor rule (it settles far above tol) or the failure rule (a
+        # small residual over a fat tail): the run stops on n-max at
+        # once, on the first state, which is not re-solved
+        prob = sym_problem(n_max=64)
+        solve = solver_qp.newton_solve
         start = QpState.flat_start(64, OMEGA)
-        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
-        prob = replace(prob, n_max=64,
-                       tail_double=0.5 * state.diagnostics.tail)
-        res = continue_in_eps(prob, state, 3.0)
-        assert res.reason == "n-max" and len(res.records) == 1
-        assert res.state.k.n == 64 and res.records[0].eps == 0.5
+        for rule in ("floor", "failure"):
+            calls = []
+
+            def first_step_regrids(problem, st, out=None):
+                calls.append(st.eps)
+                new = solve(problem, st, out)
+                if len(calls) == 1:
+                    return new
+                if rule == "failure":
+                    raise DivergenceError("injected", residual=1e-6,
+                                          tail=1.0)
+                return replace(new, diagnostics=replace(
+                    new.diagnostics, invariance_error=1.0))
+
+            monkeypatch.setattr(solver_qp, "newton_solve", first_step_regrids)
+            res = continue_in_eps(
+                prob, QpState(start.k, start.a, start.mu, 0.5), 3.0)
+            assert res.reason == "n-max" and len(res.records) == 1, rule
+            assert res.state.k.n == 64 and res.records[0].eps == 0.5
+            assert len(calls) == 2
 
     def test_grid_stays_when_no_level_converges(self, monkeypatch):
+        # a step that settles far above tol asks for a finer grid; every
+        # level up to n_max refuses, so the step's state is kept as is
         prob = sym_problem(n_max=512)
         start = QpState.flat_start(64, OMEGA)
-        first = QpState(start.k, start.a, start.mu, 0.5)
-        # a tail above tail_double asks for a finer grid
-        tail = newton_solve(prob, first).diagnostics.tail
-        prob = replace(prob, tail_double=0.5 * tail)
+        first = QpState(start.k, start.a, start.mu, 0.45)
         solve = solver_qp.newton_solve
         kept, levels = [], []
 
         def refuse_finer(problem, st, out=None):
             if st.k.n == 64:
-                kept.append((solve(problem, st, out), out, len(out)))
-                return kept[-1][0]
+                new = solve(problem, st, out)
+                if kept:    # the step: its floor looks suspect
+                    new = replace(new, diagnostics=replace(
+                        new.diagnostics, invariance_error=1e-6))
+                kept.append((new, out, len(out)))
+                return new
             levels.append((st.k.n, out, len(out)))
             raise DivergenceError("injected", residual=1.0)
 
         monkeypatch.setattr(solver_qp, "newton_solve", refuse_finer)
-        res = continue_in_eps(prob, first, 0.5)
-        (state, out, held), = kept
+        res = continue_in_eps(prob, first, 0.5,
+                              ContinuationPolicy(step_init=0.05))
+        (_, out, _), (state, _, held) = kept
         # every level up to n_max is tried, and the state is kept as is
         assert levels == [(128, out, 0), (256, out, 0), (512, out, 0)]
         assert res.reason == "target" and res.state is state
-        assert len(res.records) == 1 and res.records[0].n == 64
+        assert [r.n for r in res.records] == [64, 64]
         # the state's workspace went before the first rebuild
         assert held == 1
 
     def test_rebuild_skips_a_refused_level(self, monkeypatch):
         # a level that refuses is skipped, not the end of the rebuild:
-        # 2N refuses, 4N converges, and the continuation records 4N.
-        # At eps = 2 the circle's tail on N = 64 is above tail_double
-        coarse = sym_problem(n_max=64, tail_double=1.0)
-        state = continue_in_eps(coarse, QpState.flat_start(64, OMEGA),
-                                2.0).state
+        # 2N refuses, 4N converges, and the continuation records 4N
         prob = sym_problem(n_max=512)
-        assert state.k.n == 64 and state.diagnostics.tail > prob.tail_double
+        start = QpState.flat_start(64, OMEGA)
+        state = newton_solve(prob, QpState(start.k, start.a, start.mu, 1.0))
+        assert state.k.n == 64
         solve = solver_qp.newton_solve
         levels = []
 
@@ -890,19 +964,27 @@ class TestContinuation:
             levels.append(st.k.n)
             if st.k.n == 128:
                 raise DivergenceError("injected", residual=1.0)
-            return solve(problem, st, out)
+            new = solve(problem, st, out)
+            if st.k.n == 64 and st.eps > 1.0:
+                # the step on 64 settles far above tol: regrid
+                new = replace(new, diagnostics=replace(
+                    new.diagnostics, invariance_error=1e-6))
+            return new
 
         monkeypatch.setattr(solver_qp, "newton_solve", refuse_128)
         grown = solver_qp._rebuild_finer(prob, state, [])
         assert levels == [128, 256]
-        assert grown.k.n == 256 and grown.eps == 2.0
-        assert grown.diagnostics.tail <= prob.tail_double
+        assert grown.k.n == 256 and grown.eps == 1.0
+        assert grown.diagnostics.invariance_error <= prob.tol
 
         levels.clear()
-        res = continue_in_eps(prob, state, 2.0)
-        assert levels == [64, 128, 256]
+        res = continue_in_eps(prob, state, 1.05,
+                              ContinuationPolicy(step_init=0.05))
+        # the start, its step, the refused and the taken level, the step
+        # redone on 4N
+        assert levels == [64, 64, 128, 256, 256]
         assert res.reason == "target" and res.state.k.n == 256
-        assert len(res.records) == 1 and res.records[0].n == 256
+        assert [r.n for r in res.records] == [64, 256]
 
     def test_rebuild_at_n_max_keeps_the_workspace(self):
         # with no level left above n_max there is nothing to rebuild: the
@@ -942,10 +1024,10 @@ class TestContinuation:
         assert len(alive) > 10 and alive == [0] * len(alive)
 
     def test_probes_run_beside_points_only(self, monkeypatch):
-        # a Steffensen probe, and a twist-rate probe of the predictor,
-        # runs beside workspaces that keep no map evaluation, DF or
-        # frame: an iterate, and the converged workspace, keep little
-        # more than their point once their linear solve is built
+        # a Steffensen probe runs beside workspaces that keep no map
+        # evaluation, DF or frame: an iterate keeps little more than its
+        # point once its linear solve is built.  The predictor takes its
+        # rate of a from the records and runs no frame stage
         prob = nonsym_problem()
         live = weakref.WeakSet()
         frame_stage = solver_qp._frame_stage
@@ -985,9 +1067,10 @@ class TestContinuation:
         in_probe("eps_derivative")
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.5)
         assert res.reason == "target"
-        # both kinds of probe ran, beside the workspace they step from
-        assert {name for name, others in seen if others} == {
-            "steffensen_update", "eps_derivative"}
+        # the probes ran beside the workspace they step from, and the
+        # predictor ran none
+        assert {name for name, _ in seen} == {"steffensen_update"}
+        assert any(others for _, others in seen)
 
     def test_predictor_runs_without_the_previous_step(self, monkeypatch):
         # when the predictor runs, the previous step's tangent and
@@ -1006,11 +1089,11 @@ class TestContinuation:
                     new.diagnostics, invariance_error=1.0))
             return new
 
-        def recorded_derive(problem, state, ws=None):
+        def recorded_derive(problem, state, ws=None, d_a=0.0):
             # the first start is the caller's own state
             alive.append(sum(r() is not None
                              for r in tangents + starts[1:]))
-            der = derive(problem, state, ws)
+            der = derive(problem, state, ws, d_a)
             tangents.append(weakref.ref(der))
             return der
 
@@ -1101,12 +1184,12 @@ class TestContinuation:
             built.clear()
             return new
 
-        def checked_derive(problem, state, ws=None):
-            der = derive(problem, state, ws)
+        def checked_derive(problem, state, ws=None, d_a=0.0):
+            der = derive(problem, state, ws, d_a)
             for st, own in kept:
                 if st is state:
                     assert ws is None
-                    want = derive(problem, state, own)
+                    want = derive(problem, state, own, d_a)
                     assert (der.d_a, der.d_mu) == (want.d_a, want.d_mu)
                     for got, ref in ((der.d_eta_x, want.d_eta_x),
                                      (der.d_ky, want.d_ky)):
@@ -1135,6 +1218,70 @@ class TestContinuation:
         assert res.reason == "target"
         assert len(res.records) == len(ref.records) == 19
         assert abs(res.state.mu - ref.state.mu) <= 1e-12
+
+    def test_predictor_rate_of_a_is_the_records_secant(self, monkeypatch):
+        # the predictor of each record but the last, and of a base
+        # rebuilt on a finer grid, takes the secant of a through the last
+        # two records, and 0 after the first
+        derive = solver_qp.eps_derivative
+        rates = []
+
+        def recorded(problem, state, ws=None, d_a=0.0):
+            rates.append((state.eps, d_a))
+            return derive(problem, state, ws, d_a)
+
+        monkeypatch.setattr(solver_qp, "eps_derivative", recorded)
+        res = continue_in_eps(nonsym_problem(), QpState.flat_start(64, OMEGA),
+                              0.5)
+        recs = res.records
+        assert res.reason == "target" and len(recs) > 3
+        at = {r.eps: i for i, r in enumerate(recs)}
+        assert sorted(set(eps for eps, _ in rates)) == [
+            r.eps for r in recs[:-1]]
+        assert rates[0] == (0.0, 0.0)
+        for eps, d_a in rates[1:]:
+            r0, r1 = recs[at[eps] - 1:at[eps] + 1]
+            assert d_a == (r1.a - r0.a) / (r1.eps - r0.eps) != 0.0
+
+    def test_threads_record_the_serial_numbers(self):
+        # each thread transforms into spectra buffers of its own, so
+        # continuations on more threads than cores, switching often,
+        # record what each records alone, bit for bit
+        jobs = [(sym_problem(), 1.0), (nonsym_problem(), 0.8),
+                (sym_problem(b_a0=0.1), 0.5)]
+
+        def run(job):
+            problem, target = job
+            start = QpState.flat_start(64, OMEGA, problem.b_a0)
+            return continue_in_eps(problem, start, target).records
+
+        serial = bits([run(job) for job in jobs])
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            with ThreadPoolExecutor(max_workers=len(jobs)) as pool:
+                for _ in range(3):
+                    got = list(pool.map(run, jobs, timeout=60))
+                    assert bits(got) == serial
+        finally:
+            sys.setswitchinterval(interval)
+
+    def test_stop_ends_the_run_as_converged(self):
+        # a stop callable is asked after each record that did not end the
+        # run; once it says so the run ends, on that record
+        prob = nonsym_problem()
+        seen = []
+
+        def third(records):
+            seen.append(len(records))
+            return len(records) == 3
+
+        full = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0,
+                              stop=third)
+        assert res.reason == "converged" and seen == [1, 2, 3]
+        assert bits(res.records) == bits(full.records[:3])
+        assert res.state.eps == res.records[-1].eps
 
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
@@ -1180,69 +1327,40 @@ class TestEpsDerivative:
         assert np.max(np.abs(der.d_eta_x - fd_eta)) <= 1e-4
 
     @staticmethod
-    def own_closure(prob, state, probe):
-        """The eps-derivative with a fresh operator-form solve per d_a."""
+    def operator_form(prob, state):
+        """The workspace of state and its D_eps F data, in operator form."""
         ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
         par = ParamPoint(state.a, state.mu, state.eps)
         ex, ey = map(dealiased, prob.family.d_eps(state.k.x_lift(),
                                                   state.k.k_y, par))
         nx, ny, lx, ly = ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s
-        eta_l = -(ny * ex - nx * ey)
-        eta_n = ly * ex - lx * ey
-
-        def direction(d_a):
-            return operator_solve(prob, ws, eta_l, eta_n, d_a, 0.0)
-
-        def twist_rate(d_a):
-            d_eta, d_ky, d_mu = direction(d_a)
-            kc = TorusEmbedding(state.k.eta_x + probe * d_eta,
-                                state.k.k_y + probe * d_ky)
-            cand = solver_qp._frame_stage(prob, solver_qp._point(
-                prob, kc, state.a + probe * d_a, state.mu + probe * d_mu,
-                state.eps + probe))
-            return (cand.b_a - ws.b_a) / probe
-
-        g0 = twist_rate(0.0)
-        d_a = 0.0
-        if abs(g0) >= 1e-9:
-            h = g0
-            d_a = -g0 / ((twist_rate(h) - g0) / h)
-        return direction(d_a), d_a, (ws, eta_l, eta_n)
+        return ws, -(ny * ex - nx * ey), ly * ex - lx * ey
 
     @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
-    def test_shared_twist_closure(self, monkeypatch, variant):
-        # one solve serves the zero probe, the secant probe (when the
-        # twist rate is open) and the tangent; the symmetric twist rate
-        # is closed and d_a = 0
+    def test_one_solve_serves_every_rate(self, monkeypatch, variant):
+        # one linear solve gives the tangent for the rate d_a of a the
+        # caller supplies, with no frame stage beyond the geometry of the
+        # state; it is the operator form's for that rate
         prob = QpProblem(StandardNonTwistMap(SIGMA, variant), omega=OMEGA)
         start = QpState.flat_start(128, OMEGA)
         base = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5))
-        bases = []
-        solve = solver_qp._solve_linear
-
-        def counted(*args):
-            bases.append(solve(*args))
-            return bases[-1]
-
-        monkeypatch.setattr(solver_qp, "_solve_linear", counted)
-        der = eps_derivative(prob, base)
-        assert len(bases) == 1
-        (d_eta, d_ky, d_mu), d_a, (ws, eta_l, eta_n) = self.own_closure(
-            prob, base, 1e-6)
-        for delta_a in (0.0, 1e-3, -0.1, der.d_a):
-            assert_affine_matches(prob, ws, bases[0], eta_l, eta_n, 0.0,
-                                  delta_a)
-        got_eta, got_ky, got_mu = solver_qp._correction(bases[0], der.d_a)
-        assert der.d_mu == got_mu
-        assert der.d_eta_x.tobytes() == got_eta.tobytes()
-        assert der.d_ky.tobytes() == got_ky.tobytes()
-        assert (der.d_a == 0.0) == (variant == "symmetric")
-        # the secant reads b_a differences over the 1e-6 probe, which
-        # scales the rounding of the directions by 1/probe
-        assert abs(der.d_a - d_a) <= 1e-9 * max(1.0, abs(d_a))
-        assert abs(der.d_mu - d_mu) <= 1e-9
-        assert np.max(np.abs(der.d_eta_x - d_eta)) <= 1e-9
-        assert np.max(np.abs(der.d_ky - d_ky)) <= 1e-9
+        ws, eta_l, eta_n = self.operator_form(prob, base)
+        bases, stages = [], []
+        solve, frame_stage = solver_qp._solve_linear, solver_qp._frame_stage
+        monkeypatch.setattr(solver_qp, "_solve_linear",
+                            lambda *a: bases.append(solve(*a)) or bases[-1])
+        monkeypatch.setattr(solver_qp, "_frame_stage",
+                            lambda *a: stages.append(1) or frame_stage(*a))
+        for d_a in (0.0, 1e-3, -0.1):
+            bases.clear()
+            stages.clear()
+            der = eps_derivative(prob, base, d_a=d_a)
+            assert len(bases) == 1 and len(stages) == 1
+            got_eta, got_ky, got_mu = solver_qp._correction(bases[0], d_a)
+            assert der.d_a == d_a and der.d_mu == got_mu
+            assert der.d_eta_x.tobytes() == got_eta.tobytes()
+            assert der.d_ky.tobytes() == got_ky.tobytes()
+            assert_affine_matches(prob, ws, bases[0], eta_l, eta_n, 0.0, d_a)
 
     def test_converged_workspace_is_the_geometry(self, monkeypatch):
         # the workspace newton_solve hands out is the geometry that
@@ -1253,16 +1371,16 @@ class TestEpsDerivative:
         base = newton_solve(prob, QpState(start.k, start.a, start.mu, 0.5),
                             out)
         (ws,) = out
-        fresh = eps_derivative(prob, base)
+        fresh = eps_derivative(prob, base, d_a=0.37)
         calls = []
         for name in ("_geometry", "_complete"):
             fn = getattr(solver_qp, name)
             monkeypatch.setattr(solver_qp, name,
                                 lambda *a, fn=fn, name=name:
                                 calls.append(name) or fn(*a))
-        der = eps_derivative(prob, base, ws)
+        der = eps_derivative(prob, base, ws, 0.37)
         assert calls == []
-        assert der.d_a == fresh.d_a != 0.0 and der.d_mu == fresh.d_mu
+        assert der.d_a == fresh.d_a == 0.37 and der.d_mu == fresh.d_mu
         assert der.d_eta_x.tobytes() == fresh.d_eta_x.tobytes()
         assert der.d_ky.tobytes() == fresh.d_ky.tobytes()
 
