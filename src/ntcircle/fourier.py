@@ -23,9 +23,11 @@ small_divisor_spectra.  samples() is the one way back: one irfft brings
 a block of any height back over the block the spectra came from, and
 checks it.  transform() is the three steps for one operator on every
 row; a block whose rows need different operators applies each to its own
-rows between spectra() and samples().  The solvers put every group of
-fields that is ready at the same time through one block, so a transform
-pair is paid per group, not per field.  Blocks are built by
+rows between spectra() and samples().  transform_and_shift() is
+transform() that also gives its rows at theta + delta, shifted in the
+same spectra: one rfft of m rows, one irfft of 2m.  The solvers put
+every group of fields that is ready at the same time through one block,
+so a transform pair is paid per group, not per field.  Blocks are built by
 np.array(rows), np.stack's copy bit for bit, without its per-row Python
 work.  The single-field functions below (shift, dealias and the two
 solves) are the m = 1 calls, on a copy of the samples; nothing in the
@@ -371,23 +373,27 @@ class _PerThread(threading.local):
 _buffers = _PerThread()
 
 
-def spectra(v: np.ndarray) -> np.ndarray:
+def spectra(v: np.ndarray, height: int = 0) -> np.ndarray:
     """Unnormalized rfft half-spectra of the sample rows v (last axis).
 
     The result is written into the calling thread's buffer for the grid
     size and stays valid until that thread's next call: read it, and
     bring it back with samples(), before the next transform.  A 1-D v
     takes the buffer's first row; a block of more rows than the buffer
-    holds grows it.
+    holds grows it.  A 2-D v may ask for a block of height rows: the
+    rows below v's are left for the caller to fill.
     """
     rows = 1 if v.ndim == 1 else len(v)
+    tall = max(rows, height)
     bins = v.shape[-1] // 2 + 1
     held = _buffers.spectra
-    if held.shape[1] != bins or len(held) < rows:
-        held = _buffers.spectra = np.empty((max(rows, len(held)), bins),
+    if held.shape[1] != bins or len(held) < tall:
+        held = _buffers.spectra = np.empty((max(tall, len(held)), bins),
                                            dtype=complex)
-    out = held[0] if v.ndim == 1 else held[:rows]
-    return _rows(np.fft.rfft, v, v.shape[-1], out)
+    if v.ndim == 1:
+        return _rows(np.fft.rfft, v, v.shape[-1], held[0])
+    _rows(np.fft.rfft, v, v.shape[-1], held[:rows])
+    return held[:tall]
 
 
 def samples(half: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -407,6 +413,22 @@ def transform(v: np.ndarray, op, *args) -> np.ndarray:
     """
     half = spectra(v)
     op(half, *args)
+    return samples(half, v)
+
+
+def transform_and_shift(v: np.ndarray, delta: float, op, *args) -> np.ndarray:
+    """transform() of the top half of v, with its shift by delta below.
+
+    v is the caller's scratch block of 2m rows, the first m of them
+    samples: one rfft of those m rows, op on them, the half-spectra
+    copied below and shifted by delta, one irfft of the 2m rows written
+    over v, checked and returned; row m + i is row i at theta + delta.
+    """
+    m = len(v) // 2
+    half = spectra(v[:m], 2 * m)
+    op(half[:m], *args)
+    half[m:] = half[:m]
+    shift_spectra(half[m:], delta)
     return samples(half, v)
 
 

@@ -16,15 +16,17 @@ which is the frame's health check.
 
 An embedding (TorusEmbedding) holds eta_x and K_y as checked read-only
 sample arrays, as every other field is held.  The frame is written
-once, on sample arrays, for both solvers: tangent gives L from one
-transform pair, normal0_values N0 and the gram <L, L>, torsion0 the
-torsion from N0 composed with f (shifted spectrally in the
-quasi-periodic solver, read through the Lagrange stencil of f in the
-grid solver), and normal_values N with its det P = 1 check; DF along
-the circle comes in one form, uncut, the (2, 2, N) sample array of
-Evaluation.jacobian.  vartheta_qp solves the torsion equation
-spectrally, in place on the samples of -t0, which the transform checks
-and freezes and the caller keeps; the grid solver, whose f is free,
+once, on sample arrays, for both solvers: tangent gives L and
+L(. + omega) from one transform pair, normal0_values N0 and the gram
+<L, L>, torsion0 the torsion from N0 composed with f (in the
+quasi-periodic solver N0 of the shifted tangent, in the grid solver read
+through the Lagrange stencil of f), and normal_values N with its
+det P = 1 check; DF along the circle comes in one form, uncut, the
+(2, 2, N) sample array of Evaluation.jacobian.  vartheta_qp solves the
+torsion equation spectrally and gives vartheta and vartheta(. + omega)
+from one transform pair, so the quasi-periodic solver builds the frame
+at theta + omega from the same kernels, on the shifted tangent and
+vartheta, an exact frame there; the grid solver, whose f is free,
 uses vartheta_general, and solve_transfer is the one fixed-point kernel
 for both of its transfer equations, the torsion equation here and the
 normal equation of its Newton step.  Every transfer solve is exact: it
@@ -148,14 +150,18 @@ class Diagnostics:
     tail: float
 
 
-def tangent(k: TorusEmbedding) -> Pair:
-    """L = K' = (1 + eta_x', K_y'), read-only sample arrays from one
-    checked transform pair; L_y is copied out, so nothing pins it."""
-    rows = fourier.transform(np.array((k.eta_x, k.k_y)),
-                             fourier.derivative_spectra)
-    lx = rows[0] + 1.0    # finite samples stay finite
+def tangent(k: TorusEmbedding, omega: float) -> tuple[Pair, Pair]:
+    """L = K' = (1 + eta_x', K_y') and L(. + omega), as read-only sample
+    arrays from one checked transform pair: one rfft of K's two rows, one
+    irfft of four.  Each row is copied out, so nothing pins the block."""
+    rows = np.empty((4, k.n))
+    rows[:2] = k.eta_x, k.k_y
+    fourier.transform_and_shift(rows, omega, fourier.derivative_spectra)
+    lx, lx_s = rows[0] + 1.0, rows[2] + 1.0    # finite samples stay finite
     lx.setflags(write=False)
-    return (lx, *fourier.fields(rows[1:2]))
+    lx_s.setflags(write=False)
+    ly, ly_s = fourier.fields(rows[1::2])
+    return (lx, ly), (lx_s, ly_s)
 
 
 def normal0_values(lx: np.ndarray, ly: np.ndarray):
@@ -185,15 +191,19 @@ def torsion0(n0x, n0y, n0x_f, n0y_f, dfk) -> np.ndarray:
 def vartheta_qp(t0: np.ndarray, sigma: float, omega: float) -> np.ndarray:
     """Solve vartheta - sigma * vartheta(. + omega) = -t0 spectrally.
 
-    t0 holds the torsion samples; linear_shift_spectra solves in place
-    on -t0, a fresh 1-D array that the transform checks and freezes once
-    and returns.  Divisors 1 - sigma*e(k*omega) stay within distance
-    1 - sigma of 1, so the solve is uniformly stable for sigma in (0, 1).
+    t0 holds the torsion samples.  Returns the checked read-only block of
+    the two rows vartheta and vartheta(. + omega), from one transform
+    pair: one rfft of -t0, one irfft of two rows.  Divisors
+    1 - sigma*e(k*omega) stay within distance 1 - sigma of 1, so the
+    solve is uniformly stable for sigma in (0, 1).
     """
     if not 0.0 < sigma < 1.0:
         raise ValueError(f"need sigma in (0, 1), got {sigma}")
-    return fourier.transform(-t0, fourier.linear_shift_spectra, 1.0, sigma,
-                             omega)
+    rows = np.empty((2, t0.size))
+    np.negative(t0, out=rows[0])
+    return fourier.transform_and_shift(rows, omega,
+                                       fourier.linear_shift_spectra, 1.0,
+                                       sigma, omega)
 
 
 def solve_transfer(a, b, idx, w, sigma: float):

@@ -16,9 +16,11 @@ forcing p(x) and q = sigma*y + eps*p(x) - a; an Evaluation holds the two
 at a batch of points, so callers that need several formulas at the same
 points evaluate the forcing once.  A long orbit of one point runs on
 Python floats instead (StandardNonTwistMap.orbit), where a numpy scalar
-would cost more than the arithmetic; p(x) is written once and evaluated
-with numpy on arrays and with math on floats.  p and p' of a large
-array run in two halves on two threads (fourier.split), bit for bit.
+would cost more than the arithmetic.  p is written once, as a function
+of s = sin(2 pi x), and p' once, of s and c = cos(2 pi x): an evaluation
+keeps s, so it and its Jacobian take one sine and one cosine, and the
+orbit reads p of math.sin.  The sine and cosine of a large array run in
+two halves on two threads (fourier.split), bit for bit.
 """
 
 from __future__ import annotations
@@ -47,30 +49,48 @@ class ParamPoint:
         return ParamPoint(**d)
 
 
-# p(x) of each forcing variant, written once; lib supplies sin and cos:
-# numpy on arrays, math on Python floats
-def _symmetric(x, lib=math):
-    return lib.sin(TWO_PI * x) / TWO_PI
+# p of each forcing variant as a function of s = sin(2 pi x), and p' of s
+# and c = cos(2 pi x); the nonsymmetric cos(4 pi x) is 1 - 2 s^2.  They
+# run on numpy arrays and on Python floats alike
+def _symmetric(s):
+    return s / TWO_PI
 
 
-def _nonsymmetric(x, lib=math):
-    return (lib.sin(TWO_PI * x) + lib.cos(2.0 * TWO_PI * x)) / TWO_PI
+def _symmetric_slope(s, c):
+    return c
 
 
-def _halves(fn, x, *args):
-    """fn(x, *args), a 1-D array in two halves where fourier.split splits."""
+def _nonsymmetric(s):
+    return (s + 1.0 - 2.0 * s * s) / TWO_PI
+
+
+def _nonsymmetric_slope(s, c):
+    return c - 4.0 * s * c
+
+
+def _sine(x):
+    return np.sin(TWO_PI * x)
+
+
+def _cosine(x):
+    return np.cos(TWO_PI * x)
+
+
+def _halves(fn, x):
+    """fn(x), a 1-D array in two halves where fourier.split splits."""
     if getattr(x, "size", 0) < fourier.SPLIT_MIN or x.ndim != 1:
-        return fn(x, *args)     # at once: no closure on small grids
-    halves = fourier.split(lambda s: fn(x[s], *args), x.size, x.size)
-    return fn(x, *args) if halves is None else np.concatenate(halves)
+        return fn(x)     # at once: no closure on small grids
+    halves = fourier.split(lambda s: fn(x[s]), x.size, x.size)
+    return fn(x) if halves is None else np.concatenate(halves)
 
 
 class Forcing:
     """Periodic forcing p(x) with derivative, amplitude-normalized by 2 pi.
 
-    Calling it evaluates p with numpy, on arrays or scalars.  `formula`
-    is p itself, formula(x, lib=math): called on one Python float it
-    runs on math, with no numpy scalar in the way.
+    Calling it evaluates p with numpy, on arrays or scalars.  `of_sine`
+    is p itself as a function of s = sin(2 pi x) and `slope` is p' of s
+    and c = cos(2 pi x); on Python floats they run with no numpy scalar
+    in the way.
     """
 
     SYMMETRIC = "symmetric"
@@ -80,34 +100,40 @@ class Forcing:
         if variant not in (self.SYMMETRIC, self.NONSYMMETRIC):
             raise ValueError(f"unknown forcing variant {variant!r}")
         self.variant = variant
-        self.formula = (_symmetric if variant == self.SYMMETRIC
-                        else _nonsymmetric)
+        self.of_sine, self.slope = (
+            (_symmetric, _symmetric_slope) if variant == self.SYMMETRIC
+            else (_nonsymmetric, _nonsymmetric_slope))
+
+    def sine(self, x):
+        """s = sin(2 pi x), with numpy."""
+        return _halves(_sine, x)
+
+    def cosine(self, x):
+        """c = cos(2 pi x), with numpy."""
+        return _halves(_cosine, x)
 
     def __call__(self, x):
-        return _halves(self.formula, x, np)
+        return self.of_sine(self.sine(x))
 
     def deriv(self, x):
-        return _halves(self._deriv, x)
-
-    def _deriv(self, x):
-        if self.variant == self.SYMMETRIC:
-            return np.cos(TWO_PI * x)
-        return np.cos(TWO_PI * x) - 2.0 * np.sin(2.0 * TWO_PI * x)
+        return self.slope(self.sine(x), self.cosine(x))
 
 
 class Evaluation:
     """The family at a batch of points x, y and a parameter point.
 
-    Holds x, the parameter point, p(x) and the folded frequency variable
-    q = sigma*y + eps*p(x) - a.  The lift, the Jacobian, D_a F_x and
-    D_eps F are formulas in these; the Jacobian evaluates p'(x).
+    Holds x, the parameter point, s = sin(2 pi x), p(x) and the folded
+    frequency variable q = sigma*y + eps*p(x) - a.  The lift, the
+    Jacobian, D_a F_x and D_eps F are formulas in these; the Jacobian
+    evaluates p'(x) from s and cos(2 pi x).
     """
 
-    __slots__ = ("family", "x", "par", "px", "q")
+    __slots__ = ("family", "x", "par", "s", "px", "q")
 
     def __init__(self, family: "StandardNonTwistMap", x, y, par: ParamPoint):
         self.family, self.x, self.par = family, x, par
-        self.px = family.forcing(x)
+        self.s = family.forcing.sine(x)
+        self.px = family.forcing.of_sine(self.s)
         self.q = family.sigma * y + par.eps * self.px - par.a
 
     def lift(self):
@@ -116,7 +142,8 @@ class Evaluation:
 
     def jacobian(self):
         q, sigma = self.q, self.family.sigma
-        pd = self.par.eps * self.family.forcing.deriv(self.x)
+        forcing = self.family.forcing
+        pd = self.par.eps * forcing.slope(self.s, forcing.cosine(self.x))
         j = np.empty((2, 2) + np.shape(q))
         j[0, 0] = 1.0 + 2.0 * q * pd
         j[0, 1] = 2.0 * q * sigma
@@ -181,12 +208,12 @@ class StandardNonTwistMap:
         a list, and the end point, with x reduced mod 1.  x stays in
         [0, 1) all along, so no digits are lost to a growing lift.
         """
-        px = self.forcing.formula          # p(x), on math
-        sigma, eps, a, mu = self.sigma, p.eps, p.a, p.mu
+        px, sin = self.forcing.of_sine, math.sin    # p of sin(2 pi x)
+        sigma, eps, a, mu, two_pi = self.sigma, p.eps, p.a, p.mu, TWO_PI
         out = []
         append = out.append
         for _ in range(steps):
-            q = sigma * y + eps * px(x) - a
+            q = sigma * y + eps * px(sin(two_pi * x)) - a
             d = q * q + mu
             append(d)
             x = (x + d) % 1.0

@@ -54,18 +54,20 @@ tests takes 10 floor and 2 failure rebuilds.
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
-point (maps.Evaluation: the forcing p(x) and q = sigma*y + eps*p(x) - a),
-and the composition, DF, D_a F and D_eps F are all read from it.  The
-residual stage takes the invariance residual E with the raw tail of the
-composition and the gap, in one block: the cut composition with the
-shifted embedding.  The frame stage takes DF and D_a F_x along the
-circle, the tangent, N0, the torsion, vartheta, the frame, the shifted
-normal and the twist b_a, in four blocks: the tangent, the shifted N0,
-vartheta, the shifted normal; N0, the torsion and N come from the sample
-kernels of frame that the grid solver uses too.  A probe shifts N_y
-alone; N_x and the shifted tangent ride in the last block of whichever
-of the two stages runs second.  Completion adds b_mu and the frame
-projections of E, with no transform.
+point (maps.Evaluation: sin(2 pi x), the forcing p(x) and
+q = sigma*y + eps*p(x) - a), and the composition, DF, D_a F and D_eps F
+are all read from it.  The residual stage takes the invariance residual
+E with the raw tail of the composition and the gap, in one block: the
+cut composition with the shifted embedding.  The frame stage takes DF
+and D_a F_x along the circle, the frame, the frame at theta + omega and
+the twist b_a, in two blocks: the tangent with its shift, and vartheta
+with its shift.  Only L and vartheta need a spectrum: N0 o f is N0 of
+the shifted tangent, which the torsion reads, and N(. + omega) =
+L(. + omega) vartheta(. + omega) + N0 o f, an exact frame at
+theta + omega (det 1), all from the sample kernels of frame that the
+grid solver uses too.  A probe and a kept point run the same frame
+stage.  Completion adds b_mu and the frame projections of E, with no
+transform.
 
 The correction is affine in the twist unknown delta_a, so a Newton
 iteration solves its linearization once: _solve_linear returns the
@@ -76,15 +78,15 @@ its damped fractions all combine that basis on samples.  The probes read
 only b_a, and the export of N only the frame, so they run the frame
 stage alone.  A step or a damped fraction of it is judged on its
 residual alone, 2 FFTs, and only the point that is kept runs the frame
-stage and completion: a full geometry is 2 + 8 FFTs, and a Newton
-iteration with the twist open costs 30, one solve, three frame stages
-(two probes and the kept point) and one residual.  When the twist is
-already closed the zero probe is the full-step candidate, and the
-iteration takes its residual instead of building it again.  The
-eps-derivative makes one solve and no frame stage: it reads D_eps F and
-the frame from the workspace of the solve that converged its state
-instead of building the geometry again, and takes the rate of a from
-its caller.
+stage and completion: a full geometry is 2 + 4 FFTs, and a Newton
+iteration with the twist open costs 18: one solve (4), three frame
+stages (two probes and the kept point, 4 each) and one residual (2).
+When the twist is already closed the zero probe is the full-step
+candidate, and the iteration takes its residual instead of building it
+again.  The eps-derivative makes one solve and no frame stage: it reads
+D_eps F and the frame from the workspace of the solve that converged its
+state instead of building the geometry again, and takes the rate of a
+from its caller.
 
 A solve keeps a field alive only while it reads it.  An iterate that
 has passed the checks at the top of the loop lets go of the map
@@ -93,14 +95,14 @@ solve reads: the frame, eta_l, eta_n, b_la, D_a F_x and the shifted
 N_y and L_y.  Once the basis is built it keeps only its point (K, a,
 mu, eps and err), so the probes and the trials run beside K and the
 basis alone.  A frame stage runs with at most the current iterate and
-the point being built, and lets go of N0 and vartheta before its
-shifted-normal block; a kept point is completed after the previous
-iterate and its step are gone, and the start projected onto the band
-goes with the first iterate.  The continuation drops the previous
-step's tangent and prediction before the next predictor runs.  The
-floor snapshot is kept as its state, not its workspace, so a state
-accepted at the floor of an earlier iterate hands over no workspace and
-the eps-derivative builds its geometry, bitwise the same.
+the point being built, and lets go of N0 once N is in; a kept point is
+completed after the previous iterate and its step are gone, and the
+start projected onto the band goes with the first iterate.  The
+continuation drops the previous step's tangent and prediction before
+the next predictor runs.  The floor snapshot is kept as its state, not
+its workspace, so a state accepted at the floor of an earlier iterate
+hands over no workspace and the eps-derivative builds its geometry,
+bitwise the same.
 """
 
 from __future__ import annotations
@@ -222,9 +224,9 @@ class NewtonWorkspace:
     the tangent projection of D_a F, all checked read-only sample arrays.
     A point is filled in stages: _point sets k, a, mu, eps and ev, the
     map evaluated along K; the residual stage sets ex, ey, err, e_p, gap
-    and tail; the frame stage frame, dfk, d_a (D_a F_x), alpha, ny_s, bla,
-    b_a and e_b; nx_s, lx_s and ly_s come with whichever of those two
-    runs second; completion sets b_mu, eta_l and eta_n.
+    and tail; the frame stage frame, dfk, d_a (D_a F_x), alpha, the
+    shifted frame nx_s, ny_s, lx_s and ly_s, bla, b_a and e_b, in either
+    order; completion sets b_mu, eta_l and eta_n.
     keep_only empties it again, field by field, as its readers finish.
     """
 
@@ -260,57 +262,47 @@ def _mean(v: np.ndarray) -> float:
     return float(np.add.reduce(v, axis=None)) / v.size
 
 
-def _shifted(block: tuple[np.ndarray, ...], omega: float):
-    """The fields of block shifted by omega, from one transform pair."""
-    return fourier.fields(fourier.transform(np.array(block),
-                                            fourier.shift_spectra, omega))
-
-
 def _point(problem: QpProblem, k, a, mu, eps) -> NewtonWorkspace:
     """The workspace of (K, a, mu, eps), with the map evaluated along K."""
     ws = NewtonWorkspace()
     ws.k, ws.a, ws.mu, ws.eps = k, a, mu, eps
     ws.ev = problem.family.evaluate(k.x_lift(), k.k_y, ParamPoint(a, mu, eps))
-    ws.frame = ws.err = None
+    ws.frame = None
     return ws
 
 
 def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
-    """Frame, torsion and twist b_a at the point ws: all a probe reads.
+    """Frame, shifted frame, torsion and twist b_a at the point ws.
 
     DF is the evaluation's array and D_a F_x its own row, both raw: a
     NaN or inf in them reaches vartheta or b_la, whose checks raise
-    NonFiniteError from this call.  A probe shifts N_y alone, all b_a
-    reads; a point whose residual is in is being kept, and N_x and L
-    ride in the block of the shifted normal.
+    NonFiniteError from this call.  The frame at theta + omega is the
+    frame's own formulas on the shifted tangent and vartheta, so
+    det [L, N] = 1 holds there too.
     """
     om = problem.omega
     sig = problem.family.sigma
     dfk = ws.ev.jacobian()
     dax = ws.ev.d_a()
-    lx, ly = l = tangent(ws.k)
+    l, (lx_s, ly_s) = tangent(ws.k, om)
+    lx, ly = l
     n0x, n0y, gram = normal0_values(lx, ly)
     gram = _fresh(gram)     # first: an overflowed gram raises NonFiniteError
-    # the shift block of N0 and t0 are each freed once read
-    n0_f = fourier.transform(np.array((n0x, n0y)), fourier.shift_spectra, om)
-    t0 = torsion0(n0x, n0y, *n0_f, dfk)
-    del n0_f
-    vth = vartheta_qp(t0, sig, om)
+    # N0 o f, N0 of the shifted tangent; the shifted gram goes at once
+    n0x_s, n0y_s = normal0_values(lx_s, ly_s)[:2]
+    t0 = torsion0(n0x, n0y, n0x_s, n0y_s, dfk)
+    vth, vth_s = vartheta_qp(t0, sig, om)
     del t0
     nx, ny = normal_values(lx, ly, n0x, n0y, vth)
-    del n0x, n0y    # N0 and vartheta go before the shifted-normal block
+    del n0x, n0y    # each N0 goes once its N is in
     alpha = min_angle(vth, gram.values)
-    del vth
-    fr = AdaptedFrame(l, gram, (checked(nx), checked(ny)), sig)
-
-    ws.frame = fr
+    nx_s, ny_s = normal_values(lx_s, ly_s, n0x_s, n0y_s, vth_s)
+    ws.frame = AdaptedFrame(l, gram, (checked(nx), checked(ny)), sig)
+    ws.nx_s, ws.ny_s = checked(nx_s), checked(ny_s)
+    ws.lx_s, ws.ly_s = lx_s, ly_s
     ws.dfk = dfk
     ws.d_a = dax
     ws.alpha = alpha
-    if ws.err is None:
-        ws.ny_s, = _shifted(fr.nvec[1:], om)
-    else:
-        ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s = _shifted(fr.nvec + l, om)
     ws.bla = checked(ws.ny_s * dax)
     ws.b_a = _mean(ws.bla)
     ws.e_b = ws.b_a - problem.b_a0
@@ -321,29 +313,24 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     """The residual E, its size err, the phase e_p, gap and raw tail at ws.
 
     The cut of the composition (F^x less its lift theta) with its raw
-    tail, and the shift of K, share one transform pair; a point whose
-    frame stage has run (the zero probe of a closed twist) shifts N_x
-    and L in the same pair.  The gap is the l1 mass of E's modes in
-    n/4 < |k| <= n/3, which E is measured on and no correction reaches,
-    read from the same spectra (the larger of its two components).
+    tail, and the shift of K, share one transform pair of four rows.
+    The gap is the l1 mass of E's modes in n/4 < |k| <= n/3, which E is
+    measured on and no correction reaches, read from the same spectra
+    (the larger of its two components).
     """
     k = ws.k
-    fr = ws.frame
-    rest = () if fr is None else (fr.nvec[0], *fr.l)
-    rows = np.array((*ws.ev.lift(), *rest, k.eta_x, k.k_y))
+    rows = np.array((*ws.ev.lift(), k.eta_x, k.k_y))
     rows[0] -= fourier.grid(k.n)
     half = fourier.spectra(rows)
     ws.tail = max(fourier.tails(half[:2], 0.25))
     fourier.cut_spectra(half[:2])
     fourier.shift_spectra(half[2:], problem.omega)
     band = slice(k.n // 4 + 1, k.n // 3 + 1)
-    gap = np.abs(half[:2, band] - half[-2:, band]).sum(axis=1)
+    gap = np.abs(half[:2, band] - half[2:, band]).sum(axis=1)
     ws.gap = 2.0 * float(gap.max()) / k.n
     fourier.samples(half, rows)
-    if rest:
-        ws.nx_s, ws.lx_s, ws.ly_s = fourier.fields(rows[2:5])
-    ws.ex = checked(rows[0] - problem.omega - rows[-2])
-    ws.ey = checked(rows[1] - rows[-1])
+    ws.ex = checked(rows[0] - problem.omega - rows[2])
+    ws.ey = checked(rows[1] - rows[3])
     ws.err = max(float(np.abs(ws.ex).max()), float(np.abs(ws.ey).max()))
     ws.e_p = _mean(k.eta_x)
     return ws

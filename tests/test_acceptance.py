@@ -174,7 +174,7 @@ def test_6_property_suite():
     problem, result = march(Forcing.SYMMETRIC, 0.5)
     state = result.state
     _, _, _, nx, ny = frame_fields(problem, state)
-    l = tangent(state.k)
+    l, _ = tangent(state.k, OMEGA)
     pairing = l[0] * ny - l[1] * nx
     assert float(np.max(np.abs(pairing - 1.0))) <= 1e-10
 
@@ -182,7 +182,7 @@ def test_6_property_suite():
     theta = fourier.grid(256)
     two_pi = 2.0 * np.pi
     t0 = 0.3 + 0.2 * np.sin(two_pi * theta) + 0.1 * np.cos(2.0 * two_pi * theta)
-    vth_qp = vartheta_qp(t0, SIGMA, OMEGA)
+    vth_qp, _ = vartheta_qp(t0, SIGMA, OMEGA)
     idx, w = interp_stencil(256, theta + OMEGA, 6)
     vth_gen, _ = vartheta_general(t0, np.ones(256), SIGMA, idx, w)
     assert float(np.max(np.abs(vth_qp - vth_gen))) <= 1e-9

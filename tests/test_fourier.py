@@ -539,7 +539,7 @@ class TestBlockKernels:
         out = fourier.transform(-v, fourier.linear_shift_spectra,
                                 1.0, 0.8, GOLDEN_MEAN)
         self.rows_equal(
-            out, [vartheta_qp(r, 0.8, GOLDEN_MEAN)
+            out, [vartheta_qp(r, 0.8, GOLDEN_MEAN)[0]
                   for r in v])
 
     @pytest.mark.parametrize("n", N)

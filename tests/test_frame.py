@@ -52,11 +52,11 @@ def integrable_frame(a, n=64):
 
 
 def torsion_qp(k, dfk):
-    """N0 on the circle k and the torsion, N0 composed with the shift."""
-    l = tangent(k)
+    """N0 on the circle k and the torsion, N0 composed with the shift:
+    N0 of the shifted tangent, as the quasi-periodic frame stage takes it."""
+    l, l_s = tangent(k, OMEGA)
     n0x, n0y, gram = normal0_values(*l)
-    n0x_f = shift(PeriodicScalar(n0x), OMEGA).values
-    n0y_f = shift(PeriodicScalar(n0y), OMEGA).values
+    n0x_f, n0y_f, _ = normal0_values(*l_s)
     return l, (n0x, n0y), gram, torsion0(n0x, n0y, n0x_f, n0y_f, dfk)
 
 
@@ -140,27 +140,37 @@ class TestTorusEmbedding:
 class TestFrameConstruction:
     def test_tangent_of_flat_circle(self):
         _, k, _ = integrable_frame(0.1)
-        l = tangent(k)
+        l, _ = tangent(k, OMEGA)
         np.testing.assert_allclose(l[0], 1.0, atol=1e-13)
         np.testing.assert_allclose(l[1], 0.0, atol=1e-13)
 
     def test_tangent_block_equals_single_fields(self):
-        # both derivatives of one block are bitwise the single-field
-        # derivatives, read-only arrays that own their memory
+        # both derivatives of one block, and their shifts by omega, are
+        # bitwise the single-field derivatives (shifted in the same
+        # spectra), read-only arrays that own their memory
         th = grid(128)
         k = TorusEmbedding(
             0.01 * np.sin(TWO_PI * th) + 0.002 * np.cos(TWO_PI * 64 * th),
             0.02 * np.cos(TWO_PI * 3 * th) + 0.003)
-        lx, ly = tangent(k)
+        (lx, ly), (lx_s, ly_s) = tangent(k, OMEGA)
         same = lambda u, v: u.tobytes() == v.tobytes()
+
+        def d_theta_shifted(u):
+            half = fourier.spectra(u[None].copy())
+            fourier.derivative_spectra(half)
+            fourier.shift_spectra(half, OMEGA)
+            return fourier.samples(half, np.empty((1, u.size)))[0]
+
         assert same(lx, d_theta(k.eta_x) + 1.0)
         assert same(ly, d_theta(k.k_y))
-        assert lx.base is None and ly.base is None
-        assert not lx.flags.writeable and not ly.flags.writeable
+        assert same(lx_s, d_theta_shifted(k.eta_x) + 1.0)
+        assert same(ly_s, d_theta_shifted(k.k_y))
+        for v in (lx, ly, lx_s, ly_s):
+            assert v.base is None and not v.flags.writeable
 
     def test_normal0_is_unit_rotation_of_tangent(self):
         _, k, _ = integrable_frame(0.1)
-        l = tangent(k)
+        l, _ = tangent(k, OMEGA)
         n0x, n0y, gram = normal0_values(*l)
         np.testing.assert_allclose(n0x, 0.0, atol=1e-13)
         np.testing.assert_allclose(n0y, 1.0, atol=1e-13)
@@ -176,29 +186,36 @@ class TestFrameConstruction:
     def test_vartheta_solves_its_equation(self):
         x = grid(128)
         t0 = np.cos(TWO_PI * x) + 0.3 * np.sin(2 * TWO_PI * x)
-        vth = vartheta_qp(t0, SIGMA, OMEGA)
+        vth, _ = vartheta_qp(t0, SIGMA, OMEGA)
         res = vth - SIGMA * shift(PeriodicScalar(vth), OMEGA).values + t0
         assert np.max(np.abs(res)) <= 1e-12
 
     def test_vartheta_owns_its_samples(self):
-        # the in-place solve is returned, not copied, and matches the
-        # one-row block form bit for bit
+        # one read-only block of its own holds vartheta, bit for bit the
+        # one-row block form, and vartheta(. + omega), shifted in the same
+        # spectra; t0 is left as it was
         x = grid(256)
         t0 = np.cos(TWO_PI * x) + 0.3 * np.sin(3 * TWO_PI * x)
         before = t0.copy()
-        vth = vartheta_qp(t0, SIGMA, OMEGA)
-        assert vth.base is None
-        assert not vth.flags.writeable
-        block = fourier.transform(-t0[None], fourier.linear_shift_spectra,
-                                  1.0, SIGMA, OMEGA)
-        assert vth.tobytes() == block[0].tobytes()
+        block = vartheta_qp(t0, SIGMA, OMEGA)
+        assert block.shape == (2, 256) and block.base is None
+        assert not block.flags.writeable
+        vth, vth_s = block
+        one = fourier.transform(-t0[None], fourier.linear_shift_spectra,
+                                1.0, SIGMA, OMEGA)
+        assert vth.tobytes() == one[0].tobytes()
+        half = fourier.spectra(-t0[None])
+        fourier.linear_shift_spectra(half, 1.0, SIGMA, OMEGA)
+        fourier.shift_spectra(half, OMEGA)
+        shifted = fourier.samples(half, np.empty((1, 256)))[0]
+        assert vth_s.tobytes() == shifted.tobytes()
         assert t0.tobytes() == before.tobytes()
 
     def test_frame_identities_on_integrable_circle(self):
         a = 0.2
         _, k, dfk = integrable_frame(a)
         l, (n0x, n0y), _, t0 = torsion_qp(k, dfk)
-        vth = vartheta_qp(t0, SIGMA, OMEGA)
+        vth, _ = vartheta_qp(t0, SIGMA, OMEGA)
         lx, ly = l
         nx, ny = normal_values(lx, ly, n0x, n0y, vth)
         det = lx * ny - ly * nx
@@ -259,7 +276,9 @@ class TestOneFrame:
         monkeypatch.setattr(solver_qp, "torsion0", counted)
         monkeypatch.setattr(solver_general, "torsion0", counted)
 
-        # quasi-periodic frame stage: N0 composed with the shift by omega
+        # quasi-periodic frame stage: N0 o f is N0 composed with the
+        # shift by omega, N0 of the shifted tangent; N and N(. + omega)
+        # are the one formula on the frame and on the shifted frame
         th = grid(128)
         fam = StandardNonTwistMap(SIGMA, "nonsymmetric")
         k = TorusEmbedding(0.01 * np.sin(TWO_PI * th),
@@ -268,14 +287,19 @@ class TestOneFrame:
         ws = solver_qp._frame_stage(
             prob, solver_qp._point(prob, k, 0.013, 0.61, 0.9))
         assert len(calls) == 1
-        lx, ly = ws.frame.l
+        (lx, ly), (lx_s, ly_s) = tangent(k, OMEGA)
+        assert ws.frame.l[0].tobytes() == lx.tobytes()
+        assert (ws.lx_s.tobytes(), ws.ly_s.tobytes()) == (
+            lx_s.tobytes(), ly_s.tobytes())
         n0x, n0y, _ = normal0_values(lx, ly)
-        n0_f = [shift(PeriodicScalar(c), OMEGA).values for c in (n0x, n0y)]
+        n0_f = normal0_values(lx_s, ly_s)[:2]
         t0 = self.inline_torsion(n0x, n0y, *n0_f, ws.dfk)
         assert calls[0].tobytes() == t0.tobytes()
-        vth = vartheta_qp(t0, SIGMA, OMEGA)
-        for got, want in zip(ws.frame.nvec,
-                             normal_values(lx, ly, n0x, n0y, vth)):
+        vth, vth_s = vartheta_qp(t0, SIGMA, OMEGA)
+        for got, want in zip(
+                (*ws.frame.nvec, ws.nx_s, ws.ny_s),
+                (*normal_values(lx, ly, n0x, n0y, vth),
+                 *normal_values(lx_s, ly_s, *n0_f, vth_s))):
             assert got.tobytes() == want.tobytes()
 
         # grid Newton step: N0 read through the Lagrange stencil of f
@@ -310,6 +334,42 @@ def spectral_eval(values, q):
             + c[-1].real * np.cos(np.pi * n * q))
 
 
+class TestShiftedFrame:
+    """The frame at theta + omega is the frame's own formulas on the
+    shifted tangent and vartheta, on a converged nonsymmetric circle."""
+
+    # sup |composed - spectral shift| of the shifted frame's columns, per
+    # max(1, the column's sup), on the resolved circle below (eps = 0.5,
+    # N = 256): measured 6.7e-16 for L and 1.3e-15 for N
+    SPECTRAL_TOL = 1e-14
+
+    @staticmethod
+    def converged_workspace():
+        prob = QpProblem(StandardNonTwistMap(SIGMA, "nonsymmetric"),
+                         omega=OMEGA)
+        state = newton_solve(prob, QpState(TorusEmbedding.zero_section(256),
+                                           0.0, OMEGA, 0.5))
+        assert state.diagnostics.invariance_error <= prob.tol
+        assert state.diagnostics.tail <= 1e-14
+        return solver_qp._geometry(prob, state.k, state.a, state.mu,
+                                   state.eps)
+
+    def test_shifted_determinant_is_one_to_rounding(self):
+        # det [L(. + omega), N(. + omega)] = 1 by construction (measured
+        # 2.2e-16 off)
+        ws = self.converged_workspace()
+        det = ws.lx_s * ws.ny_s - ws.ly_s * ws.nx_s
+        assert float(np.max(np.abs(det - 1.0))) <= 1e-15
+
+    def test_composed_frame_matches_the_spectral_shift(self):
+        ws = self.converged_workspace()
+        for got, field in zip((ws.lx_s, ws.ly_s, ws.nx_s, ws.ny_s),
+                              (*ws.frame.l, *ws.frame.nvec)):
+            want = shift(PeriodicScalar(field), OMEGA).values
+            assert float(np.max(np.abs(got - want))) <= (
+                self.SPECTRAL_TOL * max(1.0, float(np.max(np.abs(field)))))
+
+
 class TestVarthetaGeneral:
     def test_agrees_with_qp_on_rigid_rotation(self):
         # same equation when f is the rigid rotation, so the grid fixed
@@ -317,7 +377,7 @@ class TestVarthetaGeneral:
         n = 256
         x = grid(n)
         t0v = np.cos(TWO_PI * x) - 0.4 * np.sin(3 * TWO_PI * x) + 0.2
-        vth_qp = vartheta_qp(t0v, SIGMA, OMEGA)
+        vth_qp, _ = vartheta_qp(t0v, SIGMA, OMEGA)
         idx, w = interp_stencil(n, x + OMEGA, 8)
         vth_gen, _ = vartheta_general(t0v, np.ones(n), SIGMA, idx, w)
         assert np.max(np.abs(vth_gen - vth_qp)) <= 1e-9

@@ -45,18 +45,28 @@ class TestForcing:
 
 
 class TestSplitForcing:
-    """p and p' of a 1-D array of fourier.SPLIT_MIN samples or more, its
-    halves evaluated on two threads, equal the formulas bit for bit."""
+    """p and p' of a 1-D array of fourier.SPLIT_MIN samples or more, the
+    halves of its sine and cosine evaluated on two threads, equal the
+    formulas bit for bit."""
 
     TWO_PI = 2.0 * np.pi
 
     def formulas(self, variant):
-        """(p, p') written out, evaluated in one numpy pass each."""
+        """(p, p') written out, evaluated in one numpy pass each: the
+        nonsymmetric forcing in s = sin(2 pi x) and c = cos(2 pi x)."""
         t = self.TWO_PI
         if variant == "symmetric":
             return (lambda x: np.sin(t * x) / t, lambda x: np.cos(t * x))
-        return (lambda x: (np.sin(t * x) + np.cos(2.0 * t * x)) / t,
-                lambda x: np.cos(t * x) - 2.0 * np.sin(2.0 * t * x))
+
+        def p(x):
+            s = np.sin(t * x)
+            return (s + 1.0 - 2.0 * s * s) / t
+
+        def dp(x):
+            s, c = np.sin(t * x), np.cos(t * x)
+            return c - 4.0 * s * c
+
+        return p, dp
 
     @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
     @pytest.mark.parametrize("size", [fourier.SPLIT_MIN, 1 << 16,
@@ -68,7 +78,8 @@ class TestSplitForcing:
         p, dp = self.formulas(variant)
         assert f(x).tobytes() == p(x).tobytes()
         assert f.deriv(x).tobytes() == dp(x).tobytes()
-        assert len(two_cpus) == 2
+        # the sine of p, then the sine and cosine of p'
+        assert len(two_cpus) == 3
 
     @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
     def test_blocks_and_small_arrays_unsplit(self, two_cpus, variant):

@@ -326,15 +326,14 @@ class TestIterationCost:
     """Operation counts of one Newton solve; no timing involved."""
 
     # FFTs by part, at a generic point, one rfft and one irfft per block
-    # of fields that are ready together: frame stage = 2 (tangent)
-    # + 2 (torsion shifts) + 2 (vartheta) + 2 (shifted normal: N_y alone
-    # at a probe, N_x and the shifted tangent too at a kept point);
-    # residual = 2 (compositions with their tails, and the embedding
-    # shifted); completion = 0; linear solve = 2 (both cohomological
-    # equations) + 2 (both corrections cut to their band)
-    FRAME, RESIDUAL, COMPLETE, SOLVE = 8, 2, 0, 4
+    # of fields that are ready together: frame stage = 2 (the tangent
+    # and its shift) + 2 (vartheta and its shift), the same at a probe
+    # and at a kept point; residual = 2 (compositions with their tails,
+    # and the embedding shifted); completion = 0; linear solve = 2 (both
+    # cohomological equations) + 2 (both corrections cut to their band)
+    FRAME, RESIDUAL, COMPLETE, SOLVE = 4, 2, 0, 4
     # one solve, affine in delta_a, serves the two probes and the step:
-    # three frame stages and the kept point's residual, 30 FFTs
+    # three frame stages and the kept point's residual, 18 FFTs
     PER_ITERATION = SOLVE + 3 * FRAME + RESIDUAL + COMPLETE
     # start projection and start geometry; the reducibility diagnostic
     # reads the shifted frame columns the workspace holds
@@ -402,7 +401,7 @@ class TestIterationCost:
         return c
 
     def test_probes_skip_completion_and_fft_budget(self, monkeypatch):
-        assert self.PER_ITERATION == 30
+        assert self.PER_ITERATION == 18
         prob = nonsym_problem()
         start = QpState.flat_start(256, OMEGA)
         c = self.counted(monkeypatch, prob)
@@ -454,8 +453,8 @@ class TestIterationCost:
         assert iters == state.iterations >= 3
         assert c["closed"] == iters
         assert c["probe_residual"] == 0
-        # no second frame: one frame and one residual per step, and the
-        # shifted tangent rides in the residual block
+        # no second frame: one frame and one residual per step; the zero
+        # probe's frame stage set the shifted frame its completion reads
         assert c["tangent"] == c["evaluate"] == c["residual"] == 1 + iters
         assert c["fft"] == self.PER_SOLVE + iters * (
             self.SOLVE + self.FRAME + self.RESIDUAL)
@@ -500,7 +499,7 @@ class TestIterationCost:
             fourier.tails(fourier.spectra(u[None]), 0.25)[0]
             for u in (ux, fy))
         fx, fy = dealiased(ux), dealiased(fy)
-        l = tangent(k)
+        l, _ = tangent(k, om)
         n0 = normal0_values(*l)[:2]
         df = ws.dfk
         wx = df[0][0] * n0[0] + df[0][1] * n0[1]
@@ -579,26 +578,38 @@ class TestIterationCost:
             with pytest.raises(NonFiniteError):
                 solver_qp._geometry(prob, ref.k, ref.a, ref.mu, ref.eps)
 
-    def test_probe_shifts_n_y_alone(self, monkeypatch):
-        # a probe reads b_a = <N_y(. + omega) D_a F_x> alone, so its
-        # shifted normal block is the one row N_y; N_x(. + omega) and
-        # the shifted tangent come with the residual of a reused zero
-        # probe, and with the shifted normal of a kept point
+    def test_every_frame_stage_sets_its_shifted_frame(self, monkeypatch):
+        # a probe and a kept point run one frame stage: two transform
+        # pairs, the tangent with its shift (one rfft of K's two rows, one
+        # irfft of four) and vartheta with its shift (one rfft of -t0, one
+        # irfft of two), and every frame stage sets N(. + omega) and
+        # L(. + omega); the residual block is K and the composition alone
         prob, ref = self.generic_workspace()
-        rows, shift = [], fourier.shift_spectra
-        monkeypatch.setattr(fourier, "shift_spectra",
-                            lambda half, d: rows.append(len(half))
-                            or shift(half, d))
+        calls = []
+
+        def rows_of(kind, fft):
+            def counted(a, *args, **kwargs):
+                calls.append((kind, len(a)))
+                return fft(a, *args, **kwargs)
+            return counted
+
+        monkeypatch.setattr(np.fft, "rfft", rows_of("rfft", np.fft.rfft))
+        monkeypatch.setattr(np.fft, "irfft", rows_of("irfft", np.fft.irfft))
         point = (prob, ref.k, ref.a, ref.mu, ref.eps)
         probe = solver_qp._frame_stage(prob, solver_qp._point(*point))
-        assert rows == [2, 1]          # N0, then N_y
+        assert calls == [("rfft", 2), ("irfft", 4), ("rfft", 1),
+                         ("irfft", 2)]
         assert probe.b_a == ref.b_a
-        rows.clear()
+        for name in ("nx_s", "ny_s", "lx_s", "ly_s"):
+            assert getattr(probe, name).tobytes() == (
+                getattr(ref, name).tobytes()), name
+        calls.clear()
         reused = solver_qp._complete(prob, solver_qp._residual(prob, probe))
-        assert rows == [5]             # N_x, L and K in the residual block
-        rows.clear()
+        assert calls == [("rfft", 4), ("irfft", 4)]
+        calls.clear()
         solver_qp._geometry(*point)
-        assert rows == [2, 2, 4]       # K, N0, then N and L
+        assert calls == [("rfft", 4), ("irfft", 4), ("rfft", 2),
+                         ("irfft", 4), ("rfft", 1), ("irfft", 2)]
         for name in ("nx_s", "ny_s", "lx_s", "ly_s", "bla", "eta_l",
                      "eta_n"):
             assert getattr(reused, name).tobytes() == (
@@ -662,8 +673,8 @@ class TestIterationCost:
                                            "bla")]
         assert all(any(v is w for w in samples) for v in checked)
         assert not any(v.flags.writeable for v in checked)
-        # besides them DF, D_a F_x and the evaluation's x, p(x) and q
-        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 19
+        # besides them DF, D_a F_x and the evaluation's x, s, p(x) and q
+        assert sorted(v.shape for v in samples) == [(2, 2, 128)] + [(128,)] * 20
         assert all(v.base is None for _, v in found)
         # nor is any of them the spectra buffer of the grid, which the
         # next transform overwrites
@@ -677,20 +688,23 @@ class TestIterationCost:
         ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
         c = self.counted(monkeypatch, prob)
         diag = solver_qp._diagnostics(ws)
-        reused = c["fft"]
-        # the frame's own residual DF P - P(. + omega) diag(1, sigma)
-        cols = []
+        assert c["fft"] == 0
+        # the frame's own residual DF P - P(. + omega) diag(1, sigma), on
+        # the shifted frame the workspace holds; the spectral shift of the
+        # frame's samples reads the same defect to rounding
+        cols, spectral = [], []
         df = ws.dfk
-        for pair, mult in ((ws.frame.l, 1.0),
-                           (ws.frame.nvec, ws.frame.sigma)):
+        for pair, pair_s, mult in (
+                (ws.frame.l, (ws.lx_s, ws.ly_s), 1.0),
+                (ws.frame.nvec, (ws.nx_s, ws.ny_s), ws.frame.sigma)):
             vx, vy = pair
-            for v, row in ((vx, 0), (vy, 1)):
-                r = (df[row][0] * vx + df[row][1] * vy
-                     - mult * shifted(v, OMEGA))
-                cols.append(float(np.max(np.abs(r))))
-        assert c["fft"] - reused == 8
-        assert reused == 0
+            for row, v, v_s in zip((0, 1), pair, pair_s):
+                image = df[row][0] * vx + df[row][1] * vy
+                cols.append(float(np.max(np.abs(image - mult * v_s))))
+                spectral.append(float(np.max(np.abs(
+                    image - mult * shifted(v, OMEGA)))))
         assert diag.reducibility_error == max(cols)
+        assert abs(max(spectral) - max(cols)) <= 1e-14
 
 
 def real_workspace(variant, n):
