@@ -249,22 +249,22 @@ def build_policy(cfg: RunConfig) -> ContinuationPolicy:
 # persistence
 
 
+# one cell: floats, numpy's among them, at 17 significant digits (exact
+# round trip), as format(v, ".17g") spells them; ints below 1e17, bools
+# and numpy's as integers
+_CELL = "%.17g"
+
+
 def _fmt(value) -> str:
-    """One CSV cell; floats at 17 significant digits (exact round trip)."""
-    if type(value) is float:    # most cells: no dispatch needed
-        return format(value, ".17g")
-    if isinstance(value, (bool, np.bool_)):
-        return "1" if value else "0"
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return format(float(value), ".17g")
+    return _CELL % value
 
 
 def write_csv(path: str, header, rows) -> None:
+    """A header line, then each row in one template of _CELL cells."""
+    line = ",".join([_CELL] * len(header)) + "\n"
     with open(path, "w", encoding="ascii", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(_fmt(v) for v in row) + "\n")
+        fh.writelines(line % tuple(row) for row in rows)
 
 
 def read_alpha_csv(path: str):

@@ -48,9 +48,20 @@ rules rebuild the base and redo the step, three times a step at most:
 floor, a step that settles above _LEVEL_SUSPECT * tol, and failure, a
 DivergenceError of residual at most 1e-3 over a fat tail; above n_max
 either stops the run on n-max.  At seed 1 the benchmark takes 13 floor
-and 1 failure rebuilds in qp_paths, 1 floor rebuild in rho_sweep, and 5
-of each in qp_breakdown; the symmetric breakdown run of the acceptance
-tests takes 10 floor and 2 failure rebuilds.
+and 1 failure rebuilds in qp_paths, 1 floor rebuild in rho_sweep, and 4
+floor and 5 failure rebuilds in qp_breakdown; the breakdown runs of the
+acceptance tests take 10 floor and 2 failure rebuilds (symmetric) and 5
+floor and 6 failure rebuilds (nonsymmetric).
+
+The step in eps is the step memory cut to the target and, while the
+last two records show alpha falling, to eps*, where the secant of alpha
+through them meets zero.  alpha vanishes at the breakdown, where the
+tangent and normal bundles collide, and no circle exists beyond it for
+a solve to reach.  The memory doubles after grow_after accepts, and a
+failed step leaves it at half the step tried, so a cut step is never
+tried again unchanged.  At seed 1 qp_breakdown makes 42 solves, rebuilds
+included, of which 10 fail, and ends on N = 2^15 (46, 12 and 2^16
+without the cut at eps*).
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
@@ -702,8 +713,11 @@ def continue_in_eps(
 
     Tangent predictor, its rate of a the secant through the last two
     records (0 before), Newton corrector, dyadic mode adaptation (see
-    the module docstring); the step halves on any solver failure and
-    doubles after `grow_after` accepts.  Stops on the target, on loss of
+    the module docstring).  The step taken is the step memory cut to
+    the target and, while alpha falls, to eps*, where the secant of
+    alpha through the last two records meets zero; the memory doubles
+    after `grow_after` accepts, and on any solver failure it becomes
+    half the step taken.  Stops on the target, on loss of
     frame transversality (alpha below the floor), when the step
     underflows, when a finer grid is needed above n_max, or as
     "converged" once stop(records), if given, is true after a record.
@@ -750,6 +764,13 @@ def continue_in_eps(
             der = predictor(state)
             grows = 0   # base rebuilds spent on this step
         d = min(step, eps_target - state.eps)
+        if len(records) > 1:
+            # never past eps*, where the secant of alpha through the last
+            # two records meets zero: no circle exists beyond breakdown
+            r0, r1 = records[-2:]
+            s = (r1.alpha - r0.alpha) / (r1.eps - r0.eps)
+            if s < 0.0:
+                d = min(d, r1.eps + r1.alpha / -s - state.eps)
         t0 = time.perf_counter() if policy.timing else 0.0
         if der is None:
             pred = replace(state, eps=state.eps + d, diagnostics=None)
@@ -790,7 +811,7 @@ def continue_in_eps(
                 der = predictor(state)
                 continue
         if new is None:
-            step /= 2.0
+            step = d / 2.0   # half the step tried, which a bound may have cut
             streak = 0
             if step < policy.step_min:
                 reason = "step-floor"

@@ -4,6 +4,7 @@ import ast
 import dataclasses
 import hashlib
 import importlib.util
+import math
 import os
 import pathlib
 import shutil
@@ -256,6 +257,28 @@ class TestCsvCells:
         assert cli._fmt(7) == "7"
         assert cli._fmt(np.int64(-3)) == "-3"
         assert float(cli._fmt(np.float64(0.1))) == 0.1
+
+    def test_row_template_writes_the_cell_formats(self, tmp_path):
+        # the one-template row is byte for byte the cells formatted one
+        # by one: floats as format(v, ".17g"), ints and bools as integers
+        def cell(v):
+            if isinstance(v, (bool, np.bool_)):
+                return "1" if v else "0"
+            if isinstance(v, (int, np.integer)):
+                return str(int(v))
+            return format(float(v), ".17g")
+
+        rows = [(1.0 / 3.0, np.float64(-0.0), 7, np.int64(-3)),
+                (math.nan, -math.inf, True, np.False_),
+                (np.float64(math.inf), 5e-324, 10 ** 16, np.True_),
+                (np.float32(0.1), -2.5e17, np.int32(65536), 0.0)]
+        path = str(tmp_path / "table.csv")
+        cli.write_csv(path, ("a", "b", "c", "d"), iter(rows))
+        with open(path, "rb") as fh:
+            got = fh.read()
+        want = "a,b,c,d\n" + "".join(
+            ",".join(cell(v) for v in row) + "\n" for row in rows)
+        assert got == want.encode("ascii")
 
 
 BASE_CFG = """

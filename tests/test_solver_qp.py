@@ -1297,6 +1297,40 @@ class TestContinuation:
         assert bits(res.records) == bits(full.records[:3])
         assert res.state.eps == res.records[-1].eps
 
+    def test_no_step_past_the_alpha_zero(self, monkeypatch):
+        # no step goes past eps*, where the secant of alpha through the
+        # two records before it meets zero: beyond the breakdown no
+        # circle exists, and a solve there can only fail
+        steps = logged_steps(monkeypatch)
+        prob = nonsym_problem(tol=1e-10, tol_phase=1e-12, tol_twist=1e-10,
+                              n_max=1 << 12)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 10.0,
+                              ContinuationPolicy(step_init=0.05,
+                                                 alpha_floor=1e-3))
+        bounded = 0
+        for recs, eps, _ in steps:
+            if len(recs) < 2:
+                continue
+            r0, r1 = recs[-2:]
+            s = (r1.alpha - r0.alpha) / (r1.eps - r0.eps)
+            if s < 0.0:
+                zero = r1.eps + r1.alpha / -s
+                assert eps <= zero + 1e-12, (r1.eps, eps, zero)
+                bounded += abs(eps - zero) <= 1e-12
+        assert bounded > 0     # the bound cut some step
+        assert res.reason != "target" and res.state.eps > 1.2
+
+    def test_failed_step_is_never_retried_unchanged(self, monkeypatch):
+        # a step cut by the target fails; the next try is half the step
+        # tried, not half the step memory, which the cut left larger, so
+        # no (base, eps) attempt repeats before the step underflows
+        steps = logged_steps(monkeypatch, fail=lambda eps: eps > 0.46)
+        res = continue_in_eps(nonsym_problem(), QpState.flat_start(64, OMEGA),
+                              0.5, ContinuationPolicy(step_init=0.2))
+        assert res.reason == "step-floor"
+        tries = [(recs[-1].eps, n, eps) for recs, eps, n in steps]
+        assert len(set(tries)) == len(tries) > 10
+
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.9)
@@ -1527,6 +1561,34 @@ def bits(x):
     if isinstance(x, (tuple, list)):
         return tuple(bits(v) for v in x)
     return x
+
+
+def logged_steps(monkeypatch, fail=lambda eps: False):
+    """The steps continue_in_eps tries, as (records before it, eps, N).
+
+    newton_solve and _record log into one sequence, so each solve sees
+    the records made before it; a solve at the eps of the last record
+    (a rebuild of the base on a finer grid) is no step, and N tells a
+    step redone from a rebuilt base from the step before.  A solve at an eps where fail(eps) is true
+    raises a DivergenceError that asks for no finer grid.
+    """
+    records, steps = [], []
+    solve, record = solver_qp.newton_solve, solver_qp._record
+
+    def logged(problem, st, out=None):
+        if records and st.eps != records[-1].eps:
+            steps.append((tuple(records), st.eps, st.k.n))
+        if fail(st.eps):
+            raise DivergenceError("injected", residual=1.0)
+        return solve(problem, st, out)
+
+    def kept(state, wall_ms):
+        records.append(record(state, wall_ms))
+        return records[-1]
+
+    monkeypatch.setattr(solver_qp, "newton_solve", logged)
+    monkeypatch.setattr(solver_qp, "_record", kept)
+    return steps
 
 
 class TestTwistSurface:
