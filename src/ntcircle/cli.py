@@ -86,7 +86,6 @@ class RunConfig:
     step_init: float = ContinuationPolicy.step_init
     step_min: float = ContinuationPolicy.step_min
     step_max: float = ContinuationPolicy.step_max
-    grow_after: int = ContinuationPolicy.grow_after
     alpha_floor: float = ContinuationPolicy.alpha_floor
     tol: float = QpProblem.tol
     tol_phase: float = QpProblem.tol_phase
@@ -206,7 +205,7 @@ def validate_config(cfg: RunConfig) -> None:
             raise ValueError(f"{key} must be positive")
     if not cfg.step_min <= cfg.step_init <= cfg.step_max:
         raise ValueError("need step_min <= step_init <= step_max")
-    for key in ("grow_after", "max_newton", "q_max"):
+    for key in ("max_newton", "q_max"):
         if getattr(cfg, key) < 1:
             raise ValueError(f"{key} must be at least 1")
     if cfg.seed < 0:

@@ -50,18 +50,23 @@ DivergenceError of residual at most 1e-3 over a fat tail; above n_max
 either stops the run on n-max.  At seed 1 the benchmark takes 13 floor
 and 1 failure rebuilds in qp_paths, 1 floor rebuild in rho_sweep, and 4
 floor and 5 failure rebuilds in qp_breakdown; the breakdown runs of the
-acceptance tests take 10 floor and 2 failure rebuilds (symmetric) and 5
-floor and 6 failure rebuilds (nonsymmetric).
+acceptance tests take 8 floor and 3 failure rebuilds (symmetric) and 4
+floor and 7 failure rebuilds (nonsymmetric).
 
 The step in eps is the step memory cut to the target and, while the
 last two records show alpha falling, to eps*, where the secant of alpha
 through them meets zero.  alpha vanishes at the breakdown, where the
 tangent and normal bundles collide, and no circle exists beyond it for
-a solve to reach.  The memory doubles after grow_after accepts, and a
-failed step leaves it at half the step tried, so a cut step is never
-tried again unchanged.  At seed 1 qp_breakdown makes 42 solves, rebuilds
-included, of which 10 fail, and ends on N = 2^15 (46, 12 and 2^16
-without the cut at eps*).
+a solve to reach.  The memory doubles, up to step_max, after an accept
+whose solve took at most _QUICK_SOLVE = 2 Newton iterations, the
+quadratic convergence of a good prediction (Allgower & Georg 2003, 6.1),
+and stays after a slower one, so the step stops growing where solves
+get hard, near breakdown; a failed step leaves it at half the step
+tried, so a cut step is never tried again unchanged.  At seed 1 qp_paths
+makes 198 solves and 374 Newton iterations (233 and 431 doubling after
+three accepts), and qp_breakdown 41 solves, rebuilds included, of which
+10 fail, ending on N = 2^15.  A step that ends within rounding of the
+target ends on it.
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
@@ -154,6 +159,7 @@ _DRIFT_FLOOR = 1e-8
 _BLOWUP_FACTOR = 1e3
 _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
 _FIT_MIN_POINTS = 5      # fewest records a breakdown fit takes
+_QUICK_SOLVE = 2         # Newton iterations of a quadratic solve: grow the step
 
 
 @dataclass(frozen=True)
@@ -210,12 +216,11 @@ class ContinuationRecord:
 
 @dataclass(frozen=True)
 class ContinuationPolicy:
-    """Step control for continuation in eps."""
+    """Step bounds, angle floor and timing of continuation in eps."""
 
     step_init: float = 0.01
     step_min: float = 1e-6
     step_max: float = 0.1
-    grow_after: int = 3           # consecutive accepts before doubling
     alpha_floor: float = 1e-4     # stop when the frame angle drops below
     timing: bool = False          # keep wall_ms at 0 for reproducible output
 
@@ -712,15 +717,13 @@ def continue_in_eps(
     """March the branch from state.eps to eps_target.
 
     Tangent predictor, its rate of a the secant through the last two
-    records (0 before), Newton corrector, dyadic mode adaptation (see
-    the module docstring).  The step taken is the step memory cut to
-    the target and, while alpha falls, to eps*, where the secant of
-    alpha through the last two records meets zero; the memory doubles
-    after `grow_after` accepts, and on any solver failure it becomes
-    half the step taken.  Stops on the target, on loss of
-    frame transversality (alpha below the floor), when the step
-    underflows, when a finer grid is needed above n_max, or as
-    "converged" once stop(records), if given, is true after a record.
+    records (0 before), Newton corrector, dyadic mode adaptation, and a
+    step memory that doubles after a solve of at most _QUICK_SOLVE
+    Newton iterations, stays after a slower one and halves on a failure
+    (see the module docstring).  Stops on the target, on loss of frame
+    transversality (alpha below the floor), when the step underflows,
+    when a finer grid is needed above n_max, or as "converged" once
+    stop(records), if given, is true after a record.
     """
     if policy is None:
         policy = ContinuationPolicy()
@@ -740,7 +743,6 @@ def continue_in_eps(
             return None   # zero-order continuation still works
 
     step = policy.step_init
-    streak = 0
     t0 = time.perf_counter() if policy.timing else 0.0
     new = newton_solve(problem, state, out)
     while True:
@@ -749,7 +751,7 @@ def continue_in_eps(
             wall = (time.perf_counter() - t0) * 1e3 if policy.timing else 0.0
             state = new
             records.append(_record(state, wall))
-            if state.eps >= eps_target - 1e-15:
+            if state.eps >= eps_target:
                 reason = "target"
                 break
             if state.diagnostics.min_angle < policy.alpha_floor:
@@ -771,15 +773,17 @@ def continue_in_eps(
             s = (r1.alpha - r0.alpha) / (r1.eps - r0.eps)
             if s < 0.0:
                 d = min(d, r1.eps + r1.alpha / -s - state.eps)
+        eps = state.eps + d
+        if eps_target - eps <= 4.0 * math.ulp(eps_target):
+            eps = eps_target   # only rounding is left: end on the target
         t0 = time.perf_counter() if policy.timing else 0.0
         if der is None:
-            pred = replace(state, eps=state.eps + d, diagnostics=None)
+            pred = replace(state, eps=eps, diagnostics=None)
         else:
             pred = QpState(
                 TorusEmbedding.fresh(state.k.eta_x + d * der.d_eta_x,
                                      state.k.k_y + d * der.d_ky),
-                state.a + d * der.d_a, state.mu + d * der.d_mu,
-                state.eps + d)
+                state.a + d * der.d_a, state.mu + d * der.d_mu, eps)
         try:
             new = newton_solve(problem, pred, out)
             # a step that settled on a high floor: this dyadic level
@@ -812,15 +816,12 @@ def continue_in_eps(
                 continue
         if new is None:
             step = d / 2.0   # half the step tried, which a bound may have cut
-            streak = 0
             if step < policy.step_min:
                 reason = "step-floor"
                 break
             continue
-        streak += 1
-        if streak >= policy.grow_after:
+        if new.iterations <= _QUICK_SOLVE:
             step = min(2.0 * step, policy.step_max)
-            streak = 0
     return ContinuationResult(tuple(records), reason, state)
 
 

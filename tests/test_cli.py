@@ -145,7 +145,7 @@ class TestConfigKeys:
             "tol_phase": "2e-9", "tol_twist": "3e-9", "n_min": "128",
             "n_max": "4096", "tail_double": "4e-8", "max_newton": "7",
             "step_init": "0.02", "step_min": "1e-5", "step_max": "0.2",
-            "grow_after": "5", "alpha_floor": "1e-3", "timing": "on",
+            "alpha_floor": "1e-3", "timing": "on",
         }
         cfg = cli.parse_config("".join(f"{k} = {v}\n"
                                        for k, v in values.items()))
@@ -236,6 +236,7 @@ class TestConfigValidation:
             ("sweep_which = b", "sweep_which"),
             ("fit_window = 3", "fit_window must be at least 5, got 3"),
             ("tail_halve = 1e-16", "unknown config key"),
+            ("grow_after = 3", "unknown config key"),
         ],
     )
     def test_bad_configs_rejected(self, text, match):
@@ -446,7 +447,7 @@ class TestBreakdownCommand:
             problem, QpState.flat_start(conf.n_min, problem.omega,
                                         problem.b_a0),
             conf.eps_target, cli.build_policy(conf)).records
-        assert len(records) == 6
+        assert len(records) == 5
         back = cli.read_alpha_csv(os.path.join(out, "alpha.csv"))
         assert [(p.eps, p.alpha) for p in back] == \
             [(r.eps, r.alpha) for r in records]

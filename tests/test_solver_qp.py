@@ -1118,11 +1118,16 @@ class TestContinuation:
         assert len(alive) > 10 and alive == [0] * len(alive)
 
     @staticmethod
-    def floor_problem():
+    def floor_run():
         # a tolerance below the iteration's residual floor: some steps
         # settle on a floor an earlier iterate reached.  A low n_max
-        # keeps the grid levels that refuse the tolerance cheap
-        return nonsym_problem(tol=3e-15, tol_twist=3e-15, n_max=1024)
+        # keeps the grid levels that refuse the tolerance cheap, and a
+        # fixed step of 0.005 keeps the run on those floors whatever
+        # grows the step
+        prob = nonsym_problem(tol=3e-15, tol_twist=3e-15, n_max=1024)
+        return continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.1,
+                               ContinuationPolicy(step_init=0.005,
+                                                  step_max=0.005))
 
     def test_frame_stage_runs_with_two_workspaces(self, monkeypatch):
         # at most the current iterate and the point being built are
@@ -1130,7 +1135,6 @@ class TestContinuation:
         # predictor's geometry), and a kept point is completed alone;
         # floor accepts hand their iterate over as a state, with no
         # workspace
-        prob = self.floor_problem()
         solve, frame_stage = solver_qp.newton_solve, solver_qp._frame_stage
         complete = solver_qp._complete
         live, completing, handed = [], [], []
@@ -1166,7 +1170,7 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "newton_solve", counted_solve)
         monkeypatch.setattr(solver_qp, "_frame_stage", counted_frame)
         monkeypatch.setattr(solver_qp, "_complete", counted_complete)
-        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.3)
+        res = self.floor_run()
         assert res.reason == "target"
         assert handed and handed == [0] * len(handed)
         assert max(live) == 2
@@ -1175,7 +1179,6 @@ class TestContinuation:
     def test_predictor_rebuilds_floor_geometry(self, monkeypatch):
         # the predictor of a floor-accepted state builds its geometry,
         # and gets the derivative the iterate's own workspace gives
-        prob = self.floor_problem()
         solve, complete = solver_qp.newton_solve, solver_qp._complete
         derive = solver_qp.eps_derivative
         built, kept, checked = [], [], []
@@ -1214,13 +1217,15 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "_complete", recorded_complete)
         monkeypatch.setattr(solver_qp, "newton_solve", recorded_solve)
         monkeypatch.setattr(solver_qp, "eps_derivative", checked_derive)
-        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.3)
+        res = self.floor_run()
         assert res.reason == "target" and checked
 
     def test_zero_order_predictor_when_the_tangent_fails(self, monkeypatch):
         # a predictor that raises leaves the zero-order step: the last
         # state moved to the new eps.  The symmetric branch still reaches
-        # the target, in as many records and on the tangent run's mu
+        # the target, on the tangent run's mu; its solves take three
+        # iterations from the zero-order start, so its step never grows
+        # and it takes at least as many records
         prob = sym_problem()
         ref = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
 
@@ -1230,7 +1235,7 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "eps_derivative", degenerate)
         res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.0)
         assert res.reason == "target"
-        assert len(res.records) == len(ref.records) == 19
+        assert len(res.records) >= len(ref.records)
         assert abs(res.state.mu - ref.state.mu) <= 1e-12
 
     def test_predictor_rate_of_a_is_the_records_secant(self, monkeypatch):
@@ -1330,6 +1335,57 @@ class TestContinuation:
         assert res.reason == "step-floor"
         tries = [(recs[-1].eps, n, eps) for recs, eps, n in steps]
         assert len(set(tries)) == len(tries) > 10
+
+    def test_quadratic_solves_double_the_step(self):
+        # on the easy stretch of the symmetric branch each step solves in
+        # at most two Newton iterations, so the step memory doubles after
+        # every accept, up to step_max
+        res = continue_in_eps(sym_problem(), QpState.flat_start(64, OMEGA),
+                              0.6)
+        eps = [r.eps for r in res.records]
+        steps = [b - a for a, b in zip(eps, eps[1:])]
+        assert steps[:6] == pytest.approx([0.01, 0.02, 0.04, 0.08, 0.1, 0.1],
+                                          rel=1e-12)
+        assert max(r.iters for r in res.records[1:6]) <= 2
+
+    def test_slow_solve_keeps_the_step(self, monkeypatch):
+        # an accept whose solve took three Newton iterations leaves the
+        # step memory as it was; the solve at 0.03, the third, reads as
+        # one, so the step after it repeats 0.02
+        solve, calls = solver_qp.newton_solve, []
+
+        def slow_third(problem, st, out=None):
+            calls.append(st.eps)
+            new = solve(problem, st, out)
+            return replace(new, iterations=3) if len(calls) == 3 else new
+
+        monkeypatch.setattr(solver_qp, "newton_solve", slow_third)
+        res = continue_in_eps(sym_problem(), QpState.flat_start(64, OMEGA),
+                              0.3)
+        eps = [r.eps for r in res.records]
+        assert calls[2] == 0.03 and res.records[2].iters == 3
+        assert [b - a for a, b in zip(eps, eps[1:])][:4] == pytest.approx(
+            [0.01, 0.02, 0.02, 0.04], rel=1e-12)
+
+    def test_last_step_ends_on_the_target(self, monkeypatch):
+        # the try at the target from 0.06 fails and leaves half of it,
+        # 0.025, as the memory; from 0.085 that half is one ulp short of
+        # the rest of the way (the sum rounds to 0.10999999999999999),
+        # and the step still ends on the target itself.  Every accept
+        # reads as a three-iteration solve, so the memory does not grow
+        solve, failed = solver_qp.newton_solve, []
+
+        def fail_once(problem, st, out=None):
+            if st.eps == 0.11 and not failed:
+                failed.append(st.eps)
+                raise DivergenceError("injected", residual=1.0)
+            return replace(solve(problem, st, out), iterations=3)
+
+        monkeypatch.setattr(solver_qp, "newton_solve", fail_once)
+        res = continue_in_eps(sym_problem(), QpState.flat_start(64, OMEGA),
+                              0.11, ContinuationPolicy(step_init=0.06))
+        assert failed and res.reason == "target"
+        assert [r.eps for r in res.records] == [0.0, 0.06, 0.06 + 0.025, 0.11]
 
     def test_warm_restart_is_a_noop(self):
         prob = sym_problem()
