@@ -93,7 +93,6 @@ class RunConfig:
     max_newton: int = QpProblem.max_newton
     n_min: int = QpProblem.n_min
     n_max: int = QpProblem.n_max
-    tail_double: float = QpProblem.tail_double
     out_dir: str = "."
     seed: int = 0
     timing: bool = ContinuationPolicy.timing
@@ -197,10 +196,9 @@ def validate_config(cfg: RunConfig) -> None:
         raise ValueError(f"need omega in (0, 1), got {cfg.omega}")
     if cfg.eps_target < 0.0:
         raise ValueError("eps_target must be nonnegative")
-    for key in ("step_init", "step_min", "step_max", "tol",
-                "tol_phase", "tol_twist", "alpha_floor", "tail_double",
-                "sweep_halfwidth", "sweep_step", "rho_tol", "lock_tol",
-                "refine_width"):
+    for key in ("step_init", "step_min", "step_max", "tol", "tol_phase",
+                "tol_twist", "alpha_floor", "sweep_halfwidth", "sweep_step",
+                "rho_tol", "lock_tol", "refine_width"):
         if getattr(cfg, key) <= 0.0:
             raise ValueError(f"{key} must be positive")
     if not cfg.step_min <= cfg.step_init <= cfg.step_max:

@@ -71,24 +71,17 @@ class NonFiniteError(NtCircleError, ValueError):
 class DivergenceError(NtCircleError):
     """Newton ran out of iterations or the residual blew up.
 
-    `residual` is a sup-norm invariance error and `tail` a raw spectral
-    tail fraction; which ones depends on the stop:
-
-    - newton_solve on a blow-up: the blown-up error, and no tail (nan);
-    - newton_solve when the residual stopped contracting (pumping) or
-      the budget ran out: the best error the iteration reached, and the
-      tail of that iterate;
-    - newton_solve_general: its best error, and no tail.
-
-    A small residual over a fat tail marks a circle the grid no longer
-    resolves, and continue_in_eps regrids on it; a nan tail never
+    `residual` is the floor the iteration reached, its best sup-norm
+    invariance error, when it stopped on pumping, its gap or the spent
+    budget (newton_solve), or short of tolerance (newton_solve_general).
+    A blow-up has no floor: its residual is nan, and its message names
+    the blown-up error.  continue_in_eps reads a small residual as the
+    floor of the grid, which it regrids on when it is high; a nan never
     compares above a threshold, so a blow-up is never taken for one.
     """
 
-    def __init__(self, message: str, residual: float = float("nan"),
-                 tail: float = float("nan")):
+    def __init__(self, message: str, residual: float = float("nan")):
         self.residual = residual
-        self.tail = tail
         super().__init__(message)
 
 

@@ -17,7 +17,7 @@ Every spectral operator is diagonal in Fourier space and is written
 once, as a multiplier acting in place on a block of half-spectra: the
 rows of spectra(v) for an (m, N) block v of samples, one rfft along the
 last axis.  The operators are shift_spectra, derivative_spectra,
-cut_spectra (the 1/3 truncation; tails gauges the raw tail first) and
+cut_spectra (the 1/3 truncation, the dealiasing of a block) and
 the two cohomological solves, linear_shift_spectra and
 small_divisor_spectra.  samples() is the one way back: one irfft brings
 a block of any height back over the block the spectra came from, and
@@ -69,17 +69,15 @@ a thread of its own at its first split block (the executor is keyed by
 pid).
 
 Work that never changes is done once per grid.  The nodes, the phase
-vectors e(k*delta) of shift, the derivative multipliers 2 pi i k, the
-small divisors 1 - e(k*omega) and the mode weights of tails are
-read-only arrays, each cached for the latest grid size only, like the
-spectra buffer: a continuation climbs from grid to grid, so the
-constants of every grid it has left would only pin memory (at N = 2^16
-a set of them takes 2 MiB).  A grid is visited again only when a
-rebuild on a finer one fails, and then its constants are built once
-more.  The divisors are checked as they are built, before a block is
-changed; a degenerate one is reported and not held.  tails gauges the
-raw tails of a block's rows from the spectra the cut then filters.
-dealias gives every constant but -0.0 back bit for bit.
+vectors e(k*delta) of shift, the derivative multipliers 2 pi i k and
+the small divisors 1 - e(k*omega) are read-only arrays, each cached for
+the latest grid size only, like the spectra buffer: a continuation
+climbs from grid to grid, so the constants of every grid it has left
+would only pin memory (at N = 2^16 a set of them takes 2 MiB).  A grid
+is visited again only when a rebuild on a finer one fails, and then its
+constants are built once more.  The divisors are checked as they are
+built, before a block is changed; a degenerate one is reported and not
+held.  dealias gives every constant but -0.0 back bit for bit.
 
 Finiteness is checked in one place, checked(): it rejects an array with
 a NaN or infinite sample and freezes the rest read-only.  Its scan is
@@ -104,7 +102,6 @@ array of its own, never a view that would pin the block.
 
 from __future__ import annotations
 
-import math
 import os
 import threading
 from functools import wraps
@@ -515,34 +512,6 @@ def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
     half[..., 0] = 0.0
     half[..., -1] = top
     return mean
-
-
-@_latest_grid
-def _mass_weights(n: int) -> np.ndarray:
-    """l1 weights of the half-spectrum: 2 for each conjugate pair, read-only."""
-    w = np.full(n // 2 + 1, 2.0)
-    w[0] = 1.0
-    w[-1] = 1.0
-    return w
-
-
-def tails(half: np.ndarray, band: float) -> list[float]:
-    """l1 mass fraction of the modes with |k| > (1 - band)*(n/2), per row.
-
-    Takes unnormalized half-spectra rows.  Gauges how close each row is
-    to spectral exhaustion: 0 for well-resolved data, approaching 1 when
-    the tail carries everything.
-    """
-    if not 0.0 < band < 1.0:
-        raise ValueError(f"band must lie in (0, 1), got {band}")
-    n = _size(half)
-    mass = _mass_weights(n) * (np.abs(half) / n)
-    total = np.add.reduce(mass, axis=-1)
-    # the modes k > (1 - band)*(n/2) are the suffix after its floor
-    start = math.floor((1.0 - band) * (n / 2.0)) + 1
-    tail = np.add.reduce(mass[..., start:], axis=-1)
-    return [float(t) / float(s) if s != 0.0 else 0.0
-            for t, s in zip(tail, total)]
 
 
 def resample(v: np.ndarray, n_new: int) -> np.ndarray:

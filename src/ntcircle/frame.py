@@ -147,7 +147,6 @@ class Diagnostics:
     min_angle: float
     twist_a: float
     twist_mu: float
-    tail: float
 
 
 def tangent(k: TorusEmbedding, omega: float) -> tuple[Pair, Pair]:

@@ -336,8 +336,7 @@ def newton_solve_general(
     iteration cap, a non-finite or blown-up residual, or a step raising
     NtCircleError) returns its best iterate, with its true residual, if
     that is within _FLOOR_FACTOR * tol.  Otherwise the failing step's
-    error is re-raised, or DivergenceError carrying the best residual
-    and no tail.
+    error is re-raised, or DivergenceError carrying the best residual.
     A circle and a map on different grids raise ValueError before any
     step.
     """

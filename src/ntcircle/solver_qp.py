@@ -38,20 +38,19 @@ divisors instead of contracted (the 2/3 rule; Boyd, Chebyshev and
 Fourier Spectral Methods, 2001, ch. 11).  The residual's modes between
 the two bands, whose l1 mass is the gap, are beyond any correction: the
 gap is the floor of the level, and a solve ends there once the gap holds
-half its residual.  Spectral exhaustion is monitored on the raw
-compositions (the tail, the l1 mass fraction above 3N/8).
+half its residual.
 
 Continuation grows the grid in one place, _rebuild_finer: it rebuilds
 a state on the next dyadic level up to n_max that converges cleanly,
-skipping refused levels, with floor_factor held at 10 or less.  Two
-rules rebuild the base and redo the step, three times a step at most:
-floor, a step that settles above _LEVEL_SUSPECT * tol, and failure, a
-DivergenceError of residual at most 1e-3 over a fat tail; above n_max
-either stops the run on n-max.  At seed 1 the benchmark takes 13 floor
-and 1 failure rebuilds in qp_paths, 1 floor rebuild in rho_sweep, and 4
-floor and 5 failure rebuilds in qp_breakdown; the breakdown runs of the
-acceptance tests take 8 floor and 3 failure rebuilds (symmetric) and 4
-floor and 7 failure rebuilds (nonsymmetric).
+skipping refused levels, with floor_factor held at 10 or less.  One
+rule rebuilds the base and redoes the step, three times a step at most:
+the step's floor is above _LEVEL_SUSPECT * tol.  The floor is the
+residual the step settled on or, for a DivergenceError, its best
+residual when that is at most 1e-3; a blow-up or any other error has
+none and halves the step.  Above n_max a rebuild stops the run on
+n-max.  At seed 1 the benchmark takes 14 rebuilds in qp_paths, 1 in
+rho_sweep and 9 in qp_breakdown; the breakdown runs of the acceptance
+tests take 11 each.
 
 The step in eps is the step memory cut to the target and, while the
 last two records show alpha falling, to eps*, where the secant of alpha
@@ -73,7 +72,7 @@ something reads it.  The map is evaluated along the circle once per
 point (maps.Evaluation: sin(2 pi x), the forcing p(x) and
 q = sigma*y + eps*p(x) - a), and the composition, DF, D_a F and D_eps F
 are all read from it.  The residual stage takes the invariance residual
-E with the raw tail of the composition and the gap, in one block: the
+E and the gap, in one block of four rows: the
 cut composition with the shifted embedding.  The frame stage takes DF
 and D_a F_x along the circle, the frame, the frame at theta + omega and
 the twist b_a, in two blocks: the tangent with its shift, and vartheta
@@ -174,7 +173,6 @@ class QpProblem:
     tol_twist: float = 1e-11      # |b_a - b_a0|
     n_min: int = 64
     n_max: int = 1 << 19
-    tail_double: float = 1e-9     # raw-composition tail above this: refine
     max_newton: int = 20
     floor_factor: float = 1e4     # accept a residual floor up to this * tol
 
@@ -239,8 +237,8 @@ class NewtonWorkspace:
     -P(theta+omega)^{-1} E on the frame and bla = N_y(. + omega) D_a F_x
     the tangent projection of D_a F, all checked read-only sample arrays.
     A point is filled in stages: _point sets k, a, mu, eps and ev, the
-    map evaluated along K; the residual stage sets ex, ey, err, e_p, gap
-    and tail; the frame stage frame, dfk, d_a (D_a F_x), alpha, the
+    map evaluated along K; the residual stage sets ex, ey, err, e_p and
+    gap; the frame stage frame, dfk, d_a (D_a F_x), alpha, the
     shifted frame nx_s, ny_s, lx_s and ly_s, bla, b_a and e_b, in either
     order; completion sets b_mu, eta_l and eta_n.
     keep_only empties it again, field by field, as its readers finish.
@@ -251,7 +249,7 @@ class NewtonWorkspace:
         "nx_s", "ny_s", "lx_s", "ly_s",
         "ex", "ey", "err", "e_p", "e_b",
         "eta_l", "eta_n", "bla",
-        "b_a", "b_mu", "alpha", "tail", "gap",
+        "b_a", "b_mu", "alpha", "gap",
     )
 
     def keep_only(self, names: tuple) -> None:
@@ -326,10 +324,10 @@ def _frame_stage(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
 
 
 def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
-    """The residual E, its size err, the phase e_p, gap and raw tail at ws.
+    """The residual E, its size err, the phase e_p and the gap at ws.
 
-    The cut of the composition (F^x less its lift theta) with its raw
-    tail, and the shift of K, share one transform pair of four rows.
+    The cut of the composition (F^x less its lift theta) and the shift of
+    K share one transform pair of four rows.
     The gap is the l1 mass of E's modes in n/4 < |k| <= n/3, which E is
     measured on and no correction reaches, read from the same spectra
     (the larger of its two components).
@@ -338,7 +336,6 @@ def _residual(problem: QpProblem, ws: NewtonWorkspace) -> NewtonWorkspace:
     rows = np.array((*ws.ev.lift(), k.eta_x, k.k_y))
     rows[0] -= fourier.grid(k.n)
     half = fourier.spectra(rows)
-    ws.tail = max(fourier.tails(half[:2], 0.25))
     fourier.cut_spectra(half[:2])
     fourier.shift_spectra(half[2:], problem.omega)
     band = slice(k.n // 4 + 1, k.n // 3 + 1)
@@ -494,7 +491,6 @@ def _diagnostics(ws: NewtonWorkspace) -> Diagnostics:
         min_angle=ws.alpha,
         twist_a=ws.b_a,
         twist_mu=ws.b_mu,
-        tail=ws.tail,
     )
 
 
@@ -505,14 +501,13 @@ def newton_solve(problem: QpProblem, state: QpState,
     The iteration has a floor, the gap (see the module docstring): a
     solve stops on the closed iterate whose gap holds half its residual,
     or on pumping (six stale iterations, or three at twice the best).  A
-    floor within floor_factor * tol on a spectrally resolved circle
-    (thin raw tail, phase and twist closed) is returned as a success
-    with its true residual in the diagnostics; only floors above that
-    window, fat tails, or genuine blow-ups raise.  The DivergenceError
-    names what stopped the solve: a blow-up, the gap, pumping or the
-    spent budget, with the iterations run.  A blow-up carries the
-    blown-up residual and a nan tail; the others carry the best
-    residual and that iterate's raw tail.
+    floor within floor_factor * tol, phase and twist closed, is returned
+    as a success with its true residual in the diagnostics; only floors
+    above that window and blow-ups raise.  The DivergenceError names
+    what stopped the solve: a blow-up, the gap, pumping or the spent
+    budget, with the iterations run.  A blow-up names the blown-up
+    residual in its message and has no floor (a nan residual); the
+    others carry the best residual.
 
     When out is a list, the workspace of the returned state is appended
     to it, for eps_derivative to read instead of rebuilding it.  The
@@ -552,7 +547,7 @@ def newton_solve(problem: QpProblem, state: QpState,
     ):
         return converged(ws, 0)
     scale0 = max(ws.err, abs(ws.e_p), abs(ws.e_b))
-    best, best_tail, stale = ws.err, ws.tail, 0
+    best, stale = ws.err, 0
     snap = None    # the state of the best iterate with phase and twist closed
     why = f"no convergence in the budget of {problem.max_newton} iterations"
     for it in range(problem.max_newton + 1):
@@ -566,9 +561,7 @@ def newton_solve(problem: QpProblem, state: QpState,
             break
         if ws.err > _BLOWUP_FACTOR * (scale0 + problem.tol):
             raise DivergenceError(
-                f"residual blew up to {ws.err:.3e} from {history[0]:.3e}",
-                residual=ws.err,
-            )
+                f"residual blew up to {ws.err:.3e} from {history[0]:.3e}")
         # the iterate keeps what the linear solve reads, then only its
         # point: the probes and trials run beside K and the basis alone
         ws.keep_only(_LINEAR)
@@ -605,7 +598,7 @@ def newton_solve(problem: QpProblem, state: QpState,
         ):
             snap = settled(ws, it + 1)
         if ws.err < best:
-            best, best_tail, stale = ws.err, ws.tail, 0
+            best, stale = ws.err, 0
         elif ws.err > problem.tol:
             stale += 1
             if stale >= 6 or (stale >= 3 and ws.err >= 2.0 * best):
@@ -619,7 +612,6 @@ def newton_solve(problem: QpProblem, state: QpState,
         snap is not None
         and snap.diagnostics.invariance_error
         <= problem.floor_factor * problem.tol
-        and snap.diagnostics.tail <= problem.tail_double
     ):
         # only the current iterate still has its workspace to hand over
         if out is not None and snap.k is ws.k:
@@ -628,7 +620,7 @@ def newton_solve(problem: QpProblem, state: QpState,
     raise DivergenceError(
         f"{why}, best residual {best:.3e}; last iterate residual "
         f"{ws.err:.3e}, phase {ws.e_p:.3e}, twist {ws.e_b:.3e}",
-        residual=best, tail=best_tail,
+        residual=best,
     )
 
 
@@ -786,22 +778,16 @@ def continue_in_eps(
                 state.a + d * der.d_a, state.mu + d * der.d_mu, eps)
         try:
             new = newton_solve(problem, pred, out)
-            # a step that settled on a high floor: this dyadic level
-            # recycles band-edge error, and the degraded state would
-            # poison later predictors
-            regrid = (new.diagnostics.invariance_error
-                      > _LEVEL_SUSPECT * problem.tol)
+            floor = new.diagnostics.invariance_error
         except NtCircleError as exc:
-            # a small-residual failure with a fat spectral tail means the
-            # base no longer resolves the circle.  Everything else
-            # (blow-ups, floors above the acceptance window) is a step
-            # problem: halve.
+            # a failure at a small best residual has a floor too; a
+            # blow-up (nan) or any other error is a step problem: halve
             new = None
-            regrid = (
-                isinstance(exc, DivergenceError)
-                and exc.residual <= 1e-3
-                and exc.tail > problem.tail_double
-            )
+            floor = (exc.residual if isinstance(exc, DivergenceError)
+                     and exc.residual <= 1e-3 else 0.0)
+        # a step on a high floor: this dyadic level recycles band-edge
+        # error, and a degraded state would poison later predictors
+        regrid = floor > _LEVEL_SUSPECT * problem.tol
         if regrid and 2 * state.k.n > problem.n_max:
             reason = "n-max"    # a finer level is needed, and none is left
             break

@@ -143,7 +143,7 @@ class TestConfigKeys:
         values = {
             "omega": "0.3", "b_a0": "0.15", "tol": "1e-9",
             "tol_phase": "2e-9", "tol_twist": "3e-9", "n_min": "128",
-            "n_max": "4096", "tail_double": "4e-8", "max_newton": "7",
+            "n_max": "4096", "max_newton": "7",
             "step_init": "0.02", "step_min": "1e-5", "step_max": "0.2",
             "alpha_floor": "1e-3", "timing": "on",
         }
@@ -237,6 +237,7 @@ class TestConfigValidation:
             ("fit_window = 3", "fit_window must be at least 5, got 3"),
             ("tail_halve = 1e-16", "unknown config key"),
             ("grow_after = 3", "unknown config key"),
+            ("tail_double = 1e-9", "unknown config key"),
         ],
     )
     def test_bad_configs_rejected(self, text, match):

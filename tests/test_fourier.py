@@ -46,11 +46,6 @@ def d_theta(u):
                                             fourier.derivative_spectra))
 
 
-def tail_fraction(u, band):
-    """The raw tail of one field, through the block gauge."""
-    return fourier.tails(fourier.spectra(u.values[None]), band)[0]
-
-
 def rand_scalar(n, kmax, seed):
     rng = np.random.default_rng(seed)
     terms = [(k, rng.normal(), rng.normal()) for k in range(kmax + 1)]
@@ -274,7 +269,7 @@ class TestGridConstants:
     """The per-grid constants are kept for the latest grid size only."""
 
     CACHES = ("grid", "_wavenumbers", "_phases", "_derivative_multiplier",
-              "_divisors", "_mass_weights")
+              "_divisors")
     # the caches keyed (n, omega) as well as n
     BY_OMEGA = ("_phases", "_divisors")
 
@@ -382,30 +377,6 @@ class TestResampleDealias:
         half = np.fft.rfft(u.values)
         half[n // 3 + 1:] = 0.0
         assert dealias(u).values.tobytes() == np.fft.irfft(half, n).tobytes()
-
-    @pytest.mark.parametrize("n", [8, 64, 1 << 12, 1 << 16])
-    @pytest.mark.parametrize("band", [0.25, 0.2, 1.0 / 3.0, 0.01, 0.9])
-    def test_tail_bitwise_equal_to_mask_form(self, n, band):
-        u = rand_scalar(n, min(n // 2, 40), n)
-        half = np.abs(np.fft.rfft(u.values)) / n
-        weights = np.full(n // 2 + 1, 2.0)
-        weights[0] = weights[-1] = 1.0
-        mass = weights * half
-        k = np.arange(n // 2 + 1, dtype=float)
-        masked = float(np.sum(mass[k > (1.0 - band) * (n / 2.0)]))
-        assert tail_fraction(u, band) == masked / float(np.sum(mass))
-
-    def test_tail_weights_read_only_and_shared(self):
-        w = fourier._mass_weights(64)
-        assert not w.flags.writeable
-        assert fourier._mass_weights(64) is w
-
-    def test_tail_fraction_detects_band_edge(self):
-        n = 64
-        low = trig(n, [(2, 1.0, 0.0)])
-        high = trig(n, [(30, 1.0, 0.0)])
-        assert tail_fraction(low, 0.2) <= 1e-14
-        assert tail_fraction(high, 0.2) == pytest.approx(1.0)
 
 
 class TestCohomologicalSolvers:
@@ -517,16 +488,12 @@ class TestBlockKernels:
         self.rows_equal(out, [d_theta(PeriodicScalar(r)) for r in v])
 
     @pytest.mark.parametrize("n", N)
-    def test_cut_and_tails(self, n):
+    def test_cut(self, n):
         # dealias leaves constants alone; the block transforms them and
         # must give back the same bytes, signed zeros included
         v = self.block(n)
-        half = fourier.spectra(v)
-        tails = fourier.tails(half, 0.25)
-        fourier.cut_spectra(half)
-        out = fourier.samples(half, np.empty_like(v))
+        out = fourier.transform(v.copy(), fourier.cut_spectra)
         self.rows_equal(out, [dealias(PeriodicScalar(r)) for r in v])
-        assert tails == [tail_fraction(PeriodicScalar(r), 0.25) for r in v]
 
     @pytest.mark.parametrize("n", N)
     def test_contractive_and_vartheta(self, n):

@@ -350,9 +350,16 @@ class TestShiftedFrame:
         state = newton_solve(prob, QpState(TorusEmbedding.zero_section(256),
                                            0.0, OMEGA, 0.5))
         assert state.diagnostics.invariance_error <= prob.tol
-        assert state.diagnostics.tail <= 1e-14
-        return solver_qp._geometry(prob, state.k, state.a, state.mu,
-                                   state.eps)
+        ws = solver_qp._geometry(prob, state.k, state.a, state.mu, state.eps)
+        # resolved: each row of the raw composition holds at most 1e-14
+        # of its l1 mass above 3N/8
+        rows = np.array(ws.ev.lift())
+        rows[0] -= grid(256)
+        mass = np.abs(fourier.spectra(rows))
+        mass[:, 1:-1] *= 2.0    # an inner mode stands for a conjugate pair
+        assert np.all(mass[:, 3 * 256 // 8 + 1:].sum(axis=1)
+                      <= 1e-14 * mass.sum(axis=1))
+        return ws
 
     def test_shifted_determinant_is_one_to_rounding(self):
         # det [L(. + omega), N(. + omega)] = 1 by construction (measured

@@ -221,32 +221,31 @@ class TestNewtonBehavior:
                               "last iterate residual ")
         assert "pumping" not in msg
 
-    def test_blow_up_carries_its_residual_and_no_tail(self, monkeypatch):
+    def test_blow_up_names_its_residual_and_has_no_floor(self, monkeypatch):
         # _complete runs on the start, then on every kept iterate; the
         # first kept iterate reports a residual 1e6 times the start's.  The
-        # next pass stops on it, and the error carries that residual with
-        # a nan tail, which continue_in_eps never reads as fat
+        # next pass stops on it: the message names that residual, and the
+        # error carries a nan residual, which continue_in_eps never reads
+        # as a floor
         prob = sym_problem()
         start = QpState.flat_start(128, OMEGA)
         complete = solver_qp._complete
-        errs, tails = [], []
+        errs = []
 
         def blown(problem, ws):
             complete(problem, ws)
             if errs:
                 ws.err = 1e6 * (errs[0] + problem.tol)
             errs.append(ws.err)
-            tails.append(ws.tail)
             return ws
 
         monkeypatch.setattr(solver_qp, "_complete", blown)
         with pytest.raises(DivergenceError) as exc:
             newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
-        assert len(errs) == 2 and math.isfinite(tails[1])
+        assert len(errs) == 2
         assert str(exc.value) == (f"residual blew up to {errs[1]:.3e} "
                                   f"from {errs[0]:.3e}")
-        assert exc.value.residual == errs[1]
-        assert math.isnan(exc.value.tail)
+        assert math.isnan(exc.value.residual)
 
     def test_pumping_stop_names_the_guard(self, monkeypatch):
         # every kept iterate reports twice the start's residual: after
@@ -328,8 +327,8 @@ class TestIterationCost:
     # FFTs by part, at a generic point, one rfft and one irfft per block
     # of fields that are ready together: frame stage = 2 (the tangent
     # and its shift) + 2 (vartheta and its shift), the same at a probe
-    # and at a kept point; residual = 2 (compositions with their tails,
-    # and the embedding shifted); completion = 0; linear solve = 2 (both
+    # and at a kept point; residual = 2 (the compositions and the
+    # embedding shifted); completion = 0; linear solve = 2 (both
     # cohomological equations) + 2 (both corrections cut to their band)
     FRAME, RESIDUAL, COMPLETE, SOLVE = 4, 2, 0, 4
     # one solve, affine in delta_a, serves the two probes and the step:
@@ -494,11 +493,7 @@ class TestIterationCost:
             ws.nx_s, ws.ny_s, ws.lx_s, ws.ly_s, ws.ex, ws.ey)
         par = ParamPoint(ws.a, ws.mu, ws.eps)
         fx_lift, fy = prob.family.eval_lift(k.x_lift(), k.k_y, par)
-        ux = fx_lift - fourier.grid(k.n)
-        assert ws.tail == max(
-            fourier.tails(fourier.spectra(u[None]), 0.25)[0]
-            for u in (ux, fy))
-        fx, fy = dealiased(ux), dealiased(fy)
+        fx, fy = dealiased(fx_lift - fourier.grid(k.n)), dealiased(fy)
         l, _ = tangent(k, om)
         n0 = normal0_values(*l)[:2]
         df = ws.dfk
@@ -905,14 +900,14 @@ class TestContinuation:
         assert res.state is not None and res.records[-1].eps == res.state.eps
 
     def test_first_state_stops_on_n_max(self, monkeypatch):
-        # the first step asks for a finer level above n_max, through the
-        # floor rule (it settles far above tol) or the failure rule (a
-        # small residual over a fat tail): the run stops on n-max at
-        # once, on the first state, which is not re-solved
+        # the first step asks for a finer level above n_max, by its floor
+        # far above tol: the residual it settles on, or the best residual
+        # of a failure.  The run stops on n-max at once, on the first
+        # state, which is not re-solved
         prob = sym_problem(n_max=64)
         solve = solver_qp.newton_solve
         start = QpState.flat_start(64, OMEGA)
-        for rule in ("floor", "failure"):
+        for floor in ("settled", "failure"):
             calls = []
 
             def first_step_regrids(problem, st, out=None):
@@ -920,18 +915,43 @@ class TestContinuation:
                 new = solve(problem, st, out)
                 if len(calls) == 1:
                     return new
-                if rule == "failure":
-                    raise DivergenceError("injected", residual=1e-6,
-                                          tail=1.0)
+                if floor == "failure":
+                    raise DivergenceError("injected", residual=1e-6)
                 return replace(new, diagnostics=replace(
                     new.diagnostics, invariance_error=1.0))
 
             monkeypatch.setattr(solver_qp, "newton_solve", first_step_regrids)
             res = continue_in_eps(
                 prob, QpState(start.k, start.a, start.mu, 0.5), 3.0)
-            assert res.reason == "n-max" and len(res.records) == 1, rule
+            assert res.reason == "n-max" and len(res.records) == 1, floor
             assert res.state.k.n == 64 and res.records[0].eps == 0.5
             assert len(calls) == 2
+
+    @pytest.mark.parametrize("floor", [solver_qp._LEVEL_SUSPECT, math.nan],
+                             ids=["floor-at-the-bound", "blow-up"])
+    def test_failure_without_a_high_floor_halves_the_step(self, monkeypatch,
+                                                          floor):
+        # a failure whose best residual is at most _LEVEL_SUSPECT * tol,
+        # or a blow-up, which has no floor, is a step problem: the step
+        # is halved on the same grid and no finer level is tried
+        prob = sym_problem(n_max=512)
+        solve = solver_qp.newton_solve
+        start = QpState.flat_start(64, OMEGA)
+        calls = []
+
+        def second_solve_fails(problem, st, out=None):
+            calls.append((st.k.n, st.eps))
+            if len(calls) == 2:
+                raise DivergenceError("injected",
+                                      residual=floor * problem.tol)
+            return solve(problem, st, out)
+
+        monkeypatch.setattr(solver_qp, "newton_solve", second_solve_fails)
+        res = continue_in_eps(
+            prob, QpState(start.k, start.a, start.mu, 0.5), 0.6,
+            ContinuationPolicy(step_init=0.05))
+        assert calls[:3] == [(64, 0.5), (64, 0.55), (64, 0.525)]
+        assert res.reason == "target" and res.state.k.n == 64
 
     def test_grid_stays_when_no_level_converges(self, monkeypatch):
         # a step that settles far above tol asks for a finer grid; every
@@ -1013,8 +1033,8 @@ class TestContinuation:
     def test_no_workspace_outlives_its_predictor(self, monkeypatch):
         # the predictor reads the converged workspace; none may be alive
         # when a later solve starts (it would hold some thirty fields of
-        # the grid through every regrid).  Both regrid paths run: the
-        # tail-driven rebuilds of _adapt_modes, and one step whose
+        # the grid through every regrid).  The regrids are those the
+        # branch asks for on its way to N = 512, and one step whose
         # accepted floor is made to look suspect
         prob = nonsym_problem()
         solve = solver_qp.newton_solve
