@@ -74,10 +74,11 @@ the small divisors 1 - e(k*omega) are read-only arrays, each cached for
 the latest grid size only, like the spectra buffer: a continuation
 climbs from grid to grid, so the constants of every grid it has left
 would only pin memory (at N = 2^16 a set of them takes 2 MiB).  A grid
-is visited again only when a rebuild on a finer one fails, and then its
-constants are built once more.  The divisors are checked as they are
-built, before a block is changed; a degenerate one is reported and not
-held.  dealias gives every constant but -0.0 back bit for bit.
+is visited again only when a step's finer level fails and the step goes
+on from the level below, and then its constants are built once more.
+The divisors are checked as they are built, before a block is changed;
+a degenerate one is reported and not held.  dealias gives every
+constant but -0.0 back bit for bit.
 
 Finiteness is checked in one place, checked(): it rejects an array with
 a NaN or infinite sample and freezes the rest read-only.  Its scan is

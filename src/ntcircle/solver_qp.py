@@ -40,17 +40,17 @@ the two bands, whose l1 mass is the gap, are beyond any correction: the
 gap is the floor of the level, and a solve ends there once the gap holds
 half its residual.
 
-Continuation grows the grid in one place, _rebuild_finer: it rebuilds
-a state on the next dyadic level up to n_max that converges cleanly,
-skipping refused levels, with floor_factor held at 10 or less.  One
-rule rebuilds the base and redoes the step, three times a step at most:
-the step's floor is above _LEVEL_SUSPECT * tol.  The floor is the
-residual the step settled on or, for a DivergenceError, its best
-residual when that is at most 1e-3; a blow-up or any other error has
-none and halves the step.  Above n_max a rebuild stops the run on
-n-max.  At seed 1 the benchmark takes 14 rebuilds in qp_paths, 1 in
-rho_sweep and 9 in qp_breakdown; the breakdown runs of the acceptance
-tests take 11 each.
+Continuation grows the grid in one place, inside the step: a step
+whose floor is above _LEVEL_SUSPECT * tol is solved again on the next
+dyadic level, from the state it settled on or, when its solve raised,
+from its prediction, on three finer levels at most (nested iteration:
+the coarse solution starts the fine level; Briggs, Henson & McCormick,
+A Multigrid Tutorial, 2000, ch. 3).  The floor is the residual the solve
+settled on or, for a DivergenceError, its best residual when that is at
+most 1e-3; a blow-up or any other error has none.  A level whose floor
+is within the bound ends the regrid: on its own state when it settled,
+else on the state of the level below, and a step with no state halves.
+A step whose base asks for a level above n_max stops the run on n-max.
 
 The step in eps is the step memory cut to the target and, while the
 last two records show alpha falling, to eps*, where the secant of alpha
@@ -61,11 +61,8 @@ whose solve took at most _QUICK_SOLVE = 2 Newton iterations, the
 quadratic convergence of a good prediction (Allgower & Georg 2003, 6.1),
 and stays after a slower one, so the step stops growing where solves
 get hard, near breakdown; a failed step leaves it at half the step
-tried, so a cut step is never tried again unchanged.  At seed 1 qp_paths
-makes 198 solves and 374 Newton iterations (233 and 431 doubling after
-three accepts), and qp_breakdown 41 solves, rebuilds included, of which
-10 fail, ending on N = 2^15.  A step that ends within rounding of the
-target ends on it.
+tried, so a cut step is never tried again unchanged.  A step that ends
+within rounding of the target ends on it.
 
 A point of the iteration is built in stages, each run only when
 something reads it.  The map is evaluated along the circle once per
@@ -114,10 +111,11 @@ the point being built, and lets go of N0 once N is in; a kept point is
 completed after the previous iterate and its step are gone, and the
 start projected onto the band goes with the first iterate.  The
 continuation drops the previous step's tangent and prediction before
-the next predictor runs.  The floor snapshot is kept as its state, not
-its workspace, so a state accepted at the floor of an earlier iterate
-hands over no workspace and the eps-derivative builds its geometry,
-bitwise the same.
+the next predictor runs, and a coarser level's workspace before the
+step is solved on a finer one.  The floor snapshot is kept as its
+state, not its workspace, so a state accepted at the floor of an
+earlier iterate hands over no workspace and the eps-derivative builds
+its geometry, bitwise the same.
 """
 
 from __future__ import annotations
@@ -157,6 +155,7 @@ _TWIST_SLOPE_FLOOR = 1e-8
 _DRIFT_FLOOR = 1e-8
 _BLOWUP_FACTOR = 1e3
 _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
+_FLOOR_FACTOR = 1e4      # a solve accepts a residual floor up to this * tol
 _FIT_MIN_POINTS = 5      # fewest records a breakdown fit takes
 _QUICK_SOLVE = 2         # Newton iterations of a quadratic solve: grow the step
 
@@ -174,7 +173,6 @@ class QpProblem:
     n_min: int = 64
     n_max: int = 1 << 19
     max_newton: int = 20
-    floor_factor: float = 1e4     # accept a residual floor up to this * tol
 
 
 @dataclass(frozen=True)
@@ -501,7 +499,7 @@ def newton_solve(problem: QpProblem, state: QpState,
     The iteration has a floor, the gap (see the module docstring): a
     solve stops on the closed iterate whose gap holds half its residual,
     or on pumping (six stale iterations, or three at twice the best).  A
-    floor within floor_factor * tol, phase and twist closed, is returned
+    floor within _FLOOR_FACTOR * tol, phase and twist closed, is returned
     as a success with its true residual in the diagnostics; only floors
     above that window and blow-ups raise.  The DivergenceError names
     what stopped the solve: a blow-up, the gap, pumping or the spent
@@ -532,20 +530,6 @@ def newton_solve(problem: QpProblem, state: QpState,
             iterations=iterations,
         )
 
-    def converged(ws: NewtonWorkspace, iterations: int) -> QpState:
-        if out is not None:
-            out.append(ws)
-        return settled(ws, iterations)
-
-    # re-entry with a state this solver already accepted at its floor
-    # must be a no-op, not a doomed attempt to beat the floor again
-    if (
-        state.diagnostics is not None
-        and ws.err <= problem.floor_factor * problem.tol
-        and abs(ws.e_p) <= problem.tol_phase
-        and abs(ws.e_b) <= problem.tol_twist
-    ):
-        return converged(ws, 0)
     scale0 = max(ws.err, abs(ws.e_p), abs(ws.e_b))
     best, stale = ws.err, 0
     snap = None    # the state of the best iterate with phase and twist closed
@@ -556,7 +540,9 @@ def newton_solve(problem: QpProblem, state: QpState,
             and abs(ws.e_p) <= problem.tol_phase
             and abs(ws.e_b) <= problem.tol_twist
         ):
-            return converged(ws, it)
+            if out is not None:
+                out.append(ws)
+            return settled(ws, it)
         if it == problem.max_newton:
             break
         if ws.err > _BLOWUP_FACTOR * (scale0 + problem.tol):
@@ -610,8 +596,7 @@ def newton_solve(problem: QpProblem, state: QpState,
             break   # a new floor snapshot, held up by its gap
     if (
         snap is not None
-        and snap.diagnostics.invariance_error
-        <= problem.floor_factor * problem.tol
+        and snap.diagnostics.invariance_error <= _FLOOR_FACTOR * problem.tol
     ):
         # only the current iterate still has its workspace to hand over
         if out is not None and snap.k is ws.k:
@@ -675,30 +660,6 @@ def _record(state: QpState, wall_ms: float) -> ContinuationRecord:
     )
 
 
-def _rebuild_finer(problem: QpProblem, state: QpState,
-                   out: list) -> QpState | None:
-    """Rebuild state on the next dyadic grid that converges cleanly.
-
-    Levels that refuse the strict tolerance (a retained-band edge near a
-    resonance) or blow up are skipped; None when no level up to n_max
-    takes, and state stays valid as is.  out is emptied before each
-    level and handed to newton_solve, for the rebuilt state's workspace.
-    """
-    # a level that can only offer a high residual floor would poison
-    # every later predictor, so a rebuild is held near the strict
-    # tolerance and may not settle on one
-    picky = replace(problem, floor_factor=min(10.0, problem.floor_factor))
-    n2 = 2 * state.k.n
-    while n2 <= problem.n_max:
-        out.clear()
-        try:
-            return newton_solve(picky, replace(state, k=state.k.resample(n2)),
-                                out)
-        except NtCircleError:
-            n2 *= 2
-    return None
-
-
 def continue_in_eps(
     problem: QpProblem,
     state: QpState,
@@ -719,9 +680,9 @@ def continue_in_eps(
     """
     if policy is None:
         policy = ContinuationPolicy()
-    # the workspace of the last accepted or rebuilt state, until the
-    # predictor has read it: no workspace outlives its predictor or is
-    # alive while another solve runs
+    # the workspace of the state the step settled on, until the predictor
+    # has read it: no workspace outlives its predictor or is alive while
+    # another solve runs
     out: list[NewtonWorkspace] = []
     records: list[ContinuationRecord] = []
 
@@ -753,10 +714,9 @@ def continue_in_eps(
                 reason = "converged"
                 break
             # the previous step's tangent and prediction go before the
-            # predictor runs, and no name holds a rebuilt state past it
-            der = pred = grown = None
+            # predictor runs
+            der = pred = None
             der = predictor(state)
-            grows = 0   # base rebuilds spent on this step
         d = min(step, eps_target - state.eps)
         if len(records) > 1:
             # never past eps*, where the secant of alpha through the last
@@ -776,30 +736,32 @@ def continue_in_eps(
                 TorusEmbedding.fresh(state.k.eta_x + d * der.d_eta_x,
                                      state.k.k_y + d * der.d_ky),
                 state.a + d * der.d_a, state.mu + d * der.d_mu, eps)
-        try:
-            new = newton_solve(problem, pred, out)
-            floor = new.diagnostics.invariance_error
-        except NtCircleError as exc:
-            # a failure at a small best residual has a floor too; a
-            # blow-up (nan) or any other error is a step problem: halve
-            new = None
-            floor = (exc.residual if isinstance(exc, DivergenceError)
-                     and exc.residual <= 1e-3 else 0.0)
-        # a step on a high floor: this dyadic level recycles band-edge
-        # error, and a degraded state would poison later predictors
-        regrid = floor > _LEVEL_SUSPECT * problem.tol
+        new = None    # the state the step settled on, on its finest level
+        for level in range(4):    # the step's own level and three finer
+            if level:
+                # solve the step again on the next dyadic level, from the
+                # state it settled on or, while it has none, its prediction
+                start = pred if new is None else new
+                pred = replace(start, k=start.k.resample(2 * pred.k.n))
+                del start   # no name holds a start past the predictor
+                out.clear()
+            try:
+                new = newton_solve(problem, pred, out)
+                floor = new.diagnostics.invariance_error
+            except NtCircleError as exc:
+                # a failure at a small best residual has a floor too; a
+                # blow-up (nan) or any other error has none, and leaves
+                # the state of the level below, or halves the step
+                floor = (exc.residual if isinstance(exc, DivergenceError)
+                         and exc.residual <= 1e-3 else 0.0)
+            # a step on a high floor: this dyadic level recycles band-edge
+            # error, and a degraded state would poison later predictors
+            regrid = floor > _LEVEL_SUSPECT * problem.tol
+            if not regrid or 2 * pred.k.n > problem.n_max:
+                break
         if regrid and 2 * state.k.n > problem.n_max:
             reason = "n-max"    # a finer level is needed, and none is left
             break
-        if regrid and grows < 3:
-            # redo the step from a base rebuilt on a finer grid
-            grown = _rebuild_finer(problem, state, out)
-            if grown is not None:
-                grows += 1
-                state = grown
-                der = pred = new = None
-                der = predictor(state)
-                continue
         if new is None:
             step = d / 2.0   # half the step tried, which a bound may have cut
             if step < policy.step_min:

@@ -210,8 +210,9 @@ class TestNewtonBehavior:
         assert abs(np.mean(state.k.eta_x)) <= 1e-11
         assert abs(d.twist_a - prob.b_a0) <= 1e-11
 
-    def test_budget_stop_names_the_budget(self):
-        prob = sym_problem(max_newton=2, floor_factor=1.0)
+    def test_budget_stop_names_the_budget(self, monkeypatch):
+        monkeypatch.setattr(solver_qp, "_FLOOR_FACTOR", 1.0)
+        prob = sym_problem(max_newton=2)
         start = QpState.flat_start(128, OMEGA)
         with pytest.raises(DivergenceError) as exc:
             newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
@@ -306,7 +307,8 @@ class TestGap:
             return ws
 
         monkeypatch.setattr(solver_qp, "_complete", recorded)
-        prob = nonsym_problem(tol=3e-15, tol_twist=3e-15, floor_factor=1e7)
+        monkeypatch.setattr(solver_qp, "_FLOOR_FACTOR", 1e7)
+        prob = nonsym_problem(tol=3e-15, tol_twist=3e-15)
         state = newton_solve(prob, start)
         k, err, gap, closed = kept[-1]
         assert state.k is k and state.iterations == len(kept) - 1
@@ -315,8 +317,9 @@ class TestGap:
         # no earlier closed iterate had a gap of half its residual
         assert not any(c and e <= 2.0 * g for _, e, g, c in kept[1:-1])
         kept.clear()
+        monkeypatch.setattr(solver_qp, "_FLOOR_FACTOR", 1.0)
         with pytest.raises(DivergenceError) as exc:
-            newton_solve(replace(prob, floor_factor=1.0), start)
+            newton_solve(prob, start)
         assert str(exc.value).startswith(
             f"residual reached its gap after {len(kept) - 1} iterations, ")
 
@@ -954,39 +957,43 @@ class TestContinuation:
         assert res.reason == "target" and res.state.k.n == 64
 
     def test_grid_stays_when_no_level_converges(self, monkeypatch):
-        # a step that settles far above tol asks for a finer grid; every
-        # level up to n_max refuses, so the step's state is kept as is
+        # a step that settles far above tol is solved again on the finer
+        # levels.  A level that refuses with a floor hands the step on to
+        # the next, up to n_max; one that refuses with no floor (a best
+        # residual above 1e-3) ends the regrid.  No level converges, so
+        # the step's own state is kept as is
         prob = sym_problem(n_max=512)
         start = QpState.flat_start(64, OMEGA)
         first = QpState(start.k, start.a, start.mu, 0.45)
         solve = solver_qp.newton_solve
-        kept, levels = [], []
+        for residual, tried in ((1e-6, [128, 256, 512]), (1.0, [128])):
+            kept, levels = [], []
 
-        def refuse_finer(problem, st, out=None):
-            if st.k.n == 64:
-                new = solve(problem, st, out)
-                if kept:    # the step: its floor looks suspect
-                    new = replace(new, diagnostics=replace(
-                        new.diagnostics, invariance_error=1e-6))
-                kept.append((new, out, len(out)))
-                return new
-            levels.append((st.k.n, out, len(out)))
-            raise DivergenceError("injected", residual=1.0)
+            def refuse_finer(problem, st, out=None):
+                if st.k.n == 64:
+                    new = solve(problem, st, out)
+                    if kept:    # the step: its floor looks suspect
+                        new = replace(new, diagnostics=replace(
+                            new.diagnostics, invariance_error=1e-6))
+                    kept.append((new, out, len(out)))
+                    return new
+                levels.append((st.k.n, out, len(out)))
+                raise DivergenceError("injected", residual=residual)
 
-        monkeypatch.setattr(solver_qp, "newton_solve", refuse_finer)
-        res = continue_in_eps(prob, first, 0.5,
-                              ContinuationPolicy(step_init=0.05))
-        (_, out, _), (state, _, held) = kept
-        # every level up to n_max is tried, and the state is kept as is
-        assert levels == [(128, out, 0), (256, out, 0), (512, out, 0)]
-        assert res.reason == "target" and res.state is state
-        assert [r.n for r in res.records] == [64, 64]
-        # the state's workspace went before the first rebuild
-        assert held == 1
+            monkeypatch.setattr(solver_qp, "newton_solve", refuse_finer)
+            res = continue_in_eps(prob, first, 0.5,
+                                  ContinuationPolicy(step_init=0.05))
+            (_, out, _), (state, _, held) = kept
+            assert levels == [(n, out, 0) for n in tried], residual
+            assert res.reason == "target" and res.state is state
+            assert [r.n for r in res.records] == [64, 64]
+            # the state's workspace went before the first finer solve
+            assert held == 1
 
     def test_rebuild_skips_a_refused_level(self, monkeypatch):
-        # a level that refuses is skipped, not the end of the rebuild:
-        # 2N refuses, 4N converges, and the continuation records 4N
+        # a level that refuses with a floor is skipped, not the end of the
+        # regrid: 2N refuses, 4N converges, and the continuation records
+        # the step on 4N
         prob = sym_problem(n_max=512)
         start = QpState.flat_start(64, OMEGA)
         state = newton_solve(prob, QpState(start.k, start.a, start.mu, 1.0))
@@ -997,7 +1004,7 @@ class TestContinuation:
         def refuse_128(problem, st, out=None):
             levels.append(st.k.n)
             if st.k.n == 128:
-                raise DivergenceError("injected", residual=1.0)
+                raise DivergenceError("injected", residual=1e-6)
             new = solve(problem, st, out)
             if st.k.n == 64 and st.eps > 1.0:
                 # the step on 64 settles far above tol: regrid
@@ -1006,29 +1013,48 @@ class TestContinuation:
             return new
 
         monkeypatch.setattr(solver_qp, "newton_solve", refuse_128)
-        grown = solver_qp._rebuild_finer(prob, state, [])
-        assert levels == [128, 256]
-        assert grown.k.n == 256 and grown.eps == 1.0
-        assert grown.diagnostics.invariance_error <= prob.tol
-
-        levels.clear()
         res = continue_in_eps(prob, state, 1.05,
                               ContinuationPolicy(step_init=0.05))
-        # the start, its step, the refused and the taken level, the step
-        # redone on 4N
-        assert levels == [64, 64, 128, 256, 256]
+        # the start, its step, the refused and the taken level
+        assert levels == [64, 64, 128, 256]
         assert res.reason == "target" and res.state.k.n == 256
         assert [r.n for r in res.records] == [64, 256]
+        assert res.state.eps == 1.05
+        assert res.state.diagnostics.invariance_error <= prob.tol
 
-    def test_rebuild_at_n_max_keeps_the_workspace(self):
-        # with no level left above n_max there is nothing to rebuild: the
-        # state's workspace stays for the predictor
-        prob = sym_problem(n_max=64)
-        out = []
-        state = newton_solve(prob, QpState.flat_start(64, OMEGA), out)
-        ws, = out
-        assert solver_qp._rebuild_finer(prob, state, out) is None
-        assert len(out) == 1 and out[0] is ws
+    def test_suspect_step_is_solved_again_from_its_own_state(self,
+                                                             monkeypatch):
+        # nested iteration: a step that settles far above tol on N is
+        # solved again on 2N from the state it settled on, at its eps, with
+        # no predictor between the two solves
+        prob = sym_problem(n_max=512)
+        solve, derive = solver_qp.newton_solve, solver_qp.eps_derivative
+        calls = []
+
+        def suspect_step(problem, st, out=None):
+            new = solve(problem, st, out)
+            if st.eps > 0.0 and st.k.n == 64:
+                new = replace(new, diagnostics=replace(
+                    new.diagnostics, invariance_error=1e-6))
+            calls.append((st, new))
+            return new
+
+        monkeypatch.setattr(solver_qp, "newton_solve", suspect_step)
+        monkeypatch.setattr(solver_qp, "eps_derivative",
+                            lambda *a: calls.append(None) or derive(*a))
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.05,
+                              ContinuationPolicy(step_init=0.05))
+        assert res.reason == "target"
+        # the start, the predictor, the step and the step again
+        assert len(calls) == 4 and calls[1] is None
+        (_, new), (finer, _) = calls[2:]
+        assert new.k.n == 64 and finer.k.n == 128
+        assert finer.eps == new.eps == 0.05
+        assert (finer.a, finer.mu) == (new.a, new.mu)
+        want = new.k.resample(128)
+        assert finer.k.eta_x.tobytes() == want.eta_x.tobytes()
+        assert finer.k.k_y.tobytes() == want.k_y.tobytes()
+        assert [r.n for r in res.records] == [64, 128]
 
     def test_no_workspace_outlives_its_predictor(self, monkeypatch):
         # the predictor reads the converged workspace; none may be alive
@@ -1107,10 +1133,10 @@ class TestContinuation:
         assert any(others for _, others in seen)
 
     def test_predictor_runs_without_the_previous_step(self, monkeypatch):
-        # when the predictor runs, the previous step's tangent and
-        # prediction are gone (each holds two fields of the grid), on
-        # both of its paths: after an accepted step, and after a regrid
-        # redoes a step whose floor is made to look suspect
+        # when the predictor runs, the previous step's tangent and the
+        # starts of its solves are gone (each holds two fields of the
+        # grid), also after a step whose floor is made to look suspect
+        # is solved again on a finer level
         prob = nonsym_problem()
         solve, derive = solver_qp.newton_solve, solver_qp.eps_derivative
         tangents, starts, alive = [], [], []
@@ -1140,7 +1166,8 @@ class TestContinuation:
     @staticmethod
     def floor_run():
         # a tolerance below the iteration's residual floor: some steps
-        # settle on a floor an earlier iterate reached.  A low n_max
+        # settle on a floor their last iterate reached, others on one an
+        # earlier iterate reached.  A low n_max
         # keeps the grid levels that refuse the tolerance cheap, and a
         # fixed step of 0.005 keeps the run on those floors whatever
         # grows the step
@@ -1152,12 +1179,12 @@ class TestContinuation:
     def test_frame_stage_runs_with_two_workspaces(self, monkeypatch):
         # at most the current iterate and the point being built are
         # alive when a frame stage starts (probes, kept points, the
-        # predictor's geometry), and a kept point is completed alone;
-        # floor accepts hand their iterate over as a state, with no
-        # workspace
+        # predictor's geometry), and a kept point is completed alone; a
+        # floor accept hands over its workspace exactly when it is the
+        # last iterate, and an earlier iterate only as a state
         solve, frame_stage = solver_qp.newton_solve, solver_qp._frame_stage
         complete = solver_qp._complete
-        live, completing, handed = [], [], []
+        live, completing, handed, last = [], [], [], [None]
 
         class Counted(solver_qp.NewtonWorkspace):
             """A workspace that counts the live ones (see _point)."""
@@ -1175,7 +1202,7 @@ class TestContinuation:
             before = len(out)
             new = solve(problem, st, out)
             if new.diagnostics.invariance_error > problem.tol:
-                handed.append(len(out) - before)
+                handed.append((len(out) - before, new.k is last[0]))
             return new
 
         def counted_frame(problem, ws):
@@ -1184,6 +1211,7 @@ class TestContinuation:
 
         def counted_complete(problem, ws):
             completing.append(Counted.alive)
+            last[0] = ws.k    # the last iterate of a solve is completed last
             return complete(problem, ws)
 
         monkeypatch.setattr(solver_qp, "NewtonWorkspace", Counted)
@@ -1192,13 +1220,15 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "_complete", counted_complete)
         res = self.floor_run()
         assert res.reason == "target"
-        assert handed and handed == [0] * len(handed)
+        assert all(n == is_last for n, is_last in handed)
+        assert {is_last for _, is_last in handed} == {True, False}
         assert max(live) == 2
         assert completing and set(completing) == {1}
 
     def test_predictor_rebuilds_floor_geometry(self, monkeypatch):
-        # the predictor of a floor-accepted state builds its geometry,
-        # and gets the derivative the iterate's own workspace gives
+        # the predictor of a state accepted at the floor of an earlier
+        # iterate builds its geometry, and gets the derivative the
+        # iterate's own workspace gives
         solve, complete = solver_qp.newton_solve, solver_qp._complete
         derive = solver_qp.eps_derivative
         built, kept, checked = [], [], []
@@ -1216,7 +1246,8 @@ class TestContinuation:
         def recorded_solve(problem, st, out=None):
             built.clear()
             new = solve(problem, st, out)
-            if new.diagnostics.invariance_error > problem.tol:
+            if (new.diagnostics.invariance_error > problem.tol
+                    and new.k is not built[-1].k):
                 kept.append((new, next(w for w in built if w.k is new.k)))
             built.clear()
             return new
@@ -1259,9 +1290,8 @@ class TestContinuation:
         assert abs(res.state.mu - ref.state.mu) <= 1e-12
 
     def test_predictor_rate_of_a_is_the_records_secant(self, monkeypatch):
-        # the predictor of each record but the last, and of a base
-        # rebuilt on a finer grid, takes the secant of a through the last
-        # two records, and 0 after the first
+        # the predictor of each record but the last takes the secant of a
+        # through the last two records, and 0 after the first
         derive = solver_qp.eps_derivative
         rates = []
 
@@ -1643,16 +1673,16 @@ def logged_steps(monkeypatch, fail=lambda eps: False):
     """The steps continue_in_eps tries, as (records before it, eps, N).
 
     newton_solve and _record log into one sequence, so each solve sees
-    the records made before it; a solve at the eps of the last record
-    (a rebuild of the base on a finer grid) is no step, and N tells a
-    step redone from a rebuilt base from the step before.  A solve at an eps where fail(eps) is true
-    raises a DivergenceError that asks for no finer grid.
+    the records made before it; every solve after the first is a step,
+    and N tells a step solved again on a finer level from its first
+    solve.  A solve at an eps where fail(eps) is true raises a
+    DivergenceError that asks for no finer grid.
     """
     records, steps = [], []
     solve, record = solver_qp.newton_solve, solver_qp._record
 
     def logged(problem, st, out=None):
-        if records and st.eps != records[-1].eps:
+        if records:
             steps.append((tuple(records), st.eps, st.k.n))
         if fail(st.eps):
             raise DivergenceError("injected", residual=1.0)
