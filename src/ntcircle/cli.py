@@ -31,6 +31,10 @@ The solver and continuation keys take the defaults of QpProblem and
 ContinuationPolicy, whose fields they name.  The retired keys `threads`,
 `sweep_grid`, `sweep_order` and `sweep_tol` are read and ignored: a
 value of the wrong type is still an error, but no value selects anything.
+Settings that no run varies are library constants, not keys: a config
+naming `family`, `seed`, `n_min`, `max_newton`, `step_min`, `step_max`,
+`lock_tol`, `q_max` or `refine_width` is refused as an unknown key, and
+verify seeds its random checks with 0.
 """
 
 from __future__ import annotations
@@ -51,6 +55,9 @@ from .maps import Forcing, ParamPoint, StandardNonTwistMap, check_symmetry
 from .solver_general import sweep_parameter
 from .solver_qp import (
     _FIT_MIN_POINTS,
+    _N_START,
+    _STEP_MAX,
+    _STEP_MIN,
     GOLDEN_MEAN,
     ContinuationPolicy,
     QpProblem,
@@ -77,24 +84,18 @@ class RunConfig:
     that field's default and is passed to it by name (_shared).
     """
 
-    family: str = "dsntm"
     variant: str = "symmetric"
     sigma: float = 0.8
     omega: float = QpProblem.omega  # config accepts a literal or `golden`
     b_a0: float = QpProblem.b_a0
     eps_target: float = 2.0
     step_init: float = ContinuationPolicy.step_init
-    step_min: float = ContinuationPolicy.step_min
-    step_max: float = ContinuationPolicy.step_max
     alpha_floor: float = ContinuationPolicy.alpha_floor
     tol: float = QpProblem.tol
     tol_phase: float = QpProblem.tol_phase
     tol_twist: float = QpProblem.tol_twist
-    max_newton: int = QpProblem.max_newton
-    n_min: int = QpProblem.n_min
     n_max: int = QpProblem.n_max
     out_dir: str = "."
-    seed: int = 0
     timing: bool = ContinuationPolicy.timing
     # breakdown
     fit_window: int = 20
@@ -104,9 +105,6 @@ class RunConfig:
     sweep_halfwidth: float = 0.1
     sweep_step: float = 0.004
     rho_tol: float = 1e-10
-    lock_tol: float = 1e-8
-    q_max: int = 64
-    refine_width: float = 1e-4
     # twist surface
     b_a0_list: tuple = (0.0,)
 
@@ -189,29 +187,21 @@ def validate_config(cfg: RunConfig) -> None:
     The family is built, and so checks its own sigma and variant; deeper
     preconditions are enforced by the modules.
     """
-    if cfg.family != "dsntm":
-        raise ValueError(f"unknown family {cfg.family!r} (supported: dsntm)")
     build_family(cfg)
     if not 0.0 < cfg.omega < 1.0:
         raise ValueError(f"need omega in (0, 1), got {cfg.omega}")
     if cfg.eps_target < 0.0:
         raise ValueError("eps_target must be nonnegative")
-    for key in ("step_init", "step_min", "step_max", "tol", "tol_phase",
-                "tol_twist", "alpha_floor", "sweep_halfwidth", "sweep_step",
-                "rho_tol", "lock_tol", "refine_width"):
+    for key in ("tol", "tol_phase", "tol_twist", "alpha_floor",
+                "sweep_halfwidth", "sweep_step", "rho_tol"):
         if getattr(cfg, key) <= 0.0:
             raise ValueError(f"{key} must be positive")
-    if not cfg.step_min <= cfg.step_init <= cfg.step_max:
-        raise ValueError("need step_min <= step_init <= step_max")
-    for key in ("max_newton", "q_max"):
-        if getattr(cfg, key) < 1:
-            raise ValueError(f"{key} must be at least 1")
-    if cfg.seed < 0:
-        raise ValueError("seed must be nonnegative")
-    if cfg.n_min < 8 or cfg.n_min & (cfg.n_min - 1):
-        raise ValueError(f"n_min must be a power of two >= 8, got {cfg.n_min}")
-    if cfg.n_min > cfg.n_max:
-        raise ValueError("need n_min <= n_max")
+    if not _STEP_MIN <= cfg.step_init <= _STEP_MAX:
+        raise ValueError(f"need step_init in [{_STEP_MIN:g}, {_STEP_MAX:g}], "
+                         f"got {cfg.step_init}")
+    if cfg.n_max < _N_START:
+        raise ValueError(f"n_max must be at least the start grid {_N_START}, "
+                         f"got {cfg.n_max}")
     if cfg.sweep_which not in ("a", "mu"):
         raise ValueError(f"sweep_which must be 'a' or 'mu', got {cfg.sweep_which!r}")
     if cfg.fit_window < _FIT_MIN_POINTS:
@@ -231,7 +221,7 @@ def build_family(cfg: RunConfig) -> StandardNonTwistMap:
 def _shared(cfg: RunConfig, target) -> dict:
     """The keys of cfg that name fields of the dataclass target."""
     return {f.name: getattr(cfg, f.name) for f in fields(target)
-            if f.name != "family" and hasattr(cfg, f.name)}
+            if hasattr(cfg, f.name)}
 
 
 def build_problem(cfg: RunConfig) -> QpProblem:
@@ -322,7 +312,7 @@ PATH_HEADER = ("eps", "a", "mu", "N", "err", "alpha", "b_a", "b_mu",
 def _continue(cfg: RunConfig, stop=None):
     """The configured branch marched from its flat start to eps_target."""
     problem = build_problem(cfg)
-    start = QpState.flat_start(cfg.n_min, problem.omega, problem.b_a0)
+    start = QpState.flat_start(_N_START, problem.omega, problem.b_a0)
     result = continue_in_eps(problem, start, cfg.eps_target,
                              build_policy(cfg), stop)
     return problem, result
@@ -390,12 +380,9 @@ def cmd_rotnum_sweep(cfg: RunConfig, out_dir: str) -> int:
     state = result.state
     xy0 = (state.k.eta_x[0], state.k.k_y[0])   # K(0)
     par = ParamPoint(state.a, state.mu, state.eps)
-    records = sweep_parameter(
-        problem.family, par, xy0, cfg.sweep_which,
-        cfg.sweep_halfwidth, cfg.sweep_step, rho_tol=cfg.rho_tol,
-        lock_tol=cfg.lock_tol, q_max=cfg.q_max,
-        refine_width=cfg.refine_width,
-    )
+    records = sweep_parameter(problem.family, par, xy0, cfg.sweep_which,
+                              cfg.sweep_halfwidth, cfg.sweep_step,
+                              rho_tol=cfg.rho_tol)
     write_csv(
         os.path.join(out_dir, "rho_vs_param.csv"),
         ("param", "rho", "err", "locked_flag"),
@@ -428,7 +415,7 @@ def cmd_twist_surface(cfg: RunConfig, out_dir: str) -> int:
 
 def _run_checks(cfg: RunConfig):
     """Yield (name, passed, detail) without stopping at failures."""
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(0)
     problem = build_problem(cfg)
     om = problem.omega
     sig = cfg.sigma
@@ -453,7 +440,7 @@ def _run_checks(cfg: RunConfig):
     for b in (0.0, 0.2, -0.2):
         prob_b = replace(problem, b_a0=b)
         st = newton_solve(
-            prob_b, QpState.flat_start(cfg.n_min, om, b))
+            prob_b, QpState.flat_start(_N_START, om, b))
         worst = max(
             worst,
             abs(st.a - b / 2.0),
@@ -468,7 +455,7 @@ def _run_checks(cfg: RunConfig):
     # a mildly forced circle for frame and convergence checks
     res_c = continue_in_eps(
         problem,
-        QpState.flat_start(cfg.n_min, om, problem.b_a0),
+        QpState.flat_start(_N_START, om, problem.b_a0),
         min(cfg.eps_target, 0.5),
         build_policy(cfg),
     )
@@ -544,7 +531,7 @@ def _symmetry_checks(cfg: RunConfig, problem, st: QpState):
         return
     mirror = replace(problem, b_a0=-problem.b_a0)
     res = continue_in_eps(
-        mirror, QpState.flat_start(cfg.n_min, mirror.omega, mirror.b_a0),
+        mirror, QpState.flat_start(_N_START, mirror.omega, mirror.b_a0),
         st.eps, build_policy(cfg))
     name = "mirror circle K_{-b} = S K_b(.+1/2), a_{-b} = -a_b, mu_{-b} = mu_b"
     if res.reason != "target":

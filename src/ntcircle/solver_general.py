@@ -511,10 +511,17 @@ def rotation_number(
     return _birkhoff(extend, tol, m_max, "rotation number")
 
 
-def lock_fraction(rho: float, q_max: int = 64, lock_tol: float = 1e-8):
-    """Nearest rational p/q with q <= q_max if within lock_tol, else None."""
-    cand = Fraction(rho).limit_denominator(q_max)
-    if abs(rho - float(cand)) <= lock_tol:
+# a rotation number within _LOCK_TOL of a rational with denominator at
+# most _Q_MAX is locked; a sweep bisects a lock edge down to _REFINE_WIDTH
+_LOCK_TOL = 1e-8
+_Q_MAX = 64
+_REFINE_WIDTH = 1e-4
+
+
+def lock_fraction(rho: float):
+    """Nearest rational p/q with q <= _Q_MAX if within _LOCK_TOL, else None."""
+    cand = Fraction(rho).limit_denominator(_Q_MAX)
+    if abs(rho - float(cand)) <= _LOCK_TOL:
         return cand
     return None
 
@@ -613,9 +620,6 @@ def sweep_parameter(
     step: float,
     *,
     rho_tol: float = 1e-10,
-    lock_tol: float = 1e-8,
-    q_max: int = 64,
-    refine_width: float = 1e-4,
 ) -> list[SweepRecord]:
     """Rotation number versus a or mu around the given parameter point.
 
@@ -628,7 +632,7 @@ def sweep_parameter(
     from the center in both directions.  The second bisects every
     locked/unlocked gap of the walk as one chain: it halves the gap,
     keeps the half whose ends differ in lock, and stops once the gap is
-    no wider than refine_width or its midpoint no longer falls strictly
+    no wider than _REFINE_WIDTH or its midpoint no longer falls strictly
     inside it.  A gap's midpoints depend on the lock flags of its own
     ends alone, so the chains give the points that rounds of halving
     every gap at once would give.  A point whose average hits its cap
@@ -649,14 +653,14 @@ def sweep_parameter(
             rho, rho_err = exc.best, float("nan")
         return SweepRecord(
             value, rho, rho_err,
-            lock_fraction(rho, q_max, lock_tol) is not None,
+            lock_fraction(rho) is not None,
         )
 
     def bisect(gap: tuple) -> list[SweepRecord]:
         """The midpoints of one locked/unlocked gap, halved to the end."""
         lo, hi, lo_locked = gap
         out = []
-        while hi - lo > refine_width and lo < 0.5 * (lo + hi) < hi:
+        while hi - lo > _REFINE_WIDTH and lo < 0.5 * (lo + hi) < hi:
             rec = rho_at(0.5 * (lo + hi))
             out.append(rec)
             if rec.locked == lo_locked:

@@ -56,7 +56,7 @@ The step in eps is the step memory cut to the target and, while the
 last two records show alpha falling, to eps*, where the secant of alpha
 through them meets zero.  alpha vanishes at the breakdown, where the
 tangent and normal bundles collide, and no circle exists beyond it for
-a solve to reach.  The memory doubles, up to step_max, after an accept
+a solve to reach.  The memory doubles, up to _STEP_MAX, after an accept
 whose solve took at most _QUICK_SOLVE = 2 Newton iterations, the
 quadratic convergence of a good prediction (Allgower & Georg 2003, 6.1),
 and stays after a slower one, so the step stops growing where solves
@@ -158,6 +158,10 @@ _LEVEL_SUSPECT = 100.0   # step floor above this * tol: distrust the level
 _FLOOR_FACTOR = 1e4      # a solve accepts a residual floor up to this * tol
 _FIT_MIN_POINTS = 5      # fewest records a breakdown fit takes
 _QUICK_SOLVE = 2         # Newton iterations of a quadratic solve: grow the step
+_N_START = 64            # grid of a branch's flat start
+_MAX_NEWTON = 20         # Newton iterations of one solve
+_STEP_MIN = 1e-6         # a step halved below this stops the run
+_STEP_MAX = 0.1          # the step memory grows up to this
 
 
 @dataclass(frozen=True)
@@ -170,9 +174,7 @@ class QpProblem:
     tol: float = 1e-11            # invariance residual, sup-norm
     tol_phase: float = 1e-11      # |<eta_x>|
     tol_twist: float = 1e-11      # |b_a - b_a0|
-    n_min: int = 64
     n_max: int = 1 << 19
-    max_newton: int = 20
 
 
 @dataclass(frozen=True)
@@ -212,11 +214,9 @@ class ContinuationRecord:
 
 @dataclass(frozen=True)
 class ContinuationPolicy:
-    """Step bounds, angle floor and timing of continuation in eps."""
+    """First step, angle floor and timing of continuation in eps."""
 
     step_init: float = 0.01
-    step_min: float = 1e-6
-    step_max: float = 0.1
     alpha_floor: float = 1e-4     # stop when the frame angle drops below
     timing: bool = False          # keep wall_ms at 0 for reproducible output
 
@@ -533,8 +533,8 @@ def newton_solve(problem: QpProblem, state: QpState,
     scale0 = max(ws.err, abs(ws.e_p), abs(ws.e_b))
     best, stale = ws.err, 0
     snap = None    # the state of the best iterate with phase and twist closed
-    why = f"no convergence in the budget of {problem.max_newton} iterations"
-    for it in range(problem.max_newton + 1):
+    why = f"no convergence in the budget of {_MAX_NEWTON} iterations"
+    for it in range(_MAX_NEWTON + 1):
         if (
             ws.err <= problem.tol
             and abs(ws.e_p) <= problem.tol_phase
@@ -543,7 +543,7 @@ def newton_solve(problem: QpProblem, state: QpState,
             if out is not None:
                 out.append(ws)
             return settled(ws, it)
-        if it == problem.max_newton:
+        if it == _MAX_NEWTON:
             break
         if ws.err > _BLOWUP_FACTOR * (scale0 + problem.tol):
             raise DivergenceError(
@@ -673,9 +673,12 @@ def continue_in_eps(
     records (0 before), Newton corrector, dyadic mode adaptation, and a
     step memory that doubles after a solve of at most _QUICK_SOLVE
     Newton iterations, stays after a slower one and halves on a failure
-    (see the module docstring).  Stops on the target, on loss of frame
-    transversality (alpha below the floor), when the step underflows,
-    when a finer grid is needed above n_max, or as "converged" once
+    (see the module docstring).  A finer level that raises at a best
+    residual within _LEVEL_SUSPECT * tol ends the regrid, as a blow-up
+    does: the step keeps the state of the level below, or halves when it
+    has none.  Stops on the target, on loss of frame transversality
+    (alpha below the floor), when the step falls below _STEP_MIN, when a
+    finer grid is needed above n_max, or as "converged" once
     stop(records), if given, is true after a record.
     """
     if policy is None:
@@ -764,12 +767,12 @@ def continue_in_eps(
             break
         if new is None:
             step = d / 2.0   # half the step tried, which a bound may have cut
-            if step < policy.step_min:
+            if step < _STEP_MIN:
                 reason = "step-floor"
                 break
             continue
         if new.iterations <= _QUICK_SOLVE:
-            step = min(2.0 * step, policy.step_max)
+            step = min(2.0 * step, _STEP_MAX)
     return ContinuationResult(tuple(records), reason, state)
 
 
@@ -877,7 +880,7 @@ def twist_surface(
 
     def run(b: float) -> SurfacePath:
         prob = replace(problem, b_a0=b)
-        start = QpState.flat_start(prob.n_min, prob.omega, b)
+        start = QpState.flat_start(_N_START, prob.omega, b)
         try:
             res = continue_in_eps(prob, start, eps_target, policy)
         except NtCircleError as exc:

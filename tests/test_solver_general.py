@@ -281,8 +281,9 @@ class TestLockFraction:
     def test_near_miss_unlocked(self):
         assert lock_fraction(0.625 + 1e-5) is None
 
-    def test_q_max_bounds_denominator(self):
-        assert lock_fraction(0.625, q_max=7) is None
+    def test_q_max_bounds_denominator(self, monkeypatch):
+        monkeypatch.setattr(solver_general, "_Q_MAX", 7)
+        assert lock_fraction(0.625) is None
 
     def test_irrational_unlocked(self):
         assert lock_fraction(OMEGA) is None
@@ -776,8 +777,7 @@ class TestSweep:
         recs = sweep_parameter(
             problem.family, ParamPoint(state.a, state.mu, state.eps),
             (state.k.eta_x[0], state.k.k_y[0]), "a", cfg.sweep_halfwidth,
-            cfg.sweep_step, rho_tol=cfg.rho_tol, lock_tol=cfg.lock_tol,
-            q_max=cfg.q_max, refine_width=cfg.refine_width)
+            cfg.sweep_step, rho_tol=cfg.rho_tol)
         assert len(recs) >= 65 and all(r.rho_err == cfg.rho_tol
                                        for r in recs)
         for m, rho, further in early:
@@ -871,14 +871,14 @@ class TestBisectionRounds:
         # eps = 0: rho(a) = mu + a^2, locked here iff |a| > EDGE
         par = ParamPoint(a=0.0, mu=OMEGA, eps=0.0)
 
-        def lock(rho, q_max, lock_tol):
+        def lock(rho):
             return Fraction(1) if rho > OMEGA + self.EDGE**2 else None
 
         monkeypatch.setattr(solver_general, "lock_fraction", lock)
+        monkeypatch.setattr(solver_general, "_REFINE_WIDTH", refine_width)
         points = TestSweep.count_points(monkeypatch)
         recs = sweep_parameter(sym_family(), par, (0.3, 0.2), "a",
-                               halfwidth=0.03, step=0.01, rho_tol=1e-11,
-                               refine_width=refine_width)
+                               halfwidth=0.03, step=0.01, rho_tol=1e-11)
         solves = [p.a for p in points]
         edges = [(lo.param, hi.param) for lo, hi in zip(recs, recs[1:])
                  if lo.locked != hi.locked]

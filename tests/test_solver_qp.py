@@ -212,7 +212,8 @@ class TestNewtonBehavior:
 
     def test_budget_stop_names_the_budget(self, monkeypatch):
         monkeypatch.setattr(solver_qp, "_FLOOR_FACTOR", 1.0)
-        prob = sym_problem(max_newton=2)
+        monkeypatch.setattr(solver_qp, "_MAX_NEWTON", 2)
+        prob = sym_problem()
         start = QpState.flat_start(128, OMEGA)
         with pytest.raises(DivergenceError) as exc:
             newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
@@ -269,7 +270,7 @@ class TestNewtonBehavior:
                             lambda *a: iterations.append(1) or steffensen(*a))
         with pytest.raises(DivergenceError) as exc:
             newton_solve(prob, QpState(start.k, start.a, start.mu, 0.7))
-        assert len(iterations) == 3 < prob.max_newton
+        assert len(iterations) == 3 < solver_qp._MAX_NEWTON
         assert exc.value.residual == errs[0]
         assert str(exc.value).startswith(
             "residual stopped contracting (pumping) after 3 iterations, "
@@ -312,7 +313,7 @@ class TestGap:
         state = newton_solve(prob, start)
         k, err, gap, closed = kept[-1]
         assert state.k is k and state.iterations == len(kept) - 1
-        assert state.iterations < prob.max_newton
+        assert state.iterations < solver_qp._MAX_NEWTON
         assert closed and prob.tol < err <= 2.0 * gap
         # no earlier closed iterate had a gap of half its residual
         assert not any(c and e <= 2.0 * g for _, e, g, c in kept[1:-1])
@@ -958,15 +959,18 @@ class TestContinuation:
 
     def test_grid_stays_when_no_level_converges(self, monkeypatch):
         # a step that settles far above tol is solved again on the finer
-        # levels.  A level that refuses with a floor hands the step on to
-        # the next, up to n_max; one that refuses with no floor (a best
-        # residual above 1e-3) ends the regrid.  No level converges, so
-        # the step's own state is kept as is
+        # levels.  A level that refuses with a floor above the bound hands
+        # the step on to the next, up to n_max; one that refuses with no
+        # floor (a best residual above 1e-3), or with a floor within the
+        # bound (phase or twist left open at a residual below tol), ends
+        # the regrid.  No level converges, so the step's own state is
+        # kept as is
         prob = sym_problem(n_max=512)
         start = QpState.flat_start(64, OMEGA)
         first = QpState(start.k, start.a, start.mu, 0.45)
         solve = solver_qp.newton_solve
-        for residual, tried in ((1e-6, [128, 256, 512]), (1.0, [128])):
+        for residual, tried in ((1e-6, [128, 256, 512]), (1.0, [128]),
+                                (0.5 * prob.tol, [128])):
             kept, levels = [], []
 
             def refuse_finer(problem, st, out=None):
@@ -1164,17 +1168,17 @@ class TestContinuation:
         assert len(alive) > 10 and alive == [0] * len(alive)
 
     @staticmethod
-    def floor_run():
+    def floor_run(monkeypatch):
         # a tolerance below the iteration's residual floor: some steps
         # settle on a floor their last iterate reached, others on one an
         # earlier iterate reached.  A low n_max
         # keeps the grid levels that refuse the tolerance cheap, and a
         # fixed step of 0.005 keeps the run on those floors whatever
         # grows the step
+        monkeypatch.setattr(solver_qp, "_STEP_MAX", 0.005)
         prob = nonsym_problem(tol=3e-15, tol_twist=3e-15, n_max=1024)
         return continue_in_eps(prob, QpState.flat_start(64, OMEGA), 0.1,
-                               ContinuationPolicy(step_init=0.005,
-                                                  step_max=0.005))
+                               ContinuationPolicy(step_init=0.005))
 
     def test_frame_stage_runs_with_two_workspaces(self, monkeypatch):
         # at most the current iterate and the point being built are
@@ -1218,7 +1222,7 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "newton_solve", counted_solve)
         monkeypatch.setattr(solver_qp, "_frame_stage", counted_frame)
         monkeypatch.setattr(solver_qp, "_complete", counted_complete)
-        res = self.floor_run()
+        res = self.floor_run(monkeypatch)
         assert res.reason == "target"
         assert all(n == is_last for n, is_last in handed)
         assert {is_last for _, is_last in handed} == {True, False}
@@ -1268,7 +1272,7 @@ class TestContinuation:
         monkeypatch.setattr(solver_qp, "_complete", recorded_complete)
         monkeypatch.setattr(solver_qp, "newton_solve", recorded_solve)
         monkeypatch.setattr(solver_qp, "eps_derivative", checked_derive)
-        res = self.floor_run()
+        res = self.floor_run(monkeypatch)
         assert res.reason == "target" and checked
 
     def test_zero_order_predictor_when_the_tangent_fails(self, monkeypatch):
@@ -1389,7 +1393,7 @@ class TestContinuation:
     def test_quadratic_solves_double_the_step(self):
         # on the easy stretch of the symmetric branch each step solves in
         # at most two Newton iterations, so the step memory doubles after
-        # every accept, up to step_max
+        # every accept, up to _STEP_MAX
         res = continue_in_eps(sym_problem(), QpState.flat_start(64, OMEGA),
                               0.6)
         eps = [r.eps for r in res.records]
