@@ -5,8 +5,9 @@ Commands
 continue-nontwist   march a non-twist circle branch in eps; writes
                     path.csv and final_circle.csv
 breakdown           push the branch toward breakdown, until two successive
-                    fits of the bundle-angle zero crossing agree (stop
-                    `converged`); writes alpha.csv, fit.txt
+                    fits of the bundle-angle zero crossing agree with the
+                    angle within 10 alpha_floor (stop `converged`);
+                    writes alpha.csv, fit.txt
 rotnum-sweep        rotation number versus a or mu around a converged
                     circle, each point from the ambient orbit of the
                     circle's point K(0); writes rho_vs_param.csv
@@ -23,10 +24,11 @@ off by default; wall_ms written as 0.0).  No key selects the second
 core.  Where the process may run on two CPUs, the twist-surface
 branches and the points of each rotnum-sweep pass are shared between
 the caller and one forked worker process (fourier.split_items), and
-grid kernels at N >= 2^14 between two threads (fourier.split), bit for
-bit.  On glibc, main first raises malloc's mmap and trim thresholds, so
-the blocks a command frees are reused instead of faulted in again;
-importing the package changes no allocator setting.
+the FFT rows of a block at N >= 2^14 between two threads
+(fourier.split), bit for bit.  On glibc, main first raises malloc's
+mmap and trim thresholds, so the blocks a command frees are reused
+instead of faulted in again; importing the package changes no allocator
+setting.
 The solver and continuation keys take the defaults of QpProblem and
 ContinuationPolicy, whose fields they name.  The retired keys `threads`,
 `sweep_grid`, `sweep_order` and `sweep_tol` are read and ignored: a
@@ -334,15 +336,21 @@ def cmd_continue_nontwist(cfg: RunConfig, out_dir: str) -> int:
 
 
 _FIT_AGREEMENT = 1e-3
+_STOP_ALPHA = 10.0      # the stop's last alpha, at most this * alpha_floor
 
 
-def _fits_agree(window: int):
-    """A breakdown run's stop: its fits with and without the last record
-    are both reliable and agree within _FIT_AGREEMENT * eps_c."""
+def _fits_agree(window: int, alpha_floor: float):
+    """A breakdown run's stop: its last alpha is within _STOP_ALPHA *
+    alpha_floor, and its fits with and without the last record are both
+    reliable and agree within _FIT_AGREEMENT * eps_c.  One straight
+    decade of alpha far above the floor does not show its final collapse
+    yet."""
 
     def stop(records) -> bool:
         if len(records) <= _FIT_MIN_POINTS:
             return False    # too few records for the shorter prefix
+        if records[-1].alpha > _STOP_ALPHA * alpha_floor:
+            return False
         prev, last = (breakdown_extrapolate(records[:n], window)
                       for n in (len(records) - 1, len(records)))
         return (prev.reliable and last.reliable
@@ -357,7 +365,8 @@ def cmd_breakdown(cfg: RunConfig, out_dir: str) -> int:
         records = read_alpha_csv(cfg.alpha_input)
         reason = "input"
     else:
-        _, result = _continue(cfg, _fits_agree(cfg.fit_window))
+        stop = _fits_agree(cfg.fit_window, cfg.alpha_floor)
+        _, result = _continue(cfg, stop)
         records = result.records
         reason = result.reason
     fit = breakdown_extrapolate(records, cfg.fit_window)

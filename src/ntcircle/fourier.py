@@ -54,10 +54,10 @@ fields() copies.
 Large grids use two cores (split()): where two CPUs are free, a block of
 two rows or more on SPLIT_MIN = 2^14 nodes or more has half its rows
 transformed on a worker thread, built at the first such block (import
-starts none), as the forcing of maps splits its samples, for any caller.
-numpy transforms each row, and a ufunc each element, alone with the lock
-released, so no bit changes.  At 2^13 a two-row pair ran slower split;
-the breakdown workload ran fastest at 2^14 of 2^13, 2^14 and 2^15.
+starts none), for any caller.  numpy transforms each row alone with the
+lock released, so no bit changes.  At 2^13 a two-row pair ran slower
+split; the breakdown workload ran fastest at 2^14 of 2^13, 2^14 and
+2^15.
 Independent items of work, the branches of a twist surface and the
 points of a sweep pass, use the second core too (split_items), under the
 same CPU check: a forked worker process runs the even-indexed items,
@@ -229,7 +229,7 @@ def _fresh(values: np.ndarray) -> PeriodicScalar:
 
 # -- blocks: one rfft, multipliers in place, one irfft ------------------
 
-SPLIT_MIN = 1 << 14     # the smallest grid, or sample count, that splits
+SPLIT_MIN = 1 << 14     # the smallest grid that splits
 _pool = None            # (the pid that built it, its one-worker executor)
 
 

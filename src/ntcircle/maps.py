@@ -19,8 +19,7 @@ Python floats instead (StandardNonTwistMap.orbit), where a numpy scalar
 would cost more than the arithmetic.  p is written once, as a function
 of s = sin(2 pi x), and p' once, of s and c = cos(2 pi x): an evaluation
 keeps s, so it and its Jacobian take one sine and one cosine, and the
-orbit reads p of math.sin.  The sine and cosine of a large array run in
-two halves on two threads (fourier.split), bit for bit.
+orbit reads p of math.sin.
 """
 
 from __future__ import annotations
@@ -29,8 +28,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from . import fourier
 
 TWO_PI = 2.0 * np.pi
 
@@ -68,22 +65,6 @@ def _nonsymmetric_slope(s, c):
     return c - 4.0 * s * c
 
 
-def _sine(x):
-    return np.sin(TWO_PI * x)
-
-
-def _cosine(x):
-    return np.cos(TWO_PI * x)
-
-
-def _halves(fn, x):
-    """fn(x), a 1-D array in two halves where fourier.split splits."""
-    if getattr(x, "size", 0) < fourier.SPLIT_MIN or x.ndim != 1:
-        return fn(x)     # at once: no closure on small grids
-    halves = fourier.split(lambda s: fn(x[s]), x.size, x.size)
-    return fn(x) if halves is None else np.concatenate(halves)
-
-
 class Forcing:
     """Periodic forcing p(x) with derivative, amplitude-normalized by 2 pi.
 
@@ -104,19 +85,11 @@ class Forcing:
             (_symmetric, _symmetric_slope) if variant == self.SYMMETRIC
             else (_nonsymmetric, _nonsymmetric_slope))
 
-    def sine(self, x):
-        """s = sin(2 pi x), with numpy."""
-        return _halves(_sine, x)
-
-    def cosine(self, x):
-        """c = cos(2 pi x), with numpy."""
-        return _halves(_cosine, x)
-
     def __call__(self, x):
-        return self.of_sine(self.sine(x))
+        return self.of_sine(np.sin(TWO_PI * x))
 
     def deriv(self, x):
-        return self.slope(self.sine(x), self.cosine(x))
+        return self.slope(np.sin(TWO_PI * x), np.cos(TWO_PI * x))
 
 
 class Evaluation:
@@ -132,7 +105,7 @@ class Evaluation:
 
     def __init__(self, family: "StandardNonTwistMap", x, y, par: ParamPoint):
         self.family, self.x, self.par = family, x, par
-        self.s = family.forcing.sine(x)
+        self.s = np.sin(TWO_PI * x)
         self.px = family.forcing.of_sine(self.s)
         self.q = family.sigma * y + par.eps * self.px - par.a
 
@@ -142,8 +115,8 @@ class Evaluation:
 
     def jacobian(self):
         q, sigma = self.q, self.family.sigma
-        forcing = self.family.forcing
-        pd = self.par.eps * forcing.slope(self.s, forcing.cosine(self.x))
+        pd = self.par.eps * self.family.forcing.slope(
+            self.s, np.cos(TWO_PI * self.x))
         j = np.empty((2, 2) + np.shape(q))
         j[0, 0] = 1.0 + 2.0 * q * pd
         j[0, 1] = 2.0 * q * sigma

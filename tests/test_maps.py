@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ntcircle import (Forcing, ParamPoint, StandardNonTwistMap,
-                      check_symmetry, fourier)
+                      check_symmetry)
 
 PAR = ParamPoint(a=0.07, mu=0.55, eps=1.3)
 
@@ -45,9 +45,8 @@ class TestForcing:
 
 
 class TestSplitForcing:
-    """p and p' of a 1-D array of fourier.SPLIT_MIN samples or more, the
-    halves of its sine and cosine evaluated on two threads, equal the
-    formulas bit for bit."""
+    """p and p' of a large 1-D array, even or odd in length, equal their
+    closed forms bit for bit: each is one numpy pass."""
 
     TWO_PI = 2.0 * np.pi
 
@@ -69,29 +68,14 @@ class TestSplitForcing:
         return p, dp
 
     @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
-    @pytest.mark.parametrize("size", [fourier.SPLIT_MIN, 1 << 16,
-                                      fourier.SPLIT_MIN + 1, 3 * 7919])
-    def test_split_equals_formula(self, two_cpus, variant, size):
-        # the odd sizes split into halves of unequal lengths
+    @pytest.mark.parametrize("size", [1 << 14, 1 << 16, (1 << 14) + 1,
+                                      3 * 7919])
+    def test_split_equals_formula(self, variant, size):
         x = np.random.default_rng(size).uniform(-1.5, 2.5, size)
         f = Forcing(variant)
         p, dp = self.formulas(variant)
         assert f(x).tobytes() == p(x).tobytes()
         assert f.deriv(x).tobytes() == dp(x).tobytes()
-        # the sine of p, then the sine and cosine of p'
-        assert len(two_cpus) == 3
-
-    @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
-    def test_blocks_and_small_arrays_unsplit(self, two_cpus, variant):
-        rng = np.random.default_rng(17)
-        f = Forcing(variant)
-        p, dp = self.formulas(variant)
-        for x in (rng.random((2, fourier.SPLIT_MIN)),
-                  rng.random(fourier.SPLIT_MIN - 1), 0.3):
-            assert np.asarray(f(x)).tobytes() == np.asarray(p(x)).tobytes()
-            assert (np.asarray(f.deriv(x)).tobytes()
-                    == np.asarray(dp(x)).tobytes())
-        assert two_cpus == []
 
 
 class TestStandardNonTwistMap:
