@@ -8,10 +8,13 @@ the negative modes being the complex conjugates.
 Nyquist convention: the k = N/2 bin holds the real amplitude of the
 cos(pi*N*theta) mode, the only representative of the +-N/2 pair that the
 grid can see.  On the nodes this mode is an eigenvector of the shift by
-delta with eigenvalue cos(pi*N*delta), and shift() implements exactly
-that, so the algebraic identities behind the cohomological solvers hold
-on the grid for every representable input, Nyquist content included.
-Odd spectral operations (derivative_spectra) send the bin to zero.
+delta with eigenvalue cos(pi*N*delta).  The phase vector of a shift
+stores that real eigenvalue as its Nyquist entry and the derivative
+multiplier stores 0, so each operator is one product, the divisors of
+both cohomological solves come from the same phases, and the identities
+behind the solvers hold on the grid for every representable input.  A
+solve keeps its Nyquist quotient real: a complex division by a real
+divisor can differ from the real quotient in the last bit.
 
 Every spectral operator is diagonal in Fourier space and is written
 once, as a multiplier acting in place on a block of half-spectra: the
@@ -70,15 +73,16 @@ pid).
 
 Work that never changes is done once per grid.  The nodes, the phase
 vectors e(k*delta) of shift, the derivative multipliers 2 pi i k and
-the small divisors 1 - e(k*omega) are read-only arrays, each cached for
-the latest grid size only, like the spectra buffer: a continuation
+the divisors lam - rho*e(k*omega) of the two solves (lam = rho = 1 for
+the small divisors 1 - e(k*omega)) are read-only arrays, each cached
+for the latest grid size only, like the spectra buffer: a continuation
 climbs from grid to grid, so the constants of every grid it has left
 would only pin memory (at N = 2^16 a set of them takes 2 MiB).  A grid
 is visited again only when a step's finer level fails and the step goes
 on from the level below, and then its constants are built once more.
-The divisors are checked as they are built, before a block is changed;
-a degenerate one is reported and not held.  dealias gives every
-constant but -0.0 back bit for bit.
+Every divisor 0 < k <= N/2 is checked as it is built, before a block is
+changed; a degenerate one is reported and not held.  dealias gives
+every constant but -0.0 back bit for bit.
 
 Finiteness is checked in one place, checked(): it rejects an array with
 a NaN or infinite sample and freezes the rest read-only.  Its scan is
@@ -88,7 +92,8 @@ is such a checked array.  checked_field() adds the shape of one field,
 1-D on a dyadic grid, and is the check of the two fields of an embedding
 (frame.TorusEmbedding), of the displacement of a grid-solver circle map
 (solver_general.InternalMap) and of PeriodicScalar, which wraps only the
-gram of a frame and the fields of the m = 1 calls.  A solver computes a
+gram of a frame and the fields of the m = 1 calls.  It copies what a
+caller hands in and adopts only the package's own fresh samples.  A solver computes a
 field's +, - and * formula on sample arrays and checks only its result:
 under IEEE rules a +, - or * with a NaN or infinite operand never gives
 a finite result, so checking the result is exactly as strict as checking
@@ -130,9 +135,11 @@ def _latest_grid(build):
     A call on another grid size empties the cache once the new value is
     built, so the constants of a grid the solver has left are freed, as
     the spectra buffer is; a build that raises leaves the cache alone.
-    The held values are in .held, keyed (n, *args).
+    The held values are in .held, keyed (n, *args); threads on other
+    grids change it under a lock, so none reads it while another clears.
     """
     held: dict = {}
+    lock = threading.Lock()
 
     @wraps(build)
     def cached(n: int, *args):
@@ -141,9 +148,10 @@ def _latest_grid(build):
         if value is None:
             value = build(n, *args)
             value.setflags(write=False)
-            if len(held) >= _HELD or next(iter(held), key)[0] != n:
-                held.clear()
-            held[key] = value
+            with lock:
+                if len(held) >= _HELD or next(iter(held), key)[0] != n:
+                    held.clear()
+                held[key] = value
         return value
 
     cached.held = held
@@ -164,14 +172,36 @@ def _wavenumbers(n: int) -> np.ndarray:
 
 @_latest_grid
 def _phases(n: int, delta: float) -> np.ndarray:
-    """e(k*delta) = exp(2 pi i k delta) for k = 0 .. n/2, read-only."""
-    return np.exp(2j * np.pi * _wavenumbers(n) * delta)
+    """e(k*delta) for k = 0 .. n/2, read-only; Nyquist cos(pi*n*delta)."""
+    phases = np.exp(2j * np.pi * _wavenumbers(n) * delta)
+    phases[-1] = np.cos(np.pi * n * delta)
+    return phases
 
 
 @_latest_grid
 def _derivative_multiplier(n: int) -> np.ndarray:
-    """2 pi i k for k = 0 .. n/2, read-only."""
-    return 2j * np.pi * _wavenumbers(n)
+    """2 pi i k for k = 0 .. n/2, read-only; the Nyquist entry is 0."""
+    multiplier = 2j * np.pi * _wavenumbers(n)
+    multiplier[-1] = 0.0
+    return multiplier
+
+
+@_latest_grid
+def _divisors(n: int, omega: float, lam: float, rho: float) -> np.ndarray:
+    """lam - rho*_phases(n, omega) for k = 0 .. n/2, read-only.
+
+    A divisor 0 < k <= n/2 below the floor raises, naming the k of the
+    smallest (the lowest on a tie).
+    """
+    div = lam - rho * _phases(n, omega)
+    mags = np.abs(div[1:])
+    worst = int(np.argmin(mags))
+    if mags[worst] < _DIVISOR_FLOOR:
+        name = ("|1 - e(k*omega)|" if lam == rho == 1.0
+                else "|lam - rho*e(k*omega)|")
+        raise SmallDivisorError(worst + 1, float(mags[worst]),
+                                _DIVISOR_FLOOR, name)
+    return div
 
 
 def checked(v: np.ndarray) -> np.ndarray:
@@ -182,12 +212,21 @@ def checked(v: np.ndarray) -> np.ndarray:
     return v
 
 
-def checked_field(v: np.ndarray) -> np.ndarray:
-    """checked(v) for the samples of one field: 1-D, on a dyadic grid."""
-    if v.ndim != 1:
+def checked_field(values, fresh: bool = False) -> np.ndarray:
+    """checked() of a float64 copy of values: one field, 1-D, dyadic.
+
+    fresh marks samples this package has just allocated and references
+    nowhere else: a float64 array that owns its memory is then adopted
+    without a copy, and anything else is still copied, so a view never
+    pins the array it looks into.
+    """
+    if not (fresh and type(values) is np.ndarray and values.base is None
+            and values.dtype == np.float64):
+        values = np.array(values, dtype=float)
+    if values.ndim != 1:
         raise ValueError("samples must be one-dimensional")
-    _check_size(v.size)
-    return checked(v)
+    _check_size(values.size)
+    return checked(values)
 
 
 class PeriodicScalar:
@@ -195,21 +234,14 @@ class PeriodicScalar:
 
     Immutable.  Non-finite samples are rejected by checked() so solver
     blow-ups surface early.  Samples handed in by a caller are always
-    copied.  _owned marks samples this package has just allocated and
-    references nowhere else: a 1-D float64 array that owns its memory is
-    then adopted without a copy, and anything else is still copied, so a
-    view never pins the array it looks into.
+    copied; _owned adopts fresh ones (checked_field).
     """
 
     __slots__ = ("values", "n")
 
     def __init__(self, values, *, _owned=False):
-        if (_owned and type(values) is np.ndarray and values.base is None
-                and values.dtype == np.float64):
-            v = values
-        else:
-            v = np.array(values, dtype=float)
-        object.__setattr__(self, "values", checked_field(v))
+        v = checked_field(values, _owned)
+        object.__setattr__(self, "values", v)
         object.__setattr__(self, "n", v.size)
 
     def __setattr__(self, name, value):
@@ -443,18 +475,12 @@ def fields(block: np.ndarray) -> tuple[np.ndarray, ...]:
 
 def shift_spectra(half: np.ndarray, delta: float) -> None:
     """Shift by delta, in place: the spectra of theta -> u(theta + delta)."""
-    n = _size(half)
-    # the Nyquist pair collapses to a cos mode; on the nodes a shift
-    # scales it by cos(pi*n*delta) and keeps it real
-    top = half[..., -1].real * np.cos(np.pi * n * delta)
-    half *= _phases(n, delta)
-    half[..., -1] = top
+    half *= _phases(_size(half), delta)
 
 
 def derivative_spectra(half: np.ndarray) -> None:
     """Spectral d/dtheta, in place; the Nyquist bin is annihilated."""
     half *= _derivative_multiplier(_size(half))
-    half[..., -1] = 0.0
 
 
 def cut_spectra(half: np.ndarray) -> None:
@@ -467,35 +493,12 @@ def linear_shift_spectra(half: np.ndarray, lam: float, rho: float,
     """Solve lam*xi(theta) - rho*xi(theta+omega) = eta(theta), in place.
 
     Divisors lam - rho*e(k*omega) stay away from zero when |lam| !=
-    |rho|.  The Nyquist bin uses the grid eigenvalue cos(pi*n*omega) of
-    the shift, which makes the identity exact on the nodes; that divisor
-    can degenerate, reported as a small divisor before anything changes.
+    |rho|; a degenerate one is reported before anything changes.
     """
-    n = _size(half)
-    nyq = lam - rho * np.cos(np.pi * n * omega)
-    if abs(nyq) < _DIVISOR_FLOOR:
-        raise SmallDivisorError(n // 2, abs(nyq), _DIVISOR_FLOOR,
-                                "|lam - rho*cos(pi*n*omega)|")
-    top = half[..., -1].real / nyq
-    half /= lam - rho * _phases(n, omega)
+    div = _divisors(_size(half), omega, lam, rho)
+    top = half[..., -1].real / div[-1].real
+    half /= div
     half[..., -1] = top
-
-
-@_latest_grid
-def _divisors(n: int, omega: float) -> np.ndarray:
-    """1 - e(k*omega) for k = 0 .. n/2, Nyquist 1 - cos(pi*n*omega), read-only.
-
-    A divisor 0 < k <= n/2 below the floor raises, naming the k of the
-    smallest (the lowest on a tie).
-    """
-    div = 1.0 - _phases(n, omega)
-    div[-1] = 1.0 - np.cos(np.pi * n * omega)
-    mags = np.abs(div[1:])
-    worst = int(np.argmin(mags))
-    if mags[worst] < _DIVISOR_FLOOR:
-        raise SmallDivisorError(worst + 1, float(mags[worst]),
-                                _DIVISOR_FLOOR, "|1 - e(k*omega)|")
-    return div
 
 
 def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
@@ -505,9 +508,8 @@ def small_divisor_spectra(half: np.ndarray, omega: float) -> np.ndarray:
     the exact obstructions, one per row.
     """
     n = _size(half)
-    div = _divisors(n, omega)
+    div = _divisors(n, omega, 1.0, 1.0)
     mean = half[..., 0].real / n
-    # the Nyquist bin stays real: divide it by the real divisor
     top = half[..., -1].real / div[-1].real
     half[..., 1:-1] /= div[1:-1]
     half[..., 0] = 0.0

@@ -62,30 +62,30 @@ class TorusEmbedding:
     """Circle embedding stored as (eta_x, K_y) with K_x = theta + eta_x.
 
     Both fields are checked read-only float64 sample arrays on one
-    dyadic grid.  Arrays handed in are copied, except a read-only
-    float64 array that owns its memory, which is adopted as it is: that
-    is what fourier.checked gives back, and what fresh() hands in.
+    dyadic grid.  The constructor copies the arrays handed in, as
+    PeriodicScalar does; only fresh() adopts, the package's own fresh
+    sums.
     """
 
     eta_x: np.ndarray
     k_y: np.ndarray
 
     def __post_init__(self):
-        for name in ("eta_x", "k_y"):
-            v = getattr(self, name)
-            if not (type(v) is np.ndarray and v.dtype == np.float64
-                    and v.base is None and not v.flags.writeable):
-                v = np.array(v, dtype=float)
-            object.__setattr__(self, name, fourier.checked_field(v))
-        if self.eta_x.size != self.k_y.size:
-            raise ValueError("components must share one grid")
+        self._hold(self.eta_x, self.k_y, False)
 
     @classmethod
     def fresh(cls, eta_x: np.ndarray, k_y: np.ndarray) -> "TorusEmbedding":
-        """Adopt two fresh arrays held nowhere else, frozen: one scan each."""
-        eta_x.setflags(write=False)
-        k_y.setflags(write=False)
-        return cls(eta_x, k_y)
+        """Adopt two fresh arrays held nowhere else, frozen: one scan each
+        (a view is copied all the same, by fourier.checked_field)."""
+        k = object.__new__(cls)
+        k._hold(eta_x, k_y, True)
+        return k
+
+    def _hold(self, eta_x, k_y, fresh: bool) -> None:
+        object.__setattr__(self, "eta_x", fourier.checked_field(eta_x, fresh))
+        object.__setattr__(self, "k_y", fourier.checked_field(k_y, fresh))
+        if self.eta_x.size != self.k_y.size:
+            raise ValueError("components must share one grid")
 
     @property
     def n(self) -> int:
@@ -93,7 +93,7 @@ class TorusEmbedding:
 
     @classmethod
     def zero_section(cls, n: int) -> "TorusEmbedding":
-        return cls(np.zeros(n), np.zeros(n))
+        return cls.fresh(np.zeros(n), np.zeros(n))
 
     def x_lift(self) -> np.ndarray:
         """Samples of K_x as a lift (theta_j + eta_x, not reduced mod 1)."""

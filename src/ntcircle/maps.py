@@ -25,7 +25,7 @@ orbit reads p of math.sin.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -39,11 +39,6 @@ class ParamPoint:
     a: float
     mu: float
     eps: float
-
-    def replace(self, **kw) -> "ParamPoint":
-        d = {"a": self.a, "mu": self.mu, "eps": self.eps}
-        d.update(kw)
-        return ParamPoint(**d)
 
 
 # p of each forcing variant as a function of s = sin(2 pi x), and p' of s
@@ -208,7 +203,7 @@ def check_symmetry(
     sx, sy = np.mod(x - 0.5, 1.0), -y
     fx, fy = family.eval(sx, sy, p)
     lhs_x, lhs_y = np.mod(fx - 0.5, 1.0), -fy
-    rhs_x, rhs_y = family.eval(x, y, p.replace(a=-p.a))
+    rhs_x, rhs_y = family.eval(x, y, replace(p, a=-p.a))
     dx = np.abs(lhs_x - rhs_x)
     dx = np.minimum(dx, 1.0 - dx)
     return float(max(np.max(dx), np.max(np.abs(lhs_y - rhs_y))))

@@ -54,7 +54,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 import numpy as np
@@ -109,7 +109,7 @@ class InternalMap:
     order: int = 4
 
     def __post_init__(self):
-        g = checked_field(np.array(self.g, dtype=float))
+        g = checked_field(self.g)
         _check_grid(g.size, self.order)
         object.__setattr__(self, "g", g)
 
@@ -647,7 +647,7 @@ def sweep_parameter(
     def rho_at(value: float) -> SweepRecord:
         try:
             rho = ambient_rotation_number(
-                family, par.replace(**{which: value}), xy0, rho_tol)
+                family, replace(par, **{which: value}), xy0, rho_tol)
             rho_err = rho_tol
         except ToleranceNotMetError as exc:
             rho, rho_err = exc.best, float("nan")

@@ -264,14 +264,21 @@ class TestCachedPhases:
             ph[0] = 0.0
         assert fourier._phases(64, GOLDEN_MEAN) is ph
 
+    @pytest.mark.parametrize("n", [8, 64, 1 << 16])
+    @pytest.mark.parametrize("delta", [GOLDEN_MEAN, 0.5, -0.3])
+    def test_nyquist_phase_is_the_real_grid_eigenvalue(self, n, delta):
+        top = fourier._phases(n, delta)[-1]
+        assert top.real == np.cos(np.pi * n * delta) and top.imag == 0.0
+        assert fourier._derivative_multiplier(n)[-1] == 0.0
+
 
 class TestGridConstants:
     """The per-grid constants are kept for the latest grid size only."""
 
     CACHES = ("grid", "_wavenumbers", "_phases", "_derivative_multiplier",
               "_divisors")
-    # the caches keyed (n, omega) as well as n
-    BY_OMEGA = ("_phases", "_divisors")
+    # the arguments after n of the caches keyed by more than n
+    ARGS = {"_phases": (GOLDEN_MEAN,), "_divisors": (GOLDEN_MEAN, 1.0, 1.0)}
 
     @classmethod
     def held_grids(cls):
@@ -299,11 +306,37 @@ class TestGridConstants:
             fourier._phases(64, j / 1000.0)
             assert len(fourier._phases.held) <= fourier._HELD
 
+    def test_threads_on_other_grids(self):
+        # each thread asks for the constants of its own grid, so every
+        # miss empties the cache while the other threads read it
+        cache = fourier._latest_grid(lambda n, j: np.full(4, float(n)))
+        errors = []
+
+        def run(n):
+            try:
+                for j in range(3000):
+                    assert cache(n, j % 40)[0] == n
+            except Exception as exc:
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=run, args=(8 << i,))
+                       for i in range(3)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        finally:
+            sys.setswitchinterval(interval)
+        assert errors == []
+        assert len(cache.held) <= fourier._HELD
+
     def test_continuation_keeps_its_last_grid_only(self):
         # every constant held for a grid the continuation never visits
         for name in self.CACHES:
-            args = (GOLDEN_MEAN,) if name in self.BY_OMEGA else ()
-            getattr(fourier, name)(1024, *args)
+            getattr(fourier, name)(1024, *self.ARGS.get(name, ()))
         prob = QpProblem(StandardNonTwistMap(0.8, "nonsymmetric"),
                          omega=GOLDEN_MEAN)
         res = continue_in_eps(prob, QpState.flat_start(64, GOLDEN_MEAN), 1.0)
@@ -311,32 +344,63 @@ class TestGridConstants:
         assert self.held_grids() == {name: {512} for name in self.CACHES}
 
     def test_divisors_checked_read_only_and_shared(self):
+        # the small divisors and the two contractive tables of the solvers
         n = 64
-        div = fourier._divisors(n, GOLDEN_MEAN)
-        assert not div.flags.writeable
-        assert fourier._divisors(n, GOLDEN_MEAN) is div
         k = np.arange(n // 2)
-        assert div[:-1].tobytes() == (
-            1.0 - np.exp(2j * np.pi * k * GOLDEN_MEAN)).tobytes()
-        assert div[-1] == 1.0 - np.cos(np.pi * n * GOLDEN_MEAN)
+        for lam, rho in ((1.0, 1.0), (0.8, 1.0), (1.0, 0.8)):
+            div = fourier._divisors(n, GOLDEN_MEAN, lam, rho)
+            assert not div.flags.writeable
+            assert fourier._divisors(n, GOLDEN_MEAN, lam, rho) is div
+            assert div[:-1].tobytes() == (
+                lam - rho * np.exp(2j * np.pi * k * GOLDEN_MEAN)).tobytes()
+            assert div[-1] == lam - rho * np.cos(np.pi * n * GOLDEN_MEAN)
+
+    def test_solves_read_the_cached_divisors(self):
+        # each solve builds its divisors once per grid, not per call
+        half = fourier.spectra(np.ones((2, 64)))
+        fourier._divisors.held.clear()
+        fourier.linear_shift_spectra(half[:1], 0.8, 1.0, GOLDEN_MEAN)
+        fourier.small_divisor_spectra(half[1:], GOLDEN_MEAN)
+        held = dict(fourier._divisors.held)
+        assert set(held) == {(64, GOLDEN_MEAN, 0.8, 1.0),
+                             (64, GOLDEN_MEAN, 1.0, 1.0)}
+        fourier.linear_shift_spectra(half[:1], 0.8, 1.0, GOLDEN_MEAN)
+        fourier.small_divisor_spectra(half[1:], GOLDEN_MEAN)
+        assert all(fourier._divisors.held[key] is div
+                   for key, div in held.items())
 
     def test_resonant_divisor_raises_and_is_not_held(self):
-        fourier._divisors(64, GOLDEN_MEAN)
+        fourier._divisors(64, GOLDEN_MEAN, 1.0, 1.0)
         held = dict(fourier._divisors.held)
         # omega = 1/5: the divisors k = 5, 10, .. vanish up to rounding,
         # the smallest at k = 5
         with pytest.raises(SmallDivisorError) as err:
-            fourier._divisors(64, 0.2)
+            fourier._divisors(64, 0.2, 1.0, 1.0)
         assert err.value.k == 5
         # and the check runs again on every call: no pass was recorded
         with pytest.raises(SmallDivisorError):
-            fourier._divisors(64, 0.2)
+            fourier._divisors(64, 0.2, 1.0, 1.0)
         assert fourier._divisors.held == held
         # a degenerate Nyquist divisor 1 - cos(pi n omega) names n/2
         fourier._divisors.held.clear()
         with pytest.raises(SmallDivisorError) as err:
-            fourier._divisors(64, 2.0 / 64)
+            fourier._divisors(64, 2.0 / 64, 1.0, 1.0)
         assert err.value.k == 32 and fourier._divisors.held == {}
+
+    def test_degenerate_contractive_divisor_raises(self):
+        # lam = 1, rho = -1, omega = 1/4 on n = 8: 1 + e(2/4) vanishes up
+        # to rounding at k = 2, below the Nyquist bin
+        half = fourier.spectra(np.random.default_rng(3).standard_normal(
+            (2, 8))).copy()
+        before = half.copy()
+        fourier._divisors(8, GOLDEN_MEAN, 0.8, 1.0)
+        held = dict(fourier._divisors.held)
+        with pytest.raises(SmallDivisorError) as err:
+            fourier.linear_shift_spectra(half, 1.0, -1.0, 0.25)
+        assert err.value.k == 2
+        assert str(err.value).startswith("divisor |lam - rho*e(k*omega)| = ")
+        assert half.tobytes() == before.tobytes()
+        assert fourier._divisors.held == held
 
 
 class TestResampleDealias:
@@ -416,12 +480,13 @@ class TestCohomologicalSolvers:
             f"divisor |1 - e(k*omega)| = {err.value.divisor:.3e} at mode "
             f"k = 5 is below the 1e-13 floor;")
         # the Nyquist divisor lam - rho*cos(pi n omega) of a contractive
-        # solve, 0.5 - cos(pi/3) here
+        # solve, 0.5 - cos(pi/3) here: the Nyquist phase is the grid
+        # eigenvalue cos(pi n omega)
         with pytest.raises(SmallDivisorError) as err:
             solve_contractive(eta, 0.5, 1.0 / (3 * 64))
         assert err.value.k == 32
         assert str(err.value).startswith(
-            f"divisor |lam - rho*cos(pi*n*omega)| = {err.value.divisor:.3e} "
+            f"divisor |lam - rho*e(k*omega)| = {err.value.divisor:.3e} "
             f"at mode k = 32 is below the 1e-13 floor;")
         # the floor printed is the one the raiser passes
         assert "below the 1e-03 floor" in str(

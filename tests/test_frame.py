@@ -76,13 +76,25 @@ class TestTorusEmbedding:
         block[0, 0] = 5.0
         assert k.eta_x[0] == 1.0 and k.eta_x.base is None
         assert k.k_y.dtype == np.float64
+        # read-only and owning its memory: the caller can make it
+        # writable again, so it is copied as well
+        own = np.zeros(64)
+        own.setflags(write=False)
+        k = TorusEmbedding(own, np.zeros(64))
+        own.setflags(write=True)
+        own[0] = 5.0
+        assert k.eta_x[0] == 0.0
 
     def test_checked_fresh_arrays_are_adopted(self):
-        # what fourier.checked gives back for a formula just computed
+        # what fourier.checked gives back for a formula just computed is
+        # adopted through fresh() alone: the constructor copies it
         v = fourier.checked(np.ones(8) + 1.0)
         w = fourier.checked(np.zeros(8))
-        k = TorusEmbedding(v, w)
+        k = TorusEmbedding.fresh(v, w)
         assert k.eta_x is v and k.k_y is w
+        k = TorusEmbedding(v, w)
+        assert k.eta_x is not v and k.k_y is not w
+        assert k.eta_x.tobytes() == v.tobytes()
 
     def test_fresh_arrays_are_frozen_and_scanned_once(self, monkeypatch):
         seen = []

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -112,8 +114,8 @@ class TestStandardNonTwistMap:
         x, y = rand_points(40, 13)
         h = 1e-6
         der = getattr(fam, "d_" + which)(x, y, PAR)
-        pp = PAR.replace(**{which: getattr(PAR, which) + h})
-        pm = PAR.replace(**{which: getattr(PAR, which) - h})
+        pp = replace(PAR, **{which: getattr(PAR, which) + h})
+        pm = replace(PAR, **{which: getattr(PAR, which) - h})
         fp = fam.eval_lift(x, y, pp)
         fm = fam.eval_lift(x, y, pm)
         np.testing.assert_allclose(der[0], (fp[0] - fm[0]) / (2 * h),
