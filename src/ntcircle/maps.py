@@ -18,8 +18,10 @@ points evaluate the forcing once.  A long orbit of one point runs on
 Python floats instead (StandardNonTwistMap.orbit), where a numpy scalar
 would cost more than the arithmetic.  p is written once, as a function
 of s = sin(2 pi x), and p' once, of s and c = cos(2 pi x): an evaluation
-keeps s, so it and its Jacobian take one sine and one cosine, and the
-orbit reads p of math.sin.
+keeps s, so it and its Jacobian take one sine and one cosine.  The orbit
+is the one exception: it writes p of s out again, in one step loop per
+forcing variant and in the same operations, so a map step calls nothing
+but math.sin and gives the same bits.
 """
 
 from __future__ import annotations
@@ -43,7 +45,8 @@ class ParamPoint:
 
 # p of each forcing variant as a function of s = sin(2 pi x), and p' of s
 # and c = cos(2 pi x); the nonsymmetric cos(4 pi x) is 1 - 2 s^2.  They
-# run on numpy arrays and on Python floats alike
+# run on numpy arrays and on Python floats alike; StandardNonTwistMap.orbit
+# writes p out again in its step loops
 def _symmetric(s):
     return s / TWO_PI
 
@@ -174,18 +177,27 @@ class StandardNonTwistMap:
 
         Returns the lift displacements x' - x = q^2 + mu of the steps, as
         a list, and the end point, with x reduced mod 1.  x stays in
-        [0, 1) all along, so no digits are lost to a growing lift.
+        [0, 1) all along, so no digits are lost to a growing lift.  Each
+        forcing variant has its own step loop with p of s = sin(2 pi x)
+        written out, in the operations of Forcing.of_sine, so a step calls
+        nothing but math.sin and gives the bits of_sine would.
         """
-        px, sin = self.forcing.of_sine, math.sin    # p of sin(2 pi x)
+        sin = math.sin
         sigma, eps, a, mu, two_pi = self.sigma, p.eps, p.a, p.mu, TWO_PI
-        out = []
-        append = out.append
-        for _ in range(steps):
-            q = sigma * y + eps * px(sin(two_pi * x)) - a
-            d = q * q + mu
-            append(d)
-            x = (x + d) % 1.0
-            y = q + a
+        out = [0.0] * steps
+        if self.forcing.variant == Forcing.SYMMETRIC:
+            for i in range(steps):
+                q = sigma * y + eps * (sin(two_pi * x) / two_pi) - a
+                out[i] = d = q * q + mu
+                x = (x + d) % 1.0
+                y = q + a
+        else:
+            for i in range(steps):
+                s = sin(two_pi * x)
+                q = sigma * y + eps * ((s + 1.0 - 2.0 * s * s) / two_pi) - a
+                out[i] = d = q * q + mu
+                x = (x + d) % 1.0
+                y = q + a
         return out, x, y
 
 

@@ -397,23 +397,48 @@ def _cell_polynomials(values: np.ndarray, order: int) -> np.ndarray:
     return table
 
 
+# _weighted_average holds the bump weights of each power-of-two length up
+# to _WEIGHTS_LONGEST, half of each: below 8 * _WEIGHTS_LONGEST bytes
+# (128 KiB) for all of them.  Holding up to 2^16, the longest average of
+# the rho_sweep benchmark, read 0.3 MiB more peak RSS on that benchmark
+_WEIGHTS_LONGEST = 1 << 14
+# the bump weights held, (first half of w, sum(w)) keyed by length, read-only
+_WEIGHTS: dict[int, tuple] = {}
+
+
 def _weighted_average(d: np.ndarray) -> float:
     """sum(w*d) / sum(w) with the bump w(t) = exp(-1/(t(1-t))) at midpoints.
 
-    The weights are built in place in one buffer, which then takes w*d:
-    the same operations on the same arrays as the plain formula, so the
-    same bits.
+    The weights are built in place in one buffer, which then takes w*d.
+    Those of a power-of-two length m up to _WEIGHTS_LONGEST are built
+    once: at such an m every t = (i + 1/2)/m and 1 - t are exact, so w
+    is exactly symmetric, and its first half is held in _WEIGHTS with
+    sum(w).  A later call at m writes w*d in two halves into one new
+    array.  Either way these are the operations of the plain formula on
+    the same values, so the same bits.
     """
     m = d.size
-    w = np.arange(m, dtype=float)
-    w += 0.5
-    w /= m
-    w *= 1.0 - w
-    np.divide(-1.0, w, out=w)
-    np.exp(w, out=w)
-    total = np.sum(w)
-    w *= d
-    return float(np.sum(w) / total)
+    held = _WEIGHTS.get(m)
+    if held is None:
+        w = np.arange(m, dtype=float)
+        w += 0.5
+        w /= m
+        w *= 1.0 - w
+        np.divide(-1.0, w, out=w)
+        np.exp(w, out=w)
+        total = np.sum(w)
+        if not m & (m - 1) and 2 <= m <= _WEIGHTS_LONGEST:
+            half = w[:m // 2].copy()
+            half.setflags(write=False)
+            _WEIGHTS[m] = half, total
+        w *= d
+        return float(np.sum(w) / total)
+    half, total = held
+    k = m // 2
+    wd = np.empty(m)
+    np.multiply(half, d[:k], out=wd[:k])
+    np.multiply(half[::-1], d[k:], out=wd[k:])
+    return float(np.sum(wd) / total)
 
 
 def _birkhoff(extend, tol: float, m_max: int, what: str) -> float:
@@ -534,11 +559,27 @@ class SweepRecord:
     locked: bool
 
 
-# longest exact floating-point cycle, in map steps, that an ambient orbit
-# looks for at the start of each chunk
+# most map steps of the probe that starts each chunk of an ambient orbit:
+# an exact cycle of at most _CYCLE_PROBE steps through the chunk's start
+# point is found in that chunk when the doubling has room for the check
+# (see ambient_rotation_number)
 _CYCLE_PROBE = 64
 # most map steps an ambient orbit takes in one orbit call
 _ORBIT_CALL = 4096
+
+
+def _periods(d: list):
+    """Each p < len(d) with d[p:] == d[:-p], in increasing order, then len(d)."""
+    n, first, p = len(d), d[0], 1
+    while p < n:
+        try:
+            p = d.index(first, p)
+        except ValueError:
+            break
+        if d[p:] == d[:n - p]:
+            yield p
+        p += 1
+    yield n
 
 
 def ambient_rotation_number(
@@ -562,43 +603,73 @@ def ambient_rotation_number(
     (StandardNonTwistMap.orbit), with x reduced mod 1 and each
     displacement q^2 + mu taken as it is.
 
-    A locked orbit settles onto an exact floating-point cycle.  Each
-    chunk of new iterates starts with up to _CYCLE_PROBE single steps,
-    each compared with the chunk's start point by == on x and y.  The
-    map is a deterministic function of the float pair (x, y), so once
-    the point returns after P steps the orbit is P-periodic for good:
-    those P displacements are tiled over this chunk and every later one,
-    with no further map steps.  The tiled displacements are the very
-    floats that iterating would give, so the average, and rho, are the
-    same bit for bit.  An orbit that never returns runs the rest of each
-    chunk, as many map steps as without the probe, in orbit calls of at
-    most _ORBIT_CALL steps.  The displacements are written into
-    _birkhoff's array, so no chunk is ever held as a list of Python
-    floats.
+    A locked orbit settles onto an exact floating-point cycle.  The
+    orbit runs in chunks: each starts with a probe of up to _CYCLE_PROBE
+    steps, then runs one call of at most _ORBIT_CALL steps, and a
+    doubling starts a new chunk.  The probe's first call runs as many
+    whole periods as fit of the displacements just before the chunk
+    (the transient's, for the first), so an orbit that is on its cycle
+    already returns at its end; a second call runs the rest of the
+    probe.  If the chunk's start point lies on a cycle of P steps, P no
+    longer than the probe, the probe's displacements repeat with period
+    P.  Each period of the probe (_periods), in increasing order, is
+    checked exactly: the orbit runs on, as the chunk would anyway, to
+    the next multiple of it past the chunk's start, and that point is
+    compared with the start point by == on x and y.  The map is a
+    deterministic function of the float pair (x, y), so once the point
+    returns the orbit is periodic for good: the displacements since the
+    chunk's start are tiled over this doubling and every later one, with
+    no further map steps.  The tiled displacements are the very floats
+    that iterating would give, so the average, and rho, are the same
+    bit for bit.  An orbit that never returns takes as many map steps as
+    without the probe.  The displacements are written into _birkhoff's
+    array, so no chunk is ever held as a list of more than _ORBIT_CALL
+    Python floats.
     """
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
-    _, x, y = family.orbit(x, y, par, transient)
+    lead, x, y = family.orbit(x, y, par, transient)
+    lead = lead[-_CYCLE_PROBE:]     # the tail before the first chunk
     cycle = None            # (first index, period) of the exact cycle
 
+    def run(done: np.ndarray, filled: int, steps: int) -> None:
+        nonlocal x, y
+        d, x, y = family.orbit(x, y, par, steps)
+        done[filled:filled + steps] = d
+
     def extend(done: np.ndarray, filled: int) -> None:
-        nonlocal x, y, cycle
+        nonlocal cycle
         count = done.size
-        if cycle is None:
+        while cycle is None and filled < count:
             x0, y0, start = x, y, filled
-            for _ in range(min(_CYCLE_PROBE, count - filled)):
-                d, x, y = family.orbit(x, y, par, 1)
-                done[filled] = d[0]
-                filled += 1
+            steps = min(_CYCLE_PROBE, count - filled)
+            # whole periods of the displacements just before, then the rest
+            tail = done[max(0, filled - _CYCLE_PROBE):filled].tolist() or lead
+            period = next(_periods(tail)) if tail else steps
+            whole = steps // period * period or steps
+            run(done, filled, whole)
+            filled += whole
+            if x == x0 and y == y0:
+                cycle = (start, whole)
+                break
+            if whole < steps:
+                run(done, filled, steps - whole)
+                filled = start + steps
+            for period in _periods(done[start:filled].tolist()):
+                ahead = -(filled - start) % period
+                if filled + ahead > count:
+                    continue
+                if ahead:
+                    run(done, filled, ahead)
+                    filled += ahead
                 if x == x0 and y == y0:
                     cycle = (start, filled - start)
                     break
             else:
-                while filled < count:
-                    steps = min(_ORBIT_CALL, count - filled)
-                    d, x, y = family.orbit(x, y, par, steps)
-                    done[filled:filled + steps] = d
-                    filled += steps
-                return
+                steps = min(_ORBIT_CALL, count - filled)
+                run(done, filled, steps)
+                filled += steps
+        if cycle is None:
+            return
         # tile whole periods: each copy doubles the stretch it copies from
         start, period = cycle
         while filled < count:

@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -7,6 +8,10 @@ from ntcircle import (Forcing, ParamPoint, StandardNonTwistMap,
                       check_symmetry)
 
 PAR = ParamPoint(a=0.07, mu=0.55, eps=1.3)
+# the four 5/8 edge points of the rho_sweep benchmark's seed-1 sweep around
+# the eps = 2.2 non-twist circle (mu rounded to the tests' MU_22)
+EDGES = [ParamPoint(a=a, mu=0.5984626, eps=2.2)
+         for a in (-0.07625, -0.0741875, 0.0741875, 0.07625)]
 
 
 def families():
@@ -174,6 +179,31 @@ class TestFloatOrbit:
             assert abs(d - (xl - xi)) <= 1e-14
             assert abs(ye - yl) <= 1e-14
             assert xe == (xi + d) % 1.0
+
+    @staticmethod
+    def reference_orbit(fam, x, y, p, steps):
+        """The orbit's step loop written with Forcing.of_sine."""
+        px, out = fam.forcing.of_sine, []
+        for _ in range(steps):
+            q = fam.sigma * y + p.eps * px(math.sin(2.0 * np.pi * x)) - p.a
+            d = q * q + p.mu
+            out.append(d)
+            x = (x + d) % 1.0
+            y = q + p.a
+        return out, x, y
+
+    @pytest.mark.parametrize("fam", families(), ids=family_id)
+    @pytest.mark.parametrize("par", [PAR] + EDGES,
+                             ids=lambda p: f"a={p.a}")
+    def test_step_loop_is_of_sine_bitwise(self, fam, par):
+        # every displacement and the end point, bit for bit, from random
+        # starts; the edge points run onto their 5/8 attractor
+        x, y = rand_points(8, 15)
+        for x0, y0 in zip(x.tolist(), y.tolist()):
+            got, xe, ye = fam.orbit(x0, y0, par, 3000)
+            want, xw, yw = self.reference_orbit(fam, x0, y0, par, 3000)
+            assert ([v.hex() for v in got + [xe, ye]]
+                    == [v.hex() for v in want + [xw, yw]])
 
     @pytest.mark.parametrize("fam", families(), ids=family_id)
     def test_orbit_resumes_from_its_end_point(self, fam):

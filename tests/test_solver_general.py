@@ -335,6 +335,27 @@ class TestWeightedAverage:
         d = 0.5 + 0.25 * rng.standard_normal(1 << k)
         assert solver_general._weighted_average(d) == self.plain(d)
 
+    def test_held_weights_out_of_order_within_bound(self, monkeypatch):
+        # every length 2^10 .. 2^17 twice, in a shuffled order: the first
+        # visit builds the weights, the second reads the held ones; only
+        # the powers of two up to _WEIGHTS_LONGEST are held, half of each,
+        # all of them below 128 KiB
+        held = {}
+        monkeypatch.setattr(solver_general, "_WEIGHTS", held)
+        rng = np.random.default_rng(3)
+        lengths = [1 << k for k in range(10, 18)] + [3000]
+        for m in rng.permutation(lengths * 2).tolist():
+            d = 0.5 + 0.25 * rng.standard_normal(m)
+            kept = d.copy()
+            assert solver_general._weighted_average(d) == self.plain(d)
+            assert np.array_equal(d, kept)
+        longest = solver_general._WEIGHTS_LONGEST
+        assert sorted(held) == [m for m in lengths if m <= longest and m != 3000]
+        assert longest == 1 << 14
+        assert sum(w.nbytes for w, _ in held.values()) < 8 * longest
+        assert 8 * longest <= 1 << 17
+        assert not any(w.flags.writeable for w, _ in held.values())
+
 
 class TestBirkhoffStop:
     """The two ways _birkhoff stops, on synthetic estimate sequences.
@@ -449,6 +470,56 @@ class TestAmbientRotationNumber:
             # the cycle closes before the last doubling, whose chunk (half
             # the iterates past the transient) costs at most the probe
             assert tiled <= steps[0] - (steps[0] - 256) // 2 + 64
+
+    def test_cycle_found_in_the_chunk_where_it_closes(self, monkeypatch):
+        # a 5/8 edge point of the rho_sweep circle: its exact cycle closes
+        # inside the doubling from 2^13 to 2^14 iterates, after the probe of
+        # that doubling's first chunk.  It is tiled from the second chunk,
+        # not from the doubling to 2^15 (16,648 map steps when the probe ran
+        # at each doubling only)
+        fam = sym_family()
+        par = ParamPoint(a=0.0741875, mu=MU_22, eps=2.2)
+        _, x, y = fam.orbit(0.3, 0.2, par, 256)
+        seen = {}
+        while (x, y) not in seen:
+            seen[x, y] = len(seen)
+            _, x, y = fam.orbit(x, y, par, 1)
+        closes, period = seen[x, y], len(seen) - seen[x, y]
+        probe, call = solver_general._CYCLE_PROBE, solver_general._ORBIT_CALL
+        assert period <= probe
+        assert (1 << 13) + probe < closes < 1 << 14
+        steps = count_steps(monkeypatch)
+        rho = ambient_rotation_number(fam, par, (0.3, 0.2))
+        assert lock_fraction(rho) == Fraction(5, 8)
+        assert 256 + closes < steps[0] <= 256 + (1 << 13) + call + 2 * probe
+        tiled = steps[0]
+        steps[0] = 0
+        assert rho == untiled_rotation_number(fam, par, (0.3, 0.2))
+        assert tiled < steps[0] - (steps[0] - 256) // 2
+
+    def test_cycle_found_past_a_misleading_tail(self):
+        # a stand-in 64-cycle whose first and last displacements are equal,
+        # so the 64 displacements before each doubling read as period 63:
+        # the probe's whole periods of the tail end one step short of the
+        # cycle, and the rest of the probe still finds it in that chunk
+        probe = solver_general._CYCLE_PROBE
+        values = [0.5] + [0.5 + 1e-3 * j for j in range(1, probe - 1)] + [0.5]
+
+        class BorderCycle:
+            steps = 0
+
+            def orbit(self, x, y, p, steps):
+                self.steps += steps
+                out = []
+                for _ in range(steps):
+                    out.append(values[round(x * probe)])
+                    x = (x + 1.0 / probe) % 1.0
+                return out, x, y
+
+        cyc, par = BorderCycle(), ParamPoint(0.0, 0.0, 0.0)
+        rho = ambient_rotation_number(cyc, par, (0.0, 0.0))
+        assert cyc.steps <= 256 + 2 * probe
+        assert rho == untiled_rotation_number(BorderCycle(), par, (0.0, 0.0))
 
     @pytest.mark.parametrize("a", [0.075, 0.0, 0.05])
     def test_tiled_orbit_is_the_iterated_one(self, monkeypatch, a):
