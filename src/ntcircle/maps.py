@@ -32,6 +32,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 TWO_PI = 2.0 * np.pi
+_SYMMETRY_SAMPLES = 256    # points check_symmetry compares the conjugacy on
+_SYMMETRY_SEED = 0
 
 
 @dataclass(frozen=True)
@@ -201,17 +203,16 @@ class StandardNonTwistMap:
         return out, x, y
 
 
-def check_symmetry(
-    family: StandardNonTwistMap, p: ParamPoint, samples: int = 256, seed: int = 0
-) -> float:
+def check_symmetry(family: StandardNonTwistMap, p: ParamPoint) -> float:
     """Max deviation of the conjugacy S F_a S = F_{-a}, S(x,y) = (x-1/2, -y).
 
     Zero (to rounding) for the odd-symmetric forcing; order-one for the
-    non-symmetric one.  The x component is compared on the circle.
+    non-symmetric one, on _SYMMETRY_SAMPLES seeded random points of
+    [0, 1) x [-2, 2].  The x component is compared on the circle.
     """
-    rng = np.random.default_rng(seed)
-    x = rng.random(samples)
-    y = rng.uniform(-2.0, 2.0, samples)
+    rng = np.random.default_rng(_SYMMETRY_SEED)
+    x = rng.random(_SYMMETRY_SAMPLES)
+    y = rng.uniform(-2.0, 2.0, _SYMMETRY_SAMPLES)
     sx, sy = np.mod(x - 0.5, 1.0), -y
     fx, fy = family.eval(sx, sy, p)
     lhs_x, lhs_y = np.mod(fx - 0.5, 1.0), -fy

@@ -52,6 +52,7 @@ tiled out to the Birkhoff length.
 
 from __future__ import annotations
 
+import functools
 import math
 from collections import namedtuple
 from dataclasses import dataclass, replace
@@ -238,12 +239,6 @@ def _residual(circle: TorusEmbedding, f: InternalMap,
     return _Residual(ex, ey, err, idx, w)
 
 
-def invariance_error(circle: TorusEmbedding, f: InternalMap,
-                     family: StandardNonTwistMap, par: ParamPoint) -> float:
-    """sup |F(K(theta)) - K(f(theta))| on the grid."""
-    return _residual(circle, f, family, par).err
-
-
 @dataclass(frozen=True)
 class GeneralStepReport:
     fixed_point_iters: int   # torsion and normal transfer solves together
@@ -397,43 +392,43 @@ def _cell_polynomials(values: np.ndarray, order: int) -> np.ndarray:
     return table
 
 
-# _weighted_average holds the bump weights of each power-of-two length up
-# to _WEIGHTS_LONGEST, half of each: below 8 * _WEIGHTS_LONGEST bytes
-# (128 KiB) for all of them.  Holding up to 2^16, the longest average of
-# the rho_sweep benchmark, read 0.3 MiB more peak RSS on that benchmark
+# _weighted_average holds the weights of each power-of-two length up to
+# this, half of each, below 128 KiB in all; held up to 2^16, the longest
+# average of the rho_sweep benchmark, they read 0.3 MiB more peak RSS there
 _WEIGHTS_LONGEST = 1 << 14
-# the bump weights held, (first half of w, sum(w)) keyed by length, read-only
-_WEIGHTS: dict[int, tuple] = {}
+
+
+@functools.cache
+def _bump_weights(m: int) -> tuple[np.ndarray, float]:
+    """The bump w(t) = exp(-1/(t(1-t))) at the midpoints t = (i + 1/2)/m:
+    the first half of w, read-only, and sum(w).
+
+    m must be a power of two, else ValueError: then every t and 1 - t are
+    exact, so w is exactly symmetric.  The formula runs in place in one
+    buffer; as one expression, its temporaries read 1 MiB more peak RSS
+    on the rho_sweep benchmark.
+    """
+    if m < 2 or m & (m - 1):
+        raise ValueError(f"bump weights need a power-of-two length, got {m}")
+    w = np.arange(m, dtype=float)
+    w += 0.5
+    w /= m
+    w *= 1.0 - w
+    np.divide(-1.0, w, out=w)
+    np.exp(w, out=w)
+    half = w[:m // 2].copy()
+    half.setflags(write=False)
+    return half, np.sum(w)
 
 
 def _weighted_average(d: np.ndarray) -> float:
-    """sum(w*d) / sum(w) with the bump w(t) = exp(-1/(t(1-t))) at midpoints.
-
-    The weights are built in place in one buffer, which then takes w*d.
-    Those of a power-of-two length m up to _WEIGHTS_LONGEST are built
-    once: at such an m every t = (i + 1/2)/m and 1 - t are exact, so w
-    is exactly symmetric, and its first half is held in _WEIGHTS with
-    sum(w).  A later call at m writes w*d in two halves into one new
-    array.  Either way these are the operations of the plain formula on
-    the same values, so the same bits.
+    """sum(w*d) / sum(w) with the bump weights w of _bump_weights, held up
+    to _WEIGHTS_LONGEST.  w*d is written in two halves, of w's first half
+    and of it reversed: the plain formula's operations, so its bits.
     """
     m = d.size
-    held = _WEIGHTS.get(m)
-    if held is None:
-        w = np.arange(m, dtype=float)
-        w += 0.5
-        w /= m
-        w *= 1.0 - w
-        np.divide(-1.0, w, out=w)
-        np.exp(w, out=w)
-        total = np.sum(w)
-        if not m & (m - 1) and 2 <= m <= _WEIGHTS_LONGEST:
-            half = w[:m // 2].copy()
-            half.setflags(write=False)
-            _WEIGHTS[m] = half, total
-        w *= d
-        return float(np.sum(w) / total)
-    half, total = held
+    half, total = (_bump_weights if m <= _WEIGHTS_LONGEST
+                   else _bump_weights.__wrapped__)(m)
     k = m // 2
     wd = np.empty(m)
     np.multiply(half, d[:k], out=wd[:k])

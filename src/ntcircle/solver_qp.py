@@ -81,30 +81,31 @@ grid solver uses too.  A probe and a kept point run the same frame
 stage.  Completion adds b_mu and the frame projections of E, with no
 transform.
 
-The correction is affine in the twist unknown delta_a, so a Newton
-iteration solves its linearization once: _solve_linear returns the
-correction at delta_a = 0 and its rate per unit delta_a, in two blocks
-of four rows (both cohomological equations for both, then both
-corrections cut to their band), and the Steffensen probes, the step and
-its damped fractions all combine that basis on samples.  The probes read
-only b_a, and the export of N only the frame, so they run the frame
-stage alone.  A step or a damped fraction of it is judged on its
-residual alone, 2 FFTs, and only the point that is kept runs the frame
-stage and completion: a full geometry is 2 + 4 FFTs, and a Newton
-iteration with the twist open costs 18: one solve (4), three frame
-stages (two probes and the kept point, 4 each) and one residual (2).
-When the twist is already closed the zero probe is the full-step
-candidate, and the iteration takes its residual instead of building it
-again.  The eps-derivative makes one solve and no frame stage: it reads
-D_eps F and the frame from the workspace of the solve that converged its
-state instead of building the geometry again, and takes the rate of a
-from its caller.
+_solve_linear solves columns of data (eta_l, eta_n, phase), each
+projected on the frame as the residual is, in two blocks of two rows per
+column: both cohomological equations, then the corrections cut to their
+band.  The correction is affine in the twist unknown delta_a, so a
+Newton iteration solves once, on two columns (_basis): the residual, for
+the correction at delta_a = 0, and D_a F, for its rate per unit delta_a.
+The Steffensen probes, the step and its damped fractions all combine
+that basis.  The probes read only b_a, and the export of N only the
+frame, so they run the frame stage alone.  A step or a damped fraction
+of it is judged on its residual alone, 2 FFTs, and only the point that
+is kept runs the frame stage and completion: a full geometry is 2 + 4
+FFTs, and a Newton iteration with the twist open costs 18: one solve
+(4), three frame stages (two probes and the kept point, 4 each) and one
+residual (2).  When the twist is already closed the zero probe is the
+full-step candidate, and the iteration takes its residual instead of
+building it again.  The eps-derivative makes one solve and no frame
+stage: it reads D_eps F and the frame from the workspace of the solve
+that converged its state instead of building the geometry again, and
+takes the rate of a from its caller.
 
 A solve keeps a field alive only while it reads it.  An iterate that
 has passed the checks at the top of the loop lets go of the map
 evaluation, DF, E, the shifted L_x and N_x, and keeps what the linear
-solve reads: the frame, eta_l, eta_n, b_la, D_a F_x and the shifted
-N_y and L_y.  Once the basis is built it keeps only its point (K, a,
+solve reads: the frame and the shifted N_y and L_y, beside its two
+columns.  Once the basis is built it keeps only its point (K, a,
 mu, eps and err), so the probes and the trials run beside K and the
 basis alone.  A frame stage runs with at most the current iterate and
 the point being built, and lets go of N0 once N is in; a kept point is
@@ -265,8 +266,7 @@ def _dropped(names: tuple) -> tuple:
 # the point of a workspace, all an iterate keeps once its basis is built
 _POINT = ("k", "a", "mu", "eps", "err")
 # what _solve_linear reads of a workspace, its point aside
-_LINEAR = _POINT + ("frame", "eta_l", "eta_n", "bla", "d_a", "ny_s", "ly_s",
-                    "b_a", "b_mu", "e_p")
+_LINEAR = _POINT + ("frame", "ny_s", "ly_s", "b_mu")
 
 
 def _mean(v: np.ndarray) -> float:
@@ -385,53 +385,55 @@ def _correction_band(half: np.ndarray) -> None:
     half[..., fourier._size(half) // 4 + 1:] = 0.0
 
 
-def _solve_linear(problem, ws, eta_l, eta_n, phase):
-    """Frame-coordinate solve, affine in delta_a: the update and its rate.
+def _solve_linear(problem, ws, *columns):
+    """Frame-coordinate solve of each column (eta_l, eta_n, phase).
 
-    delta_mu = <eta_l>/b_mu - (b_a/b_mu) delta_a kills the average of the
-    tangent equation; the tangent constant is chosen so the x-average of
-    the updated embedding is -phase (the phase lock).  Every part of the
-    update is affine in delta_a, so one solve serves every delta_a: returns
-    the basis ((d_eta_x, d_ky, delta_mu) at delta_a = 0, their rates per
-    unit delta_a), the corrections as read-only sample arrays, which
-    _correction combines.
+    A column is data projected as the residual is.  delta_mu =
+    <eta_l>/b_mu kills the average of its tangent equation, and the
+    x-average of its correction is -phase (the phase lock).  Returns
+    (d_eta_x, d_ky, delta_mu) per column, the corrections read-only
+    samples; all columns share both transform pairs.
     """
     om = problem.omega
-    sig = problem.family.sigma
     if abs(ws.b_mu) < _DRIFT_FLOOR:
         raise MuDegeneracyError(
             f"drift average b_mu = {ws.b_mu:.3e} below {_DRIFT_FLOOR:.0e}"
         )
-    mu0 = _mean(eta_l) / ws.b_mu
-    mu1 = -ws.b_a / ws.b_mu
-    # D_a F = (D_a F_x, 0), D_mu F = (1, 0): their projections on the
-    # shifted frame are -L_y D_a F_x, -L_y, b_la and N_y
-    ly, ny, dax = ws.ly_s, ws.ny_s, ws.d_a
-    # the normal (contractive) and tangent (small-divisor) equations, at
-    # delta_a = 0 and their rates, share one transform pair
-    rows = np.array((
-        eta_n + ly * mu0,
-        ly * dax + ly * mu1,
-        eta_l - ny * mu0,
-        -ws.bla - ny * mu1,
-    ))
+    eta_l, eta_n, phase = zip(*columns)
+    mu = [_mean(v) / ws.b_mu for v in eta_l]
+    # P(theta+omega)^{-1} D_mu F = (N_y, -L_y), as D_mu F = (1, 0)
+    ly, ny = ws.ly_s, ws.ny_s
+    rows = np.array([v + ly * m for v, m in zip(eta_n, mu)]
+                    + [v - ny * m for v, m in zip(eta_l, mu)])
+    k = len(columns)
     half = fourier.spectra(rows)
-    fourier.linear_shift_spectra(half[:2], sig, 1.0, om)
-    fourier.small_divisor_spectra(half[2:], om)
-    xi_n0, xi_n1, xi_l0, xi_l1 = fourier.samples(half, rows)
+    fourier.linear_shift_spectra(half[:k], problem.family.sigma, 1.0, om)
+    fourier.small_divisor_spectra(half[k:], om)
+    xi = fourier.samples(half, rows)
     lx, ly = ws.frame.l
     nx, ny = ws.frame.nvec
-    xi_l0 = xi_l0 + (-phase - _mean(lx * xi_l0 + nx * xi_n0))
-    xi_l1 = xi_l1 - _mean(lx * xi_l1 + nx * xi_n1)
+    corrections = []
+    for xi_n, xi_l, p in zip(xi[:k], xi[k:], phase):
+        xi_l = xi_l + (-p - _mean(lx * xi_l + nx * xi_n))
+        corrections += (lx * xi_l + nx * xi_n, ly * xi_l + ny * xi_n)
     # keep the correction inside the residual's band: outside it the
     # filtered composition exerts no feedback and the correction loop is
     # unstable, and at its edge band-edge error is pumped, not contracted;
-    # the basis rows stay samples, checked and frozen once by their block
-    e0, y0, e1, y1 = fourier.transform(
-        np.array((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
-                  lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
-        _correction_band)
-    return (e0, y0, mu0), (e1, y1, mu1)
+    # the corrections stay samples, checked and frozen once by their block
+    fields = fourier.transform(np.array(corrections), _correction_band)
+    return tuple(zip(fields[::2], fields[1::2], mu))
+
+
+def _basis(problem, ws, column):
+    """_solve_linear of column and of D_a F = (D_a F_x, 0) taken as the
+    residual, (-b_la, L_y(. + omega) D_a F_x, 0): the correction at
+    delta_a = 0 and its rate per unit delta_a.  The workspace keeps what
+    the solve reads, and only its point after."""
+    columns = column, (-ws.bla, ws.ly_s * ws.d_a, 0.0)
+    ws.keep_only(_LINEAR)
+    basis = _solve_linear(problem, ws, *columns)
+    ws.keep_only(_POINT)
+    return basis
 
 
 def _correction(basis, delta_a: float):
@@ -550,9 +552,7 @@ def newton_solve(problem: QpProblem, state: QpState,
                 f"residual blew up to {ws.err:.3e} from {history[0]:.3e}")
         # the iterate keeps what the linear solve reads, then only its
         # point: the probes and trials run beside K and the basis alone
-        ws.keep_only(_LINEAR)
-        basis = _solve_linear(problem, ws, ws.eta_l, ws.eta_n, ws.e_p)
-        ws.keep_only(_POINT)
+        basis = _basis(problem, ws, (ws.eta_l, ws.eta_n, ws.e_p))
         delta_a, cand = steffensen_update(problem, ws, basis)
         # the step holds two fields where the basis holds four
         step = _correction(basis, delta_a)
@@ -639,13 +639,11 @@ def eps_derivative(
             state.a, state.mu, state.eps):
         raise ValueError("workspace does not belong to this state")
     # the cut rows of D_eps F stay samples, checked by their block
-    ex, ey = fourier.transform(np.array(ws.ev.d_eps()), fourier.cut_spectra)
-    eta_l, eta_n = _projections(ws, ex, ey)
-    del ex, ey
-    ws.keep_only(_LINEAR)
-    basis = _solve_linear(problem, ws, eta_l, eta_n, 0.0)
-    del eta_l, eta_n
-    ws.keep_only(_POINT)
+    d_eps = fourier.transform(np.array(ws.ev.d_eps()), fourier.cut_spectra)
+    column = (*_projections(ws, *d_eps), 0.0)
+    del d_eps
+    basis = _basis(problem, ws, column)
+    del column
     d_eta, d_ky, d_mu = _correction(basis, d_a)
     return EpsDerivative(checked(d_eta), checked(d_ky), d_a, d_mu)
 
@@ -787,14 +785,12 @@ class BreakdownFit:
     window: int
 
 
-def breakdown_extrapolate(
-    records, window: int = 20, min_points: int = _FIT_MIN_POINTS
-) -> BreakdownFit:
+def breakdown_extrapolate(records, window: int = 20) -> BreakdownFit:
     """Fit alpha = m*eps + c on the final stretch and report eps_c = -c/m.
 
     The window is the last decade of alpha (points with alpha within
     10x of the final one) or the last `window` records, whichever is
-    smaller, widened to at least `min_points` records when the final
+    smaller, widened to at least _FIT_MIN_POINTS records when the final
     collapse is too abrupt to populate the decade.  eps_c and the fit
     come from the window.
 
@@ -815,16 +811,16 @@ def breakdown_extrapolate(
     if alpha.size:
         above = np.nonzero(alpha > 10.0 * alpha[-1])[0]
         start = int(above[-1]) + 1 if above.size else 0
-        if alpha.size - start < min_points:
+        if alpha.size - start < _FIT_MIN_POINTS:
             # abrupt final collapse: too few points in the last decade
-            start = max(0, alpha.size - min_points)
+            start = max(0, alpha.size - _FIT_MIN_POINTS)
         start = max(start, alpha.size - window)
         decade_closers = np.nonzero(alpha >= 10.0 * alpha[-1])[0]
         if decade_closers.size:
             closing = int(decade_closers[-1])
-    if alpha.size - start < min_points:
+    if alpha.size - start < _FIT_MIN_POINTS:
         raise ValueError(
-            f"need at least {min_points} records in the fit window, "
+            f"need at least {_FIT_MIN_POINTS} records in the fit window, "
             f"have {alpha.size - start}"
         )
     m, c, rms = _line_fit(eps[start:], alpha[start:])

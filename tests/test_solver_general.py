@@ -335,26 +335,32 @@ class TestWeightedAverage:
         d = 0.5 + 0.25 * rng.standard_normal(1 << k)
         assert solver_general._weighted_average(d) == self.plain(d)
 
-    def test_held_weights_out_of_order_within_bound(self, monkeypatch):
-        # every length 2^10 .. 2^17 twice, in a shuffled order: the first
-        # visit builds the weights, the second reads the held ones; only
-        # the powers of two up to _WEIGHTS_LONGEST are held, half of each,
-        # all of them below 128 KiB
-        held = {}
-        monkeypatch.setattr(solver_general, "_WEIGHTS", held)
+    def test_held_weights_out_of_order_within_bound(self):
+        # every power of two 2^1 .. 2^17 twice, in a shuffled order: the
+        # first visit builds the weights, the second reads the held ones;
+        # only the powers of two up to _WEIGHTS_LONGEST are held, half of
+        # each, all of them below 128 KiB
+        held = solver_general._bump_weights
+        held.cache_clear()
         rng = np.random.default_rng(3)
-        lengths = [1 << k for k in range(10, 18)] + [3000]
+        lengths = [1 << k for k in range(1, 18)]
         for m in rng.permutation(lengths * 2).tolist():
             d = 0.5 + 0.25 * rng.standard_normal(m)
             kept = d.copy()
             assert solver_general._weighted_average(d) == self.plain(d)
             assert np.array_equal(d, kept)
         longest = solver_general._WEIGHTS_LONGEST
-        assert sorted(held) == [m for m in lengths if m <= longest and m != 3000]
         assert longest == 1 << 14
-        assert sum(w.nbytes for w, _ in held.values()) < 8 * longest
-        assert 8 * longest <= 1 << 17
-        assert not any(w.flags.writeable for w, _ in held.values())
+        short = [m for m in lengths if m <= longest]
+        assert held.cache_info().currsize == len(short)
+        weights = [held(m)[0] for m in short]
+        assert held.cache_info().currsize == len(short)
+        assert [w.size for w in weights] == [m // 2 for m in short]
+        assert sum(w.nbytes for w in weights) < 8 * longest <= 1 << 17
+        assert not any(w.flags.writeable for w in weights)
+        for m in (3, 3000, 3 << 14):
+            with pytest.raises(ValueError, match="power-of-two"):
+                solver_general._weighted_average(np.ones(m))
 
 
 class TestBirkhoffStop:
@@ -929,8 +935,8 @@ class TestOneResidualPerIterate:
         assert np.array_equal(given[0].eta_x, own[0].eta_x)
         assert np.array_equal(given[0].k_y, own[0].k_y)
         assert np.array_equal(given[1].g, own[1].g)
-        assert res.err == solver_general.invariance_error(
-            self.circle, self.f, fam, self.par)
+        assert res.err == max(float(np.max(np.abs(res.ex))),
+                              float(np.max(np.abs(res.ey))))
 
 
 class TestBisectionRounds:

@@ -26,6 +26,7 @@ from ntcircle import (
     StandardNonTwistMap,
     TorusEmbedding,
     TwistDegeneracyError,
+    ambient_rotation_number,
     breakdown_extrapolate,
     continue_in_eps,
     eps_derivative,
@@ -532,8 +533,9 @@ class TestIterationCost:
         monkeypatch.setattr(fourier, "spectra",
                             lambda v: blocks.append(v.copy()) or spectra(v))
         # one solve gives the correction for every delta_a
-        basis = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
-                                        ws.e_p)
+        basis = solver_qp._solve_linear(prob, ws,
+                                        (ws.eta_l, ws.eta_n, ws.e_p),
+                                        a_column(ws))
         monkeypatch.setattr(fourier, "spectra", spectra)
         assert len(blocks[0]) == len(want_rows)
         for row, want in zip(blocks[0], want_rows):
@@ -719,28 +721,42 @@ def real_workspace(variant, n):
     return prob, solver_qp._geometry(prob, k, 0.013, 0.61, 0.9)
 
 
-def reference_solve_linear(problem, ws, eta_l, eta_n, phase):
+def reference_solve_linear(problem, ws, *columns):
     """_solve_linear written with np.stack and np.mean, as it once was,
     on the correction band the solver cuts its corrections to."""
     om, sig = problem.omega, problem.family.sigma
-    mu0 = float(np.mean(eta_l)) / ws.b_mu
-    mu1 = -ws.b_a / ws.b_mu
-    ly, ny, dax = ws.ly_s, ws.ny_s, ws.d_a
-    rows = np.stack((eta_n + ly * mu0, ly * dax + ly * mu1,
-                     eta_l - ny * mu0, -ws.bla - ny * mu1))
+    k = len(columns)
+    mus = [float(np.mean(eta_l)) / ws.b_mu for eta_l, _, _ in columns]
+    ly, ny = ws.ly_s, ws.ny_s
+    rows = np.stack(
+        [eta_n + ly * mu for (_, eta_n, _), mu in zip(columns, mus)]
+        + [eta_l - ny * mu for (eta_l, _, _), mu in zip(columns, mus)])
     half = fourier.spectra(rows)
-    fourier.linear_shift_spectra(half[:2], sig, 1.0, om)
-    fourier.small_divisor_spectra(half[2:], om)
-    xi_n0, xi_n1, xi_l0, xi_l1 = fourier.samples(half, rows)
+    fourier.linear_shift_spectra(half[:k], sig, 1.0, om)
+    fourier.small_divisor_spectra(half[k:], om)
+    xi = fourier.samples(half, rows)
     lx, ly = ws.frame.l
     nx, ny = ws.frame.nvec
-    xi_l0 = xi_l0 + (-phase - float(np.mean(lx * xi_l0 + nx * xi_n0)))
-    xi_l1 = xi_l1 - float(np.mean(lx * xi_l1 + nx * xi_n1))
-    e0, y0, e1, y1 = fourier.transform(
-        np.stack((lx * xi_l0 + nx * xi_n0, ly * xi_l0 + ny * xi_n0,
-                  lx * xi_l1 + nx * xi_n1, ly * xi_l1 + ny * xi_n1)),
-        solver_qp._correction_band)
-    return (e0, y0, mu0), (e1, y1, mu1)
+    out = []
+    for xi_n, xi_l, (_, _, phase) in zip(xi[:k], xi[k:], columns):
+        xi_l = xi_l + (-phase - float(np.mean(lx * xi_l + nx * xi_n)))
+        out += [lx * xi_l + nx * xi_n, ly * xi_l + ny * xi_n]
+    fields = fourier.transform(np.stack(out), solver_qp._correction_band)
+    return [(fields[2 * i], fields[2 * i + 1], mu)
+            for i, mu in enumerate(mus)]
+
+
+def a_column(ws):
+    """The D_a F column in its general form: -P(theta+omega)^{-1} D_a F,
+    D_a F = (D_a F_x, 0), with no phase."""
+    return -ws.ny_s * ws.d_a, ws.ly_s * ws.d_a, 0.0
+
+
+def eps_column(ws):
+    """The D_eps F column of eps_derivative: its cut rows projected as
+    the residual is, with no phase."""
+    ex, ey = fourier.transform(np.array(ws.ev.d_eps()), fourier.cut_spectra)
+    return (*solver_qp._projections(ws, ex, ey), 0.0)
 
 
 REAL_POINTS = [(v, n) for v in ("symmetric", "nonsymmetric")
@@ -766,13 +782,15 @@ class TestPerCallForms:
     def test_linear_solve_equals_reference_form(self, variant, n):
         prob, ws = real_workspace(variant, n)
         for phase in (ws.e_p, 0.0):
-            got = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
-                                          phase)
-            want = reference_solve_linear(prob, ws, ws.eta_l, ws.eta_n,
-                                          phase)
+            got = solver_qp._solve_linear(prob, ws,
+                                          (ws.eta_l, ws.eta_n, phase),
+                                          a_column(ws))
+            want = reference_solve_linear(prob, ws,
+                                          (ws.eta_l, ws.eta_n, phase),
+                                          a_column(ws))
             assert got[0][2] == want[0][2] == (
                 float(np.mean(ws.eta_l)) / ws.b_mu)
-            assert got[1][2] == want[1][2]
+            assert got[1][2] == want[1][2] == -ws.b_a / ws.b_mu
             for g, w in zip(got[0][:2] + got[1][:2],
                             want[0][:2] + want[1][:2]):
                 assert g.tobytes() == w.tobytes()
@@ -810,8 +828,9 @@ class TestPerCallForms:
 
     def test_candidate_scans_each_field_once(self, monkeypatch):
         prob, ws = real_workspace("nonsymmetric", 64)
-        basis = solver_qp._solve_linear(prob, ws, ws.eta_l, ws.eta_n,
-                                        ws.e_p)
+        basis = solver_qp._solve_linear(prob, ws,
+                                        (ws.eta_l, ws.eta_n, ws.e_p),
+                                        a_column(ws))
         seen = []
         check = fourier.checked
         counted = lambda v: seen.append(v) or check(v)
@@ -832,6 +851,59 @@ class TestPerCallForms:
         step[row][7] = np.nan
         with pytest.raises(NonFiniteError):
             solver_qp._candidate(prob, ws, tuple(step), 0.0, 0.5)
+
+
+class TestLinearColumns:
+    """_solve_linear solves each column on its own: a column's correction
+    is the same bits alone as beside another, and the eps-derivative is
+    its two columns combined at the caller's rate of a."""
+
+    @pytest.mark.parametrize("variant,n", REAL_POINTS + [
+        ("nonsymmetric", fourier.SPLIT_MIN)])
+    def test_one_column_equals_its_place_in_two(self, variant, n):
+        prob, ws = real_workspace(variant, n)
+        residual = (ws.eta_l, ws.eta_n, ws.e_p)
+        rate = a_column(ws)
+        eps = eps_column(ws)
+        for pair in ((residual, rate), (eps, rate), (rate, eps)):
+            both = solver_qp._solve_linear(prob, ws, *pair)
+            assert len(both) == 2
+            for column, got in zip(pair, both):
+                alone, = solver_qp._solve_linear(prob, ws, column)
+                assert got[2] == alone[2]
+                for g, w in zip(got[:2], alone[:2]):
+                    assert g.tobytes() == w.tobytes()
+                    assert not g.flags.writeable
+
+    @pytest.mark.parametrize("variant,n", REAL_POINTS)
+    def test_basis_is_the_residual_and_d_a_f_columns(self, variant, n):
+        prob, ws = real_workspace(variant, n)
+        _, own = real_workspace(variant, n)
+        want = solver_qp._solve_linear(
+            prob, own, (own.eta_l, own.eta_n, own.e_p), a_column(own))
+        got = solver_qp._basis(prob, ws, (ws.eta_l, ws.eta_n, ws.e_p))
+        for g, w in zip(got, want):
+            assert g[2] == w[2]
+            assert g[0].tobytes() == w[0].tobytes()
+            assert g[1].tobytes() == w[1].tobytes()
+        # the workspace keeps only its point
+        for name in solver_qp.NewtonWorkspace.__slots__:
+            assert (getattr(ws, name) is None) == (name not in solver_qp._POINT)
+
+    @pytest.mark.parametrize("variant,n", REAL_POINTS)
+    def test_eps_derivative_combines_its_columns(self, variant, n):
+        prob, ws = real_workspace(variant, n)
+        (e_eps, y_eps, mu_eps), = solver_qp._solve_linear(
+            prob, ws, eps_column(ws))
+        (e_a, y_a, mu_a), = solver_qp._solve_linear(
+            prob, ws, a_column(ws))
+        state = QpState(ws.k, ws.a, ws.mu, ws.eps)
+        for d_a in (0.0, 1e-3, -0.1):
+            der = eps_derivative(prob, state, d_a=d_a)
+            assert der.d_a == d_a
+            assert der.d_mu == mu_eps + d_a * mu_a
+            assert der.d_eta_x.tobytes() == (e_eps + d_a * e_a).tobytes()
+            assert der.d_ky.tobytes() == (y_eps + d_a * y_a).tobytes()
 
 
 class TestContinuation:
@@ -1467,6 +1539,53 @@ class TestSymmetricCircle:
         assert abs(st.diagnostics.twist_a) <= 1e-9
 
 
+class TestTwistAgainstAmbientRho:
+    """The twist closure read off the ambient dynamics.
+
+    Along a branch of rotation omega the linear solve sets delta_mu =
+    -(b_a/b_mu) delta_a, so at the branch's (a, mu, eps) the ambient
+    rotation number has d rho/d a : d rho/d mu = b_a : b_mu, and
+    d rho/d a = 0 on the non-twist level b_a0 = 0.  The slopes are
+    central differences with step H of ambient_rotation_number at tol
+    1e-13 from K(0), at eps = 0.5, where no point locks.  Measured: off
+    the non-twist level the ratio meets b_a/b_mu within a relative 1.1e-9
+    (symmetric forcing) and 3.9e-8 (nonsymmetric); on it, it reads 0 and
+    8.9e-11.  Near breakdown the relation degrades (nonsymmetric, eps =
+    1.0, b_a0 = 0.1: 9.043e-2 against 9.135e-2), so it is not tested there.
+    """
+
+    H = 1e-4
+    RTOL = 1e-6     # the ratio against b_a/b_mu off the non-twist level
+    FLAT = 1e-8     # |the ratio| on the non-twist level
+
+    @pytest.mark.parametrize("variant", ["symmetric", "nonsymmetric"])
+    @pytest.mark.parametrize("b_a0", [-0.1, 0.0, 0.1])
+    def test_rho_slopes_are_the_twists(self, variant, b_a0):
+        prob = QpProblem(StandardNonTwistMap(SIGMA, variant), omega=OMEGA,
+                         b_a0=b_a0)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA, b_a0), 0.5,
+                              ContinuationPolicy(step_init=0.05))
+        assert res.reason == "target"
+        st = res.state
+        par = ParamPoint(st.a, st.mu, st.eps)
+        xy0 = (st.k.eta_x[0], st.k.k_y[0])
+
+        def rho(**moved):
+            return ambient_rotation_number(prob.family, replace(par, **moved),
+                                           xy0, 1e-13)
+
+        h = self.H
+        d_a = (rho(a=st.a + h) - rho(a=st.a - h)) / (2.0 * h)
+        d_mu = (rho(mu=st.mu + h) - rho(mu=st.mu - h)) / (2.0 * h)
+        ratio = d_a / d_mu
+        if b_a0 == 0.0:
+            assert abs(ratio) <= self.FLAT
+        else:
+            want = st.diagnostics.twist_a / st.diagnostics.twist_mu
+            assert math.copysign(1.0, want) == math.copysign(1.0, b_a0)
+            assert abs(ratio - want) <= self.RTOL * abs(want)
+
+
 class TestEpsDerivative:
     def test_matches_finite_difference(self):
         prob = sym_problem(tol=1e-12)
@@ -1595,10 +1714,11 @@ class TestBreakdownFit:
 
     def test_abrupt_collapse_widens_thin_decade(self):
         # only the last two points sit within 10x of the final angle;
-        # the window must stretch back to min_points anyway
+        # the window must stretch back to _FIT_MIN_POINTS anyway
         eps = np.linspace(1.0, 1.2, 9)
         recs = [self.rec(e, 2.0 * (1.21 - e)) for e in eps]
-        fit = breakdown_extrapolate(recs, window=20, min_points=5)
+        fit = breakdown_extrapolate(recs, window=20)
+        assert solver_qp._FIT_MIN_POINTS == 5
         assert fit.window == 5
         assert fit.reliable
         assert abs(fit.eps_c - 1.21) <= 1e-12
