@@ -68,10 +68,9 @@ def _nonsymmetric_slope(s, c):
 class Forcing:
     """Periodic forcing p(x) with derivative, amplitude-normalized by 2 pi.
 
-    Calling it evaluates p with numpy, on arrays or scalars.  `of_sine`
-    is p itself as a function of s = sin(2 pi x) and `slope` is p' of s
-    and c = cos(2 pi x); on Python floats they run with no numpy scalar
-    in the way.
+    `of_sine` is p as a function of s = sin(2 pi x) and `slope` is p' of
+    s and c = cos(2 pi x); they run on numpy arrays and, with no numpy
+    scalar in the way, on Python floats.  An Evaluation reads both.
     """
 
     SYMMETRIC = "symmetric"
@@ -84,12 +83,6 @@ class Forcing:
         self.of_sine, self.slope = (
             (_symmetric, _symmetric_slope) if variant == self.SYMMETRIC
             else (_nonsymmetric, _nonsymmetric_slope))
-
-    def __call__(self, x):
-        return self.of_sine(np.sin(TWO_PI * x))
-
-    def deriv(self, x):
-        return self.slope(np.sin(TWO_PI * x), np.cos(TWO_PI * x))
 
 
 class Evaluation:

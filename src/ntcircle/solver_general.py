@@ -45,9 +45,11 @@ chains, are independent and run through fourier.split_items, one pass
 each.  The rotation numbers of the ambient orbit and of a grid circle
 map come from one weighted Birkhoff doubling loop, which stops once two
 successive estimates agree within the tolerance, or once its falling
-differences bound what is left within it; a locked ambient orbit stops
+differences bound what is left within it.  A locked ambient orbit stops
 iterating once it closes an exact floating-point cycle, which is then
-tiled out to the Birkhoff length.
+tiled out to the Birkhoff length: each chunk of the orbit checks once
+whether its start point returns, after the period its tail repeats with
+and at the chunk's end.
 """
 
 from __future__ import annotations
@@ -554,27 +556,25 @@ class SweepRecord:
     locked: bool
 
 
-# most map steps of the probe that starts each chunk of an ambient orbit:
-# an exact cycle of at most _CYCLE_PROBE steps through the chunk's start
-# point is found in that chunk when the doubling has room for the check
-# (see ambient_rotation_number)
-_CYCLE_PROBE = 64
+# map steps run before an ambient orbit's first Birkhoff chunk
+_TRANSIENT = 256
+# the displacements before a chunk of an ambient orbit that are read for
+# the period of its cycle check (see ambient_rotation_number)
+_CYCLE_TAIL = 64
 # most map steps an ambient orbit takes in one orbit call
 _ORBIT_CALL = 4096
 
 
-def _periods(d: list):
-    """Each p < len(d) with d[p:] == d[:-p], in increasing order, then len(d)."""
-    n, first, p = len(d), d[0], 1
-    while p < n:
+def _period(d: list) -> int:
+    """The smallest p < len(d) with d[p:] == d[:-p], else len(d)."""
+    n, p = len(d), 0
+    while True:
         try:
-            p = d.index(first, p)
+            p = d.index(d[0], p + 1)
         except ValueError:
-            break
+            return n
         if d[p:] == d[:n - p]:
-            yield p
-        p += 1
-    yield n
+            return p
 
 
 def ambient_rotation_number(
@@ -583,12 +583,11 @@ def ambient_rotation_number(
     xy0,
     tol: float = 1e-10,
     m_max: int = 1 << 22,
-    transient: int = 256,
 ) -> float:
     """Rotation number of the forward orbit of xy0 under the ambient map.
 
     The attractor of a dissipative annulus map is reached geometrically
-    fast, so after a short transient the lift displacements x' - x can
+    fast, so after _TRANSIENT map steps the lift displacements x' - x can
     be averaged exactly like the displacements of an internal circle
     map, to tol by either stop of _birkhoff (two successive estimates
     agree within tol, or the falling differences bound what is left
@@ -599,31 +598,25 @@ def ambient_rotation_number(
     displacement q^2 + mu taken as it is.
 
     A locked orbit settles onto an exact floating-point cycle.  The
-    orbit runs in chunks: each starts with a probe of up to _CYCLE_PROBE
-    steps, then runs one call of at most _ORBIT_CALL steps, and a
-    doubling starts a new chunk.  The probe's first call runs as many
-    whole periods as fit of the displacements just before the chunk
-    (the transient's, for the first), so an orbit that is on its cycle
-    already returns at its end; a second call runs the rest of the
-    probe.  If the chunk's start point lies on a cycle of P steps, P no
-    longer than the probe, the probe's displacements repeat with period
-    P.  Each period of the probe (_periods), in increasing order, is
-    checked exactly: the orbit runs on, as the chunk would anyway, to
-    the next multiple of it past the chunk's start, and that point is
-    compared with the start point by == on x and y.  The map is a
-    deterministic function of the float pair (x, y), so once the point
-    returns the orbit is periodic for good: the displacements since the
-    chunk's start are tiled over this doubling and every later one, with
-    no further map steps.  The tiled displacements are the very floats
-    that iterating would give, so the average, and rho, are the same
-    bit for bit.  An orbit that never returns takes as many map steps as
-    without the probe.  The displacements are written into _birkhoff's
-    array, so no chunk is ever held as a list of more than _ORBIT_CALL
-    Python floats.
+    orbit runs in chunks of at most _ORBIT_CALL steps, and a doubling
+    starts a new chunk.  Each chunk checks once for its cycle: if the
+    _CYCLE_TAIL displacements just before it (the transient's, for the
+    first) repeat with smallest period P (_period), the chunk first runs
+    P steps, then the rest.  The point after those P steps, and the
+    point at the chunk's end, are compared with the chunk's start point
+    by == on x and y.  The map is a deterministic function of the float
+    pair (x, y), so once the point returns the orbit is periodic for
+    good: the displacements since the chunk's start are tiled over this
+    doubling and every later one, with no further map steps.  The tiled
+    displacements are the very floats that iterating would give, so the
+    average, and rho, are the same bit for bit.  An orbit that never
+    returns takes as many map steps as without the check.  The
+    displacements are written into _birkhoff's array, so no chunk is
+    ever held as a list of more than _ORBIT_CALL Python floats.
     """
     x, y = float(xy0[0]) % 1.0, float(xy0[1])
-    lead, x, y = family.orbit(x, y, par, transient)
-    lead = lead[-_CYCLE_PROBE:]     # the tail before the first chunk
+    lead, x, y = family.orbit(x, y, par, _TRANSIENT)
+    lead = lead[-_CYCLE_TAIL:]      # the tail before the first chunk
     cycle = None            # (first index, period) of the exact cycle
 
     def run(done: np.ndarray, filled: int, steps: int) -> None:
@@ -636,33 +629,19 @@ def ambient_rotation_number(
         count = done.size
         while cycle is None and filled < count:
             x0, y0, start = x, y, filled
-            steps = min(_CYCLE_PROBE, count - filled)
-            # whole periods of the displacements just before, then the rest
-            tail = done[max(0, filled - _CYCLE_PROBE):filled].tolist() or lead
-            period = next(_periods(tail)) if tail else steps
-            whole = steps // period * period or steps
-            run(done, filled, whole)
-            filled += whole
-            if x == x0 and y == y0:
-                cycle = (start, whole)
-                break
-            if whole < steps:
-                run(done, filled, steps - whole)
-                filled = start + steps
-            for period in _periods(done[start:filled].tolist()):
-                ahead = -(filled - start) % period
-                if filled + ahead > count:
-                    continue
-                if ahead:
-                    run(done, filled, ahead)
-                    filled += ahead
+            end = min(filled + _ORBIT_CALL, count)
+            period = _period(done[filled - _CYCLE_TAIL:filled].tolist()
+                             if filled else lead)
+            if period < _CYCLE_TAIL:    # chunks of >= 1024 steps fit it
+                run(done, filled, period)
+                filled += period
                 if x == x0 and y == y0:
-                    cycle = (start, filled - start)
+                    cycle = (start, period)
                     break
-            else:
-                steps = min(_ORBIT_CALL, count - filled)
-                run(done, filled, steps)
-                filled += steps
+            run(done, filled, end - filled)
+            filled = end
+            if x == x0 and y == y0:
+                cycle = (start, end - start)
         if cycle is None:
             return
         # tile whole periods: each copy doubles the stretch it copies from

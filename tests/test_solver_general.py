@@ -479,10 +479,11 @@ class TestAmbientRotationNumber:
 
     def test_cycle_found_in_the_chunk_where_it_closes(self, monkeypatch):
         # a 5/8 edge point of the rho_sweep circle: its exact cycle closes
-        # inside the doubling from 2^13 to 2^14 iterates, after the probe of
-        # that doubling's first chunk.  It is tiled from the second chunk,
-        # not from the doubling to 2^15 (16,648 map steps when the probe ran
-        # at each doubling only)
+        # inside the first chunk of the doubling from 2^13 to 2^14
+        # iterates.  The second chunk reads the period from the tail before
+        # it and returns after one period, so the cycle is tiled from
+        # there, not from the doubling to 2^15 (16,648 map steps when the
+        # cycle was checked at each doubling only)
         fam = sym_family()
         par = ParamPoint(a=0.0741875, mu=MU_22, eps=2.2)
         _, x, y = fam.orbit(0.3, 0.2, par, 256)
@@ -491,13 +492,13 @@ class TestAmbientRotationNumber:
             seen[x, y] = len(seen)
             _, x, y = fam.orbit(x, y, par, 1)
         closes, period = seen[x, y], len(seen) - seen[x, y]
-        probe, call = solver_general._CYCLE_PROBE, solver_general._ORBIT_CALL
-        assert period <= probe
-        assert (1 << 13) + probe < closes < 1 << 14
+        tail, call = solver_general._CYCLE_TAIL, solver_general._ORBIT_CALL
+        assert period < tail
+        assert 1 << 13 < closes < (1 << 13) + call - tail
         steps = count_steps(monkeypatch)
         rho = ambient_rotation_number(fam, par, (0.3, 0.2))
         assert lock_fraction(rho) == Fraction(5, 8)
-        assert 256 + closes < steps[0] <= 256 + (1 << 13) + call + 2 * probe
+        assert steps[0] == 256 + (1 << 13) + call + period
         tiled = steps[0]
         steps[0] = 0
         assert rho == untiled_rotation_number(fam, par, (0.3, 0.2))
@@ -505,11 +506,11 @@ class TestAmbientRotationNumber:
 
     def test_cycle_found_past_a_misleading_tail(self):
         # a stand-in 64-cycle whose first and last displacements are equal,
-        # so the 64 displacements before each doubling read as period 63:
-        # the probe's whole periods of the tail end one step short of the
-        # cycle, and the rest of the probe still finds it in that chunk
-        probe = solver_general._CYCLE_PROBE
-        values = [0.5] + [0.5 + 1e-3 * j for j in range(1, probe - 1)] + [0.5]
+        # so the 64 displacements before each chunk read as period 63: the
+        # check after 63 steps misses, and the return at the chunk's end
+        # finds the cycle by the end of the first chunk
+        tail = solver_general._CYCLE_TAIL
+        values = [0.5] + [0.5 + 1e-3 * j for j in range(1, tail - 1)] + [0.5]
 
         class BorderCycle:
             steps = 0
@@ -518,13 +519,13 @@ class TestAmbientRotationNumber:
                 self.steps += steps
                 out = []
                 for _ in range(steps):
-                    out.append(values[round(x * probe)])
-                    x = (x + 1.0 / probe) % 1.0
+                    out.append(values[round(x * tail)])
+                    x = (x + 1.0 / tail) % 1.0
                 return out, x, y
 
         cyc, par = BorderCycle(), ParamPoint(0.0, 0.0, 0.0)
         rho = ambient_rotation_number(cyc, par, (0.0, 0.0))
-        assert cyc.steps <= 256 + 2 * probe
+        assert cyc.steps <= 256 + (1 << 10)
         assert rho == untiled_rotation_number(BorderCycle(), par, (0.0, 0.0))
 
     @pytest.mark.parametrize("a", [0.075, 0.0, 0.05])

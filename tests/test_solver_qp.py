@@ -1098,6 +1098,37 @@ class TestContinuation:
         assert res.state.eps == 1.05
         assert res.state.diagnostics.invariance_error <= prob.tol
 
+    def test_failed_step_lands_on_a_finer_level(self, monkeypatch):
+        # unpatched, on the qp_paths nonsymmetric branch to eps = 1.2: the
+        # step to eps = 1.15 raises on N = 512 at a best residual above
+        # _LEVEL_SUSPECT * tol, settles on 1024 still above it, and is
+        # recorded on 2048.  newton_solve is wrapped to record only
+        prob = nonsym_problem()
+        solve = solver_qp.newton_solve
+        raised, settled = [], []
+
+        def recorded(problem, st, out=None):
+            try:
+                new = solve(problem, st, out)
+            except DivergenceError as exc:
+                raised.append((st.k.n, st.eps, exc.residual))
+                raise
+            settled.append((st.k.n, st.eps,
+                            new.diagnostics.invariance_error))
+            return new
+
+        monkeypatch.setattr(solver_qp, "newton_solve", recorded)
+        res = continue_in_eps(prob, QpState.flat_start(64, OMEGA), 1.2)
+        assert res.reason == "target"
+        (n, eps, floor), = raised
+        assert (n, eps) == (512, 1.15)
+        assert floor > solver_qp._LEVEL_SUSPECT * prob.tol
+        finer = {level: err for level, e, err in settled if e == eps}
+        assert finer.keys() == {1024, 2048}
+        assert finer[1024] > solver_qp._LEVEL_SUSPECT * prob.tol
+        assert finer[2048] <= prob.tol
+        assert [r.n for r in res.records if r.eps == eps] == [2048]
+
     def test_suspect_step_is_solved_again_from_its_own_state(self,
                                                              monkeypatch):
         # nested iteration: a step that settles far above tol on N is
